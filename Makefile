@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-smoke bench-full results lint-deadcode
+.PHONY: test bench bench-smoke bench-full bench-repo test-bench results lint-deadcode
 
 # Tier-1: the fast correctness suite (tests/ only).
 test:
@@ -56,6 +56,17 @@ bench-smoke: lint-deadcode
 bench-full:
 	$(PY) scripts/bench_contribution.py --full
 	$(PY) scripts/bench_population.py --full
+
+# The repo benchmark (BENCHMARK.json; see bench/README.md): four
+# full-stack workloads, end-to-end metrics plus a per-layer trace, each
+# run in its own child process -> bench/out/result.json.  Compare two
+# results with `python3 -m bench.run --compare A.json B.json`.
+bench-repo:
+	python3 -m bench.run
+
+# The harness's own self-tests at tiny sizes (not tier-1).
+test-bench:
+	python -m pytest bench/tests
 
 results:
 	$(PY) scripts/collect_results.py

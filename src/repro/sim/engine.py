@@ -51,10 +51,12 @@ class EventSource(Protocol):
         ``None`` when the source is idle."""
 
     def run_due(self, limit_key: Optional[Tuple[float, int, int]]) -> int:
-        """Execute every pending event with key ``< limit_key`` (one
-        batch when ``limit_key`` is ``None``), advancing the engine
-        clock via :meth:`Engine.advance_to` per event.  Returns the
-        number of events executed."""
+        """Execute pending events with key ``< limit_key`` (no limit
+        when ``None``) — at least the one :meth:`peek_key` just
+        reported, as many more as the source has at hand — advancing
+        the engine clock via :meth:`Engine.advance_to` per event.
+        Returns the number executed; the engine calls again while the
+        source's head still precedes its heap."""
 
 
 class EventHandle:

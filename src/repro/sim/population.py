@@ -20,7 +20,12 @@ columnar state:
 
 Due ticks are selected in bulk (``np.nonzero(next_tick < horizon)``
 over candidate blocks), ordered by ``(time, seq)`` with one lexsort,
-and dispatched as a batch while the engine clock advances per tick.
+and kept as the **open window**: a sorted cache of the columns with a
+dispatch cursor.  The engine's merge loop hands control back and forth
+— ``run_due(limit_key)`` dispatches the window's prefix that precedes
+the next heap event and returns, the heap event fires, ``run_due``
+resumes at the cursor — so interleaved churn costs a heap pop per
+event, not an extraction per event.
 
 **Bit-identity contract.**  The tick schedule — every (time, protocol,
 peer) triple, in execution order — is bit-identical to the object
@@ -38,14 +43,28 @@ engine's, because each ingredient is replicated exactly:
   use, claimed at the same moments the object engine would call
   ``engine.schedule`` — so ties against heap events (equal time and
   priority 0) resolve identically;
-* *batching*: a batch never crosses the next heap event's ``(time,
-  priority, seq)`` key, and is capped at ``t0 + G`` where ``G`` is the
-  smallest possible reschedule gap, so a tick rescheduled mid-batch
-  can never land inside the running batch out of order;
-* *mutation safety*: actions that flip peers on/offline mid-batch bump
-  a churn epoch which switches the dispatch loop to per-entry
-  revalidation, and an action that schedules a heap event truncates
-  the batch so the engine can re-merge.
+* *batching — the window invariant*: while a window is open, every
+  pending column entry with ``time < horizon`` is in its unexecuted
+  part ``[k, n)``, in order.  What is cached: the extracted times,
+  seqs, protocols and rows, each entry's precomputed reschedule time,
+  and — for the executed prefix — the seq its reschedule claimed; the
+  column writes themselves wait for the flush.  The horizon starts at
+  ``t0 + G`` (``G`` the smallest possible reschedule gap), so a tick
+  rescheduled by the window lands at or past it, never inside.  What
+  lowers the horizon: any other column write below it — a peer coming
+  online whose first tick is due before ``horizon`` — cuts the window
+  back to that time; the dropped tail is still scheduled in the
+  columns and the next window merges the newcomer in.  When it closes:
+  once spent, or whenever something needs the columns themselves
+  (:meth:`PopulationEngine.schedule_state`, a restore) — the executed
+  prefix is flushed in one vectorised pass, the rest discarded;
+* *mutation safety*: ``peer_online``/``peer_offline`` write the
+  columns directly and bump a churn epoch; from then on the window
+  revalidates each entry against the columns before dispatching it
+  (offline, or no longer holding the extracted time = superseded) and
+  each executed entry again in the flush.  An action that schedules a
+  heap event cuts the running slice at that event's key so the engine
+  can merge it.
 
 A protocol may additionally register a **batch handler** (a fourth
 ``ProtocolSpec`` element): a maximal same-protocol run of due entries
@@ -63,6 +82,7 @@ bench-smoke``) enforce the contract end-to-end.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -89,7 +109,6 @@ _BLOCK = 1 << _BLOCK_SHIFT
 #: Raw jitter doubles pre-drawn per peer per refill.  Over-drawing is
 #: invisible: nothing but this scheduler reads a peer's jitter stream.
 _JITTER_CHUNK = 16
-_EMPTY_SET: frozenset = frozenset()
 
 #: Batched protocol handler: ``batch_action(times, peer_ids, rows)``
 #: for one ordered same-protocol run of due ticks.  Contract: set
@@ -102,6 +121,67 @@ ProtocolSpec = Union[
     Tuple[str, float, Callable[[str], None]],
     Tuple[str, float, Callable[[str], None], BatchAction],
 ]
+
+
+class _Window:
+    """The open tick window: every tick the columns held in ``[t0,
+    horizon)`` when it was extracted, in ``(time, seq)`` order, plus
+    the dispatch cursor and the executed prefix's deferred reschedules.
+    A cache of the columns, never the truth: entries ``[k, n)`` are
+    still scheduled there and may be dropped at any time."""
+
+    __slots__ = (
+        "horizon", "epoch", "t_arr", "p_arr", "r_arr", "t", "s", "p", "row",
+        "when", "advanced", "claimed", "left", "k", "n", "fired",
+    )
+
+    def __init__(
+        self,
+        horizon: float,
+        epoch: int,
+        times: np.ndarray,
+        seqs: np.ndarray,
+        protos: np.ndarray,
+        rows: np.ndarray,
+        when: List[Optional[float]],
+        advanced: Optional[np.ndarray],
+    ):
+        #: every pending column entry below this time is in ``[k, n)``
+        self.horizon = horizon
+        #: churn epoch at extraction; a later one means revalidate
+        self.epoch = epoch
+        self.t_arr, self.p_arr, self.r_arr = times, protos, rows
+        #: hot-loop views (scalar list reads beat numpy scalar reads)
+        self.t: List[float] = times.tolist()
+        self.s: List[int] = seqs.tolist()
+        self.p: List[int] = protos.tolist()
+        self.row: List[int] = rows.tolist()
+        #: precomputed reschedule time per entry (``None`` = slow path)
+        self.when = when
+        #: per entry: its jitter draw moves (or moved) the peer's
+        #: cursor itself, so the flush must not; ``None`` = no jitter
+        self.advanced = advanced
+        #: per entry: seq claimed for its reschedule; 0 = executed but
+        #: went offline during its action; -1 = pending or skipped
+        self.claimed = [-1] * len(self.t)
+        #: rows that went offline under this window — the only ones a
+        #: ``peer_online`` may have to reconcile a jitter cursor for
+        self.left: set = set()
+        self.k = 0
+        self.n = len(self.t)
+        #: ticks executed so far
+        self.fired = 0
+
+    def prefix_end(self, lo: int, hi: int, limit_key: Tuple[float, int, int]) -> int:
+        """End of the run of entries in ``[lo, hi)`` whose ``(time, 0,
+        seq)`` key precedes ``limit_key``."""
+        limit_time = limit_key[0]
+        end = bisect_left(self.t, limit_time, lo, hi)
+        limit_tail = limit_key[1:]
+        t, s = self.t, self.s
+        while end < hi and t[end] == limit_time and (0, s[end]) < limit_tail:
+            end += 1
+        return end
 
 
 class PopulationEngine:
@@ -197,17 +277,13 @@ class PopulationEngine:
         self.max_batch_size = 0
         self.completed_session_seconds = 0.0
 
-        #: epochs: any write invalidates the peek cache; online/offline
-        #: flips additionally switch running batches to revalidation
-        self._write_epoch = 0
+        #: online/offline flips bump this; a window extracted under an
+        #: older epoch revalidates its entries against the columns
         self._churn_epoch = 0
-        self._peek_cache: Optional[Tuple[float, int, int]] = None
-        self._peek_epoch = -1
-        #: in-flight batch state so an action that (re)starts a peer
-        #: mid-batch can reconcile its jitter cursor (the flush is the
-        #: normal cursor-advance point; see :meth:`_reconcile_cursor`)
-        self._inflight: Optional[Tuple[List[int], List[int], frozenset]] = None
-        self._inflight_reconciled: set = set()
+        #: the open tick window (``None`` between windows) and whether
+        #: :meth:`run_due` is on the stack (i.e. we are inside an action)
+        self._win: Optional[_Window] = None
+        self._dispatching = False
 
     # ------------------------------------------------------------------
     # Peer lifecycle
@@ -273,16 +349,15 @@ class PopulationEngine:
         row = self._index.get(peer_id)
         if row is None:
             row = self._add_peer(peer_id)
-        if self._online[row]:
+        elif self._online[row]:
             return
+        elif self._win is not None and row in self._win.left:
+            self._reconcile_cursor(self._win, row)
         self._online[row] = True
         self._online_since[row] = now
-        if self._inflight is not None:
-            self._reconcile_cursor(row)
         for p in range(len(self._actions)):
             self._schedule(p, row, now)
         self._churn_epoch += 1
-        self._write_epoch += 1
 
     def peer_offline(self, peer_id: str, now: float) -> None:
         """Stop the peer's loops (idempotent while offline)."""
@@ -294,11 +369,12 @@ class PopulationEngine:
         self._online_since[row] = np.nan
         self.completed_session_seconds += max(0.0, now - since)
         for col in self._next:
-            # Raising an entry leaves its block minimum stale-low; the
-            # peek path self-corrects by refreshing empty blocks.
+            # Raising an entry leaves its block minimum stale-low;
+            # ``_true_min`` self-corrects by refreshing empty blocks.
             col[row] = _INF
+        if self._win is not None:
+            self._win.left.add(row)
         self._churn_epoch += 1
-        self._write_epoch += 1
 
     def is_online(self, peer_id: str) -> bool:
         row = self._index.get(peer_id)
@@ -325,27 +401,30 @@ class PopulationEngine:
         self._jit_pos[row] = pos + 1
         return float(self._jit_buf[row, pos])
 
-    def _reconcile_cursor(self, row: int) -> None:
-        """A peer is (re)starting mid-batch.  Fast-path draws the
-        running batch consumed for this row have not advanced its
+    def _reconcile_cursor(self, win: _Window, row: int) -> None:
+        """A peer is restarting while the window is open.  Fast-path
+        draws the window consumed for this row have not advanced its
         jitter cursor yet (the flush does that), so advance it now —
         the fresh ``_schedule`` draw must continue the stream — and
-        mark the row so the flush does not advance it twice."""
-        if self._jf == 0.0 or row in self._inflight_reconciled:
-            return
-        row_list, seq_list, slow_set = self._inflight
-        consumed = 0
-        for k, r in enumerate(row_list):
-            if r == row and seq_list[k] > 0 and k not in slow_set:
-                consumed += 1
+        mark those entries so the flush does not advance it twice."""
+        if win.advanced is None:
+            return  # no jitter, no cursors
+        consumed = [
+            k
+            for k in np.nonzero(win.r_arr[: win.n] == row)[0].tolist()
+            if win.claimed[k] > 0 and not win.advanced[k]
+        ]
         if consumed:
-            self._jit_pos[row] += consumed
-        self._inflight_reconciled.add(row)
+            self._jit_pos[row] += len(consumed)
+            win.advanced[consumed] = True
 
     def _schedule(self, p: int, row: int, base: float) -> None:
         """Schedule protocol ``p``'s next tick for ``row`` after
         ``base`` — one jitter draw (if jittered) then one seq claim,
-        the object engine's exact operation order."""
+        the object engine's exact operation order.  A tick that lands
+        below the open window's horizon lowers the horizon to it: the
+        window's tail from that time on is dropped (it stays scheduled
+        in the columns) so the next window merges the newcomer in."""
         interval = self._intervals[p]
         if self._jf > 0.0:
             u = self._draw(row)
@@ -361,6 +440,10 @@ class PopulationEngine:
         block = row >> _BLOCK_SHIFT
         if when < bmin[block]:
             bmin[block] = when
+        win = self._win
+        if win is not None and when < win.horizon:
+            win.horizon = when
+            win.n = bisect_left(win.t, when, 0, win.n)
 
     # ------------------------------------------------------------------
     # Event-source interface (engine merge loop)
@@ -390,67 +473,13 @@ class PopulationEngine:
             if found:
                 return float(t0)
 
-    def peek_key(self) -> Optional[Tuple[float, int, int]]:
-        """``(time, priority, seq)`` of the earliest pending tick."""
-        if self._peek_epoch == self._write_epoch:
-            return self._peek_cache
+    def _open_window(self) -> Optional[_Window]:
+        """Extract, sort and pre-compute every tick in ``[t0, t0 +
+        min_gap)`` — one block scan, one lexsort, one gap prepass."""
         t0 = self._true_min()
         if t0 is None:
-            key = None
-        else:
-            best = None
-            for p, bmin in enumerate(self._bmin):
-                col = self._next[p]
-                seqs = self._seq[p]
-                for block in np.nonzero(bmin == t0)[0]:
-                    lo = int(block) << _BLOCK_SHIFT
-                    for off in np.nonzero(col[lo : lo + _BLOCK] == t0)[0]:
-                        seq = int(seqs[lo + int(off)])
-                        if best is None or seq < best:
-                            best = seq
-            assert best is not None
-            key = (t0, 0, best)
-        self._peek_cache = key
-        self._peek_epoch = self._write_epoch
-        return key
-
-    def run_due(self, limit_key: Optional[Tuple[float, int, int]]) -> int:
-        """Execute every pending tick with key ``< limit_key``.
-
-        ``limit_key=None`` (empty engine queue) runs one horizon batch.
-        Returns the number of ticks executed.
-        """
-        fired = 0
-        while True:
-            if self._peek_epoch == self._write_epoch:
-                # The engine peeked just before calling us; reuse its
-                # block-scan instead of repeating it.
-                key = self._peek_cache
-                t0 = None if key is None else key[0]
-            else:
-                t0 = self._true_min()
-            if t0 is None:
-                break
-            if limit_key is not None:
-                limit_time, limit_prio, limit_seq = limit_key
-                if t0 > limit_time:
-                    break
-                if t0 == limit_time:
-                    ran = self._run_boundary(t0, limit_prio, limit_seq)
-                    fired += ran
-                    if ran == 0:
-                        break
-                    continue
-                horizon = min(t0 + self._min_gap, limit_time)
-            else:
-                horizon = t0 + self._min_gap
-            fired += self._run_span(horizon)
-            if limit_key is None:
-                break
-        return fired
-
-    def _run_span(self, horizon: float) -> int:
-        """Extract and execute all ticks with ``time < horizon``."""
+            return None
+        horizon = t0 + self._min_gap
         times_parts: List[np.ndarray] = []
         seq_parts: List[np.ndarray] = []
         proto_parts: List[np.ndarray] = []
@@ -460,72 +489,53 @@ class PopulationEngine:
             seqs = self._seq[p]
             for block in np.nonzero(bmin < horizon)[0]:
                 lo = int(block) << _BLOCK_SHIFT
-                window = col[lo : lo + _BLOCK]
-                offs = np.nonzero(window < horizon)[0]
+                span = col[lo : lo + _BLOCK]
+                offs = np.nonzero(span < horizon)[0]
                 if offs.size:
                     rows = lo + offs
-                    times_parts.append(window[offs])
+                    times_parts.append(span[offs])
                     seq_parts.append(seqs[rows])
                     row_parts.append(rows)
                     proto_parts.append(np.full(offs.size, p, dtype=np.int64))
-        if not times_parts:
-            return 0
-        if len(times_parts) == 1 and times_parts[0].size == 1:
-            return self._execute_single(
-                float(times_parts[0][0]),
-                int(proto_parts[0][0]),
-                int(row_parts[0][0]),
-            )
         times = np.concatenate(times_parts)
         seqs = np.concatenate(seq_parts)
         rows = np.concatenate(row_parts)
         protos = np.concatenate(proto_parts)
         order = np.lexsort((seqs, times))
         times = times[order]
-        seqs = seqs[order]
         protos = protos[order]
         rows = rows[order]
-        when_list, fast_uniq, fast_counts, slow_set = self._prepare_batch(
-            times, protos, rows
+        when_list, advanced = self._prepare_batch(times, protos, rows)
+        win = _Window(
+            horizon, self._churn_epoch, times, seqs[order], protos, rows,
+            when_list, advanced,
         )
-        return self._execute(
-            times.tolist(),
-            seqs,
-            protos,
-            rows,
-            when_list,
-            fast_uniq,
-            fast_counts,
-            slow_set,
-        )
+        self._win = win
+        return win
 
     def _prepare_batch(
         self,
         times: np.ndarray,
         protos: np.ndarray,
         rows: np.ndarray,
-    ) -> Tuple[
-        List[Optional[float]],
-        Optional[np.ndarray],
-        Optional[np.ndarray],
-        frozenset,
-    ]:
+    ) -> Tuple[List[Optional[float]], Optional[np.ndarray]]:
         """Vectorised pre-computation of each entry's reschedule time.
 
         The gap arithmetic runs elementwise in float64 — the exact
         operations of the scalar path, so the times are bit-identical
         — and each entry's jitter double is gathered from its peer's
-        chunk buffer at ``cursor + occurrence-within-batch`` without
+        chunk buffer at ``cursor + occurrence-within-window`` without
         advancing any cursor (the flush advances cursors only for
-        draws the batch actually consumed).  Entries of a peer whose
-        buffer would run dry mid-batch take the scalar slow path
-        (``None`` marker); a peer's entries are all-fast or all-slow,
-        so the two paths never interleave on one cursor.
+        draws the window actually consumed).  Entries of a peer whose
+        buffer would run dry mid-window take the scalar slow path
+        (``None`` marker, ``advanced`` mask set: their inline draws
+        move the cursor themselves); a peer's entries are all-fast or
+        all-slow, so the two paths never interleave on one cursor.
         """
         m = rows.size
         if self._jf == 0.0:
             when = times + self._iv_arr[protos]
-            return when.tolist(), None, None, _EMPTY_SET
+            return when.tolist(), None
         order = np.argsort(rows, kind="stable")
         rs = rows[order]
         newgrp = np.empty(m, dtype=bool)
@@ -534,12 +544,11 @@ class PopulationEngine:
         idx = np.arange(m)
         occ_sorted = idx - np.maximum.accumulate(np.where(newgrp, idx, 0))
         starts = np.nonzero(newgrp)[0]
-        uniq = rs[starts]
         counts = np.diff(np.append(starts, m))
-        # a row is slow if its last draw this batch would cross the
+        # a row is slow if its last draw this window would cross the
         # chunk boundary (or its buffer was never filled: cursor ==
         # _JITTER_CHUNK)
-        row_slow = self._jit_pos[uniq] + counts > _JITTER_CHUNK
+        row_slow = self._jit_pos[rs[starts]] + counts > _JITTER_CHUNK
         entry_slow = np.empty(m, dtype=bool)
         entry_slow[order] = np.repeat(row_slow, counts)
         end_pos = np.empty(m, dtype=np.int64)
@@ -552,118 +561,78 @@ class PopulationEngine:
         )
         when = times + np.maximum(gap, 1e-9)
         when_list: List[Optional[float]] = when.tolist()
-        slow_ks = np.nonzero(entry_slow)[0].tolist()
-        for k in slow_ks:
+        for k in np.nonzero(entry_slow)[0].tolist():
             when_list[k] = None
-        return (
-            when_list,
-            uniq[~row_slow],
-            counts[~row_slow],
-            frozenset(slow_ks),
-        )
+        return when_list, entry_slow
 
-    def _run_boundary(self, t0: float, limit_prio: int, limit_seq: int) -> int:
-        """Execute ticks at exactly ``t0`` whose ``(0, seq)`` precedes
-        the heap event's ``(limit_prio, limit_seq)``."""
-        entries: List[Tuple[int, int, int]] = []  # (seq, proto, row)
-        for p, bmin in enumerate(self._bmin):
-            col = self._next[p]
-            seqs = self._seq[p]
-            for block in np.nonzero(bmin == t0)[0]:
-                lo = int(block) << _BLOCK_SHIFT
-                for off in np.nonzero(col[lo : lo + _BLOCK] == t0)[0]:
-                    row = lo + int(off)
-                    seq = int(seqs[row])
-                    if limit_prio > 0 or seq < limit_seq:
-                        entries.append((seq, p, row))
-        if not entries:
-            return 0
-        entries.sort()
-        m = len(entries)
-        if m == 1:
-            return self._execute_single(t0, entries[0][1], entries[0][2])
-        return self._execute(
-            [t0] * m,
-            np.array([seq for seq, _p, _row in entries], dtype=np.int64),
-            np.array([p for _seq, p, _row in entries], dtype=np.int64),
-            np.array([row for _seq, _p, row in entries], dtype=np.int64),
-            [None] * m,
-            None,
-            None,
-            frozenset(range(m)),
-        )
+    def _head(self) -> Optional[_Window]:
+        """The open window with its cursor on a live entry — skipping
+        entries churn superseded, and opening the next window once this
+        one is spent.  ``None`` when no tick is pending."""
+        while True:
+            win = self._win
+            if win is None:
+                win = self._open_window()
+                if win is None:
+                    return None
+            k = win.k
+            n = win.n
+            if self._churn_epoch != win.epoch:
+                t_list, p_list, row_list = win.t, win.p, win.row
+                online = self._online
+                nexts = self._next
+                while k < n and (
+                    not online[row_list[k]]
+                    or nexts[p_list[k]][row_list[k]] != t_list[k]
+                ):
+                    k += 1
+                win.k = k
+            if k < n:
+                return win
+            self._close_window()
 
-    def _execute_single(self, t: float, p: int, row: int) -> int:
-        """Scalar dispatch for a one-tick batch — the small-population
-        common case.  Skips every piece of batch bookkeeping (the gap
-        prepass, in-flight tracking, flush) while keeping the scalar
-        loop's exact semantics: action, then — if still online — one
-        jitter draw and one sequence claim, with the reschedule write
-        revalidated against the column (churn during the action
-        supersedes it, like :meth:`_flush_careful`)."""
-        engine = self._engine
-        engine.advance_to(t)
-        self._actions[p](self._ids[row])
-        self.ticks_by_protocol[p] += 1
-        self.batches += 1
-        if self.max_batch_size == 0:
-            self.max_batch_size = 1
-        self._write_epoch += 1
-        if not self._online[row]:
-            return 1
-        if self._jf > 0.0:
-            u = self._draw(row)
-            interval, neg_half, span = self._params[p]
-            gap = interval + (neg_half + span * u)
-            if gap < 1e-9:
-                gap = 1e-9
-        else:
-            gap = self._intervals[p]
-        seq = self._engine.claim_seq()
-        col = self._next[p]
-        if col[row] != t:
-            return 1  # superseded by churn during its own action
-        when = t + gap
-        col[row] = when
-        self._seq[p][row] = seq
-        bmin = self._bmin[p]
-        block = row >> _BLOCK_SHIFT
-        if when < bmin[block]:
-            bmin[block] = when
-        return 1
+    def peek_key(self) -> Optional[Tuple[float, int, int]]:
+        """``(time, priority, seq)`` of the earliest pending tick: the
+        open window's head."""
+        win = self._head()
+        if win is None:
+            return None
+        return (win.t[win.k], 0, win.s[win.k])
 
-    def _execute(
-        self,
-        t_list: List[float],
-        s_arr: np.ndarray,
-        p_arr: np.ndarray,
-        r_arr: np.ndarray,
-        when_list: List[Optional[float]],
-        fast_uniq: Optional[np.ndarray],
-        fast_counts: Optional[np.ndarray],
-        slow_set: frozenset,
-    ) -> int:
-        """Dispatch one ordered batch, advancing the clock per tick.
+    def run_due(self, limit_key: Optional[Tuple[float, int, int]]) -> int:
+        """Dispatch the open window's ticks whose key precedes
+        ``limit_key`` (all of them when ``None``), advancing the clock
+        per tick, and hand back to the engine; returns the number of
+        ticks executed.  The engine calls again — resuming at the
+        cursor, or on the next window — while ``peek_key()`` still
+        precedes its heap.
 
         This is the per-tick hot loop, and everything hoistable has
         been hoisted: reschedule times come precomputed from
         :meth:`_prepare_batch` (bit-identical float ops), and all
         column scatters — ``next_tick``, ``seq``, the block minima,
-        the jitter cursors — are deferred to one flush per batch.
-        Per tick the loop runs the action, claims a sequence number
-        and records it; nothing touches numpy.
+        the jitter cursors — are deferred to one flush when the window
+        closes.  Per tick the loop runs the action, claims a sequence
+        number and records it; on a window no churn has touched,
+        nothing reads numpy.
 
-        Deferral is sound because an entry's columns are only read
-        again after the flush: a peer cannot recur within a batch
-        (the horizon bound) and the next extraction happens after
-        this method returns.  A clean batch takes the vectorised
-        :meth:`_flush_fast`; mid-batch churn, truncation or an
-        offline-during-action entry switches to the per-entry
-        :meth:`_flush_careful`, which revalidates each write against
-        the columns (``peer_online``/``peer_offline`` write their
-        columns directly, so a superseded entry's column no longer
-        holds its extracted time).
+        Deferral is sound because an executed entry's columns are only
+        read again after the flush: a peer cannot recur within a
+        window (the horizon bound), and whatever scans the columns
+        closes the window first.  Heap events between two calls may
+        flip peers on/offline; ``peer_online``/``peer_offline`` write
+        their columns directly, so an entry they superseded no longer
+        holds its extracted time — pending entries are revalidated
+        against the columns here, executed ones in the flush.
         """
+        win = self._head()
+        if win is None:
+            return 0
+        t_list, s_list, p_list, row_list = win.t, win.s, win.p, win.row
+        when_list = win.when
+        claimed = win.claimed
+        k = win.k
+        end = win.n if limit_key is None else win.prefix_end(k, win.n, limit_key)
         engine = self._engine
         online = self._online
         nexts = self._next
@@ -672,169 +641,174 @@ class PopulationEngine:
         any_batch = self._any_batch
         ids = self._ids
         params = self._params
+        ticks = self.ticks_by_protocol
         jittered = self._jf > 0.0
         draw = self._draw
-        epoch = self._churn_epoch
-        n = len(t_list)
-        p_list = p_arr.tolist()
-        row_list = r_arr.tolist()
-        #: per-entry claimed seq; -1 = skipped by revalidation,
-        #: 0 = executed but went offline during its own action
-        seq_list = [-1] * n
-        self._inflight = (row_list, seq_list, slow_set)
-        skipped = 0
-        unresched = 0
+        epoch = win.epoch
         eseq = engine._seq
-        iterated = n
+        skipped = 0
         clock_checked = False
-        k = 0
-        while k < n:
-            t = t_list[k]
-            p = p_list[k]
-            row = row_list[k]
-            if self._churn_epoch != epoch and (
-                not online[row] or nexts[p][row] != t
-            ):
-                # A peer flipped on/offline earlier in this batch and
-                # superseded (or cancelled) this entry.
-                skipped += 1
-                k += 1
-                continue
-            if (
-                any_batch
-                and batch_actions[p] is not None
-                and self._churn_epoch == epoch
-            ):
-                # Maximal same-protocol run — hand it to the protocol's
-                # batch handler in one call.  No churn has happened
-                # since extraction, so every entry in the run is valid,
-                # and the handler's contract (no scheduling, no seq
-                # claims, no churn) means the reschedule draws and seq
-                # claims below land exactly where the scalar loop
-                # would have put them.
-                j = k + 1
-                while j < n and p_list[j] == p:
-                    j += 1
-                if j - k >= 2:
-                    if not clock_checked:
-                        engine.advance_to(t)
-                        clock_checked = True
-                    batch_actions[p](
-                        t_list[k:j],
-                        [ids[r] for r in row_list[k:j]],
-                        row_list[k:j],
-                    )
-                    if engine._seq != eseq or self._churn_epoch != epoch:
-                        raise RuntimeError(
-                            "batch protocol handler violated its "
-                            "contract: it must not schedule events, "
-                            "claim sequence numbers, or change peer "
-                            "online status"
-                        )
-                    for kk in range(k, j):
-                        if when_list[kk] is None:
-                            if jittered:
-                                u = draw(row_list[kk])
-                                interval, neg_half, span = params[p]
-                                gap = interval + (neg_half + span * u)
-                                if gap < 1e-9:
-                                    gap = 1e-9
-                            else:
-                                gap = params[p][0]
-                            when_list[kk] = t_list[kk] + gap
-                        eseq += 1
-                        seq_list[kk] = eseq
-                    engine._seq = eseq
-                    k = j
-                    continue
-            # Inline advance_to: entries are time-sorted, so only the
-            # batch's first executed tick needs the backwards check.
-            if clock_checked:
-                engine._now = t
-            else:
-                engine.advance_to(t)
-                clock_checked = True
-            actions[p](ids[row])
-            seq_now = engine._seq
-            action_claimed = seq_now != eseq
-            if online[row]:
-                if when_list[k] is None:
-                    # Slow path: the peer's jitter chunk runs dry this
-                    # batch (or a boundary batch skipped the prepass) —
-                    # draw and compute the gap like the object engine.
-                    if jittered:
-                        u = draw(row)
-                        interval, neg_half, span = params[p]
-                        gap = interval + (neg_half + span * u)
-                        if gap < 1e-9:
-                            gap = 1e-9
+        first = k
+        self._dispatching = True
+        try:
+            while k < end:
+                t = t_list[k]
+                p = p_list[k]
+                row = row_list[k]
+                if self._churn_epoch != epoch:
+                    if end > win.n:
+                        end = win.n  # an action lowered the horizon
+                        continue
+                    if not online[row] or nexts[p][row] != t:
+                        # A peer flipped on/offline since extraction and
+                        # superseded (or cancelled) this entry.
+                        skipped += 1
+                        k += 1
+                        continue
+                if any_batch and batch_actions[p] is not None:
+                    # Maximal same-protocol run of live entries — hand
+                    # it to the protocol's batch handler in one call.
+                    # The handler's contract (no scheduling, no seq
+                    # claims, no churn) means the reschedule draws and
+                    # seq claims below land exactly where the scalar
+                    # loop would have put them.
+                    j = k + 1
+                    if self._churn_epoch == epoch:
+                        while j < end and p_list[j] == p:
+                            j += 1
                     else:
-                        gap = params[p][0]
-                    when_list[k] = t + gap
-                eseq = seq_now + 1
-                engine._seq = eseq
-                seq_list[k] = eseq
-            else:
-                # Went offline during its own action: consumed already
-                # (``peer_offline`` raised the column to inf), and the
-                # object engine's stopped process draws nothing.
-                eseq = seq_now
-                seq_list[k] = 0
-                unresched += 1
-            k += 1
-            if action_claimed and k < n:
-                # The action scheduled (or claimed seqs for) something;
-                # a new heap event may now precede the rest of the
-                # batch.  Re-merge through the engine when it does.
-                qkey = engine.next_event_key()
-                if qkey is not None and qkey < (t_list[k], 0, s_arr[k]):
-                    # Remaining entries stay scheduled in the columns
-                    # and are re-extracted on the next pass.
-                    iterated = k
-                    break
-        count = iterated - skipped
-        if self._churn_epoch == epoch and iterated == n and unresched == 0:
-            self._flush_fast(
-                p_arr, r_arr, when_list, seq_list,
-                fast_uniq, fast_counts, jittered,
-            )
-        else:
-            self._flush_careful(
-                iterated, t_list, p_list, row_list,
-                when_list, seq_list, slow_set, jittered,
-            )
-        self._inflight = None
-        self._inflight_reconciled.clear()
-        self.batches += 1
-        if count > self.max_batch_size:
-            self.max_batch_size = count
-        self._write_epoch += 1
+                        while (
+                            j < end
+                            and p_list[j] == p
+                            and online[row_list[j]]
+                            and nexts[p][row_list[j]] == t_list[j]
+                        ):
+                            j += 1
+                    if j - k >= 2:
+                        if not clock_checked:
+                            engine.advance_to(t)
+                            clock_checked = True
+                        churn_before = self._churn_epoch
+                        batch_actions[p](
+                            t_list[k:j],
+                            [ids[r] for r in row_list[k:j]],
+                            row_list[k:j],
+                        )
+                        if engine._seq != eseq or self._churn_epoch != churn_before:
+                            raise RuntimeError(
+                                "batch protocol handler violated its "
+                                "contract: it must not schedule events, "
+                                "claim sequence numbers, or change peer "
+                                "online status"
+                            )
+                        for kk in range(k, j):
+                            if when_list[kk] is None:
+                                if jittered:
+                                    u = draw(row_list[kk])
+                                    interval, neg_half, span = params[p]
+                                    gap = interval + (neg_half + span * u)
+                                    if gap < 1e-9:
+                                        gap = 1e-9
+                                else:
+                                    gap = params[p][0]
+                                when_list[kk] = t_list[kk] + gap
+                            eseq += 1
+                            claimed[kk] = eseq
+                        engine._seq = eseq
+                        ticks[p] += j - k
+                        k = j
+                        continue
+                # Inline advance_to: entries are time-sorted, so only
+                # the call's first executed tick needs the backwards
+                # check.
+                if clock_checked:
+                    engine._now = t
+                else:
+                    engine.advance_to(t)
+                    clock_checked = True
+                actions[p](ids[row])
+                ticks[p] += 1
+                seq_now = engine._seq
+                action_claimed = seq_now != eseq
+                if online[row]:
+                    if when_list[k] is None:
+                        # Slow path: the peer's jitter chunk runs dry
+                        # this window — draw and compute the gap like
+                        # the object engine.
+                        if jittered:
+                            u = draw(row)
+                            interval, neg_half, span = params[p]
+                            gap = interval + (neg_half + span * u)
+                            if gap < 1e-9:
+                                gap = 1e-9
+                        else:
+                            gap = params[p][0]
+                        when_list[k] = t + gap
+                    eseq = seq_now + 1
+                    engine._seq = eseq
+                    claimed[k] = eseq
+                else:
+                    # Went offline during its own action: consumed
+                    # already (``peer_offline`` raised the column to
+                    # inf), and the object engine's stopped process
+                    # draws nothing.
+                    eseq = seq_now
+                    claimed[k] = 0
+                k += 1
+                if action_claimed and k < end:
+                    # The action scheduled (or claimed seqs for)
+                    # something; a new heap event may now precede part
+                    # of the slice.  Cut the slice there: the engine's
+                    # merge fires the event and resumes at the cursor.
+                    qkey = engine.next_event_key()
+                    if qkey is not None and (limit_key is None or qkey < limit_key):
+                        limit_key = qkey
+                        end = win.prefix_end(k, min(end, win.n), qkey)
+        finally:
+            self._dispatching = False
+            win.k = k
+            count = k - first - skipped
+            if count:
+                if win.fired == 0:
+                    self.batches += 1
+                win.fired += count
+                if win.fired > self.max_batch_size:
+                    self.max_batch_size = win.fired
         return count
 
-    def _flush_fast(
-        self,
-        p_arr: np.ndarray,
-        r_arr: np.ndarray,
-        when_list: List[float],
-        seq_list: List[int],
-        fast_uniq: Optional[np.ndarray],
-        fast_counts: Optional[np.ndarray],
-        jittered: bool,
-    ) -> None:
-        """Vectorised flush for the common batch: no churn, no
-        truncation, every entry executed and rescheduled."""
-        when_np = np.array(when_list, dtype=np.float64)
-        seq_np = np.array(seq_list, dtype=np.int64)
-        ticks_by_protocol = self.ticks_by_protocol
-        for p in range(len(self._next)):
-            sel = np.nonzero(p_arr == p)[0]
+    def _close_window(self) -> None:
+        """Flush the open window's executed prefix into the columns —
+        reschedule times, seqs, block minima, jitter cursors, in one
+        vectorised pass — and drop the window; its unexecuted tail is
+        only a cache of the columns.
+
+        Each write is revalidated against the column: churn after an
+        entry executed superseded its reschedule (the column no longer
+        holds the extracted time), though the jitter draw it consumed
+        still counts — unless ``advanced`` says the cursor moved
+        already (inline slow-path draws, cursors reconciled by
+        ``peer_online``).
+        """
+        win = self._win
+        self._win = None
+        if win is None or win.fired == 0:
+            return
+        c = win.k
+        claimed = np.array(win.claimed[:c], dtype=np.int64)
+        when = np.array(win.when[:c], dtype=np.float64)  # None -> nan
+        done = claimed > 0  # executed and rescheduled
+        t_arr = win.t_arr[:c]
+        p_arr = win.p_arr[:c]
+        r_arr = win.r_arr[:c]
+        for p, col in enumerate(self._next):
+            sel = np.nonzero(done & (p_arr == p))[0]
+            sel = sel[col[r_arr[sel]] == t_arr[sel]]
             if not sel.size:
                 continue
-            ticks_by_protocol[p] += sel.size
             r = r_arr[sel]
-            w = when_np[sel]
-            self._next[p][r] = w
-            self._seq[p][r] = seq_np[sel]
+            w = when[sel]
+            col[r] = w
+            self._seq[p][r] = claimed[sel]
             # block minima: per-block group-min via one sort + reduceat
             blocks = r >> _BLOCK_SHIFT
             o = np.argsort(blocks, kind="stable")
@@ -847,55 +821,8 @@ class PopulationEngine:
             bmin = self._bmin[p]
             ub = b[starts]
             bmin[ub] = np.minimum(bmin[ub], mins)
-        if jittered and fast_uniq is not None and fast_uniq.size:
-            self._jit_pos[fast_uniq] += fast_counts
-
-    def _flush_careful(
-        self,
-        iterated: int,
-        t_list: List[float],
-        p_list: List[int],
-        row_list: List[int],
-        when_list: List[Optional[float]],
-        seq_list: List[int],
-        slow_set: frozenset,
-        jittered: bool,
-    ) -> None:
-        """Per-entry flush for batches with churn, truncation or
-        offline-during-action entries.  Each write is revalidated
-        against the column (a superseded entry's column no longer
-        holds its extracted time), and jitter cursors advance only
-        for draws the batch actually consumed from the fast buffers
-        (slow-path draws advanced theirs inline; cursors reconciled
-        mid-batch by ``peer_online`` are skipped)."""
-        ticks_by_protocol = self.ticks_by_protocol
-        reconciled = self._inflight_reconciled
-        consumed: Dict[int, int] = {}
-        for k in range(iterated):
-            s = seq_list[k]
-            if s < 0:
-                continue  # skipped by churn revalidation
-            p = p_list[k]
-            ticks_by_protocol[p] += 1
-            if s == 0:
-                continue  # executed, went offline during its action
-            row = row_list[k]
-            if jittered and k not in slow_set and row not in reconciled:
-                # The draw was consumed when the entry executed, even
-                # if churn later superseded the reschedule itself.
-                consumed[row] = consumed.get(row, 0) + 1
-            col = self._next[p]
-            if col[row] != t_list[k]:
-                continue  # superseded after execution (churn)
-            when = when_list[k]
-            col[row] = when
-            self._seq[p][row] = s
-            bmin = self._bmin[p]
-            block = row >> _BLOCK_SHIFT
-            if when < bmin[block]:
-                bmin[block] = when
-        for row, c in consumed.items():
-            self._jit_pos[row] += c
+        if win.advanced is not None:
+            np.add.at(self._jit_pos, r_arr[done & ~win.advanced[:c]], 1)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -907,11 +834,14 @@ class PopulationEngine:
         (plus the registry's stream states, saved separately) replays
         the remaining run bit-identically — per-row next-tick times and
         seqs, the pre-drawn jitter buffers with their cursors, online
-        flags/since-stamps, and the telemetry counters.  Must not be
-        called from inside a running batch.
+        flags/since-stamps, and the telemetry counters.  Closes the
+        open window first (the columns are the checkpoint; the window
+        is re-extracted on the next peek), so the only time this cannot
+        run is from inside a tick's own action.
         """
-        if self._inflight is not None:
+        if self._dispatching:
             raise RuntimeError("cannot checkpoint mid-batch")
+        self._close_window()
         if len(self._online) != len(self._ids):
             self._sync_rows()
         n = len(self._ids)
@@ -981,11 +911,8 @@ class PopulationEngine:
         self.completed_session_seconds = float(
             state["completed_session_seconds"]  # type: ignore[arg-type]
         )
-        self._inflight = None
-        self._inflight_reconciled = set()
+        self._win = None  # a cache of the columns just overwritten
         self._churn_epoch += 1
-        self._write_epoch += 1
-        self._peek_epoch = -1
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -28,14 +28,15 @@ positions), same summaries, same schedule.  Two things make that hold:
   readable instead of a torn JSON;
 * both the interrupted and the uninterrupted run advance the clock in
   the same checkpoint-boundary slices, so the engine sees the same
-  ``run_until`` call pattern and the SoA scheduler forms the same
-  batches.
+  ``run_until`` call pattern.
 
 Cache warmth (BarterCast record/contribution caches) is performance
 state, not protocol state: a restarted process starts cold, exactly
 like a rebooted client.  :meth:`ServiceShard.identity_state` is the
-comparison surface that excludes it (and measured memory telemetry,
-which is layout- not protocol-determined).
+comparison surface that excludes it, measured memory telemetry (layout-
+not protocol-determined) and the SoA scheduler's batch shape (a
+checkpoint closes the open tick window, so where windows fall depends
+on who checkpointed, not on the protocol).
 """
 
 from __future__ import annotations
@@ -609,14 +610,21 @@ class ServiceShard:
 
         Excluded (see module docstring): BarterCast cache telemetry
         (cold after a restart by design), measured memory footprints
-        (layout-determined), and checkpoint ops."""
+        (layout-determined), the scheduler's batch shape (checkpoint-
+        placement-determined), and checkpoint ops."""
         summary = self.runtime.run_summary()
         summary["bartercast"] = {
             "exchanges": summary["bartercast"]["exchanges"]
         }
         population = dict(summary["population"])
-        population.pop("ballot_memory_bytes", None)
-        population.pop("scheduler_memory_bytes", None)
+        for key in (
+            "ballot_memory_bytes",
+            "scheduler_memory_bytes",
+            "batches",
+            "mean_batch_size",
+            "max_batch_size",
+        ):
+            population.pop(key, None)
         summary["population"] = population
         state = {
             "sim_now": self.engine.now,
@@ -889,7 +897,6 @@ class ServiceSupervisor:
                     "events_fired": int(row["events_fired"]),
                     "votes_merged": int(row["votes_merged"]),
                     "merges_per_sec": rate("votes_merged"),
-                    "votes_per_sec": rate("votes_merged"),
                     "moderations_per_sec": rate("moderations_received"),
                     "exchanges_per_sec": rate("exchanges"),
                     "events_per_sec": rate("events_fired"),

@@ -10,10 +10,12 @@ and through a real ``SIGKILL`` + supervisor restart.
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.node import NodeConfig
 from repro.sim.service import (
+    _COUNTER_COLS,
     CHECKPOINT_FORMAT,
     ServiceConfig,
     ServiceShard,
@@ -186,6 +188,21 @@ def test_supervisor_rejects_empty_service(tmp_path):
         ServiceSupervisor(ServiceConfig(shards=0), tmp_path)
 
 
+def test_status_rates_each_read_their_own_counter(tmp_path):
+    """Regression: ``votes_per_sec`` repeated ``merges_per_sec`` (both
+    differenced ``votes_merged``).  Move every counter by a different
+    amount between two snapshots: no two rates may then agree."""
+    supervisor = ServiceSupervisor(ServiceConfig(shards=1), tmp_path)
+    supervisor._view = np.zeros((1, len(_COUNTER_COLS)))
+    supervisor.status()
+    time.sleep(0.01)
+    supervisor._view[0] = np.arange(1, len(_COUNTER_COLS) + 1) * 1000.0
+    row = supervisor.status().shards[0]
+    rates = [value for key, value in row.items() if key.endswith("_per_sec")]
+    assert len(rates) >= 4 and min(rates) > 0.0
+    assert len(set(rates)) == len(rates), row
+
+
 # ----------------------------------------------------------------------
 # Real SIGKILL through the supervisor
 # ----------------------------------------------------------------------
@@ -250,4 +267,41 @@ def test_sigkilled_shard_restores_bit_identically(tmp_path):
 
     survivor = ServiceShard.restore_from(shard_cfg, tmp_path / "shard-00")
     assert survivor.identity_state() == reference.identity_state()
+    assert reference.identity_state()["summary"]["nodes"]["votes_merged"] > 0
+
+
+# ----------------------------------------------------------------------
+# Checkpointing while the SoA scheduler's tick window is open
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("columnar", ["off", "on"])
+def test_checkpoint_with_open_window_replays_bit_identically(columnar, tmp_path):
+    """A checkpoint can land at any instant between two engine events,
+    including one where the scheduler's window holds both executed
+    (unflushed) and pending entries: it closes the window, and the
+    restored shard finishes like one that never checkpointed."""
+    config = _small_config(population_engine="soa", columnar_state=columnar)
+    until = 1800.0
+
+    reference = ServiceShard(config)
+    reference.start()
+    reference.run_until(until)  # never checkpointed, one slice
+
+    shard = ServiceShard(config)
+    shard.start()
+    shard.run_until(400.0)
+    population = shard.runtime.materialize_population()
+    window = population._win
+    shard.run_until(window.t[(window.k + window.n) // 2])  # mid-window
+    assert population._win is window and 0 < window.fired and window.k < window.n
+    before = population.schedule_state()  # closes the window ...
+    assert population._win is None
+    assert population.schedule_state() == before  # ... and is then stable
+    shard.write_checkpoint(tmp_path)
+
+    resumed = ServiceShard.restore_from(config, tmp_path)
+    assert resumed.runtime.materialize_population().schedule_state() == before
+    resumed.run_until(until)
+    shard.run_until(until)
+    assert shard.identity_state() == reference.identity_state()
+    assert resumed.identity_state() == reference.identity_state()
     assert reference.identity_state()["summary"]["nodes"]["votes_merged"] > 0

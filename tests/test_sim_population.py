@@ -16,6 +16,7 @@ from repro.core.runtime import ProtocolRuntime, RuntimeConfig
 from repro.core.votes import Vote
 from repro.sim.engine import Engine
 from repro.sim.population import PopulationEngine
+from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.units import HOUR, MB
 from repro.traces.generator import TraceGenerator, TraceGeneratorConfig
@@ -144,6 +145,29 @@ def test_ticks_interleave_with_heap_events_in_time_order():
     times = [t for _kind, t in order]
     assert times == sorted(times)
     assert [k for k, _t in order].count("heap") == 3
+
+
+def test_schedule_state_refused_only_from_inside_an_action():
+    engine = Engine()
+    states = []
+    population = PopulationEngine(
+        engine,
+        RngRegistry(0),
+        [("loop", 10.0, lambda pid: states.append(population.schedule_state()))],
+        jitter_fraction=0.1,
+    )
+    engine.attach_source(population)
+    for i in range(4):
+        population.peer_online(f"p{i}", 0.0)
+    # From a heap event that fires while the window is open: allowed.
+    engine.schedule_at(10.0, lambda: states.append(population.schedule_state()))
+    with pytest.raises(RuntimeError, match="cannot checkpoint mid-batch"):
+        engine.run_until(30.0)
+    assert states == []  # the first tick's own action was refused
+    population._actions[0] = lambda pid: None
+    engine.run_until(30.0)
+    # ... with part of the window executed and part still pending.
+    assert len(states) == 1 and 0 < states[0]["ticks_by_protocol"][0] < 4
 
 
 # ----------------------------------------------------------------------
@@ -559,3 +583,253 @@ def test_batch_handler_contract_violation_raises():
     session.start()
     with pytest.raises(RuntimeError, match="batch protocol handler"):
         engine.run_until(6 * HOUR)
+
+
+# ----------------------------------------------------------------------
+# The resumable tick window under adversarial interleavings
+# ----------------------------------------------------------------------
+_WINDOW_PROTOCOLS = (("a", 10.0), ("b", 10.0), ("c", 35.0))
+
+
+class _Interleaver:
+    """One scheduler (object ``PeriodicProcess`` loops or the SoA
+    engine) driven by a fixed script of heap events, with tick actions
+    that themselves schedule events and flip peers.  Everything the
+    script and the actions decide is a function of the run so far, so
+    two correct schedulers produce the same run."""
+
+    def __init__(self, kind, seed, jitter, script):
+        self.kind = kind
+        self.engine = Engine()
+        self.rng = RngRegistry(seed)
+        self.jitter = jitter
+        self.log = []
+        self.online = set()
+        self.known = []  # peers in first-online order
+        self.ticks = 0
+        self.coverage = dict.fromkeys(
+            (
+                "pending_offline",
+                "same_window_return",
+                "horizon_lowered",
+                "before_head",
+                "by_action",
+            ),
+            0,
+        )
+        self._offlined_in = {}  # peer -> the window it went offline under
+        self.pop = None
+        self.procs = {}
+        if kind == "soa":
+            self.pop = PopulationEngine(
+                self.engine,
+                self.rng,
+                [
+                    (name, interval, lambda pid, name=name: self._tick(name, pid))
+                    for name, interval in _WINDOW_PROTOCOLS
+                ],
+                jitter_fraction=jitter,
+            )
+            self.engine.attach_source(self.pop)
+        for time, prio, op, pid, spawn_at in script:
+            if spawn_at is None:
+                self.engine.schedule_at(time, self._apply, op, pid, priority=prio)
+            else:  # claimed late: a larger seq than the ticks it ties with
+                self.engine.schedule_at(
+                    spawn_at, self._spawn, time, prio, op, pid
+                )
+
+    def _spawn(self, time, prio, op, pid):
+        self.engine.schedule_at(time, self._apply, op, pid, priority=prio)
+
+    def _apply(self, op, pid):
+        if op == "on":
+            self.set_online(pid)
+        elif op == "off":
+            self.set_offline(pid)
+        elif op == "toggle":
+            (self.set_offline if pid in self.online else self.set_online)(pid)
+
+    def set_online(self, pid):
+        if pid in self.online:
+            return
+        self.online.add(pid)
+        if pid not in self.known:
+            self.known.append(pid)
+        now = self.engine.now
+        if self.pop is None:
+            procs = self.procs.get(pid)
+            if procs is None:
+                stream = self.rng.stream("jitter", pid)
+                procs = self.procs[pid] = [
+                    PeriodicProcess(
+                        self.engine,
+                        interval,
+                        lambda name=name: self._tick(name, pid),
+                        jitter=interval * self.jitter,
+                        rng=stream if self.jitter else None,
+                    )
+                    for name, interval in _WINDOW_PROTOCOLS
+                ]
+            for proc in procs:
+                proc.start()
+            return
+        win = self.pop._win
+        if win is None or win.k == win.n:
+            self.pop.peer_online(pid, now)
+            return
+        if self._offlined_in.get(pid) is win:
+            self.coverage["same_window_return"] += 1
+        head, horizon = win.t[win.k], win.horizon
+        self.pop.peer_online(pid, now)
+        row = self.pop._index[pid]
+        first = min(float(col[row]) for col in self.pop._next)
+        if first < horizon:
+            # (c) the horizon-lowering rule: the window keeps nothing
+            # that the newcomer's first tick should precede
+            assert win.horizon == first
+            assert all(t < first for t in win.t[win.k : win.n])
+            self.coverage["horizon_lowered"] += 1
+            if first < head:
+                assert win.n == win.k
+                self.coverage["before_head"] += 1
+
+    def set_offline(self, pid):
+        if pid not in self.online:
+            return
+        self.online.discard(pid)
+        if self.pop is None:
+            for proc in self.procs[pid]:
+                proc.stop()
+            return
+        win = self.pop._win
+        if win is not None:
+            self._offlined_in[pid] = win
+            if self.pop._index[pid] in win.row[win.k : win.n]:
+                self.coverage["pending_offline"] += 1
+        self.pop.peer_offline(pid, self.engine.now)
+
+    def _tick(self, name, pid):
+        now = self.engine.now
+        self.log.append((now, name, pid))
+        self.ticks += 1
+        n = self.ticks
+        target = self.known[n % len(self.known)]
+        if n % 7 == 3:
+            # (d) an event scheduled by a tick's own action, mid-slice
+            self.coverage["by_action"] += 1
+            self.engine.schedule_at(
+                now + (0.0, 0.25, 2.0, 6.5)[n % 4],
+                self._apply,
+                "toggle",
+                target,
+                priority=(-1, 0, 10)[n % 3],
+            )
+        elif n % 11 == 5 and target != pid:
+            # churn straight from inside the action
+            self._apply("toggle", target)
+
+    def next_draws(self, pid, count=2 * 16 + 3):
+        """The peer's next jitter doubles — equal iff the two
+        schedulers left its stream at the same position."""
+        if self.pop is None:
+            return self.rng.stream("jitter", pid).random(count).tolist()
+        row = self.pop._index[pid]
+        return [self.pop._draw(row) for _ in range(count)]
+
+    def run(self, until, slices=1, checkpoint=False):
+        for i in range(1, slices + 1):
+            self.engine.run_until(until * i / slices)
+            if checkpoint and self.pop is not None:
+                self.pop.schedule_state()  # closes the open window
+        if self.pop is not None:
+            self.pop.schedule_state()
+        return self
+
+
+def _random_script(rnd, until):
+    """Heap events at priorities -1/0/+10: peers going offline and
+    (often) returning within a few seconds, brand-new arrivals."""
+    script = [(rnd.uniform(0.0, 2.0), 0, "on", f"p{i}", None) for i in range(3)]
+    t, fresh = 3.0, 0
+    while True:
+        t += rnd.expovariate(1 / 5.0)
+        if t >= until:
+            return script
+        prio = rnd.choice((-1, 0, 10))
+        r = rnd.random()
+        if r < 0.35:
+            pid = f"p{rnd.randrange(3)}"
+            script.append((t, prio, "off", pid, None))
+            if rnd.random() < 0.7:
+                script.append((t + rnd.uniform(0.0, 4.0), prio, "on", pid, None))
+        elif r < 0.5:
+            script.append((t, prio, "on", f"p{rnd.randrange(3)}", None))
+        else:
+            fresh += 1
+            script.append((t, prio, "on", f"n{fresh}", None))
+            if rnd.random() < 0.5:
+                script.append(
+                    (t + rnd.uniform(5.0, 40.0), prio, "off", f"n{fresh}", None)
+                )
+
+
+def _add_tick_ties(rnd, seed, jitter, script, until, rounds=6):
+    """(e) events that share a timestamp with a tick.  The reference
+    run says when ticks fire; each round ties one event to a tick later
+    than the previous tie and re-runs, because the event changes what
+    follows.  Ties scheduled up front sort before the tick at priority
+    0 (smaller seq), ties scheduled by a late spawner after it."""
+    script = list(script)
+    after, ties = 0.0, 0
+    for _ in range(rounds):
+        log = _Interleaver("object", seed, jitter, script).run(until).log
+        later = [entry for entry in log if entry[0] > after + 1.0]
+        if not later:
+            break
+        t, _name, pid = later[rnd.randrange(min(8, len(later)))]
+        spawn_at = t - 0.5 if rnd.random() < 0.5 else None
+        op = rnd.choice(("off", "toggle", "noop"))
+        script.append((t, (-1, 0, 10)[ties % 3], op, pid, spawn_at))
+        after, ties = t, ties + 1
+    return script, ties
+
+
+@pytest.mark.parametrize("jitter", [0.3, 0.0], ids=["jitter", "lockstep"])
+def test_window_matches_object_engine_under_adversarial_interleavings(jitter):
+    import random
+
+    until = 150.0
+    coverage = {}
+    ties = windows = ticks = 0
+    for seed in range(25):
+        rnd = random.Random(seed)
+        script, n_ties = _add_tick_ties(
+            rnd, seed, jitter, _random_script(rnd, until), until
+        )
+        ties += n_ties
+        reference = _Interleaver("object", seed, jitter, script).run(until)
+        assert len(reference.log) > 50
+        draws = {pid: reference.next_draws(pid) for pid in reference.known}
+        for slices, checkpoint in ((1, False), (4, False), (7, True)):
+            soa = _Interleaver("soa", seed, jitter, script).run(
+                until, slices=slices, checkpoint=checkpoint
+            )
+            assert soa.log == reference.log, (seed, slices)
+            assert soa.engine.events_fired == reference.engine.events_fired
+            assert soa.engine._seq == reference.engine._seq
+            assert soa.known == reference.known
+            for pid in reference.known:
+                assert soa.next_draws(pid) == draws[pid], pid
+            for key, count in soa.coverage.items():
+                coverage[key] = coverage.get(key, 0) + count
+            windows += soa.pop.batches
+            ticks += len(soa.log)
+    # Windows outlive heap events: far fewer extractions than ticks.
+    assert windows * 3 < ticks
+    # Every interleaving the window has a rule for actually happened.
+    assert ties >= 25 * 3
+    if not jitter:
+        # a lockstep newcomer ticks a full interval out: never first
+        assert coverage.pop("before_head") == 0
+    assert all(count > 0 for count in coverage.values()), coverage
