@@ -36,7 +36,7 @@ bench:
 # gates the crash contract: a shard worker SIGKILLed mid-run and
 # restarted by the supervisor from its last checkpoint must finish
 # bit-identical to the same shard never interrupted (node states,
-# RNG positions, summaries), with checkpoint overhead <= 10% of the
+# RNG positions, summaries), with checkpoint overhead <= 2% of the
 # shard's wall time.  The aggregation section gates the inter-shard
 # DHT digest exchange: a 4-shard lockstep cluster with one shard
 # killed after a checkpoint and restored must finish bit-identical to

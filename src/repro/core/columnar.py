@@ -21,8 +21,9 @@ keyed by the population engine's row↔peer-id table
 
 :class:`ColumnarBallotBox` is a drop-in :class:`~repro.core.ballotbox
 .BallotBox` whose state lives in the store's columns; the object API
-(and therefore persistence FORMAT_VERSION 2 and every existing test)
-is unchanged, and the semantics — self-vote drops, store-nothing
+(and therefore the single-client node format of
+:mod:`repro.core.persistence` and every existing test) is unchanged,
+and the semantics — self-vote drops, store-nothing
 merges leaving recency untouched, oldest-voter eviction — are
 bit-identical to the dict implementation (property-tested in
 ``tests/test_core_columnar.py`` and ``tests/test_columnar_payloads.py``).
@@ -60,6 +61,18 @@ Box rows are allocated lazily on first merge (``_box_of``
 indirection), and the slot width grows in powers of two up to the
 widest ``b_max`` actually used, so a million-peer population whose
 boxes stay empty pays nothing for the 2-D columns.
+
+The columns are the checkpoint
+------------------------------
+:meth:`ColumnarStateStore.dump_state` hands out the store as it is —
+both intern tables, the per-row columns, the occupied slots of the
+per-(box, slot) columns and every box's slab up to its tail — and
+:meth:`ColumnarStateStore.load_state` adopts such a dump into an empty
+store with the same row numbers, slot numbers, segment offsets and
+slab capacities, so the loaded store not only reads the same but
+evicts, relocates and compacts at the same moments the dumped one
+would have.  Only the per-box recency dicts are derived on load (from
+``bb_voter`` ordered by ``bb_order``).
 """
 
 from __future__ import annotations
@@ -70,7 +83,27 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.ballotbox import BallotBox
+from repro.core.checkpoint import pack_strings, take, unpack_strings
 from repro.core.votes import Vote, VoteEntry
+
+#: The store's columns, defined once for growth, accounting and
+#: dump/load: ``(name, dtype, fill)`` of the per-row and the
+#: per-(box, slot) arrays, ``(name, dtype)`` of the per-box slab lists.
+_ROW_COLUMNS = (
+    ("bb_unique", np.int32, 0),
+    ("vl_size", np.int32, 0),
+    ("store_size", np.int32, 0),
+    ("exp_threshold", np.float64, 0.0),
+)
+_SLOT_COLUMNS = (
+    ("bb_voter", np.int32, -1),
+    ("bb_last", np.float64, 0.0),
+    ("bb_order", np.int64, 0),
+    ("bb_nvotes", np.int32, 0),
+    ("bb_off", np.int64, 0),
+    ("bb_segcap", np.int32, 0),
+)
+_SLABS = (("pay_mod", np.int32), ("pay_val", np.int8), ("pay_at", np.float64))
 
 
 class RowTable:
@@ -175,16 +208,10 @@ class ColumnarStateStore:
         new_cap = max(self._cap * 2, 1024)
         while new_cap < needed:
             new_cap *= 2
-
-        def _resize(arr: np.ndarray, fill, dtype) -> np.ndarray:
+        for name, dtype, fill in _ROW_COLUMNS:
             out = np.full(new_cap, fill, dtype=dtype)
-            out[: arr.size] = arr
-            return out
-
-        self.bb_unique = _resize(self.bb_unique, 0, np.int32)
-        self.vl_size = _resize(self.vl_size, 0, np.int32)
-        self.store_size = _resize(self.store_size, 0, np.int32)
-        self.exp_threshold = _resize(self.exp_threshold, 0.0, np.float64)
+            out[: self._cap] = getattr(self, name)
+            setattr(self, name, out)
         self._box_of.extend([-1] * (new_cap - len(self._box_of)))
         self._cap = new_cap
 
@@ -211,37 +238,20 @@ class ColumnarStateStore:
         new_cap = max(self._box_cap * 2, 256)
         while new_cap < needed:
             new_cap *= 2
-        w = self._width
-
-        def _resize2(arr: np.ndarray, fill, dtype) -> np.ndarray:
-            out = np.full((new_cap, w), fill, dtype=dtype)
-            out[: arr.shape[0], :] = arr
-            return out
-
-        self.bb_voter = _resize2(self.bb_voter, -1, np.int32)
-        self.bb_last = _resize2(self.bb_last, 0.0, np.float64)
-        self.bb_order = _resize2(self.bb_order, 0, np.int64)
-        self.bb_nvotes = _resize2(self.bb_nvotes, 0, np.int32)
-        self.bb_off = _resize2(self.bb_off, 0, np.int64)
-        self.bb_segcap = _resize2(self.bb_segcap, 0, np.int32)
+        for name, dtype, fill in _SLOT_COLUMNS:
+            out = np.full((new_cap, self._width), fill, dtype=dtype)
+            out[: self._box_cap] = getattr(self, name)
+            setattr(self, name, out)
         self._box_cap = new_cap
 
     def _grow_width(self, needed: int) -> None:
         new_w = max(self._width * 2, 4)
         while new_w < needed:
             new_w *= 2
-
-        def _widen(arr: np.ndarray, fill, dtype) -> np.ndarray:
+        for name, dtype, fill in _SLOT_COLUMNS:
             out = np.full((self._box_cap, new_w), fill, dtype=dtype)
-            out[:, : self._width] = arr
-            return out
-
-        self.bb_voter = _widen(self.bb_voter, -1, np.int32)
-        self.bb_last = _widen(self.bb_last, 0.0, np.float64)
-        self.bb_order = _widen(self.bb_order, 0, np.int64)
-        self.bb_nvotes = _widen(self.bb_nvotes, 0, np.int32)
-        self.bb_off = _widen(self.bb_off, 0, np.int64)
-        self.bb_segcap = _widen(self.bb_segcap, 0, np.int32)
+            out[:, : self._width] = getattr(self, name)
+            setattr(self, name, out)
         self._width = new_w
 
     # ------------------------------------------------------------------
@@ -758,6 +768,97 @@ class ColumnarStateStore:
         return int(self.bb_nvotes[box, :used].sum())
 
     # ------------------------------------------------------------------
+    # Checkpoint: the columns themselves
+    # ------------------------------------------------------------------
+    def dump_state(self) -> Dict[str, object]:
+        """The whole store as scalars and trimmed array copies (see the
+        module docstring); pairs with :meth:`load_state`."""
+        n_rows = min(len(self.rows), self._cap)
+        used = np.array(self.bb_used, dtype=np.int32)
+        occupied = np.arange(self._width, dtype=np.int32) < used[:, None]
+        state: Dict[str, object] = {
+            "n_ids": len(self.rows),
+            "n_mods": len(self.mods),
+            "width": self._width,
+            "row_ids": pack_strings(self.rows.ids),
+            "mod_ids": pack_strings(self.mods.ids),
+            "box_of": np.array(self._box_of[:n_rows], dtype=np.int32),
+            "bb_used": used,
+            "bb_seq": np.array(self._bb_seq, dtype=np.int64),
+            "pay_size": np.array([slab.size for slab in self._pay_mod], dtype=np.int64),
+            "pay_used": np.array(self._pay_used, dtype=np.int64),
+            "pay_live": np.array(self._pay_live, dtype=np.int64),
+        }
+        for name, _dtype, _fill in _ROW_COLUMNS:
+            state[name] = getattr(self, name)[:n_rows].copy()
+        for name, _dtype, _fill in _SLOT_COLUMNS:
+            state[name] = getattr(self, name)[: used.size][occupied]
+        for name, dtype in _SLABS:
+            slabs = getattr(self, "_" + name)
+            tails = [slab[:end] for slab, end in zip(slabs, self._pay_used)]
+            state[name] = np.concatenate(tails) if tails else np.empty(0, dtype=dtype)
+        return state
+
+    def load_state(self, state: Dict[str, object]) -> None:
+        """Adopt a :meth:`dump_state` snapshot into this (empty) store;
+        each array is checked against the snapshot's own counts as it
+        is adopted."""
+        if len(self.rows) or len(self.mods) or self._n_boxes:
+            raise ValueError("load_state needs an empty store")
+        for table, ids_name, count_name in (
+            (self.rows, "row_ids", "n_ids"),
+            (self.mods, "mod_ids", "n_mods"),
+        ):
+            # In place: the population engine aliases these containers.
+            ids = unpack_strings(state, ids_name, state[count_name])
+            table.ids.extend(ids)
+            table.index.update(zip(ids, range(len(ids))))
+        box_of = take(state, "box_of", np.int32, None)
+        n_rows = box_of.size
+        if n_rows:
+            self._grow_rows(n_rows)
+        for name, dtype, _fill in _ROW_COLUMNS:
+            getattr(self, name)[:n_rows] = take(state, name, dtype, n_rows)
+        self._box_of[:n_rows] = box_of.tolist()
+        used = take(state, "bb_used", np.int32, None)
+        n_boxes = used.size
+        if not n_boxes:
+            return
+        self._grow_boxes(n_boxes)
+        self._grow_width(int(state["width"]))
+        self._n_boxes = n_boxes
+        occupied = np.arange(self._width, dtype=np.int32) < used[:, None]
+        n_slots = int(used.sum())
+        for name, dtype, _fill in _SLOT_COLUMNS:
+            getattr(self, name)[:n_boxes][occupied] = take(state, name, dtype, n_slots)
+        self.bb_used = used.tolist()
+        self._bb_seq = take(state, "bb_seq", np.int64, n_boxes).tolist()
+        sizes = take(state, "pay_size", np.int64, n_boxes).tolist()
+        self._pay_used = take(state, "pay_used", np.int64, n_boxes).tolist()
+        self._pay_live = take(state, "pay_live", np.int64, n_boxes).tolist()
+        for name, dtype in _SLABS:
+            tails = take(state, name, dtype, sum(self._pay_used))
+            slabs = []
+            start = 0
+            for size, end in zip(sizes, self._pay_used):
+                slab = np.empty(size, dtype=dtype)
+                slab[:end] = tails[start : start + end]
+                start += end
+                slabs.append(slab)
+            setattr(self, "_" + name, slabs)
+        # Recency dicts: each box's voters in ascending ``bb_order``
+        # (a merge stamps the voter it moves to the dict's end).
+        box_idx, slot_idx = np.nonzero(occupied)
+        by_recency = np.lexsort((state["bb_order"], box_idx))
+        voters = state["bb_voter"][by_recency].tolist()
+        slots = slot_idx[by_recency].tolist()
+        ends = np.cumsum(used).tolist()
+        self._slots = [
+            dict(zip(voters[end - n : end], slots[end - n : end]))
+            for n, end in zip(self.bb_used, ends)
+        ]
+
+    # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         """Measured retained footprint: every numpy column, every
         payload slab, the per-box slot dicts and bookkeeping lists, and
@@ -767,24 +868,12 @@ class ColumnarStateStore:
         backend's :meth:`BallotBox.memory_bytes` draws the same line,
         so the two layouts are comparable like-for-like."""
         total = sum(
-            arr.nbytes
-            for arr in (
-                self.bb_unique,
-                self.vl_size,
-                self.store_size,
-                self.exp_threshold,
-                self.bb_voter,
-                self.bb_last,
-                self.bb_order,
-                self.bb_nvotes,
-                self.bb_off,
-                self.bb_segcap,
-            )
+            getattr(self, name).nbytes
+            for name, _dtype, _fill in _ROW_COLUMNS + _SLOT_COLUMNS
         )
-        for slabs in (self._pay_mod, self._pay_val, self._pay_at):
-            total += sys.getsizeof(slabs)
-            for arr in slabs:
-                total += arr.nbytes
+        for name, _dtype in _SLABS:
+            slabs = getattr(self, "_" + name)
+            total += sys.getsizeof(slabs) + sum(arr.nbytes for arr in slabs)
         for d in self._slots:
             total += sys.getsizeof(d)
         for container in (
@@ -807,21 +896,9 @@ class ColumnarStateStore:
         box = self._box_of[owner_row]
         if box < 0:
             return 0
-        per_slot = sum(
-            arr.itemsize
-            for arr in (
-                self.bb_voter,
-                self.bb_last,
-                self.bb_order,
-                self.bb_nvotes,
-                self.bb_off,
-                self.bb_segcap,
-            )
-        )
+        per_slot = sum(np.dtype(dtype).itemsize for _n, dtype, _f in _SLOT_COLUMNS)
         total = self._width * per_slot
-        total += self._pay_mod[box].nbytes
-        total += self._pay_val[box].nbytes
-        total += self._pay_at[box].nbytes
+        total += sum(getattr(self, "_" + name)[box].nbytes for name, _dtype in _SLABS)
         total += sys.getsizeof(self._slots[box])
         return total
 
@@ -840,8 +917,8 @@ class ColumnarBallotBox(BallotBox):
     Same public API and bit-identical semantics; the dict-backed
     attributes of the parent are never created.  The view holds only
     ``(store, owner_row, b_max)`` — equality of behaviour is enforced
-    by the property tests, and persistence works unchanged because
-    FORMAT_VERSION 2 reads and writes through the public API only.
+    by the property tests, and the single-client node format works
+    unchanged because it reads and writes through the public API only.
     """
 
     def __init__(self, store: ColumnarStateStore, owner_row: int, b_max: int = 100):

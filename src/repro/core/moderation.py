@@ -124,6 +124,36 @@ class ModerationStore:
         keys = sorted(self._items, key=lambda k: -self._order[k])
         return [self._items[k] for k in keys]
 
+    def export_state(self) -> Tuple[List[Moderation], List[float], List[int], int]:
+        """``(items, received_at, order stamps, mutation count)`` with
+        the three lists parallel, in storage order — everything
+        :meth:`load_state` needs to rebuild this store exactly."""
+        keys = list(self._items)
+        return (
+            list(self._items.values()),
+            [self._received_at[k] for k in keys],
+            [self._order[k] for k in keys],
+            self._seq,
+        )
+
+    def load_state(
+        self,
+        items: List[Moderation],
+        received_at: List[float],
+        order: List[int],
+        seq: int,
+    ) -> None:
+        """Adopt an :meth:`export_state` snapshot into an empty store:
+        same storage order, same recency stamps (refreshed items keep
+        their newer stamp), same mutation count."""
+        if self._items:
+            raise ValueError("load_state needs an empty store")
+        keys = [mod.key() for mod in items]
+        self._items = dict(zip(keys, items))
+        self._received_at = dict(zip(keys, received_at))
+        self._order = dict(zip(keys, order))
+        self._seq = seq
+
     @property
     def mutation_count(self) -> int:
         """Monotone counter bumped on every insert (purges keep it) —

@@ -2,61 +2,70 @@
 
 Tribler "provides local database services allowing state to be
 maintained over sessions" (§I).  Inside one simulation run our node
-objects simply live on, but a real client restarts: this module
-round-trips a :class:`~repro.core.node.VoteSamplingNode`'s durable
-state (moderation database, own vote list, ballot box, VoxPopuli
-cache, pending vote intentions) through plain JSON.
+objects simply live on, but a real client restarts.  Two surfaces:
 
-Volatile state is deliberately *not* persisted: protocol processes,
-online flags and instrumentation counters restart fresh, exactly as a
-client reboot would leave them.
-
-Format history
---------------
-* **v3** (current): v2 plus ``"rng_state"`` — the node RNG's
-  ``bit_generator.state`` dict — so a restored node continues the
-  *same* random stream the saved node would have produced.  Earlier
-  formats restored with a fresh ``default_rng(0)`` unless the caller
-  passed an ``rng``, silently replaying a different stream.
-* **v2** (still loadable): ballot-box state is saved *per voter*, oldest
-  received first, as ``{"voter", "last_received", "votes": [[moderator,
-  vote, received_at], ...]}`` — both the per-vote ``received_at`` and
-  the per-voter recency survive the round trip, so a restored box picks
-  the same ``B_max`` eviction victims (oldest first) the live box would
-  have.
-* **v1** (still loadable): ballot entries were flat
-  ``{"voter", "moderator", "vote"}`` records with no timestamps.
-  **Caveat:** a v1 restore re-merges every voter at ``now=0.0`` in
-  alphabetical order, so all recency is lost and subsequent ``B_max``
-  evictions pick victims alphabetically until fresh merges rebuild real
-  recency — exactly the pre-v2 behaviour, preserved for old saves.
+* **One client, plain JSON** — :func:`node_to_dict` /
+  :func:`node_from_dict` (and :func:`save_node` / :func:`load_node`)
+  round-trip one :class:`~repro.core.node.VoteSamplingNode`'s durable
+  state: moderation database (oldest received first, so recency
+  survives a version refresh), own vote list, ballot box per voter
+  (oldest received first, with per-vote ``received_at``), VoxPopuli
+  cache, pending vote intentions and the node RNG's
+  ``bit_generator.state``.  Volatile state is deliberately *not*
+  persisted: protocol processes, online flags and instrumentation
+  counters restart fresh, exactly as a client reboot would leave them
+  (the moderation store's mutation counter restarts at the number of
+  stored items for the same reason).  The dict is also the
+  identity-comparison surface of the bit-identity tests.  There is
+  one format, :data:`FORMAT_VERSION`.
+* **A whole shard, columns** — :func:`nodes_to_columns` /
+  :func:`nodes_from_columns` flatten what a population's nodes hold
+  *outside* the columnar state store (ballot boxes live there) into
+  row-keyed arrays for the shard checkpoint
+  (:mod:`repro.sim.service`): moderation references into one table of
+  distinct records with ``received_at`` and recency stamps, vote
+  lists, intentions, top-K lists, the per-run counters and online
+  flags a restored *shard* — unlike a rebooted client — must keep.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Iterable, List, Union
 
 import numpy as np
 
+from repro.core.checkpoint import (
+    atomic_write_bytes,
+    pack_strings,
+    take,
+    unpack_strings,
+)
 from repro.core.columnar import ColumnarStateStore
 from repro.core.moderation import Moderation
 from repro.core.node import NodeConfig, VoteSamplingNode
-from repro.core.votes import Vote, VoteEntry
+from repro.core.votes import Vote
 
 PathLike = Union[str, Path]
 FORMAT_VERSION = 3
 
-#: Formats :func:`node_from_dict` can still read (v1 loses ballot-box
-#: recency, v1/v2 lose the RNG stream; see the module docstring's
-#: format history).
-_SUPPORTED_FORMATS = (1, 2, 3)
-
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(NodeConfig))
+
+#: Node counters that must survive a shard restore for ``run_summary()``
+#: bit-identity (volatile in the single-client format by design).
+_NODE_COUNTERS = (
+    "moderations_received",
+    "votes_merged",
+    "votes_rejected_inexperienced",
+    "votes_truncated",
+    "vp_requests_answered",
+    "vp_requests_declined",
+)
+
+_VOTE_OF = {int(vote): vote for vote in Vote}
 
 
 # ----------------------------------------------------------------------
@@ -113,40 +122,30 @@ def _config_from_dict(data: Dict[str, Any]) -> NodeConfig:
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (same-directory temp +
-    ``os.replace``), so readers see either the old contents or the new
-    — never a torn prefix."""
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-    finally:
-        if tmp.exists():
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - cleanup best effort
-                pass
+    """:func:`~repro.core.checkpoint.atomic_write_bytes` for text."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
+# ----------------------------------------------------------------------
+# One client: plain JSON
+# ----------------------------------------------------------------------
 def node_to_dict(node: VoteSamplingNode) -> Dict[str, Any]:
     """Extract the durable state as a JSON-serialisable dict."""
-    moderations = []
-    for mod in node.store.all_items():
-        moderations.append(
-            {
-                "moderator_id": mod.moderator_id,
-                "torrent_id": mod.torrent_id,
-                "title": mod.title,
-                "description": mod.description,
-                "created_at": mod.created_at,
-                "version": mod.version,
-                "received_at": node.store.received_at(mod),
-            }
-        )
+    # Oldest received first: a refreshed item (newer version of a key
+    # already held) sits at its *new* recency, so re-inserting in file
+    # order rebuilds the same recency order and eviction victims.
+    moderations = [
+        {
+            "moderator_id": mod.moderator_id,
+            "torrent_id": mod.torrent_id,
+            "title": mod.title,
+            "description": mod.description,
+            "created_at": mod.created_at,
+            "version": mod.version,
+            "received_at": node.store.received_at(mod),
+        }
+        for mod in reversed(node.store.recency_order())
+    ]
     votes = [
         {"moderator": e.moderator_id, "vote": int(e.vote), "cast_at": e.cast_at}
         for e in node.vote_list.entries()
@@ -194,13 +193,9 @@ def node_from_dict(
 ) -> VoteSamplingNode:
     """Reconstruct a node from :func:`node_to_dict` output.
 
-    Reads the current v3 format and legacy v2/v1; a v1 restore loses
-    ballot-box recency (see the module docstring's format history).
-
-    The node's RNG comes from (highest priority first): the explicit
-    ``rng`` argument (legacy callers that manage their own streams),
-    the payload's saved ``rng_state`` (v3+), else ``default_rng(0)``
-    — the historical fallback, kept for old saves only.
+    The node's RNG is the explicit ``rng`` argument when given (callers
+    that manage their own streams), else a generator positioned at the
+    payload's saved ``rng_state``.
 
     Pass ``col_store`` to restore into a column-backed node — the
     save format is backing-agnostic (everything goes through the
@@ -210,15 +205,11 @@ def node_from_dict(
     ``votes_of`` yields the same insertion-ordered triples whether
     they come from a payload dict or a slab segment."""
     fmt = data.get("format")
-    if fmt not in _SUPPORTED_FORMATS:
+    if fmt != FORMAT_VERSION:
         raise ValueError(f"unsupported node-state format {fmt!r}")
     config = _config_from_dict(data["config"])
     if rng is None:
-        saved_state = data.get("rng_state")
-        if saved_state is not None:
-            rng = generator_from_state(saved_state)
-        else:
-            rng = np.random.default_rng(0)
+        rng = generator_from_state(data["rng_state"])
     node = VoteSamplingNode(
         data["peer_id"],
         config,
@@ -233,30 +224,18 @@ def node_from_dict(
         node.store.insert(Moderation(**fields), received_at or 0.0)
     for rec in data["votes"]:
         node.vote_list.cast(rec["moderator"], Vote(rec["vote"]), rec["cast_at"])
-    if fmt >= 2:
-        # Voters were saved oldest-received first; restore_voter appends
-        # at the end of the recency order, so replaying in file order
-        # reproduces the saved box's relative eviction order exactly.
-        for rec in data["ballot"]:
-            node.ballot_box.restore_voter(
-                rec["voter"],
-                [
-                    (moderator, Vote(vote), received_at)
-                    for moderator, vote, received_at in rec["votes"]
-                ],
-                rec["last_received"],
-            )
-    else:
-        # v1: flat entries without timestamps.  Group per voter so
-        # merges preserve voter identity; recency is unrecoverable
-        # (every voter re-merges at now=0.0, alphabetically).
-        per_voter: Dict[str, list] = {}
-        for rec in data["ballot"]:
-            per_voter.setdefault(rec["voter"], []).append(
-                VoteEntry(rec["moderator"], Vote(rec["vote"]), 0.0)
-            )
-        for voter, entries in per_voter.items():
-            node.ballot_box.merge(voter, entries, now=0.0)
+    # Voters were saved oldest-received first; restore_voter appends at
+    # the end of the recency order, so replaying in file order
+    # reproduces the saved box's relative eviction order exactly.
+    for rec in data["ballot"]:
+        node.ballot_box.restore_voter(
+            rec["voter"],
+            [
+                (moderator, Vote(vote), received_at)
+                for moderator, vote, received_at in rec["votes"]
+            ],
+            rec["last_received"],
+        )
     for lst in data["topk_lists"]:
         node.topk_cache.add(lst)
     for moderator, vote in data["intentions"].items():
@@ -287,3 +266,140 @@ def load_node(
     return node_from_dict(
         json.loads(Path(path).read_text(encoding="utf-8")), rng, col_store=col_store
     )
+
+
+# ----------------------------------------------------------------------
+# A whole shard: row-keyed columns
+# ----------------------------------------------------------------------
+#: The flat columns: name -> (dtype, the count column whose sum is its
+#: length; ``None`` = one entry per node).  Ragged per-node lists are a
+#: ``*_n`` count column plus value columns; strings are references into
+#: the ``names`` table, moderations into ``mod_table``.
+_NODE_COLUMNS = {
+    "node_name": (np.int32, None),
+    "online": (np.bool_, None),
+    **{name: (np.int64, None) for name in _NODE_COUNTERS},
+    "mod_seq": (np.int64, None),
+    "mod_n": (np.int32, None),
+    "mod_ref": (np.int32, "mod_n"),
+    "mod_at": (np.float64, "mod_n"),
+    "mod_order": (np.int64, "mod_n"),
+    "vote_n": (np.int32, None),
+    "vote_mod": (np.int32, "vote_n"),
+    "vote_val": (np.int8, "vote_n"),
+    "vote_at": (np.float64, "vote_n"),
+    "intent_n": (np.int32, None),
+    "intent_mod": (np.int32, "intent_n"),
+    "intent_val": (np.int8, "intent_n"),
+    "topk_n": (np.int32, None),
+    "topk_len": (np.int32, "topk_n"),
+    "topk_item": (np.int32, "topk_len"),
+}
+
+
+def nodes_to_columns(nodes: Iterable[VoteSamplingNode]) -> Dict[str, Any]:
+    """Everything ``nodes`` hold outside the columnar state store, as
+    scalars and flat arrays (:data:`_NODE_COLUMNS`); pairs with
+    :func:`nodes_from_columns`.  Node RNGs are not included — in a
+    shard they are registry streams, checkpointed with the registry."""
+    names: Dict[str, int] = {}
+    table: Dict[Moderation, int] = {}
+    seen: Dict[int, int] = {}
+    cols: Dict[str, List[Any]] = {name: [] for name in _NODE_COLUMNS}
+
+    def ref(name: str) -> int:
+        return names.setdefault(name, len(names))
+
+    for node in nodes:
+        cols["node_name"].append(ref(node.peer_id))
+        cols["online"].append(node.online)
+        for name in _NODE_COUNTERS:
+            cols[name].append(getattr(node, name))
+        items, received_at, order, seq = node.store.export_state()
+        cols["mod_n"].append(len(items))
+        for mod in items:
+            # Peers share the record objects they gossip; hash each
+            # object once, not once per holder.
+            index = seen.get(id(mod))
+            if index is None:
+                index = seen[id(mod)] = table.setdefault(mod, len(table))
+            cols["mod_ref"].append(index)
+        cols["mod_at"].extend(received_at)
+        cols["mod_order"].extend(order)
+        cols["mod_seq"].append(seq)
+        entries = node.vote_list.entries()
+        cols["vote_n"].append(len(entries))
+        cols["vote_mod"].extend(ref(e.moderator_id) for e in entries)
+        cols["vote_val"].extend(e.vote for e in entries)
+        cols["vote_at"].extend(e.cast_at for e in entries)
+        cols["intent_n"].append(len(node.vote_intentions))
+        cols["intent_mod"].extend(ref(m) for m in node.vote_intentions)
+        cols["intent_val"].extend(node.vote_intentions.values())
+        lists = node.topk_cache.lists()
+        cols["topk_n"].append(len(lists))
+        cols["topk_len"].extend(len(lst) for lst in lists)
+        cols["topk_item"].extend(ref(m) for lst in lists for m in lst)
+    records = [
+        [m.moderator_id, m.torrent_id, m.title, m.description, m.created_at, m.version]
+        for m in table
+    ]
+    state: Dict[str, Any] = {
+        name: np.array(cols[name], dtype=dtype)
+        for name, (dtype, _of) in _NODE_COLUMNS.items()
+    }
+    state["n_nodes"] = len(cols["node_name"])
+    state["n_names"] = len(names)
+    state["names"] = pack_strings(list(names))
+    state["mod_table"] = np.frombuffer(json.dumps(records).encode("utf-8"), np.uint8)
+    return state
+
+
+def nodes_from_columns(
+    state: Dict[str, Any], make_node: Callable[[str], VoteSamplingNode]
+) -> List[VoteSamplingNode]:
+    """Rebuild the nodes :func:`nodes_to_columns` flattened, in saved
+    order.  ``make_node(peer_id)`` constructs each empty node (config,
+    RNG, columnar view); this fills in what the columns carry."""
+    n = state["n_nodes"]
+    names = unpack_strings(state, "names", state["n_names"])
+    table = [
+        Moderation(*record)
+        for record in json.loads(take(state, "mod_table", np.uint8, None).tobytes())
+    ]
+    cols: Dict[str, List[Any]] = {}
+    for name, (dtype, of) in _NODE_COLUMNS.items():
+        length = n if of is None else sum(cols[of])
+        cols[name] = take(state, name, dtype, length).tolist()
+    nodes: List[VoteSamplingNode] = []
+    mod_i = vote_i = intent_i = list_i = item_i = 0
+    for i in range(n):
+        node = make_node(names[cols["node_name"][i]])
+        node.online = cols["online"][i]
+        for name in _NODE_COUNTERS:
+            setattr(node, name, cols[name][i])
+        mods = slice(mod_i, mod_i + cols["mod_n"][i])
+        node.store.load_state(
+            [table[index] for index in cols["mod_ref"][mods]],
+            cols["mod_at"][mods],
+            cols["mod_order"][mods],
+            cols["mod_seq"][i],
+        )
+        mod_i = mods.stop
+        for k in range(vote_i, vote_i + cols["vote_n"][i]):
+            node.vote_list.cast(
+                names[cols["vote_mod"][k]],
+                _VOTE_OF[cols["vote_val"][k]],
+                cols["vote_at"][k],
+            )
+        vote_i += cols["vote_n"][i]
+        for k in range(intent_i, intent_i + cols["intent_n"][i]):
+            moderator = names[cols["intent_mod"][k]]
+            node.vote_intentions[moderator] = _VOTE_OF[cols["intent_val"][k]]
+        intent_i += cols["intent_n"][i]
+        for length in cols["topk_len"][list_i : list_i + cols["topk_n"][i]]:
+            items = cols["topk_item"][item_i : item_i + length]
+            node.topk_cache.add([names[index] for index in items])
+            item_i += length
+        list_i += cols["topk_n"][i]
+        nodes.append(node)
+    return nodes

@@ -26,8 +26,9 @@ merge path so aggregation cannot become a vote-stuffing amplifier:
   semantics, and the backlog it cannot yet merge is the **merge lag**.
 
 Crash contract: the aggregation cursor, pending digests, backoff
-state, and operational counters join the shard checkpoint (format 2),
-and the per-shard private ring is rebuilt deterministically on
+state, and operational counters ride in the shard checkpoint's JSON
+header (:meth:`ShardAggregator.state_dict`), and the per-shard private
+ring is rebuilt deterministically on
 restore, so kill -9 + restore replays bit-identically when shards are
 driven in lockstep (:class:`ShardCluster`, the in-process N-shard
 driver the bench-smoke gates use).
@@ -431,7 +432,8 @@ class ShardAggregator:
 
     # -- checkpoint state -----------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """JSON-clean aggregation state for the shard checkpoint."""
+        """JSON-clean aggregation state for the shard checkpoint's
+        header (and the identity-comparison surface)."""
         return {
             "epoch": self.epoch,
             "cursors": dict(self.cursors),

@@ -96,6 +96,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.checkpoint import take
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
@@ -828,16 +829,18 @@ class PopulationEngine:
     # Checkpoint / restore
     # ------------------------------------------------------------------
     def schedule_state(self) -> Dict[str, object]:
-        """The scheduler's full pending state as JSON-clean types.
+        """The scheduler's full pending state: scalars plus copies of
+        the columns (trimmed to the assigned rows) as arrays.
 
-        Pairs with :meth:`restore_schedule_state`: restoring this dict
-        (plus the registry's stream states, saved separately) replays
-        the remaining run bit-identically — per-row next-tick times and
-        seqs, the pre-drawn jitter buffers with their cursors, online
-        flags/since-stamps, and the telemetry counters.  Closes the
-        open window first (the columns are the checkpoint; the window
-        is re-extracted on the next peek), so the only time this cannot
-        run is from inside a tick's own action.
+        Pairs with :meth:`restore_schedule_state`: restoring it (plus
+        the row table and the registry's stream states, saved
+        separately) replays the remaining run bit-identically — per-row
+        next-tick times and seqs, the pre-drawn jitter buffers with
+        their cursors, online flags/since-stamps, and the telemetry
+        counters.  Closes the open window first (the columns are the
+        checkpoint; the window is re-extracted on the next peek), so
+        the only time this cannot run is from inside a tick's own
+        action.
         """
         if self._dispatching:
             raise RuntimeError("cannot checkpoint mid-batch")
@@ -847,13 +850,13 @@ class PopulationEngine:
         n = len(self._ids)
         return {
             "names": list(self._names),
-            "ids": list(self._ids),
-            "online": [bool(flag) for flag in self._online],
-            "online_since": self._online_since[:n].tolist(),
-            "next": [col[:n].tolist() for col in self._next],
-            "seq": [col[:n].tolist() for col in self._seq],
-            "jit_pos": self._jit_pos[:n].tolist(),
-            "jit_buf": self._jit_buf[:n].tolist(),
+            "rows": n,
+            "online": np.array(self._online, dtype=np.bool_),
+            "online_since": self._online_since[:n].copy(),
+            "next": np.stack([col[:n] for col in self._next]),
+            "seq": np.stack([col[:n] for col in self._seq]),
+            "jit_pos": self._jit_pos[:n].copy(),
+            "jit_buf": self._jit_buf[:n].copy(),
             "ticks_by_protocol": list(self.ticks_by_protocol),
             "batches": self.batches,
             "max_batch_size": self.max_batch_size,
@@ -863,11 +866,13 @@ class PopulationEngine:
     def restore_schedule_state(self, state: Dict[str, object]) -> None:
         """Adopt a :meth:`schedule_state` snapshot.
 
-        Rows are matched (or created) in saved order, so restored row
-        numbers equal saved ones; block minima are rebuilt from the
-        restored columns.  Jitter streams stay lazy — they re-resolve
-        against the registry, whose stream states the caller restores
-        before ticking resumes.
+        The row table must already hold exactly the snapshot's rows
+        (the state store's load restores a shared table; a scheduler
+        with a table of its own gets the ids from its caller), so
+        restored row numbers equal saved ones; block minima are rebuilt
+        from the restored columns.  Jitter streams stay lazy — they
+        re-resolve against the registry, whose stream states the caller
+        restores before ticking resumes.
         """
         names = list(state["names"])  # type: ignore[arg-type]
         if names != self._names:
@@ -875,36 +880,29 @@ class PopulationEngine:
                 f"protocol mismatch: checkpoint has {names}, engine has "
                 f"{self._names}"
             )
-        ids = list(state["ids"])  # type: ignore[arg-type]
-        if len(self._online) != len(self._ids):
-            self._sync_rows()
-        for i, peer_id in enumerate(ids):
-            row = self._index.get(peer_id)
-            if row is None:
-                row = self._add_peer(peer_id)
-            if row != i:
-                raise ValueError(
-                    f"row mismatch on restore: {peer_id!r} is row {row}, "
-                    f"checkpoint expects {i}"
-                )
-        n = len(ids)
-        online = state["online"]
-        for i in range(n):
-            self._online[i] = bool(online[i])  # type: ignore[index]
-        self._online_since[:n] = np.asarray(
-            state["online_since"], dtype=np.float64
-        )
-        for p in range(len(self._next)):
-            self._next[p][:n] = np.asarray(state["next"][p], dtype=np.float64)  # type: ignore[index]
-            self._seq[p][:n] = np.asarray(state["seq"][p], dtype=np.int64)  # type: ignore[index]
+        n = int(state["rows"])  # type: ignore[arg-type]
+        if len(self._ids) != n:
+            raise ValueError(
+                f"row mismatch on restore: the row table holds "
+                f"{len(self._ids)} rows, checkpoint expects {n}"
+            )
+        self._sync_rows()
+        n_protocols = len(self._next)
+        self._online[:] = take(state, "online", np.bool_, n).tolist()
+        self._online_since[:n] = take(state, "online_since", np.float64, n)
+        nexts = take(state, "next", np.float64, n_protocols, n)
+        seqs = take(state, "seq", np.int64, n_protocols, n)
+        for p in range(n_protocols):
+            self._next[p][:n] = nexts[p]
+            self._seq[p][:n] = seqs[p]
             # Rebuild the block minima from the restored column (the
             # tail beyond n is _INF from _grow).
             col = self._next[p]
             starts = np.arange(0, col.size, _BLOCK)
             mins = np.minimum.reduceat(col, starts) if col.size else col
             self._bmin[p][: mins.size] = mins
-        self._jit_pos[:n] = np.asarray(state["jit_pos"], dtype=np.int64)
-        self._jit_buf[:n] = np.asarray(state["jit_buf"], dtype=np.float64)
+        self._jit_pos[:n] = take(state, "jit_pos", np.int64, n)
+        self._jit_buf[:n] = take(state, "jit_buf", np.float64, n, _JITTER_CHUNK)
         self.ticks_by_protocol = [int(t) for t in state["ticks_by_protocol"]]  # type: ignore[union-attr]
         self.batches = int(state["batches"])  # type: ignore[arg-type]
         self.max_batch_size = int(state["max_batch_size"])  # type: ignore[arg-type]

@@ -88,31 +88,6 @@ class PeriodicProcess:
         first = self._initial_phase if self._initial_phase is not None else self._next_gap()
         self._handle = self._engine.schedule(max(first, 0.0), self._tick)
 
-    def restore(self, at_time: float, seq: int, ticks: int) -> None:
-        """Re-arm the loop at a checkpointed pending tick.
-
-        Checkpoint-restore API: instead of :meth:`start` (which would
-        claim a fresh seq and draw jitter), re-insert the saved pending
-        entry with its original ``(time, priority=0, seq)`` key via
-        :meth:`Engine.restore_event` and restore the tick counter.  The
-        jitter RNG stream is restored separately by the caller.
-        """
-        if not self._stopped:
-            raise ValueError("cannot restore a running process")
-        self._stopped = False
-        self.ticks = int(ticks)
-        self._handle = self._engine.restore_event(at_time, 0, seq, self._tick)
-
-    def pending_key(self):
-        """``(time, seq)`` of the pending tick, or ``None`` — resolved
-        against the engine's live queue (handles do not store seqs)."""
-        if self._handle is None or self._handle.cancelled:
-            return None
-        for time, _prio, seq, handle in self._engine.live_entries():
-            if handle is self._handle:
-                return (time, seq)
-        return None
-
     def stop(self) -> None:
         """Cancel the pending tick and stop the loop.  Idempotent."""
         self._stopped = True

@@ -11,11 +11,16 @@ across code changes.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
 Key = Tuple[Union[str, int], ...]
+
+#: Seeds the throwaway state of a generator :meth:`RngRegistry
+#: .restore_stream` is about to reposition (deriving the key's real
+#: seed would be wasted work).
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
 
 
 def _key_to_entropy(key: Key) -> int:
@@ -70,6 +75,24 @@ class RngRegistry:
             )
             gen = np.random.Generator(np.random.PCG64(seq))
             self._streams[k] = gen
+        return gen
+
+    def streams(self) -> Dict[Key, np.random.Generator]:
+        """Every stream handed out so far, by key (checkpoint API)."""
+        return self._streams
+
+    def restore_stream(self, key: Key, state: Dict[str, Any]) -> np.random.Generator:
+        """Reposition ``key``'s generator at a saved ``bit_generator
+        .state`` (checkpoint-restore API).  A generator some component
+        already holds is repositioned in place, so the holder observes
+        the restored state; otherwise one is registered directly at the
+        saved state, skipping the seed derivation."""
+        k: Key = tuple(key)
+        gen = self._streams.get(k)
+        if gen is None:
+            gen = np.random.Generator(np.random.PCG64(_PLACEHOLDER_SEED))
+            self._streams[k] = gen
+        gen.bit_generator.state = state
         return gen
 
     def fork(self, label: Union[str, int]) -> "RngRegistry":

@@ -51,12 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume every shard from its checkpoint under DIR",
     )
     parser.add_argument(
-        "--population-engine", choices=("auto", "object", "soa"), default="auto"
-    )
-    parser.add_argument(
-        "--columnar-state", choices=("auto", "on", "off"), default="auto"
-    )
-    parser.add_argument(
         "--status-interval", type=float, default=5.0,
         help="wall seconds between status lines",
     )
@@ -97,8 +91,6 @@ def main(argv=None) -> int:
         shard=ShardConfig(
             peers=args.peers,
             seed=args.seed,
-            population_engine=args.population_engine,
-            columnar_state=args.columnar_state,
             aggregation=aggregation,
         ),
     )

@@ -6,26 +6,45 @@ long-running process that restarts, not a batch run.  This module
 operates the simulator that way:
 
 * a :class:`ServiceShard` is one full protocol stack (engine, session,
-  :class:`~repro.core.runtime.ProtocolRuntime`) over an always-online
-  synthetic population, checkpointing its **complete** state — node
-  databases with per-node RNG streams (persistence v3), registry
-  stream states, the engine clock/seq counters, every pending schedule
-  entry (heap events and the SoA scheduler's columns) and the
-  run-level counters — on a configurable simulated-time interval;
+  :class:`~repro.core.runtime.ProtocolRuntime` on its production path:
+  SoA scheduler + columnar state) over an always-online synthetic
+  population, checkpointing its **complete** state on a configurable
+  simulated-time interval;
 * a :class:`ServiceSupervisor` runs N shards in spawn-safe worker
   processes (reusing ``repro.sim.parallel``'s plumbing), publishes
   live operational counters through a shared-memory block, restarts
   crashed shards from their last checkpoint, and snapshots everything
   as a :class:`ServiceStatus`.
 
+**The columns are the checkpoint.**  A shard's state already lives in
+numpy columns, so one checkpoint file (:data:`CHECKPOINT_FILE`, the
+container of :mod:`repro.core.checkpoint`) is those columns dumped as
+checksummed sections — ``store.*`` (:meth:`ColumnarStateStore
+.dump_state`: intern tables, ballot columns, vote slabs), ``sched.*``
+(:meth:`PopulationEngine.schedule_state`: next-tick/seq columns,
+jitter buffers), ``nodes.*`` (:func:`~repro.core.persistence
+.nodes_to_columns`: what nodes hold outside the store) and ``rng.*``
+(the per-peer ``node``/``jitter`` generator states by row) — behind a
+small JSON header with the scalar state: engine clock/seq, the session
+round's heap key, registry online order, the named RNG streams, the
+run-level counters, aggregation state and ops.  Restore loads the
+arrays into a fresh stack and constructs the nodes as views over them;
+nothing is replayed.  Cost is proportional to bytes, not to Python
+objects.
+
 Crash contract: ``kill -9`` on a shard worker, followed by a restore
 from its last checkpoint, replays **bit-identically** to the same
 shard never having been interrupted — same node states (including RNG
-positions), same summaries, same schedule.  Two things make that hold:
+positions), same summaries, same schedule.  Three things make that
+hold:
 
 * checkpoints are written atomically (same-directory temp +
   ``os.replace``), so a kill mid-write leaves the previous checkpoint
-  readable instead of a torn JSON;
+  readable instead of a torn file;
+* a damaged file — truncated anywhere, one flipped byte, another
+  shard's, or arrays that do not fit the header — raises
+  :class:`~repro.core.checkpoint.CheckpointError` naming the file and
+  section; a shard is never half-restored;
 * both the interrupted and the uninterrupted run advance the clock in
   the same checkpoint-boundary slices, so the engine sees the same
   ``run_until`` call pattern.
@@ -55,11 +74,19 @@ import numpy as np
 
 from repro.bittorrent.session import BitTorrentSession, SessionConfig
 from repro.core.experience import AlwaysExperienced
-from repro.core.node import NodeConfig
+from repro.core.checkpoint import (
+    CheckpointError,
+    read_sections,
+    take,
+    write_sections,
+)
+from repro.core.columnar import RowTable
+from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.persistence import (
     atomic_write_text,
-    node_from_dict,
     node_to_dict,
+    nodes_from_columns,
+    nodes_to_columns,
 )
 from repro.core.runtime import ProtocolRuntime, RuntimeConfig
 from repro.core.votes import Vote
@@ -79,13 +106,14 @@ from repro.sim.parallel import (
 from repro.sim.rng import RngRegistry
 from repro.traces.model import EventKind, PeerProfile, Trace, TraceEvent
 
-#: On-disk checkpoint format of :meth:`ServiceShard.checkpoint_state`.
-#: Format 2 adds the inter-shard aggregation section (cursors, pending
-#: digests, backoff, ops) and the columnar row-table interning order
-#: (remote merges intern foreign ids in arrival order); format-1
-#: checkpoints still restore for shards that have aggregation disabled.
-CHECKPOINT_FORMAT = 2
-_READABLE_FORMATS = (1, CHECKPOINT_FORMAT)
+#: The shard's checkpoint file inside its directory.
+CHECKPOINT_FILE = "checkpoint.ckpt"
+
+#: Registry stream families with one generator per peer; their states
+#: are checkpointed as row-keyed ``rng.<family>`` arrays, every other
+#: stream by key in the header.
+_PEER_STREAMS = ("node", "jitter")
+_MASK64 = (1 << 64) - 1
 
 #: A round interval so large the session's recurring transfer round is
 #: a single far-future heap entry (service traces have no swarms, so
@@ -96,19 +124,6 @@ _IDLE_ROUND_INTERVAL = 1.0e15
 #: Nominal service horizon; shards run in checkpoint slices, so the
 #: trace duration only has to exceed any realistic target time.
 _SERVICE_TRACE_DURATION = 1.0e18
-
-#: Node counters that must survive a restore for ``run_summary()``
-#: bit-identity (they are volatile in the node-level persistence
-#: format by design — a rebooted *client* resets them; a restored
-#: *shard* must not).
-_NODE_COUNTERS = (
-    "moderations_received",
-    "votes_merged",
-    "votes_rejected_inexperienced",
-    "votes_truncated",
-    "vp_requests_answered",
-    "vp_requests_declined",
-)
 
 # Live-counter block layout: one float64 row per shard.
 _COUNTER_COLS = (
@@ -157,12 +172,22 @@ class ShardConfig:
     bartercast_interval: float = 900.0
     jitter_fraction: float = 0.1
     message_loss: float = 0.0
-    population_engine: str = "auto"
-    columnar_state: str = "auto"
+    #: A shard always runs the production path — SoA scheduler,
+    #: columnar state — which is what its checkpoint dumps.  The two
+    #: fields remain so existing callers that spell it out still
+    #: construct; ``"auto"`` means the same here.
+    population_engine: str = "soa"
+    columnar_state: str = "on"
     node: NodeConfig = field(default_factory=NodeConfig)
     #: inter-shard vote aggregation over the Chord ring; ``None``
     #: (default) keeps shards fully isolated as in PR 9
     aggregation: Optional[AggregationConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.population_engine not in ("soa", "auto"):
+            raise ValueError("a service shard runs population_engine='soa'")
+        if self.columnar_state not in ("on", "auto"):
+            raise ValueError("a service shard runs columnar_state='on'")
 
     def peer_ids(self) -> List[str]:
         """Zero-padded ids: sorted order == creation order == row order."""
@@ -224,7 +249,7 @@ class ServiceShard:
 
     Restore path::
 
-        shard = ServiceShard.restore(config, state_dict)
+        shard = ServiceShard.restore_from(config, directory)
 
     after which the shard continues bit-identically to one that was
     never interrupted (see the module docstring's crash contract).
@@ -261,8 +286,8 @@ class ServiceShard:
                 bartercast_interval=config.bartercast_interval,
                 jitter_fraction=config.jitter_fraction,
                 message_loss=config.message_loss,
-                population_engine=config.population_engine,
-                columnar_state=config.columnar_state,
+                population_engine="soa",
+                columnar_state="on",
             ),
             experience=AlwaysExperienced(),
         )
@@ -335,48 +360,52 @@ class ServiceShard:
                 return {"time": entry_time, "priority": prio, "seq": seq}
         return None
 
-    def _population_state(self) -> Dict[str, Any]:
-        if self.runtime.population_engine == "soa":
-            population = self.runtime.materialize_population()
-            return {"engine": "soa", "schedule": population.schedule_state()}
-        # Object engine: map each peer's pending PeriodicProcess ticks
-        # back to their exact heap keys by handle identity.
-        by_handle = {
-            id(handle): (entry_time, seq)
-            for entry_time, _prio, seq, handle in self.engine.live_entries()
-        }
-        procs_state: Dict[str, List[Optional[Dict[str, float]]]] = {}
-        for pid, procs in self.runtime._processes.items():
-            rows: List[Optional[Dict[str, float]]] = []
-            for proc in procs:
-                handle = proc._handle
-                if proc.running and handle is not None and handle.active:
-                    entry_time, seq = by_handle[id(handle)]
-                    rows.append({"time": entry_time, "seq": seq, "ticks": proc.ticks})
-                else:
-                    rows.append(None)
-            procs_state[pid] = rows
-        return {"engine": "object", "procs": procs_state}
+    def _rng_state(self, rows: RowTable) -> Dict[str, Any]:
+        """The registry's streams as one checkpoint component: the
+        per-peer families as ``[rows, 6]`` uint64 arrays keyed by row
+        (128-bit state and increment as high/low words, then the two
+        buffered-uint32 fields; all-zero = the peer has no such stream
+        — a PCG64 increment is odd), everything else as ``[key,
+        state]`` pairs under ``named``."""
+        named: List[Any] = []
+        state: Dict[str, Any] = {"named": named}
+        for family in _PEER_STREAMS:
+            state[family] = np.zeros((len(rows), 6), dtype=np.uint64)
+        for key, gen in self.rng.streams().items():
+            bits = gen.bit_generator.state
+            row = rows.get(key[1]) if len(key) == 2 else None
+            if row is None or key[0] not in _PEER_STREAMS:
+                named.append([list(key), bits])
+                continue
+            if bits["bit_generator"] != "PCG64":
+                raise RuntimeError(f"cannot checkpoint a {bits['bit_generator']} stream")
+            inner = bits["state"]
+            state[key[0]][row] = np.array(
+                [
+                    inner["state"] >> 64,
+                    inner["state"] & _MASK64,
+                    inner["inc"] >> 64,
+                    inner["inc"] & _MASK64,
+                    bits["has_uint32"],
+                    bits["uinteger"],
+                ],
+                dtype=np.uint64,
+            )
+        return state
 
-    def checkpoint_state(self) -> Dict[str, Any]:
-        """The shard's complete state as one JSON-clean dict."""
+    def write_checkpoint(self, directory: Path) -> int:
+        """Atomically persist the shard's complete state as one
+        sectioned file (see the module docstring); returns bytes
+        written (ops counters pick up latency and size)."""
         if not self._started:
             raise RuntimeError("cannot checkpoint before start()")
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
         engine = self.engine
-        rng_streams = [
-            [list(key), gen.bit_generator.state]
-            for key, gen in self.rng._streams.items()
-        ]
-        nodes = [
-            {
-                "state": node_to_dict(node),
-                "online": bool(node.online),
-                "counters": {name: getattr(node, name) for name in _NODE_COUNTERS},
-            }
-            for node in self.runtime.nodes.values()
-        ]
-        state = {
-            "format": CHECKPOINT_FORMAT,
+        runtime = self.runtime
+        store = runtime._col_store
+        header: Dict[str, Any] = {
             "shard_id": self.config.shard_id,
             "sim": {
                 "now": engine.now,
@@ -388,36 +417,19 @@ class ServiceShard:
                 "round": self._session_round_entry(),
             },
             "registry_order": self.session.registry.online_peers(),
-            "rng_streams": rng_streams,
-            "population": self._population_state(),
-            "counters": self.runtime.counters_state(),
-            "nodes": nodes,
+            "counters": runtime.counters_state(),
             "ops": dict(self.ops),
         }
-        if self.runtime._col_store is not None:
-            # Shared row-table interning order.  Remote digest merges
-            # intern *foreign* voter and moderator ids in arrival
-            # order, which node-by-node restore cannot reproduce — and
-            # the SoA schedule restore asserts exact row numbers.
-            store = self.runtime._col_store
-            state["columnar_rows"] = {
-                "rows": list(store.rows.ids),
-                "mods": list(store.mods.ids),
-            }
         if self.aggregator is not None:
-            state["aggregation"] = self.aggregator.state_dict()
-        return state
-
-    def write_checkpoint(self, directory: Path) -> int:
-        """Atomically persist :meth:`checkpoint_state`; returns bytes
-        written (ops counters pick up latency and size)."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        payload = json.dumps(self.checkpoint_state(), separators=(",", ":"))
-        atomic_write_text(directory / "checkpoint.json", payload)
+            header["aggregation"] = self.aggregator.state_dict()
+        components = {
+            "rng": self._rng_state(store.rows),
+            "store": store.dump_state(),
+            "sched": runtime.materialize_population().schedule_state(),
+            "nodes": nodes_to_columns(runtime.nodes.values()),
+        }
+        size = write_sections(directory / CHECKPOINT_FILE, header, components)
         wall = time.perf_counter() - t0
-        size = len(payload.encode("utf-8"))
         self.ops["checkpoints"] += 1
         self.ops["checkpoint_bytes_last"] = size
         self.ops["checkpoint_bytes_total"] += size
@@ -429,20 +441,33 @@ class ServiceShard:
     # Restore
     # ------------------------------------------------------------------
     @classmethod
-    def restore(cls, config: ShardConfig, state: Dict[str, Any]) -> "ServiceShard":
-        """Rebuild a shard positioned exactly at a checkpoint."""
-        fmt = state.get("format")
-        if fmt not in _READABLE_FORMATS:
-            raise ValueError(f"unsupported shard checkpoint format {fmt!r}")
-        if state.get("shard_id") != config.shard_id:
-            raise ValueError(
-                f"checkpoint is for shard {state.get('shard_id')!r}, "
-                f"config says {config.shard_id!r}"
+    def restore_from(cls, config: ShardConfig, directory: Path) -> "ServiceShard":
+        """Rebuild a shard positioned exactly at its last checkpoint.
+        Anything wrong with the file raises :class:`CheckpointError`
+        (before a shard object exists for the caller to misuse)."""
+        path = Path(directory) / CHECKPOINT_FILE
+        header, components = read_sections(path)
+        try:
+            return cls._from_sections(config, header, components)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+
+    @classmethod
+    def _from_sections(
+        cls,
+        config: ShardConfig,
+        header: Dict[str, Any],
+        components: Dict[str, Dict[str, Any]],
+    ) -> "ServiceShard":
+        if header["shard_id"] != config.shard_id:
+            raise CheckpointError(
+                f"section 'header': checkpoint is for shard "
+                f"{header['shard_id']!r}, config says {config.shard_id!r}"
             )
         shard = cls(config)
         shard._started = True
         engine = shard.engine
-        sim = state["sim"]
+        sim = header["sim"]
         engine.restore_clock(
             sim["now"], seq=sim["seq"], events_fired=sim["events_fired"]
         )
@@ -450,8 +475,8 @@ class ServiceShard:
         # round entry (and its cadence anchor) survives checkpoints.
         session = shard.session
         session._started = True
-        session._last_round_at = state["session"]["last_round_at"]
-        round_entry = state["session"]["round"]
+        session._last_round_at = header["session"]["last_round_at"]
+        round_entry = header["session"]["round"]
         if round_entry is not None:
             engine.restore_event(
                 round_entry["time"],
@@ -461,58 +486,48 @@ class ServiceShard:
             )
         # Online order drives OraclePSS's index->peer mapping; replay
         # it exactly (no listeners are registered at this point).
-        for pid in state["registry_order"]:
+        for pid in header["registry_order"]:
             session.registry.set_online(pid)
-        # Stream states: the registry memoises by key, so components
-        # that already grabbed a generator in __init__ (pss,
-        # message-loss) observe the restored state through the same
-        # object.
-        for key, gen_state in state["rng_streams"]:
-            shard.rng.stream(*key).bit_generator.state = gen_state
-        # Nodes, in saved (== creation == columnar row) order.  The
-        # node's RNG comes from the v3 payload; per-run counters are
-        # volatile in the node format but durable at the shard level.
-        # Rows are pre-assigned first: restoring a ballot box interns
-        # its *voters* into the shared row table, so without this the
-        # first node's voters would grab rows ahead of later nodes.
-        # Format 2 saves the whole interning order (aggregation merges
-        # remote voters/moderators in arrival order, which node order
-        # cannot reproduce); format 1 falls back to node order, which
-        # is exact when every voter is a local peer.
         runtime = shard.runtime
-        if runtime._col_store is not None:
-            saved_rows = state.get("columnar_rows")
-            if saved_rows is not None:
-                for pid in saved_rows["rows"]:
-                    runtime._col_store.ensure_row(pid)
-                for mid in saved_rows["mods"]:
-                    runtime._col_store.mods.row(mid)
-            else:
-                for rec in state["nodes"]:
-                    runtime._col_store.ensure_row(rec["state"]["peer_id"])
-        for rec in state["nodes"]:
-            node = node_from_dict(rec["state"], col_store=runtime._col_store)
-            node.online = bool(rec["online"])
-            for name, value in rec["counters"].items():
-                setattr(node, name, int(value))
+        store = runtime._col_store
+        store.load_state(components["store"])
+        # Streams: components that already grabbed a generator in
+        # __init__ (pss, message-loss, aggregation) observe the restored
+        # state through the same object; per-peer streams are registered
+        # at their saved state before the nodes and the scheduler ask
+        # for them.
+        rng = shard.rng
+        for key, state in components["rng"]["named"]:
+            rng.restore_stream(tuple(key), state)
+        ids = store.rows.ids
+        for family in _PEER_STREAMS:
+            words = take(components["rng"], family, np.uint64, len(ids), 6)
+            for row in np.nonzero(words[:, 3])[0].tolist():
+                s_hi, s_lo, i_hi, i_lo, has_uint32, uinteger = words[row].tolist()
+                rng.restore_stream(
+                    (family, ids[row]),
+                    {
+                        "bit_generator": "PCG64",
+                        "state": {
+                            "state": (s_hi << 64) | s_lo,
+                            "inc": (i_hi << 64) | i_lo,
+                        },
+                        "has_uint32": has_uint32,
+                        "uinteger": uinteger,
+                    },
+                )
+        # Nodes are views: the ballot boxes already sit in the loaded
+        # store, the rest comes from the ``nodes.*`` columns.
+        for node in nodes_from_columns(
+            components["nodes"],
+            lambda pid: VoteSamplingNode(
+                pid, config.node, rng.stream("node", pid), col_store=store
+            ),
+        ):
             runtime.nodes[node.peer_id] = node
-        runtime.restore_counters(state["counters"])
-        population = state["population"]
-        if population["engine"] == "soa":
-            if runtime.population_engine != "soa":
-                raise ValueError("checkpoint used the soa engine, config does not")
-            runtime.materialize_population().restore_schedule_state(
-                population["schedule"]
-            )
-        else:
-            if runtime.population_engine == "soa":
-                raise ValueError("checkpoint used the object engine, config does not")
-            for pid, rows in population["procs"].items():
-                procs = runtime._processes_for(pid)
-                for proc, row in zip(procs, rows):
-                    if row is not None:
-                        proc.restore(row["time"], int(row["seq"]), int(row["ticks"]))
-        aggregation_state = state.get("aggregation")
+        runtime.restore_counters(header["counters"])
+        runtime.materialize_population().restore_schedule_state(components["sched"])
+        aggregation_state = header.get("aggregation")
         if shard.aggregator is not None:
             if aggregation_state is None:
                 raise ValueError(
@@ -525,14 +540,9 @@ class ServiceShard:
                 "checkpoint carries aggregation state but the config "
                 "disables aggregation"
             )
-        shard.ops.update(state.get("ops", {}))
-        shard.ops["restores"] = shard.ops.get("restores", 0) + 1
+        shard.ops.update(header["ops"])
+        shard.ops["restores"] += 1
         return shard
-
-    @classmethod
-    def restore_from(cls, config: ShardConfig, directory: Path) -> "ServiceShard":
-        path = Path(directory) / "checkpoint.json"
-        return cls.restore(config, json.loads(path.read_text(encoding="utf-8")))
 
     # ------------------------------------------------------------------
     # Service loop & reporting
@@ -665,14 +675,13 @@ def _shard_worker_main(
     Builds (or restores) the shard, runs it to ``until`` in checkpoint
     slices, and mirrors live counters into the supervisor's shared
     block after every slice.  SIGTERM checkpoints and exits cleanly;
-    SIGKILL is the crash case the checkpoint format is built for.
+    SIGKILL is the crash case the checkpoint file is built for.
     """
     global _WORKER_STOP
     _WORKER_STOP = False
     signal.signal(signal.SIGTERM, _worker_sigterm)
     directory = Path(shard_dir)
-    checkpoint_path = directory / "checkpoint.json"
-    if resume and checkpoint_path.exists():
+    if resume and (directory / CHECKPOINT_FILE).exists():
         shard = ServiceShard.restore_from(config, directory)
     else:
         shard = ServiceShard(config)

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.ballotbox import BallotBox
+from repro.core.checkpoint import read_sections
 from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore
 from repro.core.node import NodeConfig
 from repro.core.votes import Vote, VoteEntry
@@ -30,7 +31,12 @@ from repro.sim.aggregation import (
     shard_top_k,
 )
 from repro.sim.rng import RngRegistry
-from repro.sim.service import ServiceConfig, ServiceShard, ShardConfig
+from repro.sim.service import (
+    CHECKPOINT_FILE,
+    ServiceConfig,
+    ServiceShard,
+    ShardConfig,
+)
 
 
 def _agg_config(**overrides):
@@ -372,10 +378,10 @@ def test_cluster_restore_replays_bit_identically(tmp_path):
 
 
 def test_cluster_restore_replays_bit_identically_columnar(tmp_path):
-    """Same crash contract under the SoA engine + columnar store —
-    remote digest merges intern *foreign* voter ids into the shared
-    row table in arrival order, and a restore must reproduce that
-    order exactly (format 2 checkpoints carry it)."""
+    """Same crash contract one boundary later, when remote digest
+    merges have interned *foreign* voter ids into the shared row table
+    in arrival order — a restore must reproduce those row numbers
+    exactly (the checkpoint dumps the intern tables themselves)."""
     config = _cluster_config(
         shard={"population_engine": "soa", "columnar_state": "on"}
     )
@@ -407,48 +413,34 @@ def test_cluster_rejects_mismatched_roster():
 
 
 # ----------------------------------------------------------------------
-# Checkpoint format 2
+# Aggregation state in the shard checkpoint
 # ----------------------------------------------------------------------
 def test_aggregation_state_round_trips_through_json(tmp_path):
+    """The aggregation section is JSON in the checkpoint header."""
     config = _cluster_config()
     cluster = ShardCluster(config, directory=tmp_path)
     cluster.run(until=2 * config.checkpoint_interval)
     shard = cluster.shards[0]
-    state = shard.checkpoint_state()
-    assert state["format"] == 2
-    assert state["aggregation"]["epoch"] == 2
-    rebuilt = ServiceShard.restore(
-        config.shard_config(0), json.loads(json.dumps(state))
+    saved, _components = read_sections(cluster.shard_dir(0) / CHECKPOINT_FILE)
+    assert saved["aggregation"]["epoch"] == 2
+    assert saved["aggregation"] == json.loads(
+        json.dumps(shard.aggregator.state_dict())
     )
-    rebuilt_state = rebuilt.checkpoint_state()
-    rebuilt_state.pop("ops")
-    expected = json.loads(json.dumps(state))
-    expected.pop("ops")
-    assert rebuilt_state == expected
+    cluster.restore_shard(0)
+    assert cluster.shards[0].aggregator.state_dict() == shard.aggregator.state_dict()
 
 
 def test_restore_rejects_aggregation_mismatch(tmp_path):
     config = _cluster_config()
     cluster = ShardCluster(config, directory=tmp_path)
     cluster.run(until=config.checkpoint_interval)
-    state = cluster.shards[0].checkpoint_state()
 
     plain_config = replace(config.shard_config(0), aggregation=None)
     with pytest.raises(ValueError, match="disables aggregation"):
-        ServiceShard.restore(plain_config, state)
+        ServiceShard.restore_from(plain_config, cluster.shard_dir(0))
 
-    stripped = dict(state)
-    stripped.pop("aggregation")
+    plain = ServiceShard(plain_config)
+    plain.start()
+    plain.write_checkpoint(tmp_path / "plain")
     with pytest.raises(ValueError, match="no aggregation state"):
-        ServiceShard.restore(config.shard_config(0), stripped)
-
-
-def test_format_1_checkpoint_still_restores_without_aggregation():
-    config = ShardConfig(shard_id=0, peers=12, seed=11, node=NodeConfig(b_max=20))
-    shard = ServiceShard(config)
-    shard.start()
-    shard.run_until(300.0)
-    state = shard.checkpoint_state()
-    state["format"] = 1  # what a PR 9 checkpoint looks like
-    restored = ServiceShard.restore(config, json.loads(json.dumps(state)))
-    assert restored.engine.now == 300.0
+        ServiceShard.restore_from(config.shard_config(0), tmp_path / "plain")

@@ -83,9 +83,10 @@ def test_volatile_state_not_persisted(populated_node, tmp_path):
 
 def test_unsupported_format_rejected(populated_node):
     data = node_to_dict(populated_node)
-    data["format"] = 99
-    with pytest.raises(ValueError, match="format"):
-        node_from_dict(data)
+    for fmt in (1, 2, 99, None):  # one format; its predecessors are gone
+        data["format"] = fmt
+        with pytest.raises(ValueError, match="format"):
+            node_from_dict(data)
 
 
 def test_empty_node_round_trips(tmp_path):
@@ -109,9 +110,9 @@ def test_disapproval_semantics_survive(populated_node, tmp_path):
 
 
 def test_ballot_recency_survives_round_trip(tmp_path):
-    """Regression: the v1 format re-merged every voter at now=0.0 in
-    alphabetical order, so a restored box evicted B_max victims
-    alphabetically instead of oldest-received-first."""
+    """Regression: a flat, timestamp-free ballot format re-merged every
+    voter at now=0.0 in alphabetical order, so a restored box evicted
+    B_max victims alphabetically instead of oldest-received-first."""
     node = VoteSamplingNode("me", NodeConfig(b_min=1, b_max=2), np.random.default_rng(0))
     # "z" received first (oldest), "a" last (newest) — the reverse of
     # alphabetical order, so the old restore path picks the wrong victim.
@@ -140,22 +141,35 @@ def test_ballot_vote_timestamps_survive_round_trip(populated_node, tmp_path):
         )
 
 
-def test_v1_format_still_loads(populated_node):
-    """Legacy v1 saves (flat ballot entries, no timestamps) load with
-    the documented caveat: recency resets, voters refold alphabetically."""
-    data = node_to_dict(populated_node)
-    data["format"] = 1
-    data["ballot"] = [
-        {"voter": rec["voter"], "moderator": moderator, "vote": vote}
-        for rec in data["ballot"]
-        for moderator, vote, _at in rec["votes"]
-    ]
-    restored = node_from_dict(data)
-    assert restored.ballot_box.num_unique_users() == 2
-    assert restored.ballot_box.counts("x") == (1, 1)
-    # The caveat: all recency is gone, voters sit in alphabetical order.
-    assert restored.ballot_box.voters_by_recency() == ["v1", "v2"]
-    assert restored.ballot_box.last_received_of("v1") == 0.0
+def test_moderation_recency_survives_version_refresh():
+    """Regression: node_to_dict walked the store in storage order, where
+    a refreshed item keeps its old position, so ``insert(A v1);
+    insert(B); insert(A v2)`` restored as if B were the newest — wrong
+    ``recency_order()`` (what ModerationCast forwards first) and the
+    wrong capacity-eviction victim."""
+    node = VoteSamplingNode("me", NodeConfig(), np.random.default_rng(0))
+    node.receive_moderations([Moderation("a", "t", "v1", version=1)], 1.0)
+    node.receive_moderations([Moderation("b", "t", "only")], 2.0)
+    node.receive_moderations([Moderation("a", "t", "v2", version=2)], 3.0)
+    assert [m.title for m in node.store.recency_order()] == ["v2", "only"]
+
+    restored = node_from_dict(node_to_dict(node))
+    assert restored.store.recency_order() == node.store.recency_order()
+    assert restored.store.received_at(restored.store.get("a", "t")) == 3.0
+    # A rebooted client counts mutations afresh (nothing derived from
+    # the old counter survives a restart), one per stored item.
+    assert node.store.mutation_count == 3
+    assert restored.store.mutation_count == len(restored.store) == 2
+    for store in (node.store, restored.store):
+        store.capacity = 1
+        store.enforce_capacity()
+        assert [m.title for m in store.all_items()] == ["v2"]
+    # Nothing refreshed: output is what storage order always gave.
+    plain = VoteSamplingNode("me", NodeConfig(), np.random.default_rng(0))
+    plain.receive_moderations(
+        [Moderation("b", "t", "1"), Moderation("a", "t", "2")], 1.0
+    )
+    assert [m["moderator_id"] for m in node_to_dict(plain)["moderations"]] == ["b", "a"]
 
 
 # ----------------------------------------------------------------------
@@ -255,16 +269,6 @@ def test_explicit_rng_override_still_wins(populated_node, tmp_path):
     override = np.random.default_rng(5)
     restored = load_node(path, rng=override)
     assert restored.rng is override
-
-
-def test_v2_payload_without_rng_state_uses_legacy_fallback(populated_node):
-    data = node_to_dict(populated_node)
-    data = {k: v for k, v in data.items() if k != "rng_state"}
-    data["format"] = 2
-    restored = node_from_dict(data)
-    assert np.array_equal(
-        restored.rng.random(4), np.random.default_rng(0).random(4)
-    )
 
 
 def test_format_is_v3_with_rng_state(populated_node):

@@ -3,20 +3,21 @@
 The crash contract under test: a shard restored from its last
 checkpoint replays **bit-identically** to the same shard never having
 been interrupted — same node states (including RNG positions), same
-summaries, same schedule — for every engine/state-backing combination,
-and through a real ``SIGKILL`` + supervisor restart.
+summaries, same schedule — through a real ``SIGKILL`` + supervisor
+restart, and a damaged checkpoint file fails loudly instead.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import CheckpointError, read_sections, write_sections
+from repro.core.moderation import Moderation
 from repro.core.node import NodeConfig
 from repro.sim.service import (
     _COUNTER_COLS,
-    CHECKPOINT_FORMAT,
+    CHECKPOINT_FILE,
     ServiceConfig,
     ServiceShard,
     ServiceSupervisor,
@@ -76,10 +77,17 @@ def test_registry_seeds_differ_per_shard():
 
 
 # ----------------------------------------------------------------------
-# Checkpoint → restore bit-identity, all engine/backing combinations
+# Checkpoint → restore bit-identity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("columnar", ["off", "on"])
-@pytest.mark.parametrize("engine_kind", ["object", "soa"])
+def test_shard_config_accepts_only_the_production_path():
+    for engine_kind, columnar in (("object", "on"), ("soa", "off")):
+        with pytest.raises(ValueError, match="service shard"):
+            _small_config(population_engine=engine_kind, columnar_state=columnar)
+
+
+@pytest.mark.parametrize(
+    "engine_kind,columnar", [("soa", "on"), ("auto", "auto")]
+)
 def test_restore_replays_bit_identically(engine_kind, columnar, tmp_path):
     config = _small_config(
         population_engine=engine_kind, columnar_state=columnar
@@ -89,6 +97,8 @@ def test_restore_replays_bit_identically(engine_kind, columnar, tmp_path):
     reference = ServiceShard(config)
     reference.start()
     reference.run_service(until, interval)  # uninterrupted, same slices
+    assert reference.runtime.population_summary()["engine"] == "soa"
+    assert reference.runtime.columnar_state == "on"
 
     shard = ServiceShard(config)
     shard.start()
@@ -105,62 +115,229 @@ def test_restore_replays_bit_identically(engine_kind, columnar, tmp_path):
     assert resumed.ops["restores"] == 1
 
 
-def test_checkpoint_state_round_trips_through_json(tmp_path):
-    config = _small_config(population_engine="soa", columnar_state="on")
+def _assert_same_sections(path_a, path_b, skip=("ops",)):
+    state_a, components_a = read_sections(path_a)
+    state_b, components_b = read_sections(path_b)
+    for key in skip:
+        state_a.pop(key), state_b.pop(key)
+    assert state_a == state_b
+    assert components_a.keys() == components_b.keys()
+    for prefix, component in components_a.items():
+        assert component.keys() == components_b[prefix].keys()
+        for key, value in component.items():
+            other = components_b[prefix][key]
+            if isinstance(value, np.ndarray):
+                assert value.dtype == other.dtype, (prefix, key)
+                value, other = value.tobytes(), other.tobytes()
+            assert value == other, (prefix, key)
+
+
+def test_checkpoint_round_trips_through_file(tmp_path):
+    """write → restore → write gives the same header and the same
+    bytes in every section: nothing is re-derived, reordered or lost."""
+    config = _small_config()
     shard = ServiceShard(config)
     shard.start()
     shard.run_until(600.0)
-    state = shard.checkpoint_state()
-    assert state["format"] == CHECKPOINT_FORMAT
-    rebuilt = ServiceShard.restore(config, json.loads(json.dumps(state)))
-    rebuilt_state = rebuilt.checkpoint_state()
+    shard.write_checkpoint(tmp_path / "a")
+    rebuilt = ServiceShard.restore_from(config, tmp_path / "a")
     # ops is operational (not identity) state: the restore itself bumps
     # the restore counter.
-    assert rebuilt_state.pop("ops")["restores"] == 1
-    expected = json.loads(json.dumps(state))
-    expected.pop("ops")
-    assert rebuilt_state == expected
+    assert rebuilt.ops["restores"] == 1
+    rebuilt.write_checkpoint(tmp_path / "b")
+    _assert_same_sections(
+        tmp_path / "a" / CHECKPOINT_FILE, tmp_path / "b" / CHECKPOINT_FILE
+    )
+
+
+def test_moderation_recency_survives_shard_checkpoint(tmp_path):
+    """Regression: a version refresh moves a moderation to the front of
+    the recency order without moving it in storage order; the shard
+    checkpoint carries the recency stamps and the mutation counter."""
+    config = _small_config()
+    shard = ServiceShard(config)
+    shard.start()
+    node = shard.runtime.nodes[config.peer_ids()[-1]]
+    before = len(node.store)
+    node.receive_moderations([Moderation("a", "t", "v1", version=1)], 1.0)
+    node.receive_moderations([Moderation("b", "t", "only")], 2.0)
+    node.receive_moderations([Moderation("a", "t", "v2", version=2)], 3.0)
+    shard.write_checkpoint(tmp_path)
+    twin = ServiceShard.restore_from(config, tmp_path).runtime.nodes[node.peer_id]
+    assert [m.title for m in twin.store.recency_order()[:2]] == ["v2", "only"]
+    assert twin.store.recency_order() == node.store.recency_order()
+    assert twin.store.all_items() == node.store.all_items()
+    assert twin.store.mutation_count == node.store.mutation_count == before + 3
+    for store in (node.store, twin.store):
+        store.capacity = len(store) - 1
+        store.enforce_capacity()
+    assert twin.store.recency_order() == node.store.recency_order()
+    assert twin.store.get("b", "t") is None  # the oldest stamp went
 
 
 # ----------------------------------------------------------------------
-# Restore error cases
+# Damaged checkpoints fail loudly
 # ----------------------------------------------------------------------
-def _checkpointed_state(config):
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    config = _small_config()
     shard = ServiceShard(config)
     shard.start()
     shard.run_until(300.0)
-    return shard.checkpoint_state()
+    directory = tmp_path_factory.mktemp("ckpt")
+    shard.write_checkpoint(directory)
+    return config, (directory / CHECKPOINT_FILE).read_bytes()
 
 
-def test_restore_rejects_unknown_format():
+def _restore_bytes(config, data, directory):
+    (directory / CHECKPOINT_FILE).write_bytes(data)
+    return ServiceShard.restore_from(config, directory)
+
+
+def _section_spans(path_bytes, tmp_path):
+    """``[(name, start, end)]`` of the preamble, the header and every
+    array section of a checkpoint file."""
+    header_len = int.from_bytes(path_bytes[8:12], "little")
+    spans = [("preamble", 0, 16), ("header", 16, 16 + header_len)]
+    probe = tmp_path / "probe"
+    probe.write_bytes(path_bytes)
+    offset = 16 + header_len
+    for prefix, component in read_sections(probe)[1].items():
+        for key, value in component.items():
+            if isinstance(value, np.ndarray):
+                spans.append((f"{prefix}.{key}", offset, offset + value.nbytes))
+                offset += value.nbytes
+    assert offset == len(path_bytes)
+    return spans
+
+
+def test_truncated_checkpoint_names_the_section(checkpoint_bytes, tmp_path):
+    config, data = checkpoint_bytes
+    spans = _section_spans(data, tmp_path)
+    last = [name for name, start, end in spans if end > start][-1]
+    cuts = {0: "preamble", 9: "preamble", len(data) - 1: last}
+    cuts[(spans[1][1] + spans[1][2]) // 2] = "header"  # mid-header
+    for name, start, end in spans[2:]:
+        if end - start >= 2:
+            cuts[(start + end) // 2] = name  # mid-array
+    assert len(cuts) >= 8
+    for cut, section in cuts.items():
+        with pytest.raises(CheckpointError) as err:
+            _restore_bytes(config, data[:cut], tmp_path)
+        assert CHECKPOINT_FILE in str(err.value)
+        assert repr(section) in str(err.value), (cut, str(err.value))
+    with pytest.raises(CheckpointError, match="trailing"):
+        _restore_bytes(config, data + b"\0", tmp_path)
+
+
+def test_flipped_byte_in_any_section_is_caught(checkpoint_bytes, tmp_path):
+    config, data = checkpoint_bytes
+    for name, start, end in _section_spans(data, tmp_path):
+        if end == start:
+            continue
+        damaged = bytearray(data)
+        damaged[(start + end) // 2] ^= 0x40
+        with pytest.raises(CheckpointError) as err:
+            _restore_bytes(config, bytes(damaged), tmp_path)
+        assert CHECKPOINT_FILE in str(err.value), name
+        # a flip inside the preamble's length/checksum words surfaces
+        # as a header failure
+        expected = ("preamble", "header") if name == "preamble" else (name,)
+        assert any(repr(s) in str(err.value) for s in expected), (name, str(err.value))
+
+
+def test_restore_rejects_unknown_format(checkpoint_bytes, tmp_path):
+    config, data = checkpoint_bytes
+    with pytest.raises(CheckpointError, match="format"):
+        _restore_bytes(config, data[:7] + bytes([99]) + data[8:], tmp_path)
+
+
+def test_restore_rejects_wrong_shard(checkpoint_bytes, tmp_path):
+    config, data = checkpoint_bytes
+    with pytest.raises(CheckpointError, match="shard 0"):
+        _restore_bytes(ShardConfig(shard_id=3, peers=12), data, tmp_path)
+
+
+def test_restore_rejects_arrays_that_do_not_fit_the_header(
+    checkpoint_bytes, tmp_path
+):
+    """Checksums valid, contents inconsistent: each array is checked
+    against the counts the header (or its sibling arrays) declare."""
+    config, data = checkpoint_bytes
+    path = tmp_path / CHECKPOINT_FILE
+    path.write_bytes(data)
+    state, components = read_sections(path)
+
+    def rewrite(prefix, key, value):
+        changed = dict(components, **{prefix: dict(components[prefix])})
+        if value is None:
+            del changed[prefix][key]
+        else:
+            changed[prefix][key] = value
+        write_sections(path, state, changed)
+
+    for prefix, key in (
+        ("store", "bb_voter"), ("sched", "next"), ("nodes", "mod_at"), ("rng", "jitter")
+    ):
+        rewrite(prefix, key, components[prefix][key][..., :-1])
+        with pytest.raises(CheckpointError, match=repr(key)):
+            ServiceShard.restore_from(config, tmp_path)
+    rewrite("store", "pay_used", None)
+    with pytest.raises(CheckpointError, match="pay_used"):
+        ServiceShard.restore_from(config, tmp_path)
+    rewrite("store", "n_ids", components["store"]["n_ids"] + 1)
+    with pytest.raises(CheckpointError, match="row_ids"):
+        ServiceShard.restore_from(config, tmp_path)
+
+
+def test_kill_mid_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    """A write that dies after a prefix of the new file leaves the
+    previous checkpoint in place, readable, and no temp litter."""
+    import builtins
+
     config = _small_config()
-    state = _checkpointed_state(config)
-    state["format"] = 99
-    with pytest.raises(ValueError, match="checkpoint format"):
-        ServiceShard.restore(config, state)
+    shard = ServiceShard(config)
+    shard.start()
+    shard.run_service(900.0, 900.0, directory=tmp_path)
+    before = (tmp_path / CHECKPOINT_FILE).read_bytes()
+    shard.run_until(1200.0)
+
+    real_open = builtins.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+
+        class TornFile:
+            def write(self, data):
+                fh.write(data[: len(data) // 2])
+                fh.flush()
+                raise OSError("killed mid-write")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                fh.close()
+                return False
+
+        return TornFile()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", torn_open)
+        with pytest.raises(OSError, match="killed mid-write"):
+            shard.write_checkpoint(tmp_path)
+
+    assert (tmp_path / CHECKPOINT_FILE).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [CHECKPOINT_FILE]
+    assert ServiceShard.restore_from(config, tmp_path).engine.now == 900.0
 
 
-def test_restore_rejects_wrong_shard():
-    config = _small_config()
-    state = _checkpointed_state(config)
-    with pytest.raises(ValueError, match="shard"):
-        ServiceShard.restore(ShardConfig(shard_id=3, peers=12), state)
-
-
-def test_restore_rejects_engine_mismatch():
-    soa = _small_config(population_engine="soa")
-    state = _checkpointed_state(soa)
-    with pytest.raises(ValueError, match="soa engine"):
-        ServiceShard.restore(_small_config(population_engine="object"), state)
-    obj_state = _checkpointed_state(_small_config(population_engine="object"))
-    with pytest.raises(ValueError, match="object engine"):
-        ServiceShard.restore(soa, obj_state)
-
-
-def test_checkpoint_requires_started_shard():
+def test_checkpoint_requires_started_shard(tmp_path):
     shard = ServiceShard(_small_config())
     with pytest.raises(RuntimeError, match="start"):
-        shard.checkpoint_state()
+        shard.write_checkpoint(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +411,7 @@ def test_sigkilled_shard_restores_bit_identically(tmp_path):
         supervisor.start()
         assert _wait(supervisor.done, timeout=120.0, supervisor=supervisor)
         assert supervisor._restarts == [0]
-    checkpoint_path = tmp_path / "shard-00" / "checkpoint.json"
-    assert checkpoint_path.exists()
+    assert (tmp_path / "shard-00" / CHECKPOINT_FILE).exists()
 
     # Phase 2: resume toward the horizon and SIGKILL the worker
     # mid-run; the supervisor must restart it from the checkpoint and
@@ -273,13 +449,21 @@ def test_sigkilled_shard_restores_bit_identically(tmp_path):
 # ----------------------------------------------------------------------
 # Checkpointing while the SoA scheduler's tick window is open
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("columnar", ["off", "on"])
-def test_checkpoint_with_open_window_replays_bit_identically(columnar, tmp_path):
+def _same_schedule(a, b):
+    assert a.keys() == b.keys()
+    for key, value in a.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, b[key], equal_nan=value.dtype.kind == "f"), key
+        else:
+            assert value == b[key], key
+
+
+def test_checkpoint_with_open_window_replays_bit_identically(tmp_path):
     """A checkpoint can land at any instant between two engine events,
     including one where the scheduler's window holds both executed
     (unflushed) and pending entries: it closes the window, and the
     restored shard finishes like one that never checkpointed."""
-    config = _small_config(population_engine="soa", columnar_state=columnar)
+    config = _small_config()
     until = 1800.0
 
     reference = ServiceShard(config)
@@ -295,11 +479,11 @@ def test_checkpoint_with_open_window_replays_bit_identically(columnar, tmp_path)
     assert population._win is window and 0 < window.fired and window.k < window.n
     before = population.schedule_state()  # closes the window ...
     assert population._win is None
-    assert population.schedule_state() == before  # ... and is then stable
+    _same_schedule(population.schedule_state(), before)  # ... and is then stable
     shard.write_checkpoint(tmp_path)
 
     resumed = ServiceShard.restore_from(config, tmp_path)
-    assert resumed.runtime.materialize_population().schedule_state() == before
+    _same_schedule(resumed.runtime.materialize_population().schedule_state(), before)
     resumed.run_until(until)
     shard.run_until(until)
     assert shard.identity_state() == reference.identity_state()

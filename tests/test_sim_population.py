@@ -13,6 +13,7 @@ import pytest
 from repro.bittorrent.session import BitTorrentSession, SessionConfig
 from repro.core.experience import AdaptiveThresholdExperience
 from repro.core.runtime import ProtocolRuntime, RuntimeConfig
+from repro.core.columnar import RowTable
 from repro.core.votes import Vote
 from repro.sim.engine import Engine
 from repro.sim.population import PopulationEngine
@@ -621,16 +622,7 @@ class _Interleaver:
         self.pop = None
         self.procs = {}
         if kind == "soa":
-            self.pop = PopulationEngine(
-                self.engine,
-                self.rng,
-                [
-                    (name, interval, lambda pid, name=name: self._tick(name, pid))
-                    for name, interval in _WINDOW_PROTOCOLS
-                ],
-                jitter_fraction=jitter,
-            )
-            self.engine.attach_source(self.pop)
+            self._attach_scheduler(RowTable())
         for time, prio, op, pid, spawn_at in script:
             if spawn_at is None:
                 self.engine.schedule_at(time, self._apply, op, pid, priority=prio)
@@ -638,6 +630,30 @@ class _Interleaver:
                 self.engine.schedule_at(
                     spawn_at, self._spawn, time, prio, op, pid
                 )
+
+    def _attach_scheduler(self, rows):
+        self.pop = PopulationEngine(
+            self.engine,
+            self.rng,
+            [
+                (name, interval, lambda pid, name=name: self._tick(name, pid))
+                for name, interval in _WINDOW_PROTOCOLS
+            ],
+            jitter_fraction=self.jitter,
+            rows=rows,
+        )
+        self.engine._source = None
+        self.engine.attach_source(self.pop)
+
+    def _reload_scheduler(self):
+        """A checkpoint: dump the scheduler (which closes the open
+        window) and carry on with a fresh one loaded from the dump."""
+        state = self.pop.schedule_state()
+        rows = RowTable()
+        for pid in self.pop._ids:
+            rows.row(pid)
+        self._attach_scheduler(rows)
+        self.pop.restore_schedule_state(state)
 
     def _spawn(self, time, prio, op, pid):
         self.engine.schedule_at(time, self._apply, op, pid, priority=prio)
@@ -741,7 +757,7 @@ class _Interleaver:
         for i in range(1, slices + 1):
             self.engine.run_until(until * i / slices)
             if checkpoint and self.pop is not None:
-                self.pop.schedule_state()  # closes the open window
+                self._reload_scheduler()
         if self.pop is not None:
             self.pop.schedule_state()
         return self

@@ -116,7 +116,7 @@ def test_protocol_processes_pause_while_offline(churny_world):
 
 
 # ----------------------------------------------------------------------
-# Checkpoint matrix: engines × state backings × format versions
+# Checkpoint matrix: engines × state backings
 # ----------------------------------------------------------------------
 import json
 
@@ -145,34 +145,13 @@ def _matrix_runtime(engine_kind, columnar):
     )
 
 
-def _downgrade(data, fmt):
-    """Rewrite a v3 payload as the on-disk v2 or v1 format."""
-    if fmt == 3:
-        return data
-    data = {k: v for k, v in data.items() if k != "rng_state"}
-    data["format"] = fmt
-    if fmt == 1:
-        # v1 files were flat, timestamp-free records written in
-        # alphabetical voter order.
-        flat = [
-            {"voter": rec["voter"], "moderator": moderator, "vote": vote}
-            for rec in data["ballot"]
-            for moderator, vote, _received in rec["votes"]
-        ]
-        flat.sort(key=lambda r: (r["voter"], r["moderator"]))
-        data["ballot"] = flat
-    return data
-
-
-@pytest.mark.parametrize("fmt", [1, 2, 3])
 @pytest.mark.parametrize("columnar", ["off", "on"])
 @pytest.mark.parametrize("engine_kind", ["object", "soa"])
-def test_checkpoint_matrix_preserves_eviction_order(engine_kind, columnar, fmt):
+def test_checkpoint_matrix_preserves_eviction_order(engine_kind, columnar):
     """Every engine/backing combination must save a node that restores
     — into either backing — with the same voter recency order, so a
     restored box picks the same ``B_max`` eviction victims the live box
-    would have.  v1 is the documented exception: recency is lost and
-    victims go alphabetically until fresh merges rebuild it."""
+    would have."""
     runtime = _matrix_runtime(engine_kind, columnar)
     assert runtime.population_engine == engine_kind
     assert runtime.columnar_state == columnar
@@ -181,24 +160,19 @@ def test_checkpoint_matrix_preserves_eviction_order(engine_kind, columnar, fmt):
     node.receive_votes("vb", [VoteEntry("m2", Vote.NEGATIVE, 2.0)], 2.0, True)
     node.receive_votes("vc", [VoteEntry("m1", Vote.POSITIVE, 3.0)], 3.0, True)
     # Re-hearing from va moves it to most-recent: order is now not
-    # alphabetical, so a v1-style lossy restore is distinguishable.
+    # alphabetical, so a lossy restore is distinguishable.
     node.receive_votes("va", [VoteEntry("m3", Vote.POSITIVE, 4.0)], 4.0, True)
     assert node.ballot_box.voters_by_recency() == ["vb", "vc", "va"]
 
-    payload = _downgrade(node_to_dict(node), fmt)
+    payload = node_to_dict(node)
     for target_store in (None, ColumnarStateStore()):
         restored = node_from_dict(
             json.loads(json.dumps(payload)), col_store=target_store
         )
         box = restored.ballot_box
+        assert box.voters_by_recency() == ["vb", "vc", "va"]
+        assert box.votes_of("va") == node.ballot_box.votes_of("va")
+        assert box.last_received_of("va") == 4.0
         fresh = [VoteEntry("m9", Vote.POSITIVE, 9.0)]
-        if fmt >= 2:
-            assert box.voters_by_recency() == ["vb", "vc", "va"]
-            assert box.votes_of("va") == node.ballot_box.votes_of("va")
-            assert box.last_received_of("va") == 4.0
-            box.merge("vz", fresh, now=9.0)  # over b_max: evicts oldest
-            assert box.voters_by_recency() == ["vc", "va", "vz"]
-        else:
-            assert box.voters_by_recency() == ["va", "vb", "vc"]
-            box.merge("vz", fresh, now=9.0)  # evicts alphabetical head
-            assert box.voters_by_recency() == ["vb", "vc", "vz"]
+        box.merge("vz", fresh, now=9.0)  # over b_max: evicts oldest
+        assert box.voters_by_recency() == ["vc", "va", "vz"]
