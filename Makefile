@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-smoke bench-full bench-repo test-bench results lint-deadcode
+.PHONY: test bench bench-smoke bench-full bench-repo test-bench profile-fig6 results lint-deadcode
 
 # Tier-1: the fast correctness suite (tests/ only).
 test:
@@ -67,6 +67,13 @@ bench-repo:
 # The harness's own self-tests at tiny sizes (not tier-1).
 test-bench:
 	python -m pytest bench/tests
+
+# cProfile one paper_fig6 benchmark unit (built through
+# bench.workloads.build, seed 7) and print the top 25 functions by self
+# time with their call counts.  For finding candidates; measure with
+# bench-repo.
+profile-fig6:
+	python scripts/profile_unit.py paper_fig6 --seed 7
 
 results:
 	$(PY) scripts/collect_results.py

@@ -12,7 +12,6 @@ import pytest
 from repro.bartercast.graph import SubjectiveGraph
 from repro.bartercast.maxflow import edmonds_karp, two_hop_flow, two_hop_flows_to_sink
 from repro.bartercast.protocol import BarterCastService
-from repro.bittorrent.bitfield import Bitfield
 from repro.bittorrent.ledger import TransferLedger
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.metrics.cev import collective_experience_value
@@ -105,11 +104,22 @@ def test_bench_sparse_build_10k_nodes(benchmark):
 
 
 def test_bench_bitfield_interest(benchmark):
+    """The round's interest decision for every neighbour pair at once,
+    at the shape of the largest Fig 6 swarm (88 members × 3 140
+    pieces): one seed, everyone else part-way through."""
     rng = np.random.default_rng(2)
-    a = Bitfield.from_indices(4096, rng.choice(4096, 2000, replace=False))
-    b = Bitfield.from_indices(4096, rng.choice(4096, 2000, replace=False))
-    result = benchmark(lambda: a.is_interested_in(b))
-    assert isinstance(result, bool)
+    pieces = 3140
+    spec = SwarmSpec("s", file_size=pieces * 256 * 1024.0, initial_seeder="seed")
+    swarm = Swarm(spec, SwarmConfig(), np.random.default_rng(3), TransferLedger())
+    swarm.join(PeerProfile("seed"), 0.0)
+    for i in range(87):
+        swarm.join(PeerProfile(f"p{i}"), 0.0)
+        member = swarm.members[f"p{i}"]
+        for piece in rng.choice(pieces, int(rng.integers(0, pieces)), replace=False):
+            member.gain(int(piece))
+    interest = benchmark(swarm._round_interest)
+    assert len(interest) == 88
+    assert sum(len(names) for _member, names in interest) > 88
 
 
 def test_bench_swarm_round(benchmark):

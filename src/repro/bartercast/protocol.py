@@ -6,7 +6,8 @@ subjective graph.  Wiring:
 
 * the BitTorrent :class:`~repro.bittorrent.ledger.TransferLedger`
   streams transfers into :meth:`local_transfer` (both endpoints update
-  their direct tables and graphs);
+  their direct tables; the edge reaches their graphs when a graph is
+  next read or written — see :class:`_NodeState`);
 * the session driver calls :meth:`gossip_tick` per online node on the
   node's gossip cadence; the node meets a PSS-sampled peer and the two
   exchange their most significant *direct* records;
@@ -131,9 +132,25 @@ _EMPTY_GRAPH = ReadOnlySubjectiveGraph("", backend="dense")
 
 
 class _NodeState:
+    """One node's direct table, subjective graph and caches.
+
+    Direct observations are **folded on read**: a transfer only updates
+    ``direct`` and notes the directed edge in ``pending``; the edges
+    reach the graph, each once at its current cumulative total, the
+    next time anything asks for :attr:`graph`.  Transfers outnumber
+    graph reads several times over, and totals are cumulative with a
+    max-merge, so folding the latest total once leaves the same weights
+    as folding every intermediate one.  ``pending`` keeps first-touched
+    order because the order edges *first* appear fixes the graph's
+    mirror slots and, under ``max_graph_nodes``, which stranger is
+    evicted when; every access folds first, so a gossip record or an
+    injected one still lands after the observations that preceded it.
+    """
+
     __slots__ = (
         "direct",
-        "graph",
+        "pending",
+        "_graph",
         "direct_version",
         "records_cache",
         "contrib_cache",
@@ -147,9 +164,12 @@ class _NodeState:
         graph_backend: str = "auto",
         sparse_graph_threshold: int = DEFAULT_SPARSE_THRESHOLD,
     ):
-        #: partner -> (up_total, down_total, last_update)
+        #: partner -> [up_total, down_total, last_update]
         self.direct: Dict[str, List[float]] = {}
-        self.graph = SubjectiveGraph(
+        #: (uploader, downloader) -> the ``direct`` entry holding the
+        #: edge's total, for edges observed since the last fold
+        self.pending: Dict[Tuple[str, str], List[float]] = {}
+        self._graph = SubjectiveGraph(
             owner,
             max_nodes=max_graph_nodes,
             backend=graph_backend,
@@ -168,6 +188,19 @@ class _NodeState:
         )
         #: ((graph_version, subjects), flows) for the batch oracle
         self.batch_cache: Optional[Tuple[Tuple[int, Tuple[str, ...]], np.ndarray]] = None
+
+    @property
+    def graph(self) -> SubjectiveGraph:
+        """The subjective graph with every direct observation folded."""
+        graph = self._graph
+        if self.pending:
+            owner = graph.owner
+            for (uploader, downloader), totals in self.pending.items():
+                graph.observe_direct(
+                    uploader, downloader, totals[0] if uploader == owner else totals[1]
+                )
+            self.pending.clear()
+        return graph
 
 
 class BarterCastService:
@@ -197,8 +230,9 @@ class BarterCastService:
     def _state(self, peer_id: str) -> _NodeState:
         """The peer's state, **materialising** it on first access —
         write paths only.  Read paths (:meth:`graph_of`,
-        :meth:`contribution`, :meth:`contributions_to_observer`) use
-        :meth:`_peek` so probing never-seen peers stays free."""
+        :meth:`records_of`, :meth:`contribution`,
+        :meth:`contributions_to_observer`) use :meth:`_peek` so probing
+        never-seen peers stays free."""
         st = self._nodes.get(peer_id)
         if st is None:
             cfg = self.config
@@ -220,22 +254,24 @@ class BarterCastService:
     # Local observation (wired to the transfer ledger)
     # ------------------------------------------------------------------
     def local_transfer(self, uploader: str, downloader: str, nbytes: float, now: float) -> None:
-        """Both endpoints record the transfer in their direct tables."""
+        """Both endpoints record the transfer in their direct tables
+        and note the edge for their graphs' next fold."""
         if nbytes <= 0:
             return
+        edge = (uploader, downloader)
         up_state = self._state(uploader)
         rec = up_state.direct.setdefault(downloader, [0.0, 0.0, now])
         rec[0] += nbytes
         rec[2] = now
         up_state.direct_version += 1
-        up_state.graph.observe_direct(uploader, downloader, rec[0])
+        up_state.pending[edge] = rec
 
         down_state = self._state(downloader)
         rec2 = down_state.direct.setdefault(uploader, [0.0, 0.0, now])
         rec2[1] += nbytes
         rec2[2] = now
         down_state.direct_version += 1
-        down_state.graph.observe_direct(uploader, downloader, rec2[1])
+        down_state.pending[edge] = rec2
 
     def inject_record(self, holder: str, record: TransferRecord) -> None:
         """Directly fold a record into ``holder``'s graph, bypassing the
@@ -256,23 +292,32 @@ class BarterCastService:
         return True
 
     def _exchange(self, a: str, b: str, now: float) -> None:
+        # A write path: both parties end up with state, the sender too.
         for sender, receiver in ((a, b), (b, a)):
-            records = self.records_of(sender)
-            recv_state = self._state(receiver)
+            records = self._top_records(sender, self._state(sender))
+            graph = self._state(receiver).graph
             for rec in records:
                 # Acceptance rule: sender must be the reporter.
                 if rec.reporter != sender:
                     continue
-                recv_state.graph.add_record(rec)
+                graph.add_record(rec)
 
     def records_of(self, peer_id: str) -> List[TransferRecord]:
         """The node's own direct records, most-significant first,
         truncated to the per-exchange budget.
 
-        The sorted top-K list is cached per node and invalidated by the
-        direct-table version counter, so gossip ticks between transfers
-        reuse it instead of re-sorting the whole table."""
-        st = self._state(peer_id)
+        A read path: a peer the service has never seen has no records,
+        and asking neither materialises state for it nor touches the
+        records-cache counters."""
+        st = self._peek(peer_id)
+        if st is None:
+            return []
+        return self._top_records(peer_id, st)
+
+    def _top_records(self, peer_id: str, st: _NodeState) -> List[TransferRecord]:
+        """The sorted top-K list is cached per node and invalidated by
+        the direct-table version counter, so gossip ticks between
+        transfers reuse it instead of re-sorting the whole table."""
         if st.records_cache is not None and st.records_cache[0] == st.direct_version:
             self.records_cache_hits += 1
             return list(st.records_cache[1])

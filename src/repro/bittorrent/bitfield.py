@@ -16,19 +16,18 @@ import numpy as np
 class Bitfield:
     """Which pieces of one file a peer holds."""
 
-    __slots__ = ("_bits", "_count")
+    __slots__ = ("num_pieces", "_bits", "_readonly", "_count")
 
     def __init__(self, num_pieces: int, full: bool = False):
         if num_pieces < 1:
             raise ValueError("num_pieces must be >= 1")
+        self.num_pieces = num_pieces
         self._bits = np.full(num_pieces, full, dtype=bool)
+        self._readonly = self._bits.view()
+        self._readonly.flags.writeable = False
         self._count = num_pieces if full else 0
 
     # ------------------------------------------------------------------
-    @property
-    def num_pieces(self) -> int:
-        return int(self._bits.shape[0])
-
     @property
     def count(self) -> int:
         """Number of pieces held (maintained incrementally)."""
@@ -59,24 +58,21 @@ class Bitfield:
         self._count = self.num_pieces
 
     # ------------------------------------------------------------------
-    def missing_mask(self) -> np.ndarray:
-        """Boolean mask of pieces not held (view-free copy semantics:
-        ``~`` allocates; callers treat it as read-only scratch)."""
-        return ~self._bits
-
     def interesting_mask(self, other: "Bitfield") -> np.ndarray:
         """Pieces ``other`` has that we miss (the 'interested' test)."""
         return other._bits & ~self._bits
 
     def is_interested_in(self, other: "Bitfield") -> bool:
-        """BitTorrent 'interested': other holds ≥1 piece we miss."""
+        """BitTorrent 'interested': other holds ≥1 piece we miss.
+
+        The scalar definition.  The swarm round decides interest for
+        all neighbour pairs at once (``Swarm._round_interest``); tests
+        hold that kernel to this method."""
         return bool(np.any(other._bits & ~self._bits))
 
     def as_array(self) -> np.ndarray:
         """Read-only view of the raw bits (do not mutate)."""
-        view = self._bits.view()
-        view.flags.writeable = False
-        return view
+        return self._readonly
 
     def held_indices(self) -> List[int]:
         return [int(i) for i in np.flatnonzero(self._bits)]

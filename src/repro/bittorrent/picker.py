@@ -10,7 +10,7 @@ gets a fresh peer tradeable material quickly.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -55,46 +55,23 @@ class PiecePicker:
     # Selection
     # ------------------------------------------------------------------
     def pick(
-        self,
-        downloader: Bitfield,
-        uploader: Bitfield,
-        exclude: Optional[np.ndarray] = None,
+        self, wanted: np.ndarray, held: int, uploader: Bitfield
     ) -> Optional[int]:
         """Choose the next piece to fetch from ``uploader``.
 
-        ``exclude`` is an optional boolean mask of pieces already being
-        fetched this round (avoids duplicate work across links).
-        Returns a piece index, or ``None`` when nothing is available.
+        ``wanted`` is the downloader's maintained boolean row of pieces
+        it neither holds nor is already fetching from someone (see
+        :class:`~repro.bittorrent.swarm.SwarmPeer`), ``held`` the number
+        of pieces it holds.  Returns a piece index, or ``None`` when
+        ``uploader`` has nothing the downloader still wants.
         """
-        candidates = downloader.interesting_mask(uploader)
-        if exclude is not None:
-            candidates &= ~exclude
-        idx = np.flatnonzero(candidates)
+        idx = (wanted & uploader.as_array()).nonzero()[0]
         if idx.size == 0:
             return None
-        if downloader.count < self.random_first_threshold:
+        if held < self.random_first_threshold:
             return int(idx[self._rng.integers(0, idx.size)])
         avail = self.availability[idx]
         rarest = idx[avail == avail.min()]
         if rarest.size == 1:
             return int(rarest[0])
         return int(rarest[self._rng.integers(0, rarest.size)])
-
-    def pick_many(
-        self,
-        downloader: Bitfield,
-        uploader: Bitfield,
-        k: int,
-        exclude: Optional[np.ndarray] = None,
-    ) -> List[int]:
-        """Pick up to ``k`` distinct pieces (used when a round's budget
-        covers multiple pieces from one uploader)."""
-        taken: List[int] = []
-        mask = np.zeros(self.num_pieces, dtype=bool) if exclude is None else exclude.copy()
-        for _ in range(k):
-            piece = self.pick(downloader, uploader, exclude=mask)
-            if piece is None:
-                break
-            mask[piece] = True
-            taken.append(piece)
-        return taken

@@ -3,7 +3,9 @@
 Each swarm advances in fixed *rounds* (default 30 s — a small multiple
 of mainline's 10 s choke interval).  A round:
 
-1. recomputes interest and runs every active peer's choker;
+1. recomputes interest for every (uploader, active neighbour) pair in
+   one batch — piece counts settle most pairs, one packed-bit test the
+   rest — and runs every active peer's choker;
 2. allocates rates — an uploader splits its capacity evenly across its
    unchoked+interested links, then each downloader's incoming rates are
    scaled down to its download capacity;
@@ -19,8 +21,9 @@ twice, and the final piece costs only the file remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -36,22 +39,24 @@ class SwarmConfig:
     """Per-swarm engine parameters."""
 
     max_connections: int = 30
-    round_interval: float = 30.0
     random_first_threshold: int = 4
-    choker: ChokerConfig = None  # type: ignore[assignment]
+    choker: ChokerConfig = field(default_factory=ChokerConfig)
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
             raise ValueError("max_connections must be >= 1")
-        if self.round_interval <= 0:
-            raise ValueError("round_interval must be positive")
-        if self.choker is None:
-            self.choker = ChokerConfig()
 
 
 class SwarmPeer:
     """Per-(swarm, peer) state.  Survives across sessions so partial
-    downloads resume, mirroring a real client's disk state."""
+    downloads resume, mirroring a real client's disk state.
+
+    Possession is held three ways that must agree — the
+    :class:`Bitfield`, the ``wanted`` row the picker reads and the
+    peer's packed row of the swarm's interest matrix — so it changes
+    only through :meth:`gain` / :meth:`gain_all`, and a piece goes in
+    and out of flight only through :meth:`start_fetch` /
+    :meth:`reset_link_state`."""
 
     __slots__ = (
         "profile",
@@ -61,11 +66,20 @@ class SwarmPeer:
         "received_last_round",
         "accum",
         "in_flight",
-        "in_flight_mask",
+        "wanted",
+        "slot",
+        "have_packed",
         "completed_at",
     )
 
-    def __init__(self, profile: PeerProfile, num_pieces: int, choker: Choker):
+    def __init__(
+        self,
+        profile: PeerProfile,
+        num_pieces: int,
+        choker: Choker,
+        slot: int,
+        have_packed: np.ndarray,
+    ):
         self.profile = profile
         self.bitfield = Bitfield(num_pieces)
         self.choker = choker
@@ -76,19 +90,64 @@ class SwarmPeer:
         self.accum: Dict[str, float] = {}
         #: piece currently being fetched from each uploader
         self.in_flight: Dict[str, int] = {}
-        self.in_flight_mask = np.zeros(num_pieces, dtype=bool)
+        #: pieces neither held nor in flight (``~have & ~in_flight``),
+        #: maintained so a pick is one ``&`` with the uploader's bits
+        self.wanted = np.ones(num_pieces, dtype=bool)
+        #: row index in, and a view of this peer's row of, the swarm's
+        #: bit-packed possession matrix (see ``Swarm._round_interest``)
+        self.slot = slot
+        self.have_packed = have_packed
         self.completed_at: Optional[float] = None
 
     @property
     def peer_id(self) -> str:
         return self.profile.peer_id
 
+    def gain(self, piece: int) -> bool:
+        """Hold ``piece`` from now on.  ``True`` if it was newly added."""
+        if not self.bitfield.set(piece):
+            return False
+        self.wanted[piece] = False
+        self.have_packed[piece >> 3] |= 0x80 >> (piece & 7)
+        return True
+
+    def gain_all(self) -> None:
+        """Become a full seed."""
+        self.bitfield.fill()
+        self.wanted[:] = False
+        self.have_packed[:] = np.packbits(self.bitfield.as_array())
+
+    def start_fetch(self, uploader: str, piece: int) -> None:
+        """Start fetching ``piece`` over the link from ``uploader``."""
+        self.in_flight[uploader] = piece
+        self.wanted[piece] = False
+        self.accum[uploader] = 0.0
+
     def reset_link_state(self) -> None:
         """Drop in-flight transfer state (on leave: connections die)."""
         self.received_last_round = {}
         self.accum = {}
         self.in_flight = {}
-        self.in_flight_mask[:] = False
+        np.logical_not(self.bitfield.as_array(), out=self.wanted)
+
+
+class _RoundPairs(NamedTuple):
+    """The (uploader, active neighbour) pairs of a round, uploaders in
+    sorted order and each uploader's neighbours sorted — the order the
+    chokers see.  Depends only on membership and connections, so it is
+    built once and reused until either changes.  Peers are named by
+    their row (``SwarmPeer.slot``) in the packed possession matrix."""
+
+    #: active members in sorted id order, and their slots
+    members: List[SwarmPeer]
+    slots: np.ndarray
+    #: per pair: the uploader's and the neighbour's slot
+    up: np.ndarray
+    down: np.ndarray
+    #: per pair: the neighbour's id
+    names: List[str]
+    #: pairs of ``members[k]`` are ``bounds[k]:bounds[k + 1]``
+    bounds: List[int]
 
 
 class Swarm:
@@ -114,6 +173,11 @@ class Swarm:
         #: currently active members
         self.active: Dict[str, SwarmPeer] = {}
         self.neighbors: Dict[str, Set[str]] = {}
+        #: bit-packed possession, one row per member (``SwarmPeer.slot``),
+        #: grown by doubling
+        self._have_packed = np.zeros((0, (self.num_pieces + 7) // 8), dtype=np.uint8)
+        #: dropped whenever membership or a connection changes
+        self._pairs: Optional[_RoundPairs] = None
         self.rounds_run = 0
         self._completion_listeners: List[Callable[[str, str, float], None]] = []
         # Piece cost: uniform except the final remainder piece.
@@ -157,12 +221,10 @@ class Swarm:
         pid = profile.peer_id
         member = self.members.get(pid)
         if member is None:
-            choker = Choker(self.config.choker, self._rng)
-            member = SwarmPeer(profile, self.num_pieces, choker)
+            member = self._new_member(profile)
             if self.spec.initial_seeder == pid:
-                member.bitfield.fill()
+                member.gain_all()
                 member.completed_at = now
-            self.members[pid] = member
         if member.active:
             return False
         if profile.free_rider and member.bitfield.complete:
@@ -173,11 +235,32 @@ class Swarm:
         self._connect(pid)
         return True
 
+    def _new_member(self, profile: PeerProfile) -> SwarmPeer:
+        slot = len(self.members)
+        if slot == len(self._have_packed):
+            grown = np.zeros(
+                (max(16, 2 * slot), self._have_packed.shape[1]), dtype=np.uint8
+            )
+            grown[:slot] = self._have_packed
+            self._have_packed = grown
+            for other in self.members.values():
+                other.have_packed = grown[other.slot]
+        member = SwarmPeer(
+            profile,
+            self.num_pieces,
+            Choker(self.config.choker, self._rng),
+            slot,
+            self._have_packed[slot],
+        )
+        self.members[profile.peer_id] = member
+        return member
+
     def leave(self, peer_id: str, now: float) -> None:
         """Remove a peer from the active swarm.  Idempotent."""
         member = self.active.pop(peer_id, None)
         if member is None:
             return
+        self._pairs = None
         member.active = False
         member.reset_link_state()
         self.picker.peer_left(member.bitfield)
@@ -187,6 +270,7 @@ class Swarm:
     def _connect(self, pid: str) -> None:
         """Open connections to up to ``max_connections`` active members,
         respecting connectability (two firewalled peers cannot connect)."""
+        self._pairs = None
         me = self.members[pid].profile
         mine = self.neighbors.setdefault(pid, set())
         candidates = [
@@ -212,12 +296,11 @@ class Swarm:
     # ------------------------------------------------------------------
     # Round engine
     # ------------------------------------------------------------------
-    def run_round(self, now: float, dt: Optional[float] = None) -> float:
+    def run_round(self, now: float, dt: float) -> float:
         """Advance the swarm by one round of ``dt`` seconds.
 
         Returns the number of bytes transferred this round.
         """
-        dt = dt if dt is not None else self.config.round_interval
         self.rounds_run += 1
         if len(self.active) < 2:
             return 0.0
@@ -231,55 +314,108 @@ class Swarm:
         self._handle_completions(now)
         return moved
 
+    def _round_pairs(self) -> _RoundPairs:
+        """The round's pair list, rebuilt only after a membership or
+        connection change dropped it."""
+        pairs = self._pairs
+        if pairs is not None:
+            return pairs
+        active = self.active
+        members = [active[pid] for pid in sorted(active)]
+        up: List[int] = []
+        names: List[str] = []
+        bounds = [0]
+        for member in members:
+            nbs = [
+                nb
+                for nb in sorted(self.neighbors.get(member.peer_id, ()))
+                if nb in active
+            ]
+            names.extend(nbs)
+            up.extend([member.slot] * len(nbs))
+            bounds.append(len(names))
+        slots = np.fromiter((m.slot for m in members), dtype=np.intp, count=len(members))
+        down = np.fromiter(
+            (active[nb].slot for nb in names), dtype=np.intp, count=len(names)
+        )
+        pairs = self._pairs = _RoundPairs(
+            members, slots, np.array(up, dtype=np.intp), down, names, bounds
+        )
+        return pairs
+
+    def _round_interest(self) -> List[Tuple[SwarmPeer, List[str]]]:
+        """Every active member, in sorted id order, with the active
+        neighbours interested in it (sorted): those that miss a piece
+        the member holds.
+
+        Piece counts settle most pairs: nobody wants anything from an
+        empty uploader, a complete neighbour wants nothing, and an
+        uploader holding *more* pieces than the neighbour must hold one
+        the neighbour misses (pigeonhole).  Only the rest read bits —
+        one ``have[u] & ~have[d]`` over the packed rows of just those
+        pairs, so the work and the memory are O(pairs × pieces / 8),
+        never members × members."""
+        pairs = self._round_pairs()
+        members = pairs.members
+        have = self._have_packed
+        held = np.zeros(len(have), dtype=np.int64)
+        held[pairs.slots] = np.fromiter(
+            (m.bitfield.count for m in members), dtype=np.int64, count=len(members)
+        )
+        held_up = held[pairs.up]
+        held_down = held[pairs.down]
+        interested = held_up > held_down
+        unsettled = np.flatnonzero(
+            ~interested & (held_up > 0) & (held_down < self.num_pieces)
+        )
+        if unsettled.size:
+            interested[unsettled] = (
+                have[pairs.up[unsettled]] & ~have[pairs.down[unsettled]]
+            ).any(axis=1)
+        flags = interested.tolist()
+        names, bounds = pairs.names, pairs.bounds
+        return [
+            (member, list(compress(names[lo:hi], flags[lo:hi])))
+            for member, lo, hi in zip(members, bounds, bounds[1:])
+        ]
+
     def _choke_and_link(self) -> List[tuple]:
         """Run every active peer's choker; return (uploader, downloader)
         links that are unchoked *and* interested."""
         links: List[tuple] = []
-        # Stable iteration order for determinism.
-        order = sorted(self.active)
-        interest: Dict[str, List[str]] = {}
-        for pid in order:
-            member = self.active[pid]
-            nbs = sorted(self.neighbors.get(pid, ()))
-            interested_in_me = [
-                nb
-                for nb in nbs
-                if nb in self.active
-                and self.active[nb].bitfield.is_interested_in(member.bitfield)
-            ]
-            interest[pid] = interested_in_me
-        for pid in order:
-            member = self.active[pid]
+        for member, interested in self._round_interest():
             unchoked = member.choker.select(
-                interest[pid],
+                interested,
                 member.received_last_round,
                 seeding=member.bitfield.complete,
             )
+            pid = member.peer_id
             for d in unchoked:
                 links.append((pid, d))
         return links
 
     def _transfer(self, links: List[tuple], now: float, dt: float) -> float:
+        active = self.active
         # Upload-side allocation: capacity split evenly across links.
         out_degree: Dict[str, int] = {}
         for u, _d in links:
             out_degree[u] = out_degree.get(u, 0) + 1
-        rates: Dict[tuple, float] = {}
+        rates: List[float] = []
         in_sum: Dict[str, float] = {}
         for u, d in links:
-            r = self.active[u].profile.upload_capacity / out_degree[u]
-            rates[(u, d)] = r
+            r = active[u].profile.upload_capacity / out_degree[u]
+            rates.append(r)
             in_sum[d] = in_sum.get(d, 0.0) + r
         # Download-side cap: proportional scale-down.
         scale: Dict[str, float] = {}
         for d, total in in_sum.items():
-            cap = self.active[d].profile.download_capacity
+            cap = active[d].profile.download_capacity
             scale[d] = min(1.0, cap / total) if total > 0 else 1.0
         # Reset this round's reception record.
-        for pid in self.active:
-            self.active[pid].received_last_round = {}
+        for member in active.values():
+            member.received_last_round = {}
         moved = 0.0
-        for (u, d), r in rates.items():
+        for (u, d), r in zip(links, rates):
             nbytes = r * scale[d] * dt
             if nbytes <= 0:
                 continue
@@ -291,35 +427,35 @@ class Swarm:
     def _deliver(self, u: str, d: str, nbytes: float, now: float) -> float:
         """Move up to ``nbytes`` from ``u`` to ``d``, completing pieces."""
         down = self.active[d]
-        up = self.active[u]
+        up_have = self.active[u].bitfield
+        have = down.bitfield
+        in_flight = down.in_flight
+        accum = down.accum
         budget = nbytes
         delivered = 0.0
         while budget > 0:
-            piece = down.in_flight.get(u)
+            piece = in_flight.get(u)
             if piece is None:
-                piece = self.picker.pick(
-                    down.bitfield, up.bitfield, exclude=down.in_flight_mask
-                )
+                piece = self.picker.pick(down.wanted, have.count, up_have)
                 if piece is None:
                     break  # nothing (more) to fetch from u
-                down.in_flight[u] = piece
-                down.in_flight_mask[piece] = True
-                down.accum[u] = 0.0
+                down.start_fetch(u, piece)
             cost = self.piece_cost(piece)
-            need = cost - down.accum.get(u, 0.0)
-            take = min(budget, need)
-            down.accum[u] = down.accum.get(u, 0.0) + take
+            got = accum.get(u, 0.0)
+            take = min(budget, cost - got)
+            got += take
             budget -= take
             delivered += take
-            if down.accum[u] >= cost - 1e-9:
+            if got >= cost - 1e-9:
                 # Piece complete.
-                down.in_flight.pop(u, None)
-                down.in_flight_mask[piece] = False
-                down.accum[u] = 0.0
-                if down.bitfield.set(piece):
+                del in_flight[u]
+                accum[u] = 0.0
+                if down.gain(piece):
                     self.picker.piece_completed(piece)
-                if down.bitfield.complete:
+                if have.complete:
                     break
+            else:
+                accum[u] = got
         if delivered > 0:
             self.ledger.record(u, d, delivered, now)
             down.received_last_round[u] = (

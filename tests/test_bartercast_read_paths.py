@@ -1,11 +1,11 @@
 """Read paths must not materialise state for never-seen peers.
 
 Metric sweeps probe every peer in the trace — including peers the
-service has never exchanged with.  ``graph_of``, ``contribution`` and
-``contributions_to_observer`` used to route such probes through
-``_state()``, permanently allocating a ``_NodeState`` (graph, record
-store, caches) per probe; these regressions pin the non-materialising
-contract.
+service has never exchanged with.  ``graph_of``, ``contribution``,
+``contributions_to_observer`` and ``records_of`` used to route such
+probes through ``_state()``, permanently allocating a ``_NodeState``
+(graph, record store, caches) per probe; these regressions pin the
+non-materialising contract.
 """
 
 import numpy as np
@@ -85,6 +85,28 @@ class TestContributionProbes:
         assert svc.contribution("a", "b") == 7.0
         out = svc.contributions_to_observer("a", PEERS)
         assert out[PEERS.index("b")] == 7.0
+
+
+class TestRecordsOf:
+    def test_unseen_peer_has_no_records_and_gets_no_state(self):
+        svc = make_service()
+        svc.local_transfer("a", "b", 5.0, now=0.0)
+        before = set(svc._nodes)
+        baseline = svc.cache_stats()
+        assert svc.records_of("ghost") == []
+        assert set(svc._nodes) == before
+        assert svc.cache_stats() == baseline
+
+    def test_gossip_still_materialises_both_parties(self):
+        """An exchange is a write path: a fresh peer that gossips ends
+        up with state (and a counted records-cache miss), exactly as
+        before ``records_of`` stopped materialising."""
+        svc = make_service()
+        svc._exchange("a", "b", now=0.0)
+        assert set(svc._nodes) == {"a", "b"}
+        assert svc.cache_stats()["records_misses"] == 2
+        assert svc.records_of("a") == []
+        assert svc.cache_stats()["records_hits"] == 1
 
 
 class TestMetricSweeps:

@@ -31,6 +31,22 @@ def availability_ground_truth(swarm):
     return total
 
 
+def assert_possession_views_agree(swarm):
+    """``wanted == ~have & ~in_flight`` and the packed row is the
+    bitfield, for every member that ever joined."""
+    for member in swarm.members.values():
+        have = member.bitfield.as_array()
+        in_flight = np.zeros(swarm.num_pieces, dtype=bool)
+        in_flight[list(member.in_flight.values())] = True
+        assert len(set(member.in_flight.values())) == len(member.in_flight)
+        assert not (have & in_flight).any()
+        assert np.array_equal(member.wanted, ~have & ~in_flight)
+        assert np.array_equal(
+            np.unpackbits(member.have_packed)[: swarm.num_pieces].astype(bool), have
+        )
+        assert member.bitfield.count == int(have.sum())
+
+
 @given(
     schedule=st.lists(
         st.tuples(
@@ -59,6 +75,11 @@ def test_property_picker_availability_matches_active_bitfields(schedule):
         assert np.array_equal(
             swarm.picker.availability, availability_ground_truth(swarm)
         )
+        # ... and after every join (initial-seeder fill included),
+        # leave, rejoin and round's piece completions, the picker's
+        # ``wanted`` row and the interest kernel's packed row are still
+        # views of the same possession.
+        assert_possession_views_agree(swarm)
 
 
 @given(seed=st.integers(0, 50), n_leechers=st.integers(1, 5))
@@ -117,3 +138,32 @@ def test_property_no_piece_downloaded_twice(seed):
     assert swarm.ledger.downloaded_by("a") == pytest.approx(
         swarm.spec.file_size, rel=1e-9
     )
+
+
+def test_wanted_row_tracks_pieces_in_flight_across_leave_and_rejoin():
+    """A slow seed keeps pieces in flight between rounds: they are not
+    wanted while being fetched, wanted again once the link dies, and
+    never picked twice."""
+    swarm = build_swarm(n_pieces=16)
+    slow = PIECE / 100.0  # a piece takes several 30 s rounds
+    swarm.join(PeerProfile("seed", upload_capacity=slow), 0.0)
+    swarm.join(PeerProfile("a", upload_capacity=slow), 0.0)
+    swarm.join(PeerProfile("b", upload_capacity=slow), 0.0)
+    assert not swarm.members["seed"].wanted.any()  # initial-seeder fill
+    t = 0.0
+    for _ in range(8):
+        t += 30.0
+        swarm.run_round(t, 30.0)
+        assert_possession_views_agree(swarm)
+    a = swarm.members["a"]
+    assert a.in_flight and not a.wanted[list(a.in_flight.values())].any()
+    fetching = list(a.in_flight.values())
+    swarm.leave("a", t)
+    assert not a.in_flight and a.wanted[fetching].all()
+    assert_possession_views_agree(swarm)
+    swarm.join(a.profile, t)
+    for _ in range(40):
+        t += 30.0
+        swarm.run_round(t, 30.0)
+        assert_possession_views_agree(swarm)
+    assert a.bitfield.count > 0

@@ -187,10 +187,10 @@ class TestTransfers:
         sw.join(profile("b"), 0.0)
         # Pre-load disjoint halves.
         for i in range(4):
-            sw.members["a"].bitfield.set(i)
+            sw.members["a"].gain(i)
             sw.picker.piece_completed(i)
         for i in range(4, 8):
-            sw.members["b"].bitfield.set(i)
+            sw.members["b"].gain(i)
             sw.picker.piece_completed(i)
         run_rounds(sw, 100)
         assert sw.progress_of("a") == 1.0
