@@ -17,7 +17,10 @@ keyed by the population engine's row↔peer-id table
   experience gate;
 * **vote / moderation store membership** — ``vl_size`` and
   ``store_size`` per peer, so a whole due batch can skip empty
-  exchanges with one gather.
+  exchanges with one gather;
+* **the vote lists' wire form** — what each peer sends in an exchange,
+  packed when the list was cast instead of every time it is sent (see
+  below).
 
 :class:`ColumnarBallotBox` is a drop-in :class:`~repro.core.ballotbox
 .BallotBox` whose state lives in the store's columns; the object API
@@ -62,6 +65,37 @@ indirection), and the slot width grows in powers of two up to the
 widest ``b_max`` actually used, so a million-peer population whose
 boxes stay empty pays nothing for the 2-D columns.
 
+Vote-list wire form
+-------------------
+A node's :class:`~repro.core.votes.LocalVoteList` owns its votes (a
+dict: casting and the approved/disapproved reads stay O(1) per vote),
+but between two casts the list a peer sends is a constant, and the
+paper's footnote 5 puts casting at ≤ 5 votes per 1 000 downloads.  So a
+store-backed list reports every cast (``vl_cast``: the ``vl_size``
+column and a ``vl_stale`` flag, O(1)), and the store keeps each row's
+list *as an exchange carries it* — interned int32 moderator ids and
+int8 values in exchange order (newest first, ties on id), the owner's
+own id already dropped — as one ragged column: ``vl_off`` / ``vl_len``
+per row into a shared ``vl_mod`` / ``vl_val`` pool.  A stale row is
+repacked at the pool tail on its first use after the cast
+(:meth:`ColumnarStateStore.vl_wire`), which is also when its
+moderators are interned — the moment and order :meth:`bb_merge` would
+intern them on receiving the list, so interned ids do not depend on
+which path carried a vote.  (The one exception: a list longer than
+the exchange cap interns all its moderators at packing, not just the
+ones first selected.)  Old segments are garbage; the pool is rewritten
+without them when more than half of it is dead.
+
+Both merge entries end in one core, :meth:`bb_merge_packed`, which
+takes packed arrays: the batched vote tick hands it two pool slices per
+exchange, :meth:`bb_merge` interns, dedups and self-filters a
+``VoteEntry`` list into the same form first.
+
+The wire form is derived state: ``memory_bytes()`` counts it,
+``dump_state()`` does not write it, and a loaded store marks every
+non-empty list stale so it repacks on demand — checkpoint bytes and
+format do not know it exists.
+
 The columns are the checkpoint
 ------------------------------
 :meth:`ColumnarStateStore.dump_state` hands out the store as it is —
@@ -84,7 +118,7 @@ import numpy as np
 
 from repro.core.ballotbox import BallotBox
 from repro.core.checkpoint import pack_strings, take, unpack_strings
-from repro.core.votes import Vote, VoteEntry
+from repro.core.votes import LocalVoteList, Vote, VoteEntry
 
 #: The store's columns, defined once for growth, accounting and
 #: dump/load: ``(name, dtype, fill)`` of the per-row and the
@@ -104,6 +138,22 @@ _SLOT_COLUMNS = (
     ("bb_segcap", np.int32, 0),
 )
 _SLABS = (("pay_mod", np.int32), ("pay_val", np.int8), ("pay_at", np.float64))
+#: Per-row columns of the vote lists' wire form.  Derived from the
+#: nodes' vote lists, so grown and accounted like ``_ROW_COLUMNS`` but
+#: never dumped: a loaded store repacks on first use.
+_WIRE_COLUMNS = (
+    ("vl_stale", np.bool_, False),
+    ("vl_off", np.int32, 0),
+    ("vl_len", np.int32, 0),
+)
+
+
+def _ragged_index(offs: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices of the concatenated segments ``[off, off + len)`` — one
+    fancy-index gathers a ragged column."""
+    lens = lens.astype(np.int64)
+    starts = np.cumsum(lens) - lens
+    return np.repeat(offs - starts, lens) + np.arange(int(lens.sum()))
 
 
 class RowTable:
@@ -154,6 +204,27 @@ class ColumnarStateStore:
         self.store_size = np.zeros(0, dtype=np.int32)
         #: adaptive experience threshold T (bytes); 0 = accept all
         self.exp_threshold = np.zeros(0, dtype=np.float64)
+
+        # Vote-list wire form (see the module docstring): what each
+        # peer sends in an exchange, packed once per cast instead of
+        # once per exchange.
+        #: the row's packed segment lags its vote list (cast since)
+        self.vl_stale = np.zeros(0, dtype=np.bool_)
+        #: pool offset / length of the row's packed segment
+        self.vl_off = np.zeros(0, dtype=np.int32)
+        self.vl_len = np.zeros(0, dtype=np.int32)
+        #: the packed pool: interned moderator ids and vote values
+        self.vl_mod = np.empty(0, dtype=np.int32)
+        self.vl_val = np.empty(0, dtype=np.int8)
+        #: pool tail (next free offset) and live (non-garbage) entries
+        self._vl_used = 0
+        self._vl_live = 0
+        #: per row: the vote list the segment is packed from
+        self._vl_lists: List[Optional[LocalVoteList]] = []
+        #: rows whose list holds the owner's own id -> its position in
+        #: exchange order (the wire form drops it; above-cap selection
+        #: positions count it)
+        self._vl_self: Dict[int, int] = {}
 
         # Ballot-box sub-store: box rows are allocated on first merge
         # (``_box_of`` indirection), slots within a box are recycled
@@ -208,11 +279,12 @@ class ColumnarStateStore:
         new_cap = max(self._cap * 2, 1024)
         while new_cap < needed:
             new_cap *= 2
-        for name, dtype, fill in _ROW_COLUMNS:
+        for name, dtype, fill in _ROW_COLUMNS + _WIRE_COLUMNS:
             out = np.full(new_cap, fill, dtype=dtype)
             out[: self._cap] = getattr(self, name)
             setattr(self, name, out)
         self._box_of.extend([-1] * (new_cap - len(self._box_of)))
+        self._vl_lists.extend([None] * (new_cap - len(self._vl_lists)))
         self._cap = new_cap
 
     def _box_row(self, owner_row: int) -> int:
@@ -253,6 +325,96 @@ class ColumnarStateStore:
             out[:, : self._width] = getattr(self, name)
             setattr(self, name, out)
         self._width = new_w
+
+    # ------------------------------------------------------------------
+    # Vote-list wire form
+    # ------------------------------------------------------------------
+    def vl_attach(self, row: int, vote_list: LocalVoteList) -> None:
+        """Make ``vote_list`` the list row ``row``'s wire form is packed
+        from (a :class:`LocalVoteList` built with a store calls this)."""
+        self._vl_lists[row] = vote_list
+        self.vl_cast(row, len(vote_list))
+
+    def vl_cast(self, row: int, size: int) -> None:
+        """Row ``row``'s vote list changed and now holds ``size``
+        entries.  O(1): the segment is repacked on its next use."""
+        self.vl_size[row] = size
+        self.vl_stale[row] = True
+
+    def vl_wire(
+        self, row: int, picks: Optional[List[int]] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row ``row``'s vote list as an exchange carries it: interned
+        moderator ids and vote values, newest first (ties on id), the
+        owner's own id dropped — packed on the first call after a cast,
+        pool views (valid until the next pack) on every later one.
+        ``picks`` are the :func:`~repro.core.votes.select_positions` of
+        a list above the exchange cap; the result is then a copy of
+        just those entries."""
+        if self.vl_stale[row]:
+            self._vl_pack(row)
+        off = int(self.vl_off[row])
+        if picks is None:
+            end = off + int(self.vl_len[row])
+            return self.vl_mod[off:end], self.vl_val[off:end]
+        own = self._vl_self.get(row)
+        if own is not None:
+            picks = [p - (p > own) for p in picks if p != own]
+        idx = np.array(picks, dtype=np.intp) + off
+        return self.vl_mod[idx], self.vl_val[idx]
+
+    def _vl_pack(self, row: int) -> None:
+        """Repack one row's segment at the pool tail.  Moderators are
+        interned here, in exchange order, self-vote skipped — the ids
+        :meth:`bb_merge` would assign on receiving the same list."""
+        own = self.rows.ids[row]
+        intern = self.mods.row
+        mids: List[int] = []
+        vals: List[int] = []
+        self._vl_self.pop(row, None)
+        for entry in self._vl_lists[row].entries():
+            if entry.moderator_id == own:
+                # Self-votes carry no information (see BallotBox.merge).
+                self._vl_self[row] = len(mids)
+            else:
+                mids.append(intern(entry.moderator_id))
+                vals.append(int(entry.vote))
+        n = len(mids)
+        self._vl_live -= int(self.vl_len[row])
+        self.vl_len[row] = 0  # the old segment is garbage from here on
+        if self._vl_used + n > self.vl_mod.size:
+            self._vl_make_room(n)
+        off = self._vl_used
+        self.vl_mod[off : off + n] = mids
+        self.vl_val[off : off + n] = vals
+        self._vl_used = off + n
+        self._vl_live += n
+        self.vl_off[row] = off
+        self.vl_len[row] = n
+        self.vl_stale[row] = False
+
+    def _vl_make_room(self, need: int) -> None:
+        """Fit ``need`` more entries behind the pool tail: drop the
+        garbage first when more than half the pool is dead, then double
+        the pool until they fit."""
+        used = self._vl_used
+        mod = self.vl_mod[:used]
+        val = self.vl_val[:used]
+        if used - self._vl_live > (used >> 1):
+            rows = np.flatnonzero(self.vl_len)
+            lens = self.vl_len[rows]
+            idx = _ragged_index(self.vl_off[rows], lens)
+            mod = mod[idx]
+            val = val[idx]
+            self.vl_off[rows] = np.cumsum(lens) - lens
+            self._vl_used = used = idx.size
+        size = max(self.vl_mod.size, 1024)
+        while size < used + need:
+            size *= 2
+        self.vl_mod = np.empty(size, dtype=np.int32)
+        self.vl_val = np.empty(size, dtype=np.int8)
+        self.vl_mod[:used] = mod
+        self.vl_val[:used] = val
 
     # ------------------------------------------------------------------
     # Payload slab management
@@ -297,9 +459,9 @@ class ColumnarStateStore:
         self.bb_segcap[box, slot] = 0
 
     def _seg_write(self, box: int, slot: int, mids, vals, ats) -> None:
-        """Write a fresh segment for a slot that currently owns none.
-        ``ats`` may be a scalar (merge: everything lands ``now``) or a
-        per-entry sequence (restore)."""
+        """Write a fresh segment for a slot that currently owns none:
+        three copies into the slab.  ``ats`` may be a scalar (merge:
+        everything lands ``now``) or a per-entry sequence (restore)."""
         n = len(mids)
         off, cap = self._seg_alloc(box, n)
         end = off + n
@@ -311,29 +473,33 @@ class ColumnarStateStore:
         self.bb_nvotes[box, slot] = n
         self._pay_live[box] += n
 
-    def _seg_update(self, box: int, slot: int, merged: Dict[int, int], now: float) -> None:
-        """Fold ``merged`` (interned moderator → vote value) into an
-        existing segment: repeat moderators overwrite in place, new
-        ones append (relocating the segment to the slab tail when it
-        outgrows its capacity) — the same first-occurrence insertion
-        order the dict backend's payload dicts keep."""
+    def _seg_update(
+        self, box: int, slot: int, mids: np.ndarray, vals: np.ndarray, now: float
+    ) -> None:
+        """Fold packed votes (distinct ``mids``) into an existing
+        segment: repeat moderators overwrite in place, new ones append
+        (relocating the segment to the slab tail when it outgrows its
+        capacity) — the same first-occurrence insertion order the dict
+        backend's payload dicts keep."""
         off = int(self.bb_off[box, slot])
         n = int(self.bb_nvotes[box, slot])
         pm = self._pay_mod[box]
         pv = self._pay_val[box]
         pa = self._pay_at[box]
-        pos = {m: i for i, m in enumerate(pm[off : off + n].tolist())}
-        app_m: List[int] = []
-        app_v: List[int] = []
-        for mid, val in merged.items():
-            i = pos.get(mid)
-            if i is None:
-                app_m.append(mid)
-                app_v.append(val)
-            else:
-                pv[off + i] = val
-                pa[off + i] = now
-        k = len(app_m)
+        seg = pm[off : off + n]
+        if n == len(mids) and (seg == mids).all():
+            # The voter's list as last time (votes rarely change
+            # between two meetings): overwrite values and times.
+            pv[off : off + n] = vals
+            pa[off : off + n] = now
+            return
+        match = seg[:, None] == mids  # [stored, incoming], ≤ 1 hit per column
+        found = match.any(axis=0)
+        at = off + match.argmax(axis=0)[found]
+        pv[at] = vals[found]
+        pa[at] = now
+        new = ~found
+        k = int(np.count_nonzero(new))
         if not k:
             return
         if n + k > int(self.bb_segcap[box, slot]):
@@ -351,8 +517,8 @@ class ColumnarStateStore:
             self.bb_off[box, slot] = new_off
             self.bb_segcap[box, slot] = new_cap
         end = off + n
-        pm[end : end + k] = app_m
-        pv[end : end + k] = app_v
+        pm[end : end + k] = mids[new]
+        pv[end : end + k] = vals[new]
         pa[end : end + k] = now
         self.bb_nvotes[box, slot] = n + k
         self._pay_live[box] += k
@@ -417,32 +583,20 @@ class ColumnarStateStore:
         voter: str,
         entries: Iterable[VoteEntry],
         now: float,
-        voter_row: Optional[int] = None,
     ) -> int:
         """:meth:`BallotBox.merge` over the columns; returns the number
         of *distinct* moderators stored (duplicate ids in one list
         collapse to their last vote and count once, matching the dict
         backend).  Recency is bumped only when something was stored.
 
-        This is the batched vote tick's innermost call (twice per
-        exchange), so the common shapes are specialised: sequence
-        inputs skip the defensive copy, entries carrying real
-        :class:`Vote` values skip the enum conversion, and a full box
-        evicts *before* inserting so the newcomer reuses the head
-        voter's slot in place — the same final state the insert-then-
-        evict order produces (``b_max >= 1`` keeps the newcomer off
-        the victim list), without the swap-remove column traffic.
-        Callers that already know the sender's row pass ``voter_row``
-        to skip the id lookup.
+        The object-API entry: interns, dedups and self-filters the
+        entries into packed arrays and hands them to
+        :meth:`bb_merge_packed`, where the merge itself lives.
         """
-        if type(entries) is not list and type(entries) is not tuple:
-            entries = list(entries)
-        if not entries:
-            return 0
         mods = self.mods
-        # Intern and dedup first: ``merged`` keeps first-occurrence
-        # order with last-wins values, exactly what a payload dict
-        # would hold after folding the same list in.
+        # ``merged`` keeps first-occurrence order with last-wins
+        # values, exactly what a payload dict would hold after folding
+        # the same list in.
         merged: Dict[int, int] = {}
         for e in entries:
             moderator = e.moderator_id
@@ -451,14 +605,47 @@ class ColumnarStateStore:
                 continue
             v = e.vote
             merged[mods.row(moderator)] = int(v) if type(v) is Vote else int(Vote(v))
-        if not merged:
+        n = len(merged)
+        if not n:
+            return 0
+        return self.bb_merge_packed(
+            owner_row,
+            b_max,
+            self.rows.row(voter),
+            np.fromiter(merged, np.int32, n),
+            np.fromiter(merged.values(), np.int8, n),
+            now,
+        )
+
+    def bb_merge_packed(
+        self,
+        owner_row: int,
+        b_max: int,
+        voter_row: int,
+        mids: np.ndarray,
+        vals: np.ndarray,
+        now: float,
+    ) -> int:
+        """Merge packed votes — ``mids`` (int32 interned moderators,
+        distinct, none of them the voter) with their ``vals`` (int8) —
+        from the voter at ``voter_row`` into ``owner_row``'s box;
+        returns how many were stored.  The batched vote tick calls this
+        row to row with two :meth:`vl_wire` slices per exchange (the
+        arrays are copied, never kept); :meth:`bb_merge` ends here too.
+
+        A full box evicts *before* inserting so the newcomer reuses the
+        head voter's slot in place — the same final state the insert-
+        then-evict order produces (``b_max >= 1`` keeps the newcomer
+        off the victim list), without the swap-remove column traffic.
+        """
+        n = len(mids)
+        if not n:
             return 0
         box = self._box_of[owner_row]
         if box < 0:
             box = self._box_row(owner_row)
         slots = self._slots[box]
-        vrow = self.rows.row(voter) if voter_row is None else voter_row
-        slot = slots.get(vrow)
+        slot = slots.get(voter_row)
         if slot is None:
             nslots = len(slots)
             if nslots >= b_max:
@@ -471,21 +658,21 @@ class ColumnarStateStore:
                     nslots -= 1
                 slot = slots.pop(next(iter(slots)))
                 self._seg_free(box, slot)
-                self.bb_voter[box, slot] = vrow
+                self.bb_voter[box, slot] = voter_row
             else:
                 slot = self.bb_used[box]
                 if slot >= self._width:
                     self._grow_width(slot + 1)
-                self.bb_voter[box, slot] = vrow
+                self.bb_voter[box, slot] = voter_row
                 self.bb_used[box] = slot + 1
                 self.bb_unique[owner_row] += 1
-            slots[vrow] = slot
-            self._seg_write(box, slot, list(merged.keys()), list(merged.values()), now)
+            slots[voter_row] = slot
+            self._seg_write(box, slot, mids, vals, now)
         else:
             # Move-to-end: recency order is the dict's insertion order.
-            slots.pop(vrow)
-            slots[vrow] = slot
-            self._seg_update(box, slot, merged, now)
+            slots.pop(voter_row)
+            slots[voter_row] = slot
+            self._seg_update(box, slot, mids, vals, now)
         seq = self._bb_seq[box] + 1
         self._bb_seq[box] = seq
         self.bb_last[box, slot] = now
@@ -494,7 +681,7 @@ class ColumnarStateStore:
             # Only reachable when b_max shrank between merges on an
             # already-present voter (the insert path bounds itself).
             self._evict(box, slots, owner_row, b_max)
-        return len(merged)
+        return n
 
     def bb_restore_voter(
         self,
@@ -617,13 +804,9 @@ class ColumnarStateStore:
         used = self.bb_used[box]
         if used == 0:
             return None
-        lens = self.bb_nvotes[box, :used].astype(np.int64)
-        total = int(lens.sum())
-        if total == 0:
+        idx = _ragged_index(self.bb_off[box, :used], self.bb_nvotes[box, :used])
+        if idx.size == 0:
             return None
-        offs = self.bb_off[box, :used]
-        starts = np.cumsum(lens) - lens
-        idx = np.repeat(offs - starts, lens) + np.arange(total, dtype=np.int64)
         return self._pay_mod[box][idx], self._pay_val[box][idx]
 
     def bb_votes_of(self, owner_row: int, voter: str) -> List[Tuple[str, Vote, float]]:
@@ -819,6 +1002,9 @@ class ColumnarStateStore:
             self._grow_rows(n_rows)
         for name, dtype, _fill in _ROW_COLUMNS:
             getattr(self, name)[:n_rows] = take(state, name, dtype, n_rows)
+        # The wire form is not in the dump: every non-empty list packs
+        # again on its first exchange.
+        self.vl_stale[:n_rows] = self.vl_size[:n_rows] > 0
         self._box_of[:n_rows] = box_of.tolist()
         used = take(state, "bb_used", np.int32, None)
         n_boxes = used.size
@@ -869,8 +1055,9 @@ class ColumnarStateStore:
         so the two layouts are comparable like-for-like."""
         total = sum(
             getattr(self, name).nbytes
-            for name, _dtype, _fill in _ROW_COLUMNS + _SLOT_COLUMNS
+            for name, _dtype, _fill in _ROW_COLUMNS + _WIRE_COLUMNS + _SLOT_COLUMNS
         )
+        total += self.vl_mod.nbytes + self.vl_val.nbytes
         for name, _dtype in _SLABS:
             slabs = getattr(self, "_" + name)
             total += sys.getsizeof(slabs) + sum(arr.nbytes for arr in slabs)
@@ -883,6 +1070,8 @@ class ColumnarStateStore:
             self._slots,
             self._pay_used,
             self._pay_live,
+            self._vl_lists,
+            self._vl_self,
             self.mods.ids,
             self.mods.index,
         ):

@@ -65,11 +65,11 @@ class VoteSamplingNode:
         self.config = config or NodeConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.store = ModerationStore(self.config.moderation_store_capacity)
-        self.vote_list = LocalVoteList()
         #: columnar backing (``None`` = classic per-node dict state).
         #: With a store, the ballot box is a thin view over the shared
-        #: columns and the vl_size/store_size membership columns track
-        #: this node's vote list and moderation store.
+        #: columns, the vote list reports its casts to the store (the
+        #: vl_size column and the packed wire form follow it) and the
+        #: store_size column tracks this node's moderation store.
         self.col_store = col_store
         if col_store is not None:
             self.row = col_store.ensure_row(peer_id)
@@ -79,6 +79,7 @@ class VoteSamplingNode:
         else:
             self.row = -1
             self.ballot_box = BallotBox(self.config.b_max)
+        self.vote_list = LocalVoteList(col_store, self.row)
         self.topk_cache = TopKCache(self.config.v_max, self.config.k)
         #: votes the user will cast when the moderator's metadata arrives
         self.vote_intentions: Dict[str, Vote] = {}
@@ -92,13 +93,11 @@ class VoteSamplingNode:
         self.vp_requests_declined = 0
 
     def _sync_membership(self) -> None:
-        """Refresh this node's vl_size/store_size columns.  Called at
-        the end of every node method that mutates the vote list or the
-        moderation store — the contract that lets batched paths trust
-        the membership columns without touching the objects."""
+        """Refresh this node's store_size column.  Called at the end of
+        every node method that mutates the moderation store.  (The
+        vote list keeps its own column: see :class:`LocalVoteList`.)"""
         store = self.col_store
         if store is not None:
-            store.vl_size[self.row] = len(self.vote_list)
             store.store_size[self.row] = len(self.store)
 
     # ------------------------------------------------------------------
@@ -130,7 +129,7 @@ class VoteSamplingNode:
         self.vote_list.cast(moderator_id, vote, now)
         if Vote(vote) is Vote.NEGATIVE:
             self.store.purge_moderator(moderator_id)
-        self._sync_membership()
+            self._sync_membership()
 
     def set_vote_intention(self, moderator_id: str, vote: Vote) -> None:
         """Declare how the user will vote once they actually *see*
@@ -189,11 +188,14 @@ class VoteSamplingNode:
     # ------------------------------------------------------------------
     def votes_to_send(self) -> List[VoteEntry]:
         """Our vote list, truncated to the exchange cap by the
-        configured selection policy."""
-        return self.vote_list.select_for_exchange(
-            self.config.votes_per_exchange,
-            self.rng,
-            policy=self.config.exchange_policy,
+        configured selection policy.  The caller owns the returned
+        list (below the cap the selection itself is memoised)."""
+        return list(
+            self.vote_list.select_for_exchange(
+                self.config.votes_per_exchange,
+                self.rng,
+                policy=self.config.exchange_policy,
+            )
         )
 
     def receive_votes(

@@ -240,8 +240,8 @@ def node_from_dict(
         node.topk_cache.add(lst)
     for moderator, vote in data["intentions"].items():
         node.set_vote_intention(moderator, Vote(vote))
-    # The restore loops above write the vote list and moderation store
-    # directly; refresh the membership columns once at the end.
+    # The moderation loop above wrote the store directly; refresh its
+    # membership column once at the end.
     node._sync_membership()
     return node
 

@@ -33,6 +33,7 @@ from repro.core.experience import (
     ThresholdExperience,
 )
 from repro.core.node import NodeConfig, VoteSamplingNode
+from repro.core.votes import select_positions
 from repro.metrics.traffic import TrafficMeter
 from repro.pss.base import PeerSamplingService
 from repro.pss.ideal import OraclePSS
@@ -637,13 +638,19 @@ class ProtocolRuntime:
         protocol.  Bit-identical to running :meth:`_vote_tick` per
         entry because every random draw and order-sensitive call is
         replayed in the scalar order: PSS draws per entry (vectorised
-        by ``sample_batch`` with scalar replay on collision), loss
-        draws only for connectable candidates, partner nodes created
-        in entry order, the forward experience verdict before vote
-        selection and the reverse verdict after this node's merge
-        (BarterCast's contribution caches see the same call sequence),
-        and merges through the same columnar operations the object API
-        uses.
+        by ``sample_batch``, which repairs self-draws inside the one
+        draw stream), loss draws only for connectable candidates,
+        partner nodes created in entry order, the forward experience
+        verdict before vote selection and the reverse verdict after
+        this node's merge (BarterCast's contribution caches see the
+        same call sequence), and merges through the same columnar core
+        the object API ends in.
+
+        An exchange is row to row: each side's vote list was packed
+        into the store's wire form when it was last cast (interned
+        moderators, own id dropped, exchange order), so a merge is two
+        pool slices handed to ``bb_merge_packed`` — no ``VoteEntry``,
+        no id string, no per-vote work.
 
         The columns carry the batch: one gather per direction over
         ``vl_size`` and ``bb_unique`` proves most entries side-effect
@@ -767,7 +774,8 @@ class ProtocolRuntime:
         active &= valid
         vl_own = vl_own_arr.tolist()
         vl_par = vl_par_arr.tolist()
-        bb_merge = store.bb_merge
+        wire = store.vl_wire
+        merge = store.bb_merge_packed
         vp_ex = 0
         vp_entries = 0
         for k in np.nonzero(active)[0].tolist():
@@ -784,32 +792,28 @@ class ProtocolRuntime:
                 fwd = True
             else:
                 fwd = exp.experienced_many(pid, [partner_id])[partner_id]
-            # node.votes_to_send() minus the wrapper: config fields are
-            # hoisted, selection memoises below the cap.
-            if vl_own[k]:
-                votes_out = node.vote_list.select_for_exchange(
-                    cap, node.rng, policy
-                )
-            else:
-                votes_out = ()
-            if vl_par[k]:
-                votes_in = partner.vote_list.select_for_exchange(
-                    cap, partner.rng, policy
-                )
-            else:
-                votes_in = ()
-            # node.receive_votes(partner_id, votes_in, now, fwd) inline
+            # node.votes_to_send() / partner.votes_to_send(): at or
+            # below the cap the whole list goes and nothing is drawn;
+            # above it each side draws its selection here — ours first,
+            # whatever the verdicts — as the scalar tick does.
+            n_out = vl_own[k]
+            n_in = vl_par[k]
+            picks_out = (
+                select_positions(n_out, cap, node.rng, policy)
+                if n_out > cap
+                else None
+            )
+            picks_in = (
+                select_positions(n_in, cap, partner.rng, policy)
+                if n_in > cap
+                else None
+            )
+            # node.receive_votes(partner_id, votes_in, now, fwd) inline,
+            # row to row: the partner's packed list into our box.
             if fwd:
-                if votes_in:
-                    lv = len(votes_in)
-                    if lv > cap:
-                        node.votes_truncated += lv - cap
-                        votes_in_capped = votes_in[:cap]
-                    else:
-                        votes_in_capped = votes_in
-                    node.votes_merged += bb_merge(
-                        row, b_max, partner_id, votes_in_capped, now, prow
-                    )
+                if n_in:
+                    mids, vals = wire(prow, picks_in)
+                    node.votes_merged += merge(row, b_max, prow, mids, vals, now)
             else:
                 node.votes_rejected_inexperienced += 1
             # Reverse verdict (observer = partner), after our merge —
@@ -819,16 +823,9 @@ class ProtocolRuntime:
             else:
                 rev = exp.experienced_many(partner_id, [pid])[pid]
             if rev:
-                if votes_out:
-                    lv = len(votes_out)
-                    if lv > cap:
-                        partner.votes_truncated += lv - cap
-                        votes_out_capped = votes_out[:cap]
-                    else:
-                        votes_out_capped = votes_out
-                    partner.votes_merged += bb_merge(
-                        prow, b_max, pid, votes_out_capped, now, row
-                    )
+                if n_out:
+                    mids, vals = wire(row, picks_out)
+                    partner.votes_merged += merge(prow, b_max, row, mids, vals, now)
             else:
                 partner.votes_rejected_inexperienced += 1
             # VoxPopuli (Fig 3 a+c): pre-gated on the occupancy column,

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # columnar imports this module
+    from repro.core.columnar import ColumnarStateStore
 
 
 class Vote(IntEnum):
@@ -33,26 +36,65 @@ class VoteEntry:
     cast_at: float
 
 
+def select_positions(
+    n: int, max_votes: int, rng: np.random.Generator, policy: str
+) -> List[int]:
+    """Which of an ``n``-entry vote list's entries an exchange sends
+    when the list exceeds the budget (``n > max_votes >= 1``), as
+    ascending positions in the list's newest-first order.  The one
+    place the selection policies (see
+    :meth:`LocalVoteList.select_for_exchange`) and their RNG draws
+    live: the object API maps the positions to entries, the columnar
+    store to slices of a packed list."""
+    if policy == "recency":
+        return list(range(max_votes))
+    if policy == "random":
+        picks = rng.choice(n, size=max_votes, replace=False)
+        return sorted(picks.tolist())
+    if policy != "recency_random":
+        raise ValueError(f"unknown exchange policy {policy!r}")
+    recent_budget = max_votes // 2
+    picks = rng.choice(
+        n - recent_budget, size=max_votes - recent_budget, replace=False
+    )
+    return list(range(recent_budget)) + [
+        recent_budget + i for i in sorted(picks.tolist())
+    ]
+
+
 class LocalVoteList:
     """The node's own ballot paper.
 
     Invariant: at most one entry per moderator.  ``cast`` with a new
     value replaces the old entry (the user changed their mind) and
     refreshes the timestamp.
+
+    A list built with a ``store`` belongs to row ``row`` of that
+    :class:`~repro.core.columnar.ColumnarStateStore` and reports every
+    cast to it, so the store's ``vl_size`` column and packed wire form
+    can never lag the dict, whoever calls :meth:`cast`.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, store: Optional["ColumnarStateStore"] = None, row: int = -1
+    ) -> None:
         self._votes: Dict[str, VoteEntry] = {}
         #: bumped on every cast; keys the under-cap selection cache
         self._version = 0
         self._sel_version = -1
         self._sel_cache: List[VoteEntry] = []
+        self._store = store
+        self._row = row
+        if store is not None:
+            store.vl_attach(row, self)
 
     def cast(self, moderator_id: str, vote: Vote, now: float) -> VoteEntry:
         """Record the local user's vote on a moderator."""
         entry = VoteEntry(moderator_id, Vote(vote), now)
         self._votes[moderator_id] = entry
         self._version += 1
+        if self._store is not None:
+            self._store.vl_cast(self._row, len(self._votes))
         return entry
 
     def vote_on(self, moderator_id: str) -> Optional[Vote]:
@@ -117,19 +159,10 @@ class LocalVoteList:
             self._sel_version = self._version
             return entries
         entries = self.entries()
-        if policy == "recency":
-            return entries[:max_votes]
-        if policy == "random":
-            picks = rng.choice(len(entries), size=max_votes, replace=False)
-            return [entries[int(i)] for i in sorted(picks)]
-        if policy != "recency_random":
-            raise ValueError(f"unknown exchange policy {policy!r}")
-        recent_budget = max_votes // 2
-        recent = entries[:recent_budget]
-        rest = entries[recent_budget:]
-        random_budget = max_votes - recent_budget
-        picks = rng.choice(len(rest), size=random_budget, replace=False)
-        return recent + [rest[int(i)] for i in sorted(picks)]
+        return [
+            entries[i]
+            for i in select_positions(len(entries), max_votes, rng, policy)
+        ]
 
     def __len__(self) -> int:
         return len(self._votes)

@@ -57,6 +57,12 @@ class OnlineRegistry:
         """Internal-order access used by O(1) uniform sampling."""
         return self._order[index]
 
+    def indices_of(self, peer_ids: List[str]) -> List[int]:
+        """Inverse of :meth:`peer_at` for a whole batch; ``-1`` for an
+        offline peer."""
+        index = self._index
+        return [index.get(peer_id, -1) for peer_id in peer_ids]
+
     def add_listener(self, listener: Callable[[str, bool], None]) -> None:
         """Register ``listener(peer_id, is_online)`` for status changes."""
         self._listeners.append(listener)

@@ -36,15 +36,19 @@ class OraclePSS(PeerSamplingService):
     def sample_batch(self, requesters: List[str]) -> List[Optional[str]]:
         """Vectorised :meth:`sample` for a whole due batch.
 
-        The common case — every optimistic draw misses its requester —
-        costs one ``integers(0, n, size=m)`` call, which produces
-        exactly the integers ``m`` scalar ``integers(0, n)`` calls
-        would.  On any collision (a draw hitting its own requester,
-        where the scalar path would re-draw) the generator state is
-        restored from a snapshot and the batch replays through the
-        scalar rejection loop, so the draw sequence is bit-identical
-        either way.  ``n == 1`` also takes the scalar path: it is the
-        one case where :meth:`sample` may return without drawing.
+        ``integers(0, n, size=m)`` produces exactly the integers ``m``
+        scalar ``integers(0, n)`` calls would, so the batch walks that
+        one stream the way the scalar calls would consume it: each
+        requester takes the next value, and one that draws itself
+        keeps taking values until one is somebody else (``None`` after
+        64 tries, as :meth:`sample`).  A self-draw therefore shifts
+        every later requester one value down the stream, and when the
+        stream runs out with ``r`` requesters unserved exactly ``r``
+        more values are drawn — each of them needs at least one, so
+        the generator never advances further than the scalar loop
+        would and ends in the same state.  ``n == 1`` takes the scalar
+        path: it is the one case where :meth:`sample` may return
+        without drawing.
         """
         m = len(requesters)
         registry = self._registry
@@ -54,15 +58,40 @@ class OraclePSS(PeerSamplingService):
         if n == 1 or m < 2:
             return [self.sample(r) for r in requesters]
         rng = self._rng
-        state = rng.bit_generator.state
-        draws = rng.integers(0, n, size=m)
+        own = np.array(registry.indices_of(requesters), dtype=np.int64)
+        picks = np.empty(m, dtype=np.int64)
+        stream = rng.integers(0, n, size=m)
+        j = 0  # next unread stream value
+        k = 0  # next unserved requester
+        while k < m:
+            if j == stream.size:
+                stream = rng.integers(0, n, size=m - k)
+                j = 0
+            # Serve requesters one value each up to the first self-draw
+            # (the stream never holds more values than requesters wait).
+            span = stream.size - j
+            hits = np.flatnonzero(stream[j : j + span] == own[k : k + span])
+            clean = int(hits[0]) if hits.size else span
+            picks[k : k + clean] = stream[j : j + clean]
+            k += clean
+            j += clean
+            if clean == span:
+                continue
+            # Requester k drew itself: the scalar rejection loop, fed
+            # from the stream.
+            picks[k] = -1
+            for _ in range(64):
+                if j == stream.size:
+                    stream = rng.integers(0, n, size=m - k)
+                    j = 0
+                value = stream[j]
+                j += 1
+                if value != own[k]:
+                    picks[k] = value
+                    break
+            k += 1
         peer_at = registry.peer_at
-        out: List[str] = [peer_at(i) for i in draws.tolist()]
-        for picked, requester in zip(out, requesters):
-            if picked == requester:
-                rng.bit_generator.state = state
-                return [self.sample(r) for r in requesters]
-        return out
+        return [None if i < 0 else peer_at(i) for i in picks.tolist()]
 
     def sample_many(self, requester: str, k: int) -> List[str]:
         online = [p for p in self._registry.online_peers() if p != requester]

@@ -224,6 +224,37 @@ def test_store_load_refuses_a_used_store_and_checks_shapes():
             ColumnarStateStore().load_state(clipped)
 
 
+def test_wire_form_is_rebuilt_after_load_not_stored():
+    """The packed vote lists are derived state: packing them changes
+    nothing a dump holds, a loaded store marks every non-empty list for
+    repacking, and the restored lists pack to what the original sent."""
+    from repro.core.node import VoteSamplingNode
+
+    original = ColumnarStateStore()
+    nodes = [VoteSamplingNode(pid, col_store=original) for pid in ("a", "b", "c")]
+    nodes[0].cast_vote("m1", Vote.POSITIVE, 1.0)
+    nodes[0].cast_vote("m2", Vote.NEGATIVE, 2.0)
+    nodes[1].cast_vote("m1", Vote.NEGATIVE, 3.0)
+    before = original.dump_state()
+    wires = [[part.tolist() for part in original.vl_wire(n.row)] for n in nodes]
+    assert wires[0] == [[0, 1], [-1, 1]]  # newest first: m2 interned as 0
+    after = original.dump_state()
+    assert not any(key.startswith("vl_") and key != "vl_size" for key in after)
+    # only the moderators interned by packing are new
+    _assert_same_state(before, after, skip=("n_mods", "mod_ids"))
+    assert original.memory_bytes() >= original.vl_mod.nbytes + original.vl_val.nbytes
+
+    loaded = ColumnarStateStore()
+    loaded.load_state(after)
+    assert loaded.vl_stale[:3].tolist() == [True, True, False]
+    for node in nodes:
+        twin = VoteSamplingNode(node.peer_id, col_store=loaded)
+        for entry in node.vote_list.entries():
+            twin.vote_list.cast(entry.moderator_id, entry.vote, entry.cast_at)
+    assert [[part.tolist() for part in loaded.vl_wire(n.row)] for n in nodes] == wires
+    _assert_same_state(loaded.dump_state(), after)
+
+
 # ----------------------------------------------------------------------
 # PopulationEngine (its dump → load → continue property rides on the
 # adversarial-interleavings differential test in test_sim_population)

@@ -331,3 +331,113 @@ def test_moderator_intern_table_is_global_and_stable():
     box_a.remove_voter("v1")
     # Intern table is append-only: ids survive payload removal.
     assert store.mods.get("shared_mod") is not None
+
+
+# ----------------------------------------------------------------------
+# Row-to-row merges: the packed wire form vs the entries front-end
+# ----------------------------------------------------------------------
+def _live_slab_positions(state):
+    """Indices into a dump's concatenated slab tails that hold live
+    votes (capacity slack inside a tail is uninitialised memory)."""
+    box_of_slot = np.repeat(np.arange(state["bb_used"].size), state["bb_used"])
+    base = np.cumsum(state["pay_used"]) - state["pay_used"]
+    starts = base[box_of_slot] + state["bb_off"]
+    lens = state["bb_nvotes"].astype(np.int64)
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+
+
+def _assert_same_dump(a, b):
+    assert a.keys() == b.keys()
+    live = _live_slab_positions(a)
+    for key, value in a.items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == b[key].dtype and value.shape == b[key].shape, key
+            if key in ("pay_mod", "pay_val", "pay_at"):
+                assert value[live].tobytes() == b[key][live].tobytes(), key
+            else:
+                assert value.tobytes() == b[key].tobytes(), key
+        else:
+            assert value == b[key], key
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_to_row_merge_leaves_the_dump_bb_merge_leaves(seed):
+    """One random history — casts (first votes, changes of mind, a
+    list's owner voting on itself), exchanges into boxes that evict,
+    relocate and compact under a ``b_max`` that moves — applied twice:
+    to one store as ``bb_merge(entries)``, to the other row to row as
+    ``bb_merge_packed(*vl_wire(voter_row))``.  Same ``dump_state()`` to
+    the byte, interned ids and slab layout included."""
+    rnd = random.Random(seed)
+    peers = [f"p{i:02d}" for i in range(14)]
+    mods = [f"m{i}" for i in range(12)] + peers[:3]
+    by_entries, row_to_row = ColumnarStateStore(), ColumnarStateStore()
+    lists, twins = ({
+        pid: VoteSamplingNode(pid, col_store=store).vote_list for pid in peers
+    } for store in (row_to_row, by_entries))
+    b_max = {pid: rnd.choice((2, 3, 5)) for pid in peers}
+    now = 0.0
+    fresh_segments = repacks = packed = 0
+    for _step in range(3000):
+        now += rnd.random()
+        voter = rnd.choice(peers)
+        vrow = row_to_row.rows.index[voter]
+        roll = rnd.random()
+        if roll < 0.2:
+            # ties on cast time are broken on the moderator id
+            cast = (rnd.choice(mods), rnd.choice(VOTES), float(int(now)))
+            lists[voter].cast(*cast)
+            twins[voter].cast(*cast)
+            assert row_to_row.vl_size[vrow] == len(lists[voter])
+            continue
+        owner = rnd.choice([pid for pid in peers if pid != voter])
+        orow = row_to_row.rows.index[owner]
+        if roll < 0.25:
+            b_max[owner] = rnd.choice((1, 2, 3, 5))
+        if not len(lists[voter]):
+            continue
+        stale = bool(row_to_row.vl_stale[vrow])
+        mids, vals = row_to_row.vl_wire(vrow)
+        repacks += stale
+        packed += stale * len(mids)
+        assert not row_to_row.vl_stale[vrow]
+        fresh_segments += vrow not in row_to_row.bb_slots(orow)
+        stored = row_to_row.bb_merge_packed(orow, b_max[owner], vrow, mids, vals, now)
+        assert stored == by_entries.bb_merge(
+            orow, b_max[owner], voter, twins[voter].entries(), now
+        )
+        if _step % 250 == 0:
+            _assert_same_dump(by_entries.dump_state(), row_to_row.dump_state())
+    _assert_same_dump(by_entries.dump_state(), row_to_row.dump_state())
+    assert repacks > 50 and fresh_segments > 100
+    assert any(pid in {e.moderator_id for e in lists[pid].entries()} for pid in peers)
+    # the pool dropped its garbage instead of growing with every repack
+    live = int(row_to_row.vl_len.sum())
+    assert row_to_row._vl_live == live
+    assert packed > 2 * row_to_row.vl_mod.size  # so it compacted, twice
+    assert row_to_row._vl_used <= max(2 * live, 1024)
+    assert row_to_row.memory_bytes() > by_entries.memory_bytes()
+
+
+def test_wire_form_above_the_cap_takes_the_selected_positions():
+    """``picks`` are positions in the *full* exchange order, the
+    owner's own id included; the wire form has dropped it."""
+    store = ColumnarStateStore()
+    node = VoteSamplingNode("me", col_store=store)
+    for i, moderator in enumerate(["a", "b", "me", "c", "d", "e"]):
+        node.vote_list.cast(moderator, VOTES[i % 2], float(i))
+    order = [e.moderator_id for e in node.vote_list.entries()]
+    assert order == ["e", "d", "c", "me", "b", "a"]
+    assert store.vl_size[node.row] == 6
+
+    def sent(picks):
+        mids, vals = store.vl_wire(node.row, picks)
+        return [(store.mods.ids[m], Vote(v)) for m, v in zip(mids.tolist(), vals.tolist())]
+
+    votes = {e.moderator_id: e.vote for e in node.vote_list.entries()}
+    for picks in ([0, 1, 2], [2, 3, 4], [3], [0, 3, 5], [4, 5]):
+        assert sent(picks) == [
+            (order[p], votes[order[p]]) for p in picks if order[p] != "me"
+        ]
+    assert sent(None) == [(m, votes[m]) for m in order if m != "me"]
+    assert "me" not in store.mods.index  # never interned, as in bb_merge

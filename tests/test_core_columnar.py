@@ -185,15 +185,17 @@ def test_shrunk_b_max_repeat_voter_edge():
 
 
 def test_bb_merge_voter_row_param_matches_lookup():
-    """Passing the voter's row explicitly (the batched tick does) must
-    be indistinguishable from the id-lookup path."""
+    """Passing the voter's row and packed votes explicitly (the batched
+    tick does) must be indistinguishable from the id-lookup path."""
     store = ColumnarStateStore()
     row_a = store.ensure_row("a")
     row_b = store.ensure_row("b")
     vrow = store.rows.row("voter")
     entries = [VoteEntry("mod", Vote.POSITIVE, 1.0)]
     assert store.bb_merge(row_a, 5, "voter", entries, 1.0) == 1
-    assert store.bb_merge(row_b, 5, "voter", entries, 1.0, voter_row=vrow) == 1
+    mids = np.array([store.mods.index["mod"]], dtype=np.int32)
+    vals = np.array([Vote.POSITIVE], dtype=np.int8)
+    assert store.bb_merge_packed(row_b, 5, vrow, mids, vals, 1.0) == 1
     box_a = ColumnarBallotBox(store, row_a, 5)
     box_b = ColumnarBallotBox(store, row_b, 5)
     assert box_a.votes_of("voter") == box_b.votes_of("voter")

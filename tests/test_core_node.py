@@ -132,6 +132,21 @@ class TestBallotBox:
         node = make_node()
         assert node.receive_votes("n1", self.entries("m1"), 1.0, True) == 0
 
+    def test_votes_to_send_hands_out_a_list_the_caller_may_change(self):
+        """Regression: below the cap the selection is memoised, and the
+        wrapper returned the memo itself — clearing or extending what
+        it returned emptied/corrupted every later exchange until the
+        next cast."""
+        node = make_node()
+        node.cast_vote("m1", Vote.POSITIVE, 1.0)
+        node.cast_vote("m2", Vote.NEGATIVE, 2.0)
+        sent = node.votes_to_send()
+        assert [e.moderator_id for e in sent] == ["m2", "m1"]
+        sent.append(VoteEntry("forged", Vote.POSITIVE, 3.0))
+        sent.clear()
+        assert [e.moderator_id for e in node.votes_to_send()] == ["m2", "m1"]
+        assert len(node.vote_list) == 2
+
     def test_receiver_enforces_votes_per_exchange_cap(self):
         """Regression: merge() trusted the sender to honour the 50-vote
         cap; a malicious peer shipping an oversized list must be

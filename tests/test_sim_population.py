@@ -12,6 +12,7 @@ import pytest
 
 from repro.bittorrent.session import BitTorrentSession, SessionConfig
 from repro.core.experience import AdaptiveThresholdExperience
+from repro.core.node import NodeConfig
 from repro.core.runtime import ProtocolRuntime, RuntimeConfig
 from repro.core.columnar import RowTable
 from repro.core.votes import Vote
@@ -438,13 +439,38 @@ def test_fig5_series_identical_across_engines():
 # ----------------------------------------------------------------------
 # Batched vote tick (columnar state store)
 # ----------------------------------------------------------------------
+def _cast_vote_round(runtime, pids, r, now):
+    """Round ``r`` of the vote-heavy scenario: every second peer holds
+    6–10 votes (round 0; cast times tie on purpose), then at each later
+    round changes its mind on its ``r + 1`` oldest votes — which also
+    moves them to the head of the exchange order — and votes on one
+    moderator nobody has heard of.  One list holds its owner's id,
+    put there past ``cast_vote``."""
+    mods = [f"mod{j:02d}" for j in range(12)]
+    for i, pid in enumerate(pids[::2]):
+        node = runtime.ensure_node(pid)
+        if r == 0:
+            for j in range(6 + i % 5):
+                vote = Vote.POSITIVE if (i + j) % 3 else Vote.NEGATIVE
+                node.cast_vote(mods[(i + j) % len(mods)], vote, float(j % 3))
+            continue
+        for entry in node.vote_list.entries()[-(r + 1):]:
+            if entry.moderator_id != pid:
+                node.cast_vote(entry.moderator_id, Vote(-entry.vote), now)
+        node.cast_vote(f"late{r}-{i % 3}", Vote.POSITIVE, now)
+    if r == 0:
+        runtime.ensure_node(pids[2]).vote_list.cast(pids[2], Vote.POSITIVE, 5.0)
+
+
 def run_stack_batched(engine_kind, trace, seed=11, hours=6, config_kwargs=None,
-                      adaptive=False):
+                      adaptive=False, vote_rounds=0):
     """Like :func:`run_stack`, but without the per-tick wrappers — an
     instance-level ``_vote_tick`` override disables the batched vote
     path by design, and this helper exists to exercise that path.
     Counts batch-handler invocations instead; compares on the summary
-    plus *full* per-node serialised state."""
+    plus *full* per-node serialised state.  With ``vote_rounds`` the
+    run is cut into that many slices and :func:`_cast_vote_round`
+    casts before each."""
     from repro.core.persistence import node_to_dict
 
     engine = Engine()
@@ -479,6 +505,9 @@ def run_stack_batched(engine_kind, trace, seed=11, hours=6, config_kwargs=None,
     runtime.ensure_node(pids[0]).create_moderation("t-file", "x", now=0.0)
     runtime.ensure_node(pids[1]).set_vote_intention(pids[0], Vote.POSITIVE)
     session.start()
+    for r in range(vote_rounds):
+        _cast_vote_round(runtime, pids, r, engine.now)
+        engine.run_until((r + 1) * hours * HOUR / vote_rounds)
     engine.run_until(hours * HOUR)
     summary = runtime.run_summary()
     summary.pop("population")
@@ -489,22 +518,68 @@ def run_stack_batched(engine_kind, trace, seed=11, hours=6, config_kwargs=None,
 
 
 @pytest.mark.parametrize(
-    "config_kwargs,adaptive",
+    "config_kwargs,adaptive,heavy",
     [
-        (None, False),
-        ({"message_loss": 0.1}, False),
-        ({"experience_threshold": 0.0}, False),
-        (None, True),
+        (None, False, None),
+        ({"message_loss": 0.1}, False, None),
+        ({"experience_threshold": 0.0}, False, None),
+        (None, True, None),
+        # Vote-heavy (see _cast_vote_round): lists longer than
+        # ``votes_per_exchange`` under each selection policy ...
+        ({"experience_threshold": 0.0}, False, {"exchange_policy": "recency_random"}),
+        ({"experience_threshold": 0.0}, False, {"exchange_policy": "recency"}),
+        ({"experience_threshold": 0.0}, False, {"exchange_policy": "random"}),
+        # ... a ``b_max`` small enough to evict inside a batch ...
+        ({"experience_threshold": 0.0}, False, {"b_min": 2, "b_max": 3}),
+        # ... and a real gate: both sides draw their selection whatever
+        # the verdicts turn out to be.
+        (None, False, {"exchange_policy": "random"}),
     ],
-    ids=["base", "message_loss", "fast_experience", "adaptive"],
+    ids=[
+        "base", "message_loss", "fast_experience", "adaptive",
+        "heavy_recency_random", "heavy_recency", "heavy_random",
+        "heavy_evicting", "heavy_gated",
+    ],
 )
-def test_batched_vote_tick_identical_to_object_engine(config_kwargs, adaptive):
+def test_batched_vote_tick_identical_to_object_engine(
+    config_kwargs, adaptive, heavy, monkeypatch
+):
+    from repro.core.columnar import ColumnarStateStore
+
+    # Which segment paths the columnar run went through.
+    seen = set()
+    real_update = ColumnarStateStore._seg_update
+    real_free = ColumnarStateStore._seg_free
+
+    def spy_update(self, box, slot, mids, vals, now):
+        before = (int(self.bb_nvotes[box, slot]), int(self.bb_off[box, slot]))
+        real_update(self, box, slot, mids, vals, now)
+        after = (int(self.bb_nvotes[box, slot]), int(self.bb_off[box, slot]))
+        if after == before:
+            seen.add("overwrite")
+        else:
+            seen.add("append" if after[1] == before[1] else "relocate")
+
+    def spy_free(self, box, slot):
+        seen.add("evict")
+        real_free(self, box, slot)
+
+    monkeypatch.setattr(ColumnarStateStore, "_seg_update", spy_update)
+    monkeypatch.setattr(ColumnarStateStore, "_seg_free", spy_free)
+    kwargs = dict(config_kwargs or {})
+    vote_rounds = 0
+    if heavy is not None:
+        kwargs["node"] = NodeConfig(votes_per_exchange=4, **heavy)
+        vote_rounds = 3
     trace = churn_trace(n=25)
     summary_o, states_o, calls_o = run_stack_batched(
-        "object", trace, config_kwargs=config_kwargs, adaptive=adaptive
+        "object", trace, config_kwargs=kwargs, adaptive=adaptive,
+        vote_rounds=vote_rounds,
     )
+    assert not seen  # dict boxes under the object engine
     summary_s, states_s, calls_s = run_stack_batched(
-        "soa", trace, config_kwargs=config_kwargs, adaptive=adaptive
+        "soa", trace, config_kwargs=kwargs, adaptive=adaptive,
+        vote_rounds=vote_rounds,
     )
     assert summary_o == summary_s
     assert states_o == states_s
@@ -512,6 +587,65 @@ def test_batched_vote_tick_identical_to_object_engine(config_kwargs, adaptive):
     # path must actually have carried multi-peer batches.
     assert calls_o == []
     assert calls_s and max(calls_s) >= 2
+    if heavy is not None and "experience_threshold" in kwargs:
+        assert summary_s["nodes"]["votes_merged"] > 1000
+        if heavy.get("b_max") == 3:
+            assert "evict" in seen
+        elif heavy["exchange_policy"] == "recency":
+            # always the 4 newest: a full capacity-4 segment, so every
+            # append is also a relocation
+            assert {"overwrite", "relocate"} <= seen
+        else:
+            assert {"overwrite", "append", "relocate"} <= seen
+
+
+def test_direct_vote_list_cast_reaches_the_batched_tick():
+    """Regression: ``vl_size`` was refreshed only by the node's own
+    methods, so a ``vote_list.cast`` past ``cast_vote`` (restore paths,
+    attackers, tests) left the column at 0 and the batched tick proved
+    the exchange empty and skipped it."""
+    pids = [f"p{i}" for i in range(8)]
+    trace = Trace(
+        duration=600.0,
+        peers={pid: PeerProfile(peer_id=pid) for pid in pids},
+        swarms={},
+        events=[],
+    )
+    engine = Engine()
+    rng = RngRegistry(5)
+    session = BitTorrentSession(
+        engine, trace, rng, config=SessionConfig(round_interval=1e9)
+    )
+    runtime = ProtocolRuntime(
+        session,
+        rng,
+        config=RuntimeConfig(
+            moderation_interval=1e9,
+            vote_interval=60.0,
+            bartercast_interval=1e9,
+            experience_threshold=0.0,
+            population_engine="soa",
+        ),
+    )
+    batches = []
+    real_batch = runtime._vote_tick_batch
+    runtime._vote_tick_batch = lambda *a: (batches.append(len(a[1])), real_batch(*a))[1]
+    for pid in pids:
+        runtime.bring_online(pid, 0.0)
+    voter = runtime.nodes["p3"]
+    voter.vote_list.cast("some-moderator", Vote.NEGATIVE, 0.0)
+    store = runtime._col_store
+    assert store.vl_size[voter.row] == len(voter.vote_list) == 1
+    session.start()
+    engine.run_until(600.0)
+    assert max(batches) >= 2
+    heard = [
+        node.peer_id
+        for node in runtime.nodes.values()
+        if node.ballot_box.vote_of("p3", "some-moderator") is Vote.NEGATIVE
+    ]
+    assert heard and "p3" not in heard
+    assert runtime.run_summary()["nodes"]["votes_merged"] >= len(heard)
 
 
 def test_instance_vote_tick_override_disables_batching():
