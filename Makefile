@@ -23,11 +23,9 @@ bench:
 # contribution cache beats the uncached path by >= 3x, parallel
 # run_many output is bit-identical to sequential, the sparse graph
 # backend is bit-identical to dense (to_matrix and 2-hop flows) with
-# an O(E)-sized mirror at 10k nodes, threaded AND process-sharded
-# flow-row recomputes are bit-identical to serial (the process tier
-# including its recomputed/reused counters), and (on multi-core
-# runners) the parallel paths beat sequential by >= 1.5x.  The
-# population section gates the SoA engine: full-stack tick schedule,
+# an O(E)-sized mirror at 10k nodes (the replica speed-up is recorded,
+# not gated).
+# The population section gates the SoA engine: full-stack tick schedule,
 # run summary and node states bit-identical to the object engine, and
 # (on multi-core runners) >= 5x peers/sec at 50k peers; the columnar
 # sections additionally gate >= 2x per-tick for the columnar state
@@ -47,9 +45,8 @@ bench:
 # Also runs the dead-statement lint.  Writes
 # BENCH_contribution.json and BENCH_population.json so the perf
 # trajectory accumulates per PR.
-# Both legs always run (the contribution leg's parallel-tier gates fail
-# on a 2-core runner and used to hide the population leg behind them);
-# the target fails at the end if either leg failed.
+# Both legs always run; the target fails at the end if either leg
+# failed.
 bench-smoke: lint-deadcode
 	@status=0; \
 	$(PY) scripts/bench_contribution.py --check || status=1; \

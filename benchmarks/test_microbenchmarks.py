@@ -148,27 +148,3 @@ def test_bench_engine_event_throughput(benchmark):
 
     fired = benchmark(push_and_drain)
     assert fired == 10_000
-
-
-def test_bench_shm_graph_publish_roundtrip(benchmark, backend_twins):
-    """The per-observer cost the process tier pays before any worker
-    runs: export the mirror payload, publish it to a shared-memory
-    segment, map it back, and unlink.  This bounds how small a row
-    batch can be before FlowRowPool's copies dominate the win."""
-    from repro.sim.parallel import AttachedSegment, create_segment
-
-    dense, _sparse, nodes = backend_twins
-    order = sorted(dense.nodes())
-
-    def roundtrip():
-        kind, arrays = dense.mirror_payload(order)
-        shm, spec = create_segment(arrays)
-        shm.close()
-        seg = AttachedSegment(spec)
-        total = float(seg.arrays["W"].sum())
-        seg.close(unlink=True)
-        return kind, total
-
-    kind, total = benchmark(roundtrip)
-    assert kind == "dense"
-    assert total > 0.0

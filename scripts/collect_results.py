@@ -38,7 +38,7 @@ def main(argv=None) -> None:
         type=int,
         default=None,
         help="worker processes for replica runs "
-        "(default: min(n_runs, cpu_count); 1 = sequential)",
+        "(default: min(n_runs, usable CPUs); 1 = sequential)",
     )
     args = parser.parse_args(argv)
     summary = {}

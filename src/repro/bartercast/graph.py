@@ -19,9 +19,10 @@ vectorised flow paths:
 once the node count crosses ``sparse_threshold``, so paper-scale runs
 keep the dense fast path while synthetic million-peer graphs never
 allocate the quadratic mirror.  Both backends store the *same floats
-in the same logical cells*, so every matrix product — ``to_matrix``,
-``matrix_rows``, ``matrix_column`` and the 2-hop flows built on them —
-is bit-identical across backends.
+in the same logical cells*, so ``to_matrix`` and the 2-hop flows —
+the dense closed form over ``to_matrix``, the CSR kernel over the
+sparse mirror's ``row_nonzeros`` / ``column_nonzeros`` — are
+bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -123,78 +124,11 @@ class _DenseMirror:
             mat[np.ix_(known, known)] = self._W[np.ix_(ksel, ksel)]
         return mat
 
-    def matrix_rows(self, row_ids: Sequence[str], order: Sequence[str]) -> np.ndarray:
-        rows = list(row_ids)
-        ids = list(order)
-        block = np.zeros((len(rows), len(ids)))
-        if not rows or not ids or not self._ids:
-            return block
-        rsel = self._selection(rows)
-        csel = self._selection(ids)
-        rknown = np.flatnonzero(rsel >= 0)
-        cknown = np.flatnonzero(csel >= 0)
-        if rknown.size and cknown.size:
-            block[np.ix_(rknown, cknown)] = self._W[
-                np.ix_(rsel[rknown], csel[cknown])
-            ]
-        return block
-
-    def matrix_column(self, order: Sequence[str], sink: str) -> np.ndarray:
-        ids = list(order)
-        col = np.zeros(len(ids))
-        t = self._index.get(sink)
-        if t is None or not ids:
-            return col
-        sel = self._selection(ids)
-        known = np.flatnonzero(sel >= 0)
-        if known.size:
-            col[known] = self._W[sel[known], t]
-        return col
-
-    def row_nonzeros(
-        self, row_ids: Sequence[str], order: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR triple ``(indptr, indices, data)`` of the nonzero cells
-        of ``row_ids`` with columns translated to positions in
-        ``order``.  The dense block has no stored-nonzero structure, so
-        this extracts it (O(n) per row) — API parity with the sparse
-        mirror; the flow kernel only picks the CSR path under the
-        sparse backend."""
-        block = self.matrix_rows(row_ids, order)
-        indptr = np.zeros(len(block) + 1, dtype=np.int64)
-        col_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        for pos in range(len(block)):
-            cols = np.flatnonzero(block[pos])
-            col_parts.append(cols.astype(np.int64, copy=False))
-            val_parts.append(block[pos, cols])
-            indptr[pos + 1] = indptr[pos] + cols.size
-        indices = (
-            np.concatenate(col_parts) if col_parts else np.zeros(0, dtype=np.int64)
-        )
-        data = np.concatenate(val_parts) if val_parts else np.zeros(0, dtype=float)
-        return indptr, indices, data
-
-    def column_nonzeros(
-        self, order: Sequence[str], sink: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sparse view of the sink's in-column: ``(positions, values)``
-        with positions ascending in ``order`` space."""
-        col = self.matrix_column(order, sink)
-        pos = np.flatnonzero(col)
-        return pos, col[pos]
-
     def dense(self) -> Tuple[List[str], np.ndarray]:
         n = len(self._ids)
         view = self._W[:n, :n]
         view.setflags(write=False)
         return list(self._ids), view
-
-    def export_payload(self, order: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Snapshot of the mirror in ``order`` space for shared-memory
-        publication: one dense float64 weight block, the same floats
-        :meth:`to_matrix` would produce (placement only)."""
-        return {"W": self.to_matrix(order)}
 
 
 class _SparseMirror:
@@ -307,27 +241,6 @@ class _SparseMirror:
             self._scatter_rows(mat, ids, self._colmap(ids))
         return mat
 
-    def matrix_rows(self, row_ids: Sequence[str], order: Sequence[str]) -> np.ndarray:
-        rows = list(row_ids)
-        ids = list(order)
-        block = np.zeros((len(rows), len(ids)))
-        if rows and ids and self._index:
-            self._scatter_rows(block, rows, self._colmap(ids))
-        return block
-
-    def matrix_column(self, order: Sequence[str], sink: str) -> np.ndarray:
-        ids = list(order)
-        col = np.zeros(len(ids))
-        t = self._index.get(sink)
-        if t is None or not ids:
-            return col
-        colmap = self._colmap(ids)
-        for ri in self._in.get(t, ()):
-            pos = colmap[ri]
-            if pos >= 0:
-                col[pos] = self._rows[ri][t]
-        return col
-
     def row_nonzeros(
         self, row_ids: Sequence[str], order: Sequence[str]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,17 +299,6 @@ class _SparseMirror:
         mat = self.to_matrix(ids)
         mat.setflags(write=False)
         return ids, mat
-
-    def export_payload(self, order: Sequence[str]) -> Dict[str, np.ndarray]:
-        """CSR snapshot of the mirror in ``order`` space for
-        shared-memory publication: ``indptr``/``indices``/``data`` with
-        column indices already translated to positions in ``order``.
-        Densifying row ``r`` as ``row[indices[lo:hi]] = data[lo:hi]``
-        performs exactly the scatter :meth:`matrix_rows` does, so the
-        floats land in the same cells (placement only)."""
-        ids = list(order)
-        indptr, indices, data = self.row_nonzeros(ids, ids)
-        return {"indptr": indptr, "indices": indices, "data": data}
 
 
 class SubjectiveGraph:
@@ -647,27 +549,16 @@ class SubjectiveGraph:
         freshly allocated and the caller's to mutate."""
         return self._mirror.to_matrix(list(order))
 
-    def matrix_rows(
-        self, row_ids: Sequence[str], order: Sequence[str]
-    ) -> np.ndarray:
-        """Dense ``(len(row_ids), len(order))`` block of the rows for
-        ``row_ids`` in column order ``order`` — the chunked sparse flow
-        path uses this to bound peak memory at O(chunk · n)."""
-        return self._mirror.matrix_rows(list(row_ids), list(order))
-
-    def matrix_column(self, order: Sequence[str], sink: str) -> np.ndarray:
-        """``weight(u, sink)`` for every ``u`` in ``order`` as a dense
-        vector (zero for unknown nodes)."""
-        return self._mirror.matrix_column(list(order), sink)
-
     def row_nonzeros(
         self, row_ids: Sequence[str], order: Sequence[str]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR triple ``(indptr, indices, data)`` of the stored
         nonzeros of ``row_ids``, columns as positions in ``order`` —
-        the row-access surface of the sparse-to-sparse flow kernel
-        (O(degree) per row under the sparse mirror).  Within-row column
-        order is storage order; see the kernel's reduction contract in
+        the row-access surface of the sparse-to-sparse flow kernel,
+        O(degree) per row.  **Sparse mirror only**: a dense mirror has
+        no stored-nonzero structure and is read through
+        :meth:`to_matrix`.  Within-row column order is storage order;
+        see the kernel's reduction contract in
         :func:`repro.bartercast.maxflow.two_hop_flows_to_sink`."""
         return self._mirror.row_nonzeros(list(row_ids), list(order))
 
@@ -676,7 +567,8 @@ class SubjectiveGraph:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sparse in-column view: ``(positions, weights)`` of the
         nodes with an edge *into* ``sink``, positions ascending in
-        ``order`` space (O(in-degree) under the sparse mirror)."""
+        ``order`` space, O(in-degree).  **Sparse mirror only**, like
+        :meth:`row_nonzeros`."""
         return self._mirror.column_nonzeros(list(order), sink)
 
     def dense(self) -> Tuple[List[str], np.ndarray]:
@@ -689,196 +581,11 @@ class SubjectiveGraph:
         for a stable order."""
         return self._mirror.dense()
 
-    def mirror_payload(
-        self, order: Sequence[str]
-    ) -> Tuple[str, Dict[str, np.ndarray]]:
-        """``(kind, arrays)`` snapshot of the matrix mirror in
-        ``order`` space, ready for shared-memory publication.
-
-        Dense mirrors export one ``(n, n)`` float64 weight block
-        (``{"W": ...}``), sparse mirrors CSR arrays
-        (``{"indptr", "indices", "data"}``) with columns translated to
-        positions in ``order``.  Either payload, rehydrated through
-        :class:`SharedGraphView`, reproduces :meth:`to_matrix` /
-        :meth:`matrix_rows` / :meth:`matrix_column` bit-for-bit — the
-        export is placement only, no arithmetic."""
-        return self._mirror.kind, self._mirror.export_payload(list(order))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SubjectiveGraph(owner={self.owner!r}, edges={self.num_edges()}, "
             f"backend={self.matrix_backend})"
         )
-
-
-class SharedGraphView:
-    """Read-only graph facade over an exported mirror snapshot.
-
-    Worker processes rebuild one of these from the arrays a
-    :meth:`SubjectiveGraph.mirror_payload` export published to shared
-    memory (see :class:`repro.sim.parallel.FlowRowPool`) and hand it
-    straight to :func:`~repro.bartercast.maxflow.two_hop_flows_to_sink`
-    — the view implements exactly the surface that function touches
-    (``nodes`` / ``matrix_backend`` / ``to_matrix`` / ``matrix_rows`` /
-    ``matrix_column``) without pickling or copying the weight data.
-
-    The snapshot is taken in a fixed ``ids`` order; every accessor
-    insists the requested order *is* that order (the flow kernel always
-    asks for ``sorted(nodes | {sink} | sources)``, which the exporter
-    pre-computed), so a mismatch is a caller bug and raises rather than
-    silently breaking bit-identity.
-    """
-
-    def __init__(self, ids: Sequence[str], kind: str, arrays: Dict[str, np.ndarray]):
-        if kind not in ("dense", "sparse"):
-            raise ValueError(f"unknown mirror kind {kind!r}")
-        self._ids: List[str] = list(ids)
-        self._kind = kind
-        self._arrays = arrays
-        self._pos: Dict[str, int] = {p: i for i, p in enumerate(self._ids)}
-
-    def nodes(self) -> Set[str]:
-        return set(self._ids)
-
-    def num_edges(self) -> int:
-        """Stored-edge count of the snapshot (the sparse-kernel
-        density heuristic reads it, exactly as it reads the live
-        graph's)."""
-        if self._kind == "dense":
-            return int(np.count_nonzero(self._arrays["W"]))
-        return int(self._arrays["data"].size)
-
-    @property
-    def matrix_backend(self) -> str:
-        return self._kind
-
-    def _check_order(self, order: Sequence[str]) -> None:
-        if list(order) != self._ids:
-            raise ValueError(
-                "SharedGraphView was exported for a different node order"
-            )
-
-    def to_matrix(self, order: Iterable[str]) -> np.ndarray:
-        self._check_order(list(order))
-        return self._arrays["W"]
-
-    def matrix_rows(
-        self, row_ids: Sequence[str], order: Sequence[str]
-    ) -> np.ndarray:
-        self._check_order(order)
-        if self._kind == "dense":
-            W = self._arrays["W"]
-            block = np.zeros((len(row_ids), len(self._ids)))
-            for pos, pid in enumerate(row_ids):
-                r = self._pos.get(pid)
-                if r is not None:
-                    block[pos, :] = W[r, :]
-            return block
-        indptr = self._arrays["indptr"]
-        indices = self._arrays["indices"]
-        data = self._arrays["data"]
-        block = np.zeros((len(row_ids), len(self._ids)))
-        for pos, pid in enumerate(row_ids):
-            r = self._pos.get(pid)
-            if r is None:
-                continue
-            lo, hi = indptr[r], indptr[r + 1]
-            block[pos, indices[lo:hi]] = data[lo:hi]
-        return block
-
-    def matrix_column(self, order: Sequence[str], sink: str) -> np.ndarray:
-        self._check_order(order)
-        n = len(self._ids)
-        col = np.zeros(n)
-        t = self._pos.get(sink)
-        if t is None:
-            return col
-        if self._kind == "dense":
-            col[:] = self._arrays["W"][:, t]
-            return col
-        indptr = self._arrays["indptr"]
-        indices = self._arrays["indices"]
-        data = self._arrays["data"]
-        hit = indices == t
-        if hit.any():
-            rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-            col[rows[hit]] = data[hit]
-        return col
-
-    def row_nonzeros(
-        self, row_ids: Sequence[str], order: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR triple for ``row_ids`` — under the sparse kind this
-        *slices the already-shipped CSR segment arrays* (no copy of the
-        weight data beyond the requested rows), which is what lets shm
-        workers run the sparse-to-sparse kernel directly over shared
-        memory."""
-        self._check_order(order)
-        if self._kind == "dense":
-            W = self._arrays["W"]
-            indptr = np.zeros(len(row_ids) + 1, dtype=np.int64)
-            col_parts: List[np.ndarray] = []
-            val_parts: List[np.ndarray] = []
-            for pos, pid in enumerate(row_ids):
-                r = self._pos.get(pid)
-                if r is None:
-                    indptr[pos + 1] = indptr[pos]
-                    continue
-                cols = np.flatnonzero(W[r])
-                col_parts.append(cols.astype(np.int64, copy=False))
-                val_parts.append(W[r, cols])
-                indptr[pos + 1] = indptr[pos] + cols.size
-        else:
-            src_indptr = self._arrays["indptr"]
-            src_indices = self._arrays["indices"]
-            src_data = self._arrays["data"]
-            indptr = np.zeros(len(row_ids) + 1, dtype=np.int64)
-            col_parts = []
-            val_parts = []
-            for pos, pid in enumerate(row_ids):
-                r = self._pos.get(pid)
-                if r is None:
-                    indptr[pos + 1] = indptr[pos]
-                    continue
-                lo, hi = src_indptr[r], src_indptr[r + 1]
-                col_parts.append(src_indices[lo:hi])
-                val_parts.append(src_data[lo:hi])
-                indptr[pos + 1] = indptr[pos] + (hi - lo)
-        indices = (
-            np.concatenate(col_parts) if col_parts else np.zeros(0, dtype=np.int64)
-        )
-        data = np.concatenate(val_parts) if val_parts else np.zeros(0, dtype=float)
-        return indptr, indices, data
-
-    def column_nonzeros(
-        self, order: Sequence[str], sink: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sparse in-column view ``(positions, values)``, positions
-        ascending — served from the shipped arrays without building the
-        dense column."""
-        self._check_order(order)
-        t = self._pos.get(sink)
-        if t is None:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=float)
-        if self._kind == "dense":
-            col = self._arrays["W"][:, t]
-            pos = np.flatnonzero(col)
-            return pos, np.ascontiguousarray(col[pos])
-        indptr = self._arrays["indptr"]
-        indices = self._arrays["indices"]
-        data = self._arrays["data"]
-        hit = indices == t
-        rows = np.repeat(
-            np.arange(len(self._ids), dtype=np.intp), np.diff(indptr)
-        )
-        # ``rows`` ascends with the CSR layout, so the hit positions
-        # come out already sorted (a row stores each column once).
-        return rows[hit], data[hit]
-
-    def release(self) -> None:
-        """Drop every array reference so the backing shared-memory
-        mapping can be closed (numpy views keep it pinned otherwise)."""
-        self._arrays = {}
 
 
 class ReadOnlySubjectiveGraph(SubjectiveGraph):

@@ -22,20 +22,6 @@ import numpy as np
 
 from repro.bartercast.graph import SubjectiveGraph
 
-#: Row-block size for the chunked sparse-backend batch flow
-#: evaluation: peak extra memory is ``chunk · n`` floats instead of the
-#: dense ``n²``.
-_SPARSE_FLOW_CHUNK = 256
-
-#: Kernel choices for the sparse-backend batch flow evaluation.
-SPARSE_FLOW_KERNELS = ("chunked", "csr", "auto")
-
-#: ``sparse_kernel="auto"`` picks the CSR×column kernel while the
-#: graph's stored edges cover at most this fraction of the ``n²``
-#: cells; denser graphs keep the chunked row blocks, whose per-block
-#: numpy ops amortise better once most cells are nonzero anyway.
-_CSR_DENSITY_CUTOFF = 0.25
-
 
 def two_hop_flow(graph: SubjectiveGraph, source: str, sink: str) -> float:
     """Max flow from ``source`` to ``sink`` over paths of ≤ 2 edges.
@@ -56,10 +42,7 @@ def two_hop_flow(graph: SubjectiveGraph, source: str, sink: str) -> float:
 
 
 def two_hop_flows_to_sink(
-    graph: SubjectiveGraph,
-    sources: Sequence[str],
-    sink: str,
-    sparse_kernel: str = "auto",
+    graph: SubjectiveGraph, sources: Sequence[str], sink: str
 ) -> np.ndarray:
     """``f(s→sink)`` for every ``s`` in ``sources`` (2-hop bound).
 
@@ -68,40 +51,29 @@ def two_hop_flows_to_sink(
     in :func:`two_hop_flow`; the node order is sorted so results are
     reproducible across processes.
 
-    **Reduction-order contract.** Every evaluation path reduces the
-    ``min`` terms the same way: terms are laid out over the **sink's
-    in-column support** (the positions ``k`` with ``w(k,t) > 0``, in
-    ascending sorted-node-order position — ``min(·, 0) = 0`` makes any
-    other ``k`` an exact zero) and summed by numpy's pairwise
-    reduction over that contiguous layout; the direct edge is then
-    added as one scalar.  A term's value and its slot in the layout
-    are independent of which path produced them, so the dense path,
-    the chunked sparse path and the CSR kernel — locally, in threads,
-    or in shm worker processes — are **bit-identical** (gated in
-    ``make bench-smoke``).
+    The dense mirror evaluates it as one ``minimum`` + row sum over the
+    weight matrix; the sparse mirror runs :func:`_two_hop_flows_csr`,
+    which touches only each row's stored nonzeros (O(n) scratch instead
+    of n² cells — the reason the sparse backend exists).
 
-    ``sparse_kernel`` selects the sparse-backend evaluation:
-    ``"chunked"`` densifies row blocks (O(chunk · n) peak memory),
-    ``"csr"`` is the sparse-to-sparse kernel that touches only each
-    row's stored nonzeros against the sink's in-column (O(n) peak) and
-    ``"auto"`` (default) picks CSR below an edge-density cutoff.
-    Ignored under the dense backend.
+    **Reduction-order contract.** Both paths lay the ``min`` terms out
+    over the **sink's in-column support** (the positions ``k`` with
+    ``w(k,t) > 0``, in ascending sorted-node-order position —
+    ``min(·, 0) = 0`` makes any other ``k`` an exact zero) and add them
+    **sequentially in that order**: ``W[:, support]`` is F-contiguous,
+    so the dense ``.sum(axis=1)`` accumulates column by column, and the
+    CSR kernel accumulates its slot buffer left to right.  The direct
+    edge is then added as one scalar.  A term's value and its slot are
+    independent of which path produced them, so the two backends are
+    **bit-identical** on fractional weights too — a graph that crosses
+    from the dense to the sparse mirror mid-run changes no flow (gated
+    in ``make bench-smoke``).
     """
-    if sparse_kernel not in SPARSE_FLOW_KERNELS:
-        raise ValueError(
-            f"sparse_kernel must be one of {SPARSE_FLOW_KERNELS}, "
-            f"got {sparse_kernel!r}"
-        )
     ids = sorted(graph.nodes() | {sink} | set(sources))
     idx = {p: i for i, p in enumerate(ids)}
     t = idx[sink]
     if graph.matrix_backend == "sparse":
-        if sparse_kernel == "auto":
-            density = graph.num_edges() / max(1, len(ids)) ** 2
-            sparse_kernel = "csr" if density <= _CSR_DENSITY_CUTOFF else "chunked"
-        if sparse_kernel == "csr":
-            return _two_hop_flows_csr(graph, list(sources), sink, ids, idx, t)
-        return _two_hop_flows_sparse(graph, list(sources), sink, ids, idx, t)
+        return _two_hop_flows_csr(graph, list(sources), sink, ids, idx, t)
     W = graph.to_matrix(ids)
     col = W[:, t]
     support = np.flatnonzero(col)
@@ -109,36 +81,6 @@ def two_hop_flows_to_sink(
     flows = col + np.minimum(W[:, support], colv[None, :]).sum(axis=1)
     flows[t] = 0.0
     return flows[[idx[s] for s in sources]]
-
-
-def _two_hop_flows_sparse(
-    graph: SubjectiveGraph,
-    sources: Sequence[str],
-    sink: str,
-    ids: Sequence[str],
-    idx: Dict[str, int],
-    t: int,
-) -> np.ndarray:
-    """Chunked evaluation of the 2-hop closed form for sparse graphs:
-    dense row blocks of at most ``_SPARSE_FLOW_CHUNK`` sources, so peak
-    memory is O(chunk · n) instead of the dense n².  The min terms are
-    sliced down to the sink's in-column support before the row sum, so
-    the reduction layout — and therefore every bit — matches the dense
-    path and the CSR kernel."""
-    n_src = len(sources)
-    col = graph.matrix_column(ids, sink)
-    support = np.flatnonzero(col)
-    colv = np.ascontiguousarray(col[support])
-    spos = np.fromiter((idx[s] for s in sources), dtype=np.intp, count=n_src)
-    flows = np.empty(n_src, dtype=float)
-    for start in range(0, n_src, _SPARSE_FLOW_CHUNK):
-        stop = min(start + _SPARSE_FLOW_CHUNK, n_src)
-        block = graph.matrix_rows(sources[start:stop], ids)
-        flows[start:stop] = col[spos[start:stop]] + np.minimum(
-            block[:, support], colv[None, :]
-        ).sum(axis=1)
-    flows[spos == t] = 0.0
-    return flows
 
 
 def _two_hop_flows_csr(
@@ -156,15 +98,16 @@ def _two_hop_flows_csr(
     intersected with the sink's in-column support
     (:meth:`~repro.bartercast.graph.SubjectiveGraph.column_nonzeros`)
     — no dense row block is ever materialised, so peak extra memory is
-    O(n) scratch (the support buffer plus two translation arrays)
-    against the chunked path's O(chunk · n) blocks.
+    O(n) scratch (the support buffer plus two translation arrays).
 
-    Bit-identity with the other paths comes from the scatter buffer:
+    Bit-identity with the dense path comes from the scatter buffer:
     min terms land at their in-column-support slot and the buffer is
-    pairwise-summed in that fixed ascending-position layout, identical
-    to the row layout the dense/chunked paths reduce over.  The
-    scatter order (rows iterate stored nonzeros in storage order) is
-    irrelevant — each slot is written at most once per row."""
+    accumulated left to right in that fixed ascending-position layout —
+    the order in which the dense path's row sum adds its columns
+    (``buf.sum()`` would reduce pairwise and differ in the last ulp on
+    fractional weights from 8 slots up).  The scatter order (rows
+    iterate stored nonzeros in storage order) is irrelevant — each slot
+    is written at most once per row."""
     n = len(ids)
     n_src = len(sources)
     cpos, cvals = graph.column_nonzeros(ids, sink)
@@ -177,15 +120,16 @@ def _two_hop_flows_csr(
     indptr, indices, data = graph.row_nonzeros(sources, ids)
     buf = np.zeros(cpos.size)
     spos = np.fromiter((idx[s] for s in sources), dtype=np.intp, count=n_src)
-    flows = np.empty(n_src, dtype=float)
-    for i in range(n_src):
-        lo, hi = indptr[i], indptr[i + 1]
-        slots = slot_of[indices[lo:hi]]
-        keep = slots >= 0
-        hit = slots[keep]
-        buf[hit] = np.minimum(data[lo:hi][keep], cvals[hit])
-        flows[i] = direct[spos[i]] + buf.sum()
-        buf[hit] = 0.0
+    flows = direct[spos]
+    if cpos.size:
+        for i in range(n_src):
+            lo, hi = indptr[i], indptr[i + 1]
+            slots = slot_of[indices[lo:hi]]
+            keep = slots >= 0
+            hit = slots[keep]
+            buf[hit] = np.minimum(data[lo:hi][keep], cvals[hit])
+            flows[i] += np.add.accumulate(buf)[-1]
+            buf[hit] = 0.0
     flows[spos == t] = 0.0
     return flows
 

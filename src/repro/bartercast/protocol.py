@@ -71,13 +71,6 @@ class BarterCastConfig:
     #: Node count at which ``graph_backend="auto"`` converts a graph's
     #: mirror from dense to sparse.
     sparse_graph_threshold: int = DEFAULT_SPARSE_THRESHOLD
-    #: Batch flow evaluation under the sparse graph backend:
-    #: ``"chunked"`` (dense row blocks, O(chunk·n) peak memory),
-    #: ``"csr"`` (sparse-to-sparse CSR×column kernel, O(n) peak) or
-    #: ``"auto"`` (CSR below a density cutoff).  All kernels are
-    #: bit-identical — see ``two_hop_flows_to_sink``'s reduction-order
-    #: contract.  Ignored under the dense backend.
-    sparse_flow_kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_records_per_exchange < 1:
@@ -92,8 +85,6 @@ class BarterCastConfig:
             raise ValueError("graph_backend must be dense, sparse or auto")
         if self.sparse_graph_threshold < 0:
             raise ValueError("sparse_graph_threshold must be >= 0")
-        if self.sparse_flow_kernel not in ("chunked", "csr", "auto"):
-            raise ValueError("sparse_flow_kernel must be chunked, csr or auto")
 
 
 #: Population size up to which the adaptive contribution-cache bound
@@ -424,9 +415,7 @@ class BarterCastService:
             self.batch_hits += 1
             return st.batch_cache[1].copy()
         self.batch_misses += 1
-        flows = two_hop_flows_to_sink(
-            graph, subjects, observer, sparse_kernel=self.config.sparse_flow_kernel
-        )
+        flows = two_hop_flows_to_sink(graph, subjects, observer)
         if self.config.contribution_cache:
             st.batch_cache = (key, flows)
             return flows.copy()

@@ -18,7 +18,7 @@ BarterCast; experience is evaluated on demand at each vote exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -70,22 +70,6 @@ class RuntimeConfig:
     #: paper's loop; larger fan-outs gate the whole round's partner set
     #: through one batched ``experienced_many`` evaluation.
     vote_fanout: int = 1
-    #: Convenience mirror of ``BarterCastConfig.contrib_cache_entries``
-    #: (LRU bound on per-node contribution caches; 0 = unbounded).
-    #: When set it overrides the value in ``bartercast``.
-    contrib_cache_entries: Optional[int] = None
-    #: Convenience mirror of ``BarterCastConfig.graph_backend``
-    #: (``"dense"`` / ``"sparse"`` / ``"auto"`` matrix mirror for every
-    #: subjective graph).  When set it overrides ``bartercast``.
-    graph_backend: Optional[str] = None
-    #: Convenience mirror of ``BarterCastConfig.sparse_graph_threshold``
-    #: (node count at which ``"auto"`` graphs switch to the sparse
-    #: mirror).  When set it overrides ``bartercast``.
-    sparse_graph_threshold: Optional[int] = None
-    #: Convenience mirror of ``BarterCastConfig.sparse_flow_kernel``
-    #: (``"chunked"`` / ``"csr"`` / ``"auto"`` batch flow kernel under
-    #: the sparse graph backend).  When set it overrides ``bartercast``.
-    sparse_flow_kernel: Optional[str] = None
     #: Probability that any protocol exchange fails (connection reset,
     #: NAT timeout, …) beyond what churn already causes.  Failure
     #: injection for robustness tests; 0 in the paper's experiments.
@@ -126,22 +110,6 @@ class RuntimeConfig:
             raise ValueError("jitter_fraction must be in [0, 1)")
         if self.vote_fanout < 1:
             raise ValueError("vote_fanout must be >= 1")
-        if self.contrib_cache_entries is not None and self.contrib_cache_entries < 0:
-            raise ValueError("contrib_cache_entries must be >= 0")
-        if self.graph_backend is not None and self.graph_backend not in (
-            "dense",
-            "sparse",
-            "auto",
-        ):
-            raise ValueError("graph_backend must be dense, sparse or auto")
-        if self.sparse_graph_threshold is not None and self.sparse_graph_threshold < 0:
-            raise ValueError("sparse_graph_threshold must be >= 0")
-        if self.sparse_flow_kernel is not None and self.sparse_flow_kernel not in (
-            "chunked",
-            "csr",
-            "auto",
-        ):
-            raise ValueError("sparse_flow_kernel must be chunked, csr or auto")
         if self.population_engine not in ("object", "soa", "auto"):
             raise ValueError("population_engine must be object, soa or auto")
         if self.population_engine_threshold < 0:
@@ -183,19 +151,7 @@ class ProtocolRuntime:
         else:
             self.pss = OraclePSS(self.registry, rng.stream("pss"))
 
-        bartercast_config = self.config.bartercast
-        overrides: Dict[str, object] = {}
-        if self.config.contrib_cache_entries is not None:
-            overrides["contrib_cache_entries"] = self.config.contrib_cache_entries
-        if self.config.graph_backend is not None:
-            overrides["graph_backend"] = self.config.graph_backend
-        if self.config.sparse_graph_threshold is not None:
-            overrides["sparse_graph_threshold"] = self.config.sparse_graph_threshold
-        if self.config.sparse_flow_kernel is not None:
-            overrides["sparse_flow_kernel"] = self.config.sparse_flow_kernel
-        if overrides:
-            bartercast_config = replace(bartercast_config, **overrides)
-        self.bartercast = BarterCastService(self.pss, bartercast_config)
+        self.bartercast = BarterCastService(self.pss, self.config.bartercast)
         self.bartercast.resolve_cache_budget(len(session.trace.peers))
         session.ledger.add_listener(self.bartercast.local_transfer)
 

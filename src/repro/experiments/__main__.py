@@ -39,37 +39,22 @@ def _quick_trace(duration: float) -> TraceGeneratorConfig:
     return TraceGeneratorConfig(n_peers=50, n_swarms=6, duration=duration)
 
 
-def _bartercast_overrides(args) -> dict:
-    """The CLI's non-default runtime knobs (BarterCast backends plus
-    the population engine) as RuntimeConfig kwargs."""
-    overrides = {}
-    if args.graph_backend is not None:
-        overrides["graph_backend"] = args.graph_backend
-    if args.sparse_kernel is not None:
-        overrides["sparse_flow_kernel"] = args.sparse_kernel
-    if args.population_engine is not None:
-        overrides["population_engine"] = args.population_engine
-    return overrides
-
-
-def _runtime_overrides(args) -> "RuntimeConfig | None":
-    """A RuntimeConfig carrying the CLI's BarterCast knobs, or None
-    when every knob is at its default (keeping configs bit-identical
-    to the pre-flag code path)."""
-    overrides = _bartercast_overrides(args)
-    if not overrides:
-        return None
-    return RuntimeConfig(**overrides)
+def _runtime_overrides(args) -> dict:
+    """The CLI's non-default runtime knobs as RuntimeConfig kwargs
+    (empty when every knob is at its default, keeping configs
+    bit-identical to the flag-less code path)."""
+    if args.population_engine is None:
+        return {}
+    return {"population_engine": args.population_engine}
 
 
 def run_fig5(args) -> None:
     duration = 1 * DAY if args.quick else 7 * DAY
+    overrides = _runtime_overrides(args)
     cfg = ExperienceFormationConfig(
         seed=args.seed,
         duration=duration,
-        runtime=_runtime_overrides(args),
-        flow_jobs=None if args.flow_jobs == 0 else args.flow_jobs,
-        flow_executor=args.flow_executor,
+        runtime=RuntimeConfig(**overrides) if overrides else None,
     )
     if args.quick:
         cfg.trace = _quick_trace(duration)
@@ -83,10 +68,10 @@ def run_fig5(args) -> None:
 def run_fig6(args) -> None:
     duration = 1.5 * DAY if args.quick else 7 * DAY
     cfg = VoteSamplingConfig(seed=args.seed, duration=duration)
-    overrides = _bartercast_overrides(args)
+    overrides = _runtime_overrides(args)
     if overrides:
         # Mirror the experiment's own defaults, adding only the
-        # requested BarterCast overrides.
+        # requested overrides.
         cfg.runtime = RuntimeConfig(
             node=cfg.node,
             experience_threshold=cfg.experience_threshold,
@@ -170,7 +155,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="worker processes for independent runs "
-        "(default: min(n_runs, cpu_count); 1 = sequential)",
+        "(default: min(n_runs, usable CPUs); 1 = sequential)",
     )
     parser.add_argument(
         "--crowd",
@@ -180,23 +165,6 @@ def main(argv=None) -> int:
         help="fig8 flash-crowd sizes",
     )
     parser.add_argument(
-        "--graph-backend",
-        choices=["auto", "dense", "sparse"],
-        default=None,
-        help="subjective-graph matrix backend (default: the service's "
-        "auto setting — dense at paper scale, sparse past the "
-        "node-count threshold)",
-    )
-    parser.add_argument(
-        "--sparse-kernel",
-        choices=["auto", "chunked", "csr"],
-        default=None,
-        help="batch flow kernel under the sparse graph backend: "
-        "chunked dense row blocks, the sparse-to-sparse CSR kernel, "
-        "or auto density-based selection (bit-identical either way; "
-        "ignored under the dense backend)",
-    )
-    parser.add_argument(
         "--population-engine",
         choices=["auto", "object", "soa"],
         default=None,
@@ -204,22 +172,6 @@ def main(argv=None) -> int:
         "(object), the columnar batched population engine (soa), or "
         "population-size-based selection (auto; the default).  The "
         "tick schedule and every result are bit-identical either way",
-    )
-    parser.add_argument(
-        "--flow-jobs",
-        type=int,
-        default=1,
-        help="workers for the fig5 flow-matrix row recompute "
-        "(0 = one per CPU; results are bit-identical at any value)",
-    )
-    parser.add_argument(
-        "--flow-executor",
-        choices=["thread", "process", "auto"],
-        default="thread",
-        help="execution tier for parallel flow rows: threads share the "
-        "live graphs, processes shard rows over workers with graphs "
-        "published via shared memory (bit-identical either way; "
-        "ignored when --flow-jobs=1)",
     )
     args = parser.parse_args(argv)
     if args.figure in ("fig5", "all"):

@@ -39,28 +39,12 @@ class ExperienceFormationConfig:
     sample_interval: float = 3600.0
     trace: TraceGeneratorConfig = field(default_factory=TraceGeneratorConfig)
     runtime: Optional[RuntimeConfig] = None
-    #: Worker count for the flow-matrix changed-row recompute (1 =
-    #: serial, ``None`` = one per CPU).  Any value yields bit-identical
-    #: CEV curves; see :class:`~repro.metrics.cev.FlowMatrixCache`.
-    flow_jobs: Optional[int] = 1
-    #: Execution tier for parallel flow rows: ``"thread"`` (shared
-    #: graphs, GIL released inside numpy), ``"process"`` (rows sharded
-    #: over worker processes, graphs published via shared memory) or
-    #: ``"auto"``.  Bit-identical across tiers; ignored when
-    #: ``flow_jobs=1``.
-    flow_executor: str = "thread"
 
     def __post_init__(self) -> None:
         if not self.thresholds:
             raise ValueError("need at least one threshold")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.flow_jobs is not None and self.flow_jobs < 1:
-            raise ValueError("flow_jobs must be >= 1 (or None for auto)")
-        if self.flow_executor not in ("thread", "process", "auto"):
-            raise ValueError(
-                "flow_executor must be 'thread', 'process' or 'auto'"
-            )
 
 
 class ExperienceFormationExperiment:
@@ -92,12 +76,7 @@ class ExperienceFormationExperiment:
         # One incremental flow-matrix cache shared by every sample:
         # only observers whose graph changed since the previous sample
         # cost a row recompute.
-        flow_cache = FlowMatrixCache(
-            stack.runtime.bartercast,
-            peers,
-            jobs=cfg.flow_jobs,
-            executor=cfg.flow_executor,
-        )
+        flow_cache = FlowMatrixCache(stack.runtime.bartercast, peers)
 
         def probe():
             cev = collective_experience_value(
@@ -106,11 +85,7 @@ class ExperienceFormationExperiment:
             return {f"T={t / MB:g}MB": v for t, v in cev.items()}
 
         stack.recorder.add_probe("cev", probe)
-        try:
-            stack.run(until=cfg.duration)
-        finally:
-            # Shut the process-tier worker pool down (no-op otherwise).
-            flow_cache.close()
+        stack.run(until=cfg.duration)
 
         result = ExperimentResult(name="fig5-experience-formation")
         result.series = dict(stack.recorder.series)
@@ -121,7 +96,5 @@ class ExperienceFormationExperiment:
             "total_transfer_mb": stack.session.ledger.total_bytes / MB,
             "flow_rows_recomputed": flow_cache.rows_recomputed,
             "flow_rows_reused": flow_cache.rows_reused,
-            "flow_jobs": cfg.flow_jobs,
-            "flow_executor": cfg.flow_executor,
         }
         return result

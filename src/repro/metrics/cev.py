@@ -19,26 +19,11 @@ for every threshold ``T`` simultaneously (Fig 5 plots several).
 
 from __future__ import annotations
 
-import warnings
-import weakref
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bartercast.maxflow import two_hop_flows_to_sink
 from repro.bartercast.protocol import BarterCastService
-from repro.sim.parallel import (
-    FlowRowPool,
-    _spawn_main_is_reimportable,
-    resolve_worker_count,
-)
-
-#: Population size past which ``executor="auto"`` picks processes over
-#: threads: below this, per-row numpy work is too small to amortise the
-#: shared-memory publish + task dispatch, and threads (which share the
-#: graph in place) win.
-_AUTO_PROCESS_MIN_PEERS = 512
 
 
 def flows_to_observer(
@@ -67,177 +52,30 @@ class FlowMatrixCache:
     reused verbatim, so the result is bit-identical to a full
     recompute.  ``rows_recomputed`` / ``rows_reused`` expose the split
     for telemetry and tests.
-
-    ``jobs`` parallelises the changed-row recompute: ``jobs=1``
-    (default) is the exact serial path, ``jobs=None`` auto-sizes to the
-    CPU count.  ``executor`` picks *where* parallel rows run:
-
-    * ``"thread"`` (default) — a thread pool; numpy releases the GIL
-      inside the dense ``minimum`` + ``sum`` closed form, so rows
-      genuinely overlap on multi-core machines while sharing the live
-      graphs in place;
-    * ``"process"`` — a persistent
-      :class:`~repro.sim.parallel.FlowRowPool`; each stale observer's
-      adjacency snapshot is published through shared memory and workers
-      run the same closed form in separate interpreters (no GIL, no
-      shared allocator).  Worth it for large populations where the
-      per-row gather loops themselves become the bottleneck;
-    * ``"auto"`` — processes for populations of at least
-      ``_AUTO_PROCESS_MIN_PEERS`` peers, threads below.
-
-    Parallel workers of either kind evaluate
-    :func:`two_hop_flows_to_sink` directly on each observer's graph —
-    a pure read, bit-identical to the service's batch oracle —
-    bypassing the service's batch memo and its telemetry counters
-    (which are not thread-safe).  Row values and the
-    ``rows_recomputed``/``rows_reused`` split are identical for every
-    ``jobs``/``executor`` combination; non-2-hop configurations always
-    recompute serially because their fallback path is the per-pair
-    bounded maxflow.  ``jobs=1`` never spawns workers or creates
-    shared-memory segments regardless of ``executor``.
-
-    When the process tier cannot run safely (spawn children could not
-    re-import the parent's ``__main__``, e.g. a script fed via stdin)
-    the cache degrades to threads with a :class:`RuntimeWarning` rather
-    than hanging.  Call :meth:`close` (or rely on the finalizer) to
-    shut a process pool down.
     """
 
-    def __init__(
-        self,
-        bartercast: BarterCastService,
-        peers: Sequence[str],
-        jobs: Optional[int] = 1,
-        executor: str = "thread",
-    ):
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be >= 1 (or None for auto)")
-        if executor not in ("thread", "process", "auto"):
-            raise ValueError(
-                f"executor must be 'thread', 'process' or 'auto', "
-                f"got {executor!r}"
-            )
+    def __init__(self, bartercast: BarterCastService, peers: Sequence[str]):
         self.bartercast = bartercast
         self.peers: List[str] = list(peers)
-        self.jobs = jobs
-        self.executor = executor
-        self._row_pool: Optional[FlowRowPool] = None
-        self._finalizer = None
         n = len(self.peers)
         self._versions: List[Optional[int]] = [None] * n
         self._F = np.zeros((n, n))
         self.rows_recomputed = 0
         self.rows_reused = 0
 
-    def invalidate(self) -> None:
-        """Forget every cached row: the next :meth:`matrix` call
-        recomputes the full population.  Counters and any process pool
-        are left untouched — benchmarks use this to time repeated cold
-        recomputes against a warm worker pool."""
-        self._versions = [None] * len(self.peers)
-
-    def close(self) -> None:
-        """Shut down the process pool, if one was ever started
-        (idempotent; thread/serial configurations hold no resources)."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._row_pool = None
-
-    def _resolve_executor(self) -> str:
-        """The executor actually used this call (``"auto"`` resolved,
-        unsafe process tier degraded to threads with a warning)."""
-        executor = self.executor
-        if executor == "auto":
-            executor = (
-                "process"
-                if len(self.peers) >= _AUTO_PROCESS_MIN_PEERS
-                else "thread"
-            )
-        if executor == "process" and not _spawn_main_is_reimportable():
-            warnings.warn(
-                "spawn workers cannot re-import this __main__ "
-                "(script fed via stdin?); flow rows fall back to the "
-                "thread executor",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            executor = "thread"
-        return executor
-
     def matrix(self) -> np.ndarray:
         """The up-to-date flow matrix (a live internal array — callers
         must treat it as read-only; :func:`flow_matrix` hands out
         copies)."""
-        stale: List[Tuple[int, str, int]] = []
         for row, observer in enumerate(self.peers):
             version = self.bartercast.graph_of(observer).version
             if self._versions[row] == version:
                 self.rows_reused += 1
-            else:
-                stale.append((row, observer, version))
-        if not stale:
-            return self._F
-        workers = resolve_worker_count(len(stale), self.jobs)
-        if workers > 1 and self.bartercast.config.max_hops == 2:
-            if self._resolve_executor() == "process":
-                computed = self._recompute_rows_process(stale)
-            else:
-                computed = self._recompute_rows_parallel(stale, workers)
-        else:
-            computed = [
-                (row, version, flows_to_observer(self.bartercast, observer, self.peers))
-                for row, observer, version in stale
-            ]
-        for row, version, values in computed:
-            self._F[row, :] = values
+                continue
+            self._F[row, :] = flows_to_observer(self.bartercast, observer, self.peers)
             self._versions[row] = version
             self.rows_recomputed += 1
         return self._F
-
-    def _recompute_rows_parallel(
-        self, stale: Sequence[Tuple[int, str, int]], workers: int
-    ) -> List[Tuple[int, int, np.ndarray]]:
-        """Changed rows chunked across a thread pool; results are
-        collected (in row order) and written back on the caller's
-        thread so the cache itself is only ever mutated serially."""
-        bartercast = self.bartercast
-        peers = self.peers
-
-        kernel = bartercast.config.sparse_flow_kernel
-
-        def compute(item: Tuple[int, str, int]) -> Tuple[int, int, np.ndarray]:
-            row, observer, version = item
-            graph = bartercast.graph_of(observer)
-            return row, version, two_hop_flows_to_sink(
-                graph, peers, observer, sparse_kernel=kernel
-            )
-
-        chunksize = max(1, -(-len(stale) // workers))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(compute, stale, chunksize=chunksize))
-
-    def _recompute_rows_process(
-        self, stale: Sequence[Tuple[int, str, int]]
-    ) -> List[Tuple[int, int, np.ndarray]]:
-        """Changed rows sharded over the persistent
-        :class:`~repro.sim.parallel.FlowRowPool` (started lazily on
-        first use, shut down by :meth:`close` or the finalizer)."""
-        if self._row_pool is None:
-            self._row_pool = FlowRowPool(
-                self.peers,
-                jobs=self.jobs,
-                sparse_kernel=self.bartercast.config.sparse_flow_kernel,
-            )
-            self._finalizer = weakref.finalize(self, self._row_pool.close)
-        rows = self._row_pool.run_rows(
-            [
-                (row, observer, self.bartercast.graph_of(observer))
-                for row, observer, _version in stale
-            ]
-        )
-        versions = {row: version for row, _observer, version in stale}
-        return [(row, versions[row], values) for row, values in rows]
 
 
 def flow_matrix(

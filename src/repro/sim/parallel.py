@@ -11,9 +11,9 @@ is untouched, only *where* it runs changes.
 
 Spawn-safety
 ------------
-The pool uses the ``spawn`` start method by default (fork can silently
-copy a half-initialised interpreter under threads, and spawn is the
-only portable choice).  That imposes two constraints honoured here:
+The pool uses the ``spawn`` start method (fork can silently copy a
+half-initialised interpreter under threads, and spawn is the only
+portable choice).  That imposes two constraints honoured here:
 
 * the worker entrypoint (:func:`_run_task`) is a module-level function,
   so children resolve it by import rather than by pickling code;
@@ -21,42 +21,24 @@ only portable choice).  That imposes two constraints honoured here:
   are shipped after :func:`_strip` clears unpicklable run artefacts
   (e.g. a cached :class:`~repro.experiments.common.SimulationStack`),
   and results come back as :class:`PackedResult` — plain ``(n, 2)``
-  numpy arrays plus a metadata dict — rather than live objects.
+  numpy arrays plus a metadata dict — rather than live objects.  A
+  replica's series are a few kilobytes, so they ride the pool's own
+  pickle stream.
 
 ``jobs=1`` (or a single task) short-circuits to plain in-process calls:
 no pool, no pickling, byte-for-byte today's sequential behaviour.
 
-Shared-memory spool
--------------------
-Two hot paths used to push bulk float data through pickle: replica
-results (each worker returned its ``(n, 2)`` series arrays inside a
-pickled :class:`PackedResult`) and — had it been built on processes —
-the flow-matrix changed-row recompute, where every worker would need an
-observer's full adjacency.  Both now ride one mechanism: numpy arrays
-are packed into ``multiprocessing.shared_memory`` segments (a pickled
-:class:`SegmentSpec` carries only the segment name and a header of
-per-array offsets/dtypes/shapes) and the consumer maps them directly.
-
-* :class:`ShmSpool` owns parent-created segments and guarantees
-  unlink-on-exit even when a worker crashes mid-batch;
-* :class:`FlowRowPool` shards :class:`~repro.metrics.cev.FlowMatrixCache`
-  changed-row recomputes over worker *processes*: each observer's
-  adjacency snapshot (dense weight block, or sparse CSR arrays) is
-  published via the spool, workers rebuild a zero-copy
-  :class:`~repro.bartercast.graph.SharedGraphView` and run the pure
-  :func:`~repro.bartercast.maxflow.two_hop_flows_to_sink`, and rows
-  come back through a single parent-owned result block — nothing but
-  task headers crosses the process boundary by pickle;
-* :class:`ReplicaPool` workers publish their series arrays the same
-  way (``result_transport="shm"``), replacing the pickled arrays with
-  a memory-mapped result buffer; the parent copies them out and
-  unlinks.  Bytes are copied verbatim either way, so results stay
-  bit-identical to the pickle transport (and to sequential runs).
+Shared-memory segments
+----------------------
+:func:`create_segment` / :class:`AttachedSegment` pack numpy arrays
+into one ``multiprocessing.shared_memory`` block described by a
+picklable :class:`SegmentSpec`.  Their one caller is the service
+supervisor (``repro.sim.service``), whose shard workers write their
+status counters into a block the parent reads without a round trip.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import multiprocessing
 import os
@@ -73,14 +55,19 @@ import numpy as np
 def resolve_worker_count(n_tasks: int, jobs: Optional[int]) -> int:
     """Effective worker count for ``n_tasks`` under a ``jobs`` cap.
 
-    ``jobs=None`` auto-sizes to the machine's CPU count; the result is
-    always in ``[1, n_tasks]``.  Shared by :class:`ReplicaPool`
-    (processes) and :class:`~repro.metrics.cev.FlowMatrixCache`
-    (threads) so every parallel knob in the repo resolves the same way.
+    ``jobs=None`` auto-sizes to the CPUs this process may run on (its
+    affinity mask where the platform exposes one — inside a CPU-pinned
+    container ``os.cpu_count()`` reports the host's cores); the result
+    is always in ``[1, n_tasks]``.
     """
     if n_tasks <= 0:
         return 1
-    cap = jobs if jobs is not None else (os.cpu_count() or 1)
+    if jobs is not None:
+        cap = jobs
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
     return max(1, min(n_tasks, cap))
 
 
@@ -181,68 +168,6 @@ class AttachedSegment:
             # A still-referenced view pins the mapping; the segment is
             # already unlinked above, so nothing leaks system-wide.
             pass
-
-
-class ShmSpool:
-    """Registry of parent-created segments with guaranteed cleanup.
-
-    Use as a context manager around a fan-out batch: every segment
-    created through the spool is unlinked on exit — including the
-    exceptional exits a crashed worker causes — so no ``/dev/shm``
-    entry can outlive the batch."""
-
-    def __init__(self) -> None:
-        self._segments: List[shared_memory.SharedMemory] = []
-        self.created = 0
-
-    def publish(self, arrays: Dict[str, np.ndarray]) -> SegmentSpec:
-        """Copy ``arrays`` into a fresh spool-owned segment."""
-        shm, spec = create_segment(arrays)
-        self._segments.append(shm)
-        self.created += 1
-        return spec
-
-    def allocate(
-        self, shapes: Dict[str, Tuple[Tuple[int, ...], str]]
-    ) -> Tuple[SegmentSpec, Dict[str, np.ndarray]]:
-        """Create a zero-filled segment and return writable parent
-        views — the result-collection buffer workers write into."""
-        entries, total = _pack_layout(
-            [
-                (key, np.empty(shape, dtype=np.dtype(dtype)))
-                for key, (shape, dtype) in shapes.items()
-            ]
-        )
-        shm = shared_memory.SharedMemory(
-            create=True, size=total, name=_unique_segment_name()
-        )
-        shm.buf[:] = b"\x00" * len(shm.buf)
-        self._segments.append(shm)
-        self.created += 1
-        views = {
-            key: np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=off)
-            for key, off, dtype, shape in entries
-        }
-        return SegmentSpec(name=shm.name, entries=entries), views
-
-    def close(self) -> None:
-        """Unlink (always) and close (best effort) every segment."""
-        segments, self._segments = self._segments, []
-        for shm in segments:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - a view outlived us
-                pass
-
-    def __enter__(self) -> "ShmSpool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 @dataclass
@@ -358,245 +283,20 @@ def _spawn_main_is_reimportable() -> bool:
 spawn_main_is_reimportable = _spawn_main_is_reimportable
 
 
-# ----------------------------------------------------------------------
-# Process-sharded flow rows
-# ----------------------------------------------------------------------
-
-#: Peer list installed once per worker process (pool initializer), so
-#: per-task pickles carry only a row index and a segment header.
-_FLOW_WORKER_PEERS: Optional[List[str]] = None
-
-#: Test-only hook: when this environment variable is set, flow workers
-#: die abruptly instead of computing — used to verify that the parent
-#: still unlinks every segment after a worker crash.
-_FLOW_CRASH_ENV = "REPRO_TEST_CRASH_FLOW_WORKER"
-
-
-def _flow_worker_init(peers: List[str]) -> None:
-    """Pool initializer: pin the (fixed) peer list in the worker."""
-    global _FLOW_WORKER_PEERS
-    _FLOW_WORKER_PEERS = list(peers)
-
-
-def _flow_row_task(task) -> int:
-    """Worker entrypoint: one observer's flow row.
-
-    Maps the observer's adjacency snapshot from shared memory, runs the
-    pure :func:`two_hop_flows_to_sink` over a zero-copy
-    :class:`~repro.bartercast.graph.SharedGraphView`, and writes the
-    row into the parent-owned result block.  Nothing but this small
-    task tuple and the returned index crosses by pickle."""
-    from repro.bartercast.graph import SharedGraphView
-    from repro.bartercast.maxflow import two_hop_flows_to_sink
-
-    index, sink, kind, graph_spec, result_spec, sparse_kernel = task
-    if os.environ.get(_FLOW_CRASH_ENV):
-        os._exit(2)
-    assert _FLOW_WORKER_PEERS is not None, "worker initializer did not run"
-    seg = AttachedSegment(graph_spec)
-    view = None
-    try:
-        ids_blob = bytes(seg.arrays.pop("ids"))
-        ids = ids_blob.decode("utf-8").split("\n") if ids_blob else []
-        view = SharedGraphView(ids, kind, seg.arrays)
-        flows = two_hop_flows_to_sink(
-            view, _FLOW_WORKER_PEERS, sink, sparse_kernel=sparse_kernel
-        )
-    finally:
-        if view is not None:
-            view.release()
-        seg.close()
-    out = AttachedSegment(result_spec, writable=True)
-    try:
-        out.arrays["rows"][index, :] = flows
-    finally:
-        out.close()
-    return index
-
-
-class FlowRowPool:
-    """Shards flow-matrix changed-row recomputes over worker processes.
-
-    The executor is **persistent** across batches (spawn start-up is
-    far too slow to pay per metric sample) and is initialised once with
-    the fixed peer list.  Per batch, each stale observer's adjacency is
-    published to shared memory via an :class:`ShmSpool` (dense: one
-    float64 weight block; sparse: CSR arrays) together with one result
-    block all workers write rows into; the spool's context manager
-    unlinks every segment afterwards — also on worker crash, where the
-    executor is additionally discarded so the next batch starts from a
-    clean pool.
-
-    ``jobs=1`` callers should not construct a pool at all (the caller's
-    serial path is the short circuit); :meth:`run_rows` nevertheless
-    degrades gracefully for single-task batches.
-    """
-
-    def __init__(
-        self,
-        peers: Sequence[str],
-        jobs: Optional[int] = None,
-        start_method: str = "spawn",
-        sparse_kernel: str = "auto",
-    ):
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be >= 1 (or None for auto)")
-        if sparse_kernel not in ("chunked", "csr", "auto"):
-            raise ValueError(
-                f"sparse_kernel must be 'chunked', 'csr' or 'auto', "
-                f"got {sparse_kernel!r}"
-            )
-        self.peers: List[str] = list(peers)
-        self._peer_set = set(self.peers)
-        self.jobs = jobs
-        self.start_method = start_method
-        self.sparse_kernel = sparse_kernel
-        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
-
-    # ------------------------------------------------------------------
-    def _ensure_executor(self, workers: int) -> concurrent.futures.ProcessPoolExecutor:
-        if self._executor is None:
-            _ensure_child_importable()
-            ctx = multiprocessing.get_context(self.start_method)
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=ctx,
-                initializer=_flow_worker_init,
-                initargs=(self.peers,),
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the worker processes down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-
-    def __enter__(self) -> "FlowRowPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def run_rows(
-        self, stale: Sequence[Tuple[int, str, object]]
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Compute ``two_hop_flows_to_sink(graph, peers, observer)``
-        for each ``(row, observer, graph)`` item, in item order.
-
-        Rows come back through the shared result block, copied out
-        before the spool unlinks it, so the returned arrays are the
-        caller's to keep."""
-        stale = list(stale)
-        if not stale:
-            return []
-        n = len(self.peers)
-        workers = resolve_worker_count(len(stale), self.jobs)
-        with ShmSpool() as spool:
-            result_spec, views = spool.allocate(
-                {"rows": ((len(stale), n), "<f8")}
-            )
-            tasks = []
-            for i, (row, sink, graph) in enumerate(stale):
-                ids = sorted(graph.nodes() | {sink} | self._peer_set)
-                kind, arrays = graph.mirror_payload(ids)
-                arrays["ids"] = np.frombuffer(
-                    "\n".join(ids).encode("utf-8"), dtype=np.uint8
-                )
-                spec = spool.publish(arrays)
-                tasks.append(
-                    (i, sink, kind, spec, result_spec, self.sparse_kernel)
-                )
-            executor = self._ensure_executor(workers)
-            chunksize = max(1, -(-len(tasks) // workers))
-            try:
-                list(executor.map(_flow_row_task, tasks, chunksize=chunksize))
-            except concurrent.futures.process.BrokenProcessPool:
-                # A worker died mid-batch: discard the broken executor
-                # so the next batch gets a fresh pool; the spool's
-                # context manager still unlinks every segment.
-                self._executor = None
-                raise
-            out = [
-                (row, views["rows"][i].copy())
-                for i, (row, _sink, _graph) in enumerate(stale)
-            ]
-            views = None
-        return out
-
-
-@dataclass
-class _SpooledResult:
-    """A :class:`PackedResult` whose series arrays live in a shared
-    segment instead of the pickle stream.
-
-    Only this small header (segment name + per-array layout + the
-    metadata dict) crosses the process boundary by pickle; the parent
-    maps the segment, copies the arrays out, and unlinks it."""
-
-    name: str
-    spec: SegmentSpec
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-
-def _run_task_spooled(task) -> _SpooledResult:
-    """Worker entrypoint: like :func:`_run_task`, but publish the
-    series arrays through shared memory.
-
-    The worker closes its own handle after writing; the parent (the
-    consumer) unlinks.  Should the parent die first, the shared
-    resource tracker reclaims the registered segment at exit."""
-    packed = _run_task(task)
-    shm, spec = create_segment(packed.series)
-    shm.close()
-    return _SpooledResult(name=packed.name, spec=spec, metadata=packed.metadata)
-
-
-def _collect_spooled(spooled: _SpooledResult) -> PackedResult:
-    """Map a worker-published segment, copy the series out, unlink."""
-    seg = AttachedSegment(spooled.spec)
-    try:
-        series = {k: v.copy() for k, v in seg.arrays.items()}
-    finally:
-        seg.close(unlink=True)
-    return PackedResult(
-        name=spooled.name, series=series, metadata=spooled.metadata
-    )
-
-
 class ReplicaPool:
-    """Farms independent replica runs over worker processes.
+    """Farms independent replica runs over spawned worker processes.
 
-    ``jobs=None`` resolves per call to ``min(n_tasks, cpu_count)``;
-    ``jobs=1`` runs sequentially in-process (no pool is created), which
-    keeps single-job behaviour byte-identical to the pre-parallel code
-    and keeps the pool usable on single-core machines.
-
-    ``result_transport`` picks how series arrays travel back from the
-    workers: ``"shm"`` (default) publishes them through shared-memory
-    segments the parent maps and unlinks — the pickle stream then
-    carries only tiny headers — while ``"pickle"`` ships the arrays
-    inline, the pre-shm behaviour.  Bytes are copied verbatim either
-    way, so both transports are bit-identical.
+    ``jobs=None`` resolves per call to ``min(n_tasks, available
+    CPUs)``; ``jobs=1`` runs sequentially in-process (no pool is
+    created), which keeps single-job behaviour byte-identical to the
+    pre-parallel code and keeps the pool usable on single-core
+    machines.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        start_method: str = "spawn",
-        result_transport: str = "shm",
-    ):
+    def __init__(self, jobs: Optional[int] = None):
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1 (or None for auto)")
-        if result_transport not in ("shm", "pickle"):
-            raise ValueError(
-                f"result_transport must be 'shm' or 'pickle', "
-                f"got {result_transport!r}"
-            )
         self.jobs = jobs
-        self.start_method = start_method
-        self.result_transport = result_transport
 
     def resolve_jobs(self, n_tasks: int) -> int:
         """Worker count for ``n_tasks`` tasks under this pool's cap."""
@@ -619,16 +319,15 @@ class ReplicaPool:
         if not tasks:
             return []
         jobs = self.resolve_jobs(len(tasks))
-        if jobs > 1 and self.start_method == "spawn":
-            if not _spawn_main_is_reimportable():
-                warnings.warn(
-                    "spawn workers cannot re-import this __main__ "
-                    "(script fed via stdin?); running replicas "
-                    "sequentially instead",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                jobs = 1
+        if jobs > 1 and not _spawn_main_is_reimportable():
+            warnings.warn(
+                "spawn workers cannot re-import this __main__ "
+                "(script fed via stdin?); running replicas "
+                "sequentially instead",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            jobs = 1
         if jobs <= 1:
             # In-process: run the caller's own experiment objects (no
             # pack/unpack round-trip) so side artefacts such as
@@ -640,11 +339,7 @@ class ReplicaPool:
             ]
         _ensure_child_importable()
         shipped = [(_strip(experiment), replica) for experiment, replica in tasks]
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(processes=jobs) as pool:
-            if self.result_transport == "shm":
-                spooled = pool.map(_run_task_spooled, shipped)
-                packed = [_collect_spooled(s) for s in spooled]
-            else:
-                packed = pool.map(_run_task, shipped)
+            packed = pool.map(_run_task, shipped)
         return [unpack_result(p) for p in packed]

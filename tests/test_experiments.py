@@ -213,3 +213,23 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "fig5" in out and "cev" in out
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--flow-jobs", "2"],
+            ["--flow-executor", "process"],
+            ["--sparse-kernel", "csr"],
+            ["--graph-backend", "sparse"],
+        ],
+    )
+    def test_removed_tier_flags_are_rejected(self, flag, capsys):
+        """The flow-row executors, the kernel choice and the backend
+        override are gone; a stale script must fail loudly (argparse
+        exit 2), not run serial in silence."""
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5", "--quick", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -89,6 +89,28 @@ class TestIncrementalRows:
             )
         assert cache.rows_reused > 0  # incrementality actually engaged
 
+    def test_non_two_hop_config_takes_the_per_pair_path(self):
+        # max_hops != 2 has no vectorised closed form; rows come from
+        # the per-pair bounded maxflow and must stay correct.
+        svc = make_service(max_hops=3)
+        svc.local_transfer("a", "b", 8.0, now=0.0)
+        svc.local_transfer("b", "c", 4.0, now=1.0)
+        cache = FlowMatrixCache(svc, PEERS)
+        np.testing.assert_array_equal(cache.matrix(), flow_matrix(svc, PEERS))
+
+
+    def test_sparse_backend_identical_to_dense(self):
+        dense_svc = make_service(graph_backend="dense")
+        sparse_svc = make_service(graph_backend="sparse")
+        for svc in (dense_svc, sparse_svc):
+            svc.local_transfer("a", "b", 8.0, now=0.0)
+            svc.local_transfer("b", "c", 4.0, now=1.0)
+            svc.local_transfer("c", "d", 2.0, now=2.0)
+        np.testing.assert_array_equal(
+            FlowMatrixCache(dense_svc, PEERS).matrix(),
+            FlowMatrixCache(sparse_svc, PEERS).matrix(),
+        )
+
 
 class TestFlowMatrixFrontend:
     def test_flow_matrix_with_cache_returns_copy(self):
@@ -117,59 +139,3 @@ class TestFlowMatrixFrontend:
             )
             without = collective_experience_value(svc, PEERS, thresholds)
             assert with_cache == without
-
-
-class TestParallelRows:
-    """``jobs`` must change *where* rows are computed, never *what*:
-    matrices and counters stay bit-identical for every jobs value."""
-
-    def test_invalid_jobs_rejected(self):
-        svc = seeded_service()
-        with pytest.raises(ValueError):
-            FlowMatrixCache(svc, PEERS, jobs=0)
-        with pytest.raises(ValueError):
-            FlowMatrixCache(svc, PEERS, jobs=-2)
-
-    @pytest.mark.parametrize("jobs", [2, 4, None])
-    def test_parallel_bitwise_identical_under_churn(self, jobs):
-        serial_svc = seeded_service()
-        parallel_svc = seeded_service()
-        serial = FlowMatrixCache(serial_svc, PEERS, jobs=1)
-        parallel = FlowMatrixCache(parallel_svc, PEERS, jobs=jobs)
-        rng = np.random.default_rng(7)
-        for step in range(20):
-            u, v = rng.choice(PEERS, size=2, replace=False)
-            w = float(rng.uniform(1, 9))
-            serial_svc.local_transfer(str(u), str(v), w, now=float(step))
-            parallel_svc.local_transfer(str(u), str(v), w, now=float(step))
-            np.testing.assert_array_equal(serial.matrix(), parallel.matrix())
-        assert serial.rows_recomputed == parallel.rows_recomputed
-        assert serial.rows_reused == parallel.rows_reused
-
-    def test_parallel_skips_unchanged_rows(self):
-        svc = seeded_service()
-        cache = FlowMatrixCache(svc, PEERS, jobs=4)
-        cache.matrix()
-        cache.matrix()
-        assert cache.rows_recomputed == len(PEERS)
-        assert cache.rows_reused == len(PEERS)
-
-    def test_non_two_hop_config_falls_back_to_serial(self):
-        # max_hops != 2 has no vectorised closed form; the cache must
-        # silently take the serial per-pair path and stay correct.
-        svc = make_service(max_hops=3)
-        svc.local_transfer("a", "b", 8.0, now=0.0)
-        svc.local_transfer("b", "c", 4.0, now=1.0)
-        cache = FlowMatrixCache(svc, PEERS, jobs=4)
-        np.testing.assert_array_equal(cache.matrix(), flow_matrix(svc, PEERS))
-
-    def test_sparse_backend_parallel_identical(self):
-        dense_svc = make_service(graph_backend="dense")
-        sparse_svc = make_service(graph_backend="sparse")
-        for svc in (dense_svc, sparse_svc):
-            svc.local_transfer("a", "b", 8.0, now=0.0)
-            svc.local_transfer("b", "c", 4.0, now=1.0)
-            svc.local_transfer("c", "d", 2.0, now=2.0)
-        dense_cache = FlowMatrixCache(dense_svc, PEERS, jobs=1)
-        sparse_cache = FlowMatrixCache(sparse_svc, PEERS, jobs=3)
-        np.testing.assert_array_equal(dense_cache.matrix(), sparse_cache.matrix())

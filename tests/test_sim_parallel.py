@@ -40,12 +40,20 @@ def tiny_config(seed: int = 7) -> VoteSamplingConfig:
 
 
 class TestResolveJobs:
-    def test_auto_caps_at_cpu_count_and_tasks(self):
+    def test_auto_caps_at_cpu_count_and_tasks(self, monkeypatch):
+        """The auto cap is what this process may use: its affinity
+        mask where the platform has one (a CPU-pinned container sees
+        the host's cores in ``cpu_count``), ``cpu_count`` otherwise."""
         pool = ReplicaPool()
-        cpus = os.cpu_count() or 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
         assert pool.resolve_jobs(1) == 1
-        assert pool.resolve_jobs(1000) == cpus
+        assert pool.resolve_jobs(1000) == 3
         assert pool.resolve_jobs(0) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert pool.resolve_jobs(1000) == 64
 
     def test_explicit_jobs_cap(self):
         assert ReplicaPool(jobs=3).resolve_jobs(10) == 3

@@ -1,45 +1,20 @@
-"""The shared-memory spool and process-sharded flow rows.
+"""Shared-memory segment packing.
 
-Two load-bearing properties:
-
-* **Bit-identity** — everything that crosses the process boundary
-  through shared memory (graph snapshots out, flow rows back) must be
-  byte-for-byte what the in-process path produces, for both graph
-  backends.
-* **Lifecycle** — no ``/dev/shm/reproshm_*`` segment may outlive a
-  batch: not on normal exit, not on worker crash, and ``jobs=1`` must
-  never create a segment at all.  The autouse fixture asserts the first
-  half of this around *every* test in the module.
+``create_segment`` / ``AttachedSegment`` carry the service supervisor's
+counter block (``repro.sim.service``): shard workers attach writable
+and the parent reads their counters without a round trip.  What that
+needs is pinned here — arrays round-trip bit-identically, consumers get
+read-only views unless they ask otherwise, a write through one mapping
+is visible through another — and the autouse fixture asserts that no
+``/dev/shm/reproshm_*`` entry outlives any test in the module.
 """
 
 import glob
-import random
 
 import numpy as np
 import pytest
-from concurrent.futures.process import BrokenProcessPool
 
-from repro.bartercast.graph import SharedGraphView, SubjectiveGraph
-from repro.experiments.vote_sampling import (
-    VoteSamplingConfig,
-    VoteSamplingExperiment,
-)
-from repro.sim.units import HOUR
-from repro.traces.generator import TraceGeneratorConfig
-from repro.bartercast.maxflow import two_hop_flows_to_sink
-from repro.bartercast.protocol import BarterCastConfig, BarterCastService
-from repro.metrics.cev import FlowMatrixCache, flow_matrix
-from repro.pss.base import OnlineRegistry
-from repro.pss.ideal import OraclePSS
-from repro.sim.parallel import (
-    _FLOW_CRASH_ENV,
-    SHM_PREFIX,
-    AttachedSegment,
-    FlowRowPool,
-    ReplicaPool,
-    ShmSpool,
-    create_segment,
-)
+from repro.sim.parallel import SHM_PREFIX, AttachedSegment, create_segment
 
 
 def shm_entries():
@@ -54,23 +29,6 @@ def no_leaked_segments():
     assert shm_entries() == before, "a shared-memory segment leaked"
 
 
-PEERS = [f"p{i}" for i in range(16)]
-
-
-def random_graph(owner, backend, seed, extra_nodes=4):
-    """A random subjective graph over PEERS plus some strangers."""
-    rng = random.Random(seed)
-    ids = PEERS + [f"x{i}" for i in range(extra_nodes)]
-    g = SubjectiveGraph(owner, backend=backend)
-    for _ in range(60):
-        u, v = rng.sample(ids, 2)
-        g.observe_direct(u, v, float(rng.randint(1, 500)))
-    return g
-
-
-# ----------------------------------------------------------------------
-# Segment packing
-# ----------------------------------------------------------------------
 class TestSegmentPacking:
     def test_roundtrip_is_bit_identical(self):
         arrays = {
@@ -108,251 +66,13 @@ class TestSegmentPacking:
             seg.close(unlink=True)
 
     def test_writable_attachment_is_seen_across_mappings(self):
-        with ShmSpool() as spool:
-            spec, views = spool.allocate({"rows": ((2, 3), "<f8")})
-            assert not views["rows"].any()  # zero-filled
+        shm, spec = create_segment({"rows": np.zeros((2, 3))})
+        try:
+            shm.close()
+            reader = AttachedSegment(spec)
             writer = AttachedSegment(spec, writable=True)
             writer.arrays["rows"][1, 2] = 9.25
             writer.close()
-            assert views["rows"][1, 2] == 9.25
-            views = None
-
-
-# ----------------------------------------------------------------------
-# Spool lifecycle
-# ----------------------------------------------------------------------
-class TestShmSpool:
-    def test_unlinks_on_normal_exit(self):
-        with ShmSpool() as spool:
-            spool.publish({"a": np.ones(4)})
-            spool.publish({"b": np.zeros((2, 2))})
-            assert spool.created == 2
-            assert len(shm_entries()) == 2
-        assert shm_entries() == []
-
-    def test_unlinks_on_exception(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            with ShmSpool() as spool:
-                spool.publish({"a": np.ones(4)})
-                assert shm_entries()
-                raise RuntimeError("boom")
-        assert shm_entries() == []
-
-    def test_close_is_idempotent(self):
-        spool = ShmSpool()
-        spool.publish({"a": np.ones(2)})
-        spool.close()
-        spool.close()
-        assert shm_entries() == []
-
-
-# ----------------------------------------------------------------------
-# SharedGraphView: the worker-side rebuild, tested in-process
-# ----------------------------------------------------------------------
-class TestSharedGraphView:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_flows_bit_identical_to_live_graph(self, backend):
-        for seed in range(4):
-            g = random_graph("p0", backend, seed)
-            order = sorted(g.nodes() | {"p0"} | set(PEERS))
-            kind, arrays = g.mirror_payload(order)
-            view = SharedGraphView(order, kind, arrays)
-            try:
-                np.testing.assert_array_equal(
-                    two_hop_flows_to_sink(view, PEERS, "p0"),
-                    two_hop_flows_to_sink(g, PEERS, "p0"),
-                )
-            finally:
-                view.release()
-
-
-# ----------------------------------------------------------------------
-# FlowRowPool: the process tier proper
-# ----------------------------------------------------------------------
-class TestFlowRowPool:
-    @pytest.fixture(scope="class")
-    def pool(self):
-        with FlowRowPool(PEERS, jobs=2) as p:
-            yield p
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            FlowRowPool(PEERS, jobs=0)
-
-    def test_empty_batch_is_a_noop(self, pool):
-        assert pool.run_rows([]) == []
-        assert shm_entries() == []
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_rows_bit_identical_to_serial_randomized(self, pool, backend):
-        """Randomized property: for arbitrary graphs on either backend,
-        the process-sharded rows equal the serial closed form exactly."""
-        for seed in (0, 11, 23):
-            stale = [
-                (i, PEERS[i], random_graph(PEERS[i], backend, seed * 7 + i))
-                for i in range(4)
-            ]
-            rows = pool.run_rows(stale)
-            assert [r for r, _ in rows] == [0, 1, 2, 3]
-            for (row, values), (_, sink, g) in zip(rows, stale):
-                np.testing.assert_array_equal(
-                    values, two_hop_flows_to_sink(g, PEERS, sink)
-                )
-        assert shm_entries() == []  # spool already unlinked
-
-    def test_mixed_backends_in_one_batch(self, pool):
-        stale = [
-            (0, "p0", random_graph("p0", "dense", 5)),
-            (1, "p1", random_graph("p1", "sparse", 6)),
-        ]
-        rows = dict(pool.run_rows(stale))
-        for row, sink, g in stale:
-            np.testing.assert_array_equal(
-                rows[row], two_hop_flows_to_sink(g, PEERS, sink)
-            )
-
-    def test_worker_crash_cleans_up_and_pool_recovers(self, monkeypatch):
-        """A worker dying mid-batch must raise BrokenProcessPool, leave
-        zero segments behind, and leave the pool usable for the next
-        batch (fresh executor)."""
-        g = random_graph("p0", "dense", 3)
-        with FlowRowPool(PEERS, jobs=2) as pool:
-            monkeypatch.setenv(_FLOW_CRASH_ENV, "1")
-            with pytest.raises(BrokenProcessPool):
-                pool.run_rows([(0, "p0", g)])
-            assert shm_entries() == []
-            monkeypatch.delenv(_FLOW_CRASH_ENV)
-            rows = pool.run_rows([(0, "p0", g)])
-            np.testing.assert_array_equal(
-                rows[0][1], two_hop_flows_to_sink(g, PEERS, "p0")
-            )
-
-
-# ----------------------------------------------------------------------
-# FlowMatrixCache: executor="process" end to end
-# ----------------------------------------------------------------------
-CACHE_PEERS = ["a", "b", "c", "d", "e", "f"]
-
-
-def make_service(seed=0, **cfg):
-    reg = OnlineRegistry()
-    for p in CACHE_PEERS:
-        reg.set_online(p)
-    pss = OraclePSS(reg, np.random.default_rng(seed))
-    return BarterCastService(pss, BarterCastConfig(**cfg))
-
-
-def churn(svc, rng, steps, start=0.0):
-    for step in range(steps):
-        u, v = rng.choice(CACHE_PEERS, size=2, replace=False)
-        svc.local_transfer(str(u), str(v), float(rng.uniform(1, 9)),
-                           now=start + step)
-
-
-class TestFlowCacheProcessExecutor:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            FlowMatrixCache(make_service(), CACHE_PEERS, executor="fork")
-
-    def test_jobs1_short_circuits_no_pool_no_segments(self):
-        svc = make_service()
-        churn(svc, np.random.default_rng(1), 5)
-        cache = FlowMatrixCache(svc, CACHE_PEERS, jobs=1, executor="process")
-        np.testing.assert_array_equal(
-            cache.matrix(), flow_matrix(svc, CACHE_PEERS)
-        )
-        assert cache._row_pool is None
-        assert shm_entries() == []
-        cache.close()
-
-    def test_auto_resolves_to_threads_for_small_populations(self):
-        svc = make_service()
-        churn(svc, np.random.default_rng(2), 5)
-        cache = FlowMatrixCache(svc, CACHE_PEERS, jobs=2, executor="auto")
-        np.testing.assert_array_equal(
-            cache.matrix(), flow_matrix(svc, CACHE_PEERS)
-        )
-        assert cache._row_pool is None  # threads, not processes
-        cache.close()
-
-    def test_unreimportable_main_degrades_to_threads(self, monkeypatch):
-        import __main__ as main
-
-        monkeypatch.setattr(main, "__spec__", None, raising=False)
-        monkeypatch.setattr(main, "__file__", "<stdin>", raising=False)
-        svc = make_service()
-        churn(svc, np.random.default_rng(3), 5)
-        cache = FlowMatrixCache(svc, CACHE_PEERS, jobs=2, executor="process")
-        with pytest.warns(RuntimeWarning, match="thread executor"):
-            F = cache.matrix()
-        np.testing.assert_array_equal(F, flow_matrix(svc, CACHE_PEERS))
-        assert cache._row_pool is None
-        cache.close()
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_process_matrix_and_counters_match_serial(self, backend):
-        """The full incremental loop: matrices AND the recompute/reuse
-        counters must be bit-identical between executors, including the
-        incremental second and third samples."""
-        serial_svc = make_service(graph_backend=backend)
-        process_svc = make_service(graph_backend=backend)
-        serial = FlowMatrixCache(serial_svc, CACHE_PEERS, jobs=1)
-        process = FlowMatrixCache(
-            process_svc, CACHE_PEERS, jobs=2, executor="process"
-        )
-        try:
-            rng_a = np.random.default_rng(17)
-            rng_b = np.random.default_rng(17)
-            for round_ in range(3):
-                churn(serial_svc, rng_a, 4, start=round_ * 10.0)
-                churn(process_svc, rng_b, 4, start=round_ * 10.0)
-                np.testing.assert_array_equal(
-                    serial.matrix(), process.matrix()
-                )
-            assert serial.rows_recomputed == process.rows_recomputed
-            assert serial.rows_reused == process.rows_reused
-            assert process.rows_reused > 0  # incrementality engaged
+            assert reader.arrays["rows"][1, 2] == 9.25
         finally:
-            process.close()
-            serial.close()
-        assert shm_entries() == []
-
-
-# ----------------------------------------------------------------------
-# ReplicaPool: shm result transport
-# ----------------------------------------------------------------------
-class TestReplicaShmTransport:
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicaPool(result_transport="carrier-pigeon")
-
-    def test_shm_transport_bit_identical_to_pickle(self):
-        """Series arrays published through shared memory must be
-        byte-for-byte what the pickle stream carried — and nothing may
-        be left in /dev/shm afterwards (the autouse fixture checks)."""
-        duration = 4 * HOUR
-        cfg = VoteSamplingConfig(
-            seed=13,
-            duration=duration,
-            sample_interval=1800.0,
-            trace=TraceGeneratorConfig(
-                n_peers=12, n_swarms=2, duration=duration
-            ),
-        )
-        exp = VoteSamplingExperiment(cfg)
-        via_shm = ReplicaPool(jobs=2, result_transport="shm").run_replicas(
-            exp, [0, 1]
-        )
-        via_pickle = ReplicaPool(
-            jobs=2, result_transport="pickle"
-        ).run_replicas(exp, [0, 1])
-        assert [r.name for r in via_shm] == [r.name for r in via_pickle]
-        for a, b in zip(via_shm, via_pickle):
-            assert a.series.keys() == b.series.keys()
-            for key in a.series:
-                np.testing.assert_array_equal(
-                    a.get(key).as_array(),
-                    b.get(key).as_array(),
-                    err_msg=f"series {key!r} diverged between transports",
-                )
-            assert a.metadata == b.metadata
+            reader.close(unlink=True)
