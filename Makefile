@@ -25,12 +25,12 @@ bench:
 # backend is bit-identical to dense (to_matrix and 2-hop flows) with
 # an O(E)-sized mirror at 10k nodes (the replica speed-up is recorded,
 # not gated).
-# The population section gates the SoA engine: full-stack tick schedule,
-# run summary and node states bit-identical to the object engine, and
-# (on multi-core runners) >= 5x peers/sec at 50k peers; the columnar
-# sections additionally gate >= 2x per-tick for the columnar state
-# store and, for the packed vote payloads, bit-identical dict-vs-packed
-# runs plus >= 3x measured retained ballot memory.  The service section
+# The population leg gates the SoA scheduler's null-action tick counts
+# against per-peer heap entries and (on multi-core runners) >= 5x
+# peers/sec at 50k peers, and the vectorised dispersion scan's floats
+# against the dict box's loop; the columnar sections record per-tick
+# cost and memory (engine identity against the reference runtime is a
+# tier-1 test).  The service section
 # gates the crash contract: a shard worker SIGKILLed mid-run and
 # restarted by the supervisor from its last checkpoint must finish
 # bit-identical to the same shard never interrupted (node states,

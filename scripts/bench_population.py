@@ -1,39 +1,26 @@
 #!/usr/bin/env python
-"""Population-engine benchmark: object heap entries vs columnar batches.
+"""Population benchmark: the SoA scheduler and columnar state at scale.
 
-Three sections:
+The runtime has one scheduler and one state store; their bit-identity
+against the test-side reference (per-peer ``PeriodicProcess`` loops,
+dict ballot boxes) is a tier-1 test, not a section here.  Sections:
 
-* **engine_identity** — a churny full-stack run (40 peers, 6 h) under
-  both tick schedulers, logging every protocol tick fired: the
-  ``(time, protocol, peer)`` schedule, the ``run_summary()`` (minus
-  its ``population`` section, which describes the scheduler itself)
-  and per-node end states must be **bit-identical**.  Always gated.
 * **peers_per_sec** — scheduler capacity at 50 k peers with a
   null-action protocol: per-peer :class:`PeriodicProcess` heap entries
   vs one :class:`PopulationEngine` batch source, both drawing the same
   per-peer jitter streams.  Tick counts must agree exactly (always
-  gated); the SoA engine must beat the object engine by
+  gated); the SoA engine must beat the per-peer heap by
   ``--min-speedup`` (default 5×) on multi-core runners — single-core
-  boxes log a skip, like the other speedup gates.
+  boxes log a skip.
 * **columnar_state** — the real vote-exchange protocol at 50 k peers
-  (5 % voters, the paper's voter density) under three configurations:
-  the object scheduler, the PR-6 SoA scheduler with per-node dict
-  state, and the SoA scheduler with the columnar state store driving
-  the batched vote tick.  All three must produce bit-identical run
-  summaries and per-node end states (always gated); the columnar path
-  must beat the dict-state SoA path by ``--min-columnar-speedup``
-  (default 2×) per tick — gated unconditionally, since the legs run
-  sequentially on one core either way.  Also records the ballot-state
-  memory comparison and the ``population_engine="auto"`` crossover
-  (auto must resolve to the object engine below the threshold, so it
-  never picks a slower configuration at small N).
-* **columnar_payloads** — the packed vote-payload layout vs dict-state
-  SoA on a vote-heavy 20 k-peer scenario (25 % voters, 30 votes each):
-  bit-identical summaries + strided per-node states (always gated), a
-  ``--min-payload-memory-ratio`` (default 3×) reduction in *measured*
-  retained ballot memory, and a recorded (not gated) speedup of the
-  vectorised adaptive-T dispersion scan, whose floats must match the
-  scalar loop exactly.
+  (5 % voters, the paper's voter density) through the batched vote
+  tick: per-tick cost and, at 20 k peers, the stack's retained and
+  peak memory with its measured ballot-box bytes.  Recorded.
+* **columnar_payloads** — a vote-heavy 20 k-peer scenario (25 %
+  voters, 30 votes each): wall and measured ballot-box bytes
+  (recorded), and the vectorised adaptive-T dispersion scan against
+  the dict box's scalar loop, whose floats must match exactly (gated;
+  the speedup is recorded).
 * **service** — the long-lived service mode (``repro.sim.service``)
   at smoke scale: one shard run uninterrupted (in process, writing a
   checkpoint per interval) versus the same shard run under the
@@ -72,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -83,105 +69,16 @@ from pathlib import Path
 
 from repro.bittorrent.session import BitTorrentSession, SessionConfig
 from repro.core.node import NodeConfig
-from repro.core.persistence import node_to_dict
 from repro.core.runtime import ProtocolRuntime, RuntimeConfig
 from repro.core.votes import Vote
 from repro.sim.engine import Engine
 from repro.sim.population import PopulationEngine
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
-from repro.sim.units import HOUR, MB
 from repro.traces.generator import TraceGenerator, TraceGeneratorConfig
 from repro.traces.model import PeerProfile, Trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-_TICK_NAMES = (
-    "_moderation_tick",
-    "_vote_tick",
-    "_bartercast_tick",
-    "_newscast_tick",
-    "_adaptive_tick",
-)
-
-
-def _full_stack_run(engine_kind: str, trace, seed: int, hours: float):
-    """One protocol run with every tick logged; returns
-    ``(schedule, summary-minus-population, states, wall, telemetry)``."""
-    engine = Engine()
-    rng = RngRegistry(seed)
-    session = BitTorrentSession(
-        engine, trace, rng, config=SessionConfig(round_interval=60.0)
-    )
-    runtime = ProtocolRuntime(
-        session,
-        rng,
-        config=RuntimeConfig(
-            moderation_interval=120.0,
-            vote_interval=120.0,
-            bartercast_interval=300.0,
-            experience_threshold=1 * MB,
-            population_engine=engine_kind,
-        ),
-    )
-    schedule = []
-    for name in _TICK_NAMES:
-        orig = getattr(runtime, name)
-
-        def wrap(orig=orig, name=name):
-            def tick(pid):
-                schedule.append((engine.now, name, pid))
-                return orig(pid)
-
-            return tick
-
-        setattr(runtime, name, wrap())
-    pids = sorted(trace.peers)
-    runtime.ensure_node(pids[0]).create_moderation("t-file", "x", now=0.0)
-    runtime.ensure_node(pids[1]).set_vote_intention(pids[0], Vote.POSITIVE)
-    t0 = time.perf_counter()
-    session.start()
-    engine.run_until(hours * HOUR)
-    wall = time.perf_counter() - t0
-    summary = runtime.run_summary()
-    telemetry = summary.pop("population")
-    states = {
-        pid: (
-            len(node.store),
-            node.ballot_box.num_unique_users(),
-            node.ballot_box.score(pids[0]),
-            node.online,
-        )
-        for pid, node in sorted(runtime.nodes.items())
-    }
-    return schedule, summary, states, wall, telemetry
-
-
-def bench_engine_identity(seed: int) -> dict:
-    """Full-stack bit-identity between the two tick schedulers."""
-    hours = 6.0
-    trace = TraceGenerator(
-        TraceGeneratorConfig(n_peers=40, n_swarms=5, duration=hours * HOUR),
-        seed=seed,
-    ).generate()
-    sched_o, sum_o, states_o, wall_o, _tel_o = _full_stack_run(
-        "object", trace, seed, hours
-    )
-    sched_s, sum_s, states_s, wall_s, tel_s = _full_stack_run(
-        "soa", trace, seed, hours
-    )
-    return {
-        "n_peers": len(trace.peers),
-        "duration_hours": hours,
-        "ticks": len(sched_o),
-        "schedule_bit_identical": sched_o == sched_s,
-        "summary_bit_identical": sum_o == sum_s,
-        "states_bit_identical": states_o == states_s,
-        "object_wall_s": round(wall_o, 2),
-        "soa_wall_s": round(wall_s, 2),
-        "soa_batches": tel_s["batches"],
-        "soa_mean_batch_size": tel_s["mean_batch_size"],
-    }
 
 
 def bench_peers_per_sec(seed: int, n_peers: int = 50_000) -> dict:
@@ -203,7 +100,7 @@ def bench_peers_per_sec(seed: int, n_peers: int = 50_000) -> dict:
         pass
 
     # Object leg: one PeriodicProcess heap entry per peer, exactly the
-    # per-peer machinery ProtocolRuntime uses.
+    # per-peer machinery of the tests' reference runtime.
     eng_o = Engine()
     reg_o = RngRegistry(seed)
     t0 = time.perf_counter()
@@ -279,8 +176,6 @@ def _columnar_scenario(n_peers: int, window: float):
 
 
 def _columnar_stack_leg(
-    engine_kind: str,
-    columnar: str,
     seed: int,
     n_peers: int,
     window: float,
@@ -289,14 +184,13 @@ def _columnar_stack_leg(
     n_mods: int = 20,
     v_max: int = 10,
 ):
-    """One full-stack vote-exchange run; returns
-    ``(run_wall, ticks, summary_sha, states_sha, runtime)`` — the
-    runtime rides along so memory legs can measure the retained stack
-    before it is collected.
+    """One full-stack vote-exchange run; returns ``(run_wall, ticks,
+    runtime)`` — the runtime rides along so memory legs can measure the
+    retained stack before it is collected.
 
     The default shape is the columnar_state scenario (5 % voters, the
     paper's density, 3 votes each over 20 moderators); the payload
-    sections pass a vote-heavy shape instead.
+    section passes a vote-heavy shape instead.
     """
     gc.collect()
     engine = Engine()
@@ -316,8 +210,6 @@ def _columnar_stack_leg(
             vote_interval=60.0,
             bartercast_interval=1e9,
             experience_threshold=0.0,
-            population_engine=engine_kind,
-            columnar_state=columnar,
         ),
     )
     pids = sorted(trace.peers)
@@ -338,106 +230,46 @@ def _columnar_stack_leg(
     t0 = time.perf_counter()
     engine.run_until(window)
     wall = time.perf_counter() - t0
-    summary = runtime.run_summary()
-    summary.pop("population")  # describes the scheduler itself
-    summary_sha = hashlib.sha1(
-        json.dumps(summary, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    # Strided per-peer end states: the full serialised node (votes,
-    # ballot box incl. recency order, store, counters) every 997 peers.
-    fp = hashlib.sha1()
-    for pid in pids[::997]:
-        fp.update(
-            json.dumps(node_to_dict(runtime.nodes[pid]), sort_keys=True).encode()
-        )
-    ticks = runtime.population_summary()["ticks"]
-    return wall, ticks, summary_sha, fp.hexdigest()[:16], runtime
+    return wall, runtime.population_summary()["ticks"], runtime
 
 
 def _ballot_memory(seed: int, n_peers: int = 20_000, window: float = 300.0) -> dict:
-    """Full-stack retained/peak memory of the dict-state vs columnar
-    SoA runs (smaller population: tracemalloc roughly doubles the wall
-    cost, so the timing legs stay untraced).  Alongside the tracemalloc
-    whole-stack numbers, each leg reports its *measured* ballot-box
-    bytes (``ProtocolRuntime.ballot_memory_bytes``) so the dict-era
-    payload dicts and the packed slabs are compared like-for-like."""
-    out = {"n_peers": n_peers, "window_s": window}
-    for columnar in ("off", "on"):
-        gc.collect()
-        tracemalloc.start()
-        _wall, _ticks, _sum, _states, runtime = _columnar_stack_leg(
-            "soa", columnar, seed, n_peers, window
-        )
-        gc.collect()
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        out[f"soa_{columnar}_retained_mb"] = round(current / 1e6, 1)
-        out[f"soa_{columnar}_peak_mb"] = round(peak / 1e6, 1)
-        out[f"soa_{columnar}_ballot_mb"] = round(
-            runtime.ballot_memory_bytes() / 1e6, 2
-        )
-        if runtime._col_store is not None:
-            out["columns_mb"] = round(runtime._col_store.memory_bytes() / 1e6, 1)
-        del runtime
-    out["peak_saved_mb"] = round(out["soa_off_peak_mb"] - out["soa_on_peak_mb"], 1)
-    out["retained_saved_mb"] = round(
-        out["soa_off_retained_mb"] - out["soa_on_retained_mb"], 1
-    )
-    return out
+    """Full-stack retained/peak memory of the columnar run (smaller
+    population: tracemalloc roughly doubles the wall cost, so the
+    timing leg stays untraced), beside its *measured* ballot-box bytes
+    (``ProtocolRuntime.ballot_memory_bytes``)."""
+    gc.collect()
+    tracemalloc.start()
+    _wall, _ticks, runtime = _columnar_stack_leg(seed, n_peers, window)
+    gc.collect()
+    current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {
+        "n_peers": n_peers,
+        "window_s": window,
+        "retained_mb": round(current / 1e6, 1),
+        "peak_mb": round(peak / 1e6, 1),
+        "ballot_mb": round(runtime.ballot_memory_bytes() / 1e6, 2),
+    }
 
 
 def bench_columnar_state(seed: int, n_peers: int = 50_000) -> dict:
-    """Tentpole gate: the columnar batched vote tick vs the PR-6 SoA
-    path, on the real protocol stack.
-
-    The object leg runs once for context; the (soa, dict-state) vs
-    (soa, columnar) pair runs twice and the gate takes the **max**
-    speedup across trials — per-tick walls on shared runners swing by
-    2× between identical runs, and the gate asks whether the columnar
-    path *can* hit the ratio, not whether the box was quiet.
-    """
+    """The batched vote tick over the columnar store on the real
+    protocol stack: per-tick cost of two trials (per-tick walls on
+    shared runners swing by 2× between identical runs) and memory."""
     window = 600.0
-    legs = {}
-    trials = []
-    for trial in range(2):
-        for kind, col in (("object", "off"), ("soa", "off"), ("soa", "on")):
-            if kind == "object" and trial > 0:
-                continue  # context only; not part of the gated ratio
-            wall, ticks, summary_sha, states_sha, _rt = _columnar_stack_leg(
-                kind, col, seed, n_peers, window
-            )
-            del _rt  # timing legs do not hold the stack alive
-            legs.setdefault((kind, col), []).append(
-                (wall, ticks, summary_sha, states_sha)
-            )
-        off = legs[("soa", "off")][trial]
-        on = legs[("soa", "on")][trial]
-        trials.append(
-            {
-                "soa_us_per_tick": round(1e6 * off[0] / off[1], 2),
-                "columnar_us_per_tick": round(1e6 * on[0] / on[1], 2),
-                "speedup": round(off[0] / on[0], 2),
-            }
-        )
-    all_runs = [run for runs in legs.values() for run in runs]
-    ticks = all_runs[0][1]
-    obj = legs[("object", "off")][0]
+    runs = []
+    for _trial in range(2):
+        wall, ticks, runtime = _columnar_stack_leg(seed, n_peers, window)
+        del runtime  # timing legs do not hold the stack alive
+        runs.append((wall, ticks))
     return {
         "n_peers": n_peers,
         "window_s": window,
         "voter_fraction": 0.05,
-        "ticks": ticks,
-        "ticks_identical": all(r[1] == ticks for r in all_runs),
-        "summary_bit_identical": len({r[2] for r in all_runs}) == 1,
-        "states_bit_identical": len({r[3] for r in all_runs}) == 1,
-        "object_us_per_tick": round(1e6 * obj[0] / obj[1], 2),
-        "trials": trials,
-        "speedup": max(t["speedup"] for t in trials),
-        "speedup_vs_object": round(
-            obj[0] / min(legs[("soa", "on")][t][0] for t in range(2)), 2
-        ),
+        "ticks": runs[0][1],
+        "us_per_tick": [round(1e6 * wall / ticks, 2) for wall, ticks in runs],
         "ballot_memory": _ballot_memory(seed),
-        "auto_crossover": _auto_crossover(seed),
     }
 
 
@@ -495,79 +327,24 @@ def _dispersion_scan(seed: int) -> dict:
 
 
 def bench_columnar_payloads(seed: int, n_peers: int = 20_000) -> dict:
-    """Packed-payload gate: dict-state vs packed columnar ballot
-    payloads on a vote-heavy scenario (25 % voters, 30 votes each over
-    60 moderators — boxes actually fill with votes, unlike the sparse
-    columnar_state shape).
-
-    Gates: bit-identical summaries + strided ``node_to_dict`` states
-    between the two layouts, and a ≥``--min-payload-memory-ratio``
-    reduction in *measured* retained ballot memory (both sides counted
-    by the same rules; see ``ballot_memory_bytes``).  The vectorised
-    dispersion scan must return bit-identical floats; its speedup is
-    recorded.
-    """
+    """Packed vote payloads on a vote-heavy scenario (25 % voters, 30
+    votes each over 60 moderators — boxes actually fill with votes,
+    unlike the sparse columnar_state shape): wall and measured
+    ballot-box bytes, plus the dispersion scan's identity gate."""
     window = 300.0
     shape = {"voter_every": 4, "votes_per_voter": 30, "n_mods": 60, "v_max": 32}
-    legs = {}
-    for columnar in ("off", "on"):
-        wall, ticks, summary_sha, states_sha, runtime = _columnar_stack_leg(
-            "soa", columnar, seed, n_peers, window, **shape
-        )
-        legs[columnar] = {
-            "wall": wall,
-            "ticks": ticks,
-            "summary_sha": summary_sha,
-            "states_sha": states_sha,
-            "ballot_bytes": runtime.ballot_memory_bytes(),
-        }
-        del runtime
-    off, on = legs["off"], legs["on"]
-    ratio = off["ballot_bytes"] / on["ballot_bytes"] if on["ballot_bytes"] else 0.0
+    wall, ticks, runtime = _columnar_stack_leg(seed, n_peers, window, **shape)
     return {
         "n_peers": n_peers,
         "window_s": window,
         "voter_fraction": 1.0 / shape["voter_every"],
         "votes_per_voter": shape["votes_per_voter"],
         "moderator_pool": shape["n_mods"],
-        "ticks": off["ticks"],
-        "ticks_identical": off["ticks"] == on["ticks"],
-        "summary_bit_identical": off["summary_sha"] == on["summary_sha"],
-        "states_bit_identical": off["states_sha"] == on["states_sha"],
-        "dict_wall_s": round(off["wall"], 2),
-        "packed_wall_s": round(on["wall"], 2),
-        "dict_ballot_mb": round(off["ballot_bytes"] / 1e6, 2),
-        "packed_ballot_mb": round(on["ballot_bytes"] / 1e6, 2),
-        "memory_ratio": round(ratio, 2),
+        "ticks": ticks,
+        "wall_s": round(wall, 2),
+        "ballot_mb": round(runtime.ballot_memory_bytes() / 1e6, 2),
         "dispersion": _dispersion_scan(seed),
     }
-
-
-def _auto_crossover(seed: int) -> dict:
-    """Record where ``population_engine="auto"`` lands.
-
-    Below ``population_engine_threshold`` auto must resolve to the
-    object engine — the small-N regime where per-batch overhead can
-    make the SoA path slower — so auto never selects a configuration
-    slower than the object engine at the identity-check scale.
-    """
-    out = {}
-    for label, n_peers in (("small_n", 40), ("large_n", 50_000)):
-        engine = Engine()
-        rng = RngRegistry(seed)
-        trace = _columnar_scenario(n_peers, 60.0)
-        session = BitTorrentSession(
-            engine, trace, rng, config=SessionConfig(round_interval=1e9)
-        )
-        runtime = ProtocolRuntime(
-            session, rng, config=RuntimeConfig(population_engine="auto")
-        )
-        out[label] = n_peers
-        out[f"{label}_resolved"] = runtime.population_engine
-        out[f"{label}_columnar"] = runtime.columnar_state
-    out["threshold"] = RuntimeConfig().population_engine_threshold
-    out["auto_is_object_at_small_n"] = out["small_n_resolved"] == "object"
-    return out
 
 
 def bench_million_peer_smoke(seed: int, n_peers: int = 1_000_000) -> dict:
@@ -604,7 +381,6 @@ def bench_million_peer_smoke(seed: int, n_peers: int = 1_000_000) -> dict:
             moderation_interval=300.0,
             vote_interval=300.0,
             bartercast_interval=600.0,
-            population_engine="soa",
         ),
     )
     t0 = time.perf_counter()
@@ -780,8 +556,6 @@ def bench_aggregation(seed: int, n_peers: int = 80, shards: int = 4) -> dict:
         peers=n_peers,
         seed=seed,
         moderators=4,
-        population_engine="soa",
-        columnar_state="on",
         node=NodeConfig(b_max=40),
         aggregation=aggregation,
     )
@@ -858,7 +632,6 @@ def bench_aggregation(seed: int, n_peers: int = 80, shards: int = 4) -> dict:
 
 def run(full: bool, seed: int, out: Path = None) -> dict:
     sections = {
-        "engine_identity": bench_engine_identity(seed),
         "peers_per_sec": bench_peers_per_sec(seed),
         "columnar_state": bench_columnar_state(seed),
         "columnar_payloads": bench_columnar_payloads(seed),
@@ -901,26 +674,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail on any bit-identity break, or on a multi-core runner "
-        "when the SoA engine is below --min-speedup",
+        help="fail on any bit-identity or service/aggregation gate, or "
+        "on a multi-core runner when the SoA engine is below "
+        "--min-speedup",
     )
     parser.add_argument("--min-speedup", type=float, default=5.0)
-    parser.add_argument(
-        "--min-columnar-speedup",
-        type=float,
-        default=2.0,
-        help="required per-tick speedup of the columnar batched vote "
-        "tick over the dict-state SoA path (gated unconditionally: "
-        "the legs run sequentially on a single core either way)",
-    )
-    parser.add_argument(
-        "--min-payload-memory-ratio",
-        type=float,
-        default=3.0,
-        help="required reduction in measured retained ballot memory "
-        "from packing vote payloads into columns (dict-layout bytes / "
-        "packed-layout bytes on the vote-heavy scenario)",
-    )
     parser.add_argument(
         "--max-checkpoint-overhead",
         type=float,
@@ -943,62 +701,13 @@ def main(argv=None) -> int:
     if not args.check:
         return 0
     failures = []
-    identity = report["engine_identity"]
-    if not identity["schedule_bit_identical"]:
-        failures.append("SoA tick schedule diverged from the object engine")
-    if not identity["summary_bit_identical"]:
-        failures.append("run_summary diverged between tick schedulers")
-    if not identity["states_bit_identical"]:
-        failures.append("node end states diverged between tick schedulers")
     capacity = report["peers_per_sec"]
     if not capacity["ticks_identical"]:
         failures.append(
             f"tick counts diverged at {capacity['n_peers']} peers: "
             f"object={capacity['object_ticks']} soa={capacity['soa_ticks']}"
         )
-    columnar = report["columnar_state"]
-    if not columnar["ticks_identical"]:
-        failures.append("columnar_state legs fired different tick counts")
-    if not columnar["summary_bit_identical"]:
-        failures.append(
-            "run_summary diverged between object, SoA and columnar legs"
-        )
-    if not columnar["states_bit_identical"]:
-        failures.append(
-            "per-node end states diverged between object, SoA and "
-            "columnar legs"
-        )
-    if columnar["speedup"] < args.min_columnar_speedup:
-        failures.append(
-            f"columnar vote tick speedup {columnar['speedup']:.2f}x "
-            f"< required {args.min_columnar_speedup:.1f}x over the "
-            f"dict-state SoA path at {columnar['n_peers']} peers"
-        )
-    if not columnar["auto_crossover"]["auto_is_object_at_small_n"]:
-        failures.append(
-            "population_engine='auto' resolved to the SoA engine below "
-            "the crossover threshold"
-        )
     payloads = report["columnar_payloads"]
-    if not payloads["ticks_identical"]:
-        failures.append("columnar_payloads legs fired different tick counts")
-    if not payloads["summary_bit_identical"]:
-        failures.append(
-            "run_summary diverged between dict and packed payload layouts"
-        )
-    if not payloads["states_bit_identical"]:
-        failures.append(
-            "per-node end states diverged between dict and packed "
-            "payload layouts"
-        )
-    if payloads["memory_ratio"] < args.min_payload_memory_ratio:
-        failures.append(
-            f"packed payload memory ratio {payloads['memory_ratio']:.2f}x "
-            f"< required {args.min_payload_memory_ratio:.1f}x at "
-            f"{payloads['n_peers']} peers "
-            f"(dict {payloads['dict_ballot_mb']} MB vs packed "
-            f"{payloads['packed_ballot_mb']} MB)"
-        )
     if not payloads["dispersion"]["identical"]:
         failures.append(
             "vectorised dispersion scan diverged from the scalar "
@@ -1060,7 +769,7 @@ def main(argv=None) -> int:
         print(
             "SKIP: population speedup gate skipped — single-core runner "
             f"(cpu_count={capacity['cpu_count']}); tick-count and "
-            "full-stack bit-identity gates still checked",
+            "bit-identity gates still checked",
             file=sys.stderr,
         )
     if failures:

@@ -26,14 +26,17 @@ def rank_by_sum(
 ) -> Ranking:
     """Summation ranking; unvoted moderators from ``universe`` score 0.
 
-    Deterministic: ties break on moderator id.
+    Deterministic: ties break on moderator id.  One
+    :meth:`~BallotBox.all_counts` pass, O(votes) rather than a scan of
+    the box per moderator.
     """
-    moderators = set(ballot_box.moderators())
+    scores = {
+        m: float(pos - neg) for m, (pos, neg) in ballot_box.all_counts().items()
+    }
     if universe is not None:
-        moderators.update(universe)
-    scored = [(m, float(ballot_box.score(m))) for m in moderators]
-    scored.sort(key=lambda ms: (-ms[1], ms[0]))
-    return scored
+        for m in universe:
+            scores.setdefault(m, 0.0)
+    return sorted(scores.items(), key=lambda ms: (-ms[1], ms[0]))
 
 
 def rank_proportional(
@@ -44,12 +47,13 @@ def rank_proportional(
     """Proportional ranking: ``(pos − neg) / (pos + neg + prior)``."""
     if prior < 0:
         raise ValueError("prior must be non-negative")
-    moderators = set(ballot_box.moderators())
+    counts = ballot_box.all_counts()
+    moderators = set(counts)
     if universe is not None:
         moderators.update(universe)
     scored = []
     for m in moderators:
-        pos, neg = ballot_box.counts(m)
+        pos, neg = counts.get(m, (0, 0))
         scored.append((m, (pos - neg) / (pos + neg + prior)))
     scored.sort(key=lambda ms: (-ms[1], ms[0]))
     return scored

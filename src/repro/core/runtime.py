@@ -1,8 +1,11 @@
 """Protocol runtime — binds nodes, PSS, BarterCast and the engine.
 
 The runtime owns one :class:`~repro.core.node.VoteSamplingNode` per
-peer and drives the paper's ``do forever: wait Δ; …`` loops as jittered
-periodic processes per online node:
+peer, keeps their protocol state in one
+:class:`~repro.core.columnar.ColumnarStateStore`, and drives the
+paper's ``do forever: wait Δ; …`` loops as jittered per-peer ticks
+dispatched in batches by the structure-of-arrays
+:class:`~repro.sim.population.PopulationEngine`:
 
 * **ModerationCast tick** — push/pull moderation exchange (Fig 1);
 * **vote tick** — BallotBox exchange with experience gating, plus the
@@ -14,12 +17,16 @@ periodic processes per online node:
 
 Transfers observed by the BitTorrent ledger stream straight into
 BarterCast; experience is evaluated on demand at each vote exchange.
+
+The executable spec of this scheduling and state — one
+``PeriodicProcess`` per peer per protocol over dict ballot boxes —
+lives with the tests, which hold the two bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -39,7 +46,6 @@ from repro.pss.base import PeerSamplingService
 from repro.pss.ideal import OraclePSS
 from repro.pss.newscast import NewscastConfig, NewscastService
 from repro.sim.population import PopulationEngine, ProtocolSpec
-from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MB
 
@@ -74,25 +80,13 @@ class RuntimeConfig:
     #: NAT timeout, …) beyond what churn already causes.  Failure
     #: injection for robustness tests; 0 in the paper's experiments.
     message_loss: float = 0.0
-    #: Tick scheduler: ``"object"`` = one ``PeriodicProcess`` heap
-    #: entry per peer per protocol; ``"soa"`` = the structure-of-arrays
-    #: population engine (``repro.sim.population``) with batched
-    #: dispatch; ``"auto"`` = ``"soa"`` once the trace population
-    #: reaches ``population_engine_threshold``.  The tick schedule and
-    #: every protocol result are bit-identical across engines.
-    population_engine: str = "auto"
-    #: Trace population size at which ``"auto"`` switches to the
-    #: structure-of-arrays engine.
-    population_engine_threshold: int = 10_000
-    #: Columnar protocol state: ``"on"`` = node ballot boxes, adaptive
-    #: thresholds and store membership live in a shared
-    #: :class:`~repro.core.columnar.ColumnarStateStore` (numpy columns
-    #: keyed by the population engine's rows), enabling the batched
-    #: vote-tick path under the SoA scheduler; ``"off"`` = classic
-    #: per-node dict state; ``"auto"`` = follow the resolved tick
-    #: scheduler (columns exactly when the SoA engine runs).  Results
-    #: are bit-identical either way.
-    columnar_state: str = "auto"
+    #: Single-valued: the runtime always ticks through the SoA
+    #: population engine over the columnar state store.  Both fields
+    #: remain only because the repo benchmark's workloads
+    #: (``bench/workloads.py``) spell that path out; they leave when
+    #: the benchmark is re-baselined (ROADMAP item 1).
+    population_engine: str = "soa"
+    columnar_state: str = "on"
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.message_loss < 1.0):
@@ -110,15 +104,10 @@ class RuntimeConfig:
             raise ValueError("jitter_fraction must be in [0, 1)")
         if self.vote_fanout < 1:
             raise ValueError("vote_fanout must be >= 1")
-        if self.population_engine not in ("object", "soa", "auto"):
-            raise ValueError("population_engine must be object, soa or auto")
-        if self.population_engine_threshold < 0:
-            raise ValueError("population_engine_threshold must be >= 0")
-        if self.columnar_state not in ("on", "off", "auto"):
-            raise ValueError("columnar_state must be on, off or auto")
-
-
-NodeFactory = Callable[[str], VoteSamplingNode]
+        if self.population_engine != "soa":
+            raise ValueError("the runtime runs population_engine='soa'")
+        if self.columnar_state != "on":
+            raise ValueError("the runtime runs columnar_state='on'")
 
 
 class ProtocolRuntime:
@@ -131,14 +120,12 @@ class ProtocolRuntime:
         config: Optional[RuntimeConfig] = None,
         experience: Optional[ExperienceFunction] = None,
         pss: Optional[PeerSamplingService] = None,
-        node_factory: Optional[NodeFactory] = None,
     ):
         self.session = session
         self.engine = session.engine
         self.registry = session.registry
         self.config = config or RuntimeConfig()
         self._rng = rng
-        self._node_factory = node_factory
 
         self.newscast: Optional[NewscastService] = None
         if pss is not None:
@@ -162,27 +149,11 @@ class ProtocolRuntime:
         )
 
         self.nodes: Dict[str, VoteSamplingNode] = {}
-        self._processes: Dict[str, List[PeriodicProcess]] = {}
-        mode = self.config.population_engine
-        if mode == "auto":
-            mode = (
-                "soa"
-                if len(session.trace.peers) >= self.config.population_engine_threshold
-                else "object"
-            )
-        #: resolved tick scheduler ("object" or "soa")
-        self.population_engine: str = mode
         self._population: Optional[PopulationEngine] = None
-        col_mode = self.config.columnar_state
-        col_on = mode == "soa" if col_mode == "auto" else col_mode == "on"
-        #: resolved columnar protocol state ("on" or "off")
-        self.columnar_state: str = "on" if col_on else "off"
-        self._col_store: Optional[ColumnarStateStore] = (
-            ColumnarStateStore() if col_on else None
-        )
+        self._col_store = ColumnarStateStore()
         #: the batched vote tick inlines VoteSamplingNode handlers, so
-        #: custom node classes (attack models, factories) disable it
-        self._batch_safe = node_factory is None
+        #: a registered custom node class (attack models) disables it
+        self._batch_safe = True
         self.dropped_exchanges = 0
         # Hoisted from _partner_for: the registry memoises streams by
         # name, so caching the generator object draws the identical
@@ -203,15 +174,12 @@ class ProtocolRuntime:
         """Get (creating if needed) the protocol node for a peer."""
         node = self.nodes.get(peer_id)
         if node is None:
-            if self._node_factory is not None:
-                node = self._node_factory(peer_id)
-            else:
-                node = VoteSamplingNode(
-                    peer_id,
-                    self.config.node,
-                    self._rng.stream("node", peer_id),
-                    col_store=self._col_store,
-                )
+            node = VoteSamplingNode(
+                peer_id,
+                self.config.node,
+                self._rng.stream("node", peer_id),
+                col_store=self._col_store,
+            )
             self.nodes[peer_id] = node
         return node
 
@@ -243,11 +211,7 @@ class ProtocolRuntime:
         self._online_since[peer_id] = now
         if self.newscast is not None:
             self.newscast.node_online(peer_id, now)
-        if self.population_engine == "soa":
-            self._population_scheduler().peer_online(peer_id, now)
-        else:
-            for proc in self._processes_for(peer_id):
-                proc.start()
+        self._start_ticks(peer_id, now)
 
     def _peer_offline(self, peer_id: str, now: float) -> None:
         node = self.nodes.get(peer_id)
@@ -259,60 +223,31 @@ class ProtocolRuntime:
             self._online_seconds += max(0.0, now - since)
         if self.newscast is not None:
             self.newscast.node_offline(peer_id)
-        if self._population is not None:
-            self._population.peer_offline(peer_id, now)
-        else:
-            for proc in self._processes.get(peer_id, ()):
-                proc.stop()
+        self._stop_ticks(peer_id, now)
 
-    def _processes_for(self, peer_id: str) -> List[PeriodicProcess]:
-        procs = self._processes.get(peer_id)
-        if procs is not None:
-            return procs
-        cfg = self.config
-        jrng = self._rng.stream("jitter", peer_id)
+    # The scheduling seam: production ticks every peer through the SoA
+    # population engine; the tests' reference runtime overrides these
+    # two with one ``PeriodicProcess`` per peer per protocol.
+    def _start_ticks(self, peer_id: str, now: float) -> None:
+        self.materialize_population().peer_online(peer_id, now)
 
-        def make(interval: float, action: Callable[[], None]) -> PeriodicProcess:
-            return PeriodicProcess(
-                self.engine,
-                interval,
-                action,
-                jitter=interval * cfg.jitter_fraction,
-                rng=jrng,
-            )
-
-        procs = [
-            make(cfg.moderation_interval, lambda: self._moderation_tick(peer_id)),
-            make(cfg.vote_interval, lambda: self._vote_tick(peer_id)),
-            make(cfg.bartercast_interval, lambda: self._bartercast_tick(peer_id)),
-        ]
-        if self.newscast is not None:
-            procs.append(
-                make(cfg.newscast_interval, lambda: self._newscast_tick(peer_id))
-            )
-        if isinstance(self.experience, AdaptiveThresholdExperience):
-            procs.append(
-                make(cfg.adaptive_update_interval, lambda: self._adaptive_tick(peer_id))
-            )
-        self._processes[peer_id] = procs
-        return procs
+    def _stop_ticks(self, peer_id: str, now: float) -> None:
+        self.materialize_population().peer_offline(peer_id, now)
 
     def _protocol_specs(self) -> List[ProtocolSpec]:
-        """The canonical per-peer protocol loops, in the object
-        engine's registration order (``_processes_for``)."""
+        """The canonical per-peer protocol loops, in registration order
+        (which is also the order a peer's jitter draws are consumed)."""
         cfg = self.config
         vote_spec: ProtocolSpec = ("vote", cfg.vote_interval, self._vote_tick)
         if (
-            self._col_store is not None
-            and cfg.vote_fanout == 1
+            cfg.vote_fanout == 1
             and type(self.pss) is OraclePSS
             and "_vote_tick" not in self.__dict__
         ):
-            # Batched vote dispatch needs the columnar state store
-            # (inline merges write the columns), the paper's fanout of
-            # 1 (one PSS draw per tick, vectorised by sample_batch)
-            # and the oracle PSS (its sampling never reads state the
-            # in-batch exchanges could mutate).  An instance-level
+            # Batched vote dispatch needs the paper's fanout of 1 (one
+            # PSS draw per tick, vectorised by sample_batch) and the
+            # oracle PSS (its sampling never reads state the in-batch
+            # exchanges could mutate).  An instance-level
             # ``_vote_tick`` override (instrumentation wrappers) also
             # opts out — inlining would bypass it.  ``_batch_safe``
             # handles the remaining dynamic conditions at call time.
@@ -333,27 +268,27 @@ class ProtocolRuntime:
             )
         return specs
 
-    def _population_scheduler(self) -> PopulationEngine:
-        """The SoA scheduler, built at first peer-online — the same
-        moment ``_processes_for`` freezes a peer's protocol set, so a
-        pre-start ``runtime.experience`` swap is honoured by both
-        engines (swapping after the first online is unsupported
-        either way)."""
+    def materialize_population(self) -> PopulationEngine:
+        """The SoA scheduler, built at first use, which freezes the
+        protocol set: a pre-start ``runtime.experience`` swap is
+        honoured, a later one is not.
+
+        First use is normally the first peer-online; restore paths
+        pre-populate :attr:`nodes` directly and then replay the
+        scheduler columns, so they call this explicitly.
+        """
         population = self._population
         if population is None:
-            col_store = self._col_store
-            if col_store is not None and isinstance(
-                self.experience, AdaptiveThresholdExperience
-            ):
+            if isinstance(self.experience, AdaptiveThresholdExperience):
                 # Mirror per-node thresholds into the exp_threshold
                 # column so the batched vote tick can gate fast.
-                self.experience.bind_store(col_store)
+                self.experience.bind_store(self._col_store)
             population = PopulationEngine(
                 self.engine,
                 self._rng,
                 self._protocol_specs(),
                 jitter_fraction=self.config.jitter_fraction,
-                rows=col_store.rows if col_store is not None else None,
+                rows=self._col_store.rows,
             )
             self.engine.attach_source(population)
             self._population = population
@@ -365,9 +300,9 @@ class ProtocolRuntime:
         counters, node-level protocol counters, drops, accumulated
         online node-hours, and population-engine telemetry.
 
-        Everything except the ``population`` section is bit-identical
-        across tick schedulers; ``population`` describes the scheduler
-        itself (engine name, batch shape) and so differs by design.
+        Everything except the ``population`` section is protocol
+        state; ``population`` describes the scheduler itself (batch
+        shape, memory), which the reference scheduler does not share.
         """
         return {
             "traffic": self.traffic.summary(),
@@ -382,46 +317,18 @@ class ProtocolRuntime:
         }
 
     def ballot_memory_bytes(self) -> int:
-        """Measured retained bytes of all ballot-box state, comparable
-        across backings: the columnar store's columns, payload slabs
-        and bookkeeping when columnar state is on, otherwise the sum of
-        every materialised node's dict-box containers (both sides
-        exclude shared id strings, so the numbers are like-for-like)."""
-        if self._col_store is not None:
-            return self._col_store.memory_bytes()
-        return sum(node.ballot_box.memory_bytes() for node in self.nodes.values())
+        """Measured retained bytes of all ballot-box state: the
+        columnar store's columns, payload slabs and bookkeeping (shared
+        id strings excluded)."""
+        return self._col_store.memory_bytes()
 
     def population_summary(self) -> Dict[str, object]:
-        """Tick-scheduler telemetry: which engine ran, population and
-        online counts, ticks dispatched per protocol, batch shape, and
-        the measured ballot-box memory footprint.  Under the object
-        engine every tick is its own heap event, so batches degenerate
-        to size 1."""
-        if self._population is not None:
-            out = self._population.telemetry()
-            out["columnar_state"] = self.columnar_state
-            out["ballot_memory_bytes"] = self.ballot_memory_bytes()
-            return out
-        names = [spec[0] for spec in self._protocol_specs()]
-        ticks_by_protocol: Dict[str, int] = {}
-        ticks = 0
-        for procs in self._processes.values():
-            for name, proc in zip(names, procs):
-                ticks_by_protocol[name] = ticks_by_protocol.get(name, 0) + proc.ticks
-                ticks += proc.ticks
-        peers_online = sum(1 for node in self.nodes.values() if node.online)
-        return {
-            "engine": self.population_engine,
-            "columnar_state": self.columnar_state,
-            "peers_total": len(self.nodes),
-            "peers_online": peers_online,
-            "ticks": ticks,
-            "batches": ticks,
-            "mean_batch_size": 1.0 if ticks else 0.0,
-            "max_batch_size": 1 if ticks else 0,
-            "ticks_by_protocol": ticks_by_protocol,
-            "ballot_memory_bytes": self.ballot_memory_bytes(),
-        }
+        """Tick-scheduler telemetry: population and online counts,
+        ticks dispatched per protocol, batch shape, and the measured
+        ballot-box memory footprint."""
+        out = self.materialize_population().telemetry()
+        out["ballot_memory_bytes"] = self.ballot_memory_bytes()
+        return out
 
     def node_counters(self) -> Dict[str, int]:
         """Protocol counters summed over every materialised node."""
@@ -450,18 +357,6 @@ class ProtocolRuntime:
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
-    def materialize_population(self) -> PopulationEngine:
-        """Force-create the SoA scheduler (checkpoint-restore API).
-
-        Restore paths pre-populate :attr:`nodes` directly and then
-        replay the scheduler columns, so the lazy first-peer-online
-        construction never happens; this exposes it explicitly.  Only
-        valid when the runtime resolved ``population_engine="soa"``.
-        """
-        if self.population_engine != "soa":
-            raise RuntimeError("materialize_population requires the soa engine")
-        return self._population_scheduler()
-
     def counters_state(self) -> Dict[str, object]:
         """Run-level counters (not owned by any node) as JSON-clean
         state: traffic meter, drop count, online-time accounting and
@@ -600,7 +495,7 @@ class ProtocolRuntime:
         verdict before vote selection and the reverse verdict after
         this node's merge (BarterCast's contribution caches see the
         same call sequence), and merges through the same columnar core
-        the object API ends in.
+        the node API ends in.
 
         An exchange is row to row: each side's vote list was packed
         into the store's wire form when it was last cast (interned
@@ -624,8 +519,8 @@ class ProtocolRuntime:
         """
         engine = self.engine
         if not self._batch_safe:
-            # Custom node classes in play (factory or register_node):
-            # their handler overrides must run, so tick scalar.
+            # Custom node classes in play (register_node): their
+            # handler overrides must run, so tick scalar.
             vote_tick = self._vote_tick
             for t, pid in zip(times, pids):
                 engine._now = t
@@ -663,7 +558,6 @@ class ProtocolRuntime:
                 continue
             partners[k] = ensure_node(partner)
         store = self._col_store
-        assert store is not None  # batch registration requires columns
         exp = self.experience
         exp_type = type(exp)
         # Experience gating: the all-accepting cases resolve once for

@@ -29,7 +29,6 @@ from repro.experiments.vote_sampling import (
     VoteSamplingConfig,
     VoteSamplingExperiment,
 )
-from repro.core.runtime import RuntimeConfig
 from repro.sim.parallel import ReplicaPool
 from repro.sim.units import DAY
 from repro.traces.generator import TraceGeneratorConfig
@@ -39,23 +38,9 @@ def _quick_trace(duration: float) -> TraceGeneratorConfig:
     return TraceGeneratorConfig(n_peers=50, n_swarms=6, duration=duration)
 
 
-def _runtime_overrides(args) -> dict:
-    """The CLI's non-default runtime knobs as RuntimeConfig kwargs
-    (empty when every knob is at its default, keeping configs
-    bit-identical to the flag-less code path)."""
-    if args.population_engine is None:
-        return {}
-    return {"population_engine": args.population_engine}
-
-
 def run_fig5(args) -> None:
     duration = 1 * DAY if args.quick else 7 * DAY
-    overrides = _runtime_overrides(args)
-    cfg = ExperienceFormationConfig(
-        seed=args.seed,
-        duration=duration,
-        runtime=RuntimeConfig(**overrides) if overrides else None,
-    )
+    cfg = ExperienceFormationConfig(seed=args.seed, duration=duration)
     if args.quick:
         cfg.trace = _quick_trace(duration)
     print(f"[fig5] experience formation, duration={duration / DAY:g}d …")
@@ -68,15 +53,6 @@ def run_fig5(args) -> None:
 def run_fig6(args) -> None:
     duration = 1.5 * DAY if args.quick else 7 * DAY
     cfg = VoteSamplingConfig(seed=args.seed, duration=duration)
-    overrides = _runtime_overrides(args)
-    if overrides:
-        # Mirror the experiment's own defaults, adding only the
-        # requested overrides.
-        cfg.runtime = RuntimeConfig(
-            node=cfg.node,
-            experience_threshold=cfg.experience_threshold,
-            **overrides,
-        )
     if args.quick:
         cfg.trace = _quick_trace(duration)
     exp = VoteSamplingExperiment(cfg)
@@ -163,15 +139,6 @@ def main(argv=None) -> int:
         nargs="+",
         default=[30, 60],
         help="fig8 flash-crowd sizes",
-    )
-    parser.add_argument(
-        "--population-engine",
-        choices=["auto", "object", "soa"],
-        default=None,
-        help="tick scheduler: per-peer PeriodicProcess heap entries "
-        "(object), the columnar batched population engine (soa), or "
-        "population-size-based selection (auto; the default).  The "
-        "tick schedule and every result are bit-identical either way",
     )
     args = parser.parse_args(argv)
     if args.figure in ("fig5", "all"):

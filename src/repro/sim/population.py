@@ -1,11 +1,13 @@
 """Structure-of-arrays population engine: batched protocol ticks.
 
-``ProtocolRuntime`` classically gives every online peer one
+The straightforward scheduler gives every online peer one
 :class:`~repro.sim.process.PeriodicProcess` heap entry per protocol
 loop, so a tick costs a heap pop, a Python callback, a jitter draw and
 a heap push — ~12 µs of scheduler machinery per tick before any
 protocol work runs.  At a million peers that machinery alone is the
-scale ceiling.
+scale ceiling.  ``ProtocolRuntime`` always ticks through this engine;
+the per-peer scheduler survives as the tests' reference runtime (the
+"object engine" below).
 
 :class:`PopulationEngine` replaces the per-peer heap entries with
 columnar state:
@@ -75,8 +77,8 @@ the dispatcher verifies this after every handler call — so the
 reschedule draws and sequence claims the dispatcher performs afterwards
 land in the same stream positions the scalar loop would have used.
 
-The gates in ``scripts/bench_population.py`` (run by ``make
-bench-smoke``) enforce the contract end-to-end.
+``tests/test_sim_population.py`` enforces the contract end-to-end
+against the reference runtime.
 """
 
 from __future__ import annotations
@@ -939,7 +941,6 @@ class PopulationEngine:
         ticks = sum(self.ticks_by_protocol)
         peers_online = sum(self._online)
         return {
-            "engine": "soa",
             "peers_total": len(self._ids),
             "peers_online": peers_online,
             "ticks": ticks,

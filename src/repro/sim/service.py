@@ -172,10 +172,11 @@ class ShardConfig:
     bartercast_interval: float = 900.0
     jitter_fraction: float = 0.1
     message_loss: float = 0.0
-    #: A shard always runs the production path — SoA scheduler,
-    #: columnar state — which is what its checkpoint dumps.  The two
-    #: fields remain so existing callers that spell it out still
-    #: construct; ``"auto"`` means the same here.
+    #: Single-valued, as on ``RuntimeConfig``: a shard runs the one
+    #: production path (SoA scheduler, columnar state), which is what
+    #: its checkpoint dumps.  The fields remain only because the repo
+    #: benchmark's workloads spell that path out; they leave when the
+    #: benchmark is re-baselined (ROADMAP item 1).
     population_engine: str = "soa"
     columnar_state: str = "on"
     node: NodeConfig = field(default_factory=NodeConfig)
@@ -184,9 +185,9 @@ class ShardConfig:
     aggregation: Optional[AggregationConfig] = None
 
     def __post_init__(self) -> None:
-        if self.population_engine not in ("soa", "auto"):
+        if self.population_engine != "soa":
             raise ValueError("a service shard runs population_engine='soa'")
-        if self.columnar_state not in ("on", "auto"):
+        if self.columnar_state != "on":
             raise ValueError("a service shard runs columnar_state='on'")
 
     def peer_ids(self) -> List[str]:
@@ -286,8 +287,6 @@ class ServiceShard:
                 bartercast_interval=config.bartercast_interval,
                 jitter_fraction=config.jitter_fraction,
                 message_loss=config.message_loss,
-                population_engine="soa",
-                columnar_state="on",
             ),
             experience=AlwaysExperienced(),
         )

@@ -233,3 +233,15 @@ class TestCLI:
             main(["fig5", "--quick", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine_kind", ["object", "soa", "auto"])
+    def test_population_engine_flag_is_rejected(self, engine_kind, capsys):
+        """Every run ticks through the one production scheduler; the
+        flag that chose between schedulers is gone, even its old
+        default spelling."""
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fig6", "--quick", "--population-engine", engine_kind])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

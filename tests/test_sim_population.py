@@ -1,8 +1,11 @@
-"""The structure-of-arrays population engine vs the object engine.
+"""The structure-of-arrays population engine vs the reference scheduler.
 
-The SoA scheduler's contract is *bit-identity*: same tick schedule,
-same RNG stream consumption, same results — only faster.  These tests
-pin the contract at every level: raw jitter arithmetic, the engine
+The production runtime ticks through the SoA scheduler over the
+columnar store; :class:`tests.reference_runtime.ReferenceRuntime` is
+the executable spec (one ``PeriodicProcess`` per peer per protocol,
+dict ballot boxes).  The contract is *bit-identity*: same tick
+schedule, same RNG stream consumption, same results — only faster.
+These tests pin it at every level: raw jitter arithmetic, the engine
 merge order, full-stack runs with churn on and off, and the Fig 5 /
 Fig 6 series.
 """
@@ -29,6 +32,7 @@ from repro.traces.model import (
     Trace,
     TraceEvent,
 )
+from tests.reference_runtime import ReferenceRuntime
 
 
 # ----------------------------------------------------------------------
@@ -204,9 +208,10 @@ def churn_trace(n=30, duration=6 * HOUR, seed=5):
     ).generate()
 
 
-def run_stack(engine_kind, trace, seed=11, hours=6, config_kwargs=None, adaptive=False):
-    """One full protocol run; returns (tick log, run_summary minus
-    population, per-node fingerprint, population telemetry)."""
+def run_stack(runtime_cls, trace, seed=11, hours=6, config_kwargs=None, adaptive=False):
+    """One full protocol run on ``runtime_cls`` (production or
+    reference); returns (tick log, run_summary minus population,
+    per-node fingerprint, population telemetry)."""
     engine = Engine()
     rng = RngRegistry(seed)
     session = BitTorrentSession(
@@ -217,10 +222,9 @@ def run_stack(engine_kind, trace, seed=11, hours=6, config_kwargs=None, adaptive
         vote_interval=120.0,
         bartercast_interval=300.0,
         experience_threshold=1 * MB,
-        population_engine=engine_kind,
     )
     kwargs.update(config_kwargs or {})
-    runtime = ProtocolRuntime(session, rng, config=RuntimeConfig(**kwargs))
+    runtime = runtime_cls(session, rng, config=RuntimeConfig(**kwargs))
     if adaptive:
         runtime.experience = AdaptiveThresholdExperience(
             runtime.bartercast, d_max=0.5, step=1 * MB
@@ -264,14 +268,14 @@ def run_stack(engine_kind, trace, seed=11, hours=6, config_kwargs=None, adaptive
 
 
 def assert_engines_equivalent(trace, **kwargs):
-    log_o, summary_o, states_o, pop_o = run_stack("object", trace, **kwargs)
-    log_s, summary_s, states_s, pop_s = run_stack("soa", trace, **kwargs)
+    log_o, summary_o, states_o, pop_o = run_stack(ReferenceRuntime, trace, **kwargs)
+    log_s, summary_s, states_s, pop_s = run_stack(ProtocolRuntime, trace, **kwargs)
     assert log_o == log_s  # bit-identical tick schedule
     assert summary_o == summary_s
     assert states_o == states_s
     assert pop_o["ticks"] == pop_s["ticks"]
+    assert pop_o["ticks_by_protocol"] == pop_s["ticks_by_protocol"]
     assert pop_o["peers_online"] == pop_s["peers_online"]
-    assert pop_s["engine"] == "soa" and pop_o["engine"] == "object"
     return pop_s
 
 
@@ -313,7 +317,6 @@ def test_bring_online_external_peer_under_soa():
             moderation_interval=120.0,
             vote_interval=120.0,
             bartercast_interval=120.0,
-            population_engine="soa",
         ),
     )
     session.start()
@@ -327,28 +330,10 @@ def test_bring_online_external_peer_under_soa():
     assert not runtime._population.is_online("attacker")
 
 
-def test_auto_selects_engine_by_population():
-    trace = always_online_trace(n=6)
-
-    def build(threshold):
-        engine = Engine()
-        rng = RngRegistry(0)
-        session = BitTorrentSession(engine, trace, rng)
-        return ProtocolRuntime(
-            session,
-            rng,
-            config=RuntimeConfig(population_engine_threshold=threshold),
-        )
-
-    assert build(threshold=100).population_engine == "object"
-    assert build(threshold=5).population_engine == "soa"
-
-
 def test_population_telemetry_in_run_summary():
     trace = churn_trace(n=10, duration=2 * HOUR)
-    for kind in ("object", "soa"):
-        _log, _summary, _states, pop = run_stack(kind, trace, hours=2)
-        assert pop["engine"] == kind
+    for runtime_cls in (ReferenceRuntime, ProtocolRuntime):
+        _log, _summary, _states, pop = run_stack(runtime_cls, trace, hours=2)
         assert pop["ticks"] > 0
         assert pop["batches"] > 0
         assert pop["mean_batch_size"] >= 1.0
@@ -362,10 +347,16 @@ def test_population_telemetry_in_run_summary():
 
 
 def test_runtime_config_validates_population_engine():
-    with pytest.raises(ValueError):
-        RuntimeConfig(population_engine="threads")
-    with pytest.raises(ValueError):
-        RuntimeConfig(population_engine_threshold=-1)
+    """The two remaining fields accept the production path only."""
+    RuntimeConfig(population_engine="soa", columnar_state="on")
+    for engine_kind in ("object", "auto", "threads"):
+        with pytest.raises(ValueError, match="population_engine='soa'"):
+            RuntimeConfig(population_engine=engine_kind)
+    for columnar in ("off", "auto"):
+        with pytest.raises(ValueError, match="columnar_state='on'"):
+            RuntimeConfig(columnar_state=columnar)
+    with pytest.raises(TypeError):
+        RuntimeConfig(population_engine_threshold=10)
 
 
 # ----------------------------------------------------------------------
@@ -377,30 +368,35 @@ def _series_arrays(result):
     }
 
 
-def test_fig6_series_identical_across_engines():
+def _run_on(monkeypatch, runtime_cls, experiment):
+    """Run ``experiment`` with every stack it builds on ``runtime_cls``."""
+    import repro.experiments.common as common
+
+    with monkeypatch.context() as patch:
+        patch.setattr(common, "ProtocolRuntime", runtime_cls)
+        return experiment.run()
+
+
+def test_fig6_series_identical_across_engines(monkeypatch):
     from repro.core.node import NodeConfig
     from repro.experiments.vote_sampling import (
         VoteSamplingConfig,
         VoteSamplingExperiment,
     )
 
-    def run(kind):
+    def run(runtime_cls):
         node = NodeConfig(b_min=5, b_max=100, v_max=10, k=3)
         cfg = VoteSamplingConfig(
             seed=3,
             duration=6 * HOUR,
             trace=TraceGeneratorConfig(n_peers=30, n_swarms=4, duration=6 * HOUR),
             node=node,
-            runtime=RuntimeConfig(
-                node=node,
-                experience_threshold=5 * MB,
-                population_engine=kind,
-            ),
+            runtime=RuntimeConfig(node=node, experience_threshold=5 * MB),
         )
-        return VoteSamplingExperiment(cfg).run()
+        return _run_on(monkeypatch, runtime_cls, VoteSamplingExperiment(cfg))
 
-    result_object = run("object")
-    result_soa = run("soa")
+    result_object = run(ReferenceRuntime)
+    result_soa = run(ProtocolRuntime)
     series_object = _series_arrays(result_object)
     series_soa = _series_arrays(result_soa)
     assert list(series_object) == list(series_soa)
@@ -413,24 +409,24 @@ def test_fig6_series_identical_across_engines():
     assert meta_o == meta_s
 
 
-def test_fig5_series_identical_across_engines():
+def test_fig5_series_identical_across_engines(monkeypatch):
     from repro.experiments.experience_formation import (
         ExperienceFormationConfig,
         ExperienceFormationExperiment,
     )
 
-    def run(kind):
+    def run(runtime_cls):
         cfg = ExperienceFormationConfig(
             seed=3,
             duration=6 * HOUR,
             thresholds=(2 * MB, 5 * MB),
             trace=TraceGeneratorConfig(n_peers=25, n_swarms=3, duration=6 * HOUR),
-            runtime=RuntimeConfig(population_engine=kind),
         )
-        return ExperienceFormationExperiment(cfg).run()
+        experiment = ExperienceFormationExperiment(cfg)
+        return _run_on(monkeypatch, runtime_cls, experiment)
 
-    series_object = _series_arrays(run("object"))
-    series_soa = _series_arrays(run("soa"))
+    series_object = _series_arrays(run(ReferenceRuntime))
+    series_soa = _series_arrays(run(ProtocolRuntime))
     assert list(series_object) == list(series_soa)
     for key in series_object:
         assert np.array_equal(series_object[key], series_soa[key]), key
@@ -462,7 +458,7 @@ def _cast_vote_round(runtime, pids, r, now):
         runtime.ensure_node(pids[2]).vote_list.cast(pids[2], Vote.POSITIVE, 5.0)
 
 
-def run_stack_batched(engine_kind, trace, seed=11, hours=6, config_kwargs=None,
+def run_stack_batched(runtime_cls, trace, seed=11, hours=6, config_kwargs=None,
                       adaptive=False, vote_rounds=0):
     """Like :func:`run_stack`, but without the per-tick wrappers — an
     instance-level ``_vote_tick`` override disables the batched vote
@@ -483,10 +479,9 @@ def run_stack_batched(engine_kind, trace, seed=11, hours=6, config_kwargs=None,
         vote_interval=120.0,
         bartercast_interval=300.0,
         experience_threshold=1 * MB,
-        population_engine=engine_kind,
     )
     kwargs.update(config_kwargs or {})
-    runtime = ProtocolRuntime(session, rng, config=RuntimeConfig(**kwargs))
+    runtime = runtime_cls(session, rng, config=RuntimeConfig(**kwargs))
     if adaptive:
         runtime.experience = AdaptiveThresholdExperience(
             runtime.bartercast, d_max=0.5, step=1 * MB
@@ -573,18 +568,18 @@ def test_batched_vote_tick_identical_to_object_engine(
         vote_rounds = 3
     trace = churn_trace(n=25)
     summary_o, states_o, calls_o = run_stack_batched(
-        "object", trace, config_kwargs=kwargs, adaptive=adaptive,
+        ReferenceRuntime, trace, config_kwargs=kwargs, adaptive=adaptive,
         vote_rounds=vote_rounds,
     )
-    assert not seen  # dict boxes under the object engine
+    assert not seen  # dict boxes under the reference
     summary_s, states_s, calls_s = run_stack_batched(
-        "soa", trace, config_kwargs=kwargs, adaptive=adaptive,
+        ProtocolRuntime, trace, config_kwargs=kwargs, adaptive=adaptive,
         vote_rounds=vote_rounds,
     )
     assert summary_o == summary_s
     assert states_o == states_s
-    # The object engine never batches; the SoA engine's columnar vote
-    # path must actually have carried multi-peer batches.
+    # The reference never batches; the production columnar vote path
+    # must actually have carried multi-peer batches.
     assert calls_o == []
     assert calls_s and max(calls_s) >= 2
     if heavy is not None and "experience_threshold" in kwargs:
@@ -624,7 +619,6 @@ def test_direct_vote_list_cast_reaches_the_batched_tick():
             vote_interval=60.0,
             bartercast_interval=1e9,
             experience_threshold=0.0,
-            population_engine="soa",
         ),
     )
     batches = []
@@ -653,7 +647,7 @@ def test_instance_vote_tick_override_disables_batching():
     instrumentation wrapper shadows ``_vote_tick`` — and still produce
     identical results (this is what ``run_stack`` relies on)."""
     trace = churn_trace(n=15)
-    summary_plain, states_plain, calls = run_stack_batched("soa", trace)
+    summary_plain, states_plain, calls = run_stack_batched(ProtocolRuntime, trace)
     assert calls  # batching active without the override
 
     engine = Engine()
@@ -669,7 +663,6 @@ def test_instance_vote_tick_override_disables_batching():
             vote_interval=120.0,
             bartercast_interval=300.0,
             experience_threshold=1 * MB,
-            population_engine="soa",
         ),
     )
     scalar_ticks = []
@@ -707,7 +700,6 @@ def test_batch_handler_contract_violation_raises():
             moderation_interval=120.0,
             vote_interval=120.0,
             bartercast_interval=300.0,
-            population_engine="soa",
         ),
     )
 

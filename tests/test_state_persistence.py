@@ -107,55 +107,68 @@ def test_bartercast_credit_survives_offline_gap(churny_world):
 
 def test_protocol_processes_pause_while_offline(churny_world):
     engine, session, runtime = churny_world
+    protocols = ("moderation", "vote", "bartercast")
+    p1_ticks = []
+    for name in protocols:
+        tick = getattr(runtime, f"_{name}_tick")
+
+        def counted(pid, tick=tick, name=name):
+            if pid == "p1":
+                p1_ticks.append((engine.now, name))
+            return tick(pid)
+
+        setattr(runtime, f"_{name}_tick", counted)
+
+    def per_protocol(start, end):
+        return [sum(start < t <= end and n == name for t, n in p1_ticks)
+                for name in protocols]
+
     session.start()
     engine.run_until(2 * 3600.0)  # p1 offline since 1h
-    procs = runtime._processes["p1"]
-    assert all(not p.running for p in procs)
+    assert not runtime.materialize_population().is_online("p1")
     engine.run_until(6 * 3600.0)
-    assert any(p.running for p in procs)
+    assert runtime.materialize_population().is_online("p1")
+    assert all(per_protocol(0.0, 3600.0))  # every loop ran in session 1 ...
+    assert per_protocol(3600.0, 5 * 3600.0) == [0, 0, 0]  # ... none offline
+    assert all(per_protocol(5 * 3600.0, 6 * 3600.0))  # ... and all resumed
 
 
 # ----------------------------------------------------------------------
-# Checkpoint matrix: engines × state backings
+# Checkpoint matrix: reference (dict) and production (columnar) runtimes
 # ----------------------------------------------------------------------
 import json
 
-from repro.core.columnar import ColumnarStateStore
+from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore
 from repro.core.node import NodeConfig
 from repro.core.persistence import node_from_dict, node_to_dict
 from repro.core.runtime import RuntimeConfig
 from repro.core.votes import VoteEntry
+from tests.reference_runtime import ReferenceRuntime
+
+_RUNTIMES = {("object", "off"): ReferenceRuntime, ("soa", "on"): ProtocolRuntime}
 
 
-def _matrix_runtime(engine_kind, columnar):
+def _matrix_runtime(runtime_cls):
     peers = {"p1": PeerProfile("p1")}
     events = Trace.sorted_events([TraceEvent(0.0, "p1", EventKind.SESSION_START)])
     trace = Trace(duration=HOUR, peers=peers, swarms={}, events=events)
     engine = Engine()
     rng = RngRegistry(3)
     session = BitTorrentSession(engine, trace, rng)
-    return ProtocolRuntime(
-        session,
-        rng,
-        config=RuntimeConfig(
-            population_engine=engine_kind,
-            columnar_state=columnar,
-            node=NodeConfig(b_min=1, b_max=3),
-        ),
+    return runtime_cls(
+        session, rng, config=RuntimeConfig(node=NodeConfig(b_min=1, b_max=3))
     )
 
 
-@pytest.mark.parametrize("columnar", ["off", "on"])
-@pytest.mark.parametrize("engine_kind", ["object", "soa"])
+@pytest.mark.parametrize("engine_kind,columnar", sorted(_RUNTIMES))
 def test_checkpoint_matrix_preserves_eviction_order(engine_kind, columnar):
-    """Every engine/backing combination must save a node that restores
-    — into either backing — with the same voter recency order, so a
-    restored box picks the same ``B_max`` eviction victims the live box
-    would have."""
-    runtime = _matrix_runtime(engine_kind, columnar)
-    assert runtime.population_engine == engine_kind
-    assert runtime.columnar_state == columnar
+    """The reference and the production runtime must each save a node
+    that restores — into either backing — with the same voter recency
+    order, so a restored box picks the same ``B_max`` eviction victims
+    the live box would have."""
+    runtime = _matrix_runtime(_RUNTIMES[engine_kind, columnar])
     node = runtime.ensure_node("p1")
+    assert isinstance(node.ballot_box, ColumnarBallotBox) == (columnar == "on")
     node.receive_votes("va", [VoteEntry("m1", Vote.POSITIVE, 1.0)], 1.0, True)
     node.receive_votes("vb", [VoteEntry("m2", Vote.NEGATIVE, 2.0)], 2.0, True)
     node.receive_votes("vc", [VoteEntry("m1", Vote.POSITIVE, 3.0)], 3.0, True)
