@@ -37,9 +37,10 @@ import numpy as np
 
 PathLike = Union[str, Path]
 
-#: Format 3 is the first sectioned format (1 and 2 were whole-shard
-#: JSON documents; nothing reads them any more).
-CHECKPOINT_FORMAT = 3
+#: Format 4 stores the ballot payloads as one store-wide pool.  Format
+#: 3 (a slab per ballot box) was the first sectioned format; 1 and 2
+#: were whole-shard JSON documents.  Nothing reads any of them.
+CHECKPOINT_FORMAT = 4
 _MAGIC = b"RVSCKPT" + bytes([CHECKPOINT_FORMAT])
 _PREAMBLE = struct.Struct("<8sII")
 

@@ -1,128 +1,108 @@
 """Columnar protocol state — structure-of-arrays node state.
 
-PR 6 made the tick *scheduler* columnar (:mod:`repro.sim.population`);
-this module does the same for the protocol *state*.  A
-:class:`ColumnarStateStore` holds, for every known peer, numpy columns
-keyed by the population engine's row↔peer-id table
+A :class:`ColumnarStateStore` holds, for every known peer, numpy
+columns keyed by the population engine's row↔peer-id table
 (:class:`RowTable`):
 
 * **ballot-box occupancy** — per-(box, voter) vote counts
   (``bb_nvotes``), ``last_received`` recency (``bb_last``) and the
   ``B_max`` eviction order (``bb_order``), in ``[box_row, slot]``
   2-D columns with swap-remove slot recycling;
-* **ballot-box payloads** — the votes themselves, packed per box into
-  parallel slab arrays (see below) instead of per-slot Python dicts;
-* **experience thresholds** — the adaptive-T controller's per-node
-  threshold (``exp_threshold``), read as a column slice by the batched
-  experience gate;
+* **ballot-box payloads** — the votes themselves, in one store-wide
+  pool (see below) instead of per-slot Python dicts;
+* **experience thresholds** (``exp_threshold``), read as a column
+  slice by the batched experience gate;
 * **vote / moderation store membership** — ``vl_size`` and
-  ``store_size`` per peer, so a whole due batch can skip empty
-  exchanges with one gather;
+  ``store_size`` per peer, so a due batch skips empty exchanges with
+  one gather;
 * **the vote lists' wire form** — what each peer sends in an exchange,
-  packed when the list was cast instead of every time it is sent (see
-  below).
+  packed when the list was cast instead of every time it is sent.
 
 :class:`ColumnarBallotBox` is a drop-in :class:`~repro.core.ballotbox
-.BallotBox` whose state lives in the store's columns; the object API
-(and therefore the single-client node format of
-:mod:`repro.core.persistence` and every existing test) is unchanged,
-and the semantics — self-vote drops, store-nothing
-merges leaving recency untouched, oldest-voter eviction — are
-bit-identical to the dict implementation (property-tested in
-``tests/test_core_columnar.py`` and ``tests/test_columnar_payloads.py``).
+.BallotBox` view over the store: same API, and semantics — self-vote
+drops, store-nothing merges leaving recency untouched, oldest-voter
+eviction — bit-identical to the dict implementation (property-tested
+in ``tests/test_core_columnar.py``, ``tests/test_columnar_payloads.py``
+and ``tests/test_deferred_merges.py``).
 
-Packed payload layout
----------------------
-Moderator ids are interned once, globally, through a second
-:class:`RowTable` (``store.mods``): the table is append-only and never
-garbage-collected, so an interned id is stable for the lifetime of the
-store and each id string is held exactly once no matter how many boxes
-vote on it.  Each box owns three parallel slab arrays —
+Payload pool
+------------
+Moderator ids are interned once, globally, in an append-only second
+:class:`RowTable` (``store.mods``).  Every box's votes live in one pool
+of three parallel columns — ``pay_mod`` (int32 interned id),
+``pay_val`` (int8 ±1) and ``pay_at`` (float64 ``received_at``) — where
+each occupied slot owns one contiguous *segment*: ``bb_off`` (offset),
+``bb_nvotes`` (length), ``bb_segcap`` (capacity).  Segments keep the
+dict's insertion order (new moderators append, repeats overwrite).  A
+fresh segment takes exactly its length; one that outgrows it relocates
+to the tail with power-of-two capacity; a newcomer evicting a full
+box's head voter writes over the victim's segment when it fits.
+``pay_live`` counts the entries live segments own; the rest below
+``pay_tail`` is garbage, and the pool compacts (live segments slid
+down, one ragged gather per column) when garbage would pass half the
+tail, so the tail stays within 2× the live entries.  The columns are
+anonymous memory maps grown in place by ``mremap``: no copy, and pages
+past the tail stay off the resident set.
 
-* ``vote_mod`` (int32): interned moderator id,
-* ``vote_val`` (int8): the vote value (+1/−1),
-* ``vote_at`` (float64): per-vote ``received_at``,
-
-— and each occupied slot owns one contiguous *segment* of the slab,
-located by ``bb_off`` (offset) / ``bb_nvotes`` (live length) /
-``bb_segcap`` (capacity).  Segments keep the dict's insertion order
-(new moderators append; repeat votes overwrite in place), capacities
-are powers of two with a minimum of 2, and a segment that outgrows its
-capacity relocates to the slab tail.  Freed segments (evictions,
-wholesale restores) become slab garbage; a box compacts when more than
-half its slab is dead and the slab is non-trivial, so retained slab
-bytes stay within 2× the live votes.  The minimum capacity of 2 means
-capacity slack alone can never trip the dead-bytes threshold —
-compaction only chases actual garbage, never thrashes.
-
-The packed layout is what makes the hot reads vectorisable:
-``all_counts`` and the adaptive-T dispersion scan are ``np.bincount``
-passes over the interned ids of one box's gathered segments, with no
-Python-dict walking.
-
-Box rows are allocated lazily on first merge (``_box_of``
-indirection), and the slot width grows in powers of two up to the
-widest ``b_max`` actually used, so a million-peer population whose
-boxes stay empty pays nothing for the 2-D columns.
+Writes are batched.  :meth:`ColumnarStateStore.bb_merge_packed`
+settles what is order-sensitive — slot, recency, eviction victim,
+occupancy — at once and queues a fresh segment's write;
+:meth:`ColumnarStateStore.bb_flush` lands the queue with one tail
+reservation and one copy per column (the batched vote tick once per
+batch, every other caller at once).  Payload reads, updates or
+evictions of a queued slot and swap-removes flush first.  The packed
+layout makes the hot reads vectorisable: ``all_counts`` and the
+adaptive-T dispersion scan are ``np.bincount`` passes over one box's
+gathered segments.  Box rows are allocated on first merge
+(``_box_of``) and the slot width grows in powers of two up to the
+widest ``b_max`` used, so empty boxes cost nothing.
 
 Vote-list wire form
 -------------------
-A node's :class:`~repro.core.votes.LocalVoteList` owns its votes (a
-dict: casting and the approved/disapproved reads stay O(1) per vote),
-but between two casts the list a peer sends is a constant, and the
-paper's footnote 5 puts casting at ≤ 5 votes per 1 000 downloads.  So a
-store-backed list reports every cast (``vl_cast``: the ``vl_size``
-column and a ``vl_stale`` flag, O(1)), and the store keeps each row's
-list *as an exchange carries it* — interned int32 moderator ids and
-int8 values in exchange order (newest first, ties on id), the owner's
-own id already dropped — as one ragged column: ``vl_off`` / ``vl_len``
-per row into a shared ``vl_mod`` / ``vl_val`` pool.  A stale row is
-repacked at the pool tail on its first use after the cast
-(:meth:`ColumnarStateStore.vl_wire`), which is also when its
-moderators are interned — the moment and order :meth:`bb_merge` would
-intern them on receiving the list, so interned ids do not depend on
-which path carried a vote.  (The one exception: a list longer than
-the exchange cap interns all its moderators at packing, not just the
-ones first selected.)  Old segments are garbage; the pool is rewritten
-without them when more than half of it is dead.
-
-Both merge entries end in one core, :meth:`bb_merge_packed`, which
-takes packed arrays: the batched vote tick hands it two pool slices per
-exchange, :meth:`bb_merge` interns, dedups and self-filters a
-``VoteEntry`` list into the same form first.
-
-The wire form is derived state: ``memory_bytes()`` counts it,
-``dump_state()`` does not write it, and a loaded store marks every
-non-empty list stale so it repacks on demand — checkpoint bytes and
-format do not know it exists.
+Between two casts the list a peer sends is a constant (the paper's
+footnote 5 puts casting at ≤ 5 votes per 1 000 downloads).  So a
+store-backed :class:`~repro.core.votes.LocalVoteList` reports each cast
+(``vl_cast``: ``vl_size`` and a ``vl_stale`` flag, O(1)), and the store
+keeps each row's list *as an exchange carries it* — interned ids and
+values, newest first (ties on id), the owner's own id dropped — as a
+ragged column (``vl_off`` / ``vl_len``) into a shared ``vl_mod`` /
+``vl_val`` pool.  A stale row is repacked (and its moderators interned)
+on first use: :meth:`~ColumnarStateStore.vl_wire`, or for the batched
+vote tick every list a batch may send, up front, in entry order.  The
+pool is rewritten without garbage when more than half of it is dead.
+Interned ids are internal: no read depends on their numbering.  Both
+merge entries end in one core, :meth:`bb_merge_packed`;
+:meth:`bb_merge` interns, dedups and self-filters a ``VoteEntry`` list
+into packed form first.  The wire form is derived state: counted by
+``memory_bytes()``, never dumped, repacked on demand after a load.
 
 The columns are the checkpoint
 ------------------------------
 :meth:`ColumnarStateStore.dump_state` hands out the store as it is —
 both intern tables, the per-row columns, the occupied slots of the
-per-(box, slot) columns and every box's slab up to its tail — and
-:meth:`ColumnarStateStore.load_state` adopts such a dump into an empty
-store with the same row numbers, slot numbers, segment offsets and
-slab capacities, so the loaded store not only reads the same but
-evicts, relocates and compacts at the same moments the dumped one
-would have.  Only the per-box recency dicts are derived on load (from
-``bb_voter`` ordered by ``bb_order``).
+per-(box, slot) columns, the pool up to its tail and the pool's size,
+tail and live count — and :meth:`ColumnarStateStore.load_state` adopts
+it into an empty store with the same rows, slots, offsets, capacities
+and pool size, so the loaded store also evicts, relocates, compacts and
+grows when the dumped one would have.  Only the per-box recency dicts
+are derived on load (``bb_voter`` ordered by ``bb_order``).
 """
 
 from __future__ import annotations
 
+import mmap
 import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.ballotbox import BallotBox
-from repro.core.checkpoint import pack_strings, take, unpack_strings
+from repro.core.checkpoint import CheckpointError, pack_strings, take, unpack_strings
 from repro.core.votes import LocalVoteList, Vote, VoteEntry
 
 #: The store's columns, defined once for growth, accounting and
 #: dump/load: ``(name, dtype, fill)`` of the per-row and the
-#: per-(box, slot) arrays, ``(name, dtype)`` of the per-box slab lists.
+#: per-(box, slot) arrays, ``(name, dtype)`` of the payload pool.
 _ROW_COLUMNS = (
     ("bb_unique", np.int32, 0),
     ("vl_size", np.int32, 0),
@@ -137,7 +117,13 @@ _SLOT_COLUMNS = (
     ("bb_off", np.int64, 0),
     ("bb_segcap", np.int32, 0),
 )
-_SLABS = (("pay_mod", np.int32), ("pay_val", np.int8), ("pay_at", np.float64))
+_POOL = (("pay_mod", np.int32), ("pay_val", np.int8), ("pay_at", np.float64))
+#: Pools up to this many entries never compact.
+_POOL_FLOOR = 64
+#: Queued writes land record by record below this many, as one batch above.
+_FLUSH_BATCH = 16
+#: Stored vote value -> :class:`Vote` (cheaper than the enum call).
+_VOTE = {int(v): v for v in Vote}
 #: Per-row columns of the vote lists' wire form.  Derived from the
 #: nodes' vote lists, so grown and accounted like ``_ROW_COLUMNS`` but
 #: never dumped: a loaded store repacks on first use.
@@ -226,14 +212,10 @@ class ColumnarStateStore:
         #: positions count it)
         self._vl_self: Dict[int, int] = {}
 
-        # Ballot-box sub-store: box rows are allocated on first merge
-        # (``_box_of`` indirection), slots within a box are recycled
-        # with swap-remove.  Scalar per-box bookkeeping (``_box_of``,
-        # ``bb_used``, ``_bb_seq``) lives in plain Python lists — the
-        # merge hot path reads and writes them one element at a time,
-        # where list indexing is several times cheaper than a numpy
-        # scalar access — while the per-(box, slot) state stays in 2-D
-        # numpy columns for the vectorised reads and the memory win.
+        # Ballot boxes: scalar per-box bookkeeping (``_box_of``,
+        # ``bb_used``, ``_bb_seq``) in Python lists — the merge hot path
+        # touches one element at a time, where list indexing beats a
+        # numpy scalar access — and per-(box, slot) state in 2-D columns.
         self._box_of: List[int] = []
         self._box_cap = 0
         self._width = 0
@@ -246,7 +228,7 @@ class ColumnarStateStore:
         self.bb_order = np.zeros((0, 0), dtype=np.int64)
         #: stored votes per (box, slot) — the segment's live length
         self.bb_nvotes = np.zeros((0, 0), dtype=np.int32)
-        #: slab offset of the slot's payload segment per (box, slot)
+        #: pool offset of the slot's payload segment per (box, slot)
         self.bb_off = np.zeros((0, 0), dtype=np.int64)
         #: capacity of the slot's payload segment (0 = none)
         self.bb_segcap = np.zeros((0, 0), dtype=np.int32)
@@ -256,14 +238,23 @@ class ColumnarStateStore:
         #: per box: ``voter row -> slot``, insertion-ordered by recency
         #: (move-to-end on bump) — O(1) eviction victim at the head
         self._slots: List[Dict[int, int]] = []
-        # Per-box payload slabs (see the module docstring's layout).
-        self._pay_mod: List[np.ndarray] = []
-        self._pay_val: List[np.ndarray] = []
-        self._pay_at: List[np.ndarray] = []
-        #: slab tail (next free offset) per box
-        self._pay_used: List[int] = []
-        #: live (non-garbage) payload entries per box
-        self._pay_live: List[int] = []
+        #: the payload pool (see the module docstring)
+        self.pay_mod = np.empty(0, dtype=np.int32)
+        self.pay_val = np.empty(0, dtype=np.int8)
+        self.pay_at = np.empty(0, dtype=np.float64)
+        #: the memory maps behind them (see :meth:`_pay_grow`)
+        self._pay_maps: Dict[str, mmap.mmap] = {}
+        #: pool tail (next free offset) and entries owned by live
+        #: segments (their capacities); the rest below the tail is garbage
+        self.pay_tail = 0
+        self.pay_live = 0
+        #: queued fresh-segment writes (see :meth:`bb_flush`); a queued
+        #: slot reads ``bb_nvotes == 0`` until its write lands
+        self._pend: List[tuple] = []
+        #: telemetry: pool compactions, evicted voters, batched flushes
+        self.pay_compactions = 0
+        self.bb_evictions = 0
+        self.pay_flushes = 0
 
     # ------------------------------------------------------------------
     # Row / box allocation
@@ -299,11 +290,6 @@ class ColumnarStateStore:
         self._slots.append({})
         self.bb_used.append(0)
         self._bb_seq.append(0)
-        self._pay_mod.append(np.empty(0, dtype=np.int32))
-        self._pay_val.append(np.empty(0, dtype=np.int8))
-        self._pay_at.append(np.empty(0, dtype=np.float64))
-        self._pay_used.append(0)
-        self._pay_live.append(0)
         return box
 
     def _grow_boxes(self, needed: int) -> None:
@@ -363,6 +349,13 @@ class ColumnarStateStore:
         idx = np.array(picks, dtype=np.intp) + off
         return self.vl_mod[idx], self.vl_val[idx]
 
+    def vl_pack_stale(self, rows: np.ndarray) -> None:
+        """Repack every stale row among ``rows``, first occurrence first
+        (a batch, once up front: its merges then never repack)."""
+        rows = rows[self.vl_stale[rows] & (self.vl_size[rows] > 0)]
+        for row in dict.fromkeys(rows.tolist()):
+            self._vl_pack(row)
+
     def _vl_pack(self, row: int) -> None:
         """Repack one row's segment at the pool tail.  Moderators are
         interned here, in exchange order, self-vote skipped — the ids
@@ -417,161 +410,181 @@ class ColumnarStateStore:
         self.vl_val[:used] = val
 
     # ------------------------------------------------------------------
-    # Payload slab management
+    # Payload pool management
     # ------------------------------------------------------------------
-    def _seg_alloc(self, box: int, need: int) -> Tuple[int, int]:
-        """Reserve a tail segment of power-of-two capacity ≥ ``need``.
+    def _pay_reserve(self, need: int) -> int:
+        """Reserve ``need`` entries at the pool tail and return their
+        offset: drop the garbage first when it would still be more than
+        half the pool with them, then grow until they fit."""
+        tail = self.pay_tail
+        if 2 * (tail - self.pay_live) > tail + need > _POOL_FLOOR:
+            self._pay_compact()
+            tail = self.pay_tail
+        if tail + need > self.pay_mod.size:
+            size = max(self.pay_mod.size, 1024)
+            while size < tail + need:
+                size += size >> 1
+            self._pay_grow(size)
+        self.pay_tail = tail + need
+        return tail
 
-        The minimum capacity of 2 bounds capacity slack at half the
-        slab, so the dead-bytes compaction trigger below can only fire
-        on real garbage (freed or relocated segments)."""
-        cap = 2
-        while cap < need:
-            cap <<= 1
-        if self._pay_used[box] + cap > self._pay_mod[box].size:
-            used = self._pay_used[box]
-            if used - self._pay_live[box] > (used >> 1) and used > 64:
-                self._compact_box(box)
-            if self._pay_used[box] + cap > self._pay_mod[box].size:
-                self._grow_slab(box, self._pay_used[box] + cap)
-        off = self._pay_used[box]
-        self._pay_used[box] = off + cap
-        return off, cap
+    def _pay_grow(self, size: int) -> None:
+        """Grow the pool columns to ``size`` entries in place (``mremap``:
+        no old and new column side by side).  Refuses (``BufferError``)
+        while a view of the pool outlives the call that made it."""
+        for name, dtype in _POOL:
+            nbytes = size * np.dtype(dtype).itemsize
+            buf = self._pay_maps.get(name)
+            if buf is None:
+                buf = self._pay_maps[name] = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+            setattr(self, name, None)  # the column's own view of ``buf``
+            try:
+                buf.resize(nbytes)
+            finally:
+                setattr(self, name, np.frombuffer(buf, dtype=dtype))
 
-    def _grow_slab(self, box: int, needed: int) -> None:
-        size = max(self._pay_mod[box].size * 2, 16)
-        while size < needed:
-            size *= 2
-        for slabs, dtype in (
-            (self._pay_mod, np.int32),
-            (self._pay_val, np.int8),
-            (self._pay_at, np.float64),
-        ):
-            old = slabs[box]
-            out = np.empty(size, dtype=dtype)
-            out[: old.size] = old
-            slabs[box] = out
+    def _pay_release(self, cap: int) -> None:
+        """A segment of capacity ``cap`` became garbage; compact once
+        dead entries outnumber live ones in a non-trivial pool, so the
+        tail stays within 2× the live entries."""
+        self.pay_live -= cap
+        tail = self.pay_tail
+        if 2 * (tail - self.pay_live) > tail > _POOL_FLOOR:
+            self._pay_compact()
 
-    def _seg_free(self, box: int, slot: int) -> None:
-        """Orphan a slot's segment (it becomes slab garbage)."""
-        self._pay_live[box] -= int(self.bb_nvotes[box, slot])
+    def _pay_compact(self) -> None:
+        """Slide every live segment (slack included) down over the
+        garbage, in offset order, one ragged gather per column.  Queued
+        writes own no segment yet, or re-read their victim's offset."""
+        n_boxes = self._n_boxes
+        box_idx, slot_idx = np.nonzero(self.bb_segcap[:n_boxes])
+        offs = self.bb_off[box_idx, slot_idx]
+        by_off = np.argsort(offs, kind="stable")
+        box_idx, slot_idx, offs = box_idx[by_off], slot_idx[by_off], offs[by_off]
+        caps = self.bb_segcap[box_idx, slot_idx].astype(np.int64)
+        idx = _ragged_index(offs, caps)
+        for name, _dtype in _POOL:
+            pool = getattr(self, name)
+            pool[: idx.size] = pool[idx]
+        self.bb_off[box_idx, slot_idx] = np.cumsum(caps) - caps
+        self.pay_tail = self.pay_live = idx.size
+        self.pay_compactions += 1
+
+    def _seg_vacate(self, box: int, slot: int, n: int) -> bool:
+        """Empty a slot for a fresh write of ``n`` votes: keep its
+        segment when they fit (``True``: the write reuses it in place),
+        else orphan it as garbage."""
+        cap = int(self.bb_segcap[box, slot])
         self.bb_nvotes[box, slot] = 0
+        if n <= cap:
+            return True
         self.bb_segcap[box, slot] = 0
-
-    def _seg_write(self, box: int, slot: int, mids, vals, ats) -> None:
-        """Write a fresh segment for a slot that currently owns none:
-        three copies into the slab.  ``ats`` may be a scalar (merge:
-        everything lands ``now``) or a per-entry sequence (restore)."""
-        n = len(mids)
-        off, cap = self._seg_alloc(box, n)
-        end = off + n
-        self._pay_mod[box][off:end] = mids
-        self._pay_val[box][off:end] = vals
-        self._pay_at[box][off:end] = ats
-        self.bb_off[box, slot] = off
-        self.bb_segcap[box, slot] = cap
-        self.bb_nvotes[box, slot] = n
-        self._pay_live[box] += n
+        self._pay_release(cap)
+        return False
 
     def _seg_update(
         self, box: int, slot: int, mids: np.ndarray, vals: np.ndarray, now: float
     ) -> None:
         """Fold packed votes (distinct ``mids``) into an existing
         segment: repeat moderators overwrite in place, new ones append
-        (relocating the segment to the slab tail when it outgrows its
-        capacity) — the same first-occurrence insertion order the dict
-        backend's payload dicts keep."""
+        (relocating the segment to the pool tail, with power-of-two
+        capacity, when it outgrows its capacity) — the same
+        first-occurrence insertion order the dict backend's payload
+        dicts keep."""
         off = int(self.bb_off[box, slot])
         n = int(self.bb_nvotes[box, slot])
-        pm = self._pay_mod[box]
-        pv = self._pay_val[box]
-        pa = self._pay_at[box]
-        seg = pm[off : off + n]
-        if n == len(mids) and (seg == mids).all():
+        end = off + n
+        match = self.pay_mod[off:end, None] == mids  # [stored, incoming]
+        if n == len(mids) and match.diagonal().all():
             # The voter's list as last time (votes rarely change
             # between two meetings): overwrite values and times.
-            pv[off : off + n] = vals
-            pa[off : off + n] = now
+            self.pay_val[off:end] = vals
+            self.pay_at[off:end] = now
             return
-        match = seg[:, None] == mids  # [stored, incoming], ≤ 1 hit per column
-        found = match.any(axis=0)
+        found = match.any(axis=0)  # ≤ 1 hit per column
         at = off + match.argmax(axis=0)[found]
-        pv[at] = vals[found]
-        pa[at] = now
+        self.pay_val[at] = vals[found]
+        self.pay_at[at] = now
         new = ~found
         k = int(np.count_nonzero(new))
         if not k:
             return
-        if n + k > int(self.bb_segcap[box, slot]):
-            new_off, new_cap = self._seg_alloc(box, n + k)
-            # _seg_alloc may have compacted the box (moving this very
-            # segment), so re-read the slab arrays and the offset.
-            pm = self._pay_mod[box]
-            pv = self._pay_val[box]
-            pa = self._pay_at[box]
+        old_cap = int(self.bb_segcap[box, slot])
+        if n + k > old_cap:
+            cap = 2
+            while cap < n + k:
+                cap <<= 1
+            # The reservation may compact (moving this very segment),
+            # so the source offset is read after it.
+            off = self._pay_reserve(cap)
             src = int(self.bb_off[box, slot])
-            pm[new_off : new_off + n] = pm[src : src + n]
-            pv[new_off : new_off + n] = pv[src : src + n]
-            pa[new_off : new_off + n] = pa[src : src + n]
-            off = new_off
-            self.bb_off[box, slot] = new_off
-            self.bb_segcap[box, slot] = new_cap
+            for name, _dtype in _POOL:
+                pool = getattr(self, name)
+                pool[off : off + n] = pool[src : src + n]
+            self.bb_off[box, slot] = off
+            self.bb_segcap[box, slot] = cap
+            self.pay_live += cap
         end = off + n
-        pm[end : end + k] = mids[new]
-        pv[end : end + k] = vals[new]
-        pa[end : end + k] = now
+        self.pay_mod[end : end + k] = mids[new]
+        self.pay_val[end : end + k] = vals[new]
+        self.pay_at[end : end + k] = now
         self.bb_nvotes[box, slot] = n + k
-        self._pay_live[box] += k
+        if n + k > old_cap:
+            self._pay_release(old_cap)
 
-    def _compact_box(self, box: int) -> None:
-        """Rewrite the box's slab with only the live segments (fresh
-        power-of-two capacities), dropping all garbage."""
-        used_slots = self.bb_used[box]
-        offs = self.bb_off[box]
-        lens = self.bb_nvotes[box]
-        caps = self.bb_segcap[box]
-        old_mod = self._pay_mod[box]
-        old_val = self._pay_val[box]
-        old_at = self._pay_at[box]
-        total = 0
-        for s in range(used_slots):
-            n = int(lens[s])
-            if n == 0:
-                continue
-            c = 2
-            while c < n:
-                c <<= 1
-            total += c
-        size = 16
-        while size < total:
-            size <<= 1
-        new_mod = np.empty(size, dtype=np.int32)
-        new_val = np.empty(size, dtype=np.int8)
-        new_at = np.empty(size, dtype=np.float64)
-        pos = 0
-        live = 0
-        for s in range(used_slots):
-            n = int(lens[s])
-            if n == 0:
-                offs[s] = 0
-                caps[s] = 0
-                continue
-            c = 2
-            while c < n:
-                c <<= 1
-            o = int(offs[s])
-            new_mod[pos : pos + n] = old_mod[o : o + n]
-            new_val[pos : pos + n] = old_val[o : o + n]
-            new_at[pos : pos + n] = old_at[o : o + n]
-            offs[s] = pos
-            caps[s] = c
-            pos += c
-            live += n
-        self._pay_mod[box] = new_mod
-        self._pay_val[box] = new_val
-        self._pay_at[box] = new_at
-        self._pay_used[box] = pos
-        self._pay_live[box] = live
+    def bb_flush(self) -> None:
+        """Land the queued fresh-segment writes, ``(box, slot, voter,
+        mids, vals, ats, last, seq, reuse)`` each: a few record by
+        record, a batch with one tail reservation, one copy per pool
+        column and one vector store per slot column.  A ``reuse``
+        record writes over its victim's segment, at the offset it has
+        after any compaction the reservation ran."""
+        pend = self._pend
+        if not pend:
+            return
+        self._pend = []
+        if len(pend) < _FLUSH_BATCH:
+            for box, slot, voter, mids, vals, ats, last, seq, reuse in pend:
+                n = len(mids)
+                if reuse:
+                    off = int(self.bb_off[box, slot])
+                else:
+                    off = self._pay_reserve(n)
+                    self.bb_off[box, slot] = off
+                    self.bb_segcap[box, slot] = n
+                    self.pay_live += n
+                end = off + n
+                self.pay_mod[off:end] = mids
+                self.pay_val[off:end] = vals
+                self.pay_at[off:end] = ats
+                self.bb_nvotes[box, slot] = n
+                self.bb_voter[box, slot] = voter
+                self.bb_last[box, slot] = last
+                self.bb_order[box, slot] = seq
+            return
+        boxes, slots, voters, mids, vals, ats, lasts, seqs, reuse = zip(*pend)
+        boxes = np.array(boxes, dtype=np.intp)
+        slots = np.array(slots, dtype=np.intp)
+        lens = np.fromiter(map(len, mids), np.int64, len(pend))
+        fresh = ~np.array(reuse, dtype=np.bool_)
+        caps = lens[fresh]
+        total = int(caps.sum())
+        base = self._pay_reserve(total)
+        offs = self.bb_off[boxes, slots]
+        offs[fresh] = base + np.cumsum(caps) - caps
+        self.pay_live += total
+        # New segments lie back to back from ``base``, in queue order.
+        idx = slice(base, base + total) if fresh.all() else _ragged_index(offs, lens)
+        self.pay_mod[idx] = np.concatenate(mids)
+        self.pay_val[idx] = np.concatenate(vals)
+        self.pay_at[idx] = np.repeat(ats, lens)
+        self.bb_off[boxes, slots] = offs
+        self.bb_segcap[boxes[fresh], slots[fresh]] = caps
+        self.bb_nvotes[boxes, slots] = lens
+        self.bb_voter[boxes, slots] = voters
+        self.bb_last[boxes, slots] = lasts
+        self.bb_order[boxes, slots] = seqs
+        self.pay_flushes += 1
 
     # ------------------------------------------------------------------
     # Ballot-box operations (semantics of repro.core.ballotbox)
@@ -625,18 +638,22 @@ class ColumnarStateStore:
         mids: np.ndarray,
         vals: np.ndarray,
         now: float,
+        defer: bool = False,
     ) -> int:
         """Merge packed votes — ``mids`` (int32 interned moderators,
         distinct, none of them the voter) with their ``vals`` (int8) —
         from the voter at ``voter_row`` into ``owner_row``'s box;
-        returns how many were stored.  The batched vote tick calls this
-        row to row with two :meth:`vl_wire` slices per exchange (the
-        arrays are copied, never kept); :meth:`bb_merge` ends here too.
+        returns how many were stored.  Everything order-sensitive —
+        slot, recency, eviction victim, occupancy — is settled here; a
+        voter new to the box gets a fresh segment whose write is queued
+        for :meth:`bb_flush`, which runs at once unless ``defer`` (the
+        arrays must then stay unchanged until the caller flushes).
 
         A full box evicts *before* inserting so the newcomer reuses the
         head voter's slot in place — the same final state the insert-
         then-evict order produces (``b_max >= 1`` keeps the newcomer
-        off the victim list), without the swap-remove column traffic.
+        off the victim list), without the swap-remove column traffic —
+        and, when its list fits, the victim's segment too.
         """
         n = len(mids)
         if not n:
@@ -646,35 +663,33 @@ class ColumnarStateStore:
             box = self._box_row(owner_row)
         slots = self._slots[box]
         slot = slots.get(voter_row)
-        if slot is None:
-            nslots = len(slots)
-            if nslots >= b_max:
-                # Evict-then-insert: same victims as the reference
-                # insert-then-evict (heads of the recency order; the
-                # newcomer would sit at the tail), but the last victim's
-                # slot is reused in place.
-                while nslots > b_max:
-                    self._drop_slot(box, slots, owner_row, next(iter(slots)))
-                    nslots -= 1
-                slot = slots.pop(next(iter(slots)))
-                self._seg_free(box, slot)
-                self.bb_voter[box, slot] = voter_row
-            else:
-                slot = self.bb_used[box]
-                if slot >= self._width:
-                    self._grow_width(slot + 1)
-                self.bb_voter[box, slot] = voter_row
-                self.bb_used[box] = slot + 1
-                self.bb_unique[owner_row] += 1
-            slots[voter_row] = slot
-            self._seg_write(box, slot, mids, vals, now)
-        else:
-            # Move-to-end: recency order is the dict's insertion order.
-            slots.pop(voter_row)
-            slots[voter_row] = slot
-            self._seg_update(box, slot, mids, vals, now)
         seq = self._bb_seq[box] + 1
         self._bb_seq[box] = seq
+        if slot is None:
+            reuse = False
+            if len(slots) >= b_max:
+                # Evict-then-insert: same victims as the reference
+                # insert-then-evict (heads of the recency order; the
+                # newcomer would sit at the tail).
+                self._evict(box, slots, owner_row, b_max)  # a shrunk b_max
+                slot = slots.pop(next(iter(slots)))
+                self.bb_evictions += 1
+                if not self.bb_nvotes[box, slot]:
+                    self.bb_flush()  # the victim's own write is queued
+                reuse = self._seg_vacate(box, slot, n)
+            else:
+                slot = self._slot_add(box, owner_row)
+            slots[voter_row] = slot
+            self._pend.append((box, slot, voter_row, mids, vals, now, now, seq, reuse))
+            if not defer:
+                self.bb_flush()
+            return n
+        if not self.bb_nvotes[box, slot]:
+            self.bb_flush()  # this voter's first write is still queued
+        # Move-to-end: recency order is the dict's insertion order.
+        slots.pop(voter_row)
+        slots[voter_row] = slot
+        self._seg_update(box, slot, mids, vals, now)
         self.bb_last[box, slot] = now
         self.bb_order[box, slot] = seq
         if len(slots) > b_max:
@@ -693,6 +708,7 @@ class ColumnarStateStore:
     ) -> None:
         """:meth:`BallotBox.restore_voter` over the columns — the
         voter's previous segment (if any) is wholesale replaced."""
+        self.bb_flush()
         mods = self.mods
         stored: Dict[int, Tuple[int, float]] = {
             mods.row(moderator): (int(Vote(vote)), received_at)
@@ -701,30 +717,25 @@ class ColumnarStateStore:
         }
         if not stored:
             return
+        n = len(stored)
         box = self._box_row(owner_row)
         slots = self._slots[box]
         vrow = self.rows.row(voter)
         slot = slots.get(vrow)
         if slot is None:
-            slot = self.bb_used[box]
-            if slot >= self._width:
-                self._grow_width(slot + 1)
-            self.bb_voter[box, slot] = vrow
-            self.bb_used[box] = slot + 1
-            self.bb_unique[owner_row] += 1
+            slot = self._slot_add(box, owner_row)
+            reuse = False
         else:
-            self._seg_free(box, slot)
             slots.pop(vrow)
+            reuse = self._seg_vacate(box, slot, n)
         slots[vrow] = slot
-        vals_ats = list(stored.values())
-        self._seg_write(
-            box,
-            slot,
-            list(stored.keys()),
-            [v for v, _ in vals_ats],
-            [a for _, a in vals_ats],
-        )
-        self._stamp(box, slot, last_received)
+        seq = self._bb_seq[box] + 1
+        self._bb_seq[box] = seq
+        vals, ats = np.array(list(stored.values())).T
+        mids = np.fromiter(stored, np.int32, n)
+        vals = vals.astype(np.int8)
+        self._pend.append((box, slot, vrow, mids, vals, ats, last_received, seq, reuse))
+        self.bb_flush()
         self._evict(box, slots, owner_row, b_max)
 
     def bb_remove_voter(self, owner_row: int, voter: str) -> bool:
@@ -737,11 +748,14 @@ class ColumnarStateStore:
         self._drop_slot(box, self._slots[box], owner_row, vrow)
         return True
 
-    def _stamp(self, box: int, slot: int, when: float) -> None:
-        seq = self._bb_seq[box] + 1
-        self._bb_seq[box] = seq
-        self.bb_last[box, slot] = when
-        self.bb_order[box, slot] = seq
+    def _slot_add(self, box: int, owner_row: int) -> int:
+        """A new slot at the end of the box's occupied ones."""
+        slot = self.bb_used[box]
+        if slot >= self._width:
+            self._grow_width(slot + 1)
+        self.bb_used[box] = slot + 1
+        self.bb_unique[owner_row] += 1
+        return slot
 
     def _evict(
         self, box: int, slots: Dict[int, int], owner_row: int, b_max: int
@@ -749,17 +763,20 @@ class ColumnarStateStore:
         while len(slots) > b_max:
             victim = next(iter(slots))
             self._drop_slot(box, slots, owner_row, victim)
+            self.bb_evictions += 1
 
     def _drop_slot(
         self, box: int, slots: Dict[int, int], owner_row: int, vrow: int
     ) -> None:
         """Free a voter's slot, swap-filling from the box's last slot
         (a value-only dict update, so the moved voter keeps its recency
-        position).  The dropped segment becomes slab garbage; the box
-        compacts when dead entries outnumber live ones."""
+        position).  The dropped segment becomes pool garbage.  Deferred
+        writes land first: the swap moves slot columns they would
+        write."""
+        self.bb_flush()
         slot = slots.pop(vrow)
         last = self.bb_used[box] - 1
-        self._pay_live[box] -= int(self.bb_nvotes[box, slot])
+        cap = int(self.bb_segcap[box, slot])
         if slot != last:
             moved = int(self.bb_voter[box, last])
             self.bb_voter[box, slot] = moved
@@ -774,9 +791,7 @@ class ColumnarStateStore:
         self.bb_segcap[box, last] = 0
         self.bb_used[box] = last
         self.bb_unique[owner_row] -= 1
-        used = self._pay_used[box]
-        if used - self._pay_live[box] > (used >> 1) and used > 64:
-            self._compact_box(box)
+        self._pay_release(cap)
 
     # ------------------------------------------------------------------
     # Ballot-box reads
@@ -788,7 +803,10 @@ class ColumnarStateStore:
         return self._slots[box] if box >= 0 else {}
 
     def _slot_of(self, owner_row: int, voter: str) -> Tuple[int, int]:
-        """``(box, slot)`` for a stored voter, ``(-1, -1)`` otherwise."""
+        """``(box, slot)`` for a stored voter, ``(-1, -1)`` otherwise;
+        queued writes land first (the caller reads the slot)."""
+        if self._pend:
+            self.bb_flush()
         box = self._box_of[owner_row]
         if box < 0:
             return -1, -1
@@ -798,16 +816,22 @@ class ColumnarStateStore:
         slot = self._slots[box].get(vrow)
         return (box, slot) if slot is not None else (-1, -1)
 
-    def _box_votes(self, box: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """All of one box's live ``(moderator ids, vote values)``,
-        gathered from the slot segments with one ragged fancy-index."""
+    def _tallies(self, owner_row: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Per interned moderator, the box's total and positive votes —
+        one ragged gather over the slot segments and two bincounts;
+        ``None`` for an empty box."""
+        self.bb_flush()
+        box = self._box_of[owner_row]
+        if box < 0:
+            return None
         used = self.bb_used[box]
-        if used == 0:
-            return None
         idx = _ragged_index(self.bb_off[box, :used], self.bb_nvotes[box, :used])
-        if idx.size == 0:
+        if not idx.size:
             return None
-        return self._pay_mod[box][idx], self._pay_val[box][idx]
+        mods = self.pay_mod[idx]
+        nbins = int(mods.max()) + 1
+        positive = mods[self.pay_val[idx] > 0]
+        return np.bincount(mods, minlength=nbins), np.bincount(positive, minlength=nbins)
 
     def bb_votes_of(self, owner_row: int, voter: str) -> List[Tuple[str, Vote, float]]:
         box, slot = self._slot_of(owner_row, voter)
@@ -817,75 +841,38 @@ class ColumnarStateStore:
         end = off + int(self.bb_nvotes[box, slot])
         ids = self.mods.ids
         return [
-            (ids[m], Vote(v), a)
+            (ids[m], _VOTE[v], a)
             for m, v, a in zip(
-                self._pay_mod[box][off:end].tolist(),
-                self._pay_val[box][off:end].tolist(),
-                self._pay_at[box][off:end].tolist(),
+                self.pay_mod[off:end].tolist(),
+                self.pay_val[off:end].tolist(),
+                self.pay_at[off:end].tolist(),
             )
         ]
 
     def bb_vote_of(self, owner_row: int, voter: str, moderator_id: str):
-        box, slot = self._slot_of(owner_row, voter)
-        if box < 0:
-            return None
-        mid = self.mods.get(moderator_id)
-        if mid is None:
-            return None
-        off = int(self.bb_off[box, slot])
-        end = off + int(self.bb_nvotes[box, slot])
-        hits = np.nonzero(self._pay_mod[box][off:end] == mid)[0]
-        if hits.size == 0:
-            return None
-        return Vote(int(self._pay_val[box][off + int(hits[0])]))
+        for moderator, vote, _at in self.bb_votes_of(owner_row, voter):
+            if moderator == moderator_id:
+                return vote
+        return None
 
     def bb_moderators(self, owner_row: int) -> List[str]:
-        box = self._box_of[owner_row]
-        if box < 0:
-            return []
-        gathered = self._box_votes(box)
-        if gathered is None:
-            return []
-        ids = self.mods.ids
-        return sorted(ids[m] for m in np.unique(gathered[0]).tolist())
+        return sorted(self.bb_all_counts(owner_row))
 
     def bb_counts(self, owner_row: int, moderator_id: str) -> Tuple[int, int]:
-        box = self._box_of[owner_row]
-        if box < 0:
-            return 0, 0
-        mid = self.mods.get(moderator_id)
-        if mid is None:
-            return 0, 0
-        gathered = self._box_votes(box)
-        if gathered is None:
-            return 0, 0
-        mods_arr, vals_arr = gathered
-        sel = mods_arr == mid
-        tot = int(np.count_nonzero(sel))
-        if tot == 0:
-            return 0, 0
-        pos = int(np.count_nonzero(vals_arr[sel] > 0))
-        return pos, tot - pos
+        return self.bb_all_counts(owner_row).get(moderator_id, (0, 0))
 
     def bb_all_counts(self, owner_row: int) -> Dict[str, Tuple[int, int]]:
-        """``moderator → (positive, negative)`` as one pair of bincount
-        scans over the box's interned moderator ids."""
-        box = self._box_of[owner_row]
-        if box < 0:
+        """``moderator → (positive, negative)`` from one pair of
+        bincount scans over the box's interned moderator ids."""
+        tallies = self._tallies(owner_row)
+        if tallies is None:
             return {}
-        gathered = self._box_votes(box)
-        if gathered is None:
-            return {}
-        mods_arr, vals_arr = gathered
-        nbins = int(mods_arr.max()) + 1
-        tot = np.bincount(mods_arr, minlength=nbins)
-        pos = np.bincount(mods_arr[vals_arr > 0], minlength=nbins)
+        tot, pos = tallies
         ids = self.mods.ids
-        out: Dict[str, Tuple[int, int]] = {}
-        for mid in np.unique(mods_arr).tolist():
-            p = int(pos[mid])
-            out[ids[mid]] = (p, int(tot[mid]) - p)
-        return out
+        return {
+            ids[m]: (int(pos[m]), int(tot[m] - pos[m]))
+            for m in np.flatnonzero(tot).tolist()
+        }
 
     def bb_dispersion(self, owner_row: int) -> float:
         """Worst-case per-moderator disagreement (the adaptive-T
@@ -893,19 +880,13 @@ class ColumnarStateStore:
         Same bincount scan as :meth:`bb_all_counts`, but the tallies
         never materialise as a Python dict — this is the vectorised
         fast path behind :meth:`ColumnarBallotBox.dispersion`."""
-        box = self._box_of[owner_row]
-        if box < 0:
+        tallies = self._tallies(owner_row)
+        if tallies is None:
             return 0.0
-        gathered = self._box_votes(box)
-        if gathered is None:
-            return 0.0
-        mods_arr, vals_arr = gathered
-        nbins = int(mods_arr.max()) + 1
-        tot = np.bincount(mods_arr, minlength=nbins)
+        tot, pos = tallies
         mask = tot >= 2
         if not mask.any():
             return 0.0
-        pos = np.bincount(mods_arr[vals_arr > 0], minlength=nbins)
         # int/int true division and 4·p·(1−p) are elementwise float64
         # ops — bit-identical to the scalar loop over all_counts().
         p = pos[mask] / tot[mask]
@@ -917,25 +898,25 @@ class ColumnarStateStore:
         """Every stored vote of one box as flat ``(voter, moderator,
         vote, received_at)`` rows sorted by ``(voter, moderator)`` —
         the columnar side of :meth:`BallotBox.export_digest`, gathered
-        straight from the packed payload slabs."""
+        straight from the payload pool."""
+        self.bb_flush()
         box = self._box_of[owner_row]
         if box < 0:
             return []
-        mod_ids = self.mods.ids
-        row_ids = self.rows.ids
-        out: List[Tuple[str, str, int, float]] = []
-        for vrow, slot in self._slots[box].items():
-            voter = row_ids[vrow]
-            off = int(self.bb_off[box, slot])
-            end = off + int(self.bb_nvotes[box, slot])
-            out.extend(
-                (voter, mod_ids[m], int(v), float(a))
-                for m, v, a in zip(
-                    self._pay_mod[box][off:end].tolist(),
-                    self._pay_val[box][off:end].tolist(),
-                    self._pay_at[box][off:end].tolist(),
-                )
+        slots = self._slots[box]
+        n = len(slots)
+        slot_idx = np.fromiter(slots.values(), np.intp, n)
+        lens = self.bb_nvotes[box, slot_idx]
+        idx = _ragged_index(self.bb_off[box, slot_idx], lens)
+        voters = np.repeat(np.fromiter(slots, np.intp, n), lens).tolist()
+        out = list(
+            zip(
+                map(self.rows.ids.__getitem__, voters),
+                map(self.mods.ids.__getitem__, self.pay_mod[idx].tolist()),
+                self.pay_val[idx].tolist(),
+                self.pay_at[idx].tolist(),
             )
+        )
         out.sort(key=lambda r: (r[0], r[1]))
         return out
 
@@ -944,6 +925,7 @@ class ColumnarStateStore:
         return 0.0 if box < 0 else float(self.bb_last[box, slot])
 
     def bb_total_votes(self, owner_row: int) -> int:
+        self.bb_flush()
         box = self._box_of[owner_row]
         if box < 0:
             return 0
@@ -956,6 +938,7 @@ class ColumnarStateStore:
     def dump_state(self) -> Dict[str, object]:
         """The whole store as scalars and trimmed array copies (see the
         module docstring); pairs with :meth:`load_state`."""
+        self.bb_flush()
         n_rows = min(len(self.rows), self._cap)
         used = np.array(self.bb_used, dtype=np.int32)
         occupied = np.arange(self._width, dtype=np.int32) < used[:, None]
@@ -968,18 +951,16 @@ class ColumnarStateStore:
             "box_of": np.array(self._box_of[:n_rows], dtype=np.int32),
             "bb_used": used,
             "bb_seq": np.array(self._bb_seq, dtype=np.int64),
-            "pay_size": np.array([slab.size for slab in self._pay_mod], dtype=np.int64),
-            "pay_used": np.array(self._pay_used, dtype=np.int64),
-            "pay_live": np.array(self._pay_live, dtype=np.int64),
+            "pay_size": int(self.pay_mod.size),
+            "pay_tail": self.pay_tail,
+            "pay_live": self.pay_live,
         }
         for name, _dtype, _fill in _ROW_COLUMNS:
             state[name] = getattr(self, name)[:n_rows].copy()
         for name, _dtype, _fill in _SLOT_COLUMNS:
             state[name] = getattr(self, name)[: used.size][occupied]
-        for name, dtype in _SLABS:
-            slabs = getattr(self, "_" + name)
-            tails = [slab[:end] for slab, end in zip(slabs, self._pay_used)]
-            state[name] = np.concatenate(tails) if tails else np.empty(0, dtype=dtype)
+        for name, _dtype in _POOL:
+            state[name] = getattr(self, name)[: self.pay_tail].copy()
         return state
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -1006,6 +987,20 @@ class ColumnarStateStore:
         # again on its first exchange.
         self.vl_stale[:n_rows] = self.vl_size[:n_rows] > 0
         self._box_of[:n_rows] = box_of.tolist()
+        size, tail, live = (state.get(k) for k in ("pay_size", "pay_tail", "pay_live"))
+        if not (
+            all(type(v) is int for v in (size, tail, live)) and 0 <= live <= tail <= size
+        ):
+            raise CheckpointError(
+                "scalars 'pay_size' / 'pay_tail' / 'pay_live': expected "
+                f"0 <= live <= tail <= size, found {size} / {tail} / {live}"
+            )
+        if size:
+            self._pay_grow(size)
+        for name, dtype in _POOL:
+            getattr(self, name)[:tail] = take(state, name, dtype, tail)
+        self.pay_tail = tail
+        self.pay_live = live
         used = take(state, "bb_used", np.int32, None)
         n_boxes = used.size
         if not n_boxes:
@@ -1019,19 +1014,6 @@ class ColumnarStateStore:
             getattr(self, name)[:n_boxes][occupied] = take(state, name, dtype, n_slots)
         self.bb_used = used.tolist()
         self._bb_seq = take(state, "bb_seq", np.int64, n_boxes).tolist()
-        sizes = take(state, "pay_size", np.int64, n_boxes).tolist()
-        self._pay_used = take(state, "pay_used", np.int64, n_boxes).tolist()
-        self._pay_live = take(state, "pay_live", np.int64, n_boxes).tolist()
-        for name, dtype in _SLABS:
-            tails = take(state, name, dtype, sum(self._pay_used))
-            slabs = []
-            start = 0
-            for size, end in zip(sizes, self._pay_used):
-                slab = np.empty(size, dtype=dtype)
-                slab[:end] = tails[start : start + end]
-                start += end
-                slabs.append(slab)
-            setattr(self, "_" + name, slabs)
         # Recency dicts: each box's voters in ascending ``bb_order``
         # (a merge stamps the voter it moves to the dict's end).
         box_idx, slot_idx = np.nonzero(occupied)
@@ -1046,8 +1028,8 @@ class ColumnarStateStore:
 
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Measured retained footprint: every numpy column, every
-        payload slab, the per-box slot dicts and bookkeeping lists, and
+        """Measured retained footprint: every numpy column, the
+        payload pool, the per-box slot dicts and bookkeeping lists, and
         the moderator intern table's containers.  Peer/moderator id
         *strings* are shared with the rest of the system (the row
         tables hold one reference each) and excluded — the dict
@@ -1058,9 +1040,7 @@ class ColumnarStateStore:
             for name, _dtype, _fill in _ROW_COLUMNS + _WIRE_COLUMNS + _SLOT_COLUMNS
         )
         total += self.vl_mod.nbytes + self.vl_val.nbytes
-        for name, _dtype in _SLABS:
-            slabs = getattr(self, "_" + name)
-            total += sys.getsizeof(slabs) + sum(arr.nbytes for arr in slabs)
+        total += sum(getattr(self, name).nbytes for name, _dtype in _POOL)
         for d in self._slots:
             total += sys.getsizeof(d)
         for container in (
@@ -1068,8 +1048,6 @@ class ColumnarStateStore:
             self.bb_used,
             self._bb_seq,
             self._slots,
-            self._pay_used,
-            self._pay_live,
             self._vl_lists,
             self._vl_self,
             self.mods.ids,
@@ -1080,16 +1058,34 @@ class ColumnarStateStore:
 
     def box_memory_bytes(self, owner_row: int) -> int:
         """One box's share of the retained footprint: its rows of the
-        2-D columns, its payload slabs and its slot dict.  (The global
-        intern table is shared and not attributed to any single box.)"""
+        2-D columns, the pool entries its segments own and its slot
+        dict.  (The global intern table is shared and not attributed to
+        any single box.)"""
         box = self._box_of[owner_row]
         if box < 0:
             return 0
+        self.bb_flush()
         per_slot = sum(np.dtype(dtype).itemsize for _n, dtype, _f in _SLOT_COLUMNS)
+        per_entry = sum(np.dtype(dtype).itemsize for _n, dtype in _POOL)
         total = self._width * per_slot
-        total += sum(getattr(self, "_" + name)[box].nbytes for name, _dtype in _SLABS)
+        total += int(self.bb_segcap[box].sum()) * per_entry
         total += sys.getsizeof(self._slots[box])
         return total
+
+    def pool_stats(self) -> Dict[str, object]:
+        """Ballot-box fill and eviction pressure: the payload pool's
+        capacity, tail and live entries, its garbage share, and the
+        compactions, evictions and batched flushes so far."""
+        tail = self.pay_tail
+        return {
+            "capacity": int(self.pay_mod.size),
+            "tail": tail,
+            "live": self.pay_live,
+            "garbage_share": (tail - self.pay_live) / tail if tail else 0.0,
+            "compactions": self.pay_compactions,
+            "evictions": self.bb_evictions,
+            "flushes": self.pay_flushes,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -201,9 +201,9 @@ def node_from_dict(
     save format is backing-agnostic (everything goes through the
     public BallotBox API), so dict-state saves restore into columnar
     boxes and vice versa, bit-identically.  The columnar store's
-    packed payload slabs are invisible here for the same reason:
-    ``votes_of`` yields the same insertion-ordered triples whether
-    they come from a payload dict or a slab segment."""
+    payload pool is invisible here for the same reason: ``votes_of``
+    yields the same insertion-ordered triples whether they come from a
+    payload dict or a pool segment."""
     fmt = data.get("format")
     if fmt != FORMAT_VERSION:
         raise ValueError(f"unsupported node-state format {fmt!r}")

@@ -318,16 +318,20 @@ class ProtocolRuntime:
 
     def ballot_memory_bytes(self) -> int:
         """Measured retained bytes of all ballot-box state: the
-        columnar store's columns, payload slabs and bookkeeping (shared
+        columnar store's columns, payload pool and bookkeeping (shared
         id strings excluded)."""
         return self._col_store.memory_bytes()
 
     def population_summary(self) -> Dict[str, object]:
         """Tick-scheduler telemetry: population and online counts,
-        ticks dispatched per protocol, batch shape, and the measured
-        ballot-box memory footprint."""
+        ticks dispatched per protocol, batch shape, the measured
+        ballot-box memory footprint, and ballot-box fill and eviction
+        pressure (``ballot_pool``: the payload pool's capacity, tail,
+        live entries and garbage share, compactions, evictions and
+        batched flushes)."""
         out = self.materialize_population().telemetry()
         out["ballot_memory_bytes"] = self.ballot_memory_bytes()
+        out["ballot_pool"] = self._col_store.pool_stats()
         return out
 
     def node_counters(self) -> Dict[str, int]:
@@ -497,11 +501,14 @@ class ProtocolRuntime:
         same call sequence), and merges through the same columnar core
         the node API ends in.
 
-        An exchange is row to row: each side's vote list was packed
-        into the store's wire form when it was last cast (interned
-        moderators, own id dropped, exchange order), so a merge is two
-        pool slices handed to ``bb_merge_packed`` — no ``VoteEntry``,
-        no id string, no per-vote work.
+        An exchange is row to row: each side's vote list is in the
+        store's wire form (interned moderators, own id dropped,
+        exchange order; stale lists are repacked once, up front), so a
+        merge is two pool slices handed to ``bb_merge_packed`` — no
+        ``VoteEntry``, no id string, no per-vote work.  Merges settle
+        slots, recency and eviction at once but queue the payload
+        writes of voters new to a box; one ``bb_flush`` lands the
+        whole batch's with one copy per pool column.
 
         The columns carry the batch: one gather per direction over
         ``vl_size`` and ``bb_unique`` proves most entries side-effect
@@ -528,25 +535,23 @@ class ProtocolRuntime:
             return
         nodes = self.nodes
         m = len(pids)
-        own: List[VoteSamplingNode] = []
-        for pid in pids:
-            node = nodes[pid]
-            if not node.online:
-                # Runtime/engine online flags out of sync (manual
-                # flips): the scalar tick skips such peers *before*
-                # sampling, so replay the whole run scalar.
-                vote_tick = self._vote_tick
-                for t, pid2 in zip(times, pids):
-                    engine._now = t
-                    vote_tick(pid2)
-                return
-            own.append(node)
+        own: List[VoteSamplingNode] = [nodes[pid] for pid in pids]
+        if not all([node.online for node in own]):
+            # Runtime/engine online flags out of sync (manual flips):
+            # the scalar tick skips such peers *before* sampling, so
+            # replay the whole run scalar.
+            vote_tick = self._vote_tick
+            for t, pid in zip(times, pids):
+                engine._now = t
+                vote_tick(pid)
+            return
         partner_ids = self.pss.sample_batch(pids)
         is_online = self.registry.is_online
         loss = self.config.message_loss
         loss_rng = self._message_loss_rng
         ensure_node = self.ensure_node
         partners: List[Optional[VoteSamplingNode]] = [None] * m
+        prow_list = [0] * m
         for k in range(m):
             partner = partner_ids[k]
             if partner is None or partner == pids[k]:
@@ -556,7 +561,11 @@ class ProtocolRuntime:
             if loss > 0.0 and loss_rng.random() < loss:
                 self.dropped_exchanges += 1
                 continue
-            partners[k] = ensure_node(partner)
+            node = nodes.get(partner)
+            if node is None:
+                node = ensure_node(partner)
+            partners[k] = node
+            prow_list[k] = node.row
         store = self._col_store
         exp = self.experience
         exp_type = type(exp)
@@ -568,7 +577,6 @@ class ProtocolRuntime:
             exp_type is ThresholdExperience and exp.threshold <= 0.0
         )
         rows_arr = np.fromiter(rows, np.int64, m)
-        prow_list = [0 if p is None else p.row for p in partners]
         prows_arr = np.fromiter(prow_list, np.int64, m)
         valid = np.fromiter((p is not None for p in partners), np.bool_, m)
         n_ex = int(np.count_nonzero(valid))
@@ -600,7 +608,8 @@ class ProtocolRuntime:
         # or above B_min can never re-enter bootstrap mid-batch), or
         # an experience gate that isn't a column fast path (rejection
         # counters fire even on empty exchanges).
-        active = (vl_own_arr > 0) | (vl_par_arr > 0)
+        has_votes = (vl_own_arr > 0) | (vl_par_arr > 0)
+        active = has_votes.copy()
         bb_unique = store.bb_unique
         pre_vox = None
         if vox and b_min > 0:
@@ -624,24 +633,38 @@ class ProtocolRuntime:
         active &= valid
         vl_own = vl_own_arr.tolist()
         vl_par = vl_par_arr.tolist()
+        act = np.flatnonzero(active).tolist()
+        # Every list this batch may send, packed once up front (partner
+        # then own, in entry order): the merges below read pool slices
+        # at ``seg_off[k]`` (own) / ``seg_off[m + k]`` (partner).
+        send = np.flatnonzero(has_votes & valid)
+        if send.size:
+            lists = np.empty(2 * send.size, dtype=np.int64)
+            lists[0::2] = prows_arr[send]
+            lists[1::2] = rows_arr[send]
+            store.vl_pack_stale(lists)
+            both = np.concatenate((rows_arr, prows_arr))
+            offs = store.vl_off[both]
+            seg_off = offs.tolist()
+            seg_end = (offs + store.vl_len[both]).tolist()
+        vl_mod, vl_val = store.vl_mod, store.vl_val
         wire = store.vl_wire
         merge = store.bb_merge_packed
         vp_ex = 0
         vp_entries = 0
-        for k in np.nonzero(active)[0].tolist():
+        for k in act:
             now = times[k]
             engine._now = now
             partner = partners[k]
             node = own[k]
-            pid = pids[k]
-            partner_id = partner.peer_id
             row = rows[k]
             prow = prow_list[k]
             # Forward verdict (observer = this node), before selection.
             if fast_all or (fwd_fast is not None and fwd_fast[k]):
                 fwd = True
             else:
-                fwd = exp.experienced_many(pid, [partner_id])[partner_id]
+                partner_id = partner.peer_id
+                fwd = exp.experienced_many(pids[k], [partner_id])[partner_id]
             # node.votes_to_send() / partner.votes_to_send(): at or
             # below the cap the whole list goes and nothing is drawn;
             # above it each side draws its selection here — ours first,
@@ -662,8 +685,12 @@ class ProtocolRuntime:
             # row to row: the partner's packed list into our box.
             if fwd:
                 if n_in:
-                    mids, vals = wire(prow, picks_in)
-                    node.votes_merged += merge(row, b_max, prow, mids, vals, now)
+                    if picks_in is None:
+                        off, end = seg_off[m + k], seg_end[m + k]
+                        mids, vals = vl_mod[off:end], vl_val[off:end]
+                    else:
+                        mids, vals = wire(prow, picks_in)
+                    node.votes_merged += merge(row, b_max, prow, mids, vals, now, True)
             else:
                 node.votes_rejected_inexperienced += 1
             # Reverse verdict (observer = partner), after our merge —
@@ -671,11 +698,16 @@ class ProtocolRuntime:
             if fast_all or (rev_fast is not None and rev_fast[k]):
                 rev = True
             else:
-                rev = exp.experienced_many(partner_id, [pid])[pid]
+                pid = pids[k]
+                rev = exp.experienced_many(partner.peer_id, [pid])[pid]
             if rev:
                 if n_out:
-                    mids, vals = wire(row, picks_out)
-                    partner.votes_merged += merge(prow, b_max, row, mids, vals, now)
+                    if picks_out is None:
+                        off, end = seg_off[k], seg_end[k]
+                        mids, vals = vl_mod[off:end], vl_val[off:end]
+                    else:
+                        mids, vals = wire(row, picks_out)
+                    partner.votes_merged += merge(prow, b_max, row, mids, vals, now, True)
             else:
                 partner.votes_rejected_inexperienced += 1
             # VoxPopuli (Fig 3 a+c): pre-gated on the occupancy column,
@@ -687,6 +719,7 @@ class ProtocolRuntime:
                     node.topk_cache.add(response)
                     vp_entries += len(response)
                 vp_ex += 1
+        store.bb_flush()
         self.traffic.vote_exchange_many(n_ex, n_items)
         if vp_ex:
             self.traffic.voxpopuli_exchange_many(vp_ex, vp_entries)

@@ -20,7 +20,7 @@ operates the simulator that way:
 numpy columns, so one checkpoint file (:data:`CHECKPOINT_FILE`, the
 container of :mod:`repro.core.checkpoint`) is those columns dumped as
 checksummed sections — ``store.*`` (:meth:`ColumnarStateStore
-.dump_state`: intern tables, ballot columns, vote slabs), ``sched.*``
+.dump_state`: intern tables, ballot columns, vote pool), ``sched.*``
 (:meth:`PopulationEngine.schedule_state`: next-tick/seq columns,
 jitter buffers), ``nodes.*`` (:func:`~repro.core.persistence
 .nodes_to_columns`: what nodes hold outside the store) and ``rng.*``
@@ -52,10 +52,10 @@ hold:
 Cache warmth (BarterCast record/contribution caches) is performance
 state, not protocol state: a restarted process starts cold, exactly
 like a rebooted client.  :meth:`ServiceShard.identity_state` is the
-comparison surface that excludes it, measured memory telemetry (layout-
-not protocol-determined) and the SoA scheduler's batch shape (a
-checkpoint closes the open tick window, so where windows fall depends
-on who checkpointed, not on the protocol).
+comparison surface that excludes it, measured memory and payload-pool
+telemetry (layout- not protocol-determined) and the SoA scheduler's
+batch shape (a checkpoint closes the open tick window, so where windows
+fall depends on who checkpointed, not on the protocol).
 """
 
 from __future__ import annotations
@@ -619,8 +619,9 @@ class ServiceShard:
 
         Excluded (see module docstring): BarterCast cache telemetry
         (cold after a restart by design), measured memory footprints
-        (layout-determined), the scheduler's batch shape (checkpoint-
-        placement-determined), and checkpoint ops."""
+        and payload-pool telemetry (layout-determined), the scheduler's
+        batch shape (checkpoint-placement-determined), and checkpoint
+        ops."""
         summary = self.runtime.run_summary()
         summary["bartercast"] = {
             "exchanges": summary["bartercast"]["exchanges"]
@@ -628,6 +629,7 @@ class ServiceShard:
         population = dict(summary["population"])
         for key in (
             "ballot_memory_bytes",
+            "ballot_pool",
             "scheduler_memory_bytes",
             "batches",
             "mean_batch_size",

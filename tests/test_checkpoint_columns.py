@@ -3,7 +3,7 @@
 Seeded random operation sequences drive a :class:`ColumnarStateStore`
 into awkward states — foreign ids
 interned mid-run, boxes evicting under a shrinking ``b_max``, segments
-relocated and slabs compacted with garbage still in them — then dump,
+relocated and the payload pool compacted with garbage still in it — then dump,
 load into a fresh store (through a real checkpoint file) and require
 equality on every read, on the row numbers of every interned id, and
 on everything the *same further operations* do to both afterwards.
@@ -159,8 +159,8 @@ def _assert_stores_equal(a, b, owners):
             assert box_a.votes_of(voter) == box_b.votes_of(voter)
             assert box_a.last_received_of(voter) == box_b.last_received_of(voter)
     # ... and not just the reads: the layout itself — every offset,
-    # capacity and slab tail (the slabs' bytes are compared through the
-    # reads above; capacity slack inside a tail is uninitialised)
+    # capacity and the pool's tail (the pool's bytes are compared
+    # through the reads above; capacity slack may hold stale bytes)
     _assert_same_state(
         a.dump_state(), b.dump_state(), skip=("pay_mod", "pay_val", "pay_at")
     )
@@ -169,11 +169,11 @@ def _assert_stores_equal(a, b, owners):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_store_dump_load_keeps_reads_layout_and_future(seed, tmp_path, monkeypatch):
     compactions = []
-    real_compact = ColumnarStateStore._compact_box
+    real_compact = ColumnarStateStore._pay_compact
     monkeypatch.setattr(
         ColumnarStateStore,
-        "_compact_box",
-        lambda self, box: (compactions.append(box), real_compact(self, box))[1],
+        "_pay_compact",
+        lambda self: (compactions.append(self.pay_tail), real_compact(self))[1],
     )
     driver = _StoreDriver(seed)
     stores = [driver.make()]
@@ -182,7 +182,7 @@ def test_store_dump_load_keeps_reads_layout_and_future(seed, tmp_path, monkeypat
         for _step in range(600):
             driver.step(stores)
         original = stores[0]
-        garbage_seen |= sum(original._pay_used) > sum(original._pay_live)
+        garbage_seen |= original.pay_tail > original.pay_live
         relocated |= bool(
             (original.bb_off[: original._n_boxes] > 0).any()
             and (original.bb_segcap[: original._n_boxes] > 2).any()

@@ -1,6 +1,6 @@
 """Packed columnar vote payloads vs the dict reference.
 
-``ColumnarStateStore`` packs vote payloads into per-box slab arrays
+``ColumnarStateStore`` packs vote payloads into one store-wide pool
 (interned moderator ids + parallel value/timestamp columns) behind the
 unchanged BallotBox API.  These tests lock down:
 
@@ -16,8 +16,8 @@ unchanged BallotBox API.  These tests lock down:
   fast path);
 * the vectorised dispersion scan returning bit-identical floats to
   the scalar ``all_counts`` loop;
-* slab hygiene: compaction keeps retained payload bytes bounded under
-  eviction churn, and ``memory_bytes`` actually counts the payloads.
+* ``memory_bytes`` actually counts the payloads (the pool's bound
+  under churn is checked by ``tests/test_deferred_merges.py``).
 """
 
 import json
@@ -269,7 +269,7 @@ def test_dispersion_empty_and_single_vote_cases():
 
 
 # ----------------------------------------------------------------------
-# Slab hygiene: compaction + honest memory accounting
+# Honest memory accounting and segment relocation
 # ----------------------------------------------------------------------
 def test_memory_bytes_counts_payload_slabs():
     store = ColumnarStateStore()
@@ -284,31 +284,9 @@ def test_memory_bytes_counts_payload_slabs():
     assert box.memory_bytes() >= 500 * 13
 
 
-def test_compaction_bounds_slab_under_eviction_churn():
-    """Thousands of evictions through a tiny box: dead segments must be
-    compacted away, keeping the slab within a small multiple of the
-    live payload instead of growing with history."""
-    store = ColumnarStateStore()
-    row = store.ensure_row("owner")
-    box = ColumnarBallotBox(store, row, 4)
-    for i in range(3000):
-        entries = [
-            VoteEntry(f"m{i % 17}", Vote.POSITIVE, 0.0),
-            VoteEntry(f"m{(i + 1) % 17}", Vote.NEGATIVE, 0.0),
-        ]
-        box.merge(f"v{i}", entries, float(i))
-    assert box.num_unique_users() == 4
-    live = box.total_votes()
-    slab = store._pay_mod[0].size
-    # used ≤ 2·live from the compaction trigger; the slab itself is the
-    # next power of two above used plus growth slack.
-    assert store._pay_used[0] <= 2 * max(live, 64)
-    assert slab <= 4 * max(live, 64)
-
-
 def test_segment_relocation_preserves_contents():
     """A voter whose vote set keeps growing relocates its segment to
-    the slab tail repeatedly; contents and order must survive."""
+    the pool tail repeatedly; contents and order must survive."""
     ref, col, _ = _pair(b_max=4)
     for i in range(40):
         entries = [VoteEntry(f"m{i}", VOTES[i % 2], 0.0)]
@@ -336,19 +314,17 @@ def test_moderator_intern_table_is_global_and_stable():
 # ----------------------------------------------------------------------
 # Row-to-row merges: the packed wire form vs the entries front-end
 # ----------------------------------------------------------------------
-def _live_slab_positions(state):
-    """Indices into a dump's concatenated slab tails that hold live
-    votes (capacity slack inside a tail is uninitialised memory)."""
-    box_of_slot = np.repeat(np.arange(state["bb_used"].size), state["bb_used"])
-    base = np.cumsum(state["pay_used"]) - state["pay_used"]
-    starts = base[box_of_slot] + state["bb_off"]
+def _live_pool_positions(state):
+    """Indices into a dump's payload pool that hold live votes (garbage
+    and capacity slack below the tail may hold stale bytes)."""
+    starts = state["bb_off"]
     lens = state["bb_nvotes"].astype(np.int64)
     return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
 
 def _assert_same_dump(a, b):
     assert a.keys() == b.keys()
-    live = _live_slab_positions(a)
+    live = _live_pool_positions(a)
     for key, value in a.items():
         if isinstance(value, np.ndarray):
             assert value.dtype == b[key].dtype and value.shape == b[key].shape, key
@@ -367,7 +343,7 @@ def test_row_to_row_merge_leaves_the_dump_bb_merge_leaves(seed):
     relocate and compact under a ``b_max`` that moves — applied twice:
     to one store as ``bb_merge(entries)``, to the other row to row as
     ``bb_merge_packed(*vl_wire(voter_row))``.  Same ``dump_state()`` to
-    the byte, interned ids and slab layout included."""
+    the byte, interned ids and pool layout included."""
     rnd = random.Random(seed)
     peers = [f"p{i:02d}" for i in range(14)]
     mods = [f"m{i}" for i in range(12)] + peers[:3]

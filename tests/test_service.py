@@ -12,7 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import CheckpointError, read_sections, write_sections
+from repro.core.checkpoint import (
+    CHECKPOINT_FORMAT,
+    CheckpointError,
+    read_sections,
+    write_sections,
+)
 from repro.core.moderation import Moderation
 from repro.core.node import NodeConfig
 from repro.sim.service import (
@@ -252,6 +257,15 @@ def test_restore_rejects_unknown_format(checkpoint_bytes, tmp_path):
         _restore_bytes(config, data[:7] + bytes([99]) + data[8:], tmp_path)
 
 
+def test_restore_rejects_a_format_3_checkpoint(checkpoint_bytes, tmp_path):
+    """Format 3 stored a payload slab per box; format 4 stores one
+    pool.  There is no converter: an old file fails loudly, by name."""
+    config, data = checkpoint_bytes
+    assert data[7] == CHECKPOINT_FORMAT == 4
+    with pytest.raises(CheckpointError, match="not a format-4 checkpoint"):
+        _restore_bytes(config, data[:7] + bytes([3]) + data[8:], tmp_path)
+
+
 def test_restore_rejects_wrong_shard(checkpoint_bytes, tmp_path):
     config, data = checkpoint_bytes
     with pytest.raises(CheckpointError, match="shard 0"):
@@ -282,8 +296,11 @@ def test_restore_rejects_arrays_that_do_not_fit_the_header(
         rewrite(prefix, key, components[prefix][key][..., :-1])
         with pytest.raises(CheckpointError, match=repr(key)):
             ServiceShard.restore_from(config, tmp_path)
-    rewrite("store", "pay_used", None)
-    with pytest.raises(CheckpointError, match="pay_used"):
+    rewrite("store", "pay_tail", None)
+    with pytest.raises(CheckpointError, match="pay_tail"):
+        ServiceShard.restore_from(config, tmp_path)
+    rewrite("store", "pay_tail", components["store"]["pay_size"] + 1)
+    with pytest.raises(CheckpointError, match="pay_tail"):
         ServiceShard.restore_from(config, tmp_path)
     rewrite("store", "n_ids", components["store"]["n_ids"] + 1)
     with pytest.raises(CheckpointError, match="row_ids"):

@@ -544,7 +544,7 @@ def test_batched_vote_tick_identical_to_object_engine(
     # Which segment paths the columnar run went through.
     seen = set()
     real_update = ColumnarStateStore._seg_update
-    real_free = ColumnarStateStore._seg_free
+    real_merge = ColumnarStateStore.bb_merge_packed
 
     def spy_update(self, box, slot, mids, vals, now):
         before = (int(self.bb_nvotes[box, slot]), int(self.bb_off[box, slot]))
@@ -555,12 +555,15 @@ def test_batched_vote_tick_identical_to_object_engine(
         else:
             seen.add("append" if after[1] == before[1] else "relocate")
 
-    def spy_free(self, box, slot):
-        seen.add("evict")
-        real_free(self, box, slot)
+    def spy_merge(self, *args):
+        evictions = self.bb_evictions
+        stored = real_merge(self, *args)
+        if self.bb_evictions > evictions:
+            seen.add("evict")
+        return stored
 
     monkeypatch.setattr(ColumnarStateStore, "_seg_update", spy_update)
-    monkeypatch.setattr(ColumnarStateStore, "_seg_free", spy_free)
+    monkeypatch.setattr(ColumnarStateStore, "bb_merge_packed", spy_merge)
     kwargs = dict(config_kwargs or {})
     vote_rounds = 0
     if heavy is not None:
