@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-smoke bench-full bench-repo test-bench profile-fig6 profile-steady results lint-deadcode
+.PHONY: test bench bench-smoke bench-full bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn results lint-deadcode
 
 # Tier-1: the fast correctness suite (tests/ only).
 test:
@@ -81,6 +81,16 @@ profile-fig6:
 # row-to-row ballot merges, slab growth).
 profile-steady:
 	python scripts/profile_unit.py steady_vote --seed 7
+
+# The same for one service_cluster unit: the batched gossip tick over
+# four shards, checkpoint write/restore, digest publish/pull/merge.
+profile-service:
+	python scripts/profile_unit.py service_cluster --seed 7
+
+# The same for one churn_population unit: short mixed gossip runs cut
+# by trace events (the live-read side of the batched gossip tick).
+profile-churn:
+	python scripts/profile_unit.py churn_population --seed 7
 
 results:
 	$(PY) scripts/collect_results.py

@@ -10,7 +10,8 @@ subjective graph.  Wiring:
   next read or written — see :class:`_NodeState`);
 * the session driver calls :meth:`gossip_tick` per online node on the
   node's gossip cadence; the node meets a PSS-sampled peer and the two
-  exchange their most significant *direct* records;
+  exchange their most significant *direct* records (:meth:`gossip_with`
+  when the caller sampled the partner itself);
 * the experience layer calls :meth:`contribution` to get ``f_{j→i}``.
 
 Acceptance rule: a node only folds received records whose *reporter*
@@ -278,13 +279,14 @@ class BarterCastService:
         partner = self._pss.sample(peer_id)
         if partner is None or partner == peer_id:
             return False
-        self._exchange(peer_id, partner, now)
-        self.exchanges += 1
+        self.gossip_with(peer_id, partner, now)
         return True
 
-    def _exchange(self, a: str, b: str, now: float) -> None:
-        # A write path: both parties end up with state, the sender too.
-        for sender, receiver in ((a, b), (b, a)):
+    def gossip_with(self, peer_id: str, partner: str, now: float) -> None:
+        """The exchange itself, with a partner the caller sampled (the
+        runtime's batched gossip tick draws a whole run's partners at
+        once).  A write path: both parties end up with state."""
+        for sender, receiver in ((peer_id, partner), (partner, peer_id)):
             records = self._top_records(sender, self._state(sender))
             graph = self._state(receiver).graph
             for rec in records:
@@ -292,6 +294,7 @@ class BarterCastService:
                 if rec.reporter != sender:
                     continue
                 graph.add_record(rec)
+        self.exchanges += 1
 
     def records_of(self, peer_id: str) -> List[TransferRecord]:
         """The node's own direct records, most-significant first,

@@ -196,6 +196,9 @@ class ColumnarStateStore:
         # once per exchange.
         #: the row's packed segment lags its vote list (cast since)
         self.vl_stale = np.zeros(0, dtype=np.bool_)
+        #: casts reported so far, all rows (a batch that lets other
+        #: protocols run between its vote exchanges watches it)
+        self.vl_casts = 0
         #: pool offset / length of the row's packed segment
         self.vl_off = np.zeros(0, dtype=np.int32)
         self.vl_len = np.zeros(0, dtype=np.int32)
@@ -326,6 +329,7 @@ class ColumnarStateStore:
         entries.  O(1): the segment is repacked on its next use."""
         self.vl_size[row] = size
         self.vl_stale[row] = True
+        self.vl_casts += 1
 
     def vl_wire(
         self, row: int, picks: Optional[List[int]] = None

@@ -10,7 +10,7 @@ and disapproving a moderator purges every moderation they authored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,24 @@ class ModerationStore:
         self._order = dict(zip(keys, order))
         self._seq = seq
 
+    def unheld(self, items: Sequence[Moderation]) -> List[Moderation]:
+        """The offered ``items`` that :meth:`insert` would not turn away
+        as already held at the same or a newer version, in order."""
+        get = self._items.get
+        out = []
+        for mod in items:
+            held = get((mod.moderator_id, mod.torrent_id))
+            if held is None or held.version < mod.version:
+                out.append(mod)
+        return out
+
     @property
     def mutation_count(self) -> int:
-        """Monotone counter bumped on every insert (purges keep it) —
-        lets derived structures (e.g. the search index) detect change
-        cheaply."""
+        """Monotone counter bumped by every change to the held set: each
+        stored insert or refresh, each capacity eviction, each purge
+        that removed something.  Equal counts on one store mean equal
+        contents and recency order, so derived structures (the search
+        index, the node's extract memo) detect change cheaply."""
         return self._seq
 
     def __len__(self) -> int:

@@ -30,12 +30,32 @@ def extract_moderations(
     """The ``Extract(local_db)`` of Fig 1 for one exchange."""
     if max_items < 1:
         return []
+    return select_moderations(
+        eligible_moderations(store, vote_list, own_id), max_items, rng
+    )
+
+
+def eligible_moderations(
+    store: ModerationStore, vote_list: LocalVoteList, own_id: str
+) -> List[Moderation]:
+    """What Extract may send: own and approved moderators' items,
+    newest-received first.  A function of the store's contents and the
+    vote list alone, so a caller may memoise it on
+    ``(store.mutation_count, vote_list.version)``."""
     approved = vote_list.approved()
-    eligible = [
+    return [
         m
         for m in store.recency_order()
         if m.moderator_id == own_id or m.moderator_id in approved
     ]
+
+
+def select_moderations(
+    eligible: List[Moderation], max_items: int, rng: np.random.Generator
+) -> List[Moderation]:
+    """The budgeted selection from an eligible list: all of it when it
+    fits (``eligible`` itself, no draw), else the recency half plus a
+    uniform draw from the rest."""
     if len(eligible) <= max_items:
         return eligible
     recent_budget = max_items // 2

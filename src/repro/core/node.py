@@ -10,14 +10,14 @@ protocol rule unit-testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.ballotbox import BallotBox
 from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore
 from repro.core.moderation import Moderation, ModerationStore
-from repro.core.moderationcast import extract_moderations
+from repro.core.moderationcast import eligible_moderations, select_moderations
 from repro.core.ranking import Ranking, rank_by_sum, top_k
 from repro.core.votes import LocalVoteList, Vote, VoteEntry
 from repro.core.voxpopuli import TopKCache
@@ -83,6 +83,9 @@ class VoteSamplingNode:
         self.topk_cache = TopKCache(self.config.v_max, self.config.k)
         #: votes the user will cast when the moderator's metadata arrives
         self.vote_intentions: Dict[str, Vote] = {}
+        #: ``((store mutation count, vote-list version), eligible)`` —
+        #: see :meth:`moderations_to_send`
+        self._eligible: Optional[Tuple[Tuple[int, int], List[Moderation]]] = None
         self.online = False
         # Counters for instrumentation.
         self.moderations_received = 0
@@ -142,13 +145,23 @@ class VoteSamplingNode:
     # ModerationCast (Fig 1)
     # ------------------------------------------------------------------
     def moderations_to_send(self) -> List[Moderation]:
-        """``Extract(local_db)`` — own + approved moderators only."""
-        return extract_moderations(
-            self.store,
-            self.vote_list,
-            self.peer_id,
-            self.config.moderations_per_exchange,
-            self.rng,
+        """``Extract(local_db)`` — own + approved moderators only.
+
+        The eligible list is memoised on ``(store.mutation_count,
+        vote_list.version)``, which move with everything it reads, so
+        an exchange between two changes skips the re-sort; only an
+        over-budget selection draws (from :attr:`rng`), on every call,
+        as :func:`extract_moderations` does.  Callers must treat the
+        returned list as read-only."""
+        key = (self.store.mutation_count, self.vote_list.version)
+        memo = self._eligible
+        if memo is None or memo[0] != key:
+            memo = self._eligible = (
+                key,
+                eligible_moderations(self.store, self.vote_list, self.peer_id),
+            )
+        return select_moderations(
+            memo[1], self.config.moderations_per_exchange, self.rng
         )
 
     def receive_moderations(self, items: Sequence[Moderation], now: float) -> int:
@@ -157,24 +170,43 @@ class VoteSamplingNode:
         Drops invalid signatures and anything from disapproved
         moderators; fires pending vote intentions on first contact with
         a moderator's metadata.
+
+        Items already held at the same or a newer version are dropped
+        up front: the store would turn each away untouched.  The one
+        exception is a purge mid-merge — a negative intention firing on
+        a moderator's first item removes everything they authored, and
+        a later item of theirs is then new again — so a pending
+        negative intention among the rest keeps the whole list.
+        Capacity is enforced whatever was offered.
         """
-        disapproved = self.vote_list.disapproved()
+        store = self.store
+        offered = store.unheld(items)
         new_count = 0
-        for mod in items:
-            if not mod.signature_valid:
-                continue
-            if mod.moderator_id in disapproved:
-                continue
-            if mod.moderator_id == self.peer_id and mod.key() not in self.store:
-                # Somebody echoing our id with content we never made —
-                # signature checking upstream should prevent this, but
-                # never let it override our own authorship.
-                continue
-            if self.store.insert(mod, now):
-                new_count += 1
-                self.moderations_received += 1
-                self._maybe_apply_intention(mod.moderator_id, now)
-        self.store.enforce_capacity(self.vote_list.approved())
+        if offered:
+            intentions = self.vote_intentions
+            if intentions and any(
+                intentions.get(mod.moderator_id) is Vote.NEGATIVE
+                and not self.vote_list.has_voted(mod.moderator_id)
+                for mod in offered
+            ):
+                offered = items
+            disapproved = self.vote_list.disapproved()
+            for mod in offered:
+                if not mod.signature_valid:
+                    continue
+                if mod.moderator_id in disapproved:
+                    continue
+                if mod.moderator_id == self.peer_id and mod.key() not in store:
+                    # Somebody echoing our id with content we never
+                    # made — signature checking upstream should prevent
+                    # this, but never let it override our own
+                    # authorship.
+                    continue
+                if store.insert(mod, now):
+                    new_count += 1
+                    self.moderations_received += 1
+                    self._maybe_apply_intention(mod.moderator_id, now)
+        store.enforce_capacity(self.vote_list.approved())
         self._sync_membership()
         return new_count
 

@@ -15,6 +15,11 @@ dispatched in batches by the structure-of-arrays
 * **adaptive-T tick** — dispersion controller update (only when the
   adaptive experience function is configured).
 
+The first three are one ``wait Δ; p ← PSS.sample()`` loop apart from
+the exchange, and with the oracle PSS they share one batch handler
+(:meth:`ProtocolRuntime._vote_tick_batch`): a run of due ticks mixing
+them is dispatched in one call.
+
 Transfers observed by the BitTorrent ledger stream straight into
 BarterCast; experience is evaluated on demand at each vote exchange.
 
@@ -48,6 +53,19 @@ from repro.pss.newscast import NewscastConfig, NewscastService
 from repro.sim.population import PopulationEngine, ProtocolSpec
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MB
+
+#: Spec-list positions of the three gossip loops (see
+#: :meth:`ProtocolRuntime._protocol_specs`): the protocol indices the
+#: batched gossip tick receives.
+_MODERATION, _VOTE, _BARTERCAST = 0, 1, 2
+#: Their scalar ticks; an instance-level override of any of them turns
+#: the batched tick off.
+_GOSSIP_TICKS = frozenset({"_moderation_tick", "_vote_tick", "_bartercast_tick"})
+#: Vote entries from which the batched tick's column pre-pass (numpy
+#: gathers over the run, ≈ 20 µs fixed) beats reading each entry's
+#: values live.  Measured crossover on ``churn_population`` state: 12–16
+#: (EXPERIMENTS.md "One gossip batch").
+_PREPASS_FROM = 16
 
 
 @dataclass
@@ -238,28 +256,27 @@ class ProtocolRuntime:
         """The canonical per-peer protocol loops, in registration order
         (which is also the order a peer's jitter draws are consumed)."""
         cfg = self.config
-        vote_spec: ProtocolSpec = ("vote", cfg.vote_interval, self._vote_tick)
+        specs: List[ProtocolSpec] = [
+            ("moderation", cfg.moderation_interval, self._moderation_tick),
+            ("vote", cfg.vote_interval, self._vote_tick),
+            ("bartercast", cfg.bartercast_interval, self._bartercast_tick),
+        ]
         if (
             cfg.vote_fanout == 1
             and type(self.pss) is OraclePSS
-            and "_vote_tick" not in self.__dict__
+            and _GOSSIP_TICKS.isdisjoint(self.__dict__)
         ):
-            # Batched vote dispatch needs the paper's fanout of 1 (one
-            # PSS draw per tick, vectorised by sample_batch) and the
-            # oracle PSS (its sampling never reads state the in-batch
-            # exchanges could mutate).  An instance-level
-            # ``_vote_tick`` override (instrumentation wrappers) also
-            # opts out — inlining would bypass it.  ``_batch_safe``
-            # handles the remaining dynamic conditions at call time.
-            vote_spec = (
-                "vote", cfg.vote_interval, self._vote_tick,
-                self._vote_tick_batch,
-            )
-        specs: List[ProtocolSpec] = [
-            ("moderation", cfg.moderation_interval, self._moderation_tick),
-            vote_spec,
-            ("bartercast", cfg.bartercast_interval, self._bartercast_tick),
-        ]
+            # One batch handler object for the three gossip loops, so a
+            # run of due entries spans them.  It needs the paper's
+            # fanout of 1 (one PSS draw per tick, vectorised by
+            # sample_batch) and the oracle PSS (its sampling never
+            # reads state the in-run exchanges could mutate).  An
+            # instance-level override of a scalar tick
+            # (instrumentation wrappers) also opts out — inlining would
+            # bypass it.  ``_batch_safe`` handles the remaining dynamic
+            # conditions at call time.
+            gossip = self._vote_tick_batch
+            specs = [spec + (gossip,) for spec in specs]
         if self.newscast is not None:
             specs.append(("newscast", cfg.newscast_interval, self._newscast_tick))
         if isinstance(self.experience, AdaptiveThresholdExperience):
@@ -485,66 +502,76 @@ class ProtocolRuntime:
                 self.traffic.voxpopuli_exchange(len(response) if response else 0)
 
     def _vote_tick_batch(
-        self, times: List[float], pids: List[str], rows: List[int]
+        self,
+        times: List[float],
+        pids: List[str],
+        rows: List[int],
+        protos: List[int],
     ) -> None:
-        """One vote tick per due entry, over the state columns.
+        """One gossip tick per due entry — ModerationCast, BallotBox and
+        BarterCast alike — over the state columns.
 
-        Registered as the SoA engine's batch handler for the vote
-        protocol.  Bit-identical to running :meth:`_vote_tick` per
+        Registered as the SoA engine's batch handler for all three
+        gossip loops (one handler object, so a run mixes them as they
+        fall due; ``protos`` holds each entry's spec index).  They are
+        the same ``do forever: wait Δ; p ← PSS.sample()`` loop of Figs
+        1 and 3 a.  Bit-identical to running the scalar ticks entry by
         entry because every random draw and order-sensitive call is
-        replayed in the scalar order: PSS draws per entry (vectorised
-        by ``sample_batch``, which repairs self-draws inside the one
-        draw stream), loss draws only for connectable candidates,
-        partner nodes created in entry order, the forward experience
-        verdict before vote selection and the reverse verdict after
-        this node's merge (BarterCast's contribution caches see the
-        same call sequence), and merges through the same columnar core
-        the node API ends in.
+        replayed in the scalar order: PSS draws per entry for all three
+        (vectorised by one ``sample_batch``, which repairs self-draws
+        inside the one draw stream); loss draws, for moderation and
+        vote entries with a connectable candidate, and partner nodes
+        created, both in entry order; then each exchange in entry
+        order — moderation through the node API, BarterCast through
+        ``gossip_with``, the vote exchange inline over the columns.  A
+        node's ``rng`` feeds over-budget extracts and over-cap vote
+        selections alike, so the two interleave as they would scalar.
 
-        An exchange is row to row: each side's vote list is in the
-        store's wire form (interned moderators, own id dropped,
-        exchange order; stale lists are repacked once, up front), so a
-        merge is two pool slices handed to ``bb_merge_packed`` — no
-        ``VoteEntry``, no id string, no per-vote work.  Merges settle
-        slots, recency and eviction at once but queue the payload
-        writes of voters new to a box; one ``bb_flush`` lands the
-        whole batch's with one copy per pool column.
+        A vote exchange is row to row: the forward experience verdict
+        before vote selection and the reverse verdict after this node's
+        merge (BarterCast's contribution caches see the scalar call
+        sequence); each side's vote list is in the store's wire form
+        (interned moderators, own id dropped, exchange order; a stale
+        list is repacked on first use), so a merge is two pool slices
+        handed to ``bb_merge_packed`` — no ``VoteEntry``, no id string,
+        no per-vote work.  Merges settle slots, recency and eviction at
+        once but queue the payload writes of voters new to a box; one
+        ``bb_flush`` lands the whole run's with one copy per pool
+        column.
 
-        The columns carry the batch: one gather per direction over
-        ``vl_size`` and ``bb_unique`` proves most entries side-effect
-        free — no votes on either side, no VoxPopuli bootstrap, and an
-        all-accepting experience gate — so the Python loop only visits
-        the entries that do real work.  The skip is sound because vote
-        lists cannot change mid-batch, box occupancy only grows while
-        votes merge (an entry starting at or above ``B_min`` can never
-        re-enter bootstrap), and an accepted empty exchange touches
-        nothing but the aggregate counters.  Those aggregates are
-        exact wholesale: every selection policy returns
-        ``min(vl_size, cap)`` entries, so per-exchange traffic folds
-        into two integer adds per protocol, and byte totals are
+        From :data:`_PREPASS_FROM` vote entries on, a column pre-pass
+        carries them: one gather per direction over ``vl_size`` and
+        ``bb_unique`` proves most of them side-effect free — no votes
+        on either side, no VoxPopuli bootstrap, and an all-accepting
+        experience gate — so the Python loop only visits the ones that
+        do real work, and every list the run may send is packed up
+        front.  The skip is sound because box occupancy only grows
+        while votes merge (an entry starting at or above ``B_min`` can
+        never re-enter bootstrap), an accepted empty exchange touches
+        nothing but the aggregate counters, and vote lists change
+        mid-run only when a moderation exchange fires a vote intention:
+        from then on every vote entry is visited, and one that touches
+        a row cast on reads its sizes and list live — as every vote
+        entry of a shorter run does.  The aggregates are exact
+        wholesale: every selection policy returns ``min(vl_size, cap)``
+        entries, so the run's traffic folds into one
+        ``*_exchange_many`` call per protocol, and byte totals are
         derived from the integer counters.
         """
         engine = self.engine
-        if not self._batch_safe:
-            # Custom node classes in play (register_node): their
-            # handler overrides must run, so tick scalar.
-            vote_tick = self._vote_tick
-            for t, pid in zip(times, pids):
-                engine._now = t
-                vote_tick(pid)
-            return
         nodes = self.nodes
-        m = len(pids)
         own: List[VoteSamplingNode] = [nodes[pid] for pid in pids]
-        if not all([node.online for node in own]):
-            # Runtime/engine online flags out of sync (manual flips):
-            # the scalar tick skips such peers *before* sampling, so
-            # replay the whole run scalar.
-            vote_tick = self._vote_tick
-            for t, pid in zip(times, pids):
+        if not self._batch_safe or not all([node.online for node in own]):
+            # Custom node classes in play (register_node: their handler
+            # overrides must run), or runtime/engine online flags out of
+            # sync (manual flips: the scalar ticks skip such peers
+            # *before* sampling) — replay the run scalar.
+            scalar = (self._moderation_tick, self._vote_tick, self._bartercast_tick)
+            for t, pid, p in zip(times, pids, protos):
                 engine._now = t
-                vote_tick(pid)
+                scalar[p](pid)
             return
+        m = len(pids)
         partner_ids = self.pss.sample_batch(pids)
         is_online = self.registry.is_online
         loss = self.config.message_loss
@@ -552,177 +579,250 @@ class ProtocolRuntime:
         ensure_node = self.ensure_node
         partners: List[Optional[VoteSamplingNode]] = [None] * m
         prow_list = [0] * m
-        for k in range(m):
-            partner = partner_ids[k]
-            if partner is None or partner == pids[k]:
+        #: per entry: the protocol of the exchange it makes, -1 for none
+        kinds = [-1] * m
+        others: List[int] = []  # moderation and BarterCast exchanges
+        MODERATION, VOTE, BARTERCAST = _MODERATION, _VOTE, _BARTERCAST
+        for k, partner, pid, p in zip(range(m), partner_ids, pids, protos):
+            if partner is None or partner == pid:
                 continue
-            if not is_online(partner):
-                continue
-            if loss > 0.0 and loss_rng.random() < loss:
-                self.dropped_exchanges += 1
-                continue
-            node = nodes.get(partner)
-            if node is None:
-                node = ensure_node(partner)
-            partners[k] = node
-            prow_list[k] = node.row
+            if p != BARTERCAST:
+                # _partner_for: a stale or lost connect is no exchange
+                if not is_online(partner):
+                    continue
+                if loss > 0.0 and loss_rng.random() < loss:
+                    self.dropped_exchanges += 1
+                    continue
+                node = nodes.get(partner)
+                if node is None:
+                    node = ensure_node(partner)
+                partners[k] = node
+                prow_list[k] = node.row
+            kinds[k] = p
+            if p != VOTE:
+                others.append(k)
         store = self._col_store
-        exp = self.experience
-        exp_type = type(exp)
-        # Experience gating: the all-accepting cases resolve once for
-        # the whole batch, adaptive thresholds gate via one column
-        # gather per direction, and anything else falls back to the
-        # scalar evaluation in the scalar call order.
-        fast_all = exp_type is AlwaysExperienced or (
-            exp_type is ThresholdExperience and exp.threshold <= 0.0
-        )
-        rows_arr = np.fromiter(rows, np.int64, m)
-        prows_arr = np.fromiter(prow_list, np.int64, m)
-        valid = np.fromiter((p is not None for p in partners), np.bool_, m)
-        n_ex = int(np.count_nonzero(valid))
-        if n_ex == 0:
-            return
         cfg = self.config.node
         cap = cfg.votes_per_exchange
-        policy = cfg.exchange_policy
         b_max = cfg.b_max
         b_min = cfg.b_min
-        vox = cfg.voxpopuli_enabled
-        # Vote-list sizes cannot change mid-batch (casting happens off
-        # the vote tick), so one gather per direction stands in for the
-        # per-entry reads, and — because every selection policy returns
-        # exactly ``min(vl_size, cap)`` entries — the exchange item
-        # total folds into one vectorised sum.
-        vl_col = store.vl_size
-        vl_own_arr = vl_col[rows_arr]
-        vl_par_arr = vl_col[prows_arr]
-        n_items = int(
-            (np.minimum(vl_own_arr, cap) + np.minimum(vl_par_arr, cap))[
-                valid
-            ].sum()
-        )
-        # An entry must run scalar when any per-entry side effect is
-        # possible: votes to merge in either direction, a VoxPopuli
-        # bootstrap candidate (occupancy below B_min *before* the
-        # batch — occupancy only grows as votes merge, so entries at
-        # or above B_min can never re-enter bootstrap mid-batch), or
-        # an experience gate that isn't a column fast path (rejection
-        # counters fire even on empty exchanges).
-        has_votes = (vl_own_arr > 0) | (vl_par_arr > 0)
-        active = has_votes.copy()
-        bb_unique = store.bb_unique
-        pre_vox = None
-        if vox and b_min > 0:
-            pre_vox_arr = bb_unique[rows_arr] < b_min
-            active |= pre_vox_arr
-            pre_vox = pre_vox_arr.tolist()
-        fwd_fast = rev_fast = None
-        if not fast_all:
-            if (
-                exp_type is AdaptiveThresholdExperience
-                and exp._store is store
-            ):
-                thr = store.exp_threshold
-                fwd_ok = thr[rows_arr] <= 0.0
-                rev_ok = thr[prows_arr] <= 0.0
-                active |= ~(fwd_ok & rev_ok)
-                fwd_fast = fwd_ok.tolist()
-                rev_fast = rev_ok.tolist()
-            else:
-                active[:] = True
-        active &= valid
-        vl_own = vl_own_arr.tolist()
-        vl_par = vl_par_arr.tolist()
-        act = np.flatnonzero(active).tolist()
-        # Every list this batch may send, packed once up front (partner
-        # then own, in entry order): the merges below read pool slices
-        # at ``seg_off[k]`` (own) / ``seg_off[m + k]`` (partner).
-        send = np.flatnonzero(has_votes & valid)
-        if send.size:
-            lists = np.empty(2 * send.size, dtype=np.int64)
-            lists[0::2] = prows_arr[send]
-            lists[1::2] = rows_arr[send]
-            store.vl_pack_stale(lists)
-            both = np.concatenate((rows_arr, prows_arr))
-            offs = store.vl_off[both]
-            seg_off = offs.tolist()
-            seg_end = (offs + store.vl_len[both]).tolist()
-        vl_mod, vl_val = store.vl_mod, store.vl_val
-        wire = store.vl_wire
-        merge = store.bb_merge_packed
-        vp_ex = 0
-        vp_entries = 0
-        for k in act:
-            now = times[k]
-            engine._now = now
-            partner = partners[k]
-            node = own[k]
-            row = rows[k]
-            prow = prow_list[k]
-            # Forward verdict (observer = this node), before selection.
-            if fast_all or (fwd_fast is not None and fwd_fast[k]):
-                fwd = True
-            else:
-                partner_id = partner.peer_id
-                fwd = exp.experienced_many(pids[k], [partner_id])[partner_id]
-            # node.votes_to_send() / partner.votes_to_send(): at or
-            # below the cap the whole list goes and nothing is drawn;
-            # above it each side draws its selection here — ours first,
-            # whatever the verdicts — as the scalar tick does.
-            n_out = vl_own[k]
-            n_in = vl_par[k]
-            picks_out = (
-                select_positions(n_out, cap, node.rng, policy)
-                if n_out > cap
-                else None
+        vox = cfg.voxpopuli_enabled and b_min > 0
+        n_ex = kinds.count(VOTE)
+        n_items = 0
+        if n_ex:
+            exp = self.experience
+            exp_type = type(exp)
+            # Experience gating: the all-accepting cases resolve once for
+            # the whole run, adaptive thresholds gate via one column
+            # gather per direction (in the pre-pass), and anything else
+            # takes the scalar evaluation in the scalar call order.
+            fast_all = exp_type is AlwaysExperienced or (
+                exp_type is ThresholdExperience and exp.threshold <= 0.0
             )
-            picks_in = (
-                select_positions(n_in, cap, partner.rng, policy)
-                if n_in > cap
-                else None
+            fwd_fast = rev_fast = None
+            pre_vox = [True] * m if vox else None
+            bb_unique = store.bb_unique
+            wire = store.vl_wire
+            merge = store.bb_merge_packed
+            policy = cfg.exchange_policy
+        prepared = n_ex >= _PREPASS_FROM
+        if prepared:
+            rows_arr = np.fromiter(rows, np.int64, m)
+            prows_arr = np.fromiter(prow_list, np.int64, m)
+            valid = np.fromiter(kinds, np.int64, m) == VOTE
+            # One gather per direction stands in for the per-entry
+            # vote-list reads, and — because every selection policy
+            # returns exactly ``min(vl_size, cap)`` entries — the
+            # exchange item total folds into one vectorised sum.
+            vl_col = store.vl_size
+            vl_own_arr = vl_col[rows_arr]
+            vl_par_arr = vl_col[prows_arr]
+            n_items = int(
+                (np.minimum(vl_own_arr, cap) + np.minimum(vl_par_arr, cap))[
+                    valid
+                ].sum()
             )
-            # node.receive_votes(partner_id, votes_in, now, fwd) inline,
-            # row to row: the partner's packed list into our box.
-            if fwd:
-                if n_in:
-                    if picks_in is None:
-                        off, end = seg_off[m + k], seg_end[m + k]
-                        mids, vals = vl_mod[off:end], vl_val[off:end]
-                    else:
-                        mids, vals = wire(prow, picks_in)
-                    node.votes_merged += merge(row, b_max, prow, mids, vals, now, True)
-            else:
-                node.votes_rejected_inexperienced += 1
-            # Reverse verdict (observer = partner), after our merge —
-            # the contribution caches must see the scalar call order.
-            if fast_all or (rev_fast is not None and rev_fast[k]):
-                rev = True
-            else:
-                pid = pids[k]
-                rev = exp.experienced_many(partner.peer_id, [pid])[pid]
-            if rev:
-                if n_out:
-                    if picks_out is None:
-                        off, end = seg_off[k], seg_end[k]
-                        mids, vals = vl_mod[off:end], vl_val[off:end]
-                    else:
-                        mids, vals = wire(row, picks_out)
-                    partner.votes_merged += merge(prow, b_max, row, mids, vals, now, True)
-            else:
-                partner.votes_rejected_inexperienced += 1
-            # VoxPopuli (Fig 3 a+c): pre-gated on the occupancy column,
-            # re-checked live — earlier merges this batch may have
-            # lifted this node past B_min.
-            if pre_vox is not None and pre_vox[k] and bb_unique[row] < b_min:
-                response = partner.respond_top_k()
-                if response:
-                    node.topk_cache.add(response)
-                    vp_entries += len(response)
-                vp_ex += 1
+            # An entry must run in Python when any per-entry side effect
+            # is possible: votes to merge in either direction, a
+            # VoxPopuli bootstrap candidate (occupancy below B_min
+            # *before* the run — occupancy only grows as votes merge, so
+            # entries at or above B_min can never re-enter bootstrap
+            # mid-run), or an experience gate that isn't a column fast
+            # path (rejection counters fire even on empty exchanges).
+            has_votes = (vl_own_arr > 0) | (vl_par_arr > 0)
+            active = has_votes.copy()
+            if vox:
+                pre_vox_arr = bb_unique[rows_arr] < b_min
+                active |= pre_vox_arr
+                pre_vox = pre_vox_arr.tolist()
+            if not fast_all:
+                if (
+                    exp_type is AdaptiveThresholdExperience
+                    and exp._store is store
+                ):
+                    thr = store.exp_threshold
+                    fwd_ok = thr[rows_arr] <= 0.0
+                    rev_ok = thr[prows_arr] <= 0.0
+                    active |= ~(fwd_ok & rev_ok)
+                    fwd_fast = fwd_ok.tolist()
+                    rev_fast = rev_ok.tolist()
+                else:
+                    active[:] = True
+            active &= valid
+            vl_own = vl_own_arr.tolist()
+            vl_par = vl_par_arr.tolist()
+            act = np.flatnonzero(active).tolist()
+            # Every list this run may send, packed once up front
+            # (partner then own, in entry order): the merges below read
+            # pool slices at ``seg_off[k]`` (own) / ``seg_off[m + k]``
+            # (partner).
+            send = np.flatnonzero(has_votes & valid)
+            if send.size:
+                lists = np.empty(2 * send.size, dtype=np.int64)
+                lists[0::2] = prows_arr[send]
+                lists[1::2] = rows_arr[send]
+                store.vl_pack_stale(lists)
+                both = np.concatenate((rows_arr, prows_arr))
+                offs = store.vl_off[both]
+                seg_off = offs.tolist()
+                seg_end = (offs + store.vl_len[both]).tolist()
+            vl_mod, vl_val = store.vl_mod, store.vl_val
+            pending = sorted(act + others) if others else act
+        else:
+            pending = [k for k in range(m) if kinds[k] >= 0]
+        bartercast = self.bartercast
+        mod_ex = mod_items = bc_ex = bc_items = vp_ex = vp_entries = 0
+        #: pre-passed runs: rows a moderation exchange in this run cast a
+        #: vote for, and the vote entries proved empty up front (once
+        #: one exists)
+        recast: set = set()
+        inactive: set = set()
+        widened = False
+        casts = store.vl_casts
+        while True:
+            cut = -1
+            for k in pending:
+                now = times[k]
+                engine._now = now
+                node = own[k]
+                partner = partners[k]
+                kind = kinds[k]
+                if kind == MODERATION:
+                    # Push/pull (Fig 1): both sides extract then merge.
+                    outbound = node.moderations_to_send()
+                    inbound = partner.moderations_to_send()
+                    partner.receive_moderations(outbound, now)
+                    node.receive_moderations(inbound, now)
+                    mod_ex += 1
+                    mod_items += len(outbound) + len(inbound)
+                    if prepared and store.vl_casts != casts:
+                        # A vote intention fired: later vote entries on
+                        # these rows must see the new list.
+                        casts = store.vl_casts
+                        recast.add(node.row)
+                        recast.add(partner.row)
+                        if not widened:
+                            cut = k
+                            break
+                    continue
+                if kind == BARTERCAST:
+                    pid = pids[k]
+                    bartercast.gossip_with(pid, partner_ids[k], now)
+                    bc_ex += 1
+                    # Both directions carry up to the per-exchange cap.
+                    bc_items += len(bartercast.records_of(pid))
+                    continue
+                row = rows[k]
+                prow = prow_list[k]
+                live = not prepared or (
+                    recast and (row in recast or prow in recast)
+                )
+                if live:
+                    n_out = int(store.vl_size[row])
+                    n_in = int(store.vl_size[prow])
+                    n_items += min(n_out, cap) + min(n_in, cap)
+                    if prepared:
+                        n_items -= min(vl_own[k], cap) + min(vl_par[k], cap)
+                elif k in inactive:
+                    continue
+                else:
+                    n_out = vl_own[k]
+                    n_in = vl_par[k]
+                # Forward verdict (observer = this node), before selection.
+                if fast_all or (fwd_fast is not None and fwd_fast[k]):
+                    fwd = True
+                else:
+                    partner_id = partner.peer_id
+                    fwd = exp.experienced_many(pids[k], [partner_id])[partner_id]
+                # node.votes_to_send() / partner.votes_to_send(): at or
+                # below the cap the whole list goes and nothing is drawn;
+                # above it each side draws its selection here — ours
+                # first, whatever the verdicts — as the scalar tick does.
+                picks_out = (
+                    select_positions(n_out, cap, node.rng, policy)
+                    if n_out > cap
+                    else None
+                )
+                picks_in = (
+                    select_positions(n_in, cap, partner.rng, policy)
+                    if n_in > cap
+                    else None
+                )
+                # node.receive_votes(partner_id, votes_in, now, fwd)
+                # inline, row to row: the partner's list into our box.
+                if fwd:
+                    if n_in:
+                        if picks_in is not None or live:
+                            mids, vals = wire(prow, picks_in)
+                        else:
+                            off, end = seg_off[m + k], seg_end[m + k]
+                            mids, vals = vl_mod[off:end], vl_val[off:end]
+                        node.votes_merged += merge(row, b_max, prow, mids, vals, now, True)
+                else:
+                    node.votes_rejected_inexperienced += 1
+                # Reverse verdict (observer = partner), after our merge —
+                # the contribution caches must see the scalar call order.
+                if fast_all or (rev_fast is not None and rev_fast[k]):
+                    rev = True
+                else:
+                    pid = pids[k]
+                    rev = exp.experienced_many(partner.peer_id, [pid])[pid]
+                if rev:
+                    if n_out:
+                        if picks_out is not None or live:
+                            mids, vals = wire(row, picks_out)
+                        else:
+                            off, end = seg_off[k], seg_end[k]
+                            mids, vals = vl_mod[off:end], vl_val[off:end]
+                        partner.votes_merged += merge(prow, b_max, row, mids, vals, now, True)
+                else:
+                    partner.votes_rejected_inexperienced += 1
+                # VoxPopuli (Fig 3 a+c): pre-gated on the occupancy
+                # column, re-checked live — earlier merges this run may
+                # have lifted this node past B_min.
+                if pre_vox is not None and pre_vox[k] and bb_unique[row] < b_min:
+                    response = partner.respond_top_k()
+                    if response:
+                        node.topk_cache.add(response)
+                        vp_entries += len(response)
+                    vp_ex += 1
+            if cut < 0:
+                break
+            # After the first cast every later exchange is visited: a
+            # vote entry proved empty up front may touch a recast row.
+            widened = True
+            inactive = set(range(cut + 1, m)).difference(act)
+            pending = [j for j in range(cut + 1, m) if kinds[j] >= 0]
         store.bb_flush()
-        self.traffic.vote_exchange_many(n_ex, n_items)
+        traffic = self.traffic
+        if mod_ex:
+            traffic.moderation_exchange_many(mod_ex, mod_items)
+        if n_ex:
+            traffic.vote_exchange_many(n_ex, n_items)
         if vp_ex:
-            self.traffic.voxpopuli_exchange_many(vp_ex, vp_entries)
+            traffic.voxpopuli_exchange_many(vp_ex, vp_entries)
+        if bc_ex:
+            traffic.bartercast_exchange_many(bc_ex, bc_items)
 
     def _bartercast_tick(self, peer_id: str) -> None:
         node = self.nodes[peer_id]

@@ -20,6 +20,10 @@ if TYPE_CHECKING:  # columnar imports this module
     from repro.core.columnar import ColumnarStateStore
 
 
+#: The memoised approved/disapproved set of a list without such votes.
+_NONE: frozenset = frozenset()
+
+
 class Vote(IntEnum):
     """A thumbs-up / thumbs-down on a moderator."""
 
@@ -79,10 +83,13 @@ class LocalVoteList:
         self, store: Optional["ColumnarStateStore"] = None, row: int = -1
     ) -> None:
         self._votes: Dict[str, VoteEntry] = {}
-        #: bumped on every cast; keys the under-cap selection cache
-        self._version = 0
+        #: bumped on every cast; keys the under-cap selection cache, the
+        #: approved/disapproved sets and the node's moderation extract
+        self.version = 0
         self._sel_version = -1
         self._sel_cache: List[VoteEntry] = []
+        self._sets_version = -1
+        self._approved = self._disapproved = _NONE
         self._store = store
         self._row = row
         if store is not None:
@@ -92,7 +99,7 @@ class LocalVoteList:
         """Record the local user's vote on a moderator."""
         entry = VoteEntry(moderator_id, Vote(vote), now)
         self._votes[moderator_id] = entry
-        self._version += 1
+        self.version += 1
         if self._store is not None:
             self._store.vl_cast(self._row, len(self._votes))
         return entry
@@ -111,16 +118,25 @@ class LocalVoteList:
         )
 
     def approved(self) -> frozenset:
-        """Moderators the local user gave a positive vote."""
-        return frozenset(
-            m for m, e in self._votes.items() if e.vote is Vote.POSITIVE
-        )
+        """Moderators the local user gave a positive vote (memoised
+        between casts, like :meth:`disapproved`)."""
+        if self._sets_version != self.version:
+            self._split()
+        return self._approved
 
     def disapproved(self) -> frozenset:
         """Moderators the local user gave a negative vote."""
-        return frozenset(
-            m for m, e in self._votes.items() if e.vote is Vote.NEGATIVE
-        )
+        if self._sets_version != self.version:
+            self._split()
+        return self._disapproved
+
+    def _split(self) -> None:
+        approved = [m for m, e in self._votes.items() if e.vote is Vote.POSITIVE]
+        disapproved = [m for m, e in self._votes.items() if e.vote is Vote.NEGATIVE]
+        # Most lists hold few votes of either sign: share one empty set.
+        self._approved = frozenset(approved) if approved else _NONE
+        self._disapproved = frozenset(disapproved) if disapproved else _NONE
+        self._sets_version = self.version
 
     def select_for_exchange(
         self,
@@ -152,11 +168,11 @@ class LocalVoteList:
         if max_votes < 1:
             return []
         if len(self._votes) <= max_votes:
-            if self._sel_version == self._version:
+            if self._sel_version == self.version:
                 return self._sel_cache
             entries = self.entries()
             self._sel_cache = entries
-            self._sel_version = self._version
+            self._sel_version = self.version
             return entries
         entries = self.entries()
         return [

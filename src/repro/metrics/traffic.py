@@ -81,11 +81,15 @@ class TrafficMeter:
     def moderation_exchange(self, n_sent: int, n_received: int) -> None:
         self._get("moderationcast").record(n_sent + n_received, MODERATION_BYTES)
 
+    def moderation_exchange_many(self, exchanges: int, items: int) -> None:
+        """A batch of moderation exchanges (the batched gossip tick)."""
+        self._get("moderationcast").record_many(exchanges, items, MODERATION_BYTES)
+
     def vote_exchange(self, n_sent: int, n_received: int) -> None:
         self._get("ballotbox").record(n_sent + n_received, VOTE_BYTES)
 
     def vote_exchange_many(self, exchanges: int, items: int) -> None:
-        """A batch of vote exchanges (the SoA columnar tick path)."""
+        """A batch of vote exchanges (the batched gossip tick)."""
         self._get("ballotbox").record_many(exchanges, items, VOTE_BYTES)
 
     def voxpopuli_exchange(self, k: int) -> None:
@@ -96,6 +100,9 @@ class TrafficMeter:
 
     def bartercast_exchange(self, n_records: int) -> None:
         self._get("bartercast").record(n_records, RECORD_BYTES)
+
+    def bartercast_exchange_many(self, exchanges: int, records: int) -> None:
+        self._get("bartercast").record_many(exchanges, records, RECORD_BYTES)
 
     def newscast_exchange(self, view_entries: int) -> None:
         self._get("newscast").record(view_entries, DESCRIPTOR_BYTES)

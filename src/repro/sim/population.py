@@ -69,13 +69,21 @@ engine's, because each ingredient is replicated exactly:
   can merge it.
 
 A protocol may additionally register a **batch handler** (a fourth
-``ProtocolSpec`` element): a maximal same-protocol run of due entries
-is then handed over in one call instead of one action call per tick.
-The handler owns the per-entry clock (``engine._now``) but must not
-schedule events, claim sequence numbers or flip peers on/offline —
-the dispatcher verifies this after every handler call — so the
-reschedule draws and sequence claims the dispatcher performs afterwards
-land in the same stream positions the scalar loop would have used.
+``ProtocolSpec`` element).  Protocols that register the *same handler
+object* form one batch group: a maximal run of due entries whose
+protocols all belong to the group — in ``(time, seq)`` order, however
+the protocols interleave — is handed over in one call,
+``handler(times, peer_ids, rows, protocols)``, instead of one action
+call per tick; ``protocols`` holds each entry's protocol index (its
+position in the spec list).  A run of one entry takes the scalar
+action.  The handler must behave as the scalar actions called entry by
+entry in that order, and it owns the per-entry clock
+(``engine._now``), but it must not schedule events, claim sequence
+numbers or flip peers on/offline — the dispatcher verifies this after
+every handler call — so the reschedule draws and sequence claims the
+dispatcher performs afterwards land in the same stream positions the
+scalar loop would have used.  ``batch_calls`` in :meth:`telemetry`
+counts handler calls.
 
 ``tests/test_sim_population.py`` enforces the contract end-to-end
 against the reference runtime.
@@ -113,11 +121,12 @@ _BLOCK = 1 << _BLOCK_SHIFT
 #: invisible: nothing but this scheduler reads a peer's jitter stream.
 _JITTER_CHUNK = 16
 
-#: Batched protocol handler: ``batch_action(times, peer_ids, rows)``
-#: for one ordered same-protocol run of due ticks.  Contract: set
-#: ``engine._now`` per entry, and never schedule events, claim
-#: sequence numbers or flip peers on/offline (verified at dispatch).
-BatchAction = Callable[[List[float], List[str], List[int]], None]
+#: Batched protocol handler: ``batch_action(times, peer_ids, rows,
+#: protocols)`` for one ordered run of due ticks across the protocols
+#: registering this handler object.  Contract: set ``engine._now`` per
+#: entry, and never schedule events, claim sequence numbers or flip
+#: peers on/offline (verified at dispatch).
+BatchAction = Callable[[List[float], List[str], List[int], List[int]], None]
 #: One protocol loop: ``(name, interval_seconds, action(peer_id))``,
 #: optionally extended with a batch handler as a fourth element.
 ProtocolSpec = Union[
@@ -217,7 +226,19 @@ class PopulationEngine:
         self._batch_actions: List[Optional[BatchAction]] = [
             spec[3] if len(spec) > 3 else None for spec in protocols
         ]
-        self._any_batch = any(a is not None for a in self._batch_actions)
+        #: per protocol: its batch group — the first protocol index
+        #: registering the same handler object — or -1 for none
+        self._group = [
+            -1 if h is None
+            else next(q for q, o in enumerate(self._batch_actions) if o is h)
+            for h in self._batch_actions
+        ]
+        #: per group: its member protocols (for the tick counters)
+        self._members = {
+            g: [p for p, gp in enumerate(self._group) if gp == g]
+            for g in set(self._group) - {-1}
+        }
+        self._any_batch = bool(self._members)
         if min(self._intervals) <= 0:
             raise ValueError("intervals must be positive")
         self._jf = float(jitter_fraction)
@@ -278,6 +299,8 @@ class PopulationEngine:
         self.ticks_by_protocol = [0] * n_protocols
         self.batches = 0
         self.max_batch_size = 0
+        #: batch-handler calls (each carries a run of >= 2 entries)
+        self.batch_calls = 0
         self.completed_session_seconds = 0.0
 
         #: online/offline flips bump this; a window extracted under an
@@ -641,6 +664,8 @@ class PopulationEngine:
         nexts = self._next
         actions = self._actions
         batch_actions = self._batch_actions
+        group = self._group
+        members = self._members
         any_batch = self._any_batch
         ids = self._ids
         params = self._params
@@ -668,23 +693,25 @@ class PopulationEngine:
                         skipped += 1
                         k += 1
                         continue
-                if any_batch and batch_actions[p] is not None:
-                    # Maximal same-protocol run of live entries — hand
-                    # it to the protocol's batch handler in one call.
-                    # The handler's contract (no scheduling, no seq
-                    # claims, no churn) means the reschedule draws and
-                    # seq claims below land exactly where the scalar
-                    # loop would have put them.
+                if any_batch and group[p] >= 0:
+                    # Maximal run of live entries of this batch group,
+                    # protocols interleaved as they fall due — hand it
+                    # to the group's handler in one call.  The
+                    # handler's contract (no scheduling, no seq claims,
+                    # no churn) means the reschedule draws and seq
+                    # claims below land exactly where the scalar loop
+                    # would have put them.
+                    g = group[p]
                     j = k + 1
                     if self._churn_epoch == epoch:
-                        while j < end and p_list[j] == p:
+                        while j < end and group[p_list[j]] == g:
                             j += 1
                     else:
                         while (
                             j < end
-                            and p_list[j] == p
+                            and group[p_list[j]] == g
                             and online[row_list[j]]
-                            and nexts[p][row_list[j]] == t_list[j]
+                            and nexts[p_list[j]][row_list[j]] == t_list[j]
                         ):
                             j += 1
                     if j - k >= 2:
@@ -692,11 +719,14 @@ class PopulationEngine:
                             engine.advance_to(t)
                             clock_checked = True
                         churn_before = self._churn_epoch
-                        batch_actions[p](
+                        run_protos = p_list[k:j]
+                        batch_actions[g](
                             t_list[k:j],
                             [ids[r] for r in row_list[k:j]],
                             row_list[k:j],
+                            run_protos,
                         )
+                        self.batch_calls += 1
                         if engine._seq != eseq or self._churn_epoch != churn_before:
                             raise RuntimeError(
                                 "batch protocol handler violated its "
@@ -706,19 +736,20 @@ class PopulationEngine:
                             )
                         for kk in range(k, j):
                             if when_list[kk] is None:
+                                interval, neg_half, span = params[p_list[kk]]
                                 if jittered:
                                     u = draw(row_list[kk])
-                                    interval, neg_half, span = params[p]
                                     gap = interval + (neg_half + span * u)
                                     if gap < 1e-9:
                                         gap = 1e-9
                                 else:
-                                    gap = params[p][0]
+                                    gap = interval
                                 when_list[kk] = t_list[kk] + gap
                             eseq += 1
                             claimed[kk] = eseq
                         engine._seq = eseq
-                        ticks[p] += j - k
+                        for q in members[g]:
+                            ticks[q] += run_protos.count(q)
                         k = j
                         continue
                 # Inline advance_to: entries are time-sorted, so only
@@ -862,6 +893,7 @@ class PopulationEngine:
             "ticks_by_protocol": list(self.ticks_by_protocol),
             "batches": self.batches,
             "max_batch_size": self.max_batch_size,
+            "batch_calls": self.batch_calls,
             "completed_session_seconds": self.completed_session_seconds,
         }
 
@@ -908,6 +940,7 @@ class PopulationEngine:
         self.ticks_by_protocol = [int(t) for t in state["ticks_by_protocol"]]  # type: ignore[union-attr]
         self.batches = int(state["batches"])  # type: ignore[arg-type]
         self.max_batch_size = int(state["max_batch_size"])  # type: ignore[arg-type]
+        self.batch_calls = int(state.get("batch_calls", 0))  # type: ignore[arg-type]
         self.completed_session_seconds = float(
             state["completed_session_seconds"]  # type: ignore[arg-type]
         )
@@ -937,7 +970,12 @@ class PopulationEngine:
     def telemetry(self) -> Dict[str, object]:
         """Counters for ``run_summary()``: population size, online
         count, ticks dispatched per protocol, batch shape, and the
-        scheduler columns' measured footprint."""
+        scheduler columns' measured footprint.
+
+        Batch shape: ``batches`` counts tick windows (``mean_batch_size``
+        and ``max_batch_size`` are ticks per window), ``batch_calls``
+        the batch-handler calls that carried a window's runs — every
+        other tick was a scalar action call."""
         ticks = sum(self.ticks_by_protocol)
         peers_online = sum(self._online)
         return {
@@ -947,6 +985,7 @@ class PopulationEngine:
             "batches": self.batches,
             "mean_batch_size": (ticks / self.batches) if self.batches else 0.0,
             "max_batch_size": self.max_batch_size,
+            "batch_calls": self.batch_calls,
             "ticks_by_protocol": dict(zip(self._names, self.ticks_by_protocol)),
             "completed_session_seconds": self.completed_session_seconds,
             "scheduler_memory_bytes": self.memory_bytes(),

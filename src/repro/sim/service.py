@@ -60,6 +60,7 @@ fall depends on who checkpointed, not on the protocol).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -445,11 +446,21 @@ class ServiceShard:
         Anything wrong with the file raises :class:`CheckpointError`
         (before a shard object exists for the caller to misuse)."""
         path = Path(directory) / CHECKPOINT_FILE
-        header, components = read_sections(path)
+        # Nearly everything a restore allocates is the new shard's
+        # long-lived state; cyclic collections mid-rebuild would only
+        # rescan it (and whichever full collection falls due would land
+        # inside the restore), so the collector waits until it is done.
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            return cls._from_sections(config, header, components)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: {exc}") from exc
+            header, components = read_sections(path)
+            try:
+                return cls._from_sections(config, header, components)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{path}: {exc}") from exc
+        finally:
+            if enabled:
+                gc.enable()
 
     @classmethod
     def _from_sections(
@@ -634,6 +645,7 @@ class ServiceShard:
             "batches",
             "mean_batch_size",
             "max_batch_size",
+            "batch_calls",
         ):
             population.pop(key, None)
         summary["population"] = population

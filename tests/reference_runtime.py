@@ -65,6 +65,7 @@ class ReferenceRuntime(ProtocolRuntime):
             "batches": ticks,
             "mean_batch_size": 1.0 if ticks else 0.0,
             "max_batch_size": 1 if ticks else 0,
+            "batch_calls": 0,
             "ticks_by_protocol": ticks_by_protocol,
             "ballot_memory_bytes": self.ballot_memory_bytes(),
         }

@@ -16,6 +16,7 @@ import pytest
 from repro.bittorrent.session import BitTorrentSession, SessionConfig
 from repro.core.experience import AdaptiveThresholdExperience
 from repro.core.node import NodeConfig
+import repro.core.runtime as runtime_mod
 from repro.core.runtime import ProtocolRuntime, RuntimeConfig
 from repro.core.columnar import RowTable
 from repro.core.votes import Vote
@@ -461,8 +462,8 @@ def _cast_vote_round(runtime, pids, r, now):
 def run_stack_batched(runtime_cls, trace, seed=11, hours=6, config_kwargs=None,
                       adaptive=False, vote_rounds=0):
     """Like :func:`run_stack`, but without the per-tick wrappers — an
-    instance-level ``_vote_tick`` override disables the batched vote
-    path by design, and this helper exists to exercise that path.
+    instance-level override of a scalar gossip tick disables the
+    batched tick by design, and this helper exists to exercise it.
     Counts batch-handler invocations instead; compares on the summary
     plus *full* per-node serialised state.  With ``vote_rounds`` the
     run is cut into that many slices and :func:`_cast_vote_round`
@@ -489,12 +490,12 @@ def run_stack_batched(runtime_cls, trace, seed=11, hours=6, config_kwargs=None,
     calls = []
     orig_batch = runtime._vote_tick_batch
 
-    def counting_batch(times, pids, rows):
+    def counting_batch(times, pids, rows, protos):
         calls.append(len(pids))
-        return orig_batch(times, pids, rows)
+        return orig_batch(times, pids, rows, protos)
 
     # Shadowing the *batch* handler keeps the eligibility gate intact
-    # (it only checks for a scalar ``_vote_tick`` override).
+    # (it only checks for overrides of the scalar ticks).
     runtime._vote_tick_batch = counting_batch
     pids = sorted(trace.peers)
     runtime.ensure_node(pids[0]).create_moderation("t-file", "x", now=0.0)
@@ -564,6 +565,8 @@ def test_batched_vote_tick_identical_to_object_engine(
 
     monkeypatch.setattr(ColumnarStateStore, "_seg_update", spy_update)
     monkeypatch.setattr(ColumnarStateStore, "bb_merge_packed", spy_merge)
+    # 25 peers make short runs: force the column pre-pass onto them.
+    monkeypatch.setattr(runtime_mod, "_PREPASS_FROM", 1)
     kwargs = dict(config_kwargs or {})
     vote_rounds = 0
     if heavy is not None:
@@ -706,13 +709,146 @@ def test_batch_handler_contract_violation_raises():
         ),
     )
 
-    def rogue_batch(times, pids, rows):
+    def rogue_batch(times, pids, rows, protos):
         engine.schedule_at(engine.now + 1.0, lambda: None)
 
     runtime._vote_tick_batch = rogue_batch
     session.start()
     with pytest.raises(RuntimeError, match="batch protocol handler"):
         engine.run_until(6 * HOUR)
+
+
+# ----------------------------------------------------------------------
+# One gossip batch: moderation, vote and BarterCast entries in one run
+# ----------------------------------------------------------------------
+def run_gossip_mix(runtime_cls, trace, scenario, seed=11, hours=3):
+    """One run with the three gossip loops at one interval, so runs of
+    due entries interleave them.  Returns the summary (minus the
+    scheduler section), every node's serialised state, every node's RNG
+    state, what the batch handler saw (per call, the protocols it
+    carried; counts of the interleavings the scenario is about) and
+    the scheduler section."""
+    from repro.core import node as node_mod
+    from repro.core.node import VoteSamplingNode
+    from repro.core.persistence import node_to_dict
+
+    engine = Engine()
+    rng = RngRegistry(seed)
+    session = BitTorrentSession(
+        engine, trace, rng, config=SessionConfig(round_interval=60.0)
+    )
+    kwargs = dict(
+        moderation_interval=120.0,
+        vote_interval=120.0,
+        bartercast_interval=120.0,
+        experience_threshold=1 * MB,
+    )
+    if scenario == "intention_then_vote":
+        # The column fast path: an all-accepting gate and no VoxPopuli,
+        # so the pre-pass proves vote entries between empty lists
+        # inert — until an intention fires inside the run.
+        kwargs["experience_threshold"] = 0.0
+        kwargs["node"] = NodeConfig(voxpopuli_enabled=False)
+    if scenario == "overbudget_interleaved":
+        kwargs["node"] = NodeConfig(moderations_per_exchange=2, votes_per_exchange=2)
+    if scenario == "message_loss":
+        kwargs["message_loss"] = 0.15
+    runtime = runtime_cls(session, rng, config=RuntimeConfig(**kwargs))
+    if scenario == "adaptive":
+        runtime.experience = AdaptiveThresholdExperience(
+            runtime.bartercast, d_max=0.3, step=1 * MB
+        )
+    seen = {"protocols": [], "cast_then_vote": 0, "extract_draws": 0}
+    run = {}  # the handler call in progress
+    real_batch = runtime._vote_tick_batch
+
+    def spy(times, pids, rows, protos):
+        seen["protocols"].append(set(protos))
+        run.update(times=times, pids=pids, protos=protos)
+        try:
+            return real_batch(times, pids, rows, protos)
+        finally:
+            run.clear()
+
+    runtime._vote_tick_batch = spy
+    real_cast = VoteSamplingNode.cast_vote
+    real_select = node_mod.select_moderations
+
+    def cast_vote(node, moderator_id, vote, now):
+        if run:
+            # A cast inside a run: does the caster's own vote tick come
+            # later in the same run?
+            seen["cast_then_vote"] += any(
+                pid == node.peer_id and p == runtime_mod._VOTE and t > now
+                for t, pid, p in zip(run["times"], run["pids"], run["protos"])
+            )
+        return real_cast(node, moderator_id, vote, now)
+
+    def select_moderations(eligible, max_items, node_rng):
+        if run and len(eligible) > max_items:
+            seen["extract_draws"] += 1
+        return real_select(eligible, max_items, node_rng)
+
+    pids = sorted(trace.peers)
+    moderators = pids[:3]
+    for m in moderators:
+        for t in range(3):
+            runtime.ensure_node(m).create_moderation(f"t-{m}-{t}", "x", now=0.0)
+    for i, pid in enumerate(pids[3:]):
+        node = runtime.ensure_node(pid)
+        for j, m in enumerate(moderators):
+            # Intentions fire as ModerationCast brings each moderator's
+            # metadata; a third of them disapprove (and purge).
+            vote = Vote.NEGATIVE if (i + j) % 3 == 0 else Vote.POSITIVE
+            node.set_vote_intention(m, vote)
+        if scenario == "overbudget_interleaved" and i % 2 == 0:
+            for j in range(4):
+                node.cast_vote(f"other{j}", Vote.POSITIVE, 0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VoteSamplingNode, "cast_vote", cast_vote)
+        patch.setattr(node_mod, "select_moderations", select_moderations)
+        session.start()
+        engine.run_until(hours * HOUR)
+    summary = runtime.run_summary()
+    population = summary.pop("population")
+    states = {pid: node_to_dict(node) for pid, node in sorted(runtime.nodes.items())}
+    rngs = {
+        pid: node.rng.bit_generator.state for pid, node in sorted(runtime.nodes.items())
+    }
+    return summary, states, rngs, seen, population
+
+
+@pytest.mark.parametrize("prepass_from", [1, None], ids=["prepass", "live"])
+@pytest.mark.parametrize(
+    "scenario",
+    ["intention_then_vote", "overbudget_interleaved", "message_loss", "adaptive"],
+)
+def test_gossip_batch_identical_to_reference(scenario, prepass_from, monkeypatch):
+    """Moderation, vote and BarterCast entries share one batch handler
+    call; every exchange, draw and counter must land as the reference's
+    per-peer processes put them — with and without the vote entries'
+    column pre-pass (small runs skip it)."""
+    if prepass_from is not None:
+        monkeypatch.setattr(runtime_mod, "_PREPASS_FROM", prepass_from)
+    trace = churn_trace(n=25)
+    ref = run_gossip_mix(ReferenceRuntime, trace, scenario)
+    got = run_gossip_mix(ProtocolRuntime, trace, scenario)
+    summary_o, states_o, rngs_o, seen_o, population_o = ref
+    summary_s, states_s, rngs_s, seen_s, population = got
+    assert summary_o == summary_s
+    assert states_o == states_s
+    assert rngs_o == rngs_s
+    assert population_o["ticks_by_protocol"] == population["ticks_by_protocol"]
+    assert seen_o["protocols"] == []  # the reference never batches
+    assert max(len(protocols) for protocols in seen_s["protocols"]) >= 2
+    assert 0 < population["batch_calls"] < population["ticks"]
+    if scenario == "intention_then_vote":
+        assert seen_s["cast_then_vote"] > 0
+    elif scenario == "overbudget_interleaved":
+        assert seen_s["extract_draws"] > 0
+        assert summary_s["nodes"]["votes_merged"] > 0
+    elif scenario == "message_loss":
+        assert summary_s["dropped_exchanges"] > 0
 
 
 # ----------------------------------------------------------------------
