@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-smoke bench-full bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn results lint-deadcode
+.PHONY: test bench bench-smoke bench-full bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn profile-fig8 results lint-deadcode
 
 # Tier-1: the fast correctness suite (tests/ only).
 test:
@@ -91,6 +91,15 @@ profile-service:
 # by trace events (the live-read side of the batched gossip tick).
 profile-churn:
 	python scripts/profile_unit.py churn_population --seed 7
+
+# cProfile one Fig 8 flash-crowd run (SpamAttackExperiment: N trace
+# peers, core 30, crowd 60 on its duty cycle, 6 simulated hours, seed
+# 7): wall time, tick and batch-handler counts, top functions by self
+# time.  `python scripts/profile_fig8.py --peers N --wall` times it
+# without the profiler.
+N ?= 100
+profile-fig8:
+	python scripts/profile_fig8.py --peers $(N)
 
 results:
 	$(PY) scripts/collect_results.py

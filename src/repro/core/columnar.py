@@ -16,7 +16,11 @@ columns keyed by the population engine's row↔peer-id table
   ``store_size`` per peer, so a due batch skips empty exchanges with
   one gather;
 * **the vote lists' wire form** — what each peer sends in an exchange,
-  packed when the list was cast instead of every time it is sent.
+  packed when the list was cast instead of every time it is sent;
+* **behaviour codes** — adversarial rows (``behaviour``: row → code)
+  and the flash crowd's two constant lists, which the batched gossip
+  tick sends in place of a crowd member's own (see
+  :meth:`ColumnarStateStore.mark_crowd`).
 
 :class:`ColumnarBallotBox` is a drop-in :class:`~repro.core.ballotbox
 .BallotBox` view over the store: same API, and semantics — self-vote
@@ -124,6 +128,8 @@ _POOL_FLOOR = 64
 _FLUSH_BATCH = 16
 #: Stored vote value -> :class:`Vote` (cheaper than the enum call).
 _VOTE = {int(v): v for v in Vote}
+#: Behaviour code of a flash-crowd member (see ``mark_crowd``).
+CROWD = 1
 #: Per-row columns of the vote lists' wire form.  Derived from the
 #: nodes' vote lists, so grown and accounted like ``_ROW_COLUMNS`` but
 #: never dumped: a loaded store repacks on first use.
@@ -214,6 +220,14 @@ class ColumnarStateStore:
         #: exchange order (the wire form drops it; above-cap selection
         #: positions count it)
         self._vl_self: Dict[int, int] = {}
+
+        #: adversarial rows: row -> behaviour code (honest rows absent;
+        #: :data:`CROWD` is the one code so far)
+        self.behaviour: Dict[int, int] = {}
+        #: the crowd's constant lists: the votes a member ships on every
+        #: BallotBox exchange, the top-K it answers VoxPopuli with
+        self.crowd_votes: List[VoteEntry] = []
+        self.crowd_top_k: List[str] = []
 
         # Ballot boxes: scalar per-box bookkeeping (``_box_of``,
         # ``bb_used``, ``_bb_seq``) in Python lists — the merge hot path
@@ -414,6 +428,31 @@ class ColumnarStateStore:
         self.vl_val[:used] = val
 
     # ------------------------------------------------------------------
+    # Behaviour rows
+    # ------------------------------------------------------------------
+    def mark_crowd(
+        self, row: int, votes: Iterable[VoteEntry], top_k: Iterable[str]
+    ) -> None:
+        """Give row ``row`` the flash-crowd behaviour code.  The crowd's
+        lists are store-wide — every member ships ``votes`` and answers
+        VoxPopuli with ``top_k`` — so a second crowd with other lists,
+        or a member voting on itself, is refused."""
+        votes, top_k = list(votes), list(top_k)
+        if self.behaviour and (votes, top_k) != (self.crowd_votes, self.crowd_top_k):
+            raise ValueError("one crowd per store: every member shares its lists")
+        own = self.rows.ids[row]
+        if any(e.moderator_id == own for e in votes):
+            raise ValueError(f"crowd member {own!r} cannot vote on itself")
+        self.behaviour[row] = CROWD
+        self.crowd_votes, self.crowd_top_k = votes, top_k
+
+    def crowd_packed(self, cap: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The crowd's vote list as an honest receiver merges it: its
+        first ``cap`` entries (the receiver-side cap), packed as
+        :meth:`bb_merge` packs a received list."""
+        return self._pack(self.crowd_votes[:cap], None)
+
+    # ------------------------------------------------------------------
     # Payload pool management
     # ------------------------------------------------------------------
     def _pay_reserve(self, need: int) -> int:
@@ -610,6 +649,19 @@ class ColumnarStateStore:
         entries into packed arrays and hands them to
         :meth:`bb_merge_packed`, where the merge itself lives.
         """
+        mids, vals = self._pack(entries, voter)
+        if not len(mids):
+            return 0
+        return self.bb_merge_packed(
+            owner_row, b_max, self.rows.row(voter), mids, vals, now
+        )
+
+    def _pack(
+        self, entries: Iterable[VoteEntry], voter: Optional[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A received ``VoteEntry`` list as :meth:`bb_merge_packed`
+        takes it: interned moderators and int8 values, the voter's
+        self-votes dropped, one entry per moderator."""
         mods = self.mods
         # ``merged`` keeps first-occurrence order with last-wins
         # values, exactly what a payload dict would hold after folding
@@ -623,16 +675,7 @@ class ColumnarStateStore:
             v = e.vote
             merged[mods.row(moderator)] = int(v) if type(v) is Vote else int(Vote(v))
         n = len(merged)
-        if not n:
-            return 0
-        return self.bb_merge_packed(
-            owner_row,
-            b_max,
-            self.rows.row(voter),
-            np.fromiter(merged, np.int32, n),
-            np.fromiter(merged.values(), np.int8, n),
-            now,
-        )
+        return np.fromiter(merged, np.int32, n), np.fromiter(merged.values(), np.int8, n)
 
     def bb_merge_packed(
         self,

@@ -2,9 +2,12 @@
 
 :class:`VoteSamplingNode` composes the local moderation database, the
 local vote list, the ballot box and the VoxPopuli cache, and implements
-the per-message logic of Figs 1 and 3.  It is engine-agnostic — the
-:mod:`repro.core.runtime` schedules its exchanges — which keeps every
-protocol rule unit-testable in isolation.
+the per-message logic of Fig 1 and of VoxPopuli's passive side.  It is
+engine-agnostic — the :mod:`repro.core.runtime` schedules its exchanges
+— which keeps every protocol rule unit-testable in isolation.  The
+BallotBox exchange (Fig 3 b) works row to row on the state store's
+columns, inside the runtime's batched gossip tick; its per-node form
+lives with the tests as the executable spec.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore
 from repro.core.moderation import Moderation, ModerationStore
 from repro.core.moderationcast import eligible_moderations, select_moderations
 from repro.core.ranking import Ranking, rank_by_sum, top_k
-from repro.core.votes import LocalVoteList, Vote, VoteEntry
+from repro.core.votes import LocalVoteList, Vote
 from repro.core.voxpopuli import TopKCache
 
 
@@ -214,49 +217,6 @@ class VoteSamplingNode:
         intention = self.vote_intentions.get(moderator_id)
         if intention is not None and not self.vote_list.has_voted(moderator_id):
             self.cast_vote(moderator_id, intention, now)
-
-    # ------------------------------------------------------------------
-    # BallotBox (Fig 3 a/b)
-    # ------------------------------------------------------------------
-    def votes_to_send(self) -> List[VoteEntry]:
-        """Our vote list, truncated to the exchange cap by the
-        configured selection policy.  The caller owns the returned
-        list (below the cap the selection itself is memoised)."""
-        return list(
-            self.vote_list.select_for_exchange(
-                self.config.votes_per_exchange,
-                self.rng,
-                policy=self.config.exchange_policy,
-            )
-        )
-
-    def receive_votes(
-        self, voter: str, entries: Sequence[VoteEntry], now: float, experienced: bool
-    ) -> int:
-        """Merge a received vote list iff the sender is experienced.
-
-        The ``votes_per_exchange`` cap is enforced *here*, on the
-        receiver — honest senders already truncate in
-        :meth:`votes_to_send`, but a malicious peer can ship an
-        arbitrarily long list, and trusting the sender would let it
-        bloat the ballot box with unbounded distinct moderators per
-        voter (memory ``B_max`` alone does not bound).
-
-        Returns the number of stored entries (0 on rejection).
-        """
-        if voter == self.peer_id:
-            return 0
-        if not experienced:
-            self.votes_rejected_inexperienced += 1
-            return 0
-        entries = list(entries)
-        cap = self.config.votes_per_exchange
-        if len(entries) > cap:
-            self.votes_truncated += len(entries) - cap
-            entries = entries[:cap]
-        stored = self.ballot_box.merge(voter, entries, now)
-        self.votes_merged += stored
-        return stored
 
     # ------------------------------------------------------------------
     # VoxPopuli (Fig 3 a/c)

@@ -16,16 +16,21 @@ dispatched in batches by the structure-of-arrays
   adaptive experience function is configured).
 
 The first three are one ``wait Δ; p ← PSS.sample()`` loop apart from
-the exchange, and with the oracle PSS they share one batch handler
+the exchange, and they are written once, in one batch handler
 (:meth:`ProtocolRuntime._vote_tick_batch`): a run of due ticks mixing
-them is dispatched in one call.
+them is dispatched in one call, whatever the PSS and the vote fan-out,
+and a run of one entry is a one-entry call of the same handler.
+Adversaries are rows too: a flash-crowd member
+(:meth:`ProtocolRuntime.add_crowd_member`) is an ordinary node whose
+row carries a behaviour code the handler branches on.
 
 Transfers observed by the BitTorrent ledger stream straight into
 BarterCast; experience is evaluated on demand at each vote exchange.
 
-The executable spec of this scheduling and state — one
-``PeriodicProcess`` per peer per protocol over dict ballot boxes —
-lives with the tests, which hold the two bit-identical.
+The executable spec of this scheduling, state and exchange logic — one
+``PeriodicProcess`` per peer per protocol over dict ballot boxes, the
+scalar per-peer ticks and the per-node colluder class — lives with the
+tests, which hold the two bit-identical.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from repro.core.experience import (
     ThresholdExperience,
 )
 from repro.core.node import NodeConfig, VoteSamplingNode
-from repro.core.votes import select_positions
+from repro.core.votes import VoteEntry, select_positions
 from repro.metrics.traffic import TrafficMeter
 from repro.pss.base import PeerSamplingService
 from repro.pss.ideal import OraclePSS
@@ -58,9 +63,6 @@ from repro.sim.units import MB
 #: :meth:`ProtocolRuntime._protocol_specs`): the protocol indices the
 #: batched gossip tick receives.
 _MODERATION, _VOTE, _BARTERCAST = 0, 1, 2
-#: Their scalar ticks; an instance-level override of any of them turns
-#: the batched tick off.
-_GOSSIP_TICKS = frozenset({"_moderation_tick", "_vote_tick", "_bartercast_tick"})
 #: Vote entries from which the batched tick's column pre-pass (numpy
 #: gathers over the run, ≈ 20 µs fixed) beats reading each entry's
 #: values live.  Measured crossover on ``churn_population`` state: 12–16
@@ -169,13 +171,10 @@ class ProtocolRuntime:
         self.nodes: Dict[str, VoteSamplingNode] = {}
         self._population: Optional[PopulationEngine] = None
         self._col_store = ColumnarStateStore()
-        #: the batched vote tick inlines VoteSamplingNode handlers, so
-        #: a registered custom node class (attack models) disables it
-        self._batch_safe = True
         self.dropped_exchanges = 0
-        # Hoisted from _partner_for: the registry memoises streams by
-        # name, so caching the generator object draws the identical
-        # sequence while skipping a dict lookup per exchange.
+        # The registry memoises streams by name, so caching the
+        # generator object draws the identical sequence while skipping
+        # a dict lookup per exchange.
         self._message_loss_rng = rng.stream("message-loss")
         self.traffic = TrafficMeter()
         #: accumulated online node-seconds (for per-node-hour costs)
@@ -201,14 +200,29 @@ class ProtocolRuntime:
             self.nodes[peer_id] = node
         return node
 
-    def register_node(self, node: VoteSamplingNode) -> None:
-        """Install a custom node object (attack models use this)."""
-        if node.peer_id in self.nodes:
-            raise ValueError(f"node {node.peer_id!r} already registered")
-        self.nodes[node.peer_id] = node
-        # A registered node may override any handler; the batched vote
-        # tick would bypass those overrides, so fall back to scalar.
-        self._batch_safe = False
+    def add_crowd_member(
+        self, peer_id: str, votes: List[VoteEntry], top_k: List[str]
+    ) -> VoteSamplingNode:
+        """Install one flash-crowd member (attack models use this): an
+        ordinary columnar node on its own ``("colluder", peer_id)``
+        stream whose row carries the store's crowd behaviour code.  The
+        gossip batch then ships ``votes`` on every BallotBox exchange
+        the member takes part in (no selection draw — the honest
+        receiver applies its cap), answers every VoxPopuli request with
+        ``top_k``, merges nothing it is sent and never bootstraps;
+        ModerationCast and BarterCast treat it as any node.  Returns the
+        node so the caller can seed its moderation store and votes."""
+        if peer_id in self.nodes:
+            raise ValueError(f"node {peer_id!r} already registered")
+        node = VoteSamplingNode(
+            peer_id,
+            self.config.node,
+            self._rng.stream("colluder", peer_id),
+            col_store=self._col_store,
+        )
+        self._col_store.mark_crowd(node.row, votes, top_k)
+        self.nodes[peer_id] = node
+        return node
 
     def bring_online(self, peer_id: str, now: float) -> None:
         """Manually bring a peer online (for peers outside the trace,
@@ -256,27 +270,14 @@ class ProtocolRuntime:
         """The canonical per-peer protocol loops, in registration order
         (which is also the order a peer's jitter draws are consumed)."""
         cfg = self.config
+        # One batch handler object for the three gossip loops, so a run
+        # of due entries spans them.
+        gossip = self._vote_tick_batch
         specs: List[ProtocolSpec] = [
-            ("moderation", cfg.moderation_interval, self._moderation_tick),
-            ("vote", cfg.vote_interval, self._vote_tick),
-            ("bartercast", cfg.bartercast_interval, self._bartercast_tick),
+            ("moderation", cfg.moderation_interval, self._moderation_tick, gossip),
+            ("vote", cfg.vote_interval, self._vote_tick, gossip),
+            ("bartercast", cfg.bartercast_interval, self._bartercast_tick, gossip),
         ]
-        if (
-            cfg.vote_fanout == 1
-            and type(self.pss) is OraclePSS
-            and _GOSSIP_TICKS.isdisjoint(self.__dict__)
-        ):
-            # One batch handler object for the three gossip loops, so a
-            # run of due entries spans them.  It needs the paper's
-            # fanout of 1 (one PSS draw per tick, vectorised by
-            # sample_batch) and the oracle PSS (its sampling never
-            # reads state the in-run exchanges could mutate).  An
-            # instance-level override of a scalar tick
-            # (instrumentation wrappers) also opts out — inlining would
-            # bypass it.  ``_batch_safe`` handles the remaining dynamic
-            # conditions at call time.
-            gossip = self._vote_tick_batch
-            specs = [spec + (gossip,) for spec in specs]
         if self.newscast is not None:
             specs.append(("newscast", cfg.newscast_interval, self._newscast_tick))
         if isinstance(self.experience, AdaptiveThresholdExperience):
@@ -420,86 +421,22 @@ class ProtocolRuntime:
     # ------------------------------------------------------------------
     # Ticks
     # ------------------------------------------------------------------
-    def _partner_for(self, peer_id: str) -> Optional[VoteSamplingNode]:
-        partner = self.pss.sample(peer_id)
-        if partner is None or partner == peer_id:
-            return None
-        if not self.registry.is_online(partner):
-            # Stale PSS entry (possible with Newscast) = failed connect.
-            return None
-        if self.config.message_loss > 0.0:
-            if self._message_loss_rng.random() < self.config.message_loss:
-                self.dropped_exchanges += 1
-                return None
-        return self.ensure_node(partner)
-
+    # A run of one entry: the engine's scalar action for each gossip
+    # loop is a one-entry call of the batch handler.
     def _moderation_tick(self, peer_id: str) -> None:
-        node = self.nodes[peer_id]
-        if not node.online:
-            return
-        partner = self._partner_for(peer_id)
-        if partner is None:
-            return
-        now = self.engine.now
-        # Push/pull (Fig 1): both sides extract then merge.
-        outbound = node.moderations_to_send()
-        inbound = partner.moderations_to_send()
-        partner.receive_moderations(outbound, now)
-        node.receive_moderations(inbound, now)
-        self.traffic.moderation_exchange(len(outbound), len(inbound))
+        self._vote_tick_batch(
+            [self.engine.now], [peer_id], [self.nodes[peer_id].row], [_MODERATION]
+        )
 
     def _vote_tick(self, peer_id: str) -> None:
-        node = self.nodes[peer_id]
-        if not node.online:
-            return
-        # The round's partner set: `vote_fanout` PSS draws (duplicates
-        # and failed connects dropped).  The whole set is gated through
-        # one `experienced_many` evaluation, which batches the forward
-        # flows; with the default fanout of 1 the single-subject fast
-        # path makes this bit-identical to the old pairwise gating.
-        partners: List[VoteSamplingNode] = []
-        seen = {peer_id}
-        for _ in range(self.config.vote_fanout):
-            candidate = self._partner_for(peer_id)
-            if candidate is None or candidate.peer_id in seen:
-                continue
-            seen.add(candidate.peer_id)
-            partners.append(candidate)
-        if not partners:
-            return
-        now = self.engine.now
-        verdicts = self.experience.experienced_many(
-            peer_id, [p.peer_id for p in partners]
+        self._vote_tick_batch(
+            [self.engine.now], [peer_id], [self.nodes[peer_id].row], [_VOTE]
         )
-        # Reverse direction: each partner needs its own evaluation of
-        # this peer (one call per partner is irreducible), but the
-        # single-subject list is loop-invariant — build it once.
-        reverse_subjects = [peer_id]
-        for partner in partners:
-            # BallotBox (Fig 3 a+b): bidirectional vote-list exchange,
-            # each side gating on its own experience evaluation.
-            votes_out = node.votes_to_send()
-            votes_in = partner.votes_to_send()
-            node.receive_votes(
-                partner.peer_id,
-                votes_in,
-                now,
-                experienced=verdicts[partner.peer_id],
-            )
-            partner.receive_votes(
-                peer_id,
-                votes_out,
-                now,
-                experienced=self.experience.experienced_many(
-                    partner.peer_id, reverse_subjects
-                )[peer_id],
-            )
-            self.traffic.vote_exchange(len(votes_out), len(votes_in))
-            # VoxPopuli (Fig 3 a+c): only while bootstrapping.
-            if node.config.voxpopuli_enabled and node.needs_bootstrap():
-                response = partner.respond_top_k()
-                node.receive_top_k(response)
-                self.traffic.voxpopuli_exchange(len(response) if response else 0)
+
+    def _bartercast_tick(self, peer_id: str) -> None:
+        self._vote_tick_batch(
+            [self.engine.now], [peer_id], [self.nodes[peer_id].row], [_BARTERCAST]
+        )
 
     def _vote_tick_batch(
         self,
@@ -509,27 +446,38 @@ class ProtocolRuntime:
         protos: List[int],
     ) -> None:
         """One gossip tick per due entry — ModerationCast, BallotBox and
-        BarterCast alike — over the state columns.
+        BarterCast alike — over the state columns: the one definition
+        of the three exchanges (Figs 1 and 3 a).
 
         Registered as the SoA engine's batch handler for all three
         gossip loops (one handler object, so a run mixes them as they
-        fall due; ``protos`` holds each entry's spec index).  They are
-        the same ``do forever: wait Δ; p ← PSS.sample()`` loop of Figs
-        1 and 3 a.  Bit-identical to running the scalar ticks entry by
-        entry because every random draw and order-sensitive call is
-        replayed in the scalar order: PSS draws per entry for all three
-        (vectorised by one ``sample_batch``, which repairs self-draws
-        inside the one draw stream); loss draws, for moderation and
-        vote entries with a connectable candidate, and partner nodes
-        created, both in entry order; then each exchange in entry
+        fall due; ``protos`` holds each entry's spec index), and called
+        with one entry by the three scalar tick names.  They are the
+        same ``do forever: wait Δ; p ← PSS.sample()`` loop.
+
+        **Sampling.**  Every draw is replayed in the scalar order.  A
+        vote entry draws ``vote_fanout`` candidates, every other entry
+        one; the PSS stream and the message-loss stream are separate
+        generators, so one ``sample_batch`` over the run's requesters
+        (vote peers repeated) walks the PSS stream as the per-entry
+        calls would — vectorised for the oracle, the scalar loop for
+        Newscast, whose views change only in Newscast ticks and churn,
+        never inside a run.  Then, in entry order, each candidate of a
+        moderation or vote entry is connected: a stale one (offline) is
+        no exchange, a connectable one draws its loss, and a surviving
+        partner's node is created.  A vote entry keeps each partner once
+        (the scalar ``seen`` dedup) and gates its whole partner set with
+        one forward ``experienced_many`` call; every partner is one
+        *slot*, and slots run through one row-to-row core.  BarterCast
+        entries take their draw as is.  Then each exchange runs in
         order — moderation through the node API, BarterCast through
         ``gossip_with``, the vote exchange inline over the columns.  A
         node's ``rng`` feeds over-budget extracts and over-cap vote
         selections alike, so the two interleave as they would scalar.
 
-        A vote exchange is row to row: the forward experience verdict
-        before vote selection and the reverse verdict after this node's
-        merge (BarterCast's contribution caches see the scalar call
+        **The vote exchange** is row to row: the forward verdict before
+        vote selection and the reverse verdict after this node's merge
+        (BarterCast's contribution caches see the scalar call
         sequence); each side's vote list is in the store's wire form
         (interned moderators, own id dropped, exchange order; a stale
         list is repacked on first use), so a merge is two pool slices
@@ -539,38 +487,51 @@ class ProtocolRuntime:
         ``bb_flush`` lands the whole run's with one copy per pool
         column.
 
-        From :data:`_PREPASS_FROM` vote entries on, a column pre-pass
-        carries them: one gather per direction over ``vl_size`` and
-        ``bb_unique`` proves most of them side-effect free — no votes
-        on either side, no VoxPopuli bootstrap, and an all-accepting
-        experience gate — so the Python loop only visits the ones that
-        do real work, and every list the run may send is packed up
-        front.  The skip is sound because box occupancy only grows
-        while votes merge (an entry starting at or above ``B_min`` can
-        never re-enter bootstrap), an accepted empty exchange touches
-        nothing but the aggregate counters, and vote lists change
-        mid-run only when a moderation exchange fires a vote intention:
-        from then on every vote entry is visited, and one that touches
-        a row cast on reads its sizes and list live — as every vote
-        entry of a shorter run does.  The aggregates are exact
-        wholesale: every selection policy returns ``min(vl_size, cap)``
-        entries, so the run's traffic folds into one
-        ``*_exchange_many`` call per protocol, and byte totals are
+        **Behaviour rows.**  A row with the store's crowd code
+        (:meth:`add_crowd_member`) ships the crowd's constant list with
+        no selection draw — the honest receiver applies the
+        receiver-side cap and counts ``votes_truncated`` — merges and
+        counts nothing it is sent, never bootstraps, and answers
+        VoxPopuli with the constant top-K, leaving ``vp_requests_*``
+        alone.  Both experience verdicts are still taken.
+
+        **Pre-pass.**  From :data:`_PREPASS_FROM` vote slots on, a
+        column pre-pass carries them: one gather per direction over
+        ``vl_size`` and ``bb_unique`` proves most of them side-effect
+        free — no votes on either side, no VoxPopuli bootstrap, an
+        all-accepting experience gate and no behaviour row — so the
+        Python loop only visits the ones that do real work, and every
+        list the run may send is packed up front.  The skip is sound
+        because box occupancy only grows while votes merge (a slot
+        starting at or above ``B_min`` can never re-enter bootstrap),
+        an accepted empty exchange touches nothing but the aggregate
+        counters, and vote lists change mid-run only when a moderation
+        exchange fires a vote intention: from then on every vote slot
+        is visited, and one that touches a row cast on reads its sizes
+        and list live — as every vote slot of a shorter run does.  The
+        aggregates are exact wholesale: every selection policy returns
+        ``min(vl_size, cap)`` entries, so the run's traffic folds into
+        one ``*_exchange_many`` call per protocol, and byte totals are
         derived from the integer counters.
         """
         engine = self.engine
         nodes = self.nodes
         own: List[VoteSamplingNode] = [nodes[pid] for pid in pids]
-        if not self._batch_safe or not all([node.online for node in own]):
-            # Custom node classes in play (register_node: their handler
-            # overrides must run), or runtime/engine online flags out of
-            # sync (manual flips: the scalar ticks skip such peers
-            # *before* sampling) — replay the run scalar.
-            scalar = (self._moderation_tick, self._vote_tick, self._bartercast_tick)
-            for t, pid, p in zip(times, pids, protos):
-                engine._now = t
-                scalar[p](pid)
-            return
+        # Only _peer_online / _peer_offline flip node.online, and the
+        # engine's flag with it: a due entry's peer is online.
+        assert all([node.online for node in own]), "online flags disagree"
+        MODERATION, VOTE, BARTERCAST = _MODERATION, _VOTE, _BARTERCAST
+        fanout = self.config.vote_fanout
+        if fanout > 1:
+            # One slot per candidate draw: a vote entry spans `fanout`.
+            entry_of = [
+                k for k, p in enumerate(protos) for _ in range(fanout if p == VOTE else 1)
+            ]
+            times = [times[k] for k in entry_of]
+            pids = [pids[k] for k in entry_of]
+            rows = [rows[k] for k in entry_of]
+            protos = [protos[k] for k in entry_of]
+            own = [own[k] for k in entry_of]
         m = len(pids)
         partner_ids = self.pss.sample_batch(pids)
         is_online = self.registry.is_online
@@ -579,15 +540,18 @@ class ProtocolRuntime:
         ensure_node = self.ensure_node
         partners: List[Optional[VoteSamplingNode]] = [None] * m
         prow_list = [0] * m
-        #: per entry: the protocol of the exchange it makes, -1 for none
+        #: per slot: the protocol of the exchange it makes, -1 for none
         kinds = [-1] * m
         others: List[int] = []  # moderation and BarterCast exchanges
-        MODERATION, VOTE, BARTERCAST = _MODERATION, _VOTE, _BARTERCAST
+        #: fan-out: a vote entry's first slot -> its partner set
+        groups: Dict[int, List[str]] = {}
+        entry = lead = -1
+        seen: set = set()
         for k, partner, pid, p in zip(range(m), partner_ids, pids, protos):
             if partner is None or partner == pid:
                 continue
             if p != BARTERCAST:
-                # _partner_for: a stale or lost connect is no exchange
+                # A stale or lost connect is no exchange.
                 if not is_online(partner):
                     continue
                 if loss > 0.0 and loss_rng.random() < loss:
@@ -596,6 +560,14 @@ class ProtocolRuntime:
                 node = nodes.get(partner)
                 if node is None:
                     node = ensure_node(partner)
+                if fanout > 1 and p == VOTE:
+                    if entry_of[k] != entry:
+                        entry, lead, seen = entry_of[k], k, {pid}
+                        groups[k] = []
+                    if partner in seen:
+                        continue
+                    seen.add(partner)
+                    groups[lead].append(partner)
                 partners[k] = node
                 prow_list[k] = node.row
             kinds[k] = p
@@ -609,6 +581,7 @@ class ProtocolRuntime:
         vox = cfg.voxpopuli_enabled and b_min > 0
         n_ex = kinds.count(VOTE)
         n_items = 0
+        crowd = store.behaviour
         if n_ex:
             exp = self.experience
             exp_type = type(exp)
@@ -620,17 +593,22 @@ class ProtocolRuntime:
                 exp_type is ThresholdExperience and exp.threshold <= 0.0
             )
             fwd_fast = rev_fast = None
+            verdicts: Dict[str, bool] = {}
             pre_vox = [True] * m if vox else None
             bb_unique = store.bb_unique
             wire = store.vl_wire
             merge = store.bb_merge_packed
             policy = cfg.exchange_policy
+            if crowd:
+                crowd_mids, crowd_vals = store.crowd_packed(cap)
+                crowd_n = len(store.crowd_votes)
+                crowd_top_k = store.crowd_top_k
         prepared = n_ex >= _PREPASS_FROM
         if prepared:
             rows_arr = np.fromiter(rows, np.int64, m)
             prows_arr = np.fromiter(prow_list, np.int64, m)
             valid = np.fromiter(kinds, np.int64, m) == VOTE
-            # One gather per direction stands in for the per-entry
+            # One gather per direction stands in for the per-slot
             # vote-list reads, and — because every selection policy
             # returns exactly ``min(vl_size, cap)`` entries — the
             # exchange item total folds into one vectorised sum.
@@ -642,19 +620,23 @@ class ProtocolRuntime:
                     valid
                 ].sum()
             )
-            # An entry must run in Python when any per-entry side effect
+            # A slot must run in Python when any per-slot side effect
             # is possible: votes to merge in either direction, a
             # VoxPopuli bootstrap candidate (occupancy below B_min
             # *before* the run — occupancy only grows as votes merge, so
-            # entries at or above B_min can never re-enter bootstrap
-            # mid-run), or an experience gate that isn't a column fast
-            # path (rejection counters fire even on empty exchanges).
+            # slots at or above B_min can never re-enter bootstrap
+            # mid-run), an experience gate that isn't a column fast
+            # path (rejection counters fire even on empty exchanges), or
+            # a behaviour row (read live).
             has_votes = (vl_own_arr > 0) | (vl_par_arr > 0)
             active = has_votes.copy()
             if vox:
                 pre_vox_arr = bb_unique[rows_arr] < b_min
                 active |= pre_vox_arr
                 pre_vox = pre_vox_arr.tolist()
+            if crowd:
+                bad = np.fromiter(crowd, np.int64, len(crowd))
+                active |= np.isin(rows_arr, bad) | np.isin(prows_arr, bad)
             if not fast_all:
                 if (
                     exp_type is AdaptiveThresholdExperience
@@ -673,7 +655,7 @@ class ProtocolRuntime:
             vl_par = vl_par_arr.tolist()
             act = np.flatnonzero(active).tolist()
             # Every list this run may send, packed once up front
-            # (partner then own, in entry order): the merges below read
+            # (partner then own, in slot order): the merges below read
             # pool slices at ``seg_off[k]`` (own) / ``seg_off[m + k]``
             # (partner).
             send = np.flatnonzero(has_votes & valid)
@@ -693,8 +675,8 @@ class ProtocolRuntime:
         bartercast = self.bartercast
         mod_ex = mod_items = bc_ex = bc_items = vp_ex = vp_entries = 0
         #: pre-passed runs: rows a moderation exchange in this run cast a
-        #: vote for, and the vote entries proved empty up front (once
-        #: one exists)
+        #: vote for, and the vote slots proved empty up front (once one
+        #: exists)
         recast: set = set()
         inactive: set = set()
         widened = False
@@ -716,7 +698,7 @@ class ProtocolRuntime:
                     mod_ex += 1
                     mod_items += len(outbound) + len(inbound)
                     if prepared and store.vl_casts != casts:
-                        # A vote intention fired: later vote entries on
+                        # A vote intention fired: later vote slots on
                         # these rows must see the new list.
                         casts = store.vl_casts
                         recast.add(node.row)
@@ -734,13 +716,23 @@ class ProtocolRuntime:
                     continue
                 row = rows[k]
                 prow = prow_list[k]
-                live = not prepared or (
-                    recast and (row in recast or prow in recast)
-                )
+                own_bad = par_bad = False
+                if crowd and (row in crowd or prow in crowd):
+                    # The crowd is the one behaviour code so far.
+                    own_bad = row in crowd
+                    par_bad = prow in crowd
+                    live = True
+                else:
+                    live = not prepared or (
+                        recast and (row in recast or prow in recast)
+                    )
                 if live:
-                    n_out = int(store.vl_size[row])
-                    n_in = int(store.vl_size[prow])
-                    n_items += min(n_out, cap) + min(n_in, cap)
+                    n_out = crowd_n if own_bad else int(store.vl_size[row])
+                    n_in = crowd_n if par_bad else int(store.vl_size[prow])
+                    # A crowd list goes out whole, whatever the cap.
+                    n_items += (n_out if own_bad else min(n_out, cap)) + (
+                        n_in if par_bad else min(n_in, cap)
+                    )
                     if prepared:
                         n_items -= min(vl_own[k], cap) + min(vl_par[k], cap)
                 elif k in inactive:
@@ -748,31 +740,41 @@ class ProtocolRuntime:
                 else:
                     n_out = vl_own[k]
                     n_in = vl_par[k]
-                # Forward verdict (observer = this node), before selection.
+                # Forward verdict (observer = this node), before selection;
+                # with a fan-out, once for the entry's whole partner set.
                 if fast_all or (fwd_fast is not None and fwd_fast[k]):
                     fwd = True
                 else:
                     partner_id = partner.peer_id
-                    fwd = exp.experienced_many(pids[k], [partner_id])[partner_id]
-                # node.votes_to_send() / partner.votes_to_send(): at or
-                # below the cap the whole list goes and nothing is drawn;
-                # above it each side draws its selection here — ours
-                # first, whatever the verdicts — as the scalar tick does.
+                    if fanout == 1:
+                        fwd = exp.experienced_many(pids[k], [partner_id])[partner_id]
+                    else:
+                        if k in groups:
+                            verdicts = exp.experienced_many(pids[k], groups[k])
+                        fwd = verdicts[partner_id]
+                # Each side's selection: at or below the cap the whole
+                # list goes and nothing is drawn; above it each honest
+                # side draws here — ours first, whatever the verdicts.
                 picks_out = (
                     select_positions(n_out, cap, node.rng, policy)
-                    if n_out > cap
+                    if n_out > cap and not own_bad
                     else None
                 )
                 picks_in = (
                     select_positions(n_in, cap, partner.rng, policy)
-                    if n_in > cap
+                    if n_in > cap and not par_bad
                     else None
                 )
-                # node.receive_votes(partner_id, votes_in, now, fwd)
-                # inline, row to row: the partner's list into our box.
-                if fwd:
+                # The partner's list into our box, row to row.
+                if own_bad:
+                    pass  # a crowd member merges and counts nothing
+                elif fwd:
                     if n_in:
-                        if picks_in is not None or live:
+                        if par_bad:
+                            mids, vals = crowd_mids, crowd_vals
+                            if n_in > cap:
+                                node.votes_truncated += n_in - cap
+                        elif picks_in is not None or live:
                             mids, vals = wire(prow, picks_in)
                         else:
                             off, end = seg_off[m + k], seg_end[m + k]
@@ -787,9 +789,15 @@ class ProtocolRuntime:
                 else:
                     pid = pids[k]
                     rev = exp.experienced_many(partner.peer_id, [pid])[pid]
-                if rev:
+                if par_bad:
+                    pass
+                elif rev:
                     if n_out:
-                        if picks_out is not None or live:
+                        if own_bad:
+                            mids, vals = crowd_mids, crowd_vals
+                            if n_out > cap:
+                                partner.votes_truncated += n_out - cap
+                        elif picks_out is not None or live:
                             mids, vals = wire(row, picks_out)
                         else:
                             off, end = seg_off[k], seg_end[k]
@@ -800,16 +808,21 @@ class ProtocolRuntime:
                 # VoxPopuli (Fig 3 a+c): pre-gated on the occupancy
                 # column, re-checked live — earlier merges this run may
                 # have lifted this node past B_min.
-                if pre_vox is not None and pre_vox[k] and bb_unique[row] < b_min:
-                    response = partner.respond_top_k()
+                if (
+                    pre_vox is not None
+                    and pre_vox[k]
+                    and not own_bad
+                    and bb_unique[row] < b_min
+                ):
+                    response = crowd_top_k if par_bad else partner.respond_top_k()
+                    node.receive_top_k(response)
                     if response:
-                        node.topk_cache.add(response)
                         vp_entries += len(response)
                     vp_ex += 1
             if cut < 0:
                 break
             # After the first cast every later exchange is visited: a
-            # vote entry proved empty up front may touch a recast row.
+            # vote slot proved empty up front may touch a recast row.
             widened = True
             inactive = set(range(cut + 1, m)).difference(act)
             pending = [j for j in range(cut + 1, m) if kinds[j] >= 0]
@@ -823,17 +836,6 @@ class ProtocolRuntime:
             traffic.voxpopuli_exchange_many(vp_ex, vp_entries)
         if bc_ex:
             traffic.bartercast_exchange_many(bc_ex, bc_items)
-
-    def _bartercast_tick(self, peer_id: str) -> None:
-        node = self.nodes[peer_id]
-        if not node.online:
-            return
-        before = self.bartercast.exchanges
-        self.bartercast.gossip_tick(peer_id, self.engine.now)
-        if self.bartercast.exchanges > before:
-            # Both directions carry up to the per-exchange record cap.
-            n = len(self.bartercast.records_of(peer_id))
-            self.traffic.bartercast_exchange(n)
 
     def _newscast_tick(self, peer_id: str) -> None:
         node = self.nodes[peer_id]

@@ -45,11 +45,20 @@ def select_positions(
 ) -> List[int]:
     """Which of an ``n``-entry vote list's entries an exchange sends
     when the list exceeds the budget (``n > max_votes >= 1``), as
-    ascending positions in the list's newest-first order.  The one
-    place the selection policies (see
-    :meth:`LocalVoteList.select_for_exchange`) and their RNG draws
-    live: the object API maps the positions to entries, the columnar
-    store to slices of a packed list."""
+    ascending positions in the list's newest-first order (at or below
+    the budget the whole list goes and nothing is drawn).
+
+    The one place the selection policies (the A2 ablation compares
+    them) and their RNG draws live; the columnar store maps the
+    positions to slices of a packed list:
+
+    * ``"recency_random"`` — the paper's default: half the budget goes
+      to the most recent votes, the rest is drawn uniformly from the
+      remainder ("experiments demonstrated that combining these
+      policies produced acceptable performance");
+    * ``"recency"`` — most recent only;
+    * ``"random"`` — uniform over all votes.
+    """
     if policy == "recency":
         return list(range(max_votes))
     if policy == "random":
@@ -83,11 +92,9 @@ class LocalVoteList:
         self, store: Optional["ColumnarStateStore"] = None, row: int = -1
     ) -> None:
         self._votes: Dict[str, VoteEntry] = {}
-        #: bumped on every cast; keys the under-cap selection cache, the
-        #: approved/disapproved sets and the node's moderation extract
+        #: bumped on every cast; keys the approved/disapproved sets and
+        #: the node's moderation extract
         self.version = 0
-        self._sel_version = -1
-        self._sel_cache: List[VoteEntry] = []
         self._sets_version = -1
         self._approved = self._disapproved = _NONE
         self._store = store
@@ -137,48 +144,6 @@ class LocalVoteList:
         self._approved = frozenset(approved) if approved else _NONE
         self._disapproved = frozenset(disapproved) if disapproved else _NONE
         self._sets_version = self.version
-
-    def select_for_exchange(
-        self,
-        max_votes: int,
-        rng: np.random.Generator,
-        policy: str = "recency_random",
-    ) -> List[VoteEntry]:
-        """Select votes to send, bounded by ``max_votes``.
-
-        Policies (the A2 ablation compares them):
-
-        * ``"recency_random"`` — the paper's default: half the budget
-          goes to the most recent votes, the rest is drawn uniformly
-          from the remainder ("experiments demonstrated that combining
-          these policies produced acceptable performance");
-        * ``"recency"`` — most recent only;
-        * ``"random"`` — uniform over all votes.
-
-        When the list fits the budget everything is sent.
-
-        The under-cap result is memoised against a cast-version
-        counter: no RNG is consumed below the cap, so returning the
-        cached sorted list between casts is bit-identical, and the
-        vote tick — which calls this twice per exchange, usually far
-        below the cap — skips the per-call sort.  Callers must treat
-        the returned list as read-only (receivers copy before
-        truncating).
-        """
-        if max_votes < 1:
-            return []
-        if len(self._votes) <= max_votes:
-            if self._sel_version == self.version:
-                return self._sel_cache
-            entries = self.entries()
-            self._sel_cache = entries
-            self._sel_version = self.version
-            return entries
-        entries = self.entries()
-        return [
-            entries[i]
-            for i in select_positions(len(entries), max_votes, rng, policy)
-        ]
 
     def __len__(self) -> int:
         return len(self._votes)

@@ -7,7 +7,8 @@ a heap push — ~12 µs of scheduler machinery per tick before any
 protocol work runs.  At a million peers that machinery alone is the
 scale ceiling.  ``ProtocolRuntime`` always ticks through this engine;
 the per-peer scheduler survives as the tests' reference runtime (the
-"object engine" below).
+"object engine" below), together with the runtime's scalar per-peer
+gossip ticks.
 
 :class:`PopulationEngine` replaces the per-peer heap entries with
 columnar state:
@@ -76,17 +77,20 @@ the protocols interleave — is handed over in one call,
 ``handler(times, peer_ids, rows, protocols)``, instead of one action
 call per tick; ``protocols`` holds each entry's protocol index (its
 position in the spec list).  A run of one entry takes the scalar
-action.  The handler must behave as the scalar actions called entry by
-entry in that order, and it owns the per-entry clock
+action — which may itself be a one-entry call of the handler, as the
+runtime's three gossip actions are, so the gossip exchanges have one
+definition.  The handler must behave as the scalar actions called entry
+by entry in that order, and it owns the per-entry clock
 (``engine._now``), but it must not schedule events, claim sequence
 numbers or flip peers on/offline — the dispatcher verifies this after
 every handler call — so the reschedule draws and sequence claims the
 dispatcher performs afterwards land in the same stream positions the
 scalar loop would have used.  ``batch_calls`` in :meth:`telemetry`
-counts handler calls.
+counts the dispatcher's handler calls (runs of two or more).
 
 ``tests/test_sim_population.py`` enforces the contract end-to-end
-against the reference runtime.
+against the reference runtime, whose per-peer processes drive the
+scalar gossip ticks the handler replaces.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ objects.
 Crash contract: ``kill -9`` on a shard worker, followed by a restore
 from its last checkpoint, replays **bit-identically** to the same
 shard never having been interrupted — same node states (including RNG
-positions), same summaries, same schedule.  Three things make that
+positions), same summaries, same schedule.  Four things make that
 hold:
 
 * checkpoints are written atomically (same-directory temp +
@@ -45,6 +45,10 @@ hold:
   shard's, or arrays that do not fit the header — raises
   :class:`~repro.core.checkpoint.CheckpointError` naming the file and
   section; a shard is never half-restored;
+* a shard holding behaviour rows (a flash crowd) refuses to write a
+  checkpoint at all, with the same error naming the rows: the format
+  does not store behaviour codes yet, and restoring the rows as honest
+  nodes would be silently wrong;
 * both the interrupted and the uninterrupted run advance the clock in
   the same checkpoint-boundary slices, so the engine sees the same
   ``run_until`` call pattern.
@@ -399,6 +403,15 @@ class ServiceShard:
         written (ops counters pick up latency and size)."""
         if not self._started:
             raise RuntimeError("cannot checkpoint before start()")
+        behaviour = self.runtime._col_store.behaviour
+        if behaviour:
+            # Behaviour codes and the crowd's lists are not in the
+            # checkpoint format: refuse rather than restore them honest.
+            ids = self.runtime._col_store.rows.ids
+            raise CheckpointError(
+                "cannot checkpoint rows with a behaviour code: "
+                + ", ".join(f"{row} ({ids[row]})" for row in sorted(behaviour))
+            )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()

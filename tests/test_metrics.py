@@ -15,6 +15,7 @@ from repro.pss.base import OnlineRegistry
 from repro.pss.ideal import OraclePSS
 from repro.sim.engine import Engine
 from repro.sim.units import MB
+from tests.reference_runtime import receive_votes
 
 
 def make_bartercast(peers):
@@ -85,7 +86,7 @@ class TestCEV:
 def node_with_votes(pid, votes, b_min=1):
     node = VoteSamplingNode(pid, NodeConfig(b_min=b_min), np.random.default_rng(0))
     for i, (mod, v) in enumerate(votes):
-        node.receive_votes(f"v{i}-{mod}", [VoteEntry(mod, v, 0.0)], 1.0, True)
+        receive_votes(node, f"v{i}-{mod}", [VoteEntry(mod, v, 0.0)], 1.0, True)
     return node
 
 

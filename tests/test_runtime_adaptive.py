@@ -13,6 +13,7 @@ from repro.core.votes import Vote, VoteEntry
 from repro.pss.base import OnlineRegistry
 from repro.pss.ideal import OraclePSS
 from repro.sim.units import MB
+from tests.reference_runtime import receive_votes
 
 
 def make_world(peers=("honest", "core", "colluder")):
@@ -42,7 +43,7 @@ def test_unanimous_spam_is_invisible_to_dispersion():
     bc, exp = make_world()
     node = VoteSamplingNode("honest", NodeConfig(), np.random.default_rng(0))
     for i in range(6):
-        node.receive_votes(
+        receive_votes(node,
             f"c{i}", [VoteEntry("M0", Vote.POSITIVE, 0.0)], 1.0, experienced=True
         )
     assert rescreen(node, exp) == 0.0
@@ -56,8 +57,8 @@ def test_contested_moderator_triggers_rescreen():
     # core really uploaded to honest; colluder did not
     bc.local_transfer("core", "honest", 10 * MB, now=0.0)
     node = VoteSamplingNode("honest", NodeConfig(), np.random.default_rng(0))
-    node.receive_votes("core", [VoteEntry("M1", Vote.POSITIVE, 0.0)], 1.0, True)
-    node.receive_votes("colluder", [VoteEntry("M1", Vote.NEGATIVE, 0.0)], 1.0, True)
+    receive_votes(node, "core", [VoteEntry("M1", Vote.POSITIVE, 0.0)], 1.0, True)
+    receive_votes(node, "colluder", [VoteEntry("M1", Vote.NEGATIVE, 0.0)], 1.0, True)
     assert node.ballot_box.num_unique_users() == 2
 
     t = rescreen(node, exp)
@@ -70,8 +71,8 @@ def test_threshold_relaxes_after_calm_returns():
     bc, exp = make_world()
     bc.local_transfer("core", "honest", 10 * MB, now=0.0)
     node = VoteSamplingNode("honest", NodeConfig(), np.random.default_rng(0))
-    node.receive_votes("core", [VoteEntry("M1", Vote.POSITIVE, 0.0)], 1.0, True)
-    node.receive_votes("colluder", [VoteEntry("M1", Vote.NEGATIVE, 0.0)], 1.0, True)
+    receive_votes(node, "core", [VoteEntry("M1", Vote.POSITIVE, 0.0)], 1.0, True)
+    receive_votes(node, "colluder", [VoteEntry("M1", Vote.NEGATIVE, 0.0)], 1.0, True)
     rescreen(node, exp)
     assert exp.threshold_for("honest") == 5 * MB
     # after the purge the remaining box is unanimous → T decays
@@ -83,7 +84,7 @@ def test_rescreen_only_on_increase():
     """A decaying threshold must not purge anybody."""
     bc, exp = make_world()
     node = VoteSamplingNode("honest", NodeConfig(), np.random.default_rng(0))
-    node.receive_votes("v", [VoteEntry("M1", Vote.POSITIVE, 0.0)], 1.0, True)
+    receive_votes(node, "v", [VoteEntry("M1", Vote.POSITIVE, 0.0)], 1.0, True)
     exp._thresholds["honest"] = 5 * MB  # as if previously raised
     t = rescreen(node, exp)  # calm box → decay to 0
     assert t == 0.0

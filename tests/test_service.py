@@ -357,6 +357,25 @@ def test_checkpoint_requires_started_shard(tmp_path):
         shard.write_checkpoint(tmp_path)
 
 
+def test_checkpoint_refuses_a_shard_with_crowd_rows(tmp_path):
+    """Behaviour codes are not in the checkpoint format: a shard
+    holding a flash crowd fails loudly, naming the rows, and writes
+    nothing."""
+    from repro.attacks.spam import FlashCrowd
+
+    shard = ServiceShard(_small_config())
+    shard.start()
+    crowd = FlashCrowd(shard.runtime, size=2)
+    crowd.arrive(shard.engine.now)
+    shard.run_until(600.0)
+    rows = [shard.runtime.nodes[pid].row for pid in crowd.members]
+    with pytest.raises(CheckpointError, match="behaviour code") as err:
+        shard.write_checkpoint(tmp_path)
+    for row, pid in zip(rows, crowd.members):
+        assert f"{row} ({pid})" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------------
 # Operational counters
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ Fig 6 series.
 import numpy as np
 import pytest
 
+from repro.attacks.spam import FlashCrowd
 from repro.bittorrent.session import BitTorrentSession, SessionConfig
 from repro.core.experience import AdaptiveThresholdExperience
 from repro.core.node import NodeConfig
@@ -231,13 +232,23 @@ def run_stack(runtime_cls, trace, seed=11, hours=6, config_kwargs=None, adaptive
             runtime.bartercast, d_max=0.5, step=1 * MB
         )
     log = []
-    for name in (
-        "_moderation_tick",
-        "_vote_tick",
-        "_bartercast_tick",
-        "_newscast_tick",
-        "_adaptive_tick",
-    ):
+    gossip = ("_moderation_tick", "_vote_tick", "_bartercast_tick")
+    if isinstance(runtime, ReferenceRuntime):
+        wrapped = gossip + ("_newscast_tick", "_adaptive_tick")
+    else:
+        # Every production gossip tick — batched runs and runs of one
+        # alike — is an entry of a batch-handler call.
+        wrapped = ("_newscast_tick", "_adaptive_tick")
+        real_batch = runtime._vote_tick_batch
+
+        def spy(times, pids, rows, protos):
+            log.extend(
+                (t, gossip[p], pid) for t, pid, p in zip(times, pids, protos)
+            )
+            return real_batch(times, pids, rows, protos)
+
+        runtime._vote_tick_batch = spy
+    for name in wrapped:
         orig = getattr(runtime, name)
 
         def wrap(orig=orig, name=name):
@@ -461,13 +472,11 @@ def _cast_vote_round(runtime, pids, r, now):
 
 def run_stack_batched(runtime_cls, trace, seed=11, hours=6, config_kwargs=None,
                       adaptive=False, vote_rounds=0):
-    """Like :func:`run_stack`, but without the per-tick wrappers — an
-    instance-level override of a scalar gossip tick disables the
-    batched tick by design, and this helper exists to exercise it.
-    Counts batch-handler invocations instead; compares on the summary
-    plus *full* per-node serialised state.  With ``vote_rounds`` the
-    run is cut into that many slices and :func:`_cast_vote_round`
-    casts before each."""
+    """Like :func:`run_stack`, but counting batch-handler invocations
+    instead of logging ticks, and comparing on the summary plus *full*
+    per-node serialised state.  With ``vote_rounds`` the run is cut
+    into that many slices and :func:`_cast_vote_round` casts before
+    each."""
     from repro.core.persistence import node_to_dict
 
     engine = Engine()
@@ -494,8 +503,6 @@ def run_stack_batched(runtime_cls, trace, seed=11, hours=6, config_kwargs=None,
         calls.append(len(pids))
         return orig_batch(times, pids, rows, protos)
 
-    # Shadowing the *batch* handler keeps the eligibility gate intact
-    # (it only checks for overrides of the scalar ticks).
     runtime._vote_tick_batch = counting_batch
     pids = sorted(trace.peers)
     runtime.ensure_node(pids[0]).create_moderation("t-file", "x", now=0.0)
@@ -648,48 +655,6 @@ def test_direct_vote_list_cast_reaches_the_batched_tick():
     assert runtime.run_summary()["nodes"]["votes_merged"] >= len(heard)
 
 
-def test_instance_vote_tick_override_disables_batching():
-    """The eligibility gate must fall back to scalar dispatch when an
-    instrumentation wrapper shadows ``_vote_tick`` — and still produce
-    identical results (this is what ``run_stack`` relies on)."""
-    trace = churn_trace(n=15)
-    summary_plain, states_plain, calls = run_stack_batched(ProtocolRuntime, trace)
-    assert calls  # batching active without the override
-
-    engine = Engine()
-    rng = RngRegistry(11)
-    session = BitTorrentSession(
-        engine, trace, rng, config=SessionConfig(round_interval=60.0)
-    )
-    runtime = ProtocolRuntime(
-        session,
-        rng,
-        config=RuntimeConfig(
-            moderation_interval=120.0,
-            vote_interval=120.0,
-            bartercast_interval=300.0,
-            experience_threshold=1 * MB,
-        ),
-    )
-    scalar_ticks = []
-    orig = runtime._vote_tick
-
-    def wrapped(pid):
-        scalar_ticks.append(pid)
-        return orig(pid)
-
-    runtime._vote_tick = wrapped
-    pids = sorted(trace.peers)
-    runtime.ensure_node(pids[0]).create_moderation("t-file", "x", now=0.0)
-    runtime.ensure_node(pids[1]).set_vote_intention(pids[0], Vote.POSITIVE)
-    session.start()
-    engine.run_until(6 * HOUR)
-    summary = runtime.run_summary()
-    summary.pop("population")
-    assert scalar_ticks  # every vote tick went through the wrapper
-    assert summary == summary_plain
-
-
 def test_batch_handler_contract_violation_raises():
     """A batch handler that schedules an event breaks the dispatch
     bookkeeping; the engine must fail loudly, not corrupt the run."""
@@ -753,6 +718,15 @@ def run_gossip_mix(runtime_cls, trace, scenario, seed=11, hours=3):
         kwargs["node"] = NodeConfig(moderations_per_exchange=2, votes_per_exchange=2)
     if scenario == "message_loss":
         kwargs["message_loss"] = 0.15
+    if scenario == "newscast":
+        kwargs.update(use_newscast=True, message_loss=0.1)
+    if scenario == "fanout":
+        kwargs["vote_fanout"] = 3
+    if scenario == "crowd":
+        # An open gate, so honest boxes take the crowd's list — cut by
+        # the receiver-side cap of 2.
+        kwargs["experience_threshold"] = 0.0
+        kwargs["node"] = NodeConfig(votes_per_exchange=2)
     runtime = runtime_cls(session, rng, config=RuntimeConfig(**kwargs))
     if scenario == "adaptive":
         runtime.experience = AdaptiveThresholdExperience(
@@ -804,6 +778,11 @@ def run_gossip_mix(runtime_cls, trace, scenario, seed=11, hours=3):
         if scenario == "overbudget_interleaved" and i % 2 == 0:
             for j in range(4):
                 node.cast_vote(f"other{j}", Vote.POSITIVE, 0.0)
+    if scenario == "crowd":
+        crowd = FlashCrowd(runtime, size=6, decoys=["x1", "x2", "x3"])
+        crowd.arrive(0.0)
+        engine.schedule_at(1.5 * HOUR, crowd.depart, 1.5 * HOUR)
+        engine.schedule_at(2.0 * HOUR, crowd.arrive, 2.0 * HOUR)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(VoteSamplingNode, "cast_vote", cast_vote)
         patch.setattr(node_mod, "select_moderations", select_moderations)
@@ -821,13 +800,22 @@ def run_gossip_mix(runtime_cls, trace, scenario, seed=11, hours=3):
 @pytest.mark.parametrize("prepass_from", [1, None], ids=["prepass", "live"])
 @pytest.mark.parametrize(
     "scenario",
-    ["intention_then_vote", "overbudget_interleaved", "message_loss", "adaptive"],
+    [
+        "intention_then_vote",
+        "overbudget_interleaved",
+        "message_loss",
+        "adaptive",
+        "newscast",
+        "fanout",
+        "crowd",
+    ],
 )
 def test_gossip_batch_identical_to_reference(scenario, prepass_from, monkeypatch):
     """Moderation, vote and BarterCast entries share one batch handler
     call; every exchange, draw and counter must land as the reference's
-    per-peer processes put them — with and without the vote entries'
-    column pre-pass (small runs skip it)."""
+    per-peer processes and scalar ticks put them — with and without the
+    vote slots' column pre-pass (small runs skip it), on Newscast, at a
+    vote fan-out of 3 and with a flash crowd of behaviour rows."""
     if prepass_from is not None:
         monkeypatch.setattr(runtime_mod, "_PREPASS_FROM", prepass_from)
     trace = churn_trace(n=25)
@@ -849,6 +837,84 @@ def test_gossip_batch_identical_to_reference(scenario, prepass_from, monkeypatch
         assert summary_s["nodes"]["votes_merged"] > 0
     elif scenario == "message_loss":
         assert summary_s["dropped_exchanges"] > 0
+    elif scenario == "newscast":
+        assert summary_s["traffic"]["newscast"]["exchanges"] > 0
+        assert summary_s["dropped_exchanges"] > 0
+    elif scenario == "fanout":
+        vote_ticks = population["ticks_by_protocol"]["vote"]
+        assert summary_s["traffic"]["ballotbox"]["exchanges"] > vote_ticks
+    elif scenario == "crowd":
+        nodes = summary_s["nodes"]
+        assert nodes["votes_truncated"] > 0 and nodes["votes_merged"] > 0
+        assert summary_s["traffic"]["voxpopuli"]["exchanges"] > 0
+
+
+def _fig8_crowd():
+    from repro.experiments.spam_attack import SpamAttackConfig, SpamAttackExperiment
+
+    duration = 2.0 * HOUR
+    return SpamAttackExperiment(
+        SpamAttackConfig(
+            seed=7,
+            duration=duration,
+            core_size=8,
+            crowd_size=12,
+            crowd_slanders_honest=True,
+            trace=TraceGeneratorConfig(n_peers=30, n_swarms=3, duration=duration),
+        )
+    )
+
+
+def _fig6_runtime(**runtime_kwargs):
+    from repro.experiments.vote_sampling import (
+        VoteSamplingConfig,
+        VoteSamplingExperiment,
+    )
+
+    duration = 2.0 * HOUR
+    base = VoteSamplingConfig(
+        seed=7,
+        duration=duration,
+        trace=TraceGeneratorConfig(n_peers=30, n_swarms=3, duration=duration),
+    )
+    runtime = RuntimeConfig(
+        node=base.node, experience_threshold=base.experience_threshold, **runtime_kwargs
+    )
+    return VoteSamplingExperiment(
+        VoteSamplingConfig(**{**base.__dict__, "runtime": runtime})
+    )
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        _fig8_crowd,
+        lambda: _fig6_runtime(use_newscast=True),
+        lambda: _fig6_runtime(vote_fanout=4),
+    ],
+    ids=["fig8_crowd", "a3_newscast", "a9_fanout4"],
+)
+def test_every_gossip_tick_goes_through_the_batch_handler(experiment, monkeypatch):
+    """The shapes that used to tick scalar — a flash crowd, Newscast, a
+    vote fan-out — dispatch every moderation, vote and BarterCast tick
+    as an entry of a ``_vote_tick_batch`` call."""
+    entries = {}
+    real_batch = ProtocolRuntime._vote_tick_batch
+
+    def spy(runtime, times, pids, rows, protos):
+        counts = entries.setdefault(runtime, [0, 0, 0])
+        for p in protos:
+            counts[p] += 1
+        return real_batch(runtime, times, pids, rows, protos)
+
+    monkeypatch.setattr(ProtocolRuntime, "_vote_tick_batch", spy)
+    experiment().run()
+    ((runtime, counts),) = entries.items()
+    ticks = runtime.population_summary()["ticks_by_protocol"]
+    assert counts == [ticks["moderation"], ticks["vote"], ticks["bartercast"]]
+    assert min(counts) > 0
+    if runtime._col_store.behaviour:
+        assert len(runtime._col_store.behaviour) == 12
 
 
 # ----------------------------------------------------------------------

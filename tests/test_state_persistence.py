@@ -109,15 +109,16 @@ def test_protocol_processes_pause_while_offline(churny_world):
     engine, session, runtime = churny_world
     protocols = ("moderation", "vote", "bartercast")
     p1_ticks = []
-    for name in protocols:
-        tick = getattr(runtime, f"_{name}_tick")
+    real_batch = runtime._vote_tick_batch
 
-        def counted(pid, tick=tick, name=name):
-            if pid == "p1":
-                p1_ticks.append((engine.now, name))
-            return tick(pid)
+    def counted(times, pids, rows, protos):
+        # Every gossip tick is an entry of a batch-handler call.
+        p1_ticks.extend(
+            (t, protocols[p]) for t, pid, p in zip(times, pids, protos) if pid == "p1"
+        )
+        return real_batch(times, pids, rows, protos)
 
-        setattr(runtime, f"_{name}_tick", counted)
+    runtime._vote_tick_batch = counted
 
     def per_protocol(start, end):
         return [sum(start < t <= end and n == name for t, n in p1_ticks)
@@ -143,7 +144,7 @@ from repro.core.node import NodeConfig
 from repro.core.persistence import node_from_dict, node_to_dict
 from repro.core.runtime import RuntimeConfig
 from repro.core.votes import VoteEntry
-from tests.reference_runtime import ReferenceRuntime
+from tests.reference_runtime import ReferenceRuntime, receive_votes
 
 _RUNTIMES = {("object", "off"): ReferenceRuntime, ("soa", "on"): ProtocolRuntime}
 
@@ -169,12 +170,12 @@ def test_checkpoint_matrix_preserves_eviction_order(engine_kind, columnar):
     runtime = _matrix_runtime(_RUNTIMES[engine_kind, columnar])
     node = runtime.ensure_node("p1")
     assert isinstance(node.ballot_box, ColumnarBallotBox) == (columnar == "on")
-    node.receive_votes("va", [VoteEntry("m1", Vote.POSITIVE, 1.0)], 1.0, True)
-    node.receive_votes("vb", [VoteEntry("m2", Vote.NEGATIVE, 2.0)], 2.0, True)
-    node.receive_votes("vc", [VoteEntry("m1", Vote.POSITIVE, 3.0)], 3.0, True)
+    receive_votes(node, "va", [VoteEntry("m1", Vote.POSITIVE, 1.0)], 1.0, True)
+    receive_votes(node, "vb", [VoteEntry("m2", Vote.NEGATIVE, 2.0)], 2.0, True)
+    receive_votes(node, "vc", [VoteEntry("m1", Vote.POSITIVE, 3.0)], 3.0, True)
     # Re-hearing from va moves it to most-recent: order is now not
     # alphabetical, so a lossy restore is distinguishable.
-    node.receive_votes("va", [VoteEntry("m3", Vote.POSITIVE, 4.0)], 4.0, True)
+    receive_votes(node, "va", [VoteEntry("m3", Vote.POSITIVE, 4.0)], 4.0, True)
     assert node.ballot_box.voters_by_recency() == ["vb", "vc", "va"]
 
     payload = node_to_dict(node)
