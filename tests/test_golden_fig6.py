@@ -13,11 +13,22 @@ batched and direct edges were folded on read (PR 14); they are the
 "every simulated statistic is identical" claim of that change.  To
 re-record after an intended behaviour change, run this file with
 ``-s`` and copy the printed values.
+
+The ledger and graph hashes see bytes, not pieces.  :data:`SWARMS`
+pins the piece level of the same runs: for every member of every
+swarm the pieces it holds, when it completed, its in-flight pieces,
+partial-piece bytes and last round's reception, plus each picker's
+availability and each swarm RNG's position — so a pick that moves to
+another piece of equal cost, or an extra draw, fails here too.  Most
+peers are offline at the end, so it pins a run stopped half way as
+well, with transfers in flight.  It was recorded before possession
+moved from numpy rows to int bitsets.
 """
 
 import hashlib
 import json
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -46,13 +57,21 @@ GOLDEN = {
 }
 
 
+#: piece-level end state of the same runs (see the module docstring)
+SWARMS = {
+    7: "f2c6ba611e7932d1",
+    11: "6dc6a8c5a046d25b",
+}
+
+
 def _sha(part) -> str:
     return hashlib.sha256(
         json.dumps(part, sort_keys=True, default=float).encode()
     ).hexdigest()[:16]
 
 
-def fig6_end_state(seed: int) -> dict:
+@lru_cache(maxsize=None)
+def fig6_run(seed: int, until=None):
     cfg = VoteSamplingConfig(seed=seed, duration=10.0 * HOUR)
     trace_cfg = replace(cfg.trace, n_peers=30, duration=cfg.duration)
     trace = TraceGenerator(trace_cfg, seed=TRACE_SEED).generate(0)
@@ -72,8 +91,12 @@ def fig6_end_state(seed: int) -> dict:
             nodes, order, include=[pid for pid in trace.peers if pid in nodes]
         ),
     )
-    stack.run()
+    stack.run(until)
+    return stack, trace
 
+
+def fig6_end_state(seed: int) -> dict:
+    stack, trace = fig6_run(seed)
     summary = stack.runtime.run_summary()
     summary.pop("population")  # describes the scheduler, not the protocol
     series = [float(v) for v in stack.recorder.get("correct_fraction").values]
@@ -97,3 +120,42 @@ def test_fig6_end_state_is_pinned(seed):
     state = fig6_end_state(seed)
     print(f"\n    {seed}: {json.dumps(state, indent=8)},")
     assert state == GOLDEN[seed]
+
+
+def swarm_state(stack) -> list:
+    swarms = []
+    for sid, swarm in sorted(stack.session.swarms.items()):
+        members = [
+            [
+                pid,
+                member.active,
+                member.bitfield.held_indices(),
+                member.completed_at,
+                sorted(member.in_flight.items()),
+                sorted(member.accum.items()),
+                sorted(member.received_last_round.items()),
+            ]
+            for pid, member in sorted(swarm.members.items())
+        ]
+        swarms.append(
+            [
+                sid,
+                swarm.rounds_run,
+                members,
+                [int(a) for a in swarm.picker.availability],
+                swarm._rng.bit_generator.state,
+            ]
+        )
+    return swarms
+
+
+def swarm_end_state(seed: int) -> str:
+    half_way = fig6_run(seed, 5.0 * HOUR)[0]
+    return _sha([swarm_state(fig6_run(seed)[0]), swarm_state(half_way)])
+
+
+@pytest.mark.parametrize("seed", sorted(SWARMS))
+def test_fig6_swarm_end_state_is_pinned(seed):
+    state = swarm_end_state(seed)
+    print(f"\n    {seed}: {state!r},")
+    assert state == SWARMS[seed]
