@@ -10,7 +10,10 @@ metric's median and quartiles per side, whether the simulated digests
 agree, and for ``--metric`` the change's win share and whether the
 pairing rule holds: the change wins at least 9 of 10 pairs (ties count
 for neither) and the medians differ by more than the parent's
-interquartile range.
+interquartile range.  Each pair also prints its change/parent ratio of
+``--metric``, and the summary the median of those per-pair ratios: a
+drift in host speed moves both runs of a pair together, so the
+per-pair ratio is steadier than the ratio of the two sides' medians.
 """
 
 import argparse
@@ -53,7 +56,8 @@ def main() -> int:
                 runs[side].append(run_once(sides[side], args.workload, args.seed, out))
             row = {s: runs[s][-1]["end_to_end"][args.metric]["median"] for s in sides}
             print(f"pair {i + 1:2d} ({order[0]} first): "
-                  + "  ".join(f"{s} {v:.4g}" for s, v in row.items()), flush=True)
+                  + "  ".join(f"{s} {v:.4g}" for s, v in row.items())
+                  + f"  ratio {row['change'] / row['parent']:.3f}", flush=True)
     for metric in runs["parent"][0]["end_to_end"]:
         cells = []
         for side in sides:
@@ -70,8 +74,10 @@ def main() -> int:
     p1, p2, p3 = quartiles(par)
     gap = sign * (statistics.median(chg) - p2)
     met = wins >= 0.9 * len(par) and gap > p3 - p1
+    pair_ratio = statistics.median(c / p for p, c in zip(par, chg))
     print(f"{args.metric}: change wins {wins}/{len(par)}, median gap {gap:.4g} "
-          f"vs parent IQR {p3 - p1:.4g}, ratio {statistics.median(chg) / p2:.3f}; "
+          f"vs parent IQR {p3 - p1:.4g}, ratio {statistics.median(chg) / p2:.3f}, "
+          f"median per-pair ratio {pair_ratio:.3f}; "
           f"pairing rule {'met' if met else 'NOT met'}")
     return 0
 

@@ -64,10 +64,17 @@ class _DenseMirror:
     def nbytes(self) -> int:
         return int(self._W.nbytes)
 
-    def set(self, u: str, v: str, w: float) -> None:
-        ui = self._slot(u)
-        vi = self._slot(v)
+    def set(self, u: str, v: str, w: float) -> bool:
+        """Store ``w`` at ``(u, v)``.  ``True`` if a slot was added."""
+        index = self._index
+        ui = index.get(u)
+        vi = index.get(v)
+        grew = ui is None or vi is None
+        if grew:
+            ui = self._slot(u)
+            vi = self._slot(v)
         self._W[ui, vi] = w
+        return grew
 
     def _slot(self, node: str) -> int:
         """Row/column index for ``node``, allocating (and growing the
@@ -173,12 +180,15 @@ class _SparseMirror:
         self._index[node] = i
         return i
 
-    def set(self, u: str, v: str, w: float) -> None:
+    def set(self, u: str, v: str, w: float) -> bool:
+        """Store ``w`` at ``(u, v)``.  ``True`` if a slot was added."""
+        grew = u not in self._index or v not in self._index
         ui = self._slot(u)
         vi = self._slot(v)
         self._rows.setdefault(ui, {})[vi] = w
         self._in.setdefault(vi, set()).add(ui)
         self._row_arrays.pop(ui, None)
+        return grew
 
     def drop(self, node: str) -> None:
         i = self._index.pop(node, None)
@@ -379,7 +389,8 @@ class SubjectiveGraph:
     def _raise_edge(self, u: str, v: str, w: float) -> None:
         if w <= 0 or u == v:
             return
-        row = self._out.get(u)
+        out = self._out
+        row = out.get(u)
         if row is not None and w <= row.get(v, 0.0):
             # Stale or equal refold: nothing changed — no version bump
             # and, crucially, no bound-enforcement scan (duplicate
@@ -389,13 +400,24 @@ class SubjectiveGraph:
             not self._has_node(u) or not self._has_node(v)
         )
         if row is None:
-            row = self._out[u] = {}
+            row = out[u] = {}
         row[v] = w
-        self._in_adj.setdefault(v, {})[u] = w
-        self._mirror.set(u, v, w)
-        self._bump(u, v)
-        if self.backend == "auto" and self._mirror.kind == "dense":
-            if self._mirror.node_count() > self.sparse_threshold:
+        in_row = self._in_adj.get(v)
+        if in_row is None:
+            self._in_adj[v] = {u: w}
+        else:
+            in_row[u] = w
+        mirror = self._mirror
+        grew = mirror.set(u, v, w)
+        # ``_bump``, inline: this is the edge write of every transfer
+        out_version = self._out_version
+        out_version[u] = out_version.get(u, 0) + 1
+        in_version = self._in_version
+        in_version[v] = in_version.get(v, 0) + 1
+        self._version += 1
+        # the node count only moves when the mirror gains a slot
+        if grew and self.backend == "auto" and mirror.kind == "dense":
+            if mirror.node_count() > self.sparse_threshold:
                 self._convert_to_sparse()
         if added:
             self._enforce_node_bound()

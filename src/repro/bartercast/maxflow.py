@@ -26,18 +26,23 @@ from repro.bartercast.graph import SubjectiveGraph
 def two_hop_flow(graph: SubjectiveGraph, source: str, sink: str) -> float:
     """Max flow from ``source`` to ``sink`` over paths of ≤ 2 edges.
 
-    Read-only: the graph is left untouched (``successors`` hands out a
-    copy, and this function does not mutate even that)."""
+    Read-only: reads ``source``'s out-row and ``sink``'s in-row of the
+    graph's adjacency in place and sums over the out-row in its order.
+    """
     if source == sink:
         return 0.0
-    out = graph.successors(source)
+    out = graph._out.get(source)
+    if not out:
+        return 0.0
     flow = out.get(sink, 0.0)
-    for k, w_sk in out.items():
-        if k == source or k == sink:
-            continue
-        w_kt = graph.weight(k, sink)
-        if w_kt > 0.0:
-            flow += min(w_sk, w_kt)
+    into = graph._in_adj.get(sink)
+    if into:
+        for k, w_sk in out.items():
+            if k == sink:
+                continue
+            w_kt = into.get(k, 0.0)
+            if w_kt > 0.0:
+                flow += min(w_sk, w_kt)
     return flow
 
 

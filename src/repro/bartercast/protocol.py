@@ -242,19 +242,24 @@ class BarterCastService:
         if nbytes <= 0:
             return
         edge = (uploader, downloader)
-        up_state = self._state(uploader)
-        rec = up_state.direct.setdefault(downloader, [0.0, 0.0, now])
+        nodes = self._nodes
+        up_state = nodes.get(uploader) or self._state(uploader)
+        rec = up_state.direct.get(downloader)
+        if rec is None:
+            rec = up_state.direct[downloader] = [0.0, 0.0, now]
         rec[0] += nbytes
         rec[2] = now
         up_state.direct_version += 1
         up_state.pending[edge] = rec
 
-        down_state = self._state(downloader)
-        rec2 = down_state.direct.setdefault(uploader, [0.0, 0.0, now])
-        rec2[1] += nbytes
-        rec2[2] = now
+        down_state = nodes.get(downloader) or self._state(downloader)
+        rec = down_state.direct.get(uploader)
+        if rec is None:
+            rec = down_state.direct[uploader] = [0.0, 0.0, now]
+        rec[1] += nbytes
+        rec[2] = now
         down_state.direct_version += 1
-        down_state.pending[edge] = rec2
+        down_state.pending[edge] = rec
 
     def inject_record(self, holder: str, record: TransferRecord) -> None:
         """Directly fold a record into ``holder``'s graph, bypassing the

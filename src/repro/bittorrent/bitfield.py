@@ -1,9 +1,11 @@
 """Piece possession bitfields.
 
-Backed by a numpy boolean array so set operations used by the piece
-picker ("pieces you have that I miss") are vectorised — the guide's
-"vectorizing for loops" idiom applied to the simulator's hottest set
-algebra.
+Possession is held once, as a plain Python int: bit ``i`` of
+:attr:`Bitfield.bits` is set when piece ``i`` is held.  The swarms of
+the workloads are small (a handful of members, 215–3 140 pieces), so a
+whole-file set operation — "pieces you have that I miss" is
+``have_u & ~have_d`` — is one C-level int op, where a numpy call would
+pay its per-call overhead on an array of a few hundred bytes.
 """
 
 from __future__ import annotations
@@ -14,68 +16,58 @@ import numpy as np
 
 
 class Bitfield:
-    """Which pieces of one file a peer holds."""
+    """Which pieces of one file a peer holds.
 
-    __slots__ = ("num_pieces", "_bits", "_readonly", "_count")
+    ``bits`` and ``count`` are plain attributes for the round's hot
+    loop; they change only through :meth:`set` / :meth:`fill` (or the
+    swarm's :meth:`~repro.bittorrent.swarm.SwarmPeer.gain`), which keep
+    ``count == bits.bit_count()``."""
+
+    __slots__ = ("num_pieces", "bits", "count")
 
     def __init__(self, num_pieces: int, full: bool = False):
         if num_pieces < 1:
             raise ValueError("num_pieces must be >= 1")
         self.num_pieces = num_pieces
-        self._bits = np.full(num_pieces, full, dtype=bool)
-        self._readonly = self._bits.view()
-        self._readonly.flags.writeable = False
-        self._count = num_pieces if full else 0
+        self.bits = (1 << num_pieces) - 1 if full else 0
+        self.count = num_pieces if full else 0
 
     # ------------------------------------------------------------------
     @property
-    def count(self) -> int:
-        """Number of pieces held (maintained incrementally)."""
-        return self._count
-
-    @property
     def complete(self) -> bool:
-        return self._count == self.num_pieces
+        return self.count == self.num_pieces
 
     @property
     def empty(self) -> bool:
-        return self._count == 0
+        return self.count == 0
 
     def has(self, index: int) -> bool:
-        return bool(self._bits[index])
+        return bool(self.bits >> index & 1)
 
     def set(self, index: int) -> bool:
         """Mark a piece held.  Returns ``True`` if it was newly added."""
-        if self._bits[index]:
+        bit = 1 << index
+        if self.bits & bit:
             return False
-        self._bits[index] = True
-        self._count += 1
+        self.bits |= bit
+        self.count += 1
         return True
 
     def fill(self) -> None:
         """Become a full seed bitfield."""
-        self._bits[:] = True
-        self._count = self.num_pieces
+        self.bits = (1 << self.num_pieces) - 1
+        self.count = self.num_pieces
 
     # ------------------------------------------------------------------
-    def interesting_mask(self, other: "Bitfield") -> np.ndarray:
-        """Pieces ``other`` has that we miss (the 'interested' test)."""
-        return other._bits & ~self._bits
-
-    def is_interested_in(self, other: "Bitfield") -> bool:
-        """BitTorrent 'interested': other holds ≥1 piece we miss.
-
-        The scalar definition.  The swarm round decides interest for
-        all neighbour pairs at once (``Swarm._round_interest``); tests
-        hold that kernel to this method."""
-        return bool(np.any(other._bits & ~self._bits))
-
     def as_array(self) -> np.ndarray:
-        """Read-only view of the raw bits (do not mutate)."""
-        return self._readonly
+        """The bits as a read-only boolean array, built on each call
+        (diagnostics and tests)."""
+        arr = bits_to_array(self.bits, self.num_pieces)
+        arr.flags.writeable = False
+        return arr
 
     def held_indices(self) -> List[int]:
-        return [int(i) for i in np.flatnonzero(self._bits)]
+        return np.flatnonzero(self.as_array()).tolist()
 
     @classmethod
     def from_indices(cls, num_pieces: int, indices: Iterable[int]) -> "Bitfield":
@@ -85,4 +77,11 @@ class Bitfield:
         return bf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Bitfield({self._count}/{self.num_pieces})"
+        return f"Bitfield({self.count}/{self.num_pieces})"
+
+
+def bits_to_array(bits: int, num_pieces: int) -> np.ndarray:
+    """Bit ``i`` of ``bits`` as element ``i`` of a boolean array."""
+    raw = bits.to_bytes((num_pieces + 7) // 8, "little")
+    packed = np.frombuffer(raw, dtype=np.uint8)
+    return np.unpackbits(packed, count=num_pieces, bitorder="little").astype(bool)

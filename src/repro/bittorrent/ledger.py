@@ -9,14 +9,15 @@ simulator's instrumentation can read global totals for metrics.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 class TransferLedger:
     """Cumulative ``bytes[u → d]`` with per-peer views.
 
     Listeners (e.g. BarterCast local records) receive every transfer as
-    ``listener(uploader, downloader, nbytes, now)``.
+    ``listener(uploader, downloader, nbytes, now)``, in the order the
+    transfers were recorded.
     """
 
     def __init__(self) -> None:
@@ -30,17 +31,30 @@ class TransferLedger:
 
     def record(self, uploader: str, downloader: str, nbytes: float, now: float) -> None:
         """Record ``nbytes`` flowing ``uploader → downloader`` at ``now``."""
-        if nbytes <= 0:
-            return
-        if uploader == downloader:
-            raise ValueError("self-transfer is meaningless")
-        row = self._sent[uploader]
-        row[downloader] = row.get(downloader, 0.0) + nbytes
-        col = self._received[downloader]
-        col[uploader] = col.get(uploader, 0.0) + nbytes
-        self.total_bytes += nbytes
-        for listener in self._listeners:
-            listener(uploader, downloader, nbytes, now)
+        self.record_many(((uploader, downloader, nbytes),), now)
+
+    def record_many(
+        self, transfers: Sequence[Tuple[str, str, float]], now: float
+    ) -> None:
+        """Record ``(uploader, downloader, nbytes)`` transfers at ``now``,
+        in order — one swarm round's links in one call.  Exactly
+        ``record`` of each in turn: non-positive amounts are skipped,
+        totals add up in the given order and each listener hears every
+        transfer once, transfer by transfer."""
+        sent, received = self._sent, self._received
+        listeners = self._listeners
+        for uploader, downloader, nbytes in transfers:
+            if nbytes <= 0:
+                continue
+            if uploader == downloader:
+                raise ValueError("self-transfer is meaningless")
+            row = sent[uploader]
+            row[downloader] = row.get(downloader, 0.0) + nbytes
+            col = received[downloader]
+            col[uploader] = col.get(uploader, 0.0) + nbytes
+            self.total_bytes += nbytes
+            for listener in listeners:
+                listener(uploader, downloader, nbytes, now)
 
     # ------------------------------------------------------------------
     def sent(self, uploader: str, downloader: str) -> float:
@@ -58,10 +72,6 @@ class TransferLedger:
     def upload_partners(self, peer: str) -> Dict[str, float]:
         """Copy of ``{downloader: bytes}`` for ``peer``'s uploads."""
         return dict(self._sent.get(peer, {}))
-
-    def download_partners(self, peer: str) -> Dict[str, float]:
-        """Copy of ``{uploader: bytes}`` for ``peer``'s downloads."""
-        return dict(self._received.get(peer, {}))
 
     def edges(self) -> List[Tuple[str, str, float]]:
         """All ``(uploader, downloader, bytes)`` edges (metrics use)."""

@@ -3,27 +3,32 @@
 Each swarm advances in fixed *rounds* (default 30 s — a small multiple
 of mainline's 10 s choke interval).  A round:
 
-1. recomputes interest for every (uploader, active neighbour) pair in
-   one batch — piece counts settle most pairs, one packed-bit test the
-   rest — and runs every active peer's choker;
+1. decides interest for every (uploader, active neighbour) pair —
+   piece counts settle most pairs, one ``have_u & ~have_d`` the rest —
+   and runs every active peer's choker;
 2. allocates rates — an uploader splits its capacity evenly across its
    unchoked+interested links, then each downloader's incoming rates are
    scaled down to its download capacity;
 3. moves bytes along links, converting them into pieces via
-   rarest-first picking (partial pieces carry over between rounds);
+   rarest-first picking (partial pieces carry over between rounds), and
+   hands the round's transfers to the ledger in one call, in link order;
 4. handles completions: altruists keep seeding, free-riders leave the
    swarm immediately (the behaviour split §VI simulates).
 
 Piece identity is tracked end-to-end: a downloader only ever completes
 pieces its uploader actually holds, in-flight pieces are not picked
 twice, and the final piece costs only the file remainder.
+
+Possession is held once, as Python-int bitsets (:class:`SwarmPeer`,
+:class:`~repro.bittorrent.picker.PiecePicker`): the swarms of the
+workloads are small, so per-call overhead, not bit work, is what a
+numpy array would cost the round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -51,36 +56,28 @@ class SwarmPeer:
     """Per-(swarm, peer) state.  Survives across sessions so partial
     downloads resume, mirroring a real client's disk state.
 
-    Possession is held three ways that must agree — the
-    :class:`Bitfield`, the ``wanted`` row the picker reads and the
-    peer's packed row of the swarm's interest matrix — so it changes
-    only through :meth:`gain` / :meth:`gain_all`, and a piece goes in
-    and out of flight only through :meth:`start_fetch` /
-    :meth:`reset_link_state`."""
+    Possession is held once, as two int bitsets: ``bitfield.bits``
+    (have) and ``wanted_bits = ~have & ~in_flight``, the pieces a pick may
+    take.  Both change only through :meth:`gain` / :meth:`gain_all`,
+    and a piece goes in and out of flight only through
+    :meth:`start_fetch` / :meth:`reset_link_state`."""
 
     __slots__ = (
         "profile",
+        "peer_id",
         "bitfield",
         "choker",
         "active",
         "received_last_round",
         "accum",
         "in_flight",
-        "wanted",
-        "slot",
-        "have_packed",
+        "wanted_bits",
         "completed_at",
     )
 
-    def __init__(
-        self,
-        profile: PeerProfile,
-        num_pieces: int,
-        choker: Choker,
-        slot: int,
-        have_packed: np.ndarray,
-    ):
+    def __init__(self, profile: PeerProfile, num_pieces: int, choker: Choker):
         self.profile = profile
+        self.peer_id = profile.peer_id
         self.bitfield = Bitfield(num_pieces)
         self.choker = choker
         self.active = False
@@ -90,37 +87,31 @@ class SwarmPeer:
         self.accum: Dict[str, float] = {}
         #: piece currently being fetched from each uploader
         self.in_flight: Dict[str, int] = {}
-        #: pieces neither held nor in flight (``~have & ~in_flight``),
-        #: maintained so a pick is one ``&`` with the uploader's bits
-        self.wanted = np.ones(num_pieces, dtype=bool)
-        #: row index in, and a view of this peer's row of, the swarm's
-        #: bit-packed possession matrix (see ``Swarm._round_interest``)
-        self.slot = slot
-        self.have_packed = have_packed
+        #: pieces neither held nor in flight, so a pick is one ``&``
+        #: with the uploader's bits
+        self.wanted_bits = (1 << num_pieces) - 1
         self.completed_at: Optional[float] = None
-
-    @property
-    def peer_id(self) -> str:
-        return self.profile.peer_id
 
     def gain(self, piece: int) -> bool:
         """Hold ``piece`` from now on.  ``True`` if it was newly added."""
-        if not self.bitfield.set(piece):
+        bitfield = self.bitfield
+        bit = 1 << piece
+        if bitfield.bits & bit:
             return False
-        self.wanted[piece] = False
-        self.have_packed[piece >> 3] |= 0x80 >> (piece & 7)
+        bitfield.bits |= bit
+        bitfield.count += 1
+        self.wanted_bits &= ~bit
         return True
 
     def gain_all(self) -> None:
         """Become a full seed."""
         self.bitfield.fill()
-        self.wanted[:] = False
-        self.have_packed[:] = np.packbits(self.bitfield.as_array())
+        self.wanted_bits = 0
 
     def start_fetch(self, uploader: str, piece: int) -> None:
         """Start fetching ``piece`` over the link from ``uploader``."""
         self.in_flight[uploader] = piece
-        self.wanted[piece] = False
+        self.wanted_bits &= ~(1 << piece)
         self.accum[uploader] = 0.0
 
     def reset_link_state(self) -> None:
@@ -128,26 +119,15 @@ class SwarmPeer:
         self.received_last_round = {}
         self.accum = {}
         self.in_flight = {}
-        np.logical_not(self.bitfield.as_array(), out=self.wanted)
+        bitfield = self.bitfield
+        self.wanted_bits = ((1 << bitfield.num_pieces) - 1) ^ bitfield.bits
 
 
-class _RoundPairs(NamedTuple):
-    """The (uploader, active neighbour) pairs of a round, uploaders in
-    sorted order and each uploader's neighbours sorted — the order the
-    chokers see.  Depends only on membership and connections, so it is
-    built once and reused until either changes.  Peers are named by
-    their row (``SwarmPeer.slot``) in the packed possession matrix."""
-
-    #: active members in sorted id order, and their slots
-    members: List[SwarmPeer]
-    slots: np.ndarray
-    #: per pair: the uploader's and the neighbour's slot
-    up: np.ndarray
-    down: np.ndarray
-    #: per pair: the neighbour's id
-    names: List[str]
-    #: pairs of ``members[k]`` are ``bounds[k]:bounds[k + 1]``
-    bounds: List[int]
+#: per active member in sorted id order: the member, its active
+#: neighbours' ids (sorted — the order the chokers see) and their
+#: bitfields.  Two flat lists, not a tuple per pair: at thousands of
+#: members the tuples alone kept the cyclic GC busy.
+_Pairs = List[Tuple[SwarmPeer, List[str], List[Bitfield]]]
 
 
 class Swarm:
@@ -173,11 +153,8 @@ class Swarm:
         #: currently active members
         self.active: Dict[str, SwarmPeer] = {}
         self.neighbors: Dict[str, Set[str]] = {}
-        #: bit-packed possession, one row per member (``SwarmPeer.slot``),
-        #: grown by doubling
-        self._have_packed = np.zeros((0, (self.num_pieces + 7) // 8), dtype=np.uint8)
         #: dropped whenever membership or a connection changes
-        self._pairs: Optional[_RoundPairs] = None
+        self._pairs: Optional[_Pairs] = None
         self.rounds_run = 0
         self._completion_listeners: List[Callable[[str, str, float], None]] = []
         # Piece cost: uniform except the final remainder piece.
@@ -236,21 +213,8 @@ class Swarm:
         return True
 
     def _new_member(self, profile: PeerProfile) -> SwarmPeer:
-        slot = len(self.members)
-        if slot == len(self._have_packed):
-            grown = np.zeros(
-                (max(16, 2 * slot), self._have_packed.shape[1]), dtype=np.uint8
-            )
-            grown[:slot] = self._have_packed
-            self._have_packed = grown
-            for other in self.members.values():
-                other.have_packed = grown[other.slot]
         member = SwarmPeer(
-            profile,
-            self.num_pieces,
-            Choker(self.config.choker, self._rng),
-            slot,
-            self._have_packed[slot],
+            profile, self.num_pieces, Choker(self.config.choker, self._rng)
         )
         self.members[profile.peer_id] = member
         return member
@@ -314,33 +278,19 @@ class Swarm:
         self._handle_completions(now)
         return moved
 
-    def _round_pairs(self) -> _RoundPairs:
-        """The round's pair list, rebuilt only after a membership or
-        connection change dropped it."""
+    def _round_pairs(self) -> _Pairs:
+        """Every active member in sorted id order with its active
+        neighbours, rebuilt only after a membership or connection
+        change dropped it."""
         pairs = self._pairs
-        if pairs is not None:
-            return pairs
-        active = self.active
-        members = [active[pid] for pid in sorted(active)]
-        up: List[int] = []
-        names: List[str] = []
-        bounds = [0]
-        for member in members:
-            nbs = [
-                nb
-                for nb in sorted(self.neighbors.get(member.peer_id, ()))
-                if nb in active
-            ]
-            names.extend(nbs)
-            up.extend([member.slot] * len(nbs))
-            bounds.append(len(names))
-        slots = np.fromiter((m.slot for m in members), dtype=np.intp, count=len(members))
-        down = np.fromiter(
-            (active[nb].slot for nb in names), dtype=np.intp, count=len(names)
-        )
-        pairs = self._pairs = _RoundPairs(
-            members, slots, np.array(up, dtype=np.intp), down, names, bounds
-        )
+        if pairs is None:
+            active = self.active
+            pairs = self._pairs = []
+            for pid in sorted(active):
+                nbs = sorted(self.neighbors.get(pid, ()))
+                names = [nb for nb in nbs if nb in active]
+                bitfields = [active[nb].bitfield for nb in names]
+                pairs.append((active[pid], names, bitfields))
         return pairs
 
     def _round_interest(self) -> List[Tuple[SwarmPeer, List[str]]]:
@@ -351,117 +301,114 @@ class Swarm:
         Piece counts settle most pairs: nobody wants anything from an
         empty uploader, a complete neighbour wants nothing, and an
         uploader holding *more* pieces than the neighbour must hold one
-        the neighbour misses (pigeonhole).  Only the rest read bits —
-        one ``have[u] & ~have[d]`` over the packed rows of just those
-        pairs, so the work and the memory are O(pairs × pieces / 8),
-        never members × members."""
-        pairs = self._round_pairs()
-        members = pairs.members
-        have = self._have_packed
-        held = np.zeros(len(have), dtype=np.int64)
-        held[pairs.slots] = np.fromiter(
-            (m.bitfield.count for m in members), dtype=np.int64, count=len(members)
-        )
-        held_up = held[pairs.up]
-        held_down = held[pairs.down]
-        interested = held_up > held_down
-        unsettled = np.flatnonzero(
-            ~interested & (held_up > 0) & (held_down < self.num_pieces)
-        )
-        if unsettled.size:
-            interested[unsettled] = (
-                have[pairs.up[unsettled]] & ~have[pairs.down[unsettled]]
-            ).any(axis=1)
-        flags = interested.tolist()
-        names, bounds = pairs.names, pairs.bounds
-        return [
-            (member, list(compress(names[lo:hi], flags[lo:hi])))
-            for member, lo, hi in zip(members, bounds, bounds[1:])
-        ]
+        the neighbour misses (pigeonhole).  Only the rest test bits,
+        ``have_u & ~have_d`` on the two ints."""
+        n = self.num_pieces
+        out: List[Tuple[SwarmPeer, List[str]]] = []
+        for member, names, others in self._round_pairs():
+            bitfield = member.bitfield
+            held = bitfield.count
+            if not held:
+                out.append((member, []))
+                continue
+            have = bitfield.bits
+            out.append(
+                (
+                    member,
+                    [
+                        nb
+                        for nb, other in zip(names, others)
+                        if other.count < held
+                        or (other.count < n and have & ~other.bits)
+                    ],
+                )
+            )
+        return out
 
-    def _choke_and_link(self) -> List[tuple]:
-        """Run every active peer's choker; return (uploader, downloader)
-        links that are unchoked *and* interested."""
-        links: List[tuple] = []
+    def _choke_and_link(self) -> List[Tuple[SwarmPeer, SwarmPeer, float]]:
+        """Run every active peer's choker; return the links that are
+        unchoked *and* interested, as ``(uploader, downloader, rate)``
+        with the uploader's capacity split evenly across its links."""
+        active = self.active
+        links: List[Tuple[SwarmPeer, SwarmPeer, float]] = []
         for member, interested in self._round_interest():
             unchoked = member.choker.select(
                 interested,
                 member.received_last_round,
                 seeding=member.bitfield.complete,
             )
-            pid = member.peer_id
-            for d in unchoked:
-                links.append((pid, d))
+            if unchoked:
+                rate = member.profile.upload_capacity / len(unchoked)
+                links.extend([(member, active[d], rate) for d in unchoked])
         return links
 
-    def _transfer(self, links: List[tuple], now: float, dt: float) -> float:
-        active = self.active
-        # Upload-side allocation: capacity split evenly across links.
-        out_degree: Dict[str, int] = {}
-        for u, _d in links:
-            out_degree[u] = out_degree.get(u, 0) + 1
-        rates: List[float] = []
-        in_sum: Dict[str, float] = {}
-        for u, d in links:
-            r = active[u].profile.upload_capacity / out_degree[u]
-            rates.append(r)
-            in_sum[d] = in_sum.get(d, 0.0) + r
+    def _transfer(
+        self, links: List[Tuple[SwarmPeer, SwarmPeer, float]], now: float, dt: float
+    ) -> float:
+        """Move bytes along every link in order, completing pieces, and
+        record the round's transfers in the ledger."""
         # Download-side cap: proportional scale-down.
-        scale: Dict[str, float] = {}
-        for d, total in in_sum.items():
-            cap = active[d].profile.download_capacity
-            scale[d] = min(1.0, cap / total) if total > 0 else 1.0
+        in_sum: Dict[SwarmPeer, float] = {}
+        for _up, down, rate in links:
+            in_sum[down] = in_sum.get(down, 0.0) + rate
+        scale: Dict[SwarmPeer, float] = {}
+        for down, total in in_sum.items():
+            cap = down.profile.download_capacity
+            scale[down] = min(1.0, cap / total) if total > 0 else 1.0
         # Reset this round's reception record.
-        for member in active.values():
+        for member in self.active.values():
             member.received_last_round = {}
+        pick = self.picker.pick
+        piece_completed = self.picker.piece_completed
+        num_pieces = self.num_pieces
+        last_piece = num_pieces - 1
+        last_cost = self._last_piece_cost
+        piece_size = self.spec.piece_size
+        transfers: List[Tuple[str, str, float]] = []
         moved = 0.0
-        for (u, d), r in zip(links, rates):
-            nbytes = r * scale[d] * dt
-            if nbytes <= 0:
+        for up, down, rate in links:
+            budget = rate * scale[down] * dt
+            if budget <= 0:
                 continue
-            delivered = self._deliver(u, d, nbytes, now)
-            if delivered > 0:
-                moved += delivered
-        return moved
-
-    def _deliver(self, u: str, d: str, nbytes: float, now: float) -> float:
-        """Move up to ``nbytes`` from ``u`` to ``d``, completing pieces."""
-        down = self.active[d]
-        up_have = self.active[u].bitfield
-        have = down.bitfield
-        in_flight = down.in_flight
-        accum = down.accum
-        budget = nbytes
-        delivered = 0.0
-        while budget > 0:
-            piece = in_flight.get(u)
-            if piece is None:
-                piece = self.picker.pick(down.wanted, have.count, up_have)
+            u = up.peer_id
+            up_bits = up.bitfield.bits
+            have = down.bitfield
+            in_flight = down.in_flight
+            accum = down.accum
+            delivered = 0.0
+            while budget > 0:
+                piece = in_flight.get(u)
                 if piece is None:
-                    break  # nothing (more) to fetch from u
-                down.start_fetch(u, piece)
-            cost = self.piece_cost(piece)
-            got = accum.get(u, 0.0)
-            take = min(budget, cost - got)
-            got += take
-            budget -= take
-            delivered += take
-            if got >= cost - 1e-9:
-                # Piece complete.
-                del in_flight[u]
-                accum[u] = 0.0
-                if down.gain(piece):
-                    self.picker.piece_completed(piece)
-                if have.complete:
-                    break
-            else:
-                accum[u] = got
-        if delivered > 0:
-            self.ledger.record(u, d, delivered, now)
-            down.received_last_round[u] = (
-                down.received_last_round.get(u, 0.0) + delivered
-            )
-        return delivered
+                    piece = pick(down.wanted_bits, have.count, up_bits)
+                    if piece is None:
+                        break  # nothing (more) to fetch from u
+                    down.start_fetch(u, piece)
+                    got = 0.0
+                else:
+                    got = accum[u]
+                cost = last_cost if piece == last_piece else piece_size
+                rest = cost - got
+                take = rest if rest < budget else budget
+                got += take
+                budget -= take
+                delivered += take
+                if got >= cost - 1e-9:
+                    # Piece complete.
+                    del in_flight[u]
+                    accum[u] = 0.0
+                    if down.gain(piece):
+                        piece_completed(piece)
+                    if have.count == num_pieces:
+                        break
+                else:
+                    accum[u] = got
+            if delivered > 0:
+                transfers.append((u, down.peer_id, delivered))
+                down.received_last_round[u] = delivered
+                moved += delivered
+        if transfers:
+            self.ledger.record_many(transfers, now)
+        return moved
 
     def _handle_completions(self, now: float) -> None:
         finished = [

@@ -15,7 +15,7 @@ attacks *smaller* than the core produce ~zero pollution within an hour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.attacks.spam import FlashCrowd
 from repro.core.node import NodeConfig
@@ -267,18 +267,3 @@ class SpamAttackExperiment:
         }
         return result
 
-
-def crowd_sweep(
-    base: SpamAttackConfig,
-    sizes: List[int],
-    n_runs: int = 3,
-    jobs: Optional[int] = None,
-) -> Dict[int, ExperimentResult]:
-    """Run the attack for several crowd sizes (the Fig 8 comparison)."""
-    out: Dict[int, ExperimentResult] = {}
-    for size in sizes:
-        cfg_dict = dict(base.__dict__)
-        cfg_dict["crowd_size"] = size
-        cfg = SpamAttackConfig(**cfg_dict)
-        out[size] = SpamAttackExperiment(cfg).run_many(n_runs, jobs=jobs)
-    return out

@@ -1,11 +1,21 @@
-"""Tests for Bitfield."""
+"""Tests for Bitfield.
+
+Interest is the int op ``other.bits & ~mine.bits``; the tests hold it
+to the boolean-array definition in :mod:`tests.reference_bittorrent`.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bittorrent.bitfield import Bitfield
+from repro.bittorrent.bitfield import Bitfield, bits_to_array
+from tests.reference_bittorrent import interesting_mask, is_interested_in
+
+
+def interesting(mine, other):
+    """Pieces ``other`` has that ``mine`` misses, as the swarm computes it."""
+    return other.bits & ~mine.bits
 
 
 def test_starts_empty():
@@ -43,26 +53,30 @@ def test_rejects_zero_pieces():
 def test_interesting_mask():
     a = Bitfield.from_indices(5, [0, 1])
     b = Bitfield.from_indices(5, [1, 2, 3])
-    mask = a.interesting_mask(b)  # pieces b has that a misses
+    mask = bits_to_array(interesting(a, b), 5)  # pieces b has that a misses
     assert list(np.flatnonzero(mask)) == [2, 3]
+    assert np.array_equal(mask, interesting_mask(a.as_array(), b.as_array()))
 
 
 def test_is_interested_in():
     a = Bitfield.from_indices(4, [0])
     b = Bitfield.from_indices(4, [0, 1])
-    assert a.is_interested_in(b)
-    assert not b.is_interested_in(a)
+    assert interesting(a, b)
+    assert not interesting(b, a)
+    assert is_interested_in(a.as_array(), b.as_array())
 
 
 def test_seed_not_interested_in_anyone():
     seed = Bitfield(4, full=True)
     other = Bitfield.from_indices(4, [1, 2])
-    assert not seed.is_interested_in(other)
+    assert not interesting(seed, other)
+    assert interesting(other, seed)
 
 
 def test_as_array_readonly():
-    bf = Bitfield(4)
+    bf = Bitfield.from_indices(4, [1, 3])
     arr = bf.as_array()
+    assert arr.tolist() == [False, True, False, True]
     with pytest.raises(ValueError):
         arr[0] = True
 
@@ -75,9 +89,10 @@ def test_held_indices_round_trip():
 @given(st.sets(st.integers(0, 31), max_size=32))
 def test_property_count_matches_indices(indices):
     bf = Bitfield.from_indices(32, indices)
-    assert bf.count == len(indices)
+    assert bf.count == len(indices) == bf.bits.bit_count()
     assert bf.complete == (len(indices) == 32)
     assert set(bf.held_indices()) == indices
+    assert all(bf.has(i) == (i in indices) for i in range(32))
 
 
 @given(st.sets(st.integers(0, 15)), st.sets(st.integers(0, 15)))
@@ -85,6 +100,8 @@ def test_property_interest_is_set_difference(a_idx, b_idx):
     a = Bitfield.from_indices(16, a_idx)
     b = Bitfield.from_indices(16, b_idx)
     expected = b_idx - a_idx
-    got = set(np.flatnonzero(a.interesting_mask(b)))
+    got = set(np.flatnonzero(bits_to_array(interesting(a, b), 16)))
     assert {int(i) for i in got} == expected
-    assert a.is_interested_in(b) == bool(expected)
+    assert set(np.flatnonzero(interesting_mask(a.as_array(), b.as_array()))) == got
+    assert bool(interesting(a, b)) == bool(expected)
+    assert is_interested_in(a.as_array(), b.as_array()) == bool(expected)

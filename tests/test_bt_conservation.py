@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bittorrent.bitfield import bits_to_array
 from repro.bittorrent.ledger import TransferLedger
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.traces.model import PeerProfile, SwarmSpec
@@ -32,19 +33,26 @@ def availability_ground_truth(swarm):
 
 
 def assert_possession_views_agree(swarm):
-    """``wanted == ~have & ~in_flight`` and the packed row is the
-    bitfield, for every member that ever joined."""
+    """``wanted_bits == ~have & ~in_flight`` and the count is the number of
+    held pieces, for every member that ever joined."""
+    full = (1 << swarm.num_pieces) - 1
     for member in swarm.members.values():
-        have = member.bitfield.as_array()
-        in_flight = np.zeros(swarm.num_pieces, dtype=bool)
-        in_flight[list(member.in_flight.values())] = True
+        have = member.bitfield.bits
+        in_flight = 0
+        for piece in member.in_flight.values():
+            in_flight |= 1 << piece
         assert len(set(member.in_flight.values())) == len(member.in_flight)
-        assert not (have & in_flight).any()
-        assert np.array_equal(member.wanted, ~have & ~in_flight)
-        assert np.array_equal(
-            np.unpackbits(member.have_packed)[: swarm.num_pieces].astype(bool), have
-        )
-        assert member.bitfield.count == int(have.sum())
+        assert not have & in_flight
+        assert member.wanted_bits == full & ~have & ~in_flight
+        assert member.bitfield.count == have.bit_count()
+        assert 0 <= have <= full
+
+
+def assert_levels_agree(picker):
+    """The picker's levels partition the pieces by availability."""
+    avail = picker.availability
+    for a, level in enumerate(picker.levels):
+        assert np.array_equal(bits_to_array(level, picker.num_pieces), avail == a)
 
 
 @given(
@@ -75,10 +83,10 @@ def test_property_picker_availability_matches_active_bitfields(schedule):
         assert np.array_equal(
             swarm.picker.availability, availability_ground_truth(swarm)
         )
+        assert_levels_agree(swarm.picker)
         # ... and after every join (initial-seeder fill included),
-        # leave, rejoin and round's piece completions, the picker's
-        # ``wanted`` row and the interest kernel's packed row are still
-        # views of the same possession.
+        # leave, rejoin and round's piece completions, each member's
+        # ``wanted_bits`` still agree with its possession.
         assert_possession_views_agree(swarm)
 
 
@@ -149,17 +157,17 @@ def test_wanted_row_tracks_pieces_in_flight_across_leave_and_rejoin():
     swarm.join(PeerProfile("seed", upload_capacity=slow), 0.0)
     swarm.join(PeerProfile("a", upload_capacity=slow), 0.0)
     swarm.join(PeerProfile("b", upload_capacity=slow), 0.0)
-    assert not swarm.members["seed"].wanted.any()  # initial-seeder fill
+    assert swarm.members["seed"].wanted_bits == 0  # initial-seeder fill
     t = 0.0
     for _ in range(8):
         t += 30.0
         swarm.run_round(t, 30.0)
         assert_possession_views_agree(swarm)
     a = swarm.members["a"]
-    assert a.in_flight and not a.wanted[list(a.in_flight.values())].any()
     fetching = list(a.in_flight.values())
+    assert fetching and not any(a.wanted_bits >> p & 1 for p in fetching)
     swarm.leave("a", t)
-    assert not a.in_flight and a.wanted[fetching].all()
+    assert not a.in_flight and all(a.wanted_bits >> p & 1 for p in fetching)
     assert_possession_views_agree(swarm)
     swarm.join(a.profile, t)
     for _ in range(40):

@@ -1,12 +1,13 @@
-"""The round's batched interest decision against its scalar definition.
+"""The round's interest decision against its scalar definition.
 
 ``Swarm._round_interest`` decides "which active neighbours are
-interested in me" for every active member at once: piece counts settle
-most pairs and one packed-bit test the rest.  The definition it must
-reproduce is the pairwise one the round used to evaluate directly:
+interested in me" for every active member: piece counts settle most
+pairs and one ``have_u & ~have_d`` on the int bitsets the rest.  The
+definition it must reproduce is the pairwise boolean-array one
+(:func:`tests.reference_bittorrent.is_interested_in`):
 
     [nb for nb in sorted(neighbours) if nb in active
-     and active[nb].bitfield.is_interested_in(me.bitfield)]
+     and is_interested_in(active[nb].bitfield, me.bitfield)]
 
 The random swarms below aim at the shortcuts' edges: empty and complete
 bitfields, equal counts with equal and with different content, peers
@@ -22,6 +23,7 @@ import pytest
 from repro.bittorrent.ledger import TransferLedger
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.traces.model import PeerProfile, SwarmSpec
+from tests.reference_bittorrent import is_interested_in
 
 PIECE = 256 * 1024.0
 
@@ -36,17 +38,17 @@ def make_swarm(num_pieces, seed=0, **cfg):
 
 
 def scalar_interest(swarm):
-    active = swarm.active
+    have = {pid: m.bitfield.as_array() for pid, m in swarm.active.items()}
     return [
         (
             pid,
             [
                 nb
                 for nb in sorted(swarm.neighbors.get(pid, ()))
-                if nb in active and active[nb].bitfield.is_interested_in(me.bitfield)
+                if nb in have and is_interested_in(have[nb], have[pid])
             ],
         )
-        for pid, me in sorted(active.items())
+        for pid in sorted(have)
     ]
 
 
@@ -54,9 +56,18 @@ def round_interest(swarm):
     return [(member.peer_id, names) for member, names in swarm._round_interest()]
 
 
-def load(member, pieces):
+def load(swarm, member, pieces):
+    """Gain ``pieces`` as a round would: the picker hears of each."""
     for piece in pieces:
-        member.gain(int(piece))
+        if member.gain(int(piece)) and member.active:
+            swarm.picker.piece_completed(int(piece))
+
+
+def fill(swarm, member):
+    """Make an active member a seed, keeping the picker's view."""
+    swarm.picker.peer_left(member.bitfield)
+    member.gain_all()
+    swarm.picker.peer_joined(member.bitfield)
 
 
 def random_swarm(rng):
@@ -79,22 +90,24 @@ def random_swarm(rng):
         other = members[int(rng.integers(k))] if k else member
         base = other.bitfield.held_indices()
         if kind == "complete":
-            member.gain_all()
+            fill(swarm, member)
         elif kind == "sparse":
-            load(member, rng.choice(num_pieces, min(num_pieces, 12), replace=False))
+            sparse = rng.choice(num_pieces, min(num_pieces, 12), replace=False)
+            load(swarm, member, sparse)
         elif kind == "dense" and dense_left:
             dense_left -= 1
             # from half full to one piece short of complete
             count = int(rng.integers(num_pieces // 2, num_pieces + 1))
-            load(member, rng.choice(num_pieces, max(count - 1, 0), replace=False))
+            dense = rng.choice(num_pieces, max(count - 1, 0), replace=False)
+            load(swarm, member, dense)
         elif kind == "copy" and len(base) < num_pieces:
-            load(member, base)
+            load(swarm, member, base)
         elif kind == "plus_one" and len(base) < num_pieces - 1:
             missing = np.flatnonzero(~other.bitfield.as_array())
-            load(member, base + [rng.choice(missing)])
+            load(swarm, member, base + [rng.choice(missing)])
         elif kind == "shuffled" and len(base) < num_pieces:
             # as many pieces as ``other``, not the same ones
-            load(member, rng.choice(num_pieces, len(base), replace=False))
+            load(swarm, member, rng.choice(num_pieces, len(base), replace=False))
 
     # Some members go offline; their ids stay in the neighbour sets
     # drawn below, next to ids the swarm has never heard of.
@@ -148,7 +161,7 @@ def test_count_shortcuts_cover_every_case_on_one_pair():
     }
     for name, pieces in shapes.items():
         swarm.join(PeerProfile(name), 0.0)
-        load(swarm.members[name], pieces)
+        load(swarm, swarm.members[name], pieces)
     got = dict(round_interest(swarm))
     assert got == dict(scalar_interest(swarm))
     assert got["empty"] == []
@@ -157,37 +170,35 @@ def test_count_shortcuts_cover_every_case_on_one_pair():
     assert got["full"] == ["empty", "one", "other_one", "two"]
 
 
-def test_packed_rows_survive_matrix_growth():
-    """The packed matrix doubles as members arrive; rows written before
-    a doubling must still be the members' rows after it."""
+def test_possession_is_the_members_own_after_many_joins():
+    """Each member's bits are exactly the pieces it gained, however
+    many members joined after it."""
     swarm = make_swarm(20, max_connections=64)
-    for i in range(40):  # crosses the 16- and 32-row capacities
+    for i in range(40):
         pid = f"p{i:02d}"
         swarm.join(PeerProfile(pid), 0.0)
-        load(swarm.members[pid], [i % 20, (3 * i) % 20])
-    for member in swarm.members.values():
-        np.testing.assert_array_equal(
-            np.unpackbits(member.have_packed)[:20].astype(bool),
-            member.bitfield.as_array(),
-        )
-        assert np.shares_memory(member.have_packed, swarm._have_packed)
+        load(swarm, swarm.members[pid], [i % 20, (3 * i) % 20])
+    for i in range(40):
+        member = swarm.members[f"p{i:02d}"]
+        assert member.bitfield.held_indices() == sorted({i % 20, (3 * i) % 20})
     assert round_interest(swarm) == scalar_interest(swarm)
 
 
 def test_large_swarm_round_allocates_per_pair_not_per_member_squared():
     """Guard against a dense members × members kernel: at 2 000 members
-    the round's interest step may hold a few pairs × ⌈pieces/8⌉-byte
-    blocks, orders of magnitude under members² × ⌈pieces/8⌉."""
+    the round's interest step may hold O(pairs) memory — each bit test's
+    temporaries are a few ⌈pieces/8⌉-byte ints freed at once — orders
+    of magnitude under members² × ⌈pieces/8⌉."""
     n, num_pieces = 2_000, 256
     rng = np.random.default_rng(5)
     swarm = make_swarm(num_pieces, max_connections=4)
     for i in range(n):
         pid = f"p{i:04d}"
         swarm.join(PeerProfile(pid), 0.0)
-        load(swarm.members[pid], rng.choice(num_pieces, 6, replace=False))
+        load(swarm, swarm.members[pid], rng.choice(num_pieces, 6, replace=False))
     pairs = swarm._round_pairs()
     row_bytes = (num_pieces + 7) // 8
-    n_pairs = len(pairs.names)
+    n_pairs = sum(len(names) for _member, names, _bitfields in pairs)
     assert n_pairs >= 2 * n  # every member has neighbours
 
     tracemalloc.start()
@@ -197,8 +208,7 @@ def test_large_swarm_round_allocates_per_pair_not_per_member_squared():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # two gathered row blocks, their AND, and per-pair index/flag
-    # vectors — all O(pairs)
+    # the interested lists — all O(pairs)
     assert peak <= 4 * n_pairs * row_bytes + 64 * n_pairs
     assert peak < n * n * row_bytes / 20
     assert [(m.peer_id, names) for m, names in interest] == scalar_interest(swarm)
