@@ -17,19 +17,20 @@ default), then measures on the resulting BarterCast state:
 * **matrix** — ``SubjectiveGraph.to_matrix`` (incremental numpy
   gather) vs a reference O(E) Python rebuild, and the incremental
   ``FlowMatrixCache`` vs a cold full ``flow_matrix`` recompute;
-* **sparse** — dense vs sparse graph backend: bit-identity of
-  ``to_matrix`` and the 2-hop flows at paper scale, flow timing for
-  both, mirror memory, plus a 10k-node synthetic build that must never
-  allocate the O(n²) dense block and the CSR flow kernel's tracemalloc
-  peak on it.
+* **one_store** — the batch 2-hop flow over the graphs' one edge
+  store: equality with a per-source scalar replay in the documented
+  reduction order at paper scale and on fractional weights, flow
+  timing, plus a 10k-node synthetic build whose tracemalloc peak must
+  stay under 1 % of the ``n²·8``-byte dense block, and the batch
+  flow's peak on it.
 
 Results land in ``BENCH_contribution.json`` at the repo root so the
 perf trajectory accumulates across PRs.  ``--check`` exits non-zero
 when the warm scalar path is less than ``--min-speedup`` (default 3×)
 faster than cold, when parallel and sequential replica output differ,
-when sparse and dense matrices or flows are not bit-identical, or when
-the 10k-node sparse mirror is not far under the dense block — the
-regression gate ``make bench-smoke`` runs.
+when batch flows differ from the scalar replay, or when the 10k-node
+build's peak reaches 1 % of the dense block — the regression gate
+``make bench-smoke`` runs.
 
 Usage::
 
@@ -211,8 +212,8 @@ def _rebuild_matrix(graph, order):
 def bench_matrix(svc, observers, peers) -> dict:
     """The two matrix hot paths the CEV metric leans on.
 
-    *gather*: :meth:`SubjectiveGraph.to_matrix` (numpy gather from the
-    incrementally maintained dense block) vs the O(E) Python rebuild.
+    *gather*: :meth:`SubjectiveGraph.to_matrix` (one scatter of the
+    adjacency rows' cells) vs the O(E) cell-by-cell Python rebuild.
     *flow cache*: warm :class:`FlowMatrixCache` samples (no graph
     changes → all rows reused) vs cold full ``flow_matrix`` recomputes.
     """
@@ -265,58 +266,64 @@ def bench_matrix(svc, observers, peers) -> dict:
     }
 
 
-def bench_sparse(svc, observers, peers, large_n: int = 10_000) -> dict:
-    """Dense vs sparse graph backend.
+def replay_flow(graph: SubjectiveGraph, source: str, sink: str) -> float:
+    """One source's 2-hop flow replayed scalar-wise in the documented
+    batch order: the ``min`` terms over the sink's in-row in ascending
+    node-id order, then the direct edge."""
+    if source == sink:
+        return 0.0
+    out = graph.successors(source)
+    acc = 0.0
+    for k, w_kt in sorted(graph.predecessors(sink).items()):
+        if k in out:
+            acc += min(out[k], w_kt)
+    return out.get(sink, 0.0) + acc
 
-    *Paper scale*: rebuild the run's most-connected subjective graphs
-    under both backends from the same edge lists, require ``to_matrix``
-    and the 2-hop flows to be **bit-identical**, and time the flow
-    evaluation on each.  *Large scale*: build a ``large_n``-node sparse
-    graph and report its build time and mirror footprint against the
-    *projected* (never allocated) dense block, plus the tracemalloc
-    peak of one CSR batch evaluation into a high-in-degree sink (every
-    third node feeds it, so the kernel does real reduction work) — the
-    O(n) scratch that is the reason the sparse backend exists.
+
+def _replays_equal(graph: SubjectiveGraph, sources, sink: str) -> bool:
+    flows = two_hop_flows_to_sink(graph, sources, sink)
+    want = np.array([replay_flow(graph, s, sink) for s in sources])
+    return bool(np.array_equal(flows, want))
+
+
+def bench_one_store(svc, observers, peers, large_n: int = 10_000) -> dict:
+    """The batch 2-hop flow over the one edge store.
+
+    *Paper scale*: on the run's most-connected subjective graphs, the
+    batch flows into each owner must equal a per-source scalar replay
+    in the documented reduction order **bit for bit**, and so must a
+    synthetic sink with 600 in-neighbours on fractional weights (where
+    a different order shows in the last ulp); the batch evaluation is
+    timed.  *Large scale*: build a ``large_n``-node synthetic graph
+    under tracemalloc and report its peak against the ``n²·8`` bytes a
+    dense block would take, plus the peak of one batch evaluation into
+    a high-in-degree sink (every third node feeds it).
     """
     order = list(peers)
-    twins = []
-    for observer in observers:
-        source = svc.graph_of(observer)
-        dense = SubjectiveGraph(observer, backend="dense")
-        sparse = SubjectiveGraph(observer, backend="sparse")
-        for u, v, w in source.edges():
-            dense.observe_direct(u, v, w)
-            sparse.observe_direct(u, v, w)
-        twins.append((dense, sparse))
+    graphs = [svc.graph_of(o) for o in observers]
+    paper_equal = all(_replays_equal(g, order, g.owner) for g in graphs)
 
-    matrices_identical = all(
-        np.array_equal(d.to_matrix(order), s.to_matrix(order)) for d, s in twins
-    )
-    flows_identical = all(
-        np.array_equal(
-            two_hop_flows_to_sink(d, order, d.owner),
-            two_hop_flows_to_sink(s, order, s.owner),
-        )
-        for d, s in twins
-    )
+    rng = np.random.default_rng(600)
+    frac = SubjectiveGraph("sink")
+    mids = [f"k{i:03d}" for i in range(600)]
+    for k in mids:
+        frac.observe_direct(k, "sink", float(rng.uniform(1.0, 5e6)))
+    feeders = [f"s{i:02d}" for i in range(40)]
+    for src in feeders:
+        for k in rng.choice(mids, size=int(rng.integers(300, 600)), replace=False):
+            frac.observe_direct(src, str(k), float(rng.uniform(1.0, 5e6)))
+    fractional_equal = _replays_equal(frac, feeders + ["ghost", "sink"], "sink")
 
-    def dense_pass():
-        for d, _s in twins:
-            two_hop_flows_to_sink(d, order, d.owner)
+    def flow_pass():
+        for g in graphs:
+            two_hop_flows_to_sink(g, order, g.owner)
 
-    def sparse_pass():
-        for _d, s in twins:
-            two_hop_flows_to_sink(s, order, s.owner)
+    passes, flow_t = _timed_rounds(flow_pass)
 
-    dense_passes, dense_t = _timed_rounds(dense_pass)
-    sparse_passes, sparse_t = _timed_rounds(sparse_pass)
-    dense_rate = dense_passes * len(twins) / dense_t
-    sparse_rate = sparse_passes * len(twins) / sparse_t
-
-    # Large scale: a ring plus skip links plus one wide sink — sparse
-    # by construction.
+    # Large scale: a ring plus skip links plus one wide sink.
+    tracemalloc.start()
     t0 = time.perf_counter()
-    big = SubjectiveGraph("hub", backend="sparse")
+    big = SubjectiveGraph("hub")
     for i in range(large_n):
         big.observe_direct(f"n{i}", f"n{(i + 1) % large_n}", float(i % 23 + 1))
         if i % 5 == 0:
@@ -324,6 +331,8 @@ def bench_sparse(svc, observers, peers, large_n: int = 10_000) -> dict:
         if i % 3 == 0:
             big.observe_direct(f"n{i}", "sink", float(i % 11 + 1))
     build_t = time.perf_counter() - t0
+    _current, build_peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
     window = [f"n{i}" for i in range(128)]
     t0 = time.perf_counter()
     two_hop_flows_to_sink(big, window, "n1")
@@ -336,24 +345,20 @@ def bench_sparse(svc, observers, peers, large_n: int = 10_000) -> dict:
 
     return {
         "paper_scale": {
-            "graphs": len(twins),
+            "graphs": len(graphs),
             "order_size": len(order),
-            "matrices_bit_identical": matrices_identical,
-            "flows_bit_identical": flows_identical,
-            "dense_flow_evals_per_s": round(dense_rate, 1),
-            "sparse_flow_evals_per_s": round(sparse_rate, 1),
-            "dense_mirror_bytes": max(d.matrix_nbytes() for d, _s in twins),
-            "sparse_mirror_bytes": max(s.matrix_nbytes() for _d, s in twins),
+            "flows_equal_scalar_replay": paper_equal,
+            "fractional_flows_equal_scalar_replay": fractional_equal,
+            "flow_evals_per_s": round(passes * len(graphs) / flow_t, 1),
         },
         "large_scale": {
             "nodes": large_n,
             "edges": big.num_edges(),
-            "backend": big.matrix_backend,
             "build_s": round(build_t, 2),
+            "build_peak_bytes": build_peak,
             "flow_window_s": round(flow_window_t, 3),
-            "csr_flow_sources": len(spread),
-            "csr_flow_peak_bytes": flow_peak,
-            "sparse_mirror_bytes": big.matrix_nbytes(),
+            "flow_sources": len(spread),
+            "flow_peak_bytes": flow_peak,
             "projected_dense_bytes": large_n * large_n * 8,
         },
     }
@@ -375,7 +380,7 @@ def run(full: bool = False, seed: int = 7, out: Path = None) -> dict:
     scalar = bench_scalar(svc, pairs)
     batch = bench_batch(svc, observers, list(stack.trace.peers))
     matrix = bench_matrix(svc, observers, list(stack.trace.peers))
-    sparse = bench_sparse(svc, observers, list(stack.trace.peers))
+    one_store = bench_one_store(svc, observers, list(stack.trace.peers))
     replicas = bench_replicas(seed)
 
     report = {
@@ -403,7 +408,7 @@ def run(full: bool = False, seed: int = 7, out: Path = None) -> dict:
         "scalar": scalar,
         "batch": batch,
         "matrix": matrix,
-        "sparse": sparse,
+        "one_store": one_store,
         "replicas": replicas,
     }
     out = out or REPO_ROOT / "BENCH_contribution.json"
@@ -434,17 +439,17 @@ def main(argv=None) -> int:
             f"warm/cold speedup {report['scalar']['speedup']:.2f}x "
             f"< required {args.min_speedup:.1f}x"
         )
-    sparse = report["sparse"]["paper_scale"]
-    if not sparse["matrices_bit_identical"]:
-        failures.append("sparse to_matrix diverged from dense")
-    if not sparse["flows_bit_identical"]:
-        failures.append("sparse 2-hop flows diverged from dense")
-    large = report["sparse"]["large_scale"]
-    if large["sparse_mirror_bytes"] * 100 > large["projected_dense_bytes"]:
+    paper = report["one_store"]["paper_scale"]
+    if not paper["flows_equal_scalar_replay"]:
+        failures.append("batch 2-hop flows diverged from the scalar replay")
+    if not paper["fractional_flows_equal_scalar_replay"]:
+        failures.append("fractional-weight batch flows diverged from the scalar replay")
+    large = report["one_store"]["large_scale"]
+    if large["build_peak_bytes"] * 100 >= large["projected_dense_bytes"]:
         failures.append(
-            f"sparse mirror at {large['nodes']} nodes holds "
-            f"{large['sparse_mirror_bytes']} bytes — not meaningfully "
-            f"under the {large['projected_dense_bytes']}-byte dense block"
+            f"building {large['nodes']} nodes peaked at "
+            f"{large['build_peak_bytes']} bytes — not under 1 % of the "
+            f"{large['projected_dense_bytes']}-byte dense block"
         )
     replicas = report["replicas"]
     if not replicas["bit_identical"]:

@@ -7,9 +7,10 @@
 runs :class:`~repro.experiments.spam_attack.SpamAttackExperiment` — a
 trace of ``--peers`` peers, the paper's experienced core of 30 and a
 crowd of 60 on its duty cycle, ``--hours`` simulated — under cProfile
-and prints the wall time, the scheduler's tick and batch-handler counts
-and the top functions by self time.  ``--wall`` skips the profiler and
-prints the plain wall time only (cProfile taxes every Python call).
+and prints the wall time, the process's peak RSS (``ru_maxrss``), the
+scheduler's tick and batch-handler counts, the subjective graphs' total
+edge count and the top functions by self time.  ``--wall`` skips the
+profiler and prints that line only (cProfile taxes every Python call).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import resource
 import sys
 import time
 from pathlib import Path
@@ -61,10 +63,16 @@ def main() -> None:
     if profiler is not None:
         profiler.disable()
     wall = time.perf_counter() - t0
-    population = experiment.stack.runtime.run_summary()["population"]
+    # ru_maxrss is in KiB on Linux
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    runtime = experiment.stack.runtime
+    population = runtime.run_summary()["population"]
+    bartercast = runtime.bartercast
+    edges = sum(bartercast.graph_of(p).num_edges() for p in bartercast._nodes)
     print(
         f"fig8 peers={args.peers} hours={args.hours:g} seed={args.seed}: "
-        f"wall {wall:.2f} s, ticks {population['ticks']}, "
+        f"wall {wall:.2f} s, peak RSS {peak_rss_mb:.0f} MB, "
+        f"graph edges {edges}, ticks {population['ticks']}, "
         f"batch_calls {population['batch_calls']}, final newcomer "
         f"pollution {result.metadata['final_newcomer_pollution']:.3f}"
     )

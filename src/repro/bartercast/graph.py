@@ -7,308 +7,23 @@ by keeping the **maximum** reported value: totals are cumulative and
 monotone, so the largest figure is the freshest honest one, and an
 understating stale record can never erase credit.
 
-Two interchangeable **matrix backends** mirror the adjacency for the
-vectorised flow paths:
-
-* ``dense`` — an incrementally maintained ``n × n`` numpy weight
-  matrix (O(n²) memory; the fastest gather at paper scale);
-* ``sparse`` — CSR-style per-row index/value arrays over stable column
-  slots (O(E) memory; the only option for very large populations).
-
-``backend="auto"`` (the default) starts dense and converts to sparse
-once the node count crosses ``sparse_threshold``, so paper-scale runs
-keep the dense fast path while synthetic million-peer graphs never
-allocate the quadratic mirror.  Both backends store the *same floats
-in the same logical cells*, so ``to_matrix`` and the 2-hop flows —
-the dense closed form over ``to_matrix``, the CSR kernel over the
-sparse mirror's ``row_nonzeros`` / ``column_nonzeros`` — are
-bit-identical across backends.
+Each edge is stored once, in the dict adjacency (out-rows and in-rows
+hold the same weight under both directions' keys).  Every reader
+derives what it needs from those rows: :func:`~repro.bartercast.maxflow.two_hop_flow`
+and the batch :func:`~repro.bartercast.maxflow.two_hop_flows_to_sink`
+read a source's out-row and the sink's in-row in place, and
+:meth:`SubjectiveGraph.to_matrix` / :meth:`SubjectiveGraph.dense`
+build a fresh array on demand.  No ``n × n`` block is ever kept, so a
+graph's memory is O(E) at any size.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
 from repro.bartercast.records import TransferRecord
-
-#: Initial dense-matrix capacity; grown by doubling as nodes appear.
-_MIN_MATRIX_CAPACITY = 16
-
-#: ``backend="auto"`` converts the dense mirror to sparse when the
-#: graph's node count first exceeds this.  Chosen so every workload in
-#: the paper (≤ a few hundred peers) stays on the dense fast path while
-#: a 10k+-node graph never allocates the O(n²) block.
-DEFAULT_SPARSE_THRESHOLD = 2048
-
-_BACKENDS = ("dense", "sparse", "auto")
-
-
-class _DenseMirror:
-    """Dense weight-matrix mirror: ``_W[_index[u], _index[v]]`` is
-    ``weight(u, v)``; slots are allocated on first appearance (capacity
-    doubles on demand) and compacted by swapping the last slot into the
-    hole on eviction."""
-
-    kind = "dense"
-
-    def __init__(self) -> None:
-        self._index: Dict[str, int] = {}
-        self._ids: List[str] = []
-        self._W = np.zeros((0, 0))
-
-    def node_count(self) -> int:
-        return len(self._ids)
-
-    def nbytes(self) -> int:
-        return int(self._W.nbytes)
-
-    def set(self, u: str, v: str, w: float) -> bool:
-        """Store ``w`` at ``(u, v)``.  ``True`` if a slot was added."""
-        index = self._index
-        ui = index.get(u)
-        vi = index.get(v)
-        grew = ui is None or vi is None
-        if grew:
-            ui = self._slot(u)
-            vi = self._slot(v)
-        self._W[ui, vi] = w
-        return grew
-
-    def _slot(self, node: str) -> int:
-        """Row/column index for ``node``, allocating (and growing the
-        matrix) on first appearance."""
-        i = self._index.get(node)
-        if i is not None:
-            return i
-        n = len(self._ids)
-        if n == self._W.shape[0]:
-            cap = max(_MIN_MATRIX_CAPACITY, 2 * self._W.shape[0])
-            grown = np.zeros((cap, cap))
-            grown[:n, :n] = self._W[:n, :n]
-            self._W = grown
-        self._index[node] = n
-        self._ids.append(node)
-        return n
-
-    def drop(self, node: str) -> None:
-        """Free ``node``'s slot, compacting by moving the last slot
-        into the hole so the active block stays contiguous."""
-        i = self._index.pop(node, None)
-        if i is None:
-            return
-        last = len(self._ids) - 1
-        if i != last:
-            last_id = self._ids[last]
-            n = last + 1
-            # Row first, then column: the column copy re-reads the one
-            # overlapping cell (the new diagonal) from the copied row,
-            # which holds the old diagonal of ``last`` — always 0.
-            self._W[i, :n] = self._W[last, :n]
-            self._W[:n, i] = self._W[:n, last]
-            self._index[last_id] = i
-            self._ids[i] = last_id
-        self._W[last, :] = 0.0
-        self._W[:, last] = 0.0
-        self._ids.pop()
-
-    def _selection(self, ids: Sequence[str]) -> np.ndarray:
-        return np.fromiter(
-            (self._index.get(p, -1) for p in ids), dtype=np.intp, count=len(ids)
-        )
-
-    def to_matrix(self, order: Sequence[str]) -> np.ndarray:
-        ids = list(order)
-        n = len(ids)
-        mat = np.zeros((n, n))
-        if n == 0 or not self._ids:
-            return mat
-        sel = self._selection(ids)
-        known = np.flatnonzero(sel >= 0)
-        if known.size:
-            ksel = sel[known]
-            mat[np.ix_(known, known)] = self._W[np.ix_(ksel, ksel)]
-        return mat
-
-    def dense(self) -> Tuple[List[str], np.ndarray]:
-        n = len(self._ids)
-        view = self._W[:n, :n]
-        view.setflags(write=False)
-        return list(self._ids), view
-
-
-class _SparseMirror:
-    """CSR-style sparse mirror: per-row ``{column-slot: weight}`` dicts
-    with lazily materialised ``(cols, vals)`` numpy arrays per row.
-
-    Column slots are **stable** — freed slots go on a free list instead
-    of being renumbered — so cached row arrays survive unrelated
-    evictions; an in-slot index (``column slot → referencing row
-    slots``) makes dropping a node O(degree) instead of a full scan.
-    Memory is O(E), never O(n²)."""
-
-    kind = "sparse"
-
-    def __init__(self) -> None:
-        self._index: Dict[str, int] = {}
-        self._rows: Dict[int, Dict[int, float]] = {}
-        self._in: Dict[int, Set[int]] = {}
-        self._row_arrays: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._free: List[int] = []
-        self._high_slot = 0
-
-    def node_count(self) -> int:
-        return len(self._index)
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self._rows.values())
-
-    def nbytes(self) -> int:
-        """Rough payload size: 8-byte slot key + 8-byte float per
-        stored edge, twice (row + in-index) — dict overhead excluded,
-        which is what makes the dense/sparse comparison conservative."""
-        return 32 * self.nnz()
-
-    def _slot(self, node: str) -> int:
-        i = self._index.get(node)
-        if i is not None:
-            return i
-        i = self._free.pop() if self._free else self._high_slot
-        if i == self._high_slot:
-            self._high_slot += 1
-        self._index[node] = i
-        return i
-
-    def set(self, u: str, v: str, w: float) -> bool:
-        """Store ``w`` at ``(u, v)``.  ``True`` if a slot was added."""
-        grew = u not in self._index or v not in self._index
-        ui = self._slot(u)
-        vi = self._slot(v)
-        self._rows.setdefault(ui, {})[vi] = w
-        self._in.setdefault(vi, set()).add(ui)
-        self._row_arrays.pop(ui, None)
-        return grew
-
-    def drop(self, node: str) -> None:
-        i = self._index.pop(node, None)
-        if i is None:
-            return
-        row = self._rows.pop(i, None)
-        if row:
-            for vi in row:
-                refs = self._in.get(vi)
-                if refs is not None:
-                    refs.discard(i)
-                    if not refs:
-                        del self._in[vi]
-        self._row_arrays.pop(i, None)
-        for ri in self._in.pop(i, ()):
-            other = self._rows.get(ri)
-            if other is not None:
-                other.pop(i, None)
-            self._row_arrays.pop(ri, None)
-        self._free.append(i)
-
-    def _arrays(self, slot: int) -> Tuple[np.ndarray, np.ndarray]:
-        cached = self._row_arrays.get(slot)
-        if cached is not None:
-            return cached
-        row = self._rows.get(slot, {})
-        k = len(row)
-        cols = np.fromiter(row.keys(), dtype=np.intp, count=k)
-        vals = np.fromiter(row.values(), dtype=float, count=k)
-        self._row_arrays[slot] = (cols, vals)
-        return cols, vals
-
-    def _colmap(self, ids: Sequence[str]) -> np.ndarray:
-        """slot → position-in-``ids`` translation (−1 = not requested)."""
-        colmap = np.full(max(1, self._high_slot), -1, dtype=np.intp)
-        for pos, pid in enumerate(ids):
-            slot = self._index.get(pid)
-            if slot is not None:
-                colmap[slot] = pos
-        return colmap
-
-    def _scatter_rows(
-        self, out: np.ndarray, row_ids: Sequence[str], colmap: np.ndarray
-    ) -> None:
-        for pos, pid in enumerate(row_ids):
-            slot = self._index.get(pid)
-            if slot is None:
-                continue
-            cols, vals = self._arrays(slot)
-            if not cols.size:
-                continue
-            cpos = colmap[cols]
-            keep = cpos >= 0
-            out[pos, cpos[keep]] = vals[keep]
-
-    def to_matrix(self, order: Sequence[str]) -> np.ndarray:
-        ids = list(order)
-        mat = np.zeros((len(ids), len(ids)))
-        if ids and self._index:
-            self._scatter_rows(mat, ids, self._colmap(ids))
-        return mat
-
-    def row_nonzeros(
-        self, row_ids: Sequence[str], order: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR triple ``(indptr, indices, data)`` of the stored
-        nonzeros of ``row_ids`` with columns translated to positions in
-        ``order`` — O(row degree) per row, nothing densified.
-
-        Column positions *within* a row follow storage order (not
-        sorted); consumers that need the documented sorted-column
-        reduction order scatter into a position-indexed buffer, which
-        imposes it regardless of this iteration order."""
-        colmap = self._colmap(list(order))
-        indptr = np.zeros(len(row_ids) + 1, dtype=np.int64)
-        col_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        for pos, pid in enumerate(row_ids):
-            slot = self._index.get(pid)
-            if slot is None:
-                indptr[pos + 1] = indptr[pos]
-                continue
-            cols, vals = self._arrays(slot)
-            cpos = colmap[cols]
-            keep = cpos >= 0
-            kept_cols = cpos[keep]
-            col_parts.append(kept_cols.astype(np.int64, copy=False))
-            val_parts.append(vals[keep])
-            indptr[pos + 1] = indptr[pos] + kept_cols.size
-        indices = (
-            np.concatenate(col_parts) if col_parts else np.zeros(0, dtype=np.int64)
-        )
-        data = np.concatenate(val_parts) if val_parts else np.zeros(0, dtype=float)
-        return indptr, indices, data
-
-    def column_nonzeros(
-        self, order: Sequence[str], sink: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sparse view of the sink's in-column: ``(positions, values)``
-        with positions ascending in ``order`` space — O(in-degree),
-        served from the in-slot index."""
-        t = self._index.get(sink)
-        if t is None:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=float)
-        colmap = self._colmap(list(order))
-        pairs = [
-            (colmap[ri], self._rows[ri][t])
-            for ri in self._in.get(t, ())
-            if colmap[ri] >= 0
-        ]
-        pairs.sort()
-        pos = np.fromiter((p for p, _v in pairs), dtype=np.intp, count=len(pairs))
-        vals = np.fromiter((v for _p, v in pairs), dtype=float, count=len(pairs))
-        return pos, vals
-
-    def dense(self) -> Tuple[List[str], np.ndarray]:
-        ids = list(self._index)
-        mat = self.to_matrix(ids)
-        mat.setflags(write=False)
-        return ids, mat
 
 
 class SubjectiveGraph:
@@ -335,32 +50,20 @@ class SubjectiveGraph:
     change anywhere).  Counters are monotone and survive node eviction,
     so a re-added node can never resurrect a stale cache entry.
 
-    Alongside the dict-of-dict adjacency (out- and in-directions are
-    both indexed) the graph maintains an incrementally updated
-    **matrix mirror** — dense or sparse, see the module docstring — so
-    :meth:`to_matrix` and the row/column accessors the flow paths use
-    are numpy gathers/scatters instead of O(E) Python rebuilds.
+    Next to the adjacency the graph keeps a **node order** (the one
+    :meth:`dense` reports): a node takes the next slot when it first
+    appears, ``u`` before ``v``; when a node leaves, the last slot's
+    node moves into its hole.  The order is touched only when the node
+    set changes — no weight is stored twice.
     """
 
-    def __init__(
-        self,
-        owner: str,
-        max_nodes: int = 0,
-        backend: str = "auto",
-        sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD,
-    ):
+    def __init__(self, owner: str, max_nodes: int = 0):
         if max_nodes < 0:
             raise ValueError("max_nodes must be >= 0 (0 = unbounded)")
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}")
-        if sparse_threshold < 0:
-            raise ValueError("sparse_threshold must be >= 0")
         self.owner = owner
         self.max_nodes = max_nodes
-        self.backend = backend
-        self.sparse_threshold = sparse_threshold
         self._out: Dict[str, Dict[str, float]] = {}
-        #: in-adjacency mirror of ``_out`` (``{v: {u: weight}}``);
+        #: ``_out`` indexed by target (``{v: {u: weight}}``);
         #: entries are removed when the inner dict empties, so its key
         #: set is exactly "nodes with at least one in-edge".
         self._in_adj: Dict[str, Dict[str, float]] = {}
@@ -369,7 +72,10 @@ class SubjectiveGraph:
         self._out_version: Dict[str, int] = {}
         self._in_version: Dict[str, int] = {}
         self._version = 0
-        self._mirror = _SparseMirror() if backend == "sparse" else _DenseMirror()
+        #: node -> slot in :meth:`dense`'s order, and its inverse; the
+        #: slotted nodes are exactly the graph's node set
+        self._slot: Dict[str, int] = {}
+        self._ids: List[str] = []
 
     # ------------------------------------------------------------------
     def add_record(self, record: TransferRecord) -> bool:
@@ -396,9 +102,14 @@ class SubjectiveGraph:
             # and, crucially, no bound-enforcement scan (duplicate
             # gossip records used to pay an O(E) scan here).
             return
-        added = self.max_nodes and (
-            not self._has_node(u) or not self._has_node(v)
-        )
+        slot = self._slot
+        grew = u not in slot or v not in slot
+        if grew:
+            # a new node takes the next slot, u before v
+            for node in (u, v):
+                if node not in slot:
+                    slot[node] = len(self._ids)
+                    self._ids.append(node)
         if row is None:
             row = out[u] = {}
         row[v] = w
@@ -407,32 +118,27 @@ class SubjectiveGraph:
             self._in_adj[v] = {u: w}
         else:
             in_row[u] = w
-        mirror = self._mirror
-        grew = mirror.set(u, v, w)
         # ``_bump``, inline: this is the edge write of every transfer
         out_version = self._out_version
         out_version[u] = out_version.get(u, 0) + 1
         in_version = self._in_version
         in_version[v] = in_version.get(v, 0) + 1
         self._version += 1
-        # the node count only moves when the mirror gains a slot
-        if grew and self.backend == "auto" and mirror.kind == "dense":
-            if mirror.node_count() > self.sparse_threshold:
-                self._convert_to_sparse()
-        if added:
+        if grew and self.max_nodes:
             self._enforce_node_bound()
 
     def _has_node(self, node: str) -> bool:
-        return node in self._out or node in self._in_adj
+        return node in self._slot
 
-    def _convert_to_sparse(self) -> None:
-        """One-time ``auto`` backend switch: rebuild the mirror as
-        sparse from the adjacency and drop the dense block."""
-        mirror = _SparseMirror()
-        for u, row in self._out.items():
-            for v, w in row.items():
-                mirror.set(u, v, w)
-        self._mirror = mirror
+    def _drop_slot(self, node: str) -> None:
+        """Free ``node``'s slot, moving the last slot's node into the
+        hole so the order stays contiguous."""
+        i = self._slot.pop(node)
+        ids = self._ids
+        last_id = ids.pop()
+        if last_id != node:
+            ids[i] = last_id
+            self._slot[last_id] = i
 
     def _bump(self, u: str, v: str) -> None:
         """Record a change to edge ``(u, v)`` in the version counters."""
@@ -495,9 +201,9 @@ class SubjectiveGraph:
                         if v not in self._out:
                             # v's only presence was as this node's
                             # target — it leaves the graph, so free its
-                            # mirror slot too (otherwise eviction
-                            # thrash leaks one slot per orphan).
-                            self._mirror.drop(v)
+                            # slot too (otherwise eviction thrash leaks
+                            # one slot per orphan).
+                            self._drop_slot(v)
                 self._bump(node, v)
         removed_in = self._in_adj.pop(node, None)
         if removed_in:
@@ -508,7 +214,7 @@ class SubjectiveGraph:
                     # node remains part of the graph (and of the bound).
                     urow.pop(node, None)
                 self._bump(u, node)
-        self._mirror.drop(node)
+        self._drop_slot(node)
 
     # ------------------------------------------------------------------
     # Version counters (cache-invalidation keys)
@@ -539,7 +245,7 @@ class SubjectiveGraph:
         return dict(self._in_adj.get(v, {}))
 
     def nodes(self) -> Set[str]:
-        return set(self._out) | set(self._in_adj)
+        return set(self._slot)
 
     def edges(self) -> List[Tuple[str, str, float]]:
         return [(u, v, w) for u, row in self._out.items() for v, w in row.items()]
@@ -547,67 +253,46 @@ class SubjectiveGraph:
     def num_edges(self) -> int:
         return sum(len(row) for row in self._out.values())
 
-    # ------------------------------------------------------------------
-    @property
-    def matrix_backend(self) -> str:
-        """The mirror currently in use: ``"dense"`` or ``"sparse"``
-        (``backend="auto"`` reports whichever side of the threshold the
-        graph is on)."""
-        return self._mirror.kind
-
-    def matrix_nbytes(self) -> int:
-        """Approximate bytes held by the matrix mirror (the dense
-        block's allocation, or the sparse payload estimate)."""
-        return self._mirror.nbytes()
-
     def to_matrix(self, order: Iterable[str]) -> np.ndarray:
-        """Dense weight matrix in the given node order (metrics use —
-        vectorised CEV computation needs all flows at once).
+        """Weight matrix in the given node order (diagnostics, tests
+        and ad-hoc metrics), built fresh from the out-rows.
 
-        Nodes unknown to the graph get zero rows and columns; known
-        nodes are permuted into the requested order.  Values are
-        identical to a fresh edge-by-edge rebuild regardless of the
-        backend (placement only, no arithmetic).  The returned array is
-        freshly allocated and the caller's to mutate."""
-        return self._mirror.to_matrix(list(order))
-
-    def row_nonzeros(
-        self, row_ids: Sequence[str], order: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR triple ``(indptr, indices, data)`` of the stored
-        nonzeros of ``row_ids``, columns as positions in ``order`` —
-        the row-access surface of the sparse-to-sparse flow kernel,
-        O(degree) per row.  **Sparse mirror only**: a dense mirror has
-        no stored-nonzero structure and is read through
-        :meth:`to_matrix`.  Within-row column order is storage order;
-        see the kernel's reduction contract in
-        :func:`repro.bartercast.maxflow.two_hop_flows_to_sink`."""
-        return self._mirror.row_nonzeros(list(row_ids), list(order))
-
-    def column_nonzeros(
-        self, order: Sequence[str], sink: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sparse in-column view: ``(positions, weights)`` of the
-        nodes with an edge *into* ``sink``, positions ascending in
-        ``order`` space, O(in-degree).  **Sparse mirror only**, like
-        :meth:`row_nonzeros`."""
-        return self._mirror.column_nonzeros(list(order), sink)
+        Nodes unknown to the graph get zero rows and columns; ``order``
+        must not repeat a node.  Placement only, no arithmetic, so the
+        cells equal the stored weights bit for bit.  The array is the
+        caller's to mutate."""
+        pos = {p: i for i, p in enumerate(order)}
+        mat = np.zeros((len(pos), len(pos)))
+        rows: List[int] = []
+        cols: List[int] = []
+        vals: List[float] = []
+        out = self._out
+        for u, i in pos.items():
+            row = out.get(u)
+            if row:
+                for v, w in row.items():
+                    j = pos.get(v)
+                    if j is not None:
+                        rows.append(i)
+                        cols.append(j)
+                        vals.append(w)
+        if vals:
+            mat[rows, cols] = vals
+        return mat
 
     def dense(self) -> Tuple[List[str], np.ndarray]:
-        """The internal node order and the full weight matrix.
+        """The internal node order and the full weight matrix in it.
 
-        The array is **read-only**: under the dense backend it is a
-        view of live storage, under the sparse backend a materialised
-        O(n²) snapshot — callers needing to mutate must copy.  Mainly
-        for diagnostics and tests; metrics go through :meth:`to_matrix`
-        for a stable order."""
-        return self._mirror.dense()
+        An O(n²) snapshot built on demand, returned **read-only**.
+        Mainly for diagnostics and tests; metrics go through
+        :meth:`to_matrix` for a stable order."""
+        ids = list(self._ids)
+        mat = self.to_matrix(ids)
+        mat.setflags(write=False)
+        return ids, mat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SubjectiveGraph(owner={self.owner!r}, edges={self.num_edges()}, "
-            f"backend={self.matrix_backend})"
-        )
+        return f"SubjectiveGraph(owner={self.owner!r}, edges={self.num_edges()})"
 
 
 class ReadOnlySubjectiveGraph(SubjectiveGraph):

@@ -1,6 +1,7 @@
 """Maximum flow over subjective graphs.
 
-Two implementations:
+Every function here reads the graph's dict adjacency in place — the
+one edge store of :class:`~repro.bartercast.graph.SubjectiveGraph`:
 
 * :func:`edmonds_karp` — textbook BFS-augmenting-path maxflow with an
   optional *hop bound* (augmenting paths of at most ``max_hops``
@@ -10,7 +11,10 @@ Two implementations:
   paths ``s→k→t``; these are pairwise edge-disjoint, so the max flow is
   simply ``w(s,t) + Σ_k min(w(s,k), w(k,t))``.  This is the O(degree)
   form used in the hot CEV loop; tests cross-check it against
-  :func:`edmonds_karp` and ``networkx``.
+  :func:`edmonds_karp` and ``networkx``;
+* :func:`two_hop_flows_to_sink` — the same closed form for many
+  sources and one sink, with a fixed reduction order (CEV, batch
+  experience gates, adaptive-T re-screens).
 """
 
 from __future__ import annotations
@@ -52,90 +56,35 @@ def two_hop_flows_to_sink(
     """``f(s→sink)`` for every ``s`` in ``sources`` (2-hop bound).
 
     Closed form per source: ``f(s→t) = w(s,t) + Σ_k min(w(s,k),
-    w(k,t))``.  Intermediates range over *all* graph nodes, exactly as
-    in :func:`two_hop_flow`; the node order is sorted so results are
-    reproducible across processes.
+    w(k,t))``, read from ``s``'s out-row and ``t``'s in-row in place —
+    O(min(out-degree, in-degree)) per source, no matrix built.
 
-    The dense mirror evaluates it as one ``minimum`` + row sum over the
-    weight matrix; the sparse mirror runs :func:`_two_hop_flows_csr`,
-    which touches only each row's stored nonzeros (O(n) scratch instead
-    of n² cells — the reason the sparse backend exists).
-
-    **Reduction-order contract.** Both paths lay the ``min`` terms out
-    over the **sink's in-column support** (the positions ``k`` with
-    ``w(k,t) > 0``, in ascending sorted-node-order position —
-    ``min(·, 0) = 0`` makes any other ``k`` an exact zero) and add them
-    **sequentially in that order**: ``W[:, support]`` is F-contiguous,
-    so the dense ``.sum(axis=1)`` accumulates column by column, and the
-    CSR kernel accumulates its slot buffer left to right.  The direct
-    edge is then added as one scalar.  A term's value and its slot are
-    independent of which path produced them, so the two backends are
-    **bit-identical** on fractional weights too — a graph that crosses
-    from the dense to the sparse mirror mid-run changes no flow (gated
-    in ``make bench-smoke``).
+    **Reduction-order contract.** The ``min`` terms are added one after
+    another in **ascending node-id order** of ``k``, starting from 0,
+    and the direct edge ``w(s,t)`` is added last as one scalar.  Only
+    the ``k`` with both edges contribute; every other term of the sum
+    is an exact zero, so skipping it changes no bit.  This is the order
+    in which the dense closed form over a sorted-order weight matrix
+    (``W[:, support]`` row sums) added its columns, so batch flows are
+    reproducible across processes and bit-identical to that form on
+    fractional weights too.  The scalar :func:`two_hop_flow` sums in
+    out-row order instead and may differ from this in the last ulp.
     """
-    ids = sorted(graph.nodes() | {sink} | set(sources))
-    idx = {p: i for i, p in enumerate(ids)}
-    t = idx[sink]
-    if graph.matrix_backend == "sparse":
-        return _two_hop_flows_csr(graph, list(sources), sink, ids, idx, t)
-    W = graph.to_matrix(ids)
-    col = W[:, t]
-    support = np.flatnonzero(col)
-    colv = np.ascontiguousarray(col[support])
-    flows = col + np.minimum(W[:, support], colv[None, :]).sum(axis=1)
-    flows[t] = 0.0
-    return flows[[idx[s] for s in sources]]
-
-
-def _two_hop_flows_csr(
-    graph: SubjectiveGraph,
-    sources: Sequence[str],
-    sink: str,
-    ids: Sequence[str],
-    idx: Dict[str, int],
-    t: int,
-) -> np.ndarray:
-    """Sparse-to-sparse 2-hop kernel: CSR rows × sparse in-column.
-
-    Per source row, only the row's stored nonzeros
-    (:meth:`~repro.bartercast.graph.SubjectiveGraph.row_nonzeros`) are
-    intersected with the sink's in-column support
-    (:meth:`~repro.bartercast.graph.SubjectiveGraph.column_nonzeros`)
-    — no dense row block is ever materialised, so peak extra memory is
-    O(n) scratch (the support buffer plus two translation arrays).
-
-    Bit-identity with the dense path comes from the scatter buffer:
-    min terms land at their in-column-support slot and the buffer is
-    accumulated left to right in that fixed ascending-position layout —
-    the order in which the dense path's row sum adds its columns
-    (``buf.sum()`` would reduce pairwise and differ in the last ulp on
-    fractional weights from 8 slots up).  The scatter order (rows
-    iterate stored nonzeros in storage order) is irrelevant — each slot
-    is written at most once per row."""
-    n = len(ids)
-    n_src = len(sources)
-    cpos, cvals = graph.column_nonzeros(ids, sink)
-    # Dense direct-edge lookup and support-slot translation: O(n)
-    # scratch, built once per sink.
-    direct = np.zeros(n)
-    direct[cpos] = cvals
-    slot_of = np.full(n, -1, dtype=np.intp)
-    slot_of[cpos] = np.arange(cpos.size, dtype=np.intp)
-    indptr, indices, data = graph.row_nonzeros(sources, ids)
-    buf = np.zeros(cpos.size)
-    spos = np.fromiter((idx[s] for s in sources), dtype=np.intp, count=n_src)
-    flows = direct[spos]
-    if cpos.size:
-        for i in range(n_src):
-            lo, hi = indptr[i], indptr[i + 1]
-            slots = slot_of[indices[lo:hi]]
-            keep = slots >= 0
-            hit = slots[keep]
-            buf[hit] = np.minimum(data[lo:hi][keep], cvals[hit])
-            flows[i] += np.add.accumulate(buf)[-1]
-            buf[hit] = 0.0
-    flows[spos == t] = 0.0
+    flows = np.zeros(len(sources))
+    into = graph._in_adj.get(sink)
+    if not into:
+        return flows
+    out_rows = graph._out
+    for i, s in enumerate(sources):
+        out = out_rows.get(s)
+        if not out or s == sink:
+            continue
+        acc = 0.0
+        for k in sorted(out.keys() & into.keys()):
+            w_sk = out[k]
+            w_kt = into[k]
+            acc += w_sk if w_sk < w_kt else w_kt
+        flows[i] = out.get(sink, 0.0) + acc
     return flows
 
 

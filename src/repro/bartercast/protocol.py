@@ -5,9 +5,9 @@ Population-managed like the other substrates: one
 subjective graph.  Wiring:
 
 * the BitTorrent :class:`~repro.bittorrent.ledger.TransferLedger`
-  streams transfers into :meth:`local_transfer` (both endpoints update
-  their direct tables; the edge reaches their graphs when a graph is
-  next read or written — see :class:`_NodeState`);
+  hands each swarm round's transfers to :meth:`local_transfers` (both
+  endpoints update their direct tables; the edge reaches their graphs
+  when a graph is next read or written — see :class:`_NodeState`);
 * the session driver calls :meth:`gossip_tick` per online node on the
   node's gossip cadence; the node meets a PSS-sampled peer and the two
   exchange their most significant *direct* records (:meth:`gossip_with`
@@ -24,15 +24,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bartercast.graph import (
-    DEFAULT_SPARSE_THRESHOLD,
-    ReadOnlySubjectiveGraph,
-    SubjectiveGraph,
-)
+from repro.bartercast.graph import ReadOnlySubjectiveGraph, SubjectiveGraph
 from repro.bartercast.maxflow import edmonds_karp, two_hop_flow, two_hop_flows_to_sink
 from repro.bartercast.records import TransferRecord
 from repro.pss.base import PeerSamplingService
@@ -63,11 +59,6 @@ class BarterCastConfig:
     #: size once known — see :func:`adaptive_contrib_cache_entries`;
     #: until/without that resolution ``None`` behaves as unbounded.
     contrib_cache_entries: Optional[int] = None
-    #: Node count at which a subjective graph's matrix mirror converts
-    #: from dense (O(n²) memory, fastest gather at paper scale) to
-    #: sparse (CSR-style, O(E) memory).  Flow results are bit-identical
-    #: on either side.
-    sparse_graph_threshold: int = DEFAULT_SPARSE_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.max_records_per_exchange < 1:
@@ -78,8 +69,6 @@ class BarterCastConfig:
             raise ValueError("max_graph_nodes must be >= 0")
         if self.contrib_cache_entries is not None and self.contrib_cache_entries < 0:
             raise ValueError("contrib_cache_entries must be >= 0")
-        if self.sparse_graph_threshold < 0:
-            raise ValueError("sparse_graph_threshold must be >= 0")
 
 
 #: Population size up to which the adaptive contribution-cache bound
@@ -114,7 +103,7 @@ def adaptive_contrib_cache_entries(population: int) -> int:
 #: for peers the service has never seen.  Immutable (mutations raise),
 #: permanently empty, ``version == 0`` — exactly what a fresh graph
 #: would answer, without the allocation.
-_EMPTY_GRAPH = ReadOnlySubjectiveGraph("", backend="dense")
+_EMPTY_GRAPH = ReadOnlySubjectiveGraph("")
 
 
 class _NodeState:
@@ -128,7 +117,7 @@ class _NodeState:
     max-merge, so folding the latest total once leaves the same weights
     as folding every intermediate one.  ``pending`` keeps first-touched
     order because the order edges *first* appear fixes the graph's
-    mirror slots and, under ``max_graph_nodes``, which stranger is
+    node order and, under ``max_graph_nodes``, which stranger is
     evicted when; every access folds first, so a gossip record or an
     injected one still lands after the observations that preceded it.
     """
@@ -143,22 +132,13 @@ class _NodeState:
         "batch_cache",
     )
 
-    def __init__(
-        self,
-        owner: str,
-        max_graph_nodes: int = 0,
-        sparse_graph_threshold: int = DEFAULT_SPARSE_THRESHOLD,
-    ):
+    def __init__(self, owner: str, max_graph_nodes: int = 0):
         #: partner -> [up_total, down_total, last_update]
         self.direct: Dict[str, List[float]] = {}
         #: (uploader, downloader) -> the ``direct`` entry holding the
         #: edge's total, for edges observed since the last fold
         self.pending: Dict[Tuple[str, str], List[float]] = {}
-        self._graph = SubjectiveGraph(
-            owner,
-            max_nodes=max_graph_nodes,
-            sparse_threshold=sparse_graph_threshold,
-        )
+        self._graph = SubjectiveGraph(owner, max_nodes=max_graph_nodes)
         #: bumped on every direct-table mutation (invalidates the
         #: cached top-K record list below)
         self.direct_version = 0
@@ -219,12 +199,7 @@ class BarterCastService:
         never-seen peers stays free."""
         st = self._nodes.get(peer_id)
         if st is None:
-            cfg = self.config
-            st = _NodeState(
-                peer_id,
-                cfg.max_graph_nodes,
-                cfg.sparse_graph_threshold,
-            )
+            st = _NodeState(peer_id, self.config.max_graph_nodes)
             self._nodes[peer_id] = st
         return st
 
@@ -237,29 +212,38 @@ class BarterCastService:
     # Local observation (wired to the transfer ledger)
     # ------------------------------------------------------------------
     def local_transfer(self, uploader: str, downloader: str, nbytes: float, now: float) -> None:
-        """Both endpoints record the transfer in their direct tables
-        and note the edge for their graphs' next fold."""
-        if nbytes <= 0:
-            return
-        edge = (uploader, downloader)
-        nodes = self._nodes
-        up_state = nodes.get(uploader) or self._state(uploader)
-        rec = up_state.direct.get(downloader)
-        if rec is None:
-            rec = up_state.direct[downloader] = [0.0, 0.0, now]
-        rec[0] += nbytes
-        rec[2] = now
-        up_state.direct_version += 1
-        up_state.pending[edge] = rec
+        """One transfer: :meth:`local_transfers` of a batch of one."""
+        self.local_transfers(((uploader, downloader, nbytes),), now)
 
-        down_state = nodes.get(downloader) or self._state(downloader)
-        rec = down_state.direct.get(uploader)
-        if rec is None:
-            rec = down_state.direct[uploader] = [0.0, 0.0, now]
-        rec[1] += nbytes
-        rec[2] = now
-        down_state.direct_version += 1
-        down_state.pending[edge] = rec
+    def local_transfers(
+        self, transfers: Iterable[Tuple[str, str, float]], now: float
+    ) -> None:
+        """``(uploader, downloader, nbytes)`` transfers at ``now``, in
+        order — a swarm round's links in one call.  For each, both
+        endpoints record it in their direct tables and note the edge
+        for their graphs' next fold; non-positive amounts are skipped."""
+        nodes = self._nodes
+        for uploader, downloader, nbytes in transfers:
+            if nbytes <= 0:
+                continue
+            edge = (uploader, downloader)
+            up_state = nodes.get(uploader) or self._state(uploader)
+            rec = up_state.direct.get(downloader)
+            if rec is None:
+                rec = up_state.direct[downloader] = [0.0, 0.0, now]
+            rec[0] += nbytes
+            rec[2] = now
+            up_state.direct_version += 1
+            up_state.pending[edge] = rec
+
+            down_state = nodes.get(downloader) or self._state(downloader)
+            rec = down_state.direct.get(uploader)
+            if rec is None:
+                rec = down_state.direct[uploader] = [0.0, 0.0, now]
+            rec[1] += nbytes
+            rec[2] = now
+            down_state.direct_version += 1
+            down_state.pending[edge] = rec
 
     def inject_record(self, holder: str, record: TransferRecord) -> None:
         """Directly fold a record into ``holder``'s graph, bypassing the
@@ -385,13 +369,14 @@ class BarterCastService:
     ) -> np.ndarray:
         """``f_{j→observer}`` for every ``j`` in ``subjects`` at once.
 
-        The batch counterpart of :meth:`contribution`: one vectorised
-        2-hop closed-form evaluation (numpy ``minimum`` + ``sum`` over
-        the observer's dense weight matrix) instead of a Python loop
-        per pair.  The result array is memoised per observer keyed by
-        ``(graph.version, subjects)``, so repeated metric probes or
-        re-screens over an unchanged graph are O(1).  Values agree with
-        :func:`two_hop_flow` up to float summation order.  Non-2-hop
+        The batch counterpart of :meth:`contribution`: one
+        :func:`~repro.bartercast.maxflow.two_hop_flows_to_sink` pass
+        over the observer's in-row and each subject's out-row, with its
+        fixed (ascending node-id) reduction order.  The result array is
+        memoised per observer keyed by ``(graph.version, subjects)``,
+        so repeated metric probes or re-screens over an unchanged graph
+        are O(1).  Values equal :func:`two_hop_flow`'s up to the last
+        ulp: the scalar form sums in out-row order.  Non-2-hop
         configurations fall back to per-pair bounded maxflow.  Probing
         a never-seen observer returns zeros without materialising state
         or touching telemetry (metric sweeps over the full trace
@@ -477,7 +462,7 @@ class BarterCastService:
         empty graph** is returned instead of materialising fresh state
         — probing the full trace population must not grow ``_nodes``.
         The sentinel raises on any mutation attempt; write paths go
-        through :meth:`local_transfer` / :meth:`inject_record`."""
+        through :meth:`local_transfers` / :meth:`inject_record`."""
         st = self._peek(peer_id)
         if st is None:
             return _EMPTY_GRAPH

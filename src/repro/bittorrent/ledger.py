@@ -11,50 +11,54 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Dict, List, Sequence, Tuple
 
+#: ``(uploader, downloader, nbytes)``
+Transfer = Tuple[str, str, float]
+Listener = Callable[[List[Transfer], float], None]
+
 
 class TransferLedger:
     """Cumulative ``bytes[u → d]`` with per-peer views.
 
-    Listeners (e.g. BarterCast local records) receive every transfer as
-    ``listener(uploader, downloader, nbytes, now)``, in the order the
-    transfers were recorded.
+    Listeners (e.g. BarterCast's
+    :meth:`~repro.bartercast.protocol.BarterCastService.local_transfers`)
+    receive each :meth:`record_many` batch once, as
+    ``listener(transfers, now)``: the batch's positive transfers as a
+    list of ``(uploader, downloader, nbytes)``, in recorded order.
     """
 
     def __init__(self) -> None:
         self._sent: Dict[str, Dict[str, float]] = defaultdict(dict)
         self._received: Dict[str, Dict[str, float]] = defaultdict(dict)
         self.total_bytes = 0.0
-        self._listeners: List[Callable[[str, str, float, float], None]] = []
+        self._listeners: List[Listener] = []
 
-    def add_listener(self, listener: Callable[[str, str, float, float], None]) -> None:
+    def add_listener(self, listener: Listener) -> None:
         self._listeners.append(listener)
 
     def record(self, uploader: str, downloader: str, nbytes: float, now: float) -> None:
         """Record ``nbytes`` flowing ``uploader → downloader`` at ``now``."""
         self.record_many(((uploader, downloader, nbytes),), now)
 
-    def record_many(
-        self, transfers: Sequence[Tuple[str, str, float]], now: float
-    ) -> None:
+    def record_many(self, transfers: Sequence[Transfer], now: float) -> None:
         """Record ``(uploader, downloader, nbytes)`` transfers at ``now``,
-        in order — one swarm round's links in one call.  Exactly
-        ``record`` of each in turn: non-positive amounts are skipped,
-        totals add up in the given order and each listener hears every
-        transfer once, transfer by transfer."""
+        in order — one swarm round's links in one call.  Non-positive
+        amounts are skipped and totals add up in the given order.  The
+        whole batch is checked first: a self-transfer anywhere in it
+        raises before anything is recorded or heard.  Each listener
+        then hears the batch once."""
+        batch = [t for t in transfers if t[2] > 0]
+        if any(u == d for u, d, _n in batch):
+            raise ValueError("self-transfer is meaningless")
         sent, received = self._sent, self._received
-        listeners = self._listeners
-        for uploader, downloader, nbytes in transfers:
-            if nbytes <= 0:
-                continue
-            if uploader == downloader:
-                raise ValueError("self-transfer is meaningless")
+        for uploader, downloader, nbytes in batch:
             row = sent[uploader]
             row[downloader] = row.get(downloader, 0.0) + nbytes
             col = received[downloader]
             col[uploader] = col.get(uploader, 0.0) + nbytes
             self.total_bytes += nbytes
-            for listener in listeners:
-                listener(uploader, downloader, nbytes, now)
+        if batch:
+            for listener in self._listeners:
+                listener(batch, now)
 
     # ------------------------------------------------------------------
     def sent(self, uploader: str, downloader: str) -> float:

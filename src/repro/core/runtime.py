@@ -160,7 +160,7 @@ class ProtocolRuntime:
 
         self.bartercast = BarterCastService(self.pss, self.config.bartercast)
         self.bartercast.resolve_cache_budget(len(session.trace.peers))
-        session.ledger.add_listener(self.bartercast.local_transfer)
+        session.ledger.add_listener(self.bartercast.local_transfers)
 
         self.experience: ExperienceFunction = (
             experience

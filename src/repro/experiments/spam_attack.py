@@ -176,12 +176,10 @@ class SpamAttackExperiment:
         # Mutual experience: credit pre-run transfer history between
         # every ordered core pair (goes through the normal BarterCast
         # path so gossip spreads it to newcomers too).
-        for i in core:
-            for j in core:
-                if i != j:
-                    stack.runtime.bartercast.local_transfer(
-                        i, j, cfg.core_history_bytes, now=0.0
-                    )
+        stack.runtime.bartercast.local_transfers(
+            [(i, j, cfg.core_history_bytes) for i in core for j in core if i != j],
+            now=0.0,
+        )
 
         # Convergence on M1: every core member (except M1) voted +M1,
         # and each core ballot box already contains the others' votes.

@@ -1,10 +1,13 @@
-"""The incrementally maintained dense adjacency in
-:class:`SubjectiveGraph`.
+"""Matrix views of :class:`SubjectiveGraph`'s one edge store.
 
-`to_matrix` must stay equal — bit-identical, since it is placement
-only — to a reference edge-by-edge rebuild under any interleaving of
-edge raises, stale refolds and node evictions, and the internal dense
-block must mirror the dict adjacency exactly after compaction.
+The dict adjacency is the only place a weight lives; ``to_matrix`` and
+``dense`` build arrays from it on demand.  They must equal — bit for
+bit, since they are placement only — a reference edge-by-edge rebuild
+under any interleaving of edge raises, stale refolds and node
+evictions; and ``dense``'s node order must follow the slot rule
+(first appearance, ``u`` then ``v``; the last node moves into an
+evicted node's hole).  ``test_bartercast_sparse.py`` covers the same
+views on large, sparse graphs and their memory.
 """
 
 import numpy as np
@@ -69,7 +72,8 @@ class TestIncrementalMatrix:
     def test_dense_view_is_read_only(self):
         g = SubjectiveGraph("me")
         g.observe_direct("a", "b", 5.0)
-        _ids, dense = g.dense()
+        ids, dense = g.dense()
+        np.testing.assert_array_equal(dense, reference_matrix(g, ids))
         with pytest.raises(ValueError):
             dense[0, 0] = 1.0
 
@@ -115,3 +119,25 @@ class TestIncrementalMatrix:
         assert_matrix_consistent(g)
         ids, dense = g.dense()
         np.testing.assert_array_equal(dense, reference_matrix(g, ids))
+
+
+class TestNodeOrder:
+    def test_first_appearance_order(self):
+        g = SubjectiveGraph("me")
+        g.observe_direct("b", "a", 1.0)
+        g.add_record(TransferRecord("c", "a", up=2.0, down=3.0, timestamp=0.0))
+        g.observe_direct("a", "d", 1.0)
+        g.observe_direct("b", "a", 5.0)  # a raise adds no slot
+        assert g.dense()[0] == ["b", "a", "c", "d"]
+
+    def test_slot_order_under_eviction(self):
+        g = SubjectiveGraph("me", max_nodes=4)
+        g.observe_direct("a", "b", 1.0)
+        g.observe_direct("c", "d", 5.0)
+        assert g.dense()[0] == ["a", "b", "c", "d"]
+        # Six nodes: the weakest, a, goes.  Its orphan target b leaves
+        # first (f moves into b's slot), then a itself (e into a's).
+        g.observe_direct("e", "f", 9.0)
+        assert g.evicted == 1
+        assert g.dense()[0] == ["e", "f", "c", "d"]
+        assert_matrix_consistent(g)

@@ -1,12 +1,17 @@
-"""Cross-backend property tests for the batch 2-hop flow.
+"""Property tests for the batch 2-hop flow.
 
-The load-bearing contract (see ``two_hop_flows_to_sink``): the dense
-closed form and the sparse backend's CSR kernel add the min terms over
-the sink's in-column support in the same fixed order, so their flows
-are **bit-identical** — an ``auto`` graph that crosses from the dense
-to the sparse mirror mid-run keeps producing the same numbers.
+The load-bearing contract (see ``two_hop_flows_to_sink``): the min
+terms over the sink's in-row are added one after another in ascending
+node-id order and the direct edge last, read straight from the
+adjacency.  That is the order in which both earlier kernels reduced —
+the dense closed form's row sum over a sorted-order weight matrix and
+the CSR kernel's left-to-right accumulate over the in-column support —
+so both are kept here as oracles and the flows must equal them **bit
+for bit**, on fractional weights too, and equal the values recorded
+before either kernel was retired.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -22,84 +27,116 @@ from repro.bartercast.maxflow import (
 PEERS = [f"p{i:02d}" for i in range(24)]
 
 
-def random_graph(owner, backend, seed, max_nodes=0):
+def random_graph(owner, seed, max_nodes=0):
     """Random subjective graph over PEERS plus strangers; a nonzero
     ``max_nodes`` forces B_max-style evictions along the way."""
     rng = random.Random(seed)
     ids = PEERS + [f"x{i}" for i in range(8)]
-    g = SubjectiveGraph(owner, backend=backend, max_nodes=max_nodes)
+    g = SubjectiveGraph(owner, max_nodes=max_nodes)
     for _ in range(150):
         u, v = rng.sample(ids, 2)
         g.observe_direct(u, v, float(rng.randint(1, 900)))
     return g
 
 
+def dense_closed_form(graph, sources, sink):
+    """The retired dense kernel: one ``minimum`` + row sum over the
+    weight matrix in sorted node order.  ``W[:, support]`` is
+    F-contiguous, so the row sum adds its columns in order."""
+    ids = sorted(graph.nodes() | {sink} | set(sources))
+    idx = {p: i for i, p in enumerate(ids)}
+    W = graph.to_matrix(ids)
+    col = W[:, idx[sink]]
+    support = np.flatnonzero(col)
+    colv = np.ascontiguousarray(col[support])
+    flows = col + np.minimum(W[:, support], colv[None, :]).sum(axis=1)
+    flows[idx[sink]] = 0.0
+    return flows[[idx[s] for s in sources]]
+
+
+def csr_closed_form(graph, sources, sink):
+    """The retired CSR kernel: each source's min terms scattered into
+    a buffer over the sink's sorted in-support, accumulated left to
+    right, then the direct edge added."""
+    support = sorted(graph.predecessors(sink).items())
+    flows = np.zeros(len(sources))
+    for i, s in enumerate(sources):
+        if s == sink:
+            continue
+        row = graph.successors(s)
+        buf = np.array([min(row.get(k, 0.0), w_kt) for k, w_kt in support])
+        acc = np.add.accumulate(buf)[-1] if buf.size else 0.0
+        flows[i] = row.get(sink, 0.0) + acc
+    return flows
+
+
+def fractional_graph(in_support):
+    """A sink with ``in_support`` in-neighbours and fractional byte
+    counts (``rate * scale * dt`` in a real run), so the min terms do
+    not sum exactly and the reduction order shows in the last ulp from
+    8 terms up.  The sources are feeders outside the support, five
+    in-neighbours (which also carry a direct edge), two nodes the graph
+    has never heard of and the sink itself."""
+    rng = random.Random(in_support)
+    mids = [f"k{i:03d}" for i in range(in_support)]
+    feeders = [f"s{i:02d}" for i in range(40)]
+    g = SubjectiveGraph("sink")
+    for k in mids:
+        g.observe_direct(k, "sink", rng.uniform(1.0, 5e6))
+    for s in feeders + mids[:5]:
+        for k in rng.sample(mids, rng.randint(in_support // 2, in_support)):
+            if k != s:
+                g.observe_direct(s, k, rng.uniform(1.0, 5e6))
+    return g, feeders + mids[:5] + ["ghost", "sink", "nobody"]
+
+
+#: sha256 prefix of ``flows.tobytes()`` for :func:`fractional_graph`,
+#: recorded with the dense-matrix kernel before it was retired
+RECORDED_FRACTIONAL = {
+    7: "834a239ff9396fcd",
+    8: "965807b55d7bac94",
+    9: "85827cfdc4b97ce0",
+    33: "2046023ce02ff705",
+    129: "97d1093f3d95f374",
+    600: "6f3754439664e45b",
+}
+
+
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("max_nodes", [0, 18])
     def test_dense_csr_bit_identical(self, max_nodes):
-        """Randomized property (with and without evictions): the dense
-        closed form and the CSR kernel produce byte-for-byte equal
-        flows."""
+        """Randomized property (with and without evictions): the batch
+        flows equal both retired kernels byte for byte."""
         for seed in range(6):
             sink = PEERS[seed % len(PEERS)]
-            gd = random_graph(sink, "dense", seed, max_nodes)
-            gs = random_graph(sink, "sparse", seed, max_nodes)
-            np.testing.assert_array_equal(
-                two_hop_flows_to_sink(gd, PEERS, sink),
-                two_hop_flows_to_sink(gs, PEERS, sink),
-            )
+            g = random_graph(sink, seed, max_nodes)
+            got = two_hop_flows_to_sink(g, PEERS, sink)
+            np.testing.assert_array_equal(got, dense_closed_form(g, PEERS, sink))
+            np.testing.assert_array_equal(got, csr_closed_form(g, PEERS, sink))
 
-    @pytest.mark.parametrize("in_support", [7, 8, 9, 33, 129, 600])
+    @pytest.mark.parametrize("in_support", sorted(RECORDED_FRACTIONAL))
     def test_fractional_weights_bit_identical(self, in_support):
-        """Byte counts of a real run are fractional (``rate * scale *
-        dt``), so the min terms do not sum exactly and the *order* of
-        the reduction shows in the last ulp once the sink has 8 or more
-        in-neighbours: both backends must add them in ascending support
-        position.  The sources are feeders outside the support, five
-        in-neighbours (which also carry a direct edge), two nodes the
-        graph has never heard of and the sink itself."""
-        rng = random.Random(in_support)
-        mids = [f"k{i:03d}" for i in range(in_support)]
-        feeders = [f"s{i:02d}" for i in range(40)]
-
-        def build(backend):
-            g = SubjectiveGraph("sink", backend=backend)
-            for k in mids:
-                g.observe_direct(k, "sink", rng.uniform(1.0, 5e6))
-            for s in feeders + mids[:5]:
-                for k in rng.sample(mids, rng.randint(in_support // 2, in_support)):
-                    if k != s:
-                        g.observe_direct(s, k, rng.uniform(1.0, 5e6))
-            return g
-
-        state = rng.getstate()
-        dense = build("dense")
-        rng.setstate(state)
-        sparse = build("sparse")
-        sources = feeders + mids[:5] + ["ghost", "sink", "nobody"]
-        want = two_hop_flows_to_sink(dense, sources, "sink")
-        assert np.count_nonzero(want) == len(feeders) + 5
-        np.testing.assert_array_equal(
-            want, two_hop_flows_to_sink(sparse, sources, "sink")
-        )
+        g, sources = fractional_graph(in_support)
+        got = two_hop_flows_to_sink(g, sources, "sink")
+        assert np.count_nonzero(got) == len(sources) - 3
+        np.testing.assert_array_equal(got, dense_closed_form(g, sources, "sink"))
+        np.testing.assert_array_equal(got, csr_closed_form(g, sources, "sink"))
+        digest = hashlib.sha256(got.tobytes()).hexdigest()[:16]
+        assert digest == RECORDED_FRACTIONAL[in_support]
 
     def test_flows_match_bounded_maxflow(self):
-        """Spot-check both backends against edmonds_karp(max_hops=2)
-        and the scalar closed form (float tolerance: summation order of
-        the scalar path differs by design)."""
-        for backend in ("dense", "sparse"):
-            g = random_graph("p00", backend, 3)
-            flows = two_hop_flows_to_sink(g, PEERS, "p00")
-            for s in PEERS[:8]:
-                want = edmonds_karp(g, s, "p00", max_hops=2)
-                assert flows[PEERS.index(s)] == pytest.approx(want)
-                assert flows[PEERS.index(s)] == pytest.approx(
-                    two_hop_flow(g, s, "p00")
-                )
+        """Spot-check against edmonds_karp(max_hops=2) and the scalar
+        closed form (float tolerance: the scalar path sums in out-row
+        order by design)."""
+        g = random_graph("p00", 3)
+        flows = two_hop_flows_to_sink(g, PEERS, "p00")
+        for s in PEERS[:8]:
+            want = edmonds_karp(g, s, "p00", max_hops=2)
+            assert flows[PEERS.index(s)] == pytest.approx(want)
+            assert flows[PEERS.index(s)] == pytest.approx(two_hop_flow(g, s, "p00"))
 
     def test_unknown_sink_and_unknown_sources(self):
-        for backend in ("dense", "sparse"):
-            g = SubjectiveGraph("obs", backend=backend)
-            g.observe_direct("a", "b", 10.0)
-            flows = two_hop_flows_to_sink(g, ["a", "ghost", "nowhere"], "nowhere")
-            np.testing.assert_array_equal(flows, np.zeros(3))
+        g = SubjectiveGraph("obs")
+        g.observe_direct("a", "b", 10.0)
+        flows = two_hop_flows_to_sink(g, ["a", "ghost", "nowhere"], "nowhere")
+        np.testing.assert_array_equal(flows, np.zeros(3))

@@ -1,14 +1,16 @@
 """Direct observations folded on read against folding at every transfer.
 
-``BarterCastService.local_transfer`` only updates the direct tables and
-notes the edge; the subjective graphs catch up the next time one is
+``BarterCastService.local_transfers`` only updates the direct tables and
+notes the edges; the subjective graphs catch up the next time one is
 read or written.  The reference here is the behaviour that replaced:
 ``SubjectiveGraph.observe_direct`` called on both endpoints' graphs at
 every single transfer.  Under random interleavings of every operation
-that reads or writes a graph — with a node bound small enough that
-eviction fires, and on both matrix backends — the two must agree on
-everything observable: edges and their insertion order, mirror slot
-order, matrices, eviction counts, every returned value and every cache
+that reads or writes a graph — single transfers and whole rounds, on
+dense traffic (any two peers trade) and sparse traffic (each peer
+trades with its two ring neighbours only), with a node bound small
+enough that eviction fires — the two must agree on
+everything observable: edges and their insertion order, node order,
+matrices, eviction counts, every returned value and every cache
 counter.  (Graph *version numbers* differ by design — folding once
 bumps them less often — and only their equality between two reads is
 ever used, which the cache counters pin.)
@@ -29,24 +31,23 @@ PEERS = [f"p{i:02d}" for i in range(12)]
 STRANGERS = [f"x{i}" for i in range(10)]
 
 
-#: Force one graph mirror through the conversion threshold: 0 goes
-#: sparse at the first edge, one above every graph here never does.
-MIRROR_THRESHOLD = {"dense": len(PEERS) + len(STRANGERS) + 1, "sparse": 0}
-
-
 class EagerService(BarterCastService):
     """Every transfer reaches both endpoints' graphs at once."""
 
-    def local_transfer(self, uploader, downloader, nbytes, now):
-        super().local_transfer(uploader, downloader, nbytes, now)
-        if nbytes <= 0:
-            return
-        for owner, partner, column in ((uploader, downloader, 0), (downloader, uploader, 1)):
-            state = self._nodes[owner]
-            state.pending.clear()
-            state._graph.observe_direct(
-                uploader, downloader, state.direct[partner][column]
-            )
+    def local_transfers(self, transfers, now):
+        for uploader, downloader, nbytes in transfers:
+            super().local_transfers([(uploader, downloader, nbytes)], now)
+            if nbytes <= 0:
+                continue
+            for owner, partner, column in (
+                (uploader, downloader, 0),
+                (downloader, uploader, 1),
+            ):
+                state = self._nodes[owner]
+                state.pending.clear()
+                state._graph.observe_direct(
+                    uploader, downloader, state.direct[partner][column]
+                )
 
 
 def make(cls, seed, **cfg):
@@ -57,18 +58,35 @@ def make(cls, seed, **cfg):
     return cls(pss, BarterCastConfig(**cfg))
 
 
-def random_ops(rng, n_ops):
+def trading_pair(rng, traffic):
+    """An (uploader, downloader) pair: any two peers under dense
+    traffic, a peer and one of its ring neighbours under sparse."""
+    if traffic == "dense":
+        return tuple(str(p) for p in rng.choice(PEERS, 2, replace=False))
+    i = int(rng.integers(len(PEERS)))
+    j = (i + (1 if rng.random() < 0.5 else -1)) % len(PEERS)
+    return PEERS[i], PEERS[j]
+
+
+def random_ops(rng, n_ops, traffic):
     kinds = rng.choice(
-        ["transfer", "gossip", "inject", "contribution", "batch", "records", "collude"],
+        ["transfer", "round", "gossip", "inject", "contribution", "batch", "records", "collude"],
         size=n_ops,
-        p=[0.62, 0.10, 0.06, 0.12, 0.04, 0.05, 0.01],
+        p=[0.52, 0.10, 0.10, 0.06, 0.12, 0.04, 0.05, 0.01],
     )
     now = 0.0
     for kind in kinds:
         now += float(rng.integers(1, 30))
         a, b = (str(p) for p in rng.choice(PEERS, 2, replace=False))
         if kind == "transfer":
-            yield "local_transfer", (a, b, float(rng.integers(1, 2000)), now)
+            u, d = trading_pair(rng, traffic)
+            yield "local_transfer", (u, d, float(rng.integers(1, 2000)), now)
+        elif kind == "round":
+            links = [trading_pair(rng, traffic) for _ in range(int(rng.integers(1, 6)))]
+            yield "local_transfers", (
+                [(u, d, float(rng.integers(0, 2000))) for u, d in links],
+                now,
+            )
         elif kind == "gossip":
             yield "gossip_tick", (a, now)
         elif kind == "inject":
@@ -115,23 +133,19 @@ def snapshot(service):
             graph.to_matrix(order).tolist(),
             graph.evicted,
             graph.records_folded,
-            graph.matrix_backend,
         )
     return graphs, service.cache_stats(), service.exchanges, sorted(service._nodes)
 
 
-@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize("traffic", ["dense", "sparse"])
 @pytest.mark.parametrize("max_graph_nodes", [0, 6])
 @pytest.mark.parametrize("seed", range(6))
-def test_fold_on_read_matches_fold_at_every_transfer(seed, max_graph_nodes, backend):
-    cfg = dict(
-        max_graph_nodes=max_graph_nodes,
-        sparse_graph_threshold=MIRROR_THRESHOLD[backend],
-    )
+def test_fold_on_read_matches_fold_at_every_transfer(seed, max_graph_nodes, traffic):
+    cfg = dict(max_graph_nodes=max_graph_nodes)
     lazy = make(BarterCastService, seed, **cfg)
     eager = make(EagerService, seed, **cfg)
     rng = np.random.default_rng(1000 + seed)
-    ops = list(random_ops(rng, 600))
+    ops = list(random_ops(rng, 600, traffic))
     # full-state comparisons force a fold everywhere, so make them rare
     checkpoints = set(rng.choice(len(ops), 3, replace=False).tolist())
     for step, (op, args) in enumerate(ops):
@@ -161,9 +175,7 @@ def test_transfers_reach_the_graph_once_at_the_latest_total():
 
 
 def test_pending_edges_fold_in_first_touched_order():
-    service = make(
-        BarterCastService, 0, sparse_graph_threshold=MIRROR_THRESHOLD["dense"]
-    )
+    service = make(BarterCastService, 0)
     service.local_transfer("p03", "p00", 1.0, now=1.0)
     service.local_transfer("p00", "p02", 1.0, now=2.0)
     service.local_transfer("p03", "p00", 1.0, now=3.0)  # re-touch: keeps its place

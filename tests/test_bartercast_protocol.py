@@ -88,6 +88,18 @@ class TestLocalTransfer:
         svc.local_transfer("a", "b", 0.0, now=1.0)
         assert svc.graph_of("a").num_edges() == 0
 
+    def test_round_batch_equals_transfer_by_transfer(self):
+        round_ = [("a", "b", 2 * MB), ("b", "c", 0.0), ("c", "a", 1 * MB), ("a", "b", 3 * MB)]
+        batched, _ = make_service()
+        batched.local_transfers(round_, now=4.0)
+        single, _ = make_service()
+        for u, d, n in round_:
+            single.local_transfer(u, d, n, now=4.0)
+        for peer in ("a", "b", "c"):
+            assert batched.records_of(peer) == single.records_of(peer)
+            assert batched.graph_of(peer).edges() == single.graph_of(peer).edges()
+            assert batched.graph_of(peer).dense()[0] == single.graph_of(peer).dense()[0]
+
     def test_records_of_reports_own_totals(self):
         svc, _ = make_service()
         svc.local_transfer("a", "b", 5 * MB, now=1.0)

@@ -47,9 +47,35 @@ def test_partner_views_are_copies():
 def test_listeners_receive_transfers():
     led = TransferLedger()
     events = []
-    led.add_listener(lambda u, d, b, t: events.append((u, d, b, t)))
+    led.add_listener(lambda batch, t: events.append((list(batch), t)))
     led.record("a", "b", 10.0, now=3.0)
-    assert events == [("a", "b", 10.0, 3.0)]
+    assert events == [([("a", "b", 10.0)], 3.0)]
+
+
+def test_listeners_hear_each_batch_once():
+    led = TransferLedger()
+    events = []
+    led.add_listener(lambda batch, t: events.append((list(batch), t)))
+    led.record_many([("a", "b", 1.0), ("b", "c", 0.0), ("c", "a", 2.0)], now=4.0)
+    led.record_many([("a", "b", -1.0)], now=5.0)  # nothing positive: not heard
+    assert events == [([("a", "b", 1.0), ("c", "a", 2.0)], 4.0)]
+
+
+def test_self_transfer_mid_batch_records_nothing():
+    led = TransferLedger()
+    with pytest.raises(ValueError):
+        led.record_many([("a", "b", 1.0), ("c", "c", 2.0), ("b", "a", 3.0)], now=0.0)
+    assert led.total_bytes == 0.0
+    assert led.edges() == []
+
+
+def test_self_transfer_mid_batch_is_not_heard():
+    led = TransferLedger()
+    events = []
+    led.add_listener(lambda batch, t: events.append(batch))
+    with pytest.raises(ValueError):
+        led.record_many([("a", "b", 1.0), ("c", "c", 2.0)], now=0.0)
+    assert events == []
 
 
 def test_edges_enumeration():

@@ -104,7 +104,7 @@ def fig6_end_state(seed: int) -> dict:
     graphs = []
     for pid in sorted(trace.peers):
         graph = bartercast.graph_of(pid)
-        # edges() is in insertion order and dense()[0] is the mirror's
+        # edges() is in insertion order and dense()[0] is the graph's
         # slot order: both move if observations are folded in another
         # order, even when the weights end up equal.
         graphs.append([pid, graph.edges(), graph.dense()[0], graph.evicted])

@@ -99,22 +99,6 @@ class TestIncrementalRows:
         np.testing.assert_array_equal(cache.matrix(), flow_matrix(svc, PEERS))
 
 
-    def test_sparse_backend_identical_to_dense(self):
-        # The conversion threshold forces a mirror: never, or at the
-        # first edge.
-        dense_svc = make_service(sparse_graph_threshold=len(PEERS) + 1)
-        sparse_svc = make_service(sparse_graph_threshold=0)
-        for svc in (dense_svc, sparse_svc):
-            svc.local_transfer("a", "b", 8.0, now=0.0)
-            svc.local_transfer("b", "c", 4.0, now=1.0)
-            svc.local_transfer("c", "d", 2.0, now=2.0)
-        assert dense_svc.graph_of("a").matrix_backend == "dense"
-        assert sparse_svc.graph_of("a").matrix_backend == "sparse"
-        np.testing.assert_array_equal(
-            FlowMatrixCache(dense_svc, PEERS).matrix(),
-            FlowMatrixCache(sparse_svc, PEERS).matrix(),
-        )
-
 
 class TestFlowMatrixFrontend:
     def test_flow_matrix_with_cache_returns_copy(self):
