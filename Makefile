@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-smoke bench-full bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn profile-fig8 results lint-deadcode
+.PHONY: test bench bench-smoke bench-full bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn profile-setup profile-fig8 results lint-deadcode
 
 # Tier-1: the fast correctness suite (tests/ only).
 test:
@@ -91,6 +91,12 @@ profile-service:
 # by trace events (the live-read side of the batched gossip tick).
 profile-churn:
 	python scripts/profile_unit.py churn_population --seed 7
+
+# cProfile the set-up (bench.workloads.build, the benchmark's setup_s)
+# of one unit of workload W instead of its run window.
+W ?= steady_vote
+profile-setup:
+	python scripts/profile_unit.py $(W) --seed 7 --setup
 
 # cProfile one Fig 8 flash-crowd run (SpamAttackExperiment: N trace
 # peers, core 30, crowd 60 on its duty cycle, 6 simulated hours, seed

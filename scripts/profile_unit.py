@@ -6,9 +6,11 @@
 builds the unit through ``bench.workloads.build`` (exactly what the
 benchmark measures), runs its measured window under cProfile and prints
 the top functions by self time with their call counts — where a
-performance issue's "N calls of X" figures come from.  cProfile taxes
-every Python call and no native code, so use it to find candidates and
-``python3 -m bench.run`` to measure them.
+performance issue's "N calls of X" figures come from.  ``--setup``
+profiles the ``build`` call instead (the benchmark's ``setup_s``) and
+runs no window.  cProfile taxes every Python call and no native code,
+so use it to find candidates and ``python3 -m bench.run`` to measure
+them.
 """
 
 from __future__ import annotations
@@ -31,13 +33,19 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--size", default="full", choices=("full", "tiny"))
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument(
+        "--setup", action="store_true", help="profile build() instead of the run window"
+    )
     args = parser.parse_args()
 
-    unit = build(args.workload, args.seed, args.size)
     profiler = cProfile.Profile()
-    try:
+    if args.setup:
         profiler.enable()
-        unit.run(Window())
+    unit = build(args.workload, args.seed, args.size)
+    try:
+        if not args.setup:
+            profiler.enable()
+            unit.run(Window())
         profiler.disable()
     finally:
         unit.close()

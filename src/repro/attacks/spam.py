@@ -51,8 +51,10 @@ class FlashCrowd:
         votes.extend(VoteEntry(d, Vote.NEGATIVE, 0.0) for d in decoys)
         # Fig 3(c)'s honest guard cannot stop this at the sender side.
         top_k = [spam_moderator] + decoys[: runtime.config.node.k - 1]
-        for i in range(size):
-            pid = f"{id_prefix}{i:03d}"
+        pids = [f"{id_prefix}{i:03d}" for i in range(size)]
+        runtime._rng.prime("colluder", pids)
+        runtime._rng.prime("jitter", pids)
+        for pid in pids:
             node = runtime.add_crowd_member(pid, votes, top_k)
             # Colluders approve the spam moderator so ModerationCast
             # forwards its metadata through them.

@@ -132,8 +132,10 @@ class VoteSamplingNode:
         """
         if moderator_id == self.peer_id:
             raise ValueError("a node cannot vote on itself")
+        if vote.__class__ is not Vote:
+            vote = Vote(vote)
         self.vote_list.cast(moderator_id, vote, now)
-        if Vote(vote) is Vote.NEGATIVE:
+        if vote is Vote.NEGATIVE:
             self.store.purge_moderator(moderator_id)
             self._sync_membership()
 

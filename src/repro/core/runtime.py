@@ -176,6 +176,10 @@ class ProtocolRuntime:
         # generator object draws the identical sequence while skipping
         # a dict lookup per exchange.
         self._message_loss_rng = rng.stream("message-loss")
+        # Every trace peer that arrives asks for its node and jitter
+        # streams; derive their seeds for the whole trace in one pass.
+        rng.prime("node", session.trace.peers)
+        rng.prime("jitter", session.trace.peers)
         self.traffic = TrafficMeter()
         #: accumulated online node-seconds (for per-node-hour costs)
         self._online_seconds = 0.0

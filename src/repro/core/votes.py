@@ -103,8 +103,11 @@ class LocalVoteList:
             store.vl_attach(row, self)
 
     def cast(self, moderator_id: str, vote: Vote, now: float) -> VoteEntry:
-        """Record the local user's vote on a moderator."""
-        entry = VoteEntry(moderator_id, Vote(vote), now)
+        """Record the local user's vote on a moderator (``vote`` may be
+        its int value; a ``Vote`` is stored as it is)."""
+        if vote.__class__ is not Vote:
+            vote = Vote(vote)
+        entry = VoteEntry(moderator_id, vote, now)
         self._votes[moderator_id] = entry
         self.version += 1
         if self._store is not None:

@@ -6,28 +6,167 @@ name from one :class:`RngRegistry` (e.g. ``rng.stream("pss")``,
 seed and the *name only*, so adding a new consumer never perturbs the
 draws of existing ones — experiments stay reproducible and comparable
 across code changes.
+
+Stream ``key`` is numpy's ``PCG64(SeedSequence(entropy=seed,
+spawn_key=(crc,)))`` with ``crc = _key_to_entropy(key)``, but no
+``SeedSequence`` is built: :class:`_KeyMixer` is that algorithm in
+closed form.  The seed's share of the mix is computed once per
+registry; what a key adds (four ``hashmix``/``mix`` steps on its CRC
+and eight output words) is one numpy pass over a whole vector of CRCs.
+:meth:`RngRegistry.prime` runs that pass for a population up front; an
+unprimed key is a batch of one.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 Key = Tuple[Union[str, int], ...]
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+
+
+def _hashmix(value: int, hash_const: int) -> Tuple[int, int]:
+    """numpy's ``hashmix``: returns the hashed value and the advanced
+    multiplier."""
+    value ^= hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _chain(init: int, mult: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The multiplier before and after each of ``n`` successive
+    hashes: hashing XORs the value with the first and multiplies it
+    by the second."""
+    pre, post = [], []
+    for _ in range(n):
+        pre.append(init)
+        init = (init * mult) & _MASK32
+        post.append(init)
+    return np.array(pre, dtype=np.uint32), np.array(post, dtype=np.uint32)
+
+
+#: ``generate_state(4, np.uint64)`` reads the pool twice round, one
+#: 32-bit word at a time, each hashed with the next output multiplier.
+_OUT_PRE, _OUT_POST = (a[None, :] for a in _chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+# 0-d arrays: numpy applies them faster than Python ints or scalars.
+_MIX_R = np.array(_MIX_MULT_R, dtype=np.uint32)
+_SHIFT = np.array(_XSHIFT, dtype=np.uint32)
+
+
+class _KeyMixer:
+    """numpy's ``SeedSequence`` for one root seed, with the key's
+    spawn word left open.
+
+    The assembled entropy is the seed's 32-bit words (zero-padded to
+    the pool size because a spawn key follows) and then the key's CRC,
+    so everything up to the CRC — the mixed pool and the state of the
+    hash multiplier — depends on the seed alone and is computed here,
+    once.  :meth:`derive` finishes the mix for a vector of CRCs.
+    """
+
+    __slots__ = ("_mixed", "_crc_pre", "_crc_post")
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words: List[int] = []
+        while True:
+            words.append(seed & _MASK32)
+            seed >>= 32
+            if not seed:
+                break
+        words.extend([0] * (_POOL_SIZE - len(words)))
+        hash_const = _INIT_A
+        pool: List[int] = []
+        for word in words[:_POOL_SIZE]:
+            value, hash_const = _hashmix(word, hash_const)
+            pool.append(value)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    value, hash_const = _hashmix(pool[src], hash_const)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                value, hash_const = _hashmix(word, hash_const)
+                pool[dst] = _mix(pool[dst], value)
+        # The CRC's four hashes each mix into one pool word, and the
+        # output reads the pool twice round, so the key's pass runs
+        # eight wide: column j works on pool word j % 4 throughout
+        # ((1, 8) rows, which numpy broadcasts over a batch of one
+        # faster than 1-d constants).  mix(pool[d], h) = L·pool[d] −
+        # R·h, and the first term is the seed's.
+        pre, post = _chain(hash_const, _MULT_A, _POOL_SIZE)
+        self._crc_pre, self._crc_post = np.tile(pre, (1, 2)), np.tile(post, (1, 2))
+        self._mixed = np.tile(
+            np.array([(_MIX_MULT_L * p) & _MASK32 for p in pool], dtype=np.uint32),
+            (1, 2),
+        )
+
+    def derive(self, crcs: np.ndarray) -> np.ndarray:
+        """``(K,)`` uint32 key CRCs -> ``(K, 4)`` uint64 PCG64 seed
+        words, row ``i`` equal to ``SeedSequence(entropy=seed,
+        spawn_key=(crcs[i],)).generate_state(4, np.uint64)``."""
+        v = crcs[:, None] ^ self._crc_pre
+        v *= self._crc_post
+        v ^= v >> _SHIFT
+        v *= _MIX_R
+        np.subtract(self._mixed, v, out=v)
+        v ^= v >> _SHIFT
+        v ^= _OUT_PRE
+        v *= _OUT_POST
+        v ^= v >> _SHIFT
+        # Word j of the result is 32-bit outputs 2j (low) and 2j + 1.
+        return v.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Feeds ``PCG64`` four precomputed seed words — what
+    ``SeedSequence.generate_state(4, np.uint64)`` would have returned
+    (``PCG64`` asks for nothing else)."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 #: Seeds the throwaway state of a generator :meth:`RngRegistry
 #: .restore_stream` is about to reposition (deriving the key's real
 #: seed would be wasted work).
-_PLACEHOLDER_SEED = np.random.SeedSequence(0)
+_PLACEHOLDER_WORDS = np.zeros(4, dtype=np.uint64)
 
 
 def _key_to_entropy(key: Key) -> int:
     """Map a stream key to a stable 32-bit integer.
 
-    Uses CRC32 of the repr, which is stable across processes and Python
-    versions (unlike ``hash()`` with string randomization).
+    The CRC32 of the key's parts as ``str``, joined by ``"\\x1f"`` —
+    stable across processes and Python versions (unlike ``hash()``
+    with string randomization).  A part's type is therefore invisible:
+    ``("churn", 1)`` and ``("churn", "1")`` get the same seed words
+    (and draw the same sequence, from two distinct generators).
     """
     material = "\x1f".join(str(part) for part in key)
     return zlib.crc32(material.encode("utf-8"))
@@ -52,11 +191,22 @@ class RngRegistry:
     def __init__(self, seed: int = 0):
         self._seed = int(seed)
         self._streams: Dict[Key, np.random.Generator] = {}
+        # Built on first derivation, so a negative seed raises there
+        # (as SeedSequence does) and never on construction or fork.
+        self._mixer: Optional[_KeyMixer] = None
+        #: family -> (str(id) -> row of words, (rows, 4) uint64 words)
+        self._primed: Dict[str, Tuple[Dict[str, int], np.ndarray]] = {}
 
     @property
     def seed(self) -> int:
         """The root seed this registry was built from."""
         return self._seed
+
+    def _derive(self, crcs: np.ndarray) -> np.ndarray:
+        mixer = self._mixer
+        if mixer is None:
+            mixer = self._mixer = _KeyMixer(self._seed)
+        return mixer.derive(crcs)
 
     def stream(self, *key: Union[str, int]) -> np.random.Generator:
         """Return the Generator for ``key``, creating it on first use.
@@ -65,17 +215,46 @@ class RngRegistry:
         state advances as consumers draw — call sites share a stream by
         sharing a key.
         """
-        if not key:
-            raise ValueError("stream key must be non-empty")
-        k: Key = tuple(key)
-        gen = self._streams.get(k)
+        gen = self._streams.get(key)
         if gen is None:
-            seq = np.random.SeedSequence(
-                entropy=self._seed, spawn_key=(_key_to_entropy(k),)
-            )
-            gen = np.random.Generator(np.random.PCG64(seq))
-            self._streams[k] = gen
+            if not key:
+                raise ValueError("stream key must be non-empty")
+            words = None
+            if len(key) == 2:
+                primed = self._primed.get(str(key[0]))
+                if primed is not None:
+                    row = primed[0].get(str(key[1]))
+                    if row is not None:
+                        words = primed[1][row]
+            if words is None:
+                crc = np.array([_key_to_entropy(key)], dtype=np.uint32)
+                words = self._derive(crc)[0]
+            gen = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            self._streams[key] = gen
         return gen
+
+    def prime(self, family: Union[str, int], ids: Iterable[Union[str, int]]) -> None:
+        """Derive the seed words of stream ``(family, id)`` for every id
+        in one vectorised pass, so the ``stream`` calls that follow only
+        build their generators.  Priming changes no draw: the words are
+        the ones ``stream`` would derive, and a stream that already
+        exists is left as it is."""
+        fam = str(family)
+        index, words = self._primed.get(fam, ({}, None))
+        fresh = list(dict.fromkeys(i for i in map(str, ids) if i not in index))
+        if not fresh:
+            return
+        prefix = zlib.crc32(f"{fam}\x1f".encode("utf-8"))
+        crcs = np.fromiter(
+            (zlib.crc32(i.encode("utf-8"), prefix) for i in fresh),
+            dtype=np.uint32,
+            count=len(fresh),
+        )
+        derived = self._derive(crcs)
+        base = 0 if words is None else len(words)
+        index.update(zip(fresh, range(base, base + len(fresh))))
+        words = derived if words is None else np.concatenate([words, derived])
+        self._primed[fam] = (index, words)
 
     def streams(self) -> Dict[Key, np.random.Generator]:
         """Every stream handed out so far, by key (checkpoint API)."""
@@ -90,7 +269,7 @@ class RngRegistry:
         k: Key = tuple(key)
         gen = self._streams.get(k)
         if gen is None:
-            gen = np.random.Generator(np.random.PCG64(_PLACEHOLDER_SEED))
+            gen = np.random.Generator(np.random.PCG64(_SeedWords(_PLACEHOLDER_WORDS)))
             self._streams[k] = gen
         gen.bit_generator.state = state
         return gen

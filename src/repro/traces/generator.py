@@ -198,6 +198,7 @@ class TraceGenerator:
         weights /= weights.sum()
 
         events: List[TraceEvent] = []
+        rng.prime("sessions", peers)
         for idx, pid in enumerate(peers):
             gen = rng.stream("sessions", pid)
             a = float(avail[idx])

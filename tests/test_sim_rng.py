@@ -1,11 +1,14 @@
 """Unit tests for the named RNG registry."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, _KeyMixer, _key_to_entropy
 
 
 def test_same_seed_same_stream_reproduces():
@@ -78,3 +81,133 @@ def test_property_stream_reproducible_for_any_seed_and_name(seed, name):
 @given(st.integers(min_value=0, max_value=2**31))
 def test_property_fork_children_reproducible(seed):
     assert RngRegistry(seed).fork("x").seed == RngRegistry(seed).fork("x").seed
+
+
+# ----------------------------------------------------------------------
+# Seed derivation: the registry's closed form of numpy's SeedSequence
+# ----------------------------------------------------------------------
+
+_SEEDS = st.integers(min_value=0, max_value=2**200 - 1)
+_PART = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.integers(min_value=-(2**40), max_value=2**40),
+)
+_KEYS = st.lists(_PART, min_size=1, max_size=4).map(tuple)
+
+
+@given(_SEEDS, st.lists(_KEYS, min_size=1, max_size=5))
+def test_property_derived_words_equal_seed_sequence(seed, keys):
+    """Seeds shorter than, exactly and longer than the 4-word pool."""
+    crcs = [_key_to_entropy(key) for key in keys]
+    words = _KeyMixer(seed).derive(np.array(crcs, dtype=np.uint32))
+    assert words.shape == (len(keys), 4) and words.dtype == np.uint64
+    for row, crc in zip(words, crcs):
+        ref = np.random.SeedSequence(entropy=seed, spawn_key=(crc,))
+        assert np.array_equal(row, ref.generate_state(4, np.uint64))
+
+
+@given(_SEEDS, _KEYS)
+def test_property_stream_state_equals_seed_sequence(seed, key):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(_key_to_entropy(key),))
+    got = RngRegistry(seed).stream(*key).bit_generator.state
+    assert got == np.random.PCG64(seq).state
+
+
+@given(
+    _SEEDS,
+    st.text(min_size=1, max_size=6),
+    st.lists(st.one_of(st.text(max_size=6), st.integers(0, 10**6)), min_size=1, max_size=8),
+)
+def test_property_primed_unprimed_and_batch_of_one_agree(seed, family, ids):
+    primed, alone, unprimed = RngRegistry(seed), RngRegistry(seed), RngRegistry(seed)
+    primed.prime(family, ids)
+    for pid in ids:
+        alone.prime(family, [pid])
+        state = unprimed.stream(family, pid).bit_generator.state
+        assert primed.stream(family, pid).bit_generator.state == state
+        assert alone.stream(family, pid).bit_generator.state == state
+
+
+def test_priming_twice_extends_the_family():
+    reg, ref = RngRegistry(3), RngRegistry(3)
+    reg.prime("jitter", ["a", "b"])
+    reg.prime("jitter", ["b", "c"])
+    for pid in "abc":
+        assert (
+            reg.stream("jitter", pid).bit_generator.state
+            == ref.stream("jitter", pid).bit_generator.state
+        )
+
+
+def test_priming_leaves_an_existing_stream_alone():
+    reg = RngRegistry(11)
+    gen = reg.stream("node", "p1")
+    head = gen.random(3)
+    reg.prime("node", ["p1", "p2"])
+    assert reg.stream("node", "p1") is gen
+    tail = gen.random(3)
+    ref = RngRegistry(11).stream("node", "p1").random(6)
+    assert np.array_equal(np.concatenate([head, tail]), ref)
+
+
+@given(_SEEDS, _KEYS, st.integers(0, 50))
+def test_property_restore_stream_replays_on_an_unseen_key(seed, key, skip):
+    gen = RngRegistry(seed).stream(*key)
+    gen.random(skip)
+    saved = gen.bit_generator.state
+    expected = gen.random(8)
+    fresh = RngRegistry(seed + 1)
+    assert np.array_equal(fresh.restore_stream(key, saved).random(8), expected)
+    assert fresh.stream(*key).bit_generator.state == gen.bit_generator.state
+
+
+def test_negative_seed_raises_on_derivation():
+    with pytest.raises(ValueError):
+        RngRegistry(-1).stream("x")
+    with pytest.raises(ValueError):
+        RngRegistry(-1).prime("node", ["p"])
+    # Construction and forking derive nothing.
+    assert RngRegistry(-1).fork("trace").seed >= 0
+
+
+def test_key_parts_are_hashed_as_str():
+    """``("churn", 1)`` and ``("churn", "1")`` share seed words (the
+    CRC covers ``str(part)``) but are two generator objects."""
+    reg = RngRegistry(4)
+    a, b = reg.stream("churn", 1), reg.stream("churn", "1")
+    assert a is not b
+    assert a.bit_generator.state == b.bit_generator.state
+    assert _key_to_entropy(("churn", 1)) == _key_to_entropy(("churn", "1"))
+
+
+def test_first_draws_golden_seed_7():
+    """Raw PCG64 outputs recorded with numpy's SeedSequence derivation."""
+    reg = RngRegistry(7)
+    golden = {
+        ("pss",): [3248547849642772301, 9771588447497552401, 13383171345251645440],
+        ("node", "peer000"): [
+            10968628727775491458,
+            18066878519227178629,
+            13280189303128923469,
+        ],
+        ("jitter", "peer000"): [
+            2676502236220182671,
+            7869390696027474012,
+            10775463759623766349,
+        ],
+    }
+    for key, raw in golden.items():
+        assert reg.stream(*key).bit_generator.random_raw(3).tolist() == raw
+
+
+def test_src_constructs_no_seed_sequence():
+    src = Path(__file__).resolve().parent.parent / "src"
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "SeedSequence":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
