@@ -18,6 +18,15 @@ that parse, run, and do nothing:
 
 Exit status is 1 with a ``file:line: message`` listing when anything is
 found, 0 otherwise — suitable for ``make lint-deadcode``.
+
+After those findings, a whole-repo run (no path arguments) prints a
+record-only report of **test-only definitions**: functions, classes
+and methods defined in ``src/`` whose name is referenced from
+``tests/`` but from nowhere in ``src/``, ``examples/``, ``scripts/``,
+``bench/`` or ``benchmarks/`` — each with ``file:line`` and its size
+in lines.  A reference is any use of the name as a bare name, an
+attribute or an imported name; dunder methods are skipped (the
+interpreter calls them).  The report never changes the exit status.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Set, Tuple
 
 #: (operator, operand value) pairs that make an AugAssign a no-op.
 _IDENTITY_AUG = {
@@ -112,6 +121,65 @@ def iter_sources(roots: Iterable[Path]) -> Iterable[Path]:
             yield from sorted(root.rglob("*.py"))
 
 
+#: Where a reference keeps a ``src/`` definition in production use.
+_PRODUCTION_ROOTS = ("src", "examples", "scripts", "bench", "benchmarks")
+
+#: (path, line, qualified name, size in lines)
+Definition = Tuple[Path, int, str, int]
+
+
+def referenced_names(paths: Iterable[Path]) -> Set[str]:
+    """Every name the files use: bare names, attributes, imports."""
+    names: Set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def definitions(path: Path) -> List[Definition]:
+    """Module-level functions and classes, and the methods of those
+    classes, with their sizes; dunder names are left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out: List[Definition] = []
+
+    def add(node: ast.AST, qualname: str) -> None:
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            out.append((path, node.lineno, qualname,
+                        node.end_lineno - node.lineno + 1))
+
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        add(node, node.name)
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds):
+                    add(member, f"{node.name}.{member.name}")
+    return out
+
+
+def test_only_definitions(repo: Path) -> List[Definition]:
+    """``src/`` definitions whose name only ``tests/`` references."""
+    production = referenced_names(
+        path for root in _PRODUCTION_ROOTS for path in iter_sources([repo / root])
+    )
+    tested = referenced_names(iter_sources([repo / "tests"]))
+    return [
+        d
+        for path in iter_sources([repo / "src"])
+        for d in definitions(path)
+        if (name := d[2].rsplit(".", 1)[-1]) in tested and name not in production
+    ]
+
+
 def main(argv: List[str]) -> int:
     repo = Path(__file__).resolve().parent.parent
     roots = [Path(a) for a in argv] or [
@@ -131,6 +199,13 @@ def main(argv: List[str]) -> int:
     status = "FAIL" if findings else "OK"
     print(f"[lint-deadcode] {status}: {len(findings)} finding(s) "
           f"in {checked} file(s)")
+    if not argv:
+        test_only = test_only_definitions(repo)
+        for path, line, name, size in test_only:
+            print(f"{path.relative_to(repo)}:{line}: {name} ({size} lines)")
+        print(f"[lint-deadcode] record only: {len(test_only)} src/ "
+              f"definition(s) referenced only from tests/, "
+              f"{sum(d[3] for d in test_only)} lines")
     return 1 if findings else 0
 
 

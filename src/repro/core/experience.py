@@ -84,10 +84,14 @@ class ThresholdExperience(ExperienceFunction):
         if self.threshold <= 0.0:
             return {s: s != observer for s in subjects}
         if len(subjects) == 1:
-            # A batch of one is cheaper (and bit-identical) through the
-            # scalar version-keyed cache than through densifying the
-            # observer's matrix — the vote tick's default fanout hits
-            # this path on every exchange.
+            # A batch of one must take the scalar path, for two reasons.
+            # The scalar ``two_hop_flow`` sums in out-row order and the
+            # batch in ascending node-id order, so the two may differ
+            # in the last ulp — enough to flip a verdict at exactly T.
+            # And the version-keyed contribution cache and its counters,
+            # which the golden summary hashes pin, must see the scalar
+            # call sequence.  The vote tick's default fanout hits this
+            # path on every exchange.
             return {subjects[0]: self.is_experienced(observer, subjects[0])}
         flows = self.bartercast.contributions_to_observer(observer, subjects)
         return {
@@ -183,7 +187,12 @@ class AdaptiveThresholdExperience(ExperienceFunction):
         if t <= 0.0:
             return {s: s != observer for s in subjects}
         if len(subjects) == 1:
-            # Same single-subject fast path as ThresholdExperience.
+            # Scalar path for a batch of one, as in ThresholdExperience:
+            # the batch's sorted-order sum may differ from the scalar
+            # out-row-order sum in the last ulp (a flipped verdict at
+            # exactly T), and the contribution cache and its counters,
+            # pinned by the golden summary hashes, must see the scalar
+            # call sequence.
             return {subjects[0]: self.is_experienced(observer, subjects[0])}
         flows = self.bartercast.contributions_to_observer(observer, subjects)
         return {s: (s != observer and f >= t) for s, f in zip(subjects, flows)}

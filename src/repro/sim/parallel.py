@@ -20,21 +20,18 @@ portable choice).  That imposes two constraints honoured here:
 * everything crossing the process boundary is picklable: experiments
   are shipped after :func:`_strip` clears unpicklable run artefacts
   (e.g. a cached :class:`~repro.experiments.common.SimulationStack`),
-  and results come back as :class:`PackedResult` — plain ``(n, 2)``
-  numpy arrays plus a metadata dict — rather than live objects.  A
-  replica's series are a few kilobytes, so they ride the pool's own
-  pickle stream.
+  and each worker returns its
+  :class:`~repro.experiments.common.ExperimentResult` itself — named
+  series of plain float lists plus a metadata dict.  A replica's
+  series are a few kilobytes, so they ride the pool's own pickle
+  stream.
 
 ``jobs=1`` (or a single task) short-circuits to plain in-process calls:
 no pool, no pickling, byte-for-byte today's sequential behaviour.
 
-Shared-memory segments
-----------------------
-:func:`create_segment` / :class:`AttachedSegment` pack numpy arrays
-into one ``multiprocessing.shared_memory`` block described by a
-picklable :class:`SegmentSpec`.  Their one caller is the service
-supervisor (``repro.sim.service``), whose shard workers write their
-status counters into a block the parent reads without a round trip.
+The service supervisor (``repro.sim.service``) reuses this module's
+spawn-safety plumbing (:func:`ensure_child_importable`,
+:func:`spawn_main_is_reimportable`) for its shard workers.
 """
 
 from __future__ import annotations
@@ -42,14 +39,9 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
-import secrets
 import sys
 import warnings
-from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 
 def resolve_worker_count(n_tasks: int, jobs: Optional[int]) -> int:
@@ -71,143 +63,6 @@ def resolve_worker_count(n_tasks: int, jobs: Optional[int]) -> int:
     return max(1, min(n_tasks, cap))
 
 
-# ----------------------------------------------------------------------
-# Shared-memory segment packing
-# ----------------------------------------------------------------------
-
-#: Every segment this module creates is named with this prefix, so
-#: leak checks (tests, ops) can enumerate ``/dev/shm/reproshm_*``.
-SHM_PREFIX = "reproshm"
-
-#: Array offsets inside a segment are aligned to this many bytes so
-#: mapped views are always well-aligned for float64/int64 access.
-_SHM_ALIGN = 64
-
-
-def _unique_segment_name() -> str:
-    return f"{SHM_PREFIX}_{os.getpid()}_{secrets.token_hex(8)}"
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """Picklable header describing arrays packed into one segment.
-
-    ``entries`` holds ``(key, offset, dtype, shape)`` per array — the
-    only thing that travels by pickle; the floats themselves stay in
-    the named shared-memory block.
-    """
-
-    name: str
-    entries: Tuple[Tuple[str, int, str, Tuple[int, ...]], ...]
-
-
-def _pack_layout(
-    arrays: Sequence[Tuple[str, np.ndarray]]
-) -> Tuple[Tuple[Tuple[str, int, str, Tuple[int, ...]], ...], int]:
-    """Assign an aligned offset to each array; returns (entries, total)."""
-    entries = []
-    offset = 0
-    for key, arr in arrays:
-        offset = (offset + _SHM_ALIGN - 1) & ~(_SHM_ALIGN - 1)
-        entries.append((key, offset, arr.dtype.str, tuple(arr.shape)))
-        offset += arr.nbytes
-    # Trailing pad so zero-size arrays at the end still map cleanly.
-    return tuple(entries), offset + _SHM_ALIGN
-
-
-def create_segment(
-    arrays: Dict[str, np.ndarray]
-) -> Tuple[shared_memory.SharedMemory, SegmentSpec]:
-    """Create one segment holding copies of ``arrays``.
-
-    The caller owns the returned handle (close it when done writing;
-    whoever *consumes* the data unlinks).  Array bytes are copied
-    verbatim, so rehydrated views are bit-identical."""
-    items = [(k, np.ascontiguousarray(v)) for k, v in arrays.items()]
-    entries, total = _pack_layout(items)
-    shm = shared_memory.SharedMemory(
-        create=True, size=total, name=_unique_segment_name()
-    )
-    for (key, off, dtype, shape), (_k, arr) in zip(entries, items):
-        if arr.size:
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=off)
-            view[...] = arr
-            del view
-    return shm, SegmentSpec(name=shm.name, entries=entries)
-
-
-class AttachedSegment:
-    """A consumer-side mapping of a :class:`SegmentSpec`.
-
-    ``arrays`` maps each key to a read-only numpy view into the shared
-    block — zero copies.  Call :meth:`close` (after dropping any views
-    you still hold) to release the mapping; ``unlink=True`` also
-    removes the segment from the system."""
-
-    def __init__(self, spec: SegmentSpec, writable: bool = False):
-        self._shm = shared_memory.SharedMemory(name=spec.name)
-        self.arrays: Dict[str, np.ndarray] = {}
-        for key, off, dtype, shape in spec.entries:
-            view = np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=off
-            )
-            if not writable:
-                view.setflags(write=False)
-            self.arrays[key] = view
-
-    def close(self, unlink: bool = False) -> None:
-        self.arrays = {}
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a view outlived us
-            # A still-referenced view pins the mapping; the segment is
-            # already unlinked above, so nothing leaks system-wide.
-            pass
-
-
-@dataclass
-class PackedResult:
-    """A picklable snapshot of an :class:`ExperimentResult`.
-
-    ``series`` maps each series name to its ``(n, 2)`` ``[t, value]``
-    array — the exact floats the live :class:`TimeSeries` held, so
-    packing/unpacking round-trips bit-identically.
-    """
-
-    name: str
-    series: Dict[str, np.ndarray] = field(default_factory=dict)
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-
-def pack_result(result) -> PackedResult:
-    """Flatten an :class:`ExperimentResult` into picklable arrays."""
-    return PackedResult(
-        name=result.name,
-        series={k: s.as_array() for k, s in result.series.items()},
-        metadata=dict(result.metadata),
-    )
-
-
-def unpack_result(packed: PackedResult):
-    """Rebuild a live :class:`ExperimentResult` from a pack."""
-    from repro.experiments.common import ExperimentResult
-    from repro.metrics.timeseries import TimeSeries
-
-    result = ExperimentResult(name=packed.name)
-    for key, arr in packed.series.items():
-        s = TimeSeries(key)
-        for t, v in arr:
-            s.append(float(t), float(v))
-        result.series[key] = s
-    result.metadata = dict(packed.metadata)
-    return result
-
-
 def _strip(experiment):
     """A shallow copy of ``experiment`` safe to ship to a worker.
 
@@ -221,18 +76,18 @@ def _strip(experiment):
     return clone
 
 
-def _run_task(task) -> PackedResult:
+def _run_task(task):
     """Worker entrypoint: run one ``(experiment, replica)`` task.
 
-    Module-level so spawn children can import it; returns a
-    :class:`PackedResult` so nothing unpicklable travels back.
+    Module-level so spawn children can import it; the returned
+    :class:`~repro.experiments.common.ExperimentResult` is plain data
+    and travels back by pickle.
     """
     experiment, replica = task
-    result = experiment.run(replica=replica)
-    return pack_result(result)
+    return experiment.run(replica=replica)
 
 
-def _ensure_child_importable() -> None:
+def ensure_child_importable() -> None:
     """Make sure spawn children can ``import repro``.
 
     Spawn starts a fresh interpreter that only inherits environment
@@ -252,12 +107,7 @@ def _ensure_child_importable() -> None:
         )
 
 
-#: Public aliases: the long-lived service mode (``repro.sim.service``)
-#: reuses this module's spawn-safety plumbing for its shard workers.
-ensure_child_importable = _ensure_child_importable
-
-
-def _spawn_main_is_reimportable() -> bool:
+def spawn_main_is_reimportable() -> bool:
     """Whether spawn children can safely re-prepare ``__main__``.
 
     Spawn re-executes the parent's main module in every child (that is
@@ -277,10 +127,6 @@ def _spawn_main_is_reimportable() -> bool:
     if path is None:
         return True
     return os.path.exists(path)
-
-
-#: Public alias for the service supervisor's spawn-capability probe.
-spawn_main_is_reimportable = _spawn_main_is_reimportable
 
 
 class ReplicaPool:
@@ -319,7 +165,7 @@ class ReplicaPool:
         if not tasks:
             return []
         jobs = self.resolve_jobs(len(tasks))
-        if jobs > 1 and not _spawn_main_is_reimportable():
+        if jobs > 1 and not spawn_main_is_reimportable():
             warnings.warn(
                 "spawn workers cannot re-import this __main__ "
                 "(script fed via stdin?); running replicas "
@@ -330,16 +176,15 @@ class ReplicaPool:
             jobs = 1
         if jobs <= 1:
             # In-process: run the caller's own experiment objects (no
-            # pack/unpack round-trip) so side artefacts such as
+            # pickle round-trip) so side artefacts such as
             # ``last_stack`` stay observable and single-job behaviour
             # is byte-identical to the pre-parallel code path.
             return [
                 experiment.run(replica=replica)
                 for experiment, replica in tasks
             ]
-        _ensure_child_importable()
+        ensure_child_importable()
         shipped = [(_strip(experiment), replica) for experiment, replica in tasks]
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(processes=jobs) as pool:
-            packed = pool.map(_run_task, shipped)
-        return [unpack_result(p) for p in packed]
+            return pool.map(_run_task, shipped)

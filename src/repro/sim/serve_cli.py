@@ -5,7 +5,9 @@ an always-online population in checkpoint-interval slices and writing
 crash-safe checkpoints to ``--dir``.  The supervisor prints a status
 line per ``--status-interval`` wall seconds (live merges/sec, lag,
 checkpoint ops), restarts crashed shards from their last checkpoint,
-and writes a final ``service_status.json``.
+and writes a final ``service_status.json``.  It exits 1, naming each
+shard, when a shard was given up after ``max_restarts`` crashes or
+stopped short of ``--until``.
 
 ::
 
@@ -18,12 +20,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
+from typing import List
 
 from repro.core.persistence import atomic_write_text
 from repro.sim.aggregation import AggregationConfig
-from repro.sim.service import ServiceConfig, ServiceSupervisor, ShardConfig
+from repro.sim.service import (
+    ServiceConfig,
+    ServiceStatus,
+    ServiceSupervisor,
+    ShardConfig,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,6 +77,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="local nodes each pulled digest is merged into",
     )
     return parser
+
+
+def shard_failures(status: ServiceStatus) -> List[str]:
+    """One line per shard that did not finish: given up after its
+    restarts ran out, or stopped with ``sim_now`` below its target.
+    ``serve`` exits 1 when this is non-empty."""
+    failures = []
+    for shard in status.shards:
+        if shard["gave_up"]:
+            failures.append(
+                f"shard {shard['shard_id']} gave up after "
+                f"{shard['restarts']} restarts at t={shard['sim_now']:.0f}s"
+            )
+        elif shard["sim_now"] < shard["target"]:
+            failures.append(
+                f"shard {shard['shard_id']} stopped at "
+                f"t={shard['sim_now']:.0f}s of {shard['target']:.0f}s"
+            )
+    return failures
 
 
 def main(argv=None) -> int:
@@ -126,6 +154,11 @@ def main(argv=None) -> int:
                 {"status": final.to_dict(), "shards": summaries}, indent=2
             ),
         )
+        failures = shard_failures(final)
+        for failure in failures:
+            print(f"[serve] FAILED: {failure}", file=sys.stderr, flush=True)
+        if failures:
+            return 1
         merged = sum(
             s["nodes"]["votes_merged"] for s in summaries if s is not None
         )

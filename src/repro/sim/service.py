@@ -11,10 +11,18 @@ operates the simulator that way:
   population, checkpointing its **complete** state on a configurable
   simulated-time interval;
 * a :class:`ServiceSupervisor` runs N shards in spawn-safe worker
-  processes (reusing ``repro.sim.parallel``'s plumbing), publishes
-  live operational counters through a shared-memory block, restarts
+  processes (reusing ``repro.sim.parallel``'s plumbing), restarts
   crashed shards from their last checkpoint, and snapshots everything
   as a :class:`ServiceStatus`.
+
+**One status channel.**  Each worker publishes its shard's
+:meth:`ServiceShard.run_summary` as :data:`STATUS_FILE` in the shard
+directory — once after build or restore and again after every slice —
+with its own ``pid``, ``heartbeat`` and ``worker_wall_seconds`` added
+to the document's ``service`` section.  The file is replaced
+atomically, so a reader sees one slice's summary or the next, never a
+mix.  The supervisor reads those files and nothing else: its rates are
+differences between consecutive snapshots of them.
 
 **The columns are the checkpoint.**  A shard's state already lives in
 numpy columns, so one checkpoint file (:data:`CHECKPOINT_FILE`, the
@@ -101,18 +109,15 @@ from repro.sim.aggregation import (
     ShardAggregator,
 )
 from repro.sim.engine import Engine
-from repro.sim.parallel import (
-    AttachedSegment,
-    SegmentSpec,
-    create_segment,
-    ensure_child_importable,
-    spawn_main_is_reimportable,
-)
+from repro.sim.parallel import ensure_child_importable, spawn_main_is_reimportable
 from repro.sim.rng import RngRegistry
 from repro.traces.model import EventKind, PeerProfile, Trace, TraceEvent
 
 #: The shard's checkpoint file inside its directory.
 CHECKPOINT_FILE = "checkpoint.ckpt"
+
+#: The worker's live status document inside the shard directory.
+STATUS_FILE = "status.json"
 
 #: Registry stream families with one generator per peer; their states
 #: are checkpointed as row-keyed ``rng.<family>`` arrays, every other
@@ -129,28 +134,6 @@ _IDLE_ROUND_INTERVAL = 1.0e15
 #: Nominal service horizon; shards run in checkpoint slices, so the
 #: trace duration only has to exceed any realistic target time.
 _SERVICE_TRACE_DURATION = 1.0e18
-
-# Live-counter block layout: one float64 row per shard.
-_COUNTER_COLS = (
-    "sim_now",
-    "target",
-    "events_fired",
-    "votes_merged",
-    "moderations_received",
-    "exchanges",
-    "checkpoints",
-    "checkpoint_bytes_total",
-    "checkpoint_wall_total",
-    "checkpoint_wall_last",
-    "digests_published",
-    "digests_pulled",
-    "dht_messages",
-    "remote_votes_merged",
-    "agg_pending_votes",
-    "heartbeat",
-    "pid",
-)
-_COL = {name: i for i, name in enumerate(_COUNTER_COLS)}
 
 
 # ----------------------------------------------------------------------
@@ -590,7 +573,8 @@ class ServiceShard:
         and staged digests.
 
         ``should_stop()`` is polled between slices (graceful SIGTERM);
-        ``on_slice(shard)`` runs after every slice (live counters)."""
+        ``on_slice(shard)`` runs after every slice (the worker's status
+        document)."""
         aggregator = self.aggregator if board is not None else None
         for boundary in _checkpoint_boundaries(
             self.engine.now, until, checkpoint_interval
@@ -693,25 +677,26 @@ def _shard_worker_main(
     until: float,
     checkpoint_interval: float,
     resume: bool,
-    counters_spec: Optional[SegmentSpec],
-    counters_row: int,
 ) -> None:
     """Spawn entry point for one shard worker.
 
     Builds (or restores) the shard, runs it to ``until`` in checkpoint
-    slices, and mirrors live counters into the supervisor's shared
-    block after every slice.  SIGTERM checkpoints and exits cleanly;
-    SIGKILL is the crash case the checkpoint file is built for.
+    slices, and publishes its status document (:data:`STATUS_FILE`)
+    after the build and after every slice.  SIGTERM checkpoints and
+    exits cleanly; SIGKILL is the crash case the checkpoint file is
+    built for.
     """
     global _WORKER_STOP
     _WORKER_STOP = False
     signal.signal(signal.SIGTERM, _worker_sigterm)
+    wall_start = time.perf_counter()
     directory = Path(shard_dir)
     if resume and (directory / CHECKPOINT_FILE).exists():
         shard = ServiceShard.restore_from(config, directory)
     else:
         shard = ServiceShard(config)
         shard.start()
+    directory.mkdir(parents=True, exist_ok=True)
     # Aggregating workers share one digest directory next to the shard
     # directories — the storage half of the DHT, which (unlike the
     # worker process) survives a SIGKILL.
@@ -721,60 +706,47 @@ def _shard_worker_main(
         else None
     )
 
-    segment = (
-        AttachedSegment(counters_spec, writable=True)
-        if counters_spec is not None
-        else None
-    )
-    counters = segment.arrays["counters"] if segment is not None else None
-    wall_start = time.perf_counter()
-
     def publish(s: ServiceShard) -> None:
-        if counters is None:
-            return
-        row = counters[counters_row]
-        node_counters = s.runtime.node_counters()
-        row[_COL["sim_now"]] = s.engine.now
-        row[_COL["target"]] = until
-        row[_COL["events_fired"]] = s.engine.events_fired
-        row[_COL["votes_merged"]] = node_counters["votes_merged"]
-        row[_COL["moderations_received"]] = node_counters["moderations_received"]
-        row[_COL["exchanges"]] = s.runtime.traffic.total_exchanges()
-        row[_COL["checkpoints"]] = s.ops["checkpoints"]
-        row[_COL["checkpoint_bytes_total"]] = s.ops["checkpoint_bytes_total"]
-        row[_COL["checkpoint_wall_total"]] = s.ops["checkpoint_wall_total"]
-        row[_COL["checkpoint_wall_last"]] = s.ops["checkpoint_wall_last"]
-        if s.aggregator is not None:
-            agg = s.aggregator.ops
-            row[_COL["digests_published"]] = agg["digests_published"]
-            row[_COL["digests_pulled"]] = agg["digests_pulled"]
-            row[_COL["dht_messages"]] = agg["dht_messages"]
-            row[_COL["remote_votes_merged"]] = agg["remote_votes_merged"]
-            row[_COL["agg_pending_votes"]] = agg["pending_votes"]
-        row[_COL["heartbeat"]] = time.time()
-        row[_COL["pid"]] = os.getpid()
+        summary = s.run_summary()
+        summary["service"].update(
+            pid=os.getpid(),
+            heartbeat=time.time(),
+            worker_wall_seconds=time.perf_counter() - wall_start,
+        )
+        atomic_write_text(directory / STATUS_FILE, json.dumps(summary))
 
     publish(shard)
-    try:
-        shard.run_service(
-            until,
-            checkpoint_interval,
-            directory=directory,
-            should_stop=lambda: _WORKER_STOP,
-            on_slice=publish,
-            board=board,
-        )
-        summary = shard.run_summary()
-        summary["service"]["worker_wall_seconds"] = time.perf_counter() - wall_start
-        atomic_write_text(directory / "status.json", json.dumps(summary))
-    finally:
-        if segment is not None:
-            segment.close()
+    shard.run_service(
+        until,
+        checkpoint_interval,
+        directory=directory,
+        should_stop=lambda: _WORKER_STOP,
+        on_slice=publish,
+        board=board,
+    )
 
 
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
+def _field(doc: Optional[Dict[str, Any]], path: str) -> float:
+    """The number at dotted ``path`` in a status document, or 0 where
+    the document or a section of it is absent (before a worker's first
+    publish, or ``service.aggregation`` on a shard that does not
+    aggregate).  A ``*`` step sums over every entry of a section:
+    ``traffic.*.exchanges`` is all protocols' exchanges."""
+    keys = path.split(".")
+    value: Any = doc
+    for i, key in enumerate(keys):
+        if not isinstance(value, dict):
+            return 0.0
+        if key == "*":
+            rest = ".".join(keys[i + 1 :])
+            return sum(_field(entry, rest) for entry in value.values())
+        value = value.get(key)
+    return float(value) if value is not None else 0.0
+
+
 @dataclass
 class ServiceStatus:
     """One snapshot of the whole service's operational counters.
@@ -814,10 +786,7 @@ class ServiceSupervisor:
         self._procs: List[Optional[mp.process.BaseProcess]] = [None] * config.shards
         self._restarts = [0] * config.shards
         self._gave_up = [False] * config.shards
-        self._shm = None
-        self._spec: Optional[SegmentSpec] = None
-        self._view: Optional[np.ndarray] = None
-        self._prev_snapshot: Optional[List[Dict[str, float]]] = None
+        self._prev_docs: Optional[List[Dict[str, Any]]] = None
         self._prev_wall: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -832,13 +801,10 @@ class ServiceSupervisor:
             )
         ensure_child_importable()
         self.directory.mkdir(parents=True, exist_ok=True)
-        zeros = np.zeros((self.config.shards, len(_COUNTER_COLS)), dtype=np.float64)
-        self._shm, self._spec = create_segment({"counters": zeros})
-        self._view = np.ndarray(
-            zeros.shape, dtype=np.float64, buffer=self._shm.buf,
-            offset=self._spec.entries[0][1],
-        )
         for shard_id in range(self.config.shards):
+            if not self.resume:
+                # A fresh run must not report an older run's status.
+                (self.shard_dir(shard_id) / STATUS_FILE).unlink(missing_ok=True)
             self._spawn(shard_id, resume=self.resume)
 
     def _spawn(self, shard_id: int, resume: bool) -> None:
@@ -850,8 +816,6 @@ class ServiceSupervisor:
                 self.config.until,
                 self.config.checkpoint_interval,
                 resume,
-                self._spec,
-                shard_id,
             ),
             daemon=True,
         )
@@ -888,67 +852,68 @@ class ServiceSupervisor:
 
     # ------------------------------------------------------------------
     def status(self) -> ServiceStatus:
-        """Snapshot the live counters block into a :class:`ServiceStatus`
-        (rates differenced against the previous snapshot)."""
+        """Snapshot every shard's status document into a
+        :class:`ServiceStatus` (rates differenced against the documents
+        of the previous snapshot)."""
         now_wall = time.time()
-        view = self._view
-        rows: List[Dict[str, float]] = []
-        if view is not None:
-            for shard_id in range(self.config.shards):
-                rows.append(
-                    {name: float(view[shard_id, i]) for name, i in _COL.items()}
-                )
-        shards: List[Dict[str, Any]] = []
-        max_sim = max((row["sim_now"] for row in rows), default=0.0)
+        docs = [self.shard_summary(i) for i in range(self.config.shards)]
+        prev_docs = self._prev_docs
         dt = (
             now_wall - self._prev_wall
             if self._prev_wall is not None and now_wall > self._prev_wall
             else None
         )
-        for shard_id, row in enumerate(rows):
-            prev = (
-                self._prev_snapshot[shard_id]
-                if self._prev_snapshot is not None
-                else None
-            )
+        max_sim = max((_field(doc, "service.sim_now") for doc in docs), default=0.0)
+        shards: List[Dict[str, Any]] = []
+        for shard_id, doc in enumerate(docs):
+            prev = prev_docs[shard_id] if prev_docs is not None else None
 
-            def rate(key: str) -> float:
+            def get(path: str) -> float:
+                return _field(doc, path)
+
+            def rate(path: str) -> float:
                 if prev is None or dt is None:
                     return 0.0
-                return max(0.0, row[key] - prev[key]) / dt
+                return max(0.0, get(path) - _field(prev, path)) / dt
 
             proc = self._procs[shard_id]
-            ckpts = row["checkpoints"]
+            sim_now = get("service.sim_now")
+            ckpts = get("service.ops.checkpoints")
+            heartbeat = get("service.heartbeat")
             shards.append(
                 {
                     "shard_id": shard_id,
                     "alive": bool(proc is not None and proc.is_alive()),
                     "gave_up": self._gave_up[shard_id],
                     "restarts": self._restarts[shard_id],
-                    "pid": int(row["pid"]),
-                    "sim_now": row["sim_now"],
-                    "target": row["target"],
-                    "lag_behind_leader": max_sim - row["sim_now"],
-                    "events_fired": int(row["events_fired"]),
-                    "votes_merged": int(row["votes_merged"]),
-                    "merges_per_sec": rate("votes_merged"),
-                    "moderations_per_sec": rate("moderations_received"),
-                    "exchanges_per_sec": rate("exchanges"),
-                    "events_per_sec": rate("events_fired"),
+                    "pid": int(get("service.pid")),
+                    "sim_now": sim_now,
+                    "target": float(self.config.until),
+                    "lag_behind_leader": max_sim - sim_now,
+                    "events_fired": int(get("service.events_fired")),
+                    "votes_merged": int(get("nodes.votes_merged")),
+                    "merges_per_sec": rate("nodes.votes_merged"),
+                    "moderations_per_sec": rate("nodes.moderations_received"),
+                    "exchanges_per_sec": rate("traffic.*.exchanges"),
+                    "events_per_sec": rate("service.events_fired"),
                     "checkpoints": int(ckpts),
                     "checkpoint_bytes_mean": (
-                        row["checkpoint_bytes_total"] / ckpts if ckpts else 0.0
+                        get("service.ops.checkpoint_bytes_total") / ckpts
+                        if ckpts
+                        else 0.0
                     ),
-                    "checkpoint_wall_last": row["checkpoint_wall_last"],
-                    "checkpoint_wall_total": row["checkpoint_wall_total"],
-                    "digests_published_per_sec": rate("digests_published"),
-                    "digests_pulled_per_sec": rate("digests_pulled"),
-                    "dht_messages_per_sec": rate("dht_messages"),
-                    "remote_votes_merged": int(row["remote_votes_merged"]),
-                    "merge_lag_votes": int(row["agg_pending_votes"]),
-                    "heartbeat_age": (
-                        now_wall - row["heartbeat"] if row["heartbeat"] else None
+                    "checkpoint_wall_last": get("service.ops.checkpoint_wall_last"),
+                    "checkpoint_wall_total": get("service.ops.checkpoint_wall_total"),
+                    "digests_published_per_sec": rate(
+                        "service.aggregation.digests_published"
                     ),
+                    "digests_pulled_per_sec": rate("service.aggregation.digests_pulled"),
+                    "dht_messages_per_sec": rate("service.aggregation.dht_messages"),
+                    "remote_votes_merged": int(
+                        get("service.aggregation.remote_votes_merged")
+                    ),
+                    "merge_lag_votes": int(get("service.aggregation.pending_votes")),
+                    "heartbeat_age": now_wall - heartbeat if heartbeat else None,
                 }
             )
         totals: Dict[str, Any] = {
@@ -965,14 +930,16 @@ class ServiceSupervisor:
             "dht_messages_per_sec": sum(s["dht_messages_per_sec"] for s in shards),
             "merge_lag_votes": sum(s["merge_lag_votes"] for s in shards),
         }
-        self._prev_snapshot = rows
+        self._prev_docs = docs
         self._prev_wall = now_wall
         return ServiceStatus(wall_time=now_wall, shards=shards, totals=totals)
 
     def shard_summary(self, shard_id: int) -> Optional[Dict[str, Any]]:
-        """The shard's last written ``status.json`` (full run_summary
-        including cache hit rates), or ``None`` before the first one."""
-        path = self.shard_dir(shard_id) / "status.json"
+        """The shard's last published status document (its full
+        run_summary, including cache hit rates, ballot-pool fill and
+        eviction pressure, plus the worker's pid and heartbeat), or
+        ``None`` before the first one."""
+        path = self.shard_dir(shard_id) / STATUS_FILE
         if not path.exists():
             return None
         return json.loads(path.read_text(encoding="utf-8"))
@@ -995,14 +962,6 @@ class ServiceSupervisor:
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.join()
             self._procs[shard_id] = None
-        self._view = None
-        if self._shm is not None:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            self._shm.close()
-            self._shm = None
 
     def __enter__(self) -> "ServiceSupervisor":
         return self

@@ -7,6 +7,9 @@ summaries, same schedule — through a real ``SIGKILL`` + supervisor
 restart, and a damaged checkpoint file fails loudly instead.
 """
 
+import json
+import os
+import signal
 import time
 
 import numpy as np
@@ -20,14 +23,17 @@ from repro.core.checkpoint import (
 )
 from repro.core.moderation import Moderation
 from repro.core.node import NodeConfig
+from repro.sim import service as service_module
+from repro.sim.serve_cli import shard_failures
 from repro.sim.service import (
-    _COUNTER_COLS,
     CHECKPOINT_FILE,
+    STATUS_FILE,
     ServiceConfig,
     ServiceShard,
     ServiceSupervisor,
     ShardConfig,
     _checkpoint_boundaries,
+    _shard_worker_main,
 )
 
 
@@ -401,19 +407,85 @@ def test_supervisor_rejects_empty_service(tmp_path):
         ServiceSupervisor(ServiceConfig(shards=0), tmp_path)
 
 
+def _status_doc(scale):
+    """A shard status document whose every counter is a distinct
+    multiple of ``scale``."""
+    return {
+        "traffic": {
+            "ballotbox": {"exchanges": 1 * scale},
+            "moderationcast": {"exchanges": 2 * scale},
+        },
+        "nodes": {"votes_merged": 4 * scale, "moderations_received": 5 * scale},
+        "service": {
+            "sim_now": 6 * scale,
+            "events_fired": 7 * scale,
+            "ops": {"checkpoints": 8 * scale},
+            "aggregation": {
+                "digests_published": 9 * scale,
+                "digests_pulled": 10 * scale,
+                "dht_messages": 11 * scale,
+            },
+        },
+    }
+
+
 def test_status_rates_each_read_their_own_counter(tmp_path):
     """Regression: ``votes_per_sec`` repeated ``merges_per_sec`` (both
     differenced ``votes_merged``).  Move every counter by a different
     amount between two snapshots: no two rates may then agree."""
     supervisor = ServiceSupervisor(ServiceConfig(shards=1), tmp_path)
-    supervisor._view = np.zeros((1, len(_COUNTER_COLS)))
+    status_path = supervisor.shard_dir(0) / STATUS_FILE
+    status_path.parent.mkdir(parents=True)
+    status_path.write_text(json.dumps(_status_doc(0)))
     supervisor.status()
     time.sleep(0.01)
-    supervisor._view[0] = np.arange(1, len(_COUNTER_COLS) + 1) * 1000.0
+    status_path.write_text(json.dumps(_status_doc(1000)))
     row = supervisor.status().shards[0]
     rates = [value for key, value in row.items() if key.endswith("_per_sec")]
     assert len(rates) >= 4 and min(rates) > 0.0
     assert len(set(rates)) == len(rates), row
+
+
+def test_worker_publishes_its_status_after_every_slice(tmp_path, monkeypatch):
+    """The worker's status document lands after the build and after
+    every slice, and the supervisor reads it while the worker runs."""
+    config = ServiceConfig(
+        shards=1, until=1800.0, checkpoint_interval=450.0, shard=_small_config()
+    )
+    supervisor = ServiceSupervisor(config, tmp_path)
+    status_path = supervisor.shard_dir(0) / STATUS_FILE
+    seen = []
+    write = service_module.atomic_write_text
+
+    def spy(path, text):
+        write(path, text)
+        if path == status_path:
+            seen.append(supervisor.shard_summary(0))
+
+    monkeypatch.setattr(service_module, "atomic_write_text", spy)
+    previous = signal.getsignal(signal.SIGTERM)
+    try:
+        _shard_worker_main(
+            config.shard_config(0),
+            str(supervisor.shard_dir(0)),
+            config.until,
+            config.checkpoint_interval,
+            False,
+        )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert [doc["service"]["sim_now"] for doc in seen] == [
+        0.0, 450.0, 900.0, 1350.0, 1800.0
+    ]
+    assert [doc["service"]["ops"]["checkpoints"] for doc in seen] == [0, 1, 2, 3, 4]
+    for doc in seen:
+        assert doc["service"]["pid"] == os.getpid()
+        assert doc["service"]["heartbeat"] > 0.0
+        assert doc["service"]["worker_wall_seconds"] >= 0.0
+        assert "ballot_pool" in doc["population"]
+    row = supervisor.status().shards[0]
+    assert row["sim_now"] == 1800.0 and row["checkpoints"] == 4
+    assert shard_failures(supervisor.status()) == []
 
 
 # ----------------------------------------------------------------------
@@ -480,6 +552,25 @@ def test_sigkilled_shard_restores_bit_identically(tmp_path):
     survivor = ServiceShard.restore_from(shard_cfg, tmp_path / "shard-00")
     assert survivor.identity_state() == reference.identity_state()
     assert reference.identity_state()["summary"]["nodes"]["votes_merged"] > 0
+
+
+def test_serve_fails_loudly_when_it_gives_up_on_a_shard(tmp_path):
+    """A shard abandoned after its restarts ran out is a failure: the
+    helper ``serve`` picks its exit status from names it."""
+    config = ServiceConfig(
+        shards=2,
+        until=900.0,
+        checkpoint_interval=450.0,
+        shard=_small_config(),
+        max_restarts=0,
+    )
+    with ServiceSupervisor(config, tmp_path) as supervisor:
+        supervisor.start()
+        supervisor.kill_shard(0)
+        assert _wait(supervisor.done, timeout=120.0, supervisor=supervisor)
+        failures = shard_failures(supervisor.status())
+    assert len(failures) == 1
+    assert failures[0].startswith("shard 0 gave up")
 
 
 # ----------------------------------------------------------------------

@@ -16,15 +16,7 @@ from repro.experiments.vote_sampling import (
     VoteSamplingConfig,
     VoteSamplingExperiment,
 )
-from repro.metrics.timeseries import TimeSeries
-from repro.sim.parallel import (
-    PackedResult,
-    ReplicaPool,
-    _run_task,
-    _strip,
-    pack_result,
-    unpack_result,
-)
+from repro.sim.parallel import ReplicaPool, _run_task, _strip
 from repro.sim.units import HOUR
 from repro.traces.generator import TraceGeneratorConfig
 
@@ -66,28 +58,6 @@ class TestResolveJobs:
 
 
 class TestPackRoundTrip:
-    def test_roundtrip_is_exact(self):
-        result = ExperimentResult(name="x")
-        s = TimeSeries("a")
-        for i in range(5):
-            s.append(i * 0.1, np.float64(i) / 3.0)
-        result.series["a"] = s
-        result.metadata = {"k": [1, 2], "nested": {"deep": 3}}
-        back = unpack_result(pack_result(result))
-        assert back.name == "x"
-        np.testing.assert_array_equal(
-            back.get("a").as_array(), s.as_array()
-        )
-        assert back.metadata == result.metadata
-
-    def test_packed_result_is_plain_data(self):
-        import pickle
-
-        packed = PackedResult(name="y", series={"s": np.zeros((2, 2))})
-        clone = pickle.loads(pickle.dumps(packed))
-        assert clone.name == "y"
-        np.testing.assert_array_equal(clone.series["s"], packed.series["s"])
-
     def test_strip_clears_last_stack(self):
         exp = VoteSamplingExperiment(tiny_config())
         exp.last_stack = object()  # stand-in for an unpicklable stack
@@ -99,10 +69,19 @@ class TestPackRoundTrip:
 
 class TestWorkerEntrypoint:
     def test_run_task_packs(self):
-        packed = _run_task((VoteSamplingExperiment(tiny_config()), 0))
-        assert isinstance(packed, PackedResult)
-        assert "correct_fraction" in packed.series
-        assert packed.series["correct_fraction"].shape[1] == 2
+        """The worker returns the ExperimentResult itself: plain data
+        that survives the pool's pickle round-trip float for float."""
+        import pickle
+
+        result = _run_task((VoteSamplingExperiment(tiny_config()), 0))
+        assert isinstance(result, ExperimentResult)
+        assert "correct_fraction" in result.series
+        back = pickle.loads(pickle.dumps(result))
+        np.testing.assert_array_equal(
+            back.get("correct_fraction").as_array(),
+            result.get("correct_fraction").as_array(),
+        )
+        assert back.metadata == result.metadata
 
 
 class TestBitIdenticalParallelism:
