@@ -9,9 +9,13 @@ PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 test:
 	$(PY) -m pytest -x -q
 
-# Dead-statement lint: no-op augmented assignments (x += 0),
-# no-effect expression statements, self-assignments.  Pure stdlib AST
-# pass (scripts/lint_deadcode.py) — no third-party linter needed.
+# Dead-code lint (scripts/lint_deadcode.py, a pure stdlib AST pass):
+# no-op augmented assignments (x += 0), no-effect expression
+# statements, self-assignments; then a gate on src/ definitions no
+# run reaches (referenced only from tests/, or nowhere).  Such a
+# definition fails the target unless the script's ALLOWLIST names it
+# with a reason, and an allowlist entry that is no longer reported
+# fails it too.
 lint-deadcode:
 	$(PY) scripts/lint_deadcode.py
 
@@ -21,13 +25,14 @@ bench:
 
 # Perf regression gate: quick Fig-6 workload, fails unless the warm
 # contribution cache beats the uncached path by >= 3x, parallel
-# run_many output is bit-identical to sequential, the sparse graph
-# backend is bit-identical to dense (to_matrix and 2-hop flows) with
-# an O(E)-sized mirror at 10k nodes (the replica speed-up is recorded,
+# run_many output is bit-identical to sequential, the batch 2-hop
+# flows equal a per-source scalar replay, and a 10k-node graph peaks
+# under 1% of an n x n float block (the replica speed-up is recorded,
 # not gated).
 # The population leg gates the SoA scheduler's null-action tick counts
-# against per-peer heap entries and (on multi-core runners) >= 5x
-# peers/sec at 50k peers, and the vectorised dispersion scan's floats
+# against per-peer heap entries on each of five repeats and (on
+# multi-core runners) the median of the repeats' peers/sec ratios at
+# >= 5x at 50k peers, and the vectorised dispersion scan's floats
 # against the dict box's loop; the columnar sections record per-tick
 # cost and memory (engine identity against the reference runtime is a
 # tier-1 test).  The service section
@@ -42,7 +47,7 @@ bench:
 # them), and the aggregated cluster's worst cross-shard top-K rank
 # distance must beat the isolated-shard baseline at a bounded DHT
 # cost (<= 16 routed messages per digest published or pulled).
-# Also runs the dead-statement lint.  Writes
+# Also runs the dead-code lint.  Writes
 # BENCH_contribution.json and BENCH_population.json so the perf
 # trajectory accumulates per PR.
 # Both legs always run; the target fails at the end if either leg
@@ -78,7 +83,7 @@ profile-fig6:
 	python scripts/profile_unit.py paper_fig6 --seed 7
 
 # The same for one steady_vote unit: the bulk vote tick (sample_batch,
-# row-to-row ballot merges, slab growth).
+# row-to-row ballot merges, payload-pool flushes).
 profile-steady:
 	python scripts/profile_unit.py steady_vote --seed 7
 

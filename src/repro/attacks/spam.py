@@ -75,11 +75,3 @@ class FlashCrowd:
         """Bring the whole crowd online (the flash)."""
         for pid in self.members:
             self.runtime.bring_online(pid, now)
-
-    def depart(self, now: float) -> None:
-        for pid in self.members:
-            self.runtime.take_offline(pid, now)
-
-    def schedule_arrival(self, at: float) -> None:
-        """Schedule the flash on the runtime's engine."""
-        self.runtime.engine.schedule_at(at, self.arrive, at)

@@ -32,50 +32,37 @@ class SubjectiveGraph:
     ``weight(u, v)`` is the bytes the owner believes ``u`` uploaded to
     ``v``.  The owner's own direct observations and gossip-received
     records share the same storage; direct observations always win
-    because they are at least as fresh (cumulative maxima).
-
-    ``max_nodes`` bounds memory as deployed BarterCast does: when the
-    node set would exceed it, the *smallest-degree-weight* node not on
-    a path touching the owner's neighbourhood is evicted (pruning weak
-    hearsay first; the owner itself is never evicted).
+    because they are at least as fresh (cumulative maxima).  The graph
+    is unbounded: the paper's E is the 2-hop maxflow over everything
+    the owner has heard (§V-B), and nothing is ever removed.
 
     The graph maintains **per-node edge-version counters** so callers
     can cache derived quantities and invalidate precisely:
-    ``out_version(u)`` advances whenever an edge *out of* ``u`` changes
-    (raised or removed) and ``in_version(v)`` whenever an edge *into*
-    ``v`` changes.  The 2-hop maxflow ``f(s→t)`` depends only on ``s``'s
-    out-edges and ``t``'s in-edges, so the pair
-    ``(out_version(s), in_version(t))`` is an exact validity key for a
-    cached flow.  ``version`` is the total mutation count (any edge
-    change anywhere).  Counters are monotone and survive node eviction,
-    so a re-added node can never resurrect a stale cache entry.
+    ``out_version(u)`` advances whenever an edge *out of* ``u`` is
+    raised and ``in_version(v)`` whenever an edge *into* ``v`` is.  The
+    2-hop maxflow ``f(s→t)`` depends only on ``s``'s out-edges and
+    ``t``'s in-edges, so the pair ``(out_version(s), in_version(t))``
+    is an exact validity key for a cached flow.  ``version`` is the
+    total mutation count (any edge change anywhere).
 
     Next to the adjacency the graph keeps a **node order** (the one
-    :meth:`dense` reports): a node takes the next slot when it first
-    appears, ``u`` before ``v``; when a node leaves, the last slot's
-    node moves into its hole.  The order is touched only when the node
-    set changes — no weight is stored twice.
+    :meth:`nodes` iterates and :meth:`dense` reports): first
+    appearance, ``u`` before ``v``, in one insertion-ordered dict.  It
+    is touched only when a node first appears — no weight is stored
+    twice.
     """
 
-    def __init__(self, owner: str, max_nodes: int = 0):
-        if max_nodes < 0:
-            raise ValueError("max_nodes must be >= 0 (0 = unbounded)")
+    def __init__(self, owner: str):
         self.owner = owner
-        self.max_nodes = max_nodes
         self._out: Dict[str, Dict[str, float]] = {}
-        #: ``_out`` indexed by target (``{v: {u: weight}}``);
-        #: entries are removed when the inner dict empties, so its key
-        #: set is exactly "nodes with at least one in-edge".
+        #: ``_out`` indexed by target (``{v: {u: weight}}``)
         self._in_adj: Dict[str, Dict[str, float]] = {}
         self.records_folded = 0
-        self.evicted = 0
         self._out_version: Dict[str, int] = {}
         self._in_version: Dict[str, int] = {}
         self._version = 0
-        #: node -> slot in :meth:`dense`'s order, and its inverse; the
-        #: slotted nodes are exactly the graph's node set
-        self._slot: Dict[str, int] = {}
-        self._ids: List[str] = []
+        #: the node set, keys in first-appearance order (values unused)
+        self._order: Dict[str, None] = {}
 
     # ------------------------------------------------------------------
     def add_record(self, record: TransferRecord) -> bool:
@@ -98,18 +85,13 @@ class SubjectiveGraph:
         out = self._out
         row = out.get(u)
         if row is not None and w <= row.get(v, 0.0):
-            # Stale or equal refold: nothing changed — no version bump
-            # and, crucially, no bound-enforcement scan (duplicate
-            # gossip records used to pay an O(E) scan here).
+            # Stale or equal refold: nothing changed, no version bump.
             return
-        slot = self._slot
-        grew = u not in slot or v not in slot
-        if grew:
-            # a new node takes the next slot, u before v
-            for node in (u, v):
-                if node not in slot:
-                    slot[node] = len(self._ids)
-                    self._ids.append(node)
+        order = self._order
+        if u not in order:
+            order[u] = None
+        if v not in order:
+            order[v] = None
         if row is None:
             row = out[u] = {}
         row[v] = w
@@ -118,103 +100,11 @@ class SubjectiveGraph:
             self._in_adj[v] = {u: w}
         else:
             in_row[u] = w
-        # ``_bump``, inline: this is the edge write of every transfer
         out_version = self._out_version
         out_version[u] = out_version.get(u, 0) + 1
         in_version = self._in_version
         in_version[v] = in_version.get(v, 0) + 1
         self._version += 1
-        if grew and self.max_nodes:
-            self._enforce_node_bound()
-
-    def _has_node(self, node: str) -> bool:
-        return node in self._slot
-
-    def _drop_slot(self, node: str) -> None:
-        """Free ``node``'s slot, moving the last slot's node into the
-        hole so the order stays contiguous."""
-        i = self._slot.pop(node)
-        ids = self._ids
-        last_id = ids.pop()
-        if last_id != node:
-            ids[i] = last_id
-            self._slot[last_id] = i
-
-    def _bump(self, u: str, v: str) -> None:
-        """Record a change to edge ``(u, v)`` in the version counters."""
-        self._out_version[u] = self._out_version.get(u, 0) + 1
-        self._in_version[v] = self._in_version.get(v, 0) + 1
-        self._version += 1
-
-    def _enforce_node_bound(self) -> None:
-        nodes = self.nodes()
-        if len(nodes) <= self.max_nodes:
-            return
-        # Owner and its direct neighbours carry the flows that matter —
-        # evict the weakest stranger.  The protected set is computed
-        # once: a victim has no owner-incident edge by definition, so
-        # removing it can never change who is protected.
-        protected = {self.owner}
-        protected.update(self._out.get(self.owner, ()))
-        protected.update(self._in_adj.get(self.owner, ()))
-        # Total touched weight per node, computed once and maintained
-        # incrementally across evictions (the per-victim O(E) rebuild
-        # was quadratic under bound thrash).
-        weight_of: Dict[str, float] = {n: 0.0 for n in nodes}
-        for u, row in self._out.items():
-            for v, w in row.items():
-                weight_of[u] = weight_of.get(u, 0.0) + w
-                weight_of[v] = weight_of.get(v, 0.0) + w
-        while len(nodes) > self.max_nodes:
-            candidates = [n for n in nodes if n not in protected]
-            if not candidates:
-                break
-            victim = min(candidates, key=lambda n: (weight_of.get(n, 0.0), n))
-            out_edges = list(self._out.get(victim, {}).items())
-            in_edges = list(self._in_adj.get(victim, {}).items())
-            self._remove_node(victim)
-            self.evicted += 1
-            nodes.discard(victim)
-            weight_of.pop(victim, None)
-            for v, w in out_edges:
-                if self._has_node(v):
-                    weight_of[v] = weight_of.get(v, 0.0) - w
-                else:
-                    # v's only presence was as the victim's target —
-                    # it leaves the node set entirely.
-                    nodes.discard(v)
-                    weight_of.pop(v, None)
-            for u, w in in_edges:
-                # In-neighbours keep their (possibly empty) out-row and
-                # therefore always stay in the node set.
-                weight_of[u] = weight_of.get(u, 0.0) - w
-
-    def _remove_node(self, node: str) -> None:
-        removed_out = self._out.pop(node, None)
-        if removed_out:
-            for v in removed_out:
-                inrow = self._in_adj.get(v)
-                if inrow is not None:
-                    inrow.pop(node, None)
-                    if not inrow:
-                        del self._in_adj[v]
-                        if v not in self._out:
-                            # v's only presence was as this node's
-                            # target — it leaves the graph, so free its
-                            # slot too (otherwise eviction thrash leaks
-                            # one slot per orphan).
-                            self._drop_slot(v)
-                self._bump(node, v)
-        removed_in = self._in_adj.pop(node, None)
-        if removed_in:
-            for u in removed_in:
-                urow = self._out.get(u)
-                if urow is not None:
-                    # The row may empty out; it stays registered so the
-                    # node remains part of the graph (and of the bound).
-                    urow.pop(node, None)
-                self._bump(u, node)
-        self._drop_slot(node)
 
     # ------------------------------------------------------------------
     # Version counters (cache-invalidation keys)
@@ -245,7 +135,7 @@ class SubjectiveGraph:
         return dict(self._in_adj.get(v, {}))
 
     def nodes(self) -> Set[str]:
-        return set(self._slot)
+        return set(self._order)
 
     def edges(self) -> List[Tuple[str, str, float]]:
         return [(u, v, w) for u, row in self._out.items() for v, w in row.items()]
@@ -286,7 +176,7 @@ class SubjectiveGraph:
         An O(n²) snapshot built on demand, returned **read-only**.
         Mainly for diagnostics and tests; metrics go through
         :meth:`to_matrix` for a stable order."""
-        ids = list(self._ids)
+        ids = list(self._order)
         mat = self.to_matrix(ids)
         mat.setflags(write=False)
         return ids, mat

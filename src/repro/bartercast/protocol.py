@@ -8,10 +8,9 @@ subjective graph.  Wiring:
   hands each swarm round's transfers to :meth:`local_transfers` (both
   endpoints update their direct tables; the edge reaches their graphs
   when a graph is next read or written — see :class:`_NodeState`);
-* the session driver calls :meth:`gossip_tick` per online node on the
-  node's gossip cadence; the node meets a PSS-sampled peer and the two
-  exchange their most significant *direct* records (:meth:`gossip_with`
-  when the caller sampled the partner itself);
+* the runtime's batched gossip tick draws each due node's partner
+  from the PSS and calls :meth:`gossip_with`; the two exchange their
+  most significant *direct* records;
 * the experience layer calls :meth:`contribution` to get ``f_{j→i}``.
 
 Acceptance rule: a node only folds received records whose *reporter*
@@ -43,9 +42,6 @@ class BarterCastConfig:
     #: Hop bound for the maxflow evaluation; ``2`` is the deployed
     #: setting and enables the O(degree) closed form.
     max_hops: int = 2
-    #: Per-node subjective-graph size bound (0 = unbounded).  Deployed
-    #: BarterCast prunes weak hearsay to cap client memory.
-    max_graph_nodes: int = 0
     #: Cache ``contribution()`` results keyed by the subjective graph's
     #: edge-version counters (see ``docs/simulator.md`` §Performance &
     #: caching).  Semantically transparent — disable only to measure
@@ -65,8 +61,6 @@ class BarterCastConfig:
             raise ValueError("max_records_per_exchange must be >= 1")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-        if self.max_graph_nodes < 0:
-            raise ValueError("max_graph_nodes must be >= 0")
         if self.contrib_cache_entries is not None and self.contrib_cache_entries < 0:
             raise ValueError("contrib_cache_entries must be >= 0")
 
@@ -117,9 +111,9 @@ class _NodeState:
     max-merge, so folding the latest total once leaves the same weights
     as folding every intermediate one.  ``pending`` keeps first-touched
     order because the order edges *first* appear fixes the graph's
-    node order and, under ``max_graph_nodes``, which stranger is
-    evicted when; every access folds first, so a gossip record or an
-    injected one still lands after the observations that preceded it.
+    node order (the one :meth:`SubjectiveGraph.dense` reports); every
+    access folds first, so a gossip record or an injected one still
+    lands after the observations that preceded it.
     """
 
     __slots__ = (
@@ -132,13 +126,13 @@ class _NodeState:
         "batch_cache",
     )
 
-    def __init__(self, owner: str, max_graph_nodes: int = 0):
+    def __init__(self, owner: str):
         #: partner -> [up_total, down_total, last_update]
         self.direct: Dict[str, List[float]] = {}
         #: (uploader, downloader) -> the ``direct`` entry holding the
         #: edge's total, for edges observed since the last fold
         self.pending: Dict[Tuple[str, str], List[float]] = {}
-        self._graph = SubjectiveGraph(owner, max_nodes=max_graph_nodes)
+        self._graph = SubjectiveGraph(owner)
         #: bumped on every direct-table mutation (invalidates the
         #: cached top-K record list below)
         self.direct_version = 0
@@ -199,7 +193,7 @@ class BarterCastService:
         never-seen peers stays free."""
         st = self._nodes.get(peer_id)
         if st is None:
-            st = _NodeState(peer_id, self.config.max_graph_nodes)
+            st = _NodeState(peer_id)
             self._nodes[peer_id] = st
         return st
 

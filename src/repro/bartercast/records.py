@@ -44,9 +44,6 @@ class TransferRecord:
         if self.up < 0 or self.down < 0:
             raise ValueError("transfer totals cannot be negative")
 
-    def involves(self, peer_id: str) -> bool:
-        return peer_id in (self.reporter, self.partner)
-
     def key(self) -> tuple:
         """Identity of the statement: (reporter, partner)."""
         return (self.reporter, self.partner)

@@ -91,8 +91,8 @@ class PushSumAggregation:
             )
             for nid, v in values.items()
         }
-        # Ground truth is the *honest* average — mean_absolute_error /
-        # max_estimate_shift promise liars' fabrications are excluded.
+        # Ground truth is the *honest* average — mean_absolute_error
+        # promises liars' fabrications are excluded.
         # ``include_liars=True`` keeps the old all-values average for
         # experiments that depend on it.
         if include_liars:
@@ -133,9 +133,3 @@ class PushSumAggregation:
         (the *honest* average, liars' fabrications excluded)."""
         errs = [abs(n.estimate - self.true_average) for n in self.nodes.values()]
         return float(np.mean(errs))
-
-    def max_estimate_shift(self) -> float:
-        """How far the worst-affected node was pushed from the truth."""
-        return float(
-            max(abs(n.estimate - self.true_average) for n in self.nodes.values())
-        )

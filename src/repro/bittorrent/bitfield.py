@@ -10,7 +10,7 @@ pay its per-call overhead on an array of a few hundred bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class Bitfield:
     def empty(self) -> bool:
         return self.count == 0
 
-    def has(self, index: int) -> bool:
-        return bool(self.bits >> index & 1)
-
     def set(self, index: int) -> bool:
         """Mark a piece held.  Returns ``True`` if it was newly added."""
         bit = 1 << index
@@ -68,13 +65,6 @@ class Bitfield:
 
     def held_indices(self) -> List[int]:
         return np.flatnonzero(self.as_array()).tolist()
-
-    @classmethod
-    def from_indices(cls, num_pieces: int, indices: Iterable[int]) -> "Bitfield":
-        bf = cls(num_pieces)
-        for i in indices:
-            bf.set(int(i))
-        return bf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bitfield({self.count}/{self.num_pieces})"

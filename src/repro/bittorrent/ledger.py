@@ -73,10 +73,6 @@ class TransferLedger:
         """Total bytes downloaded by ``peer`` from anyone."""
         return sum(self._received.get(peer, {}).values())
 
-    def upload_partners(self, peer: str) -> Dict[str, float]:
-        """Copy of ``{downloader: bytes}`` for ``peer``'s uploads."""
-        return dict(self._sent.get(peer, {}))
-
     def edges(self) -> List[Tuple[str, str, float]]:
         """All ``(uploader, downloader, bytes)`` edges (metrics use)."""
         return [
@@ -84,9 +80,3 @@ class TransferLedger:
             for u, row in self._sent.items()
             for d, b in row.items()
         ]
-
-    def sharing_ratio(self, peer: str) -> float:
-        """Upload/download ratio (∞-safe: 0 download ⇒ ratio of upload)."""
-        down = self.downloaded_by(peer)
-        up = self.uploaded_by(peer)
-        return up / down if down > 0 else up

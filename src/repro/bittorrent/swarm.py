@@ -28,7 +28,7 @@ numpy array would cost the round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -156,7 +156,6 @@ class Swarm:
         #: dropped whenever membership or a connection changes
         self._pairs: Optional[_Pairs] = None
         self.rounds_run = 0
-        self._completion_listeners: List[Callable[[str, str, float], None]] = []
         # Piece cost: uniform except the final remainder piece.
         last = spec.file_size - (self.num_pieces - 1) * spec.piece_size
         self._last_piece_cost = max(last, 1.0)
@@ -169,23 +168,11 @@ class Swarm:
             return self._last_piece_cost
         return self.spec.piece_size
 
-    def add_completion_listener(
-        self, listener: Callable[[str, str, float], None]
-    ) -> None:
-        """``listener(peer_id, swarm_id, now)`` on download completion."""
-        self._completion_listeners.append(listener)
-
     def progress_of(self, peer_id: str) -> float:
         member = self.members.get(peer_id)
         if member is None:
             return 0.0
         return member.bitfield.count / self.num_pieces
-
-    def seeds(self) -> List[str]:
-        return [p for p, m in self.active.items() if m.bitfield.complete]
-
-    def leechers(self) -> List[str]:
-        return [p for p, m in self.active.items() if not m.bitfield.complete]
 
     # ------------------------------------------------------------------
     # Membership
@@ -419,8 +406,6 @@ class Swarm:
         for pid in finished:
             member = self.active[pid]
             member.completed_at = now
-            for listener in self._completion_listeners:
-                listener(pid, self.spec.swarm_id, now)
             if member.profile.free_rider:
                 # Free-riders leave as soon as the download completes.
                 self.leave(pid, now)

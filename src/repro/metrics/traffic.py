@@ -48,11 +48,6 @@ class ProtocolCounter:
     items: int = 0
     item_bytes: float = 0.0
 
-    def record(self, items: int, item_bytes: float) -> None:
-        self.item_bytes = item_bytes
-        self.exchanges += 1
-        self.items += items
-
     def record_many(self, exchanges: int, items: int, item_bytes: float) -> None:
         """Fold a whole batch of exchanges in at once."""
         self.item_bytes = item_bytes
@@ -78,34 +73,22 @@ class TrafficMeter:
         return c
 
     # ------------------------------------------------------------------
-    def moderation_exchange(self, n_sent: int, n_received: int) -> None:
-        self._get("moderationcast").record(n_sent + n_received, MODERATION_BYTES)
-
     def moderation_exchange_many(self, exchanges: int, items: int) -> None:
         """A batch of moderation exchanges (the batched gossip tick)."""
         self._get("moderationcast").record_many(exchanges, items, MODERATION_BYTES)
-
-    def vote_exchange(self, n_sent: int, n_received: int) -> None:
-        self._get("ballotbox").record(n_sent + n_received, VOTE_BYTES)
 
     def vote_exchange_many(self, exchanges: int, items: int) -> None:
         """A batch of vote exchanges (the batched gossip tick)."""
         self._get("ballotbox").record_many(exchanges, items, VOTE_BYTES)
 
-    def voxpopuli_exchange(self, k: int) -> None:
-        self._get("voxpopuli").record(k, TOPK_ENTRY_BYTES)
-
     def voxpopuli_exchange_many(self, exchanges: int, entries: int) -> None:
         self._get("voxpopuli").record_many(exchanges, entries, TOPK_ENTRY_BYTES)
-
-    def bartercast_exchange(self, n_records: int) -> None:
-        self._get("bartercast").record(n_records, RECORD_BYTES)
 
     def bartercast_exchange_many(self, exchanges: int, records: int) -> None:
         self._get("bartercast").record_many(exchanges, records, RECORD_BYTES)
 
     def newscast_exchange(self, view_entries: int) -> None:
-        self._get("newscast").record(view_entries, DESCRIPTOR_BYTES)
+        self._get("newscast").record_many(1, view_entries, DESCRIPTOR_BYTES)
 
     def dht_exchange_many(self, exchanges: int, messages: int) -> None:
         """A batch of Chord operations (lookups, stores, fetches,
@@ -131,12 +114,4 @@ class TrafficMeter:
                 "bytes": c.bytes,
             }
             for name, c in sorted(self.counters.items())
-        }
-
-    def per_node_hour(self, n_node_hours: float) -> Dict[str, float]:
-        """Protocol bytes per online-node-hour (the deployable cost)."""
-        if n_node_hours <= 0:
-            raise ValueError("n_node_hours must be positive")
-        return {
-            name: c.bytes / n_node_hours for name, c in sorted(self.counters.items())
         }

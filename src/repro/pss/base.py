@@ -85,25 +85,6 @@ class PeerSamplingService(ABC):
         """A random online peer ≠ ``requester``, or ``None`` if the
         service cannot currently provide one."""
 
-    def sample_many(self, requester: str, k: int) -> List[str]:
-        """Up to ``k`` *distinct* random online peers ≠ ``requester``.
-
-        Default implementation draws repeatedly; subclasses may
-        override with something more efficient.
-        """
-        out: List[str] = []
-        seen = {requester}
-        attempts = 0
-        while len(out) < k and attempts < 8 * max(k, 1):
-            attempts += 1
-            peer = self.sample(requester)
-            if peer is None:
-                break
-            if peer not in seen:
-                seen.add(peer)
-                out.append(peer)
-        return out
-
     def sample_batch(self, requesters: List[str]) -> List[Optional[str]]:
         """One :meth:`sample` result per requester, in order.
 

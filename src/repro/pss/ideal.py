@@ -92,11 +92,3 @@ class OraclePSS(PeerSamplingService):
             k += 1
         peer_at = registry.peer_at
         return [None if i < 0 else peer_at(i) for i in picks.tolist()]
-
-    def sample_many(self, requester: str, k: int) -> List[str]:
-        online = [p for p in self._registry.online_peers() if p != requester]
-        if not online:
-            return []
-        k = min(k, len(online))
-        picks = self._rng.choice(len(online), size=k, replace=False)
-        return [online[int(i)] for i in picks]

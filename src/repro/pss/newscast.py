@@ -163,10 +163,3 @@ class NewscastService(PeerSamplingService):
             return None
         candidates = list(view.keys())
         return candidates[int(self._rng.integers(0, len(candidates)))]
-
-    def view_of(self, peer_id: str) -> Dict[str, float]:
-        """Copy of a node's current view (tests / metrics)."""
-        return dict(self._views.get(peer_id, {}))
-
-    def view_sizes(self) -> Dict[str, int]:
-        return {p: len(v) for p, v in self._views.items()}

@@ -127,10 +127,6 @@ def build_shard_digest(nodes: Dict[str, Any]) -> Dict[str, List[List[Any]]]:
     return digest
 
 
-def digest_vote_count(digest: Dict[str, List[List[Any]]]) -> int:
-    return sum(len(votes) for votes in digest.values())
-
-
 # ----------------------------------------------------------------------
 # Digest boards (the storage side of the DHT)
 # ----------------------------------------------------------------------
@@ -383,10 +379,6 @@ class ShardAggregator:
     # -- merge ----------------------------------------------------------
     def _pending_votes(self) -> int:
         return sum(len(item["votes"]) for item in self.pending)
-
-    def merge_lag(self) -> int:
-        """Votes pulled but not yet admitted by the rate limit."""
-        return self._pending_votes()
 
     def merge_pending(self, shard: Any) -> int:
         """Admit up to ``max_votes_per_interval`` staged remote votes

@@ -8,9 +8,8 @@ keep the hot loop cheap (hundreds of thousands of events per run).
 Determinism guarantees:
 
 * events at equal times fire in ``(priority, insertion order)`` order;
-* cancellation is O(1) (lazy tombstones, skipped on pop);
-* tombstones auto-compact once they exceed half the queue (bounded
-  memory under churn-heavy cancellation, no manual ``compact()``);
+* cancellation is O(1) and lazy: a cancelled entry stays queued,
+  holding no references, until it reaches the head and is skipped;
 * the engine itself consumes no randomness.
 
 Besides the heap, the engine can merge events from one attached
@@ -27,11 +26,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, List, Optional, Protocol, Tuple
-
-#: Queue entries below this size never trigger auto-compaction — tiny
-#: queues (unit tests, setup phases) keep tombstones visible for
-#: explicit :meth:`Engine.compact` calls.
-_AUTO_COMPACT_FLOOR = 64
 
 
 class SimulationError(RuntimeError):
@@ -63,48 +57,31 @@ class EventHandle:
     """Cancellable reference to a scheduled event.
 
     Handles are returned by :meth:`Engine.schedule` /
-    :meth:`Engine.schedule_at`.  Calling :meth:`cancel` marks the event
-    as a tombstone; the engine drops it when popped (or earlier, when
-    auto-compaction rebuilds the queue).
+    :meth:`Engine.schedule_at`.  Calling :meth:`cancel` marks the
+    event; the engine skips it when it reaches the head of the queue.
     """
 
-    __slots__ = ("time", "cancelled", "callback", "args", "_engine")
+    __slots__ = ("time", "cancelled", "callback", "args")
 
     def __init__(
         self,
         time: float,
         callback: Callable[..., None],
         args: Tuple[Any, ...],
-        engine: "Optional[Engine]" = None,
     ):
         self.time = time
         self.callback: Optional[Callable[..., None]] = callback
         self.args = args
         self.cancelled = False
-        self._engine = engine
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        # Drop references so cancelled events do not pin objects alive
-        # while waiting to be popped (guide: be easy on the memory).
-        self.callback = None
-        self.args = ()
-        engine = self._engine
-        self._engine = None
-        if engine is not None:
-            engine._note_tombstone()
-
-    def _consume(self) -> None:
-        """Engine-side teardown on pop: frees references like
-        :meth:`cancel` but does **not** count a tombstone — the entry
-        is already off the queue."""
+        """Prevent the event from firing.  Idempotent.  Drops the
+        callback and its arguments so a cancelled entry does not pin
+        objects alive while it waits to be skipped; the engine does
+        the same to an entry it fires."""
         self.cancelled = True
         self.callback = None
         self.args = ()
-        self._engine = None
 
     @property
     def active(self) -> bool:
@@ -140,9 +117,6 @@ class Engine:
         self._queue: List[Tuple[float, int, int, EventHandle]] = []
         self._seq = 0
         self._events_fired = 0
-        self._running = False
-        self._tombstones = 0
-        self._auto_compactions = 0
         self._source: Optional[EventSource] = None
 
     # ------------------------------------------------------------------
@@ -160,19 +134,9 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of queue entries, including cancelled tombstones
-        (events held by an attached source are not counted)."""
+        """Number of queue entries, including cancelled ones not yet
+        skipped (events held by an attached source are not counted)."""
         return len(self._queue)
-
-    @property
-    def tombstones(self) -> int:
-        """Cancelled entries still sitting in the queue."""
-        return self._tombstones
-
-    @property
-    def auto_compactions(self) -> int:
-        """Times the queue self-compacted (tombstones > live/2)."""
-        return self._auto_compactions
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` without firing anything.
@@ -217,15 +181,9 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f} before now={self._now:.6f}"
             )
-        handle = EventHandle(time, callback, tuple(args), self)
+        handle = EventHandle(time, callback, tuple(args))
         self._seq += 1
         heapq.heappush(self._queue, (time, priority, self._seq, handle))
-        if (
-            self._tombstones * 2 > len(self._queue)
-            and len(self._queue) >= _AUTO_COMPACT_FLOOR
-        ):
-            self.compact()
-            self._auto_compactions += 1
         return handle
 
     # ------------------------------------------------------------------
@@ -274,7 +232,7 @@ class Engine:
                 f"restore_event seq {seq} is ahead of the engine counter "
                 f"{self._seq}; restore_clock first"
             )
-        handle = EventHandle(time, callback, tuple(args), self)
+        handle = EventHandle(time, callback, tuple(args))
         heapq.heappush(self._queue, (time, priority, seq, handle))
         return handle
 
@@ -315,13 +273,12 @@ class Engine:
     def next_event_key(self) -> Optional[Tuple[float, int, int]]:
         """``(time, priority, seq)`` of the queue head, or ``None``.
 
-        Leading tombstones are dropped on the way (amortised O(1)).
-        Source events are not considered.
+        Cancelled entries at the head are dropped on the way.  Source
+        events are not considered.
         """
         queue = self._queue
         while queue and queue[0][3].cancelled:
             heapq.heappop(queue)
-            self._tombstones -= 1
         if not queue:
             return None
         time, prio, seq, _handle = queue[0]
@@ -335,7 +292,7 @@ class Engine:
         time, _prio, _seq, handle = heapq.heappop(self._queue)
         self._now = time
         callback, args = handle.callback, handle.args
-        handle._consume()
+        handle.cancel()
         self._events_fired += 1
         assert callback is not None
         callback(*args)
@@ -410,23 +367,6 @@ class Engine:
             fired += 1
         self._now = end_time
         return fired
-
-    def compact(self) -> int:
-        """Drop cancelled tombstones from the queue.
-
-        Runs automatically once tombstones outnumber live entries (see
-        :data:`_AUTO_COMPACT_FLOOR`); callable manually for tests and
-        eager cleanup.  Returns the number of tombstones removed.
-        """
-        before = len(self._queue)
-        live = [entry for entry in self._queue if not entry[3].cancelled]
-        heapq.heapify(live)
-        self._queue = live
-        self._tombstones = 0
-        return before - len(live)
-
-    def _note_tombstone(self) -> None:
-        self._tombstones += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Engine(now={self._now:.3f}, pending={len(self._queue)})"

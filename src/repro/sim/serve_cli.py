@@ -99,29 +99,34 @@ def shard_failures(status: ServiceStatus) -> List[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     directory = args.resume if args.resume is not None else args.dir
     if directory is None:
-        build_parser().error("--dir (or --resume DIR) is required")
-    aggregation = (
-        AggregationConfig(
-            shards=args.shards,
-            max_votes_per_interval=args.aggregation_rate,
-            merge_fanout=args.aggregation_fanout,
+        parser.error("--dir (or --resume DIR) is required")
+    try:
+        aggregation = (
+            AggregationConfig(
+                shards=args.shards,
+                max_votes_per_interval=args.aggregation_rate,
+                merge_fanout=args.aggregation_fanout,
+            )
+            if args.aggregation
+            else None
         )
-        if args.aggregation
-        else None
-    )
-    config = ServiceConfig(
-        shards=args.shards,
-        until=args.until,
-        checkpoint_interval=args.checkpoint_interval,
-        shard=ShardConfig(
-            peers=args.peers,
-            seed=args.seed,
-            aggregation=aggregation,
-        ),
-    )
+        config = ServiceConfig(
+            shards=args.shards,
+            until=args.until,
+            checkpoint_interval=args.checkpoint_interval,
+            shard=ShardConfig(
+                peers=args.peers,
+                seed=args.seed,
+                aggregation=aggregation,
+            ),
+        )
+    except ValueError as exc:
+        # refuse bad input here, before any worker is spawned
+        parser.error(str(exc))
     with ServiceSupervisor(
         config, directory, resume=args.resume is not None
     ) as supervisor:

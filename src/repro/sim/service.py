@@ -177,6 +177,27 @@ class ShardConfig:
             raise ValueError("a service shard runs population_engine='soa'")
         if self.columnar_state != "on":
             raise ValueError("a service shard runs columnar_state='on'")
+        if self.peers < 1:
+            raise ValueError("a shard needs peers >= 1")
+        if not 0 <= self.moderators <= self.peers:
+            raise ValueError("moderators must be in [0, peers]")
+        for name in ("vote_probability", "negative_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        # the intervals, jitter and message loss are the runtime's
+        # parameters: its own checks apply
+        self.runtime_config()
+
+    def runtime_config(self) -> RuntimeConfig:
+        """The runtime parameters this shard's stack runs with."""
+        return RuntimeConfig(
+            node=self.node,
+            moderation_interval=self.moderation_interval,
+            vote_interval=self.vote_interval,
+            bartercast_interval=self.bartercast_interval,
+            jitter_fraction=self.jitter_fraction,
+            message_loss=self.message_loss,
+        )
 
     def peer_ids(self) -> List[str]:
         """Zero-padded ids: sorted order == creation order == row order."""
@@ -198,6 +219,16 @@ class ServiceConfig:
     #: how many times a crashed shard is restarted from its checkpoint
     #: before the supervisor gives up on it
     max_restarts: int = 3
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError("shards must be >= 1")
+        if self.until < 0:
+            raise ValueError("until must be >= 0")
+        if self.checkpoint_interval <= 0:
+            raise ValueError("checkpoint_interval must be positive")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be >= 0")
 
     def shard_config(self, shard_id: int) -> ShardConfig:
         return replace(self.shard, shard_id=shard_id)
@@ -268,14 +299,7 @@ class ServiceShard:
         self.runtime = ProtocolRuntime(
             self.session,
             self.rng,
-            RuntimeConfig(
-                node=config.node,
-                moderation_interval=config.moderation_interval,
-                vote_interval=config.vote_interval,
-                bartercast_interval=config.bartercast_interval,
-                jitter_fraction=config.jitter_fraction,
-                message_loss=config.message_loss,
-            ),
+            config.runtime_config(),
             experience=AlwaysExperienced(),
         )
         #: inter-shard aggregation state (None when disabled).  Built
@@ -777,8 +801,6 @@ class ServiceSupervisor:
     """
 
     def __init__(self, config: ServiceConfig, directory: Path, resume: bool = False):
-        if config.shards < 1:
-            raise ValueError("need at least one shard")
         self.config = config
         self.directory = Path(directory)
         self.resume = resume

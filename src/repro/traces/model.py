@@ -15,10 +15,9 @@ A :class:`Trace` records, for a fixed population over a fixed window:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class EventKind(str, Enum):
@@ -126,10 +125,6 @@ class Session:
     def duration(self) -> float:
         return self.end - self.start
 
-    def contains(self, t: float) -> bool:
-        """``True`` if the peer is online at time ``t`` (half-open)."""
-        return self.start <= t < self.end
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -194,27 +189,6 @@ class Trace:
         self._session_index = out
         return out
 
-    def online_at(self, t: float) -> List[str]:
-        """Peer ids online at time ``t`` (half-open session semantics)."""
-        result = []
-        for pid, sess in self.sessions().items():
-            starts = [s.start for s in sess]
-            i = bisect.bisect_right(starts, t) - 1
-            if i >= 0 and sess[i].contains(t):
-                result.append(pid)
-        return result
-
-    def swarm_members(self) -> Dict[str, List[str]]:
-        """Peers that ever join each swarm, in join order (deduplicated)."""
-        out: Dict[str, List[str]] = {sid: [] for sid in self.swarms}
-        seen: Dict[str, set] = {sid: set() for sid in self.swarms}
-        for ev in self.events:
-            if ev.kind is EventKind.SWARM_JOIN and ev.swarm_id is not None:
-                if ev.peer_id not in seen[ev.swarm_id]:
-                    seen[ev.swarm_id].add(ev.peer_id)
-                    out[ev.swarm_id].append(ev.peer_id)
-        return out
-
     def arrival_order(self) -> List[str]:
         """Peer ids by first SESSION_START (the paper's 'first three
         nodes entering the system' become moderators)."""
@@ -268,19 +242,6 @@ class Trace:
                         raise ValueError(f"leave without join {jkey} at t={ev.time}")
                     joined[jkey] = False
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def sorted_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
-        """Return events sorted by the canonical key."""
-        return sorted(events, key=TraceEvent.sort_key)
-
     def __len__(self) -> int:
         """Number of events — the paper's '≈23,000 events' measure."""
         return len(self.events)
-
-
-def merge_event_streams(streams: Sequence[Sequence[TraceEvent]]) -> List[TraceEvent]:
-    """Merge several per-peer event streams into one canonical stream."""
-    merged: List[TraceEvent] = [ev for stream in streams for ev in stream]
-    merged.sort(key=TraceEvent.sort_key)
-    return merged

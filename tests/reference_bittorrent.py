@@ -8,15 +8,27 @@ module keeps the plain numpy definitions those replaced:
   pick that takes the ascending index list of the candidates, their
   minimum availability, and ``rng.integers(0, k)`` over the rarest;
 * :func:`interesting_mask` / :func:`is_interested_in` — BitTorrent
-  "interested" as a boolean-array difference.
+  "interested" as a boolean-array difference;
+* :func:`bitfield_of` — a :class:`~repro.bittorrent.bitfield.Bitfield`
+  holding given pieces, for building test cases.
 
 Tests hold the production picker and the swarm's interest decision to
 these, piece for piece and RNG draw for RNG draw.
 """
 
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
+
+from repro.bittorrent.bitfield import Bitfield
+
+
+def bitfield_of(num_pieces: int, indices: Iterable[int]) -> Bitfield:
+    """A bitfield of ``num_pieces`` pieces holding ``indices``."""
+    bf = Bitfield(num_pieces)
+    for i in indices:
+        bf.set(int(i))
+    return bf
 
 
 class ReferencePicker:

@@ -216,7 +216,7 @@ class ReferenceRuntime(ProtocolRuntime):
         inbound = partner.moderations_to_send()
         partner.receive_moderations(outbound, now)
         node.receive_moderations(inbound, now)
-        self.traffic.moderation_exchange(len(outbound), len(inbound))
+        self.traffic.moderation_exchange_many(1, len(outbound) + len(inbound))
 
     def _vote_tick(self, peer_id: str) -> None:
         node = self.nodes[peer_id]
@@ -258,12 +258,12 @@ class ReferenceRuntime(ProtocolRuntime):
                     partner.peer_id, [peer_id]
                 )[peer_id],
             )
-            self.traffic.vote_exchange(len(votes_out), len(votes_in))
+            self.traffic.vote_exchange_many(1, len(votes_out) + len(votes_in))
             # VoxPopuli (Fig 3 a+c): only while bootstrapping.
             if node.config.voxpopuli_enabled and node.needs_bootstrap():
                 response = partner.respond_top_k()
                 node.receive_top_k(response)
-                self.traffic.voxpopuli_exchange(len(response) if response else 0)
+                self.traffic.voxpopuli_exchange_many(1, len(response) if response else 0)
 
     def _bartercast_tick(self, peer_id: str) -> None:
         node = self.nodes[peer_id]
@@ -274,7 +274,7 @@ class ReferenceRuntime(ProtocolRuntime):
         if self.bartercast.exchanges > before:
             # Both directions carry up to the per-exchange record cap.
             n = len(self.bartercast.records_of(peer_id))
-            self.traffic.bartercast_exchange(n)
+            self.traffic.bartercast_exchange_many(1, n)
 
     # ------------------------------------------------------------------
     # Telemetry

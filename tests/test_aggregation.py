@@ -24,7 +24,6 @@ from repro.sim.aggregation import (
     ShardAggregator,
     ShardCluster,
     build_shard_digest,
-    digest_vote_count,
     max_cross_shard_rank_distance,
     rank_distance,
     shard_ring_name,
@@ -155,7 +154,6 @@ def test_build_shard_digest_latest_received_wins():
     forward = build_shard_digest({"a": _Node(early), "b": _Node(late)})
     backward = build_shard_digest({"b": _Node(late), "a": _Node(early)})
     assert forward == backward == {"m1": [["v1", -1]]}
-    assert digest_vote_count(forward) == 1
 
 
 # ----------------------------------------------------------------------
@@ -181,18 +179,18 @@ def test_rate_limit_leaves_excess_pending():
     agg = shard.aggregator
     votes = [[f"x{i:02d}", 1] for i in range(12)]
     agg._stage("shard-01", 1, "remote-mod", votes)
-    assert agg.merge_lag() == 12
+    assert agg._pending_votes() == 12
 
     merged = agg.merge_pending(shard)
     # budget 5, fanout 2 targets: 5 offered, 10 stored
     assert agg.ops["remote_votes_offered"] == 5
     assert merged == 10
-    assert agg.merge_lag() == 7
+    assert agg._pending_votes() == 7
     merged_again = agg.merge_pending(shard)
     assert merged_again == 10
-    assert agg.merge_lag() == 2
+    assert agg._pending_votes() == 2
     agg.merge_pending(shard)
-    assert agg.merge_lag() == 0
+    assert agg._pending_votes() == 0
     assert shard.runtime.traffic.counters["aggregation"].items == 12
 
 
@@ -203,7 +201,7 @@ def test_newer_epoch_supersedes_pending_entry():
     agg._stage("shard-01", 2, "remote-mod", [["x00", -1]])
     assert len(agg.pending) == 1
     assert agg.pending[0]["epoch"] == 2
-    assert agg.merge_lag() == 1
+    assert agg._pending_votes() == 1
 
 
 def test_remote_merges_respect_ballot_box_rules():
@@ -230,7 +228,7 @@ def test_remote_merges_respect_ballot_box_rules():
     agg._stage("shard-01", 2, "self-lover", [["self-lover", 1]])
     merged = agg.merge_pending(shard)
     assert merged == 0
-    assert agg.merge_lag() == 0
+    assert agg._pending_votes() == 0
     for pid in target_ids:
         assert shard.runtime.nodes[pid].ballot_box.votes_of("self-lover") == []
 
@@ -297,7 +295,7 @@ def test_dead_owner_retries_backoff_and_recovery():
     assert agg.fail_streak[publisher] == 0
     assert publisher not in agg.dead
     assert agg.ops["digests_pulled"] == 1
-    assert agg.merge_lag() == 1
+    assert agg._pending_votes() == 1
 
 
 def test_directory_board_round_trip(tmp_path):

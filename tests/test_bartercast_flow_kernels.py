@@ -27,12 +27,11 @@ from repro.bartercast.maxflow import (
 PEERS = [f"p{i:02d}" for i in range(24)]
 
 
-def random_graph(owner, seed, max_nodes=0):
-    """Random subjective graph over PEERS plus strangers; a nonzero
-    ``max_nodes`` forces B_max-style evictions along the way."""
+def random_graph(owner, seed):
+    """Random subjective graph over PEERS plus strangers."""
     rng = random.Random(seed)
     ids = PEERS + [f"x{i}" for i in range(8)]
-    g = SubjectiveGraph(owner, max_nodes=max_nodes)
+    g = SubjectiveGraph(owner)
     for _ in range(150):
         u, v = rng.sample(ids, 2)
         g.observe_direct(u, v, float(rng.randint(1, 900)))
@@ -103,13 +102,12 @@ RECORDED_FRACTIONAL = {
 
 
 class TestKernelBitIdentity:
-    @pytest.mark.parametrize("max_nodes", [0, 18])
-    def test_dense_csr_bit_identical(self, max_nodes):
-        """Randomized property (with and without evictions): the batch
-        flows equal both retired kernels byte for byte."""
+    def test_dense_csr_bit_identical(self):
+        """Randomized property: the batch flows equal both retired
+        kernels byte for byte."""
         for seed in range(6):
             sink = PEERS[seed % len(PEERS)]
-            g = random_graph(sink, seed, max_nodes)
+            g = random_graph(sink, seed)
             got = two_hop_flows_to_sink(g, PEERS, sink)
             np.testing.assert_array_equal(got, dense_closed_form(g, PEERS, sink))
             np.testing.assert_array_equal(got, csr_closed_form(g, PEERS, sink))

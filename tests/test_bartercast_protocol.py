@@ -28,10 +28,6 @@ class TestRecords:
         with pytest.raises(ValueError):
             TransferRecord("a", "b", -1.0, 0.0, 0.0)
 
-    def test_involves(self):
-        r = TransferRecord("a", "b", 1.0, 0.0, 0.0)
-        assert r.involves("a") and r.involves("b") and not r.involves("c")
-
 
 class TestSubjectiveGraph:
     def test_record_creates_both_edges(self):

@@ -1,8 +1,8 @@
 """Large, sparse subjective graphs.
 
 At scale a subjective graph is sparse: many nodes, a few edges each.
-The one edge store must serve it in O(E) memory — no ``n × n`` block,
-however many nodes come and go — while ``to_matrix`` stays equal to an
+The one edge store must serve it in O(E) memory — no ``n × n`` block
+— while ``to_matrix`` stays equal to an
 edge-by-edge rebuild and the batch flows agree with the scalar oracle.
 """
 
@@ -35,11 +35,6 @@ def feed_random(graph, seed, steps=300, population=200):
             graph.observe_direct(u, v, w)
 
 
-def adjacency_nodes(graph):
-    """The node set as the adjacency alone defines it."""
-    return set(graph._out) | set(graph._in_adj)
-
-
 class TestSparseMatrixEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_to_matrix_matches_reference(self, seed):
@@ -62,9 +57,8 @@ class TestSparseMatrixEquivalence:
 
 class TestSparseFlows:
     def test_sparse_flows_match_scalar_oracle(self):
-        g = SubjectiveGraph("me", max_nodes=120)
+        g = SubjectiveGraph("me")
         feed_random(g, 5, steps=600, population=150)
-        assert g.evicted > 0
         ids = sorted(g.nodes() | {"ghost"})
         # the sinks with the most in-edges exercise the sum
         sinks = sorted(ids, key=lambda p: -len(g.predecessors(p)))[:6]
@@ -75,21 +69,6 @@ class TestSparseFlows:
 
 
 class TestSparseEvictionAndMemory:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_bounded_sparse_stays_consistent(self, seed):
-        g = SubjectiveGraph("me", max_nodes=60)
-        feed_random(g, seed, steps=400)
-        assert g.evicted > 0
-        assert len(g.nodes()) <= 60
-        assert sorted(g.dense()[0]) == sorted(adjacency_nodes(g))
-        assert_matrix_consistent(g, extra=("ghost",))
-        # a fresh graph fed the survivors' edges holds the same cells
-        fresh = SubjectiveGraph("me")
-        for u, v, w in g.edges():
-            fresh.observe_direct(u, v, w)
-        order = sorted(g.nodes())
-        np.testing.assert_array_equal(g.to_matrix(order), fresh.to_matrix(order))
-
     def test_large_graph_never_allocates_quadratic_block(self):
         """A 5 000-node ring grown edge by edge, then a batch flow over
         a window: the whole thing stays under one byte per cell of the
@@ -109,15 +88,3 @@ class TestSparseEvictionAndMemory:
         assert peak < n * n
         # only the direct edge reaches n1 from n0
         assert flows[0] == g.weight("n0", "n1")
-
-    def test_slot_reuse_after_eviction(self):
-        g = SubjectiveGraph("me", max_nodes=4)
-        for wave in range(12):
-            g.observe_direct(f"a{wave}", f"b{wave}", float(wave + 1))
-            # an evicted node's slot is refilled, so the order never
-            # outgrows the bound however many nodes pass through
-            ids, _ = g.dense()
-            assert len(ids) <= 4
-            assert sorted(ids) == sorted(adjacency_nodes(g))
-        assert g.evicted > 0
-        assert_matrix_consistent(g)

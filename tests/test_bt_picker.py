@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.bittorrent.bitfield import Bitfield, bits_to_array
 from repro.bittorrent.picker import PiecePicker, nth_set_bit
-from tests.reference_bittorrent import ReferencePicker
+from tests.reference_bittorrent import ReferencePicker, bitfield_of
 
 
 def make_picker(n=10, seed=0, threshold=0):
@@ -25,7 +25,7 @@ def set_availability(picker, counts):
     ``counts[i]`` members."""
     for level in range(1, max(counts) + 1):
         held = [i for i, c in enumerate(counts) if c >= level]
-        picker.peer_joined(Bitfield.from_indices(picker.num_pieces, held))
+        picker.peer_joined(bitfield_of(picker.num_pieces, held))
 
 
 def pick(picker, down, up, in_flight=()):
@@ -44,8 +44,8 @@ def test_rejects_zero_pieces():
 
 def test_pick_none_when_uploader_has_nothing_interesting():
     picker = make_picker(4)
-    down = Bitfield.from_indices(4, [0, 1])
-    up = Bitfield.from_indices(4, [0, 1])
+    down = bitfield_of(4, [0, 1])
+    up = bitfield_of(4, [0, 1])
     assert pick(picker, down, up) is None
 
 
@@ -62,7 +62,7 @@ def test_rarest_restricted_to_uploader_pieces():
     picker = make_picker(4, threshold=0)
     set_availability(picker, [5, 4, 3, 1])
     down = Bitfield(4)
-    up = Bitfield.from_indices(4, [0, 1])  # rare pieces not held
+    up = bitfield_of(4, [0, 1])  # rare pieces not held
     assert pick(picker, down, up) in (0, 1)
     assert pick(picker, down, up) == 1  # rarer of the two
 
@@ -95,8 +95,8 @@ def test_tie_break_is_random_but_valid():
 
 def test_availability_maintenance():
     picker = make_picker(4)
-    a = Bitfield.from_indices(4, [0, 1])
-    b = Bitfield.from_indices(4, [1, 2])
+    a = bitfield_of(4, [0, 1])
+    b = bitfield_of(4, [1, 2])
     picker.peer_joined(a)
     picker.peer_joined(b)
     assert list(picker.availability) == [1, 2, 1, 0]

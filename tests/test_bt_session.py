@@ -23,7 +23,7 @@ def hand_trace():
         "leech": PeerProfile("leech"),
     }
     swarms = {"s0": SwarmSpec("s0", file_size=4 * 256 * 1024, initial_seeder="seed")}
-    events = Trace.sorted_events(
+    events = sorted(
         [
             TraceEvent(0.0, "seed", EventKind.SESSION_START),
             TraceEvent(0.0, "seed", EventKind.SWARM_JOIN, "s0"),
@@ -33,7 +33,8 @@ def hand_trace():
             TraceEvent(3000.0, "leech", EventKind.SESSION_END),
             TraceEvent(3600.0, "seed", EventKind.SWARM_LEAVE, "s0"),
             TraceEvent(3600.0, "seed", EventKind.SESSION_END),
-        ]
+        ],
+        key=TraceEvent.sort_key,
     )
     t = Trace(duration=3600.0, peers=peers, swarms=swarms, events=events)
     t.validate()
@@ -87,14 +88,15 @@ def test_session_end_forces_swarm_departure():
         "x": PeerProfile("x"),
     }
     swarms = {"s0": SwarmSpec("s0", file_size=256 * 1024, initial_seeder="seed")}
-    events = Trace.sorted_events(
+    events = sorted(
         [
             TraceEvent(0.0, "seed", EventKind.SESSION_START),
             TraceEvent(0.0, "seed", EventKind.SWARM_JOIN, "s0"),
             TraceEvent(0.0, "x", EventKind.SESSION_START),
             TraceEvent(0.0, "x", EventKind.SWARM_JOIN, "s0"),
             TraceEvent(100.0, "x", EventKind.SESSION_END),
-        ]
+        ],
+        key=TraceEvent.sort_key,
     )
     # Note: trace.validate() would flag the dangling join, so build raw.
     trace = Trace(duration=200.0, peers=peers, swarms=swarms, events=events)

@@ -43,7 +43,7 @@ class TestMembership:
         sw = make_swarm()
         sw.join(profile("seed"), 0.0)
         assert sw.progress_of("seed") == 1.0
-        assert sw.seeds() == ["seed"]
+        assert sw.members["seed"].bitfield.complete
 
     def test_join_twice_refused(self):
         sw = make_swarm()
@@ -110,15 +110,13 @@ class TestTransfers:
         assert moved > 0
         assert sw.progress_of("a") > 0
 
-    def test_download_completes_and_listener_fires(self):
+    def test_download_completes_and_is_stamped(self):
         sw = make_swarm(file_size=4 * 256 * 1024)
-        done = []
-        sw.add_completion_listener(lambda pid, sid, t: done.append((pid, sid, t)))
         sw.join(profile("seed"), 0.0)
         sw.join(profile("a"), 0.0)
         run_rounds(sw, 80)
         assert sw.progress_of("a") == 1.0
-        assert done and done[0][0] == "a" and done[0][1] == "s"
+        assert sw.members["a"].completed_at is not None
 
     def test_transfer_recorded_in_ledger(self):
         sw = make_swarm()

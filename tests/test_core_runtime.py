@@ -37,7 +37,7 @@ def always_online_trace(n=8, duration=6 * HOUR):
         duration=duration,
         peers=peers,
         swarms=swarms,
-        events=Trace.sorted_events(events),
+        events=sorted(events, key=TraceEvent.sort_key),
     )
     trace.validate()
     return trace

@@ -58,7 +58,7 @@ def test_newscast_service_active(newscast_run):
 
 def test_views_are_populated_and_bounded(newscast_run):
     trace, session, runtime, _m = newscast_run
-    sizes = runtime.newscast.view_sizes()
+    sizes = {p: len(v) for p, v in runtime.newscast._views.items()}
     cap = runtime.newscast.config.view_size
     assert sizes, "views should exist"
     assert all(s <= cap for s in sizes.values())

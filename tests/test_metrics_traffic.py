@@ -1,7 +1,5 @@
 """Unit tests for the protocol traffic meter."""
 
-import pytest
-
 from repro.metrics.traffic import (
     EXCHANGE_OVERHEAD_BYTES,
     MODERATION_BYTES,
@@ -21,7 +19,7 @@ def test_counters_start_empty():
 
 def test_moderation_exchange_accounting():
     meter = TrafficMeter()
-    meter.moderation_exchange(n_sent=3, n_received=2)
+    meter.moderation_exchange_many(1, 5)
     c = meter.counters["moderationcast"]
     assert c.exchanges == 1
     assert c.items == 5
@@ -30,9 +28,9 @@ def test_moderation_exchange_accounting():
 
 def test_vote_and_voxpopuli_and_bartercast():
     meter = TrafficMeter()
-    meter.vote_exchange(10, 20)
-    meter.voxpopuli_exchange(3)
-    meter.bartercast_exchange(7)
+    meter.vote_exchange_many(1, 30)
+    meter.voxpopuli_exchange_many(1, 3)
+    meter.bartercast_exchange_many(1, 7)
     assert meter.counters["ballotbox"].bytes == (
         EXCHANGE_OVERHEAD_BYTES + 30 * VOTE_BYTES
     )
@@ -45,22 +43,8 @@ def test_vote_and_voxpopuli_and_bartercast():
     assert meter.total_exchanges() == 3
 
 
-def test_per_node_hour_normalisation():
-    meter = TrafficMeter()
-    meter.vote_exchange(1, 1)
-    per_nh = meter.per_node_hour(2.0)
-    assert per_nh["ballotbox"] == pytest.approx(
-        (EXCHANGE_OVERHEAD_BYTES + 2 * VOTE_BYTES) / 2.0
-    )
-
-
-def test_per_node_hour_validation():
-    with pytest.raises(ValueError):
-        TrafficMeter().per_node_hour(0.0)
-
-
 def test_summary_is_sorted_and_complete():
     meter = TrafficMeter()
-    meter.vote_exchange(1, 1)
-    meter.moderation_exchange(1, 1)
+    meter.vote_exchange_many(1, 2)
+    meter.moderation_exchange_many(1, 2)
     assert list(meter.summary()) == ["ballotbox", "moderationcast"]

@@ -38,7 +38,7 @@ def test_property_views_bounded_and_never_self(ops, view_size):
             svc.node_offline(pid)
         else:
             svc.gossip_tick(pid, t)
-        for owner, view in ((p, svc.view_of(p)) for p in reg.online_peers()):
+        for owner, view in ((p, svc._views.get(p, {})) for p in reg.online_peers()):
             assert len(view) <= view_size
             assert owner not in view
 
@@ -54,5 +54,5 @@ def test_property_descriptor_timestamps_monotone_with_gossip(seed):
         reg.set_online(pid)
         svc.node_online(pid, 0.0)
     svc._exchange("a", "b", now=42.0)
-    assert svc.view_of("a").get("b") == 42.0
-    assert svc.view_of("b").get("a") == 42.0
+    assert svc._views.get("a", {}).get("b") == 42.0
+    assert svc._views.get("b", {}).get("a") == 42.0

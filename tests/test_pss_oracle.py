@@ -62,20 +62,6 @@ def test_sampling_is_roughly_uniform():
         assert abs(counts[pid] - expected) < 0.15 * expected
 
 
-def test_sample_many_distinct_and_excludes_requester():
-    _, pss = make(8)
-    got = pss.sample_many("p0", 5)
-    assert len(got) == 5
-    assert len(set(got)) == 5
-    assert "p0" not in got
-
-
-def test_sample_many_caps_at_population():
-    _, pss = make(4)
-    got = pss.sample_many("p0", 10)
-    assert sorted(got) == ["p1", "p2", "p3"]
-
-
 def test_deterministic_given_same_rng_seed():
     _, pss1 = make(10, seed=7)
     _, pss2 = make(10, seed=7)

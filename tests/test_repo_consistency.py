@@ -2,9 +2,11 @@
 
 Documentation must not drift from the code: every file the docs
 reference exists, every bench DESIGN.md's experiment index names is on
-disk, and the public package imports cleanly.
+disk, and the public package imports cleanly.  Nor may ``src/`` carry
+definitions no run reaches (``scripts/lint_deadcode.py``'s gate).
 """
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -84,3 +86,17 @@ def test_every_public_module_has_docstring():
         if not stripped.startswith(('"""', "'''", '#')):
             undocumented.append(str(path.relative_to(REPO)))
     assert not undocumented, undocumented
+
+
+def test_no_unlisted_test_only_definitions():
+    """Every ``src/`` definition that only tests (or nothing) reference
+    is on the lint's allowlist, and every allowlist entry is still
+    such a definition."""
+    path = REPO / "scripts" / "lint_deadcode.py"
+    spec = importlib.util.spec_from_file_location("lint_deadcode", path)
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    unlisted, stale = lint.definition_gate(REPO)
+    assert not unlisted, [f"{d[0].relative_to(REPO)}:{d[1]}: {d[2]}" for d in unlisted]
+    assert not stale, stale
+    assert all(reason.strip() for reason in lint.ALLOWLIST.values())

@@ -23,6 +23,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.moderation import Moderation
 from repro.core.node import NodeConfig
+from repro.sim import serve_cli
 from repro.sim import service as service_module
 from repro.sim.serve_cli import shard_failures
 from repro.sim.service import (
@@ -98,6 +99,51 @@ def test_shard_config_accepts_only_the_production_path():
     for columnar in ("off", "auto"):
         with pytest.raises(ValueError, match="service shard"):
             _small_config(columnar_state=columnar)
+
+
+def test_service_config_rejects_bad_values():
+    for bad in (
+        dict(shards=0),
+        dict(until=-1.0),
+        dict(checkpoint_interval=0.0),
+        dict(max_restarts=-1),
+    ):
+        with pytest.raises(ValueError):
+            ServiceConfig(**bad)
+
+
+def test_shard_config_rejects_bad_values():
+    for bad in (
+        dict(peers=0),
+        dict(peers=3, moderators=4),
+        dict(moderators=-1),
+        dict(vote_probability=1.5),
+        dict(negative_fraction=-0.1),
+        dict(vote_interval=0.0),
+        dict(jitter_fraction=1.0),
+        dict(message_loss=1.0),
+    ):
+        with pytest.raises(ValueError):
+            _small_config(**bad)
+    assert _small_config().runtime_config().vote_interval == 150.0
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--checkpoint-interval", "0"), ("--shards", "0"), ("--peers", "0")],
+)
+def test_serve_refuses_bad_input_before_any_worker(
+    flag, value, tmp_path, monkeypatch, capsys
+):
+    def no_supervisor(*args, **kwargs):
+        raise AssertionError("a supervisor was built from invalid input")
+
+    monkeypatch.setattr(serve_cli, "ServiceSupervisor", no_supervisor)
+    with pytest.raises(SystemExit) as exited:
+        serve_cli.main(["--dir", str(tmp_path), flag, value])
+    assert exited.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("engine_kind,columnar", [("soa", "on")])

@@ -123,15 +123,6 @@ def test_events_fired_counter():
     assert eng.events_fired == 4
 
 
-def test_compact_removes_tombstones():
-    eng = Engine()
-    handles = [eng.schedule(float(i + 1), lambda: None) for i in range(10)]
-    for h in handles[:7]:
-        h.cancel()
-    assert eng.compact() == 7
-    assert eng.pending == 3
-
-
 def test_step_returns_false_on_empty_queue():
     assert Engine().step() is False
 
@@ -142,46 +133,6 @@ def test_zero_delay_event_fires_at_now():
     eng.schedule(0.0, lambda: times.append(eng.now))
     eng.run()
     assert times == [7.0]
-
-
-def test_auto_compaction_bounds_queue_under_churn():
-    """Churn-heavy schedule/cancel loops must not accumulate tombstones:
-    once cancellations outnumber live entries the queue self-compacts."""
-    eng = Engine()
-    live = [eng.schedule(1e9 + i, lambda: None) for i in range(100)]
-    for round_no in range(200):
-        doomed = [eng.schedule(1e6 + round_no, lambda: None) for _ in range(50)]
-        for h in doomed:
-            h.cancel()
-    assert eng.auto_compactions >= 1
-    # Bounded: never more tombstones than live entries plus one insert.
-    assert eng.pending <= 2 * len(live) + 1
-    assert eng.tombstones <= eng.pending
-    eng.run()
-    assert eng.events_fired == len(live)
-
-
-def test_auto_compaction_preserves_event_order():
-    eng = Engine()
-    fired = []
-    keep = [eng.schedule(float(i), fired.append, i) for i in range(0, 200, 2)]
-    for i in range(1, 401, 2):
-        eng.schedule(float(i), lambda: None).cancel()
-    assert eng.auto_compactions >= 1
-    eng.run()
-    assert fired == list(range(0, 200, 2))
-    assert all(not h.active for h in keep)
-
-
-def test_small_queues_never_auto_compact():
-    """Tiny queues stay below the compaction floor so explicit
-    ``compact()`` calls observe their tombstones (as the compact test
-    above relies on)."""
-    eng = Engine()
-    for _ in range(20):
-        eng.schedule(1.0, lambda: None).cancel()
-    assert eng.auto_compactions == 0
-    assert eng.tombstones == 20
 
 
 def test_cancel_releases_callback_references():
@@ -209,10 +160,10 @@ def test_claim_seq_interleaves_with_heap_insertions():
     assert s1 == 2 and s2 == 4
 
 
-def test_next_event_key_skips_tombstones():
+def test_next_event_key_skips_cancelled_head():
     eng = Engine()
     first = eng.schedule(1.0, lambda: None)
     eng.schedule(2.0, lambda: None)
     first.cancel()
     assert eng.next_event_key() == (2.0, 0, 2)
-    assert eng.tombstones == 0
+    assert eng.pending == 1

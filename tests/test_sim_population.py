@@ -197,7 +197,7 @@ def always_online_trace(n=8, duration=6 * HOUR):
         duration=duration,
         peers=peers,
         swarms=swarms,
-        events=Trace.sorted_events(events),
+        events=sorted(events, key=TraceEvent.sort_key),
     )
     trace.validate()
     return trace
@@ -781,7 +781,12 @@ def run_gossip_mix(runtime_cls, trace, scenario, seed=11, hours=3):
     if scenario == "crowd":
         crowd = FlashCrowd(runtime, size=6, decoys=["x1", "x2", "x3"])
         crowd.arrive(0.0)
-        engine.schedule_at(1.5 * HOUR, crowd.depart, 1.5 * HOUR)
+
+        def depart(now):
+            for pid in crowd.members:
+                runtime.take_offline(pid, now)
+
+        engine.schedule_at(1.5 * HOUR, depart, 1.5 * HOUR)
         engine.schedule_at(2.0 * HOUR, crowd.arrive, 2.0 * HOUR)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(VoteSamplingNode, "cast_vote", cast_vote)

@@ -34,7 +34,7 @@ def churny_world():
     swarms = {
         "s0": SwarmSpec("s0", file_size=2000 * 256 * 1024, initial_seeder="seed")
     }
-    events = Trace.sorted_events(
+    events = sorted(
         [
             TraceEvent(0.0, "seed", EventKind.SESSION_START),
             TraceEvent(0.0, "seed", EventKind.SWARM_JOIN, "s0"),
@@ -47,7 +47,8 @@ def churny_world():
             # p1: session 2 after 4h offline
             TraceEvent(5 * 3600.0, "p1", EventKind.SESSION_START),
             TraceEvent(5 * 3600.0, "p1", EventKind.SWARM_JOIN, "s0"),
-        ]
+        ],
+        key=TraceEvent.sort_key,
     )
     trace = Trace(duration=8 * HOUR, peers=peers, swarms=swarms, events=events)
     engine = Engine()
@@ -151,7 +152,7 @@ _RUNTIMES = {("object", "off"): ReferenceRuntime, ("soa", "on"): ProtocolRuntime
 
 def _matrix_runtime(runtime_cls):
     peers = {"p1": PeerProfile("p1")}
-    events = Trace.sorted_events([TraceEvent(0.0, "p1", EventKind.SESSION_START)])
+    events = [TraceEvent(0.0, "p1", EventKind.SESSION_START)]
     trace = Trace(duration=HOUR, peers=peers, swarms={}, events=events)
     engine = Engine()
     rng = RngRegistry(3)

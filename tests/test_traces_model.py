@@ -9,7 +9,6 @@ from repro.traces.model import (
     SwarmSpec,
     Trace,
     TraceEvent,
-    merge_event_streams,
 )
 
 
@@ -42,12 +41,8 @@ class TestRecords:
         with pytest.raises(ValueError):
             SwarmSpec("s", file_size=10.0, piece_size=-1.0)
 
-    def test_session_contains_half_open(self):
-        s = Session("a", 10.0, 20.0)
-        assert s.contains(10.0)
-        assert s.contains(19.999)
-        assert not s.contains(20.0)
-        assert s.duration == 10.0
+    def test_session_duration(self):
+        assert Session("a", 10.0, 20.0).duration == 10.0
 
     def test_session_rejects_empty_interval(self):
         with pytest.raises(ValueError):
@@ -72,20 +67,6 @@ class TestSessionsReconstruction:
         sess = t.sessions()["a"]
         assert [(s.start, s.end) for s in sess] == [(90.0, 100.0)]
 
-    def test_online_at(self):
-        t = make_trace(
-            [
-                ev(0.0, "a", EventKind.SESSION_START),
-                ev(10.0, "a", EventKind.SESSION_END),
-                ev(5.0, "b", EventKind.SESSION_START),
-                ev(15.0, "b", EventKind.SESSION_END),
-            ]
-        )
-        assert t.online_at(2.0) == ["a"]
-        assert sorted(t.online_at(7.0)) == ["a", "b"]
-        assert t.online_at(12.0) == ["b"]
-        assert t.online_at(20.0) == []
-
 
 class TestArrivalAndMembership:
     def test_arrival_order_by_first_session_start(self):
@@ -98,21 +79,6 @@ class TestArrivalAndMembership:
             ]
         )
         assert t.arrival_order() == ["b", "a"]
-
-    def test_swarm_members_dedup_in_join_order(self):
-        t = make_trace(
-            [
-                ev(0.0, "a", EventKind.SESSION_START),
-                ev(0.0, "a", EventKind.SWARM_JOIN, "s0"),
-                ev(1.0, "b", EventKind.SESSION_START),
-                ev(1.0, "b", EventKind.SWARM_JOIN, "s0"),
-                ev(2.0, "a", EventKind.SWARM_LEAVE, "s0"),
-                ev(2.0, "a", EventKind.SESSION_END),
-                ev(3.0, "a", EventKind.SESSION_START),
-                ev(3.0, "a", EventKind.SWARM_JOIN, "s0"),
-            ]
-        )
-        assert t.swarm_members()["s0"] == ["a", "b"]
 
 
 class TestValidation:
@@ -189,10 +155,10 @@ class TestValidation:
             t.validate()
 
 
-def test_merge_event_streams_sorts_canonically():
+def test_sort_key_orders_canonically():
     s1 = [ev(5.0, "a", EventKind.SESSION_END), ev(1.0, "a", EventKind.SESSION_START)]
     s2 = [ev(1.0, "b", EventKind.SESSION_START)]
-    merged = merge_event_streams([s1, s2])
+    merged = sorted(s1 + s2, key=TraceEvent.sort_key)
     assert [e.time for e in merged] == [1.0, 1.0, 5.0]
     # starts at equal time order by peer id
     assert [e.peer_id for e in merged[:2]] == ["a", "b"]
