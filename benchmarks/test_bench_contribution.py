@@ -53,12 +53,6 @@ def test_warm_cache_speedup_gate(tmp_path):
     large = one_store["large_scale"]
     assert large["build_peak_bytes"] * 100 < large["projected_dense_bytes"], large
 
-    # Threaded flow-row recompute: same matrix always, faster where
-    # the hardware can overlap rows.
-    assert report["flow_rows"]["bit_identical"] is True, report["flow_rows"]
-    if report["flow_rows"]["speedup_gate_active"]:
-        assert report["flow_rows"]["speedup"] >= 1.5, report["flow_rows"]
-
     # The report must round-trip: it is the per-PR trajectory artifact.
     on_disk = json.loads(out.read_text())
     assert on_disk["scalar"] == report["scalar"]

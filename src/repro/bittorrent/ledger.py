@@ -28,7 +28,6 @@ class TransferLedger:
 
     def __init__(self) -> None:
         self._sent: Dict[str, Dict[str, float]] = defaultdict(dict)
-        self._received: Dict[str, Dict[str, float]] = defaultdict(dict)
         self.total_bytes = 0.0
         self._listeners: List[Listener] = []
 
@@ -46,15 +45,16 @@ class TransferLedger:
         whole batch is checked first: a self-transfer anywhere in it
         raises before anything is recorded or heard.  Each listener
         then hears the batch once."""
-        batch = [t for t in transfers if t[2] > 0]
-        if any(u == d for u, d, _n in batch):
-            raise ValueError("self-transfer is meaningless")
-        sent, received = self._sent, self._received
+        batch = []
+        for transfer in transfers:
+            if transfer[2] > 0:
+                if transfer[0] == transfer[1]:
+                    raise ValueError("self-transfer is meaningless")
+                batch.append(transfer)
+        sent = self._sent
         for uploader, downloader, nbytes in batch:
             row = sent[uploader]
             row[downloader] = row.get(downloader, 0.0) + nbytes
-            col = received[downloader]
-            col[uploader] = col.get(uploader, 0.0) + nbytes
             self.total_bytes += nbytes
         if batch:
             for listener in self._listeners:
@@ -70,8 +70,9 @@ class TransferLedger:
         return sum(self._sent.get(peer, {}).values())
 
     def downloaded_by(self, peer: str) -> float:
-        """Total bytes downloaded by ``peer`` from anyone."""
-        return sum(self._received.get(peer, {}).values())
+        """Total bytes downloaded by ``peer`` from anyone (a scan of
+        every uploader's row: only tests ask)."""
+        return sum(row.get(peer, 0.0) for row in self._sent.values())
 
     def edges(self) -> List[Tuple[str, str, float]]:
         """All ``(uploader, downloader, bytes)`` edges (metrics use)."""

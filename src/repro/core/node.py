@@ -13,7 +13,7 @@ lives with the tests as the executable spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,19 +54,28 @@ class NodeConfig:
             raise ValueError("exchange budgets must be >= 1")
 
 
+#: A node's random stream, or how to derive it from the peer id.
+NodeRng = Union[np.random.Generator, Callable[[str], np.random.Generator]]
+
+
 class VoteSamplingNode:
-    """Protocol state and message handlers for one peer."""
+    """Protocol state and message handlers for one peer.
+
+    ``rng`` is the node's stream, or a function that derives it from
+    the peer id; a function is called on the node's first draw, so a
+    node that never draws never builds a generator (``None``: a
+    ``default_rng(0)`` built the same way)."""
 
     def __init__(
         self,
         peer_id: str,
         config: Optional[NodeConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[NodeRng] = None,
         col_store: Optional[ColumnarStateStore] = None,
     ):
         self.peer_id = peer_id
         self.config = config or NodeConfig()
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
         self.store = ModerationStore(self.config.moderation_store_capacity)
         #: columnar backing (``None`` = classic per-node dict state).
         #: With a store, the ballot box is a thin view over the shared
@@ -97,6 +106,16 @@ class VoteSamplingNode:
         self.votes_truncated = 0
         self.vp_requests_answered = 0
         self.vp_requests_declined = 0
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The node's stream; feeds over-budget selections only."""
+        rng = self._rng
+        if not isinstance(rng, np.random.Generator):
+            rng = self._rng = (
+                np.random.default_rng(0) if rng is None else rng(self.peer_id)
+            )
+        return rng
 
     def _sync_membership(self) -> None:
         """Refresh this node's store_size column.  Called at the end of
@@ -155,8 +174,9 @@ class VoteSamplingNode:
         The eligible list is memoised on ``(store.mutation_count,
         vote_list.version)``, which move with everything it reads, so
         an exchange between two changes skips the re-sort; only an
-        over-budget selection draws (from :attr:`rng`), on every call,
-        as :func:`extract_moderations` does.  Callers must treat the
+        over-budget selection draws (from :attr:`rng`, which an
+        in-budget call does not even build), on every call, as
+        :func:`extract_moderations` does.  Callers must treat the
         returned list as read-only."""
         key = (self.store.mutation_count, self.vote_list.version)
         memo = self._eligible
@@ -165,9 +185,10 @@ class VoteSamplingNode:
                 key,
                 eligible_moderations(self.store, self.vote_list, self.peer_id),
             )
-        return select_moderations(
-            memo[1], self.config.moderations_per_exchange, self.rng
-        )
+        budget = self.config.moderations_per_exchange
+        if len(memo[1]) <= budget:
+            return memo[1]
+        return select_moderations(memo[1], budget, self.rng)
 
     def receive_moderations(self, items: Sequence[Moderation], now: float) -> int:
         """``Merge(local_db, ml)`` — returns how many were newly stored.

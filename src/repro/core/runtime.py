@@ -36,6 +36,7 @@ tests, which hold the two bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -176,10 +177,15 @@ class ProtocolRuntime:
         # generator object draws the identical sequence while skipping
         # a dict lookup per exchange.
         self._message_loss_rng = rng.stream("message-loss")
-        # Every trace peer that arrives asks for its node and jitter
-        # streams; derive their seeds for the whole trace in one pass.
+        # Every trace peer that arrives starts its jitter stream, and
+        # a node that draws its node stream; derive their seeds for the
+        # whole trace in one pass.
         rng.prime("node", session.trace.peers)
         rng.prime("jitter", session.trace.peers)
+        #: ``node_rng(peer_id)`` derives a peer's ``("node", peer_id)``
+        #: stream; a node calls it on its first draw, so the nodes of a
+        #: run that never draws build no generator
+        self.node_rng = partial(rng.stream, "node")
         self.traffic = TrafficMeter()
         #: accumulated online node-seconds (for per-node-hour costs)
         self._online_seconds = 0.0
@@ -196,10 +202,7 @@ class ProtocolRuntime:
         node = self.nodes.get(peer_id)
         if node is None:
             node = VoteSamplingNode(
-                peer_id,
-                self.config.node,
-                self._rng.stream("node", peer_id),
-                col_store=self._col_store,
+                peer_id, self.config.node, self.node_rng, col_store=self._col_store
             )
             self.nodes[peer_id] = node
         return node

@@ -8,13 +8,16 @@ top-K lists and its merge.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Sequence
+from typing import Deque, List, Sequence, Tuple, Union
 
 from repro.core.ranking import Ranking, merge_rank_lists
 
 
 class TopKCache:
-    """The last ``v_max`` top-K lists received via VoxPopuli."""
+    """The last ``v_max`` top-K lists received via VoxPopuli.
+
+    The bounded deque is allocated by the first list cached: most nodes
+    of a large run never receive one."""
 
     def __init__(self, v_max: int = 10, k: int = 3):
         if v_max < 1:
@@ -23,7 +26,7 @@ class TopKCache:
             raise ValueError("k must be >= 1")
         self.v_max = v_max
         self.k = k
-        self._lists: Deque[List[str]] = deque(maxlen=v_max)
+        self._lists: Union[Tuple[()], Deque[List[str]]] = ()
 
     def add(self, top_k_list: Sequence[str]) -> None:
         """Cache one received list (deduplicated on first occurrence,
@@ -35,6 +38,8 @@ class TopKCache:
         :meth:`merged_ranking`."""
         trimmed = list(dict.fromkeys(top_k_list))[: self.k]
         if trimmed:
+            if not self._lists:
+                self._lists = deque(maxlen=self.v_max)
             self._lists.append(trimmed)
 
     def lists(self) -> List[List[str]]:
@@ -53,7 +58,7 @@ class TopKCache:
         return sorted(out)
 
     def clear(self) -> None:
-        self._lists.clear()
+        self._lists = ()
 
     def __len__(self) -> int:
         return len(self._lists)

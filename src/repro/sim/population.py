@@ -34,8 +34,14 @@ event, not an extraction per event.
 peer) triple, in execution order — is bit-identical to the object
 engine's, because each ingredient is replicated exactly:
 
-* *jitter*: all of a peer's loops share one ``rng.stream("jitter",
-  peer_id)`` generator.  The engine pre-draws raw doubles in chunks
+* *jitter*: all of a peer's loops share one stream, the one
+  ``rng.stream("jitter", peer_id)`` would hand out.  No generator is
+  kept per peer: each row's PCG64 position (state and increment, as
+  hi/lo words; all zero until the row first draws) lives in a uint64
+  column.  A scalar refill runs it through one scratch generator; a
+  window refills every row it runs past its buffer in one
+  :func:`~repro.sim.rng.pcg64_doubles` call, a kernel pinned to
+  numpy's draws.  The engine pre-draws raw doubles in chunks
   (``Generator.random(n)`` produces the same doubles as n scalar
   ``uniform`` calls) and computes each gap as ``interval + (-j + (j+j)
   * u)`` — the exact FP operations inside ``Generator.uniform(-j,
@@ -112,12 +118,13 @@ import numpy as np
 
 from repro.core.checkpoint import take
 from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, pcg64_doubles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.columnar import RowTable
 
 _INF = float("inf")
+_MASK64 = (1 << 64) - 1
 #: Block width of the per-protocol minimum index (power of two).
 _BLOCK_SHIFT = 11
 _BLOCK = 1 << _BLOCK_SHIFT
@@ -148,7 +155,7 @@ class _Window:
 
     __slots__ = (
         "horizon", "epoch", "t_arr", "p_arr", "r_arr", "t", "s", "p", "row",
-        "when", "advanced", "claimed", "left", "k", "n", "fired",
+        "when", "advanced", "spare", "claimed", "left", "k", "n", "fired",
     )
 
     def __init__(
@@ -159,8 +166,9 @@ class _Window:
         seqs: np.ndarray,
         protos: np.ndarray,
         rows: np.ndarray,
-        when: List[Optional[float]],
+        when: List[float],
         advanced: Optional[np.ndarray],
+        spare: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     ):
         #: every pending column entry below this time is in ``[k, n)``
         self.horizon = horizon
@@ -172,11 +180,16 @@ class _Window:
         self.s: List[int] = seqs.tolist()
         self.p: List[int] = protos.tolist()
         self.row: List[int] = rows.tolist()
-        #: precomputed reschedule time per entry (``None`` = slow path)
+        #: precomputed reschedule time per entry
         self.when = when
-        #: per entry: its jitter draw moves (or moved) the peer's
-        #: cursor itself, so the flush must not; ``None`` = no jitter
+        #: per entry: its jitter draw already moved the peer's cursor
+        #: (reconciled by ``peer_online``), so the flush must not;
+        #: ``None`` = no jitter
         self.advanced = advanced
+        #: ``(rows, chunks, state words)``: the next jitter chunk of
+        #: every row whose draws this window run past its buffer, for
+        #: the flush to install if they did; ``None`` = no such row
+        self.spare = spare
         #: per entry: seq claimed for its reschedule; 0 = executed but
         #: went offline during its action; -1 = pending or skipped
         self.claimed = [-1] * len(self.t)
@@ -249,14 +262,7 @@ class PopulationEngine:
         #: per-protocol half-width j and full span (j + j == 2j exactly)
         self._jit_half = [ival * self._jf for ival in self._intervals]
         self._jit_span = [j + j for j in self._jit_half]
-        #: hot-loop view: (interval, -j, 2j) per protocol, one fetch
-        self._params = [
-            (ival, -j, span)
-            for ival, j, span in zip(
-                self._intervals, self._jit_half, self._jit_span
-            )
-        ]
-        #: the same three constants as float64 arrays, for the
+        #: interval, -j and 2j per protocol as float64 arrays, for the
         #: vectorised per-batch gap computation (bit-identical ops)
         self._iv_arr = np.array(self._intervals, dtype=np.float64)
         self._neg_half_arr = -np.array(self._jit_half, dtype=np.float64)
@@ -293,11 +299,15 @@ class PopulationEngine:
             np.zeros(0, dtype=np.float64) for _ in range(n_protocols)
         ]
         #: per-peer pre-drawn jitter doubles (one chunk buffer per
-        #: row), cursors (== _JITTER_CHUNK ⇒ buffer empty), and lazy
-        #: per-peer streams
+        #: row), cursors (== _JITTER_CHUNK ⇒ buffer empty), and each
+        #: row's jitter stream position after its last refill: PCG64
+        #: state hi/lo, increment hi/lo (all zero = never drawn; an
+        #: increment is odd)
         self._jit_buf = np.zeros((0, _JITTER_CHUNK), dtype=np.float64)
         self._jit_pos = np.zeros(0, dtype=np.int64)
-        self._streams: List[Optional[np.random.Generator]] = []
+        self._jit_state = np.zeros((0, 4), dtype=np.uint64)
+        #: the one generator every refill draws through
+        self._scratch = np.random.Generator(np.random.PCG64(0))
 
         #: telemetry
         self.ticks_by_protocol = [0] * n_protocols
@@ -331,9 +341,11 @@ class PopulationEngine:
 
         self._online_since = _resize(self._online_since, np.nan, np.float64)
         self._jit_pos = _resize(self._jit_pos, _JITTER_CHUNK, np.int64)
-        buf = np.zeros((new_cap, _JITTER_CHUNK), dtype=np.float64)
-        buf[: self._jit_buf.shape[0]] = self._jit_buf
-        self._jit_buf = buf
+        for name in ("_jit_buf", "_jit_state"):
+            old = getattr(self, name)
+            grown = np.zeros((new_cap, old.shape[1]), dtype=old.dtype)
+            grown[: old.shape[0]] = old
+            setattr(self, name, grown)
         for p in range(len(self._next)):
             self._next[p] = _resize(self._next[p], _INF, np.float64)
             self._seq[p] = _resize(self._seq[p], 0, np.int64)
@@ -351,10 +363,8 @@ class PopulationEngine:
         if n > self._capacity:
             self._grow(n)
         online = self._online
-        streams = self._streams
         while len(online) < n:
             online.append(False)
-            streams.append(None)
 
     def _add_peer(self, peer_id: str) -> int:
         if len(self._online) != len(self._ids):
@@ -365,7 +375,6 @@ class PopulationEngine:
         self._ids.append(peer_id)
         self._index[peer_id] = row
         self._online.append(False)
-        self._streams.append(None)
         return row
 
     def peer_online(self, peer_id: str, now: float) -> None:
@@ -422,21 +431,42 @@ class PopulationEngine:
         """Next raw jitter double for the peer (chunked pre-draw)."""
         pos = int(self._jit_pos[row])
         if pos >= _JITTER_CHUNK:
-            stream = self._streams[row]
-            if stream is None:
-                stream = self._registry.stream("jitter", self._ids[row])
-                self._streams[row] = stream
-            self._jit_buf[row] = stream.random(_JITTER_CHUNK)
+            self._refill(row)
             pos = 0
         self._jit_pos[row] = pos + 1
         return float(self._jit_buf[row, pos])
 
+    def _refill(self, row: int) -> None:
+        """Draw the peer's next chunk: its stream position goes into
+        the scratch generator, the chunk comes out, and so does the
+        advanced position.  A row that never drew starts where
+        ``rng.stream("jitter", peer_id)`` would (the runtime primes
+        those seeds for the whole trace)."""
+        words = self._jit_state[row]
+        s_hi, s_lo, i_hi, i_lo = words.tolist()
+        if i_lo:
+            state, inc = (s_hi << 64) | s_lo, (i_hi << 64) | i_lo
+        else:
+            state, inc = self._registry.start_state("jitter", self._ids[row])
+        bits = self._scratch.bit_generator
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._jit_buf[row] = self._scratch.random(_JITTER_CHUNK)
+        state = bits.state["state"]["state"]
+        words[:] = (state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)
+
     def _reconcile_cursor(self, win: _Window, row: int) -> None:
-        """A peer is restarting while the window is open.  Fast-path
-        draws the window consumed for this row have not advanced its
-        jitter cursor yet (the flush does that), so advance it now —
-        the fresh ``_schedule`` draw must continue the stream — and
-        mark those entries so the flush does not advance it twice."""
+        """A peer is restarting while the window is open.  Draws the
+        window consumed for this row have not advanced its jitter
+        cursor yet (the flush does that), so advance it now — the fresh
+        ``_schedule`` draw must continue the stream — and mark those
+        entries so the flush does not advance it twice.  Draws that ran
+        past the buffer read the window's spare chunk, which the
+        scalar refill draws again from the same stream position."""
         if win.advanced is None:
             return  # no jitter, no cursors
         consumed = [
@@ -445,7 +475,11 @@ class PopulationEngine:
             if win.claimed[k] > 0 and not win.advanced[k]
         ]
         if consumed:
-            self._jit_pos[row] += len(consumed)
+            pos = int(self._jit_pos[row]) + len(consumed)
+            if pos > _JITTER_CHUNK:
+                self._refill(row)
+                pos -= _JITTER_CHUNK
+            self._jit_pos[row] = pos
             win.advanced[consumed] = True
 
     def _schedule(self, p: int, row: int, base: float) -> None:
@@ -535,10 +569,10 @@ class PopulationEngine:
         times = times[order]
         protos = protos[order]
         rows = rows[order]
-        when_list, advanced = self._prepare_batch(times, protos, rows)
+        when_list, advanced, spare = self._prepare_batch(times, protos, rows)
         win = _Window(
             horizon, self._churn_epoch, times, seqs[order], protos, rows,
-            when_list, advanced,
+            when_list, advanced, spare,
         )
         self._win = win
         return win
@@ -548,24 +582,31 @@ class PopulationEngine:
         times: np.ndarray,
         protos: np.ndarray,
         rows: np.ndarray,
-    ) -> Tuple[List[Optional[float]], Optional[np.ndarray]]:
+    ) -> Tuple[
+        List[float],
+        Optional[np.ndarray],
+        Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ]:
         """Vectorised pre-computation of each entry's reschedule time.
 
         The gap arithmetic runs elementwise in float64 — the exact
         operations of the scalar path, so the times are bit-identical
-        — and each entry's jitter double is gathered from its peer's
-        chunk buffer at ``cursor + occurrence-within-window`` without
-        advancing any cursor (the flush advances cursors only for
-        draws the window actually consumed).  Entries of a peer whose
-        buffer would run dry mid-window take the scalar slow path
-        (``None`` marker, ``advanced`` mask set: their inline draws
-        move the cursor themselves); a peer's entries are all-fast or
-        all-slow, so the two paths never interleave on one cursor.
+        — and each entry's jitter double is gathered at ``cursor +
+        occurrence-within-window`` without advancing any cursor (the
+        flush advances cursors only for draws the window actually
+        consumed).  A peer whose draws run past its buffer has its next
+        chunk drawn here, for all such peers in one
+        :func:`~repro.sim.rng.pcg64_doubles` call, and the draws past
+        the buffer read it; the flush installs it — doubles and stream
+        position — only if the window consumed into it, so the columns
+        end as the scalar refill would leave them.  Every row with a
+        pending tick has drawn (its first tick's jitter), so its
+        stream position is set.
         """
         m = rows.size
         if self._jf == 0.0:
             when = times + self._iv_arr[protos]
-            return when.tolist(), None
+            return when.tolist(), None, None
         order = np.argsort(rows, kind="stable")
         rs = rows[order]
         newgrp = np.empty(m, dtype=bool)
@@ -575,25 +616,26 @@ class PopulationEngine:
         occ_sorted = idx - np.maximum.accumulate(np.where(newgrp, idx, 0))
         starts = np.nonzero(newgrp)[0]
         counts = np.diff(np.append(starts, m))
-        # a row is slow if its last draw this window would cross the
-        # chunk boundary (or its buffer was never filled: cursor ==
-        # _JITTER_CHUNK)
-        row_slow = self._jit_pos[rs[starts]] + counts > _JITTER_CHUNK
-        entry_slow = np.empty(m, dtype=bool)
-        entry_slow[order] = np.repeat(row_slow, counts)
-        end_pos = np.empty(m, dtype=np.int64)
-        end_pos[order] = self._jit_pos[rs] + occ_sorted
-        u = np.zeros(m, dtype=np.float64)
-        fast = np.nonzero(~entry_slow)[0]
-        u[fast] = self._jit_buf[rows[fast], end_pos[fast]]
+        pos = self._jit_pos[rs] + occ_sorted
+        inside = pos < _JITTER_CHUNK
+        u_sorted = np.empty(m, dtype=np.float64)
+        u_sorted[inside] = self._jit_buf[rs[inside], pos[inside]]
+        spare = None
+        if not inside.all():
+            past = self._jit_pos[rs[starts]] + counts > _JITTER_CHUNK
+            spare_rows = rs[starts[past]]
+            chunks, states = pcg64_doubles(self._jit_state[spare_rows], _JITTER_CHUNK)
+            spare = (spare_rows, chunks, states)
+            chunk_of = np.repeat(np.cumsum(past) - 1, counts)
+            out = ~inside
+            u_sorted[out] = chunks[chunk_of[out], pos[out] - _JITTER_CHUNK]
+        u = np.empty(m, dtype=np.float64)
+        u[order] = u_sorted
         gap = self._iv_arr[protos] + (
             self._neg_half_arr[protos] + self._span_arr[protos] * u
         )
         when = times + np.maximum(gap, 1e-9)
-        when_list: List[Optional[float]] = when.tolist()
-        for k in np.nonzero(entry_slow)[0].tolist():
-            when_list[k] = None
-        return when_list, entry_slow
+        return when.tolist(), np.zeros(m, dtype=bool), spare
 
     def _head(self) -> Optional[_Window]:
         """The open window with its cursor on a live entry — skipping
@@ -659,7 +701,6 @@ class PopulationEngine:
         if win is None:
             return 0
         t_list, s_list, p_list, row_list = win.t, win.s, win.p, win.row
-        when_list = win.when
         claimed = win.claimed
         k = win.k
         end = win.n if limit_key is None else win.prefix_end(k, win.n, limit_key)
@@ -672,10 +713,7 @@ class PopulationEngine:
         members = self._members
         any_batch = self._any_batch
         ids = self._ids
-        params = self._params
         ticks = self.ticks_by_protocol
-        jittered = self._jf > 0.0
-        draw = self._draw
         epoch = win.epoch
         eseq = engine._seq
         skipped = 0
@@ -738,19 +776,8 @@ class PopulationEngine:
                                 "claim sequence numbers, or change peer "
                                 "online status"
                             )
-                        for kk in range(k, j):
-                            if when_list[kk] is None:
-                                interval, neg_half, span = params[p_list[kk]]
-                                if jittered:
-                                    u = draw(row_list[kk])
-                                    gap = interval + (neg_half + span * u)
-                                    if gap < 1e-9:
-                                        gap = 1e-9
-                                else:
-                                    gap = interval
-                                when_list[kk] = t_list[kk] + gap
-                            eseq += 1
-                            claimed[kk] = eseq
+                        claimed[k:j] = range(eseq + 1, eseq + 1 + j - k)
+                        eseq += j - k
                         engine._seq = eseq
                         for q in members[g]:
                             ticks[q] += run_protos.count(q)
@@ -769,19 +796,6 @@ class PopulationEngine:
                 seq_now = engine._seq
                 action_claimed = seq_now != eseq
                 if online[row]:
-                    if when_list[k] is None:
-                        # Slow path: the peer's jitter chunk runs dry
-                        # this window — draw and compute the gap like
-                        # the object engine.
-                        if jittered:
-                            u = draw(row)
-                            interval, neg_half, span = params[p]
-                            gap = interval + (neg_half + span * u)
-                            if gap < 1e-9:
-                                gap = 1e-9
-                        else:
-                            gap = params[p][0]
-                        when_list[k] = t + gap
                     eseq = seq_now + 1
                     engine._seq = eseq
                     claimed[k] = eseq
@@ -816,16 +830,16 @@ class PopulationEngine:
 
     def _close_window(self) -> None:
         """Flush the open window's executed prefix into the columns —
-        reschedule times, seqs, block minima, jitter cursors, in one
-        vectorised pass — and drop the window; its unexecuted tail is
-        only a cache of the columns.
+        reschedule times, seqs, block minima, jitter cursors and the
+        spare chunks the window drew into, in one vectorised pass — and
+        drop the window; its unexecuted tail is only a cache of the
+        columns.
 
         Each write is revalidated against the column: churn after an
         entry executed superseded its reschedule (the column no longer
         holds the extracted time), though the jitter draw it consumed
         still counts — unless ``advanced`` says the cursor moved
-        already (inline slow-path draws, cursors reconciled by
-        ``peer_online``).
+        already (reconciled by ``peer_online``).
         """
         win = self._win
         self._win = None
@@ -861,6 +875,18 @@ class PopulationEngine:
             bmin[ub] = np.minimum(bmin[ub], mins)
         if win.advanced is not None:
             np.add.at(self._jit_pos, r_arr[done & ~win.advanced[:c]], 1)
+        if win.spare is not None:
+            # Rows whose consumed draws ran past their buffer take the
+            # spare chunk and the stream position after it.  (A row
+            # reconciled mid-window refilled itself; its cursor is back
+            # inside a chunk.)
+            rows, chunks, states = win.spare
+            past = np.nonzero(self._jit_pos[rows] > _JITTER_CHUNK)[0]
+            if past.size:
+                r = rows[past]
+                self._jit_buf[r] = chunks[past]
+                self._jit_state[r, :2] = states[past]
+                self._jit_pos[r] -= _JITTER_CHUNK
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -870,11 +896,15 @@ class PopulationEngine:
         the columns (trimmed to the assigned rows) as arrays.
 
         Pairs with :meth:`restore_schedule_state`: restoring it (plus
-        the row table and the registry's stream states, saved
-        separately) replays the remaining run bit-identically — per-row
-        next-tick times and seqs, the pre-drawn jitter buffers with
-        their cursors, online flags/since-stamps, and the telemetry
-        counters.  Closes the open window first (the columns are the
+        the row table, saved separately) replays the remaining run
+        bit-identically — per-row next-tick times and seqs, the
+        pre-drawn jitter buffers with their cursors and stream
+        positions, online flags/since-stamps, and the telemetry
+        counters.  ``jit_state`` is in the layout of a checkpoint's
+        per-peer ``rng.<family>`` arrays (``[rows, 6]``: state hi/lo,
+        increment hi/lo, then the two buffered-uint32 fields, which
+        doubles never touch and so stay 0); an all-zero row has never
+        drawn.  Closes the open window first (the columns are the
         checkpoint; the window is re-extracted on the next peek), so
         the only time this cannot run is from inside a tick's own
         action.
@@ -894,6 +924,7 @@ class PopulationEngine:
             "seq": np.stack([col[:n] for col in self._seq]),
             "jit_pos": self._jit_pos[:n].copy(),
             "jit_buf": self._jit_buf[:n].copy(),
+            "jit_state": np.pad(self._jit_state[:n], ((0, 0), (0, 2))),
             "ticks_by_protocol": list(self.ticks_by_protocol),
             "batches": self.batches,
             "max_batch_size": self.max_batch_size,
@@ -908,9 +939,10 @@ class PopulationEngine:
         (the state store's load restores a shared table; a scheduler
         with a table of its own gets the ids from its caller), so
         restored row numbers equal saved ones; block minima are rebuilt
-        from the restored columns.  Jitter streams stay lazy — they
-        re-resolve against the registry, whose stream states the caller
-        restores before ticking resumes.
+        from the restored columns, and the jitter stream positions
+        come back as words: no generator is built.  A ``jit_state`` row
+        with a buffered uint32 is refused — a double draw would discard
+        it, so no jitter stream of this engine ever holds one.
         """
         names = list(state["names"])  # type: ignore[arg-type]
         if names != self._names:
@@ -941,6 +973,14 @@ class PopulationEngine:
             self._bmin[p][: mins.size] = mins
         self._jit_pos[:n] = take(state, "jit_pos", np.int64, n)
         self._jit_buf[:n] = take(state, "jit_buf", np.float64, n, _JITTER_CHUNK)
+        words = take(state, "jit_state", np.uint64, n, 6)
+        buffered = np.nonzero(words[:, 4:].any(axis=1))[0]
+        if buffered.size:
+            raise ValueError(
+                f"jit_state: row {int(buffered[0])} holds a buffered uint32, "
+                "which no jitter stream can have"
+            )
+        self._jit_state[:n] = words[:, :4]
         self.ticks_by_protocol = [int(t) for t in state["ticks_by_protocol"]]  # type: ignore[union-attr]
         self.batches = int(state["batches"])  # type: ignore[arg-type]
         self.max_batch_size = int(state["max_batch_size"])  # type: ignore[arg-type]
@@ -956,20 +996,18 @@ class PopulationEngine:
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         """Measured retained footprint of the scheduler's columns: the
-        per-protocol next/seq/block-min arrays, the jitter buffers and
-        cursors, the online flags and since-stamps, and the container
+        per-protocol next/seq/block-min arrays, the jitter buffers,
+        cursors and stream positions, the online flags and since-stamps, and the container
         overhead of the Python-side bookkeeping (peer id strings are
         shared with the row table and excluded, matching the accounting
         line the state store draws)."""
         total = self._online_since.nbytes + self._jit_buf.nbytes
-        total += self._jit_pos.nbytes
+        total += self._jit_pos.nbytes + self._jit_state.nbytes
         for cols in (self._next, self._seq, self._bmin):
             total += sys.getsizeof(cols)
             for arr in cols:
                 total += arr.nbytes
-        for container in (self._online, self._streams):
-            total += sys.getsizeof(container)
-        return total
+        return total + sys.getsizeof(self._online)
 
     def telemetry(self) -> Dict[str, object]:
         """Counters for ``run_summary()``: population size, online

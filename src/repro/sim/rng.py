@@ -15,6 +15,12 @@ registry; what a key adds (four ``hashmix``/``mix`` steps on its CRC
 and eight output words) is one numpy pass over a whole vector of CRCs.
 :meth:`RngRegistry.prime` runs that pass for a population up front; an
 unprimed key is a batch of one.
+
+:meth:`RngRegistry.start_state` hands out where a stream starts — its
+PCG64 128-bit state and increment — without building the generator,
+for consumers that keep a population's stream positions in a column
+(the scheduler's jitter).  :func:`pcg64_doubles` draws the next doubles
+of many such positions at once.
 """
 
 from __future__ import annotations
@@ -36,6 +42,12 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4
+# numpy's PCG64 (numpy/random/src/pcg64): the LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(_MASK32)
+_U32 = np.uint64(32)
 
 
 def _hashmix(value: int, hash_const: int) -> Tuple[int, int]:
@@ -153,6 +165,81 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _pcg64_start(words: np.ndarray) -> Tuple[int, int]:
+    """``(state, inc)`` of ``PCG64`` seeded with four seed words —
+    numpy's ``pcg64_set_seed``: the first two words are the initial
+    state, the last two the stream selector, then two LCG steps."""
+    w0, w1, w2, w3 = words.tolist()
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+    state = (inc + ((w0 << 64) | w1)) & _MASK128
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _jumps(n: int) -> np.ndarray:
+    """``(4, n)`` uint64 rows: ``A_k`` hi/lo, ``C_k`` hi/lo for ``k =
+    1..n``, where ``k`` LCG steps from state ``s`` with increment ``c``
+    land on ``A_k·s + C_k·c`` (``A_k = M^k``, ``C_k = 1 + M + … +
+    M^(k-1)``, mod 2^128)."""
+    a, c, cols = 1, 0, []
+    for _ in range(n):
+        a, c = (a * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        cols.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    return np.array(cols, dtype=np.uint64).T.copy()
+
+
+def _mul128(
+    ah: np.ndarray, al: np.ndarray, bh: np.ndarray, bl: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ah:al)·(bh:bl)`` mod 2^128 elementwise, as ``(hi, lo)``:
+    uint64 products wrap, so only ``al·bl``'s high word needs the
+    32-bit halves."""
+    a0, a1 = al & _LOW32, al >> _U32
+    b0, b1 = bl & _LOW32, bl >> _U32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return hi + al * bh + ah * bl, al * bl
+
+
+#: Streams per :func:`pcg64_doubles` pass: keeps each temporary near
+#: 64 KB however many streams a call carries.
+_KERNEL_ROWS = 512
+
+
+def pcg64_doubles(words: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The next ``n`` doubles of many PCG64 streams at once.
+
+    ``words`` is ``(R, 4)`` uint64: each stream's state hi/lo and
+    increment hi/lo, as in a checkpoint's per-peer ``rng.*`` arrays.
+    Returns the ``(R, n)`` doubles ``Generator.random(n)`` would draw
+    from each — numpy's PCG64 step, XSL-RR output and 53-bit double,
+    every state reached from the start by a precomputed jump — and the
+    ``(R, 2)`` state hi/lo words after them (the increments do not
+    change)."""
+    table = _jumps(n)
+    doubles = np.empty((len(words), n), dtype=np.float64)
+    states = np.empty((len(words), 2), dtype=np.uint64)
+    for start in range(0, len(words), _KERNEL_ROWS):
+        block = words[start : start + _KERNEL_ROWS]
+        sh, sl, ih, il = (block[:, j : j + 1] for j in range(4))
+        xh, xl = _mul128(sh, sl, table[0], table[1])
+        yh, yl = _mul128(ih, il, table[2], table[3])
+        lo = xl + yl
+        hi = xh + yh + (lo < xl)
+        out = hi ^ lo
+        rot = hi >> np.uint64(58)
+        out = (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
+        rows = slice(start, start + len(block))
+        np.multiply(
+            (out >> np.uint64(11)).astype(np.float64),
+            1.0 / 9007199254740992.0,
+            out=doubles[rows],
+        )
+        states[rows, 0] = hi[:, -1]
+        states[rows, 1] = lo[:, -1]
+    return doubles, states
+
+
 #: Seeds the throwaway state of a generator :meth:`RngRegistry
 #: .restore_stream` is about to reposition (deriving the key's real
 #: seed would be wasted work).
@@ -208,6 +295,19 @@ class RngRegistry:
             mixer = self._mixer = _KeyMixer(self._seed)
         return mixer.derive(crcs)
 
+    def _words(self, key: Key) -> np.ndarray:
+        """Key ``key``'s four PCG64 seed words, primed or derived."""
+        if not key:
+            raise ValueError("stream key must be non-empty")
+        if len(key) == 2:
+            primed = self._primed.get(str(key[0]))
+            if primed is not None:
+                row = primed[0].get(str(key[1]))
+                if row is not None:
+                    return primed[1][row]
+        crc = np.array([_key_to_entropy(key)], dtype=np.uint32)
+        return self._derive(crc)[0]
+
     def stream(self, *key: Union[str, int]) -> np.random.Generator:
         """Return the Generator for ``key``, creating it on first use.
 
@@ -217,28 +317,25 @@ class RngRegistry:
         """
         gen = self._streams.get(key)
         if gen is None:
-            if not key:
-                raise ValueError("stream key must be non-empty")
-            words = None
-            if len(key) == 2:
-                primed = self._primed.get(str(key[0]))
-                if primed is not None:
-                    row = primed[0].get(str(key[1]))
-                    if row is not None:
-                        words = primed[1][row]
-            if words is None:
-                crc = np.array([_key_to_entropy(key)], dtype=np.uint32)
-                words = self._derive(crc)[0]
-            gen = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            gen = np.random.Generator(np.random.PCG64(_SeedWords(self._words(key))))
             self._streams[key] = gen
         return gen
 
+    def start_state(self, *key: Union[str, int]) -> Tuple[int, int]:
+        """The 128-bit PCG64 ``(state, inc)`` stream ``key`` starts at
+        — what :meth:`stream`'s generator holds before its first draw —
+        without building or registering a generator.  A consumer that
+        keeps the position itself owns the stream: the registry never
+        sees its draws, so it must not also ask :meth:`stream` for the
+        same key."""
+        return _pcg64_start(self._words(key))
+
     def prime(self, family: Union[str, int], ids: Iterable[Union[str, int]]) -> None:
         """Derive the seed words of stream ``(family, id)`` for every id
-        in one vectorised pass, so the ``stream`` calls that follow only
-        build their generators.  Priming changes no draw: the words are
-        the ones ``stream`` would derive, and a stream that already
-        exists is left as it is."""
+        in one vectorised pass, so the ``stream`` and ``start_state``
+        calls that follow only look them up.  Priming changes no draw:
+        the words are the ones ``stream`` would derive, and a stream
+        that already exists is left as it is."""
         fam = str(family)
         index, words = self._primed.get(fam, ({}, None))
         fresh = list(dict.fromkeys(i for i in map(str, ids) if i not in index))

@@ -32,7 +32,8 @@ checksummed sections — ``store.*`` (:meth:`ColumnarStateStore
 (:meth:`PopulationEngine.schedule_state`: next-tick/seq columns,
 jitter buffers), ``nodes.*`` (:func:`~repro.core.persistence
 .nodes_to_columns`: what nodes hold outside the store) and ``rng.*``
-(the per-peer ``node``/``jitter`` generator states by row) — behind a
+(the per-peer ``node`` and ``jitter`` stream positions by row; the
+scheduler's jitter column is saved here, once) — behind a
 small JSON header with the scalar state: engine clock/seq, the session
 round's heap key, registry online order, the named RNG streams, the
 run-level counters, aggregation state and ops.  Restore loads the
@@ -119,10 +120,11 @@ CHECKPOINT_FILE = "checkpoint.ckpt"
 #: The worker's live status document inside the shard directory.
 STATUS_FILE = "status.json"
 
-#: Registry stream families with one generator per peer; their states
-#: are checkpointed as row-keyed ``rng.<family>`` arrays, every other
-#: stream by key in the header.
-_PEER_STREAMS = ("node", "jitter")
+#: The registry's stream family with one generator per peer; its
+#: states are checkpointed as a row-keyed ``rng.node`` array, every
+#: other registry stream by key in the header.  ``rng.jitter`` has the
+#: same layout and is the scheduler's own column.
+_NODE_STREAM = "node"
 _MASK64 = (1 << 64) - 1
 
 #: A round interval so large the session's recurring transfer round is
@@ -371,27 +373,28 @@ class ServiceShard:
                 return {"time": entry_time, "priority": prio, "seq": seq}
         return None
 
-    def _rng_state(self, rows: RowTable) -> Dict[str, Any]:
-        """The registry's streams as one checkpoint component: the
+    def _rng_state(self, rows: RowTable, jitter: np.ndarray) -> Dict[str, Any]:
+        """The random streams as one checkpoint component: the
         per-peer families as ``[rows, 6]`` uint64 arrays keyed by row
         (128-bit state and increment as high/low words, then the two
         buffered-uint32 fields; all-zero = the peer has no such stream
-        — a PCG64 increment is odd), everything else as ``[key,
-        state]`` pairs under ``named``."""
+        or never drew from it — a PCG64 increment is odd), every other
+        registry stream as ``[key, state]`` pairs under ``named``.
+        ``jitter`` is the scheduler's column, already in that
+        layout."""
         named: List[Any] = []
-        state: Dict[str, Any] = {"named": named}
-        for family in _PEER_STREAMS:
-            state[family] = np.zeros((len(rows), 6), dtype=np.uint64)
+        nodes = np.zeros((len(rows), 6), dtype=np.uint64)
+        state: Dict[str, Any] = {"named": named, _NODE_STREAM: nodes, "jitter": jitter}
         for key, gen in self.rng.streams().items():
             bits = gen.bit_generator.state
             row = rows.get(key[1]) if len(key) == 2 else None
-            if row is None or key[0] not in _PEER_STREAMS:
+            if row is None or key[0] != _NODE_STREAM:
                 named.append([list(key), bits])
                 continue
             if bits["bit_generator"] != "PCG64":
                 raise RuntimeError(f"cannot checkpoint a {bits['bit_generator']} stream")
             inner = bits["state"]
-            state[key[0]][row] = np.array(
+            nodes[row] = np.array(
                 [
                     inner["state"] >> 64,
                     inner["state"] & _MASK64,
@@ -442,10 +445,11 @@ class ServiceShard:
         }
         if self.aggregator is not None:
             header["aggregation"] = self.aggregator.state_dict()
+        sched = runtime.materialize_population().schedule_state()
         components = {
-            "rng": self._rng_state(store.rows),
+            "rng": self._rng_state(store.rows, sched.pop("jit_state")),
             "store": store.dump_state(),
-            "sched": runtime.materialize_population().schedule_state(),
+            "sched": sched,
             "nodes": nodes_to_columns(runtime.nodes.values()),
         }
         size = write_sections(directory / CHECKPOINT_FILE, header, components)
@@ -523,40 +527,43 @@ class ServiceShard:
         store.load_state(components["store"])
         # Streams: components that already grabbed a generator in
         # __init__ (pss, message-loss, aggregation) observe the restored
-        # state through the same object; per-peer streams are registered
-        # at their saved state before the nodes and the scheduler ask
-        # for them.
+        # state through the same object; a node stream that had drawn
+        # is registered at its saved state, for the node to pick up on
+        # its next draw.  A zero row (never drawn) builds nothing: that
+        # node derives its stream fresh, as the uninterrupted run does.
         rng = shard.rng
         for key, state in components["rng"]["named"]:
             rng.restore_stream(tuple(key), state)
         ids = store.rows.ids
-        for family in _PEER_STREAMS:
-            words = take(components["rng"], family, np.uint64, len(ids), 6)
-            for row in np.nonzero(words[:, 3])[0].tolist():
-                s_hi, s_lo, i_hi, i_lo, has_uint32, uinteger = words[row].tolist()
-                rng.restore_stream(
-                    (family, ids[row]),
-                    {
-                        "bit_generator": "PCG64",
-                        "state": {
-                            "state": (s_hi << 64) | s_lo,
-                            "inc": (i_hi << 64) | i_lo,
-                        },
-                        "has_uint32": has_uint32,
-                        "uinteger": uinteger,
+        words = take(components["rng"], _NODE_STREAM, np.uint64, len(ids), 6)
+        for row in np.nonzero(words[:, 3])[0].tolist():
+            s_hi, s_lo, i_hi, i_lo, has_uint32, uinteger = words[row].tolist()
+            rng.restore_stream(
+                (_NODE_STREAM, ids[row]),
+                {
+                    "bit_generator": "PCG64",
+                    "state": {
+                        "state": (s_hi << 64) | s_lo,
+                        "inc": (i_hi << 64) | i_lo,
                     },
-                )
+                    "has_uint32": has_uint32,
+                    "uinteger": uinteger,
+                },
+            )
         # Nodes are views: the ballot boxes already sit in the loaded
         # store, the rest comes from the ``nodes.*`` columns.
         for node in nodes_from_columns(
             components["nodes"],
             lambda pid: VoteSamplingNode(
-                pid, config.node, rng.stream("node", pid), col_store=store
+                pid, config.node, runtime.node_rng, col_store=store
             ),
         ):
             runtime.nodes[node.peer_id] = node
         runtime.restore_counters(header["counters"])
-        runtime.materialize_population().restore_schedule_state(components["sched"])
+        jitter = take(components["rng"], "jitter", np.uint64, len(ids), 6)
+        runtime.materialize_population().restore_schedule_state(
+            {**components["sched"], "jit_state": jitter}
+        )
         aggregation_state = header.get("aggregation")
         if shard.aggregator is not None:
             if aggregation_state is None:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bittorrent.choker import Choker, ChokerConfig
 
@@ -82,3 +84,39 @@ def test_deterministic_tie_break_on_peer_id():
     interested = ["z", "a", "m", "b"]
     picked = choker.select(interested, {}, seeding=False)
     assert picked == ["a", "b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=2**31 + 5),
+        st.integers(min_value=2**32 - 2, max_value=2**33),
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_one_slot_pick_equals_choice_value_and_state(seed, pool, warmup):
+    """The optimistic slot's one-of-``pool`` draw is ``integers(0,
+    pool)``, standing in for ``choice(pool, size=1, replace=False)``:
+    same value, and the generator left in the same state — buffered
+    half-word included (``warmup`` 32-bit draws leave one behind) — so
+    every later draw of the swarm stream is unchanged."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (fast, slow):
+        rng.integers(0, 1000, size=warmup)
+    value = fast.integers(0, pool)
+    assert value == slow.choice(pool, size=1, replace=False)[0]
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_optimistic_pick_draws_as_choice_did():
+    """The choker's one-slot rotation moves its stream exactly as a
+    one-element ``choice`` would."""
+    choker = make(seed=5, regular_slots=1, optimistic_slots=1)
+    ref = np.random.default_rng(5)
+    pool = ["b", "c", "d", "e"]
+    picked = choker.select(["a"] + pool, {"a": 9.0}, seeding=False)
+    expected = pool[int(ref.choice(len(pool), size=1, replace=False)[0])]
+    assert picked == ["a", expected]
+    assert choker._rng.bit_generator.state == ref.bit_generator.state

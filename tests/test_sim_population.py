@@ -59,6 +59,24 @@ def test_vectorised_jitter_matches_scalar_uniform():
     assert scalar == vectorised
 
 
+@pytest.mark.parametrize("primed", [True, False], ids=["primed", "unprimed"])
+def test_jitter_column_draws_the_registry_stream(primed):
+    """Chunk after chunk, the doubles refilled through the row's words
+    are the ones ``rng.stream("jitter", pid)`` yields — and no
+    generator is registered for the stream."""
+    rng = RngRegistry(5)
+    if primed:
+        rng.prime("jitter", ["a", "b"])
+    pop = PopulationEngine(Engine(), rng, [("loop", 10.0, lambda pid: None)], 0.2)
+    pop.peer_online("a", 0.0)
+    pop.peer_online("b", 0.0)
+    row = pop._index["b"]
+    drawn = [pop._draw(row) for _ in range(3 * 16 + 4)]
+    expected = RngRegistry(5).stream("jitter", "b").random(4 * 16)
+    assert drawn == expected[1 : 1 + len(drawn)].tolist()  # [0] went to peer_online
+    assert rng.streams() == {}
+
+
 # ----------------------------------------------------------------------
 # PopulationEngine unit behaviour
 # ----------------------------------------------------------------------

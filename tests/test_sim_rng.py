@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.rng import RngRegistry, _KeyMixer, _key_to_entropy
+from repro.sim.rng import RngRegistry, _KeyMixer, _key_to_entropy, pcg64_doubles
 
 
 def test_same_seed_same_stream_reproduces():
@@ -111,6 +111,56 @@ def test_property_stream_state_equals_seed_sequence(seed, key):
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(_key_to_entropy(key),))
     got = RngRegistry(seed).stream(*key).bit_generator.state
     assert got == np.random.PCG64(seq).state
+
+
+@given(_SEEDS, _KEYS, st.booleans())
+def test_property_start_state_is_where_the_stream_starts(seed, key, primed):
+    """``start_state`` is the PCG64 position ``stream`` starts at,
+    primed or not, and registers no generator."""
+    reg = RngRegistry(seed)
+    if primed and len(key) == 2:
+        reg.prime(key[0], [key[1]])
+    state, inc = reg.start_state(*key)
+    ref = RngRegistry(seed).stream(*key).bit_generator.state["state"]
+    assert (state, inc) == (ref["state"], ref["inc"])
+    assert reg.streams() == {}
+
+
+_M64 = (1 << 64) - 1
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**127 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 40),
+    st.integers(0, 1100),
+)
+def test_property_pcg64_doubles_are_numpys(streams, n, repeat):
+    """The vectorised kernel draws what ``Generator.random(n)`` draws
+    from each PCG64 position, and ends where the generator ends —
+    ``repeat`` pads the call past one block of streams."""
+    streams = streams * (1 + repeat // len(streams))
+    words, gens = [], []
+    for state, seq in streams:
+        inc = (seq << 1) | 1
+        words.append((state >> 64, state & _M64, inc >> 64, inc & _M64))
+        bits = np.random.PCG64()
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gens.append(np.random.Generator(bits))
+    doubles, after = pcg64_doubles(np.array(words, dtype=np.uint64), n)
+    assert doubles.shape == (len(streams), n) and after.dtype == np.uint64
+    for gen, drawn, words_after in zip(gens, doubles, after):
+        assert np.array_equal(drawn, gen.random(n))
+        state = gen.bit_generator.state["state"]["state"]
+        assert words_after.tolist() == [state >> 64, state & _M64]
 
 
 @given(
