@@ -14,6 +14,11 @@ The hashes were recorded on the commit *before* every gossip tick went
 through the batch handler; they are that change's "the ablations print
 the same numbers" claim.  To re-record after an intended behaviour
 change, run this file with ``-s`` and copy the printed values.
+
+The summary hashes leave out BarterCast's cache counters (performance
+state, which ``ServiceShard.identity_state`` drops too); they were
+re-recorded without them on a commit whose output still matched the
+earlier, counter-bearing hashes, so they carry the same claim.
 """
 
 import hashlib
@@ -33,24 +38,24 @@ from repro.traces.generator import TraceGeneratorConfig
 
 GOLDEN = {
     "a3": {
-        7: {"newscast": "325328888ad84fcb", "oracle": "44f5dbd67cbb2344"},
-        11: {"newscast": "72401e2d4627513e", "oracle": "d5d9c221458d9c07"},
+        7: {"newscast": "90715b87ed294cdf", "oracle": "71df2d74c4c5850e"},
+        11: {"newscast": "b4df8892b4502a2b", "oracle": "5d1d58362193bb8f"},
     },
     "a9": {
         7: {
-            "fanout=1": "44f5dbd67cbb2344",
-            "fanout=2": "4053acebe72fb46c",
-            "fanout=4": "f42b571574580f0d",
+            "fanout=1": "71df2d74c4c5850e",
+            "fanout=2": "d0a37975b1cd71b3",
+            "fanout=4": "f6f8ff06ee2e3823",
         },
         11: {
-            "fanout=1": "d5d9c221458d9c07",
-            "fanout=2": "4147917b5ef66953",
-            "fanout=4": "1220715dfb901bed",
+            "fanout=1": "5d1d58362193bb8f",
+            "fanout=2": "7116c2dce89fb916",
+            "fanout=4": "a6cf59947f632a8a",
         },
     },
     "fig8_decoys": {
-        7: {"fixed": "a9a5e187fc36aac4", "adaptive": "d424e049bf58b96a"},
-        11: {"fixed": "0698f9925e6167a1", "adaptive": "30c56fcdd93b7b24"},
+        7: {"fixed": "308396b6fb59eae4", "adaptive": "7edc92d47b5edb5a"},
+        11: {"fixed": "1ddcb88699e408c5", "adaptive": "e2f193b3550d6243"},
     },
 }
 
@@ -66,6 +71,8 @@ def _fingerprint(result) -> str:
     summary."""
     summary = dict(result.metadata["run_summary"])
     summary.pop("population")  # describes the scheduler, not the protocol
+    # cache counters are performance state, as in ServiceShard.identity_state
+    summary["bartercast"] = {"exchanges": summary["bartercast"]["exchanges"]}
     series = {
         key: [[float(t) for t in s.times], [float(v) for v in s.values]]
         for key, s in sorted(result.series.items())

@@ -14,6 +14,11 @@ batched and direct edges were folded on read (PR 14); they are the
 re-record after an intended behaviour change, run this file with
 ``-s`` and copy the printed values.
 
+The summary hash leaves out BarterCast's cache counters (performance
+state, which ``ServiceShard.identity_state`` drops too); it was
+re-recorded without them on a commit whose output still matched the
+earlier, counter-bearing hashes, so it carries the same claim.
+
 The ledger and graph hashes see bytes, not pieces.  :data:`SWARMS`
 pins the piece level of the same runs: for every member of every
 swarm the pieces it holds, when it completed, its in-flight pieces,
@@ -45,12 +50,12 @@ TRACE_SEED = 7
 
 GOLDEN = {
     7: {
-        "summary": "4ce12e62e3d5a931",
+        "summary": "3b36929efd6d4964",
         "ledger": "2b5afa9daca0428c",
         "graphs": "ad4c724d42e53bf8",
     },
     11: {
-        "summary": "87ba0c8974a4a1b5",
+        "summary": "6930bbbe816e24d0",
         "ledger": "1c255b073f118908",
         "graphs": "b1e9e52cac3dd286",
     },
@@ -99,6 +104,8 @@ def fig6_end_state(seed: int) -> dict:
     stack, trace = fig6_run(seed)
     summary = stack.runtime.run_summary()
     summary.pop("population")  # describes the scheduler, not the protocol
+    # cache counters are performance state, as in ServiceShard.identity_state
+    summary["bartercast"] = {"exchanges": summary["bartercast"]["exchanges"]}
     series = [float(v) for v in stack.recorder.get("correct_fraction").values]
     bartercast = stack.runtime.bartercast
     graphs = []

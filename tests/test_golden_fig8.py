@@ -14,6 +14,11 @@ per-peer ``PeriodicProcess`` scheduler and dict ballot boxes; they are
 that change's "Fig 8 prints the same curve" claim.  To re-record after
 an intended behaviour change, run this file with ``-s`` and copy the
 printed values.
+
+The summary hashes leave out BarterCast's cache counters (performance
+state, which ``ServiceShard.identity_state`` drops too); they were
+re-recorded without them on a commit whose output still matched the
+earlier, counter-bearing hashes, so they carry the same claim.
 """
 
 import hashlib
@@ -31,13 +36,13 @@ GOLDEN = {
         "series": "29042358a1cb633e",
         "final_core_pollution": 0.0,
         "final_newcomer_pollution": 0.3,
-        "summary": "4fd74c0dbb2ed01b",
+        "summary": "d617d37857d19693",
     },
     11: {
         "series": "7b1b49497796c3f1",
         "final_core_pollution": 0.0,
         "final_newcomer_pollution": 0.5333333333333333,
-        "summary": "6b5b5e7269a42b72",
+        "summary": "4ebc178da7365f48",
     },
 }
 
@@ -68,6 +73,8 @@ def fig8_curve(seed: int) -> dict:
     series = result.get("polluted_fraction")
     summary = experiment.stack.runtime.run_summary()
     summary.pop("population")  # describes the scheduler, not the protocol
+    # cache counters are performance state, as in ServiceShard.identity_state
+    summary["bartercast"] = {"exchanges": summary["bartercast"]["exchanges"]}
     return {
         "series": _sha(
             [[float(t) for t in series.times], [float(v) for v in series.values]]

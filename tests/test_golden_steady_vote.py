@@ -16,6 +16,11 @@ at cast time and ``sample_batch`` repaired collisions in the stream
 (PR 21); they are that change's "every simulated statistic is
 identical" claim.  To re-record after an intended behaviour change, run
 this file with ``-s`` and copy the printed values.
+
+The summary hashes leave out BarterCast's cache counters (performance
+state, which ``ServiceShard.identity_state`` drops too); they were
+re-recorded without them on a commit whose output still matched the
+earlier, counter-bearing hashes, so they carry the same claim.
 """
 
 import hashlib
@@ -38,8 +43,8 @@ VOTES_PER_VOTER = 30
 STATE_SAMPLE = 64
 
 GOLDEN = {
-    7: "2d7a9982239cf597",
-    11: "3f4a9391e82c5a4e",
+    7: "b5de219b90568813",
+    11: "a6f3571113e790c2",
 }
 
 
@@ -81,6 +86,8 @@ def steady_vote_end_state(seed: int) -> str:
 
     summary = runtime.run_summary()
     population = summary.pop("population")  # describes the scheduler
+    # cache counters are performance state, as in ServiceShard.identity_state
+    summary["bartercast"] = {"exchanges": summary["bartercast"]["exchanges"]}
     assert population["ticks_by_protocol"]["vote"] > N_PEERS
     assert summary["nodes"]["votes_merged"] > 0
     stride = max(1, len(pids) // STATE_SAMPLE)
