@@ -23,8 +23,7 @@ lint-deadcode:
 bench:
 	$(PY) -m pytest -q benchmarks
 
-# Perf regression gate: quick Fig-6 workload, fails unless the warm
-# contribution cache beats the uncached path by >= 3x, parallel
+# Perf regression gate: quick Fig-6 workload, fails unless parallel
 # run_many output is bit-identical to sequential, the batch 2-hop
 # flows equal a per-source scalar replay, and a 10k-node graph peaks
 # under 1% of an n x n float block (the replica speed-up is recorded,

@@ -1,16 +1,11 @@
 #!/usr/bin/env python
-"""Contribution-oracle benchmark: cold vs warm lookups on a Fig-6 run.
+"""Contribution-oracle benchmark on a Fig-6 run.
 
 Runs the standard Fig-6 vote-sampling workload (quick scale by
 default), then measures on the resulting BarterCast state:
 
-* **scalar** — ``contribution(observer, subject)`` throughput, cold
-  (direct ``two_hop_flow`` evaluation, exactly the pre-cache hot path)
-  vs warm (version-keyed cache hits);
-* **batch** — ``contributions_to_observer`` rows/sec, cold (vectorised
-  closed form) vs warm (batch memo hits);
 * **end-to-end** — wall-clock of the simulation run itself, with the
-  run's cache counters;
+  run's record-cache counters;
 * **replicas** — sequential (``jobs=1``) vs parallel 4-replica Fig-6
   ``run_many`` wall clock, plus a bit-identity cross-check of every
   series the two paths produce;
@@ -26,11 +21,10 @@ default), then measures on the resulting BarterCast state:
 
 Results land in ``BENCH_contribution.json`` at the repo root so the
 perf trajectory accumulates across PRs.  ``--check`` exits non-zero
-when the warm scalar path is less than ``--min-speedup`` (default 3×)
-faster than cold, when parallel and sequential replica output differ,
-when batch flows differ from the scalar replay, or when the 10k-node
-build's peak reaches 1 % of the dense block — the regression gate
-``make bench-smoke`` runs.
+when parallel and sequential replica output differ, when batch flows
+differ from the scalar replay, or when the 10k-node build's peak
+reaches 1 % of the dense block — the regression gate ``make
+bench-smoke`` runs.
 
 Usage::
 
@@ -51,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bartercast.graph import SubjectiveGraph
-from repro.bartercast.maxflow import two_hop_flow, two_hop_flows_to_sink
+from repro.bartercast.maxflow import two_hop_flows_to_sink
 from repro.core.node import NodeConfig
 from repro.experiments.vote_sampling import VoteSamplingConfig, VoteSamplingExperiment
 from repro.metrics.cev import FlowMatrixCache, flow_matrix
@@ -95,58 +89,6 @@ def _timed_rounds(fn, min_seconds: float = 0.2):
         elapsed = time.perf_counter() - t0
         if elapsed >= min_seconds:
             return passes, elapsed
-
-
-def bench_scalar(svc, pairs):
-    """Cold (uncached two_hop_flow) vs warm (cache hit) lookups/sec."""
-
-    def cold_pass():
-        for observer, subject in pairs:
-            two_hop_flow(svc.graph_of(observer), subject, observer)
-
-    def warm_pass():
-        for observer, subject in pairs:
-            svc.contribution(observer, subject)
-
-    cold_passes, cold_t = _timed_rounds(cold_pass)
-    svc.clear_caches()
-    warm_pass()  # prime: every pair becomes a cache entry
-    warm_passes, warm_t = _timed_rounds(warm_pass)
-    cold_rate = cold_passes * len(pairs) / cold_t
-    warm_rate = warm_passes * len(pairs) / warm_t
-    return {
-        "pairs": len(pairs),
-        "cold_lookups_per_s": round(cold_rate),
-        "warm_lookups_per_s": round(warm_rate),
-        "speedup": round(warm_rate / cold_rate, 2),
-    }
-
-
-def bench_batch(svc, observers, subjects):
-    """Cold (vectorised recompute) vs warm (memo hit) rows/sec."""
-
-    def cold_pass():
-        svc.clear_caches()
-        for observer in observers:
-            svc.contributions_to_observer(observer, subjects)
-
-    def warm_pass():
-        for observer in observers:
-            svc.contributions_to_observer(observer, subjects)
-
-    cold_passes, cold_t = _timed_rounds(cold_pass)
-    warm_pass()  # prime the memo
-    warm_passes, warm_t = _timed_rounds(warm_pass)
-    rows = len(observers) * len(subjects)
-    cold_rate = cold_passes * rows / cold_t
-    warm_rate = warm_passes * rows / warm_t
-    return {
-        "observers": len(observers),
-        "subjects": len(subjects),
-        "cold_rows_per_s": round(cold_rate),
-        "warm_rows_per_s": round(warm_rate),
-        "speedup": round(warm_rate / cold_rate, 2),
-    }
 
 
 def bench_replicas(seed: int, n_replicas: int = 4) -> dict:
@@ -234,7 +176,6 @@ def bench_matrix(svc, observers, peers) -> dict:
     gather_rate = gather_passes * len(graphs) / gather_t
 
     def cold_flow_pass():
-        svc.clear_caches()
         flow_matrix(svc, order)
 
     cache = FlowMatrixCache(svc, order)
@@ -374,11 +315,7 @@ def run(full: bool = False, seed: int = 7, out: Path = None) -> dict:
         stack.trace.peers, key=lambda p: svc.graph_of(p).num_edges(), reverse=True
     )
     observers = peers[:8]
-    subjects = peers[:25]
-    pairs = [(o, s) for o in observers for s in subjects if o != s]
 
-    scalar = bench_scalar(svc, pairs)
-    batch = bench_batch(svc, observers, list(stack.trace.peers))
     matrix = bench_matrix(svc, observers, list(stack.trace.peers))
     one_store = bench_one_store(svc, observers, list(stack.trace.peers))
     replicas = bench_replicas(seed)
@@ -405,8 +342,6 @@ def run(full: bool = False, seed: int = 7, out: Path = None) -> dict:
             "trace_events_per_s": round(len(stack.trace.events) / wall, 1),
             "cache_stats": run_stats,
         },
-        "scalar": scalar,
-        "batch": batch,
         "matrix": matrix,
         "one_store": one_store,
         "replicas": replicas,
@@ -424,9 +359,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail unless warm scalar lookups beat cold by --min-speedup",
+        help="fail on replica or batch-flow divergence or a dense-sized build",
     )
-    parser.add_argument("--min-speedup", type=float, default=3.0)
     args = parser.parse_args(argv)
 
     report = run(full=args.full, seed=args.seed, out=args.out)
@@ -434,11 +368,6 @@ def main(argv=None) -> int:
     if not args.check:
         return 0
     failures = []
-    if report["scalar"]["speedup"] < args.min_speedup:
-        failures.append(
-            f"warm/cold speedup {report['scalar']['speedup']:.2f}x "
-            f"< required {args.min_speedup:.1f}x"
-        )
     paper = report["one_store"]["paper_scale"]
     if not paper["flows_equal_scalar_replay"]:
         failures.append("batch 2-hop flows diverged from the scalar replay")

@@ -36,14 +36,10 @@ class SubjectiveGraph:
     is unbounded: the paper's E is the 2-hop maxflow over everything
     the owner has heard (§V-B), and nothing is ever removed.
 
-    The graph maintains **per-node edge-version counters** so callers
-    can cache derived quantities and invalidate precisely:
-    ``out_version(u)`` advances whenever an edge *out of* ``u`` is
-    raised and ``in_version(v)`` whenever an edge *into* ``v`` is.  The
-    2-hop maxflow ``f(s→t)`` depends only on ``s``'s out-edges and
-    ``t``'s in-edges, so the pair ``(out_version(s), in_version(t))``
-    is an exact validity key for a cached flow.  ``version`` is the
-    total mutation count (any edge change anywhere).
+    ``version`` counts edge raises (any change anywhere), so a caller
+    can tell whether the graph moved between two reads;
+    :class:`~repro.metrics.cev.FlowMatrixCache` keys an observer's flow
+    row on it.
 
     Next to the adjacency the graph keeps a **node order** (the one
     :meth:`nodes` iterates and :meth:`dense` reports): first
@@ -58,8 +54,6 @@ class SubjectiveGraph:
         #: ``_out`` indexed by target (``{v: {u: weight}}``)
         self._in_adj: Dict[str, Dict[str, float]] = {}
         self.records_folded = 0
-        self._out_version: Dict[str, int] = {}
-        self._in_version: Dict[str, int] = {}
         self._version = 0
         #: the node set, keys in first-appearance order (values unused)
         self._order: Dict[str, None] = {}
@@ -100,27 +94,13 @@ class SubjectiveGraph:
             self._in_adj[v] = {u: w}
         else:
             in_row[u] = w
-        out_version = self._out_version
-        out_version[u] = out_version.get(u, 0) + 1
-        in_version = self._in_version
-        in_version[v] = in_version.get(v, 0) + 1
         self._version += 1
 
-    # ------------------------------------------------------------------
-    # Version counters (cache-invalidation keys)
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
         """Total edge-mutation count — any change anywhere bumps it."""
         return self._version
-
-    def out_version(self, u: str) -> int:
-        """Version of ``u``'s out-edge set (0 = never had one)."""
-        return self._out_version.get(u, 0)
-
-    def in_version(self, v: str) -> int:
-        """Version of ``v``'s in-edge set (0 = never had one)."""
-        return self._in_version.get(v, 0)
 
     # ------------------------------------------------------------------
     def weight(self, u: str, v: str) -> float:

@@ -21,7 +21,6 @@ colluders' own neighbourhood (the "front peer" discussion in §VII).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -42,55 +41,12 @@ class BarterCastConfig:
     #: Hop bound for the maxflow evaluation; ``2`` is the deployed
     #: setting and enables the O(degree) closed form.
     max_hops: int = 2
-    #: Cache ``contribution()`` results keyed by the subjective graph's
-    #: edge-version counters (see ``docs/simulator.md`` §Performance &
-    #: caching).  Semantically transparent — disable only to measure
-    #: the uncached path.
-    contribution_cache: bool = True
-    #: LRU bound on each node's per-subject contribution cache
-    #: (0 = unbounded).  Production-scale populations cap this so a
-    #: node gossiping with millions of peers holds O(bound) entries;
-    #: evictions are counted in :meth:`BarterCastService.cache_stats`.
-    #: ``None`` (the default) derives the bound from the population
-    #: size once known — see :func:`adaptive_contrib_cache_entries`;
-    #: until/without that resolution ``None`` behaves as unbounded.
-    contrib_cache_entries: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_records_per_exchange < 1:
             raise ValueError("max_records_per_exchange must be >= 1")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-        if self.contrib_cache_entries is not None and self.contrib_cache_entries < 0:
-            raise ValueError("contrib_cache_entries must be >= 0")
-
-
-#: Population size up to which the adaptive contribution-cache bound
-#: stays unbounded (paper-scale runs cache every subject they meet).
-_ADAPTIVE_CACHE_FREE_POPULATION = 10_000
-
-#: Rough per-entry footprint of one contribution-cache slot (OrderedDict
-#: link + subject string key + ``((out_v, in_v), flow)`` value), used by
-#: :meth:`BarterCastService.cache_stats` to report bytes next to the
-#: hit rate so the adaptive default is measurable.
-_CONTRIB_ENTRY_BYTES = 200
-
-
-def adaptive_contrib_cache_entries(population: int) -> int:
-    """Default per-node contribution-cache bound for a population.
-
-    Up to :data:`_ADAPTIVE_CACHE_FREE_POPULATION` peers the cache is
-    unbounded (``0``): a paper-scale node meets the whole population
-    and every entry stays useful.  Beyond that, a node's working set
-    is its gossip neighbourhood — O(√population) with uniform sampling
-    before the horizon of a run — so the bound grows as ``8·√n``
-    (floored at 1024 entries ≈ 200 KiB), not ``n``.
-    """
-    if population < 0:
-        raise ValueError("population must be >= 0")
-    if population <= _ADAPTIVE_CACHE_FREE_POPULATION:
-        return 0
-    return max(1024, 8 * int(population**0.5))
 
 
 #: Shared sentinel handed out by :meth:`BarterCastService.graph_of`
@@ -101,7 +57,7 @@ _EMPTY_GRAPH = ReadOnlySubjectiveGraph("")
 
 
 class _NodeState:
-    """One node's direct table, subjective graph and caches.
+    """One node's direct table, subjective graph and top-K record cache.
 
     Direct observations are **folded on read**: a transfer only updates
     ``direct`` and notes the directed edge in ``pending``; the edges
@@ -122,8 +78,6 @@ class _NodeState:
         "_graph",
         "direct_version",
         "records_cache",
-        "contrib_cache",
-        "batch_cache",
     )
 
     def __init__(self, owner: str):
@@ -138,14 +92,6 @@ class _NodeState:
         self.direct_version = 0
         #: (direct_version, records) — top-K most-significant records
         self.records_cache: Optional[Tuple[int, List[TransferRecord]]] = None
-        #: subject -> ((out_version, in_version), flow) for the owner's
-        #: 2-hop contribution oracle; ordered so an LRU bound can evict
-        #: the least recently touched subject first
-        self.contrib_cache: "OrderedDict[str, Tuple[Tuple[int, int], float]]" = (
-            OrderedDict()
-        )
-        #: ((graph_version, subjects), flows) for the batch oracle
-        self.batch_cache: Optional[Tuple[Tuple[int, Tuple[str, ...]], np.ndarray]] = None
 
     @property
     def graph(self) -> SubjectiveGraph:
@@ -168,20 +114,8 @@ class BarterCastService:
         self._pss = pss
         self.config = config or BarterCastConfig()
         self._nodes: Dict[str, _NodeState] = {}
-        #: resolved LRU bound (0 = unbounded).  ``None`` in the config
-        #: means "adaptive": unbounded until :meth:`resolve_cache_budget`
-        #: learns the population size.
-        configured = self.config.contrib_cache_entries
-        self._contrib_cap = configured if configured is not None else 0
         self.exchanges = 0
-        #: contribution-cache telemetry (see :meth:`cache_stats`)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_invalidations = 0
-        self.cache_bypasses = 0
-        self.cache_evictions = 0
-        self.batch_hits = 0
-        self.batch_misses = 0
+        #: top-K record cache telemetry (see :meth:`cache_stats`)
         self.records_cache_hits = 0
         self.records_cache_misses = 0
 
@@ -312,51 +246,19 @@ class BarterCastService:
     # ------------------------------------------------------------------
     def contribution(self, observer: str, subject: str) -> float:
         """``f_{subject→observer}``: max flow from ``subject`` to
-        ``observer`` in the observer's subjective graph (bytes).
-
-        With the default 2-hop bound, results are cached per
-        ``(observer, subject)`` and keyed by the graph's
-        ``(out_version(subject), in_version(observer))`` pair — the
-        exact set of edges the 2-hop closed form can see — so warm
-        lookups are O(1) dict hits and cached values are the verbatim
-        output of :func:`two_hop_flow` (bit-identical to the uncached
-        path).  Other hop bounds bypass the cache: a distant edge
-        change can alter a deeper flow without touching either
-        endpoint's version."""
+        ``observer`` in the observer's subjective graph (bytes) — with
+        the default 2-hop bound, :func:`two_hop_flow`'s closed form over
+        ``subject``'s out-row and ``observer``'s in-row.  An observer
+        the service has never seen has an empty graph, so every flow is
+        exactly 0; asking materialises no state for it."""
         if observer == subject:
             return 0.0
         st = self._peek(observer)
         if st is None:
-            # Read path: an observer the service has never seen has an
-            # empty graph, so every flow is exactly 0 — answer without
-            # materialising state or touching cache telemetry.
             return 0.0
-        graph = st.graph
         if self.config.max_hops != 2:
-            self.cache_bypasses += 1
-            return edmonds_karp(graph, subject, observer, max_hops=self.config.max_hops)
-        if not self.config.contribution_cache:
-            self.cache_bypasses += 1
-            return two_hop_flow(graph, subject, observer)
-        cap = self._contrib_cap
-        key = (graph.out_version(subject), graph.in_version(observer))
-        entry = st.contrib_cache.get(subject)
-        if entry is not None:
-            if entry[0] == key:
-                self.cache_hits += 1
-                if cap:
-                    st.contrib_cache.move_to_end(subject)
-                return entry[1]
-            self.cache_invalidations += 1
-        self.cache_misses += 1
-        value = two_hop_flow(graph, subject, observer)
-        st.contrib_cache[subject] = (key, value)
-        if cap:
-            st.contrib_cache.move_to_end(subject)
-            while len(st.contrib_cache) > cap:
-                st.contrib_cache.popitem(last=False)
-                self.cache_evictions += 1
-        return value
+            return edmonds_karp(st.graph, subject, observer, max_hops=self.config.max_hops)
+        return two_hop_flow(st.graph, subject, observer)
 
     def contributions_to_observer(
         self, observer: str, subjects: Sequence[str]
@@ -366,88 +268,39 @@ class BarterCastService:
         The batch counterpart of :meth:`contribution`: one
         :func:`~repro.bartercast.maxflow.two_hop_flows_to_sink` pass
         over the observer's in-row and each subject's out-row, with its
-        fixed (ascending node-id) reduction order.  The result array is
-        memoised per observer keyed by ``(graph.version, subjects)``,
-        so repeated metric probes or re-screens over an unchanged graph
-        are O(1).  Values equal :func:`two_hop_flow`'s up to the last
-        ulp: the scalar form sums in out-row order.  Non-2-hop
-        configurations fall back to per-pair bounded maxflow.  Probing
-        a never-seen observer returns zeros without materialising state
-        or touching telemetry (metric sweeps over the full trace
-        population must leave the service untouched)."""
+        fixed (ascending node-id) reduction order.  Values equal
+        :func:`two_hop_flow`'s up to the last ulp: the scalar form sums
+        in out-row order.  Non-2-hop configurations fall back to
+        per-pair bounded maxflow.  Probing a never-seen observer
+        returns zeros without materialising state (metric sweeps over
+        the full trace population must leave the service untouched)."""
         subjects = list(subjects)
         st = self._peek(observer)
         if st is None:
             return np.zeros(len(subjects), dtype=float)
-        graph = st.graph
         if self.config.max_hops != 2:
             return np.array(
                 [self.contribution(observer, s) for s in subjects], dtype=float
             )
-        key = (graph.version, tuple(subjects))
-        if (
-            self.config.contribution_cache
-            and st.batch_cache is not None
-            and st.batch_cache[0] == key
-        ):
-            self.batch_hits += 1
-            return st.batch_cache[1].copy()
-        self.batch_misses += 1
-        flows = two_hop_flows_to_sink(graph, subjects, observer)
-        if self.config.contribution_cache:
-            st.batch_cache = (key, flows)
-            return flows.copy()
-        return flows
+        return two_hop_flows_to_sink(st.graph, subjects, observer)
 
     # ------------------------------------------------------------------
     # Cache telemetry
     # ------------------------------------------------------------------
-    def resolve_cache_budget(self, population: int) -> int:
-        """Resolve an adaptive (``None``) ``contrib_cache_entries`` to
-        a concrete bound for ``population`` peers.
-
-        Called by the runtime once the trace population is known.  An
-        explicit configured bound is left untouched.  Returns the
-        resolved cap (0 = unbounded).
-        """
-        if self.config.contrib_cache_entries is None:
-            self._contrib_cap = adaptive_contrib_cache_entries(population)
-        return self._contrib_cap
-
-    def cache_stats(self) -> Dict[str, object]:
-        """Counters for run summaries: hits/misses/invalidations of the
-        scalar contribution cache, LRU evictions under a
-        ``contrib_cache_entries`` bound, batch-memo hits/misses, top-K
-        record cache hits/misses, and bypasses (cache disabled or
-        non-2-hop) — plus the resolved cache bound, the scalar hit
-        rate, and the live entry count with its estimated footprint,
-        so an adaptive bound's hit-rate/memory trade-off is measurable
-        from any run summary."""
-        entries = sum(len(st.contrib_cache) for st in self._nodes.values())
-        lookups = self.cache_hits + self.cache_misses
+    def cache_stats(self) -> Dict[str, int]:
+        """Hits and misses of the top-K record cache, for run
+        summaries."""
         return {
-            "contribution_hits": self.cache_hits,
-            "contribution_misses": self.cache_misses,
-            "contribution_invalidations": self.cache_invalidations,
-            "contribution_bypasses": self.cache_bypasses,
-            "contribution_evictions": self.cache_evictions,
-            "contribution_hit_rate": (self.cache_hits / lookups) if lookups else 0.0,
-            "contrib_cache_cap": self._contrib_cap,
-            "contrib_cache_entries_total": entries,
-            "contrib_cache_memory_bytes": entries * _CONTRIB_ENTRY_BYTES,
-            "batch_hits": self.batch_hits,
-            "batch_misses": self.batch_misses,
+            # Always 0: nothing caches contributions.  They remain only
+            # because the repo benchmark's workloads
+            # (``bench/workloads.py``) read them for
+            # ``bartercast.contribution_hit_rate``; they leave when the
+            # benchmark is re-baselined (ROADMAP item 1).
+            "contribution_hits": 0,
+            "contribution_misses": 0,
             "records_hits": self.records_cache_hits,
             "records_misses": self.records_cache_misses,
         }
-
-    def clear_caches(self) -> None:
-        """Drop all cached derived state (benchmarks use this to
-        measure the cold path; never needed for correctness)."""
-        for st in self._nodes.values():
-            st.contrib_cache.clear()
-            st.batch_cache = None
-            st.records_cache = None
 
     def graph_of(self, peer_id: str) -> SubjectiveGraph:
         """The node's subjective graph (read path; metrics use).

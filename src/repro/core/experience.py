@@ -84,14 +84,12 @@ class ThresholdExperience(ExperienceFunction):
         if self.threshold <= 0.0:
             return {s: s != observer for s in subjects}
         if len(subjects) == 1:
-            # A batch of one must take the scalar path, for two reasons.
-            # The scalar ``two_hop_flow`` sums in out-row order and the
-            # batch in ascending node-id order, so the two may differ
-            # in the last ulp — enough to flip a verdict at exactly T.
-            # And the version-keyed contribution cache and its counters,
-            # which the golden summary hashes pin, must see the scalar
-            # call sequence.  The vote tick's default fanout hits this
-            # path on every exchange.
+            # A batch of one must take the scalar path: the scalar
+            # ``two_hop_flow`` sums in out-row order and the batch in
+            # ascending node-id order, so the two may differ in the
+            # last ulp — enough to flip a verdict at exactly T.  The
+            # vote tick's default fanout hits this path on every
+            # exchange.
             return {subjects[0]: self.is_experienced(observer, subjects[0])}
         flows = self.bartercast.contributions_to_observer(observer, subjects)
         return {
@@ -190,9 +188,7 @@ class AdaptiveThresholdExperience(ExperienceFunction):
             # Scalar path for a batch of one, as in ThresholdExperience:
             # the batch's sorted-order sum may differ from the scalar
             # out-row-order sum in the last ulp (a flipped verdict at
-            # exactly T), and the contribution cache and its counters,
-            # pinned by the golden summary hashes, must see the scalar
-            # call sequence.
+            # exactly T).
             return {subjects[0]: self.is_experienced(observer, subjects[0])}
         flows = self.bartercast.contributions_to_observer(observer, subjects)
         return {s: (s != observer and f >= t) for s, f in zip(subjects, flows)}

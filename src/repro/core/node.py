@@ -13,7 +13,7 @@ lives with the tests as the executable spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.core.moderationcast import eligible_moderations, select_moderations
 from repro.core.ranking import Ranking, rank_by_sum, top_k
 from repro.core.votes import LocalVoteList, Vote
 from repro.core.voxpopuli import TopKCache
+from repro.sim.rng import StreamFamily
 
 
 @dataclass
@@ -116,6 +117,15 @@ class VoteSamplingNode:
                 np.random.default_rng(0) if rng is None else rng(self.peer_id)
             )
         return rng
+
+    def rng_state(self) -> Dict[str, Any]:
+        """The ``bit_generator.state`` of :attr:`rng`.  A stream a
+        :class:`~repro.sim.rng.StreamFamily` derives on first draw is
+        read from the family, so asking builds no generator."""
+        rng = self._rng
+        if isinstance(rng, StreamFamily):
+            return rng.state(self.peer_id)
+        return self.rng.bit_generator.state
 
     def _sync_membership(self) -> None:
         """Refresh this node's store_size column.  Called at the end of

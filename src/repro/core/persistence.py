@@ -71,8 +71,8 @@ _VOTE_OF = {int(vote): vote for vote in Vote}
 # ----------------------------------------------------------------------
 # RNG state round trip
 # ----------------------------------------------------------------------
-def rng_state_to_jsonable(rng: np.random.Generator) -> Dict[str, Any]:
-    """The generator's ``bit_generator.state`` as plain JSON types.
+def rng_state_to_jsonable(state: Dict[str, Any]) -> Dict[str, Any]:
+    """A ``bit_generator.state`` as plain JSON types.
 
     PCG64 state is already JSON-clean (Python ints); MT19937 and
     friends embed ndarrays, which become lists here.
@@ -87,7 +87,7 @@ def rng_state_to_jsonable(rng: np.random.Generator) -> Dict[str, Any]:
             return int(value)
         return value
 
-    return _clean(dict(rng.bit_generator.state))
+    return _clean(dict(state))
 
 
 def generator_from_state(state: Dict[str, Any]) -> np.random.Generator:
@@ -182,7 +182,7 @@ def node_to_dict(node: VoteSamplingNode) -> Dict[str, Any]:
         "ballot": ballot,
         "topk_lists": node.topk_cache.lists(),
         "intentions": {m: int(v) for m, v in node.vote_intentions.items()},
-        "rng_state": rng_state_to_jsonable(node.rng),
+        "rng_state": rng_state_to_jsonable(node.rng_state()),
     }
 
 

@@ -36,7 +36,6 @@ tests, which hold the two bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -57,7 +56,7 @@ from repro.pss.base import PeerSamplingService
 from repro.pss.ideal import OraclePSS
 from repro.pss.newscast import NewscastConfig, NewscastService
 from repro.sim.population import PopulationEngine, ProtocolSpec
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, StreamFamily
 from repro.sim.units import MB
 
 #: Spec-list positions of the three gossip loops (see
@@ -160,7 +159,6 @@ class ProtocolRuntime:
             self.pss = OraclePSS(self.registry, rng.stream("pss"))
 
         self.bartercast = BarterCastService(self.pss, self.config.bartercast)
-        self.bartercast.resolve_cache_budget(len(session.trace.peers))
         session.ledger.add_listener(self.bartercast.local_transfers)
 
         self.experience: ExperienceFunction = (
@@ -185,7 +183,7 @@ class ProtocolRuntime:
         #: ``node_rng(peer_id)`` derives a peer's ``("node", peer_id)``
         #: stream; a node calls it on its first draw, so the nodes of a
         #: run that never draws build no generator
-        self.node_rng = partial(rng.stream, "node")
+        self.node_rng = StreamFamily(rng, "node")
         self.traffic = TrafficMeter()
         #: accumulated online node-seconds (for per-node-hour costs)
         self._online_seconds = 0.0
@@ -483,13 +481,12 @@ class ProtocolRuntime:
         selections alike, so the two interleave as they would scalar.
 
         **The vote exchange** is row to row: the forward verdict before
-        vote selection and the reverse verdict after this node's merge
-        (BarterCast's contribution caches see the scalar call
-        sequence); each side's vote list is in the store's wire form
-        (interned moderators, own id dropped, exchange order; a stale
-        list is repacked on first use), so a merge is two pool slices
-        handed to ``bb_merge_packed`` — no ``VoteEntry``, no id string,
-        no per-vote work.  Merges settle slots, recency and eviction at
+        vote selection and the reverse verdict after this node's merge,
+        as the scalar exchange orders them; each side's vote list is in
+        the store's wire form (interned moderators, own id dropped,
+        exchange order; a stale list is repacked on first use), so a
+        merge is two pool slices handed to ``bb_merge_packed`` — no
+        ``VoteEntry``, no id string, no per-vote work.  Merges settle slots, recency and eviction at
         once but queue the payload writes of voters new to a box; one
         ``bb_flush`` lands the whole run's with one copy per pool
         column.
@@ -789,8 +786,7 @@ class ProtocolRuntime:
                         node.votes_merged += merge(row, b_max, prow, mids, vals, now, True)
                 else:
                     node.votes_rejected_inexperienced += 1
-                # Reverse verdict (observer = partner), after our merge —
-                # the contribution caches must see the scalar call order.
+                # Reverse verdict (observer = partner), after our merge.
                 if fast_all or (rev_fast is not None and rev_fast[k]):
                     rev = True
                 else:

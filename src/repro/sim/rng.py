@@ -20,7 +20,9 @@ unprimed key is a batch of one.
 PCG64 128-bit state and increment — without building the generator,
 for consumers that keep a population's stream positions in a column
 (the scheduler's jitter).  :func:`pcg64_doubles` draws the next doubles
-of many such positions at once.
+of many such positions at once.  A :class:`StreamFamily` hands out one
+family's streams by id, built on first draw; its ``state`` method
+reads a stream's position without building it.
 """
 
 from __future__ import annotations
@@ -382,3 +384,33 @@ class RngRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self._seed}, streams={len(self._streams)})"
+
+
+class StreamFamily:
+    """The streams ``(name, id)`` of one registry as a function of the
+    id: ``family(id)`` is ``registry.stream(name, id)``.  A node holds
+    one and calls it on its first draw."""
+
+    __slots__ = ("_registry", "_name")
+
+    def __init__(self, registry: RngRegistry, name: str):
+        self._registry = registry
+        self._name = name
+
+    def __call__(self, id: str) -> np.random.Generator:
+        return self._registry.stream(self._name, id)
+
+    def state(self, id: str) -> Dict[str, Any]:
+        """The ``bit_generator.state`` of stream ``(name, id)``,
+        building nothing: its generator's if one exists (a restore may
+        have placed it mid-stream), else the state it starts at."""
+        gen = self._registry.streams().get((self._name, id))
+        if gen is not None:
+            return gen.bit_generator.state
+        state, inc = self._registry.start_state(self._name, id)
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }

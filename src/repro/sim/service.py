@@ -62,7 +62,7 @@ hold:
   the same checkpoint-boundary slices, so the engine sees the same
   ``run_until`` call pattern.
 
-Cache warmth (BarterCast record/contribution caches) is performance
+Cache warmth (the BarterCast record cache) is performance
 state, not protocol state: a restarted process starts cold, exactly
 like a rebooted client.  :meth:`ServiceShard.identity_state` is the
 comparison surface that excludes it, measured memory and payload-pool

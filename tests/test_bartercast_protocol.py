@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bartercast.graph import SubjectiveGraph
+from repro.bartercast.maxflow import edmonds_karp, two_hop_flow
 from repro.bartercast.protocol import BarterCastConfig, BarterCastService
 from repro.bartercast.records import TransferRecord
 from repro.pss.base import OnlineRegistry
@@ -180,6 +181,47 @@ class TestGossip:
         assert svc.graph_of("victim").weight("x", "y") == 5 * MB
 
 
+class TestContributionOracle:
+    """``contribution()`` answers verbatim what :func:`two_hop_flow`
+    computes over the observer's current graph, under a random mix of
+    transfers, gossip and injected records."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_contribution_is_two_hop_flow_under_interleaving(self, seed):
+        peers = [f"p{i}" for i in range(6)]
+        svc, _ = make_service(peers=tuple(peers), seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        for step in range(200):
+            op = rng.random()
+            if op < 0.35:
+                u, v = rng.choice(peers, size=2, replace=False)
+                svc.local_transfer(
+                    str(u), str(v), float(rng.uniform(0.1, 8.0)) * MB, now=float(step)
+                )
+            elif op < 0.55:
+                svc.gossip_tick(str(rng.choice(peers)), float(step))
+            elif op < 0.65:
+                u, v = rng.choice(peers, size=2, replace=False)
+                holder = str(rng.choice(peers))
+                svc.inject_record(
+                    holder,
+                    TransferRecord(
+                        str(u), str(v), up=float(rng.uniform(0.1, 4.0)) * MB,
+                        down=0.0, timestamp=float(step),
+                    ),
+                )
+            else:
+                o, s = rng.choice(peers, size=2, replace=False)
+                o, s = str(o), str(s)
+                got = svc.contribution(o, s)
+                # verbatim the closed form …
+                assert got == two_hop_flow(svc.graph_of(o), s, o)
+                # … and equal to the generic bounded maxflow
+                assert got == pytest.approx(
+                    edmonds_karp(svc.graph_of(o), s, o, max_hops=2)
+                )
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -196,3 +238,6 @@ class TestConfig:
             for p in ("a", "b", "c", "d"):
                 svc.gossip_tick(p, float(t))
         assert svc.contribution("a", "b") == 9 * MB  # 3-hop path now visible
+        assert svc.contribution("a", "b") == edmonds_karp(
+            svc.graph_of("a"), "b", "a", max_hops=3
+        )

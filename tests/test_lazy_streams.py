@@ -169,6 +169,32 @@ def test_checkpoint_between_jitter_refills_replays_bit_identically(tmp_path, bud
     assert resumed.identity_state() == reference.identity_state()
 
 
+def test_serialising_nodes_builds_no_node_stream(tmp_path):
+    """``identity_state`` serialises every node's stream position.  A
+    stream that never drew is read from where it starts, so asking
+    registers no generator; one a restore placed mid-stream is read
+    from the registry, where the node's first draw would find it."""
+    shard = ServiceShard(_shard_config(25))
+    shard.start()
+    shard.run_until(600.0)
+    before = set(shard.rng.streams())
+    assert not any(key[0] == "node" for key in before)
+    nodes = shard.identity_state()["nodes"]
+    assert set(shard.rng.streams()) == before
+    for data in nodes:
+        built = shard.rng.stream("node", data["peer_id"])
+        assert data["rng_state"] == built.bit_generator.state
+
+    drawing = ServiceShard(_shard_config(2))
+    drawing.start()
+    drawing.run_until(600.0)
+    drawing.write_checkpoint(tmp_path)
+    resumed = ServiceShard.restore_from(_shard_config(2), tmp_path)
+    registered = set(resumed.rng.streams())
+    assert resumed.identity_state()["nodes"] == drawing.identity_state()["nodes"]
+    assert set(resumed.rng.streams()) == registered
+
+
 def test_eager_stream_checkpoint_restores_bit_identically(tmp_path):
     """A checkpoint whose every node row holds a built generator's
     position (as all did before node streams were derived lazily)
