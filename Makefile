@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-smoke bench-full bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn profile-setup profile-fig8 results lint-deadcode
+.PHONY: test bench bench-smoke bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn profile-setup profile-fig8 results lint-deadcode
 
 # Tier-1: the fast correctness suite (tests/ only).
 test:
@@ -23,45 +23,17 @@ lint-deadcode:
 bench:
 	$(PY) -m pytest -q benchmarks
 
-# Perf regression gate: quick Fig-6 workload, fails unless parallel
-# run_many output is bit-identical to sequential, the batch 2-hop
-# flows equal a per-source scalar replay, and a 10k-node graph peaks
-# under 1% of an n x n float block (the replica speed-up is recorded,
-# not gated).
-# The population leg gates the SoA scheduler's null-action tick counts
-# against per-peer heap entries on each of five repeats and (on
-# multi-core runners) the median of the repeats' peers/sec ratios at
-# >= 5x at 50k peers, and the vectorised dispersion scan's floats
-# against the dict box's loop; the columnar sections record per-tick
-# cost and memory (engine identity against the reference runtime is a
-# tier-1 test).  The service section
-# gates the crash contract: a shard worker SIGKILLed mid-run and
-# restarted by the supervisor from its last checkpoint must finish
-# bit-identical to the same shard never interrupted (node states,
-# RNG positions, summaries), with checkpoint overhead <= 2% of the
-# shard's wall time.  The aggregation section gates the inter-shard
-# DHT digest exchange: a 4-shard lockstep cluster with one shard
-# killed after a checkpoint and restored must finish bit-identical to
-# the never-interrupted cluster (all four shards — aggregation couples
-# them), and the aggregated cluster's worst cross-shard top-K rank
-# distance must beat the isolated-shard baseline at a bounded DHT
-# cost (<= 16 routed messages per digest published or pulled).
-# Also runs the dead-code lint.  Writes
-# BENCH_contribution.json and BENCH_population.json so the perf
-# trajectory accumulates per PR.
-# Both legs always run; the target fails at the end if either leg
-# failed.
+# Smoke gate: the dead-code lint, then one short pass of the repo
+# benchmark (BENCHMARK.json; see bench/README.md) -- every workload
+# once, 5 s windows, no per-layer trace.  bench.run exits 1 on any
+# failed bench check: same-seed units identical, the four-shard
+# restore identity, Fig 6 correct fraction >= 0.9, B_max, one vote per
+# voter x moderator.  The contracts the old layer benchmarks gated
+# (engine identity, batch flows vs a scalar replay, kill -9 restore of
+# one shard and of an aggregating cluster, DHT cost per digest,
+# parallel replicas vs sequential) are tier-1 tests.
 bench-smoke: lint-deadcode
-	@status=0; \
-	$(PY) scripts/bench_contribution.py --check || status=1; \
-	$(PY) scripts/bench_population.py --check || status=1; \
-	exit $$status
-
-# Paper-scale benchmarks (slower; no gate).  The population leg adds
-# the million-peer churn-trace smoke under the SoA engine.
-bench-full:
-	$(PY) scripts/bench_contribution.py --full
-	$(PY) scripts/bench_population.py --full
+	python3 -m bench.run --seconds 5 --repeats 1 --no-trace
 
 # The repo benchmark (BENCHMARK.json; see bench/README.md): four
 # full-stack workloads, end-to-end metrics plus a per-layer trace, each

@@ -96,9 +96,11 @@ class RuntimeConfig:
     #: paper's loop; larger fan-outs gate the whole round's partner set
     #: through one batched ``experienced_many`` evaluation.
     vote_fanout: int = 1
-    #: Probability that any protocol exchange fails (connection reset,
-    #: NAT timeout, …) beyond what churn already causes.  Failure
-    #: injection for robustness tests; 0 in the paper's experiments.
+    #: Probability that a moderation or vote exchange fails (connection
+    #: reset, NAT timeout, …) beyond what churn already causes.
+    #: BarterCast exchanges are exempt: they take no loss draw and no
+    #: partner-online check.  Failure injection for robustness tests;
+    #: 0 in the paper's experiments.
     message_loss: float = 0.0
     #: Single-valued: the runtime always ticks through the SoA
     #: population engine over the columnar state store.  Both fields

@@ -67,10 +67,6 @@ class VoteSamplingExperiment:
 
     def __init__(self, config: Optional[VoteSamplingConfig] = None):
         self.config = config or VoteSamplingConfig()
-        #: the most recent run's fully wired stack — kept so callers
-        #: (e.g. ``scripts/bench_contribution.py``) can probe the
-        #: post-run BarterCast state without re-simulating
-        self.last_stack: Optional[SimulationStack] = None
 
     # ------------------------------------------------------------------
     def _make_trace(self, replica: int) -> Trace:
@@ -113,7 +109,6 @@ class VoteSamplingExperiment:
 
         stack.recorder.add_probe("correct_fraction", probe)
         stack.run(until=cfg.duration)
-        self.last_stack = stack
 
         result = ExperimentResult(name=f"fig6-vote-sampling-r{replica}")
         result.series = dict(stack.recorder.series)

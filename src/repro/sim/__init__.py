@@ -9,7 +9,6 @@ streams derived from a single root seed.
 """
 
 from repro.sim.engine import Engine, EventHandle, SimulationError
-from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.service import (
     ServiceConfig,
@@ -24,7 +23,6 @@ __all__ = [
     "Engine",
     "EventHandle",
     "SimulationError",
-    "PeriodicProcess",
     "RngRegistry",
     "ServiceConfig",
     "ServiceShard",

@@ -31,7 +31,8 @@ header (:meth:`ShardAggregator.state_dict`), and the per-shard private
 ring is rebuilt deterministically on
 restore, so kill -9 + restore replays bit-identically when shards are
 driven in lockstep (:class:`ShardCluster`, the in-process N-shard
-driver the bench-smoke gates use).
+driver that ``tests/test_aggregation.py`` and the repo benchmark's
+``service_cluster`` workload run).
 
 RNG: merge-target sampling draws from the registry's ``aggregation``
 stream, which the shard checkpoint already persists — no extra
@@ -494,7 +495,8 @@ def rank_distance(a: List[str], b: List[str]) -> float:
 
 def max_cross_shard_rank_distance(shards: List[Any], k: int) -> float:
     """Worst pairwise top-K rank distance across the cluster — the
-    convergence metric the bench-smoke aggregation gate tracks."""
+    convergence metric ``test_cluster_converges_vs_isolated_shards``
+    holds below the isolated-shard baseline."""
     rankings = [shard_top_k(shard, k) for shard in shards]
     worst = 0.0
     for i in range(len(rankings)):

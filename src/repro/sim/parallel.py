@@ -18,9 +18,8 @@ portable choice).  That imposes two constraints honoured here:
 * the worker entrypoint (:func:`_run_task`) is a module-level function,
   so children resolve it by import rather than by pickling code;
 * everything crossing the process boundary is picklable: experiments
-  are shipped after :func:`_strip` clears unpicklable run artefacts
-  (e.g. a cached :class:`~repro.experiments.common.SimulationStack`),
-  and each worker returns its
+  are shipped as they are (they hold plain configuration, no run
+  artefacts), and each worker returns its
   :class:`~repro.experiments.common.ExperimentResult` itself — named
   series of plain float lists plus a metadata dict.  A replica's
   series are a few kilobytes, so they ride the pool's own pickle
@@ -36,7 +35,6 @@ spawn-safety plumbing (:func:`ensure_child_importable`,
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import os
 import sys
@@ -61,19 +59,6 @@ def resolve_worker_count(n_tasks: int, jobs: Optional[int]) -> int:
     else:
         cap = os.cpu_count() or 1
     return max(1, min(n_tasks, cap))
-
-
-def _strip(experiment):
-    """A shallow copy of ``experiment`` safe to ship to a worker.
-
-    Experiments may cache live run artefacts (``last_stack`` holds the
-    fully wired engine/runtime of the previous run) that are neither
-    picklable nor meaningful in a child; clear them on the copy.
-    """
-    clone = copy.copy(experiment)
-    if hasattr(clone, "last_stack"):
-        clone.last_stack = None
-    return clone
 
 
 def _run_task(task):
@@ -176,15 +161,13 @@ class ReplicaPool:
             jobs = 1
         if jobs <= 1:
             # In-process: run the caller's own experiment objects (no
-            # pickle round-trip) so side artefacts such as
-            # ``last_stack`` stay observable and single-job behaviour
-            # is byte-identical to the pre-parallel code path.
+            # pickle round-trip), byte-identical to the pre-parallel
+            # code path.
             return [
                 experiment.run(replica=replica)
                 for experiment, replica in tasks
             ]
         ensure_child_importable()
-        shipped = [(_strip(experiment), replica) for experiment, replica in tasks]
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(processes=jobs) as pool:
-            return pool.map(_run_task, shipped)
+            return pool.map(_run_task, tasks)

@@ -1,7 +1,7 @@
 """Structure-of-arrays population engine: batched protocol ticks.
 
 The straightforward scheduler gives every online peer one
-:class:`~repro.sim.process.PeriodicProcess` heap entry per protocol
+``PeriodicProcess`` heap entry per protocol
 loop, so a tick costs a heap pop, a Python callback, a jitter draw and
 a heap push — ~12 µs of scheduler machinery per tick before any
 protocol work runs.  At a million peers that machinery alone is the
@@ -219,7 +219,7 @@ class PopulationEngine:
     Attach to an :class:`~repro.sim.engine.Engine` via
     ``engine.attach_source(pop)``; the engine merges the population's
     ticks with its heap in exact ``(time, priority, seq)`` order.
-    Protocol ticks run at priority 0, like the object engine's
+    Protocol ticks run at priority 0, like the reference runtime's
     ``PeriodicProcess`` callbacks.
     """
 

@@ -852,14 +852,6 @@ class ServiceSupervisor:
         self._procs[shard_id] = proc
 
     # ------------------------------------------------------------------
-    def kill_shard(self, shard_id: int) -> None:
-        """SIGKILL a shard worker (crash-injection hook; the next
-        :meth:`poll` restarts it from its last checkpoint)."""
-        proc = self._procs[shard_id]
-        if proc is not None and proc.is_alive():
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.join()
-
     def poll(self) -> None:
         """Reap exited workers; restart crashed ones from checkpoints."""
         for shard_id, proc in enumerate(self._procs):

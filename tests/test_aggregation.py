@@ -352,6 +352,12 @@ def test_cluster_converges_vs_isolated_shards(tmp_path):
         assert ops["digests_pulled"] > 0
         assert ops["dht_messages"] > 0
         assert ops["remote_votes_merged"] > 0
+    # The routing cost stays bounded: Chord lookups on the private ring
+    # of shard names, not a flood (≈2 routed messages per digest op).
+    ops = [shard.aggregator.ops for shard in cluster.shards]
+    messages = sum(o["dht_messages"] for o in ops)
+    digest_ops = sum(o["digests_published"] + o["digests_pulled"] for o in ops)
+    assert messages / digest_ops <= 16
 
 
 def test_cluster_restore_replays_bit_identically(tmp_path):

