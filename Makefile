@@ -25,15 +25,16 @@ bench:
 
 # Smoke gate: the dead-code lint, then one short pass of the repo
 # benchmark (BENCHMARK.json; see bench/README.md) -- every workload
-# once, 5 s windows, no per-layer trace.  bench.run exits 1 on any
-# failed bench check: same-seed units identical, the four-shard
-# restore identity, Fig 6 correct fraction >= 0.9, B_max, one vote per
-# voter x moderator.  The contracts the old layer benchmarks gated
+# once, 5 s windows, no per-layer trace -> bench/out/smoke.json (its
+# own file: bench-repo's bench/out/result.json survives).  bench.run
+# exits 1 on any failed bench check: same-seed units identical, the
+# four-shard restore identity, Fig 6 correct fraction >= 0.9, B_max,
+# one vote per voter x moderator.  The contracts the old layer benchmarks gated
 # (engine identity, batch flows vs a scalar replay, kill -9 restore of
 # one shard and of an aggregating cluster, DHT cost per digest,
 # parallel replicas vs sequential) are tier-1 tests.
 bench-smoke: lint-deadcode
-	python3 -m bench.run --seconds 5 --repeats 1 --no-trace
+	python3 -m bench.run --seconds 5 --repeats 1 --no-trace --out bench/out/smoke.json
 
 # The repo benchmark (BENCHMARK.json; see bench/README.md): four
 # full-stack workloads, end-to-end metrics plus a per-layer trace, each

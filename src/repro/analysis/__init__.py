@@ -5,26 +5,23 @@
 then we can expect the local cache to converge to a reasonable
 accuracy."  This package quantifies that claim:
 
-* :mod:`repro.analysis.sampling` — ground-truth vote shares, per-node
-  estimates, sampling error, and the binomial error bound the poll
+* :mod:`repro.analysis.sampling` — per-node share estimates, their
+  error against a ground truth, and the binomial error bound the poll
   analogy predicts;
-* :mod:`repro.analysis.convergence` — time-to-threshold and
-  peak-recovery extraction from experiment time series.
+* :mod:`repro.analysis.convergence` — time-to-threshold extraction
+  from experiment time series.
 """
 
-from repro.analysis.convergence import recovery_time, time_to_fraction
+from repro.analysis.convergence import time_to_fraction
 from repro.analysis.sampling import (
     ballot_share_estimate,
     binomial_error_bound,
     mean_estimation_error,
-    true_vote_shares,
 )
 
 __all__ = [
-    "recovery_time",
     "time_to_fraction",
     "ballot_share_estimate",
     "binomial_error_bound",
     "mean_estimation_error",
-    "true_vote_shares",
 ]

@@ -1,4 +1,4 @@
-"""Convergence/recovery extraction from experiment time series."""
+"""Convergence extraction from experiment time series."""
 
 from __future__ import annotations
 
@@ -18,28 +18,3 @@ def time_to_fraction(series: TimeSeries, target: float) -> Optional[float]:
     if hits.size == 0:
         return None
     return float(times[hits[0]])
-
-
-def recovery_time(
-    series: TimeSeries, fraction_of_peak: float = 0.5
-) -> Optional[float]:
-    """Time from the series' peak until it first falls to
-    ``fraction_of_peak × peak`` (``None`` if it never recovers).
-
-    Used on Fig 8 pollution curves: the paper's "most new nodes are
-    defeated … for approximately 24 hours" is the recovery time of the
-    2× attack curve.
-    """
-    if not (0.0 < fraction_of_peak < 1.0):
-        raise ValueError("fraction_of_peak must be in (0, 1)")
-    values = series.values
-    times = series.times
-    if values.size == 0 or values.max() <= 0.0:
-        return None
-    peak_idx = int(values.argmax())
-    threshold = values[peak_idx] * fraction_of_peak
-    after = values[peak_idx:]
-    hits = np.flatnonzero(after <= threshold)
-    if hits.size == 0:
-        return None
-    return float(times[peak_idx + hits[0]] - times[peak_idx])

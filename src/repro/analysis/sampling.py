@@ -1,8 +1,8 @@
 """Sampling accuracy of the BallotBox "opinion poll".
 
-Ground truth is the population of local vote lists: for moderator *m*,
-the true positive share is ``p_m = (#peers voting +m) / (#peers voting
-on m)``.  A node's ballot box estimates ``p_m`` from at most ``B_max``
+Ground truth is the population's vote share: for moderator *m*, the
+true positive share is ``p_m = (#peers voting +m) / (#peers voting on
+m)``.  A node's ballot box estimates ``p_m`` from at most ``B_max``
 sampled voters; if the PSS is uniform the estimate is a without-
 replacement binomial sample, so its standard error is bounded by
 ``1 / (2 · sqrt(n))`` — the classic opinion-poll bound the paper's
@@ -12,27 +12,9 @@ analogy invokes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.core.ballotbox import BallotBox
-from repro.core.votes import LocalVoteList, Vote
-
-
-def true_vote_shares(
-    vote_lists: Mapping[str, LocalVoteList]
-) -> Dict[str, float]:
-    """Population ground truth: positive share per moderator.
-
-    Only moderators with at least one vote appear.
-    """
-    pos: Dict[str, int] = {}
-    total: Dict[str, int] = {}
-    for vl in vote_lists.values():
-        for entry in vl.entries():
-            total[entry.moderator_id] = total.get(entry.moderator_id, 0) + 1
-            if entry.vote is Vote.POSITIVE:
-                pos[entry.moderator_id] = pos.get(entry.moderator_id, 0) + 1
-    return {m: pos.get(m, 0) / t for m, t in total.items()}
 
 
 def ballot_share_estimate(

@@ -10,7 +10,7 @@ Three protocols plus the experience function (§II–§V):
   ``B_min`` sample threshold;
 * :mod:`repro.core.experience` — the BarterCast-maxflow threshold
   experience function (plus the §VII adaptive-T extension);
-* :mod:`repro.core.ranking` — summation / proportional ranking and the
+* :mod:`repro.core.ranking` — summation ranking and the
   rank-average merge used by VoxPopuli;
 * :mod:`repro.core.node` — :class:`~repro.core.node.VoteSamplingNode`,
   one peer's complete protocol state;
@@ -19,7 +19,7 @@ Three protocols plus the experience function (§II–§V):
 """
 
 from repro.core.ballotbox import BallotBox
-from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore, RowTable
+from repro.core.columnar import ColumnarStateStore, RowTable
 from repro.core.experience import (
     AdaptiveThresholdExperience,
     AlwaysExperienced,
@@ -27,22 +27,14 @@ from repro.core.experience import (
     ThresholdExperience,
 )
 from repro.core.moderation import Moderation, ModerationStore
-from repro.core.moderationcast import extract_moderations
 from repro.core.node import NodeConfig, VoteSamplingNode
-from repro.core.persistence import load_node, save_node
-from repro.core.ranking import (
-    merge_rank_lists,
-    rank_by_sum,
-    rank_proportional,
-    top_k,
-)
+from repro.core.ranking import merge_rank_lists, rank_by_sum, top_k
 from repro.core.runtime import ProtocolRuntime, RuntimeConfig
 from repro.core.votes import LocalVoteList, Vote
 from repro.core.voxpopuli import TopKCache
 
 __all__ = [
     "BallotBox",
-    "ColumnarBallotBox",
     "ColumnarStateStore",
     "RowTable",
     "ExperienceFunction",
@@ -51,14 +43,10 @@ __all__ = [
     "AlwaysExperienced",
     "Moderation",
     "ModerationStore",
-    "extract_moderations",
     "NodeConfig",
     "VoteSamplingNode",
-    "save_node",
-    "load_node",
     "merge_rank_lists",
     "rank_by_sum",
-    "rank_proportional",
     "top_k",
     "ProtocolRuntime",
     "RuntimeConfig",

@@ -22,12 +22,12 @@ columns keyed by the population engine's row↔peer-id table
   tick sends in place of a crowd member's own (see
   :meth:`ColumnarStateStore.mark_crowd`).
 
-:class:`ColumnarBallotBox` is a drop-in :class:`~repro.core.ballotbox
-.BallotBox` view over the store: same API, and semantics — self-vote
-drops, store-nothing merges leaving recency untouched, oldest-voter
-eviction — bit-identical to the dict implementation (property-tested
-in ``tests/test_core_columnar.py``, ``tests/test_columnar_payloads.py``
-and ``tests/test_deferred_merges.py``).
+:class:`~repro.core.ballotbox.BallotBox` is the view of one row's box.
+The ``bb_*`` methods keep the §V-A rules — self-vote drops,
+store-nothing merges leaving recency untouched, oldest-voter eviction —
+bit-identical to the dict-backed spec in ``tests/reference_ballotbox.py``
+(property-tested in ``tests/test_core_columnar.py``,
+``tests/test_columnar_payloads.py`` and ``tests/test_deferred_merges.py``).
 
 Payload pool
 ------------
@@ -100,7 +100,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ballotbox import BallotBox
 from repro.core.checkpoint import CheckpointError, pack_strings, take, unpack_strings
 from repro.core.votes import LocalVoteList, Vote, VoteEntry
 
@@ -385,7 +384,7 @@ class ColumnarStateStore:
         self._vl_self.pop(row, None)
         for entry in self._vl_lists[row].entries():
             if entry.moderator_id == own:
-                # Self-votes carry no information (see BallotBox.merge).
+                # Self-votes carry no information (§V-A).
                 self._vl_self[row] = len(mids)
             else:
                 mids.append(intern(entry.moderator_id))
@@ -531,9 +530,8 @@ class ColumnarStateStore:
         """Fold packed votes (distinct ``mids``) into an existing
         segment: repeat moderators overwrite in place, new ones append
         (relocating the segment to the pool tail, with power-of-two
-        capacity, when it outgrows its capacity) — the same
-        first-occurrence insertion order the dict backend's payload
-        dicts keep."""
+        capacity, when it outgrows its capacity) — first-occurrence
+        order, as a per-voter dict would keep it."""
         off = int(self.bb_off[box, slot])
         n = int(self.bb_nvotes[box, slot])
         end = off + n
@@ -642,8 +640,8 @@ class ColumnarStateStore:
     ) -> int:
         """:meth:`BallotBox.merge` over the columns; returns the number
         of *distinct* moderators stored (duplicate ids in one list
-        collapse to their last vote and count once, matching the dict
-        backend).  Recency is bumped only when something was stored.
+        collapse to their last vote and count once).  Recency is bumped
+        only when something was stored.
 
         The object-API entry: interns, dedups and self-filters the
         entries into packed arrays and hands them to
@@ -670,7 +668,7 @@ class ColumnarStateStore:
         for e in entries:
             moderator = e.moderator_id
             if moderator == voter:
-                # Self-votes carry no information (see BallotBox.merge).
+                # Self-votes carry no information (§V-A).
                 continue
             v = e.vote
             merged[mods.row(moderator)] = int(v) if type(v) is Vote else int(Vote(v))
@@ -744,46 +742,6 @@ class ColumnarStateStore:
             # already-present voter (the insert path bounds itself).
             self._evict(box, slots, owner_row, b_max)
         return n
-
-    def bb_restore_voter(
-        self,
-        owner_row: int,
-        b_max: int,
-        voter: str,
-        votes: Iterable[Tuple[str, Vote, float]],
-        last_received: float,
-    ) -> None:
-        """:meth:`BallotBox.restore_voter` over the columns — the
-        voter's previous segment (if any) is wholesale replaced."""
-        self.bb_flush()
-        mods = self.mods
-        stored: Dict[int, Tuple[int, float]] = {
-            mods.row(moderator): (int(Vote(vote)), received_at)
-            for moderator, vote, received_at in votes
-            if moderator != voter
-        }
-        if not stored:
-            return
-        n = len(stored)
-        box = self._box_row(owner_row)
-        slots = self._slots[box]
-        vrow = self.rows.row(voter)
-        slot = slots.get(vrow)
-        if slot is None:
-            slot = self._slot_add(box, owner_row)
-            reuse = False
-        else:
-            slots.pop(vrow)
-            reuse = self._seg_vacate(box, slot, n)
-        slots[vrow] = slot
-        seq = self._bb_seq[box] + 1
-        self._bb_seq[box] = seq
-        vals, ats = np.array(list(stored.values())).T
-        mids = np.fromiter(stored, np.int32, n)
-        vals = vals.astype(np.int8)
-        self._pend.append((box, slot, vrow, mids, vals, ats, last_received, seq, reuse))
-        self.bb_flush()
-        self._evict(box, slots, owner_row, b_max)
 
     def bb_remove_voter(self, owner_row: int, voter: str) -> bool:
         box = self._box_of[owner_row]
@@ -926,7 +884,7 @@ class ColumnarStateStore:
         signal): max over moderators with ≥ 2 votes of ``4·p·(1−p)``.
         Same bincount scan as :meth:`bb_all_counts`, but the tallies
         never materialise as a Python dict — this is the vectorised
-        fast path behind :meth:`ColumnarBallotBox.dispersion`."""
+        fast path behind :meth:`BallotBox.dispersion`."""
         tallies = self._tallies(owner_row)
         if tallies is None:
             return 0.0
@@ -944,8 +902,8 @@ class ColumnarStateStore:
     ) -> List[Tuple[str, str, int, float]]:
         """Every stored vote of one box as flat ``(voter, moderator,
         vote, received_at)`` rows sorted by ``(voter, moderator)`` —
-        the columnar side of :meth:`BallotBox.export_digest`, gathered
-        straight from the payload pool."""
+        :meth:`BallotBox.export_digest`, gathered straight from the
+        payload pool."""
         self.bb_flush()
         box = self._box_of[owner_row]
         if box < 0:
@@ -1079,9 +1037,7 @@ class ColumnarStateStore:
         payload pool, the per-box slot dicts and bookkeeping lists, and
         the moderator intern table's containers.  Peer/moderator id
         *strings* are shared with the rest of the system (the row
-        tables hold one reference each) and excluded — the dict
-        backend's :meth:`BallotBox.memory_bytes` draws the same line,
-        so the two layouts are comparable like-for-like."""
+        tables hold one reference each) and excluded."""
         total = sum(
             getattr(self, name).nbytes
             for name, _dtype, _fill in _ROW_COLUMNS + _WIRE_COLUMNS + _SLOT_COLUMNS
@@ -1141,86 +1097,3 @@ class ColumnarStateStore:
             f"moderators={len(self.mods)})"
         )
 
-
-class ColumnarBallotBox(BallotBox):
-    """A :class:`BallotBox` whose state lives in a
-    :class:`ColumnarStateStore`.
-
-    Same public API and bit-identical semantics; the dict-backed
-    attributes of the parent are never created.  The view holds only
-    ``(store, owner_row, b_max)`` — equality of behaviour is enforced
-    by the property tests, and the single-client node format works
-    unchanged because it reads and writes through the public API only.
-    """
-
-    def __init__(self, store: ColumnarStateStore, owner_row: int, b_max: int = 100):
-        if b_max < 1:
-            raise ValueError("b_max must be >= 1")
-        self.b_max = b_max
-        self._store = store
-        self._row = owner_row
-
-    # -- mutations ------------------------------------------------------
-    def merge(self, voter: str, entries: Iterable[VoteEntry], now: float) -> int:
-        return self._store.bb_merge(self._row, self.b_max, voter, entries, now)
-
-    def restore_voter(
-        self,
-        voter: str,
-        votes: Iterable[Tuple[str, Vote, float]],
-        last_received: float,
-    ) -> None:
-        self._store.bb_restore_voter(
-            self._row, self.b_max, voter, votes, last_received
-        )
-
-    def remove_voter(self, voter: str) -> bool:
-        return self._store.bb_remove_voter(self._row, voter)
-
-    # -- reads ----------------------------------------------------------
-    def num_unique_users(self) -> int:
-        return len(self._store.bb_slots(self._row))
-
-    def voters(self) -> List[str]:
-        ids = self._store.rows.ids
-        return sorted(ids[vrow] for vrow in self._store.bb_slots(self._row))
-
-    def voters_by_recency(self) -> List[str]:
-        ids = self._store.rows.ids
-        return [ids[vrow] for vrow in self._store.bb_slots(self._row)]
-
-    def votes_of(self, voter: str) -> List[Tuple[str, Vote, float]]:
-        return self._store.bb_votes_of(self._row, voter)
-
-    def last_received_of(self, voter: str) -> float:
-        return self._store.bb_last_received(self._row, voter)
-
-    def moderators(self) -> List[str]:
-        return self._store.bb_moderators(self._row)
-
-    def counts(self, moderator_id: str) -> Tuple[int, int]:
-        return self._store.bb_counts(self._row, moderator_id)
-
-    def all_counts(self) -> Dict[str, Tuple[int, int]]:
-        return self._store.bb_all_counts(self._row)
-
-    def total_votes(self) -> int:
-        return self._store.bb_total_votes(self._row)
-
-    def vote_of(self, voter: str, moderator_id: str):
-        return self._store.bb_vote_of(self._row, voter, moderator_id)
-
-    def export_digest(self) -> List[Tuple[str, str, int, float]]:
-        return self._store.bb_export_digest(self._row)
-
-    def dispersion(self) -> float:
-        return self._store.bb_dispersion(self._row)
-
-    def memory_bytes(self) -> int:
-        return self._store.box_memory_bytes(self._row)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnarBallotBox(voters={self.num_unique_users()}/"
-            f"{self.b_max}, votes={self.total_votes()})"
-        )

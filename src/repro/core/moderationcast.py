@@ -1,7 +1,9 @@
 """ModerationCast extract policy (§IV, Fig 1).
 
 The gossip loop itself is driven by the runtime; this module holds the
-``Extract()`` policy: which moderations a node offers a partner.
+``Extract()`` policy: which moderations a node offers a partner
+(:meth:`~repro.core.node.VoteSamplingNode.moderations_to_send` composes
+the two steps below).
 
 Rules (Fig 2): a node forwards only moderations authored by itself or
 by moderators it *approved* (+ vote).  Within that eligible set the
@@ -18,21 +20,6 @@ import numpy as np
 
 from repro.core.moderation import Moderation, ModerationStore
 from repro.core.votes import LocalVoteList
-
-
-def extract_moderations(
-    store: ModerationStore,
-    vote_list: LocalVoteList,
-    own_id: str,
-    max_items: int,
-    rng: np.random.Generator,
-) -> List[Moderation]:
-    """The ``Extract(local_db)`` of Fig 1 for one exchange."""
-    if max_items < 1:
-        return []
-    return select_moderations(
-        eligible_moderations(store, vote_list, own_id), max_items, rng
-    )
 
 
 def eligible_moderations(

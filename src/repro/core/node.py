@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.ballotbox import BallotBox
-from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore
+from repro.core.columnar import ColumnarStateStore
 from repro.core.moderation import Moderation, ModerationStore
 from repro.core.moderationcast import eligible_moderations, select_moderations
 from repro.core.ranking import Ranking, rank_by_sum, top_k
@@ -78,20 +78,14 @@ class VoteSamplingNode:
         self.config = config or NodeConfig()
         self._rng = rng
         self.store = ModerationStore(self.config.moderation_store_capacity)
-        #: columnar backing (``None`` = classic per-node dict state).
-        #: With a store, the ballot box is a thin view over the shared
-        #: columns, the vote list reports its casts to the store (the
-        #: vl_size column and the packed wire form follow it) and the
+        #: the state store this node is row :attr:`row` of (a one-node
+        #: store of its own when none is passed): the ballot box is a
+        #: view of its columns, the vote list reports its casts to it
+        #: (the vl_size column and the packed wire form follow) and its
         #: store_size column tracks this node's moderation store.
-        self.col_store = col_store
-        if col_store is not None:
-            self.row = col_store.ensure_row(peer_id)
-            self.ballot_box: BallotBox = ColumnarBallotBox(
-                col_store, self.row, self.config.b_max
-            )
-        else:
-            self.row = -1
-            self.ballot_box = BallotBox(self.config.b_max)
+        self.col_store = col_store = col_store or ColumnarStateStore()
+        self.row = col_store.ensure_row(peer_id)
+        self.ballot_box = BallotBox(self.config.b_max, col_store, self.row)
         self.vote_list = LocalVoteList(col_store, self.row)
         self.topk_cache = TopKCache(self.config.v_max, self.config.k)
         #: votes the user will cast when the moderator's metadata arrives
@@ -131,9 +125,7 @@ class VoteSamplingNode:
         """Refresh this node's store_size column.  Called at the end of
         every node method that mutates the moderation store.  (The
         vote list keeps its own column: see :class:`LocalVoteList`.)"""
-        store = self.col_store
-        if store is not None:
-            store.store_size[self.row] = len(self.store)
+        self.col_store.store_size[self.row] = len(self.store)
 
     # ------------------------------------------------------------------
     # User actions
@@ -185,9 +177,9 @@ class VoteSamplingNode:
         vote_list.version)``, which move with everything it reads, so
         an exchange between two changes skips the re-sort; only an
         over-budget selection draws (from :attr:`rng`, which an
-        in-budget call does not even build), on every call, as
-        :func:`extract_moderations` does.  Callers must treat the
-        returned list as read-only."""
+        in-budget call does not even build), on every call, as an
+        unmemoised Extract does.  Callers must treat the returned list
+        as read-only."""
         key = (self.store.mutation_count, self.vote_list.version)
         memo = self._eligible
         if memo is None or memo[0] != key:

@@ -1,23 +1,16 @@
 """Node state (de)serialisation.
 
 Tribler "provides local database services allowing state to be
-maintained over sessions" (§I).  Inside one simulation run our node
-objects simply live on, but a real client restarts.  Two surfaces:
+maintained over sessions" (§I).  Two surfaces:
 
-* **One client, plain JSON** — :func:`node_to_dict` /
-  :func:`node_from_dict` (and :func:`save_node` / :func:`load_node`)
-  round-trip one :class:`~repro.core.node.VoteSamplingNode`'s durable
-  state: moderation database (oldest received first, so recency
-  survives a version refresh), own vote list, ballot box per voter
-  (oldest received first, with per-vote ``received_at``), VoxPopuli
-  cache, pending vote intentions and the node RNG's
-  ``bit_generator.state``.  Volatile state is deliberately *not*
-  persisted: protocol processes, online flags and instrumentation
-  counters restart fresh, exactly as a client reboot would leave them
-  (the moderation store's mutation counter restarts at the number of
-  stored items for the same reason).  The dict is also the
-  identity-comparison surface of the bit-identity tests.  There is
-  one format, :data:`FORMAT_VERSION`.
+* **One node, plain JSON** — :func:`node_to_dict` lists one
+  :class:`~repro.core.node.VoteSamplingNode`'s durable state:
+  moderation database (oldest received first), own vote list, ballot
+  box per voter (oldest received first, with per-vote
+  ``received_at``), VoxPopuli cache, pending vote intentions and the
+  node RNG's ``bit_generator.state``.  It is the identity-comparison
+  surface of the bit-identity tests, the goldens and a shard's
+  ``identity_state()``; nothing reads it back.
 * **A whole shard, columns** — :func:`nodes_to_columns` /
   :func:`nodes_from_columns` flatten what a population's nodes hold
   *outside* the columnar state store (ballot boxes live there) into
@@ -25,14 +18,12 @@ objects simply live on, but a real client restarts.  Two surfaces:
   (:mod:`repro.sim.service`): moderation references into one table of
   distinct records with ``received_at`` and recency stamps, vote
   lists, intentions, top-K lists, the per-run counters and online
-  flags a restored *shard* — unlike a rebooted client — must keep.
+  flags.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Union
 
@@ -44,18 +35,15 @@ from repro.core.checkpoint import (
     take,
     unpack_strings,
 )
-from repro.core.columnar import ColumnarStateStore
 from repro.core.moderation import Moderation
-from repro.core.node import NodeConfig, VoteSamplingNode
+from repro.core.node import VoteSamplingNode
 from repro.core.votes import Vote
 
 PathLike = Union[str, Path]
 FORMAT_VERSION = 3
 
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(NodeConfig))
-
 #: Node counters that must survive a shard restore for ``run_summary()``
-#: bit-identity (volatile in the single-client format by design).
+#: bit-identity.
 _NODE_COUNTERS = (
     "moderations_received",
     "votes_merged",
@@ -68,9 +56,6 @@ _NODE_COUNTERS = (
 _VOTE_OF = {int(vote): vote for vote in Vote}
 
 
-# ----------------------------------------------------------------------
-# RNG state round trip
-# ----------------------------------------------------------------------
 def rng_state_to_jsonable(state: Dict[str, Any]) -> Dict[str, Any]:
     """A ``bit_generator.state`` as plain JSON types.
 
@@ -90,50 +75,18 @@ def rng_state_to_jsonable(state: Dict[str, Any]) -> Dict[str, Any]:
     return _clean(dict(state))
 
 
-def generator_from_state(state: Dict[str, Any]) -> np.random.Generator:
-    """A generator positioned exactly at a saved bit-generator state."""
-    name = state.get("bit_generator")
-    cls = getattr(np.random, str(name), None)
-    if cls is None:
-        raise ValueError(f"unknown bit generator {name!r} in rng_state")
-    bit_gen = cls()
-    bit_gen.state = state
-    return np.random.Generator(bit_gen)
-
-
-def _config_from_dict(data: Dict[str, Any]) -> NodeConfig:
-    """Build a :class:`NodeConfig` from a checkpoint's config payload.
-
-    Checkpoints written by newer builds may carry config fields this
-    build does not know; those are skipped with a warning instead of
-    crashing the restore with an opaque ``TypeError``.  Missing fields
-    fall back to the dataclass defaults.
-    """
-    known = {k: v for k, v in data.items() if k in _CONFIG_FIELDS}
-    ignored = sorted(set(data) - _CONFIG_FIELDS)
-    if ignored:
-        warnings.warn(
-            "node-state config has unknown fields (written by a newer "
-            f"build?), ignoring: {', '.join(ignored)}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return NodeConfig(**known)
-
-
 def atomic_write_text(path: PathLike, text: str) -> None:
     """:func:`~repro.core.checkpoint.atomic_write_bytes` for text."""
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
-# One client: plain JSON
+# One node: plain JSON
 # ----------------------------------------------------------------------
 def node_to_dict(node: VoteSamplingNode) -> Dict[str, Any]:
     """Extract the durable state as a JSON-serialisable dict."""
     # Oldest received first: a refreshed item (newer version of a key
-    # already held) sits at its *new* recency, so re-inserting in file
-    # order rebuilds the same recency order and eviction victims.
+    # already held) sits at its *new* recency.
     moderations = [
         {
             "moderator_id": mod.moderator_id,
@@ -151,7 +104,7 @@ def node_to_dict(node: VoteSamplingNode) -> Dict[str, Any]:
         for e in node.vote_list.entries()
     ]
     # One pass over the stored votes (votes_of), voters oldest-received
-    # first so the restore path can replay them in recency order.
+    # first (the B_max eviction order).
     ballot = [
         {
             "voter": voter,
@@ -184,88 +137,6 @@ def node_to_dict(node: VoteSamplingNode) -> Dict[str, Any]:
         "intentions": {m: int(v) for m, v in node.vote_intentions.items()},
         "rng_state": rng_state_to_jsonable(node.rng_state()),
     }
-
-
-def node_from_dict(
-    data: Dict[str, Any],
-    rng: Union[np.random.Generator, None] = None,
-    col_store: Union[ColumnarStateStore, None] = None,
-) -> VoteSamplingNode:
-    """Reconstruct a node from :func:`node_to_dict` output.
-
-    The node's RNG is the explicit ``rng`` argument when given (callers
-    that manage their own streams), else a generator positioned at the
-    payload's saved ``rng_state``.
-
-    Pass ``col_store`` to restore into a column-backed node — the
-    save format is backing-agnostic (everything goes through the
-    public BallotBox API), so dict-state saves restore into columnar
-    boxes and vice versa, bit-identically.  The columnar store's
-    payload pool is invisible here for the same reason: ``votes_of``
-    yields the same insertion-ordered triples whether they come from a
-    payload dict or a pool segment."""
-    fmt = data.get("format")
-    if fmt != FORMAT_VERSION:
-        raise ValueError(f"unsupported node-state format {fmt!r}")
-    config = _config_from_dict(data["config"])
-    if rng is None:
-        rng = generator_from_state(data["rng_state"])
-    node = VoteSamplingNode(
-        data["peer_id"],
-        config,
-        rng,
-        col_store=col_store,
-    )
-    for rec in data["moderations"]:
-        # A plain pop would mutate the caller's dict and strip the
-        # timestamp from any later restore of the same payload.
-        received_at = rec.get("received_at", 0.0)
-        fields = {k: v for k, v in rec.items() if k != "received_at"}
-        node.store.insert(Moderation(**fields), received_at or 0.0)
-    for rec in data["votes"]:
-        node.vote_list.cast(rec["moderator"], Vote(rec["vote"]), rec["cast_at"])
-    # Voters were saved oldest-received first; restore_voter appends at
-    # the end of the recency order, so replaying in file order
-    # reproduces the saved box's relative eviction order exactly.
-    for rec in data["ballot"]:
-        node.ballot_box.restore_voter(
-            rec["voter"],
-            [
-                (moderator, Vote(vote), received_at)
-                for moderator, vote, received_at in rec["votes"]
-            ],
-            rec["last_received"],
-        )
-    for lst in data["topk_lists"]:
-        node.topk_cache.add(lst)
-    for moderator, vote in data["intentions"].items():
-        node.set_vote_intention(moderator, Vote(vote))
-    # The moderation loop above wrote the store directly; refresh its
-    # membership column once at the end.
-    node._sync_membership()
-    return node
-
-
-def save_node(node: VoteSamplingNode, path: PathLike) -> None:
-    """Persist the node's durable state to ``path`` (JSON).
-
-    The write is atomic: a crash mid-save leaves the previous
-    checkpoint readable instead of a torn JSON prefix."""
-    atomic_write_text(path, json.dumps(node_to_dict(node)))
-
-
-def load_node(
-    path: PathLike,
-    rng: Union[np.random.Generator, None] = None,
-    col_store: Union[ColumnarStateStore, None] = None,
-) -> VoteSamplingNode:
-    """Restore a node persisted by :func:`save_node`.
-
-    ``col_store`` is forwarded to :func:`node_from_dict`, so on-disk
-    checkpoints restore into columnar-backed nodes too."""
-    return node_from_dict(
-        json.loads(Path(path).read_text(encoding="utf-8")), rng, col_store=col_store
-    )
 
 
 # ----------------------------------------------------------------------

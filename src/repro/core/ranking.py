@@ -1,10 +1,8 @@
 """Moderator ranking (§V-A) and the VoxPopuli rank merge (§V-C).
 
-Two ranking methods over a ballot box: plain **summation**
-(positives − negatives; the paper's default "any suitable method could
-be applied such as simple summation") and a **proportional** variant
-(net score over total votes, damped by a pseudo-count prior so a
-single vote does not pin a moderator to ±1).
+Ranking over a ballot box is plain **summation** (positives −
+negatives; the paper's default "any suitable method could be applied
+such as simple summation").
 
 VoxPopuli merges cached top-K lists by **rank averaging**: a
 moderator's merged rank is the mean of its ranks over all cached
@@ -37,26 +35,6 @@ def rank_by_sum(
         for m in universe:
             scores.setdefault(m, 0.0)
     return sorted(scores.items(), key=lambda ms: (-ms[1], ms[0]))
-
-
-def rank_proportional(
-    ballot_box: BallotBox,
-    universe: Optional[Iterable[str]] = None,
-    prior: float = 1.0,
-) -> Ranking:
-    """Proportional ranking: ``(pos − neg) / (pos + neg + prior)``."""
-    if prior < 0:
-        raise ValueError("prior must be non-negative")
-    counts = ballot_box.all_counts()
-    moderators = set(counts)
-    if universe is not None:
-        moderators.update(universe)
-    scored = []
-    for m in moderators:
-        pos, neg = counts.get(m, (0, 0))
-        scored.append((m, (pos - neg) / (pos + neg + prior)))
-    scored.sort(key=lambda ms: (-ms[1], ms[0]))
-    return scored
 
 
 def top_k(ranking: Ranking, k: int) -> List[str]:

@@ -7,8 +7,9 @@ production layers swapped for their plain originals:
   heap entry (no population engine, so no batched gossip tick) — the
   paper's ``do forever: wait Δ; ...`` loop as one self-rescheduling
   engine event;
-* every node keeps its ballot box in the dict-backed :class:`BallotBox`
-  (no columnar store);
+* every node keeps its ballot box in the dict-backed
+  :class:`~tests.reference_ballotbox.ReferenceBallotBox` (the state
+  store still backs the rest of the node);
 * the three gossip exchanges are the scalar per-peer ticks of Figs 1
   and 3 a — partner sampling, experience gating, vote selection and
   merging through per-node handlers (:class:`ReferenceNode`);
@@ -24,10 +25,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.moderation import Moderation, ModerationStore
+from repro.core.moderationcast import eligible_moderations, select_moderations
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.runtime import ProtocolRuntime
 from repro.core.votes import LocalVoteList, VoteEntry, select_positions
 from repro.sim.engine import Engine, EventHandle
+from tests.reference_ballotbox import ReferenceBallotBox
 
 
 class PeriodicProcess:
@@ -135,9 +139,30 @@ def select_for_exchange(
     return [entries[i] for i in select_positions(len(entries), max_votes, rng, policy)]
 
 
+def extract_moderations(
+    store: ModerationStore,
+    vote_list: LocalVoteList,
+    own_id: str,
+    max_items: int,
+    rng: np.random.Generator,
+) -> List[Moderation]:
+    """The ``Extract(local_db)`` of Fig 1 for one exchange, recomputed
+    from scratch (the node memoises the eligible list)."""
+    if max_items < 1:
+        return []
+    return select_moderations(
+        eligible_moderations(store, vote_list, own_id), max_items, rng
+    )
+
+
 class ReferenceNode(VoteSamplingNode):
     """A node with the per-message BallotBox handlers (Fig 3 b) that the
-    production gossip batch runs row to row over the columns."""
+    production gossip batch runs row to row over the columns, and the
+    dict-backed reference box in place of the columnar view."""
+
+    def __init__(self, peer_id, config=None, rng=None, col_store=None):
+        super().__init__(peer_id, config, rng, col_store)
+        self.ballot_box = ReferenceBallotBox(self.config.b_max)
 
     def votes_to_send(self) -> List[VoteEntry]:
         """Our vote list, truncated to the exchange cap by the
@@ -227,14 +252,16 @@ class ReferenceRuntime(ProtocolRuntime):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._col_store = None  # ensure_node builds dict-backed nodes
         self._processes: Dict[str, List[PeriodicProcess]] = {}
 
     def ensure_node(self, peer_id: str) -> VoteSamplingNode:
         node = self.nodes.get(peer_id)
         if node is None:
             node = self.nodes[peer_id] = ReferenceNode(
-                peer_id, self.config.node, self._rng.stream("node", peer_id)
+                peer_id,
+                self.config.node,
+                self._rng.stream("node", peer_id),
+                self._col_store,
             )
         return node
 

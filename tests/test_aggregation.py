@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.ballotbox import BallotBox
 from repro.core.checkpoint import read_sections
-from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore
 from repro.core.node import NodeConfig
 from repro.core.votes import Vote, VoteEntry
 from repro.sim.aggregation import (
@@ -36,6 +35,7 @@ from repro.sim.service import (
     ServiceShard,
     ShardConfig,
 )
+from tests.reference_ballotbox import ReferenceBallotBox
 
 
 def _agg_config(**overrides):
@@ -83,11 +83,7 @@ def test_config_validation():
 # Digest export round-trips, dict and columnar backings
 # ----------------------------------------------------------------------
 def _both_backings(b_max=10):
-    store = ColumnarStateStore()
-    return [
-        BallotBox(b_max),
-        ColumnarBallotBox(store, store.ensure_row("owner"), b_max),
-    ]
+    return [ReferenceBallotBox(b_max), BallotBox(b_max)]
 
 
 def _fill(box):

@@ -5,44 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.convergence import recovery_time, time_to_fraction
+from repro.analysis.convergence import time_to_fraction
 from repro.analysis.sampling import (
     ballot_share_estimate,
     binomial_error_bound,
     mean_estimation_error,
-    true_vote_shares,
 )
 from repro.core.ballotbox import BallotBox
-from repro.core.votes import LocalVoteList, Vote, VoteEntry
+from repro.core.votes import Vote, VoteEntry
 from repro.metrics.timeseries import TimeSeries
-
-
-def population(votes):
-    """votes: {peer: [(moderator, vote), ...]}"""
-    out = {}
-    for pid, vs in votes.items():
-        vl = LocalVoteList()
-        for t, (m, v) in enumerate(vs):
-            vl.cast(m, v, float(t))
-        out[pid] = vl
-    return out
-
-
-class TestTruth:
-    def test_shares(self):
-        pop = population(
-            {
-                "a": [("m1", Vote.POSITIVE)],
-                "b": [("m1", Vote.POSITIVE)],
-                "c": [("m1", Vote.NEGATIVE), ("m2", Vote.NEGATIVE)],
-            }
-        )
-        truth = true_vote_shares(pop)
-        assert truth["m1"] == pytest.approx(2 / 3)
-        assert truth["m2"] == 0.0
-
-    def test_empty_population(self):
-        assert true_vote_shares({}) == {}
 
 
 class TestEstimate:
@@ -115,23 +86,6 @@ class TestConvergence:
         assert time_to_fraction(s, 0.5) == 20.0
         assert time_to_fraction(s, 0.3) == 10.0
         assert time_to_fraction(s, 0.95) is None
-
-    def test_recovery_time(self):
-        s = series([(0, 0.0), (10, 0.8), (20, 0.6), (30, 0.3), (40, 0.1)])
-        # peak 0.8 at t=10; half-peak 0.4 first reached at t=30
-        assert recovery_time(s) == 20.0
-
-    def test_recovery_never(self):
-        s = series([(0, 0.5), (10, 0.6), (20, 0.7)])
-        assert recovery_time(s) is None
-
-    def test_recovery_empty_or_flat_zero(self):
-        assert recovery_time(series([])) is None
-        assert recovery_time(series([(0, 0.0), (10, 0.0)])) is None
-
-    def test_recovery_validation(self):
-        with pytest.raises(ValueError):
-            recovery_time(series([(0, 1.0)]), fraction_of_peak=1.5)
 
     @given(
         st.lists(

@@ -26,7 +26,8 @@ from repro.core.checkpoint import (
     unpack_strings,
     write_sections,
 )
-from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore, RowTable
+from repro.core.ballotbox import BallotBox
+from repro.core.columnar import ColumnarStateStore, RowTable
 from repro.core.votes import Vote, VoteEntry
 from repro.sim.engine import Engine
 from repro.sim.population import PopulationEngine
@@ -125,19 +126,9 @@ class _StoreDriver:
             entries = [
                 VoteEntry(f"rm{rnd.randrange(6)}", rnd.choice(VOTES), self.now)
             ]
-        elif roll < 0.93:
+        else:
             for store in stores:
                 store.bb_remove_voter(store.rows.index[owner], voter)
-            return
-        else:
-            votes = [
-                (rnd.choice(self.mods), rnd.choice(VOTES), self.now - 1.0)
-                for _ in range(rnd.randrange(0, 5))
-            ]
-            for store in stores:
-                store.bb_restore_voter(
-                    store.rows.index[owner], b_max, voter, list(votes), self.now
-                )
             return
         stored = {
             store.bb_merge(store.rows.index[owner], b_max, voter, list(entries), self.now)
@@ -150,8 +141,8 @@ def _assert_stores_equal(a, b, owners):
     assert a.rows.ids == b.rows.ids and a.rows.index == b.rows.index
     assert a.mods.ids == b.mods.ids and a.mods.index == b.mods.index
     for owner in owners:
-        box_a = ColumnarBallotBox(a, a.rows.index[owner], 1)
-        box_b = ColumnarBallotBox(b, b.rows.index[owner], 1)
+        box_a = BallotBox(1, a, a.rows.index[owner])
+        box_b = BallotBox(1, b, b.rows.index[owner])
         assert box_a.voters_by_recency() == box_b.voters_by_recency()
         assert box_a.all_counts() == box_b.all_counts()
         assert box_a.export_digest() == box_b.export_digest()

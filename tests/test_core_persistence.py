@@ -1,18 +1,50 @@
-"""Round-trip tests for node-state persistence."""
+"""Node state through persistence.
+
+A node's durable state survives the shard checkpoint — its state
+store's columns plus :func:`nodes_to_columns`, written to and read from
+one checkpoint file, rebuilt with :func:`nodes_from_columns` as
+:class:`~repro.sim.service.ServiceShard` does it.  :func:`node_to_dict`
+is the plain-JSON view the identity tests compare, and
+:func:`atomic_write_text` the torn-write guard of the service's JSON
+files.
+"""
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import read_sections, write_sections
+from repro.core.columnar import ColumnarStateStore
 from repro.core.moderation import Moderation
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.persistence import (
-    load_node,
-    node_from_dict,
+    atomic_write_text,
     node_to_dict,
-    save_node,
+    nodes_from_columns,
+    nodes_to_columns,
 )
 from repro.core.votes import Vote, VoteEntry
 from tests.reference_runtime import receive_votes
+
+
+def restore(node, path):
+    """``node`` rebuilt as a shard restore rebuilds it: the store's and
+    the node's columns through one checkpoint file, then an empty node
+    on the loaded store, filled from its columns."""
+    write_sections(
+        path, {}, {"store": node.col_store.dump_state(), "nodes": nodes_to_columns([node])}
+    )
+    _state, components = read_sections(path)
+    store = ColumnarStateStore()
+    store.load_state(components["store"])
+    (restored,) = nodes_from_columns(
+        components["nodes"],
+        lambda pid: VoteSamplingNode(
+            pid, node.config, np.random.default_rng(0), col_store=store
+        ),
+    )
+    return restored
 
 
 @pytest.fixture()
@@ -44,12 +76,9 @@ def populated_node():
 
 
 def test_round_trip_preserves_everything(populated_node, tmp_path):
-    path = tmp_path / "node.json"
-    save_node(populated_node, path)
-    restored = load_node(path)
+    restored = restore(populated_node, tmp_path / "node.ckpt")
 
     assert restored.peer_id == "me"
-    assert restored.config == populated_node.config
     # moderations
     assert len(restored.store) == len(populated_node.store)
     assert restored.store.get("friend", "t1").version == 2
@@ -62,48 +91,29 @@ def test_round_trip_preserves_everything(populated_node, tmp_path):
     # voxpopuli cache and intentions
     assert restored.topk_cache.known_moderators() == ["a", "b"]
     assert restored.vote_intentions["future-mod"] is Vote.POSITIVE
+    # the rest of node_to_dict: the RNG is the shard registry's, not the node's
+    assert {**node_to_dict(restored), "rng_state": None} == {
+        **node_to_dict(populated_node),
+        "rng_state": None,
+    }
 
 
 def test_restored_node_ranks_identically(populated_node, tmp_path):
-    path = tmp_path / "node.json"
-    save_node(populated_node, path)
-    restored = load_node(path)
+    restored = restore(populated_node, tmp_path / "node.ckpt")
     assert restored.ballot_ranking() == populated_node.ballot_ranking()
     assert restored.needs_bootstrap() == populated_node.needs_bootstrap()
 
 
-def test_volatile_state_not_persisted(populated_node, tmp_path):
-    populated_node.online = True
-    populated_node.votes_merged = 99
-    path = tmp_path / "node.json"
-    save_node(populated_node, path)
-    restored = load_node(path)
-    assert restored.online is False
-    assert restored.votes_merged == 0
-
-
-def test_unsupported_format_rejected(populated_node):
-    data = node_to_dict(populated_node)
-    for fmt in (1, 2, 99, None):  # one format; its predecessors are gone
-        data["format"] = fmt
-        with pytest.raises(ValueError, match="format"):
-            node_from_dict(data)
-
-
 def test_empty_node_round_trips(tmp_path):
     node = VoteSamplingNode("empty", NodeConfig(), np.random.default_rng(1))
-    path = tmp_path / "n.json"
-    save_node(node, path)
-    restored = load_node(path)
+    restored = restore(node, tmp_path / "n.ckpt")
     assert len(restored.store) == 0
     assert restored.current_ranking() == []
 
 
 def test_disapproval_semantics_survive(populated_node, tmp_path):
     """A restored node still refuses the disapproved moderator."""
-    path = tmp_path / "node.json"
-    save_node(populated_node, path)
-    restored = load_node(path)
+    restored = restore(populated_node, tmp_path / "node.ckpt")
     got = restored.receive_moderations(
         [Moderation("enemy", "t9", "sneaky")], now=20.0
     )
@@ -116,12 +126,10 @@ def test_ballot_recency_survives_round_trip(tmp_path):
     B_max victims alphabetically instead of oldest-received-first."""
     node = VoteSamplingNode("me", NodeConfig(b_min=1, b_max=2), np.random.default_rng(0))
     # "z" received first (oldest), "a" last (newest) — the reverse of
-    # alphabetical order, so the old restore path picks the wrong victim.
+    # alphabetical order, so an alphabetical restore picks the wrong victim.
     receive_votes(node, "z", [VoteEntry("m1", Vote.POSITIVE, 0.0)], 1.0, True)
     receive_votes(node, "a", [VoteEntry("m2", Vote.NEGATIVE, 0.0)], 2.0, True)
-    path = tmp_path / "node.json"
-    save_node(node, path)
-    restored = load_node(path)
+    restored = restore(node, tmp_path / "node.ckpt")
     assert restored.ballot_box.voters_by_recency() == ["z", "a"]
     assert restored.ballot_box.last_received_of("z") == 1.0
     assert restored.ballot_box.last_received_of("a") == 2.0
@@ -133,19 +141,17 @@ def test_ballot_recency_survives_round_trip(tmp_path):
 
 
 def test_ballot_vote_timestamps_survive_round_trip(populated_node, tmp_path):
-    path = tmp_path / "node.json"
-    save_node(populated_node, path)
-    restored = load_node(path)
+    restored = restore(populated_node, tmp_path / "node.ckpt")
     for voter in populated_node.ballot_box.voters():
         assert sorted(restored.ballot_box.votes_of(voter)) == sorted(
             populated_node.ballot_box.votes_of(voter)
         )
 
 
-def test_moderation_recency_survives_version_refresh():
-    """Regression: node_to_dict walked the store in storage order, where
-    a refreshed item keeps its old position, so ``insert(A v1);
-    insert(B); insert(A v2)`` restored as if B were the newest — wrong
+def test_moderation_recency_survives_version_refresh(tmp_path):
+    """Regression: walking the store in storage order, where a
+    refreshed item keeps its old position, restored ``insert(A v1);
+    insert(B); insert(A v2)`` as if B were the newest — wrong
     ``recency_order()`` (what ModerationCast forwards first) and the
     wrong capacity-eviction victim."""
     node = VoteSamplingNode("me", NodeConfig(), np.random.default_rng(0))
@@ -154,18 +160,17 @@ def test_moderation_recency_survives_version_refresh():
     node.receive_moderations([Moderation("a", "t", "v2", version=2)], 3.0)
     assert [m.title for m in node.store.recency_order()] == ["v2", "only"]
 
-    restored = node_from_dict(node_to_dict(node))
+    restored = restore(node, tmp_path / "node.ckpt")
     assert restored.store.recency_order() == node.store.recency_order()
     assert restored.store.received_at(restored.store.get("a", "t")) == 3.0
-    # A rebooted client counts mutations afresh (nothing derived from
-    # the old counter survives a restart), one per stored item.
-    assert node.store.mutation_count == 3
-    assert restored.store.mutation_count == len(restored.store) == 2
+    # A restored shard keeps counting where it stopped.
+    assert restored.store.mutation_count == node.store.mutation_count == 3
     for store in (node.store, restored.store):
         store.capacity = 1
         store.enforce_capacity()
         assert [m.title for m in store.all_items()] == ["v2"]
-    # Nothing refreshed: output is what storage order always gave.
+    # node_to_dict lists oldest received first; nothing refreshed, so
+    # that is storage order.
     plain = VoteSamplingNode("me", NodeConfig(), np.random.default_rng(0))
     plain.receive_moderations(
         [Moderation("b", "t", "1"), Moderation("a", "t", "2")], 1.0
@@ -174,42 +179,19 @@ def test_moderation_recency_survives_version_refresh():
 
 
 # ----------------------------------------------------------------------
-# Columnar restore through load_node (bugfix regression)
+# Atomic writes (bugfix regression)
 # ----------------------------------------------------------------------
-def test_load_node_restores_into_columnar_store(populated_node, tmp_path):
-    """Regression: load_node dropped the col_store parameter that
-    node_from_dict supports, so an on-disk checkpoint could never be
-    restored into a columnar-backed node."""
-    from repro.core.columnar import ColumnarStateStore
-
-    path = tmp_path / "node.json"
-    save_node(populated_node, path)
-    store = ColumnarStateStore()
-    restored = load_node(path, col_store=store)
-    assert "me" in store.rows.index
-    assert store.vl_size[store.rows.index["me"]] == len(
-        populated_node.vote_list.entries()
-    )
-    assert node_to_dict(restored) == node_to_dict(populated_node)
-
-
-# ----------------------------------------------------------------------
-# Atomic checkpoint writes (bugfix regression)
-# ----------------------------------------------------------------------
-def test_partial_write_preserves_previous_checkpoint(
-    populated_node, tmp_path, monkeypatch
-):
-    """Regression: save_node wrote with a bare Path.write_text, so a
-    crash mid-write left a torn JSON prefix in place of the previous
-    checkpoint.  The write layer below is made to fail after 20 bytes;
-    the on-disk checkpoint must survive intact."""
+def test_partial_write_preserves_previous_checkpoint(tmp_path, monkeypatch):
+    """Regression: a bare ``Path.write_text`` left a torn JSON prefix in
+    place of the previous file when a write crashed.  The write layer
+    below is made to fail after 20 bytes; the file on disk must survive
+    intact."""
     import builtins
     import io
 
-    path = tmp_path / "node.json"
-    save_node(populated_node, path)
+    path = tmp_path / "status.json"
+    atomic_write_text(path, json.dumps({"slice": 1, "votes": list(range(40))}))
     before = path.read_text(encoding="utf-8")
-    populated_node.cast_vote("late-mod", Vote.POSITIVE, 99.0)
 
     real_open = builtins.open
 
@@ -239,62 +221,15 @@ def test_partial_write_preserves_previous_checkpoint(
         patch.setattr(builtins, "open", torn_open)
         patch.setattr(io, "open", torn_open)
         with pytest.raises(OSError, match="disk full"):
-            save_node(populated_node, path)
+            atomic_write_text(path, json.dumps({"slice": 2, "votes": []}))
 
     assert path.read_text(encoding="utf-8") == before
-    restored = load_node(path)
-    assert restored.vote_list.vote_on("late-mod") is None
+    assert json.loads(before)["slice"] == 1
     # No temp-file litter left behind by the failed attempt.
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["node.json"]
-
-
-# ----------------------------------------------------------------------
-# RNG stream persistence (bugfix regression)
-# ----------------------------------------------------------------------
-def test_rng_stream_survives_restore(tmp_path):
-    """Regression: node_from_dict fell back to default_rng(0), so a
-    "restored" node replayed a different random series than the node
-    that was saved would have continued."""
-    node = VoteSamplingNode("me", NodeConfig(), np.random.default_rng(1234))
-    node.rng.random(17)  # advance mid-run
-    path = tmp_path / "node.json"
-    save_node(node, path)
-    expected = node.rng.random(8)  # the uninterrupted continuation
-    restored = load_node(path)
-    assert np.array_equal(restored.rng.random(8), expected)
-
-
-def test_explicit_rng_override_still_wins(populated_node, tmp_path):
-    path = tmp_path / "node.json"
-    save_node(populated_node, path)
-    override = np.random.default_rng(5)
-    restored = load_node(path, rng=override)
-    assert restored.rng is override
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["status.json"]
 
 
 def test_format_is_v3_with_rng_state(populated_node):
     data = node_to_dict(populated_node)
     assert data["format"] == 3
     assert data["rng_state"]["bit_generator"] == "PCG64"
-
-
-# ----------------------------------------------------------------------
-# Forward-compatible config payloads (bugfix regression)
-# ----------------------------------------------------------------------
-def test_unknown_config_key_warns_and_is_ignored(populated_node):
-    """Regression: NodeConfig(**data["config"]) crashed older readers
-    with an opaque TypeError when a newer build added a config field."""
-    data = node_to_dict(populated_node)
-    data["config"] = dict(data["config"], future_knob=11, other_knob="x")
-    with pytest.warns(RuntimeWarning, match="future_knob, other_knob"):
-        restored = node_from_dict(data)
-    assert restored.config == populated_node.config
-
-
-def test_missing_config_key_uses_dataclass_default(populated_node):
-    data = node_to_dict(populated_node)
-    config = dict(data["config"])
-    del config["k"]
-    data["config"] = config
-    restored = node_from_dict(data)
-    assert restored.config.k == NodeConfig().k

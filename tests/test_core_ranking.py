@@ -8,7 +8,6 @@ from repro.core.ballotbox import BallotBox
 from repro.core.ranking import (
     merge_rank_lists,
     rank_by_sum,
-    rank_proportional,
     strictly_ordered,
     top_k,
 )
@@ -44,23 +43,6 @@ class TestRankBySum:
     def test_tie_break_on_id(self):
         bb = box_with([("v1", "b", Vote.POSITIVE), ("v2", "a", Vote.POSITIVE)])
         assert [m for m, _ in rank_by_sum(bb)] == ["a", "b"]
-
-
-class TestRankProportional:
-    def test_damped_by_prior(self):
-        bb = box_with([("v1", "m1", Vote.POSITIVE)])
-        ranking = dict(rank_proportional(bb, prior=1.0))
-        assert ranking["m1"] == pytest.approx(0.5)
-
-    def test_many_votes_dominate_prior(self):
-        votes = [(f"v{i}", "m1", Vote.POSITIVE) for i in range(99)]
-        bb = box_with(votes)
-        ranking = dict(rank_proportional(bb, prior=1.0))
-        assert ranking["m1"] == pytest.approx(0.99)
-
-    def test_negative_prior_rejected(self):
-        with pytest.raises(ValueError):
-            rank_proportional(box_with([]), prior=-1.0)
 
 
 class TestTopK:

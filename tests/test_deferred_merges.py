@@ -13,9 +13,9 @@ voter twice in one batch, two peers merging into each other's boxes,
 ``b_max`` shrinking and growing between merges, lists reaching the box
 as pool slices or as above-cap pick copies, and ranking reads mid-batch
 (what VoxPopuli's top-K answer reads) — and after every batch requires
-the deferred store, a store merging one at a time and dict
-:class:`BallotBox` es to agree on every read, with the payload pool
-within 2× its live entries above a small floor.  A seeded run then
+the deferred store, a store merging one at a time and the dict boxes
+of ``tests/reference_ballotbox.py`` to agree on every read, with the
+payload pool within 2× its live entries above a small floor.  A seeded run then
 checks that the awkward interleavings actually occurred.
 """
 
@@ -27,10 +27,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ballotbox import BallotBox
 from repro.core import columnar
-from repro.core.columnar import _POOL_FLOOR, ColumnarBallotBox, ColumnarStateStore
+from repro.core.ballotbox import BallotBox
+from repro.core.columnar import _POOL_FLOOR, ColumnarStateStore
 from repro.core.votes import Vote, VoteEntry
+from tests.reference_ballotbox import ReferenceBallotBox
 
 OWNERS = ("o0", "o1", "o2", "o3")
 VOTERS = OWNERS + ("f0", "f1", "f2", "f3")
@@ -88,7 +89,7 @@ class _Trio:
                 store.ensure_row(pid)
             for m in range(N_MODS):
                 store.mods.row(f"m{m}")
-        self.ref = {owner: BallotBox(1) for owner in OWNERS}
+        self.ref = {owner: ReferenceBallotBox(1) for owner in OWNERS}
         self.now = 0.0
 
     def merge(self, owner, voter, votes, b_max, picks):
@@ -121,7 +122,7 @@ class _Trio:
 
     def read(self, owner):
         """A ranking read mid-batch, as a VoxPopuli top-K answer makes."""
-        view = ColumnarBallotBox(self.deferred, VOTERS.index(owner), 1)
+        view = BallotBox(1, self.deferred, VOTERS.index(owner))
         ref = self.ref[owner]
         assert view.moderators() == ref.moderators()
         assert view.all_counts() == ref.all_counts()
@@ -139,7 +140,7 @@ class _Trio:
                 ref.dispersion(),
             )
             for store in (self.deferred, self.direct):
-                view = ColumnarBallotBox(store, row, 1)
+                view = BallotBox(1, store, row)
                 assert (
                     view.export_digest(),
                     view.voters_by_recency(),

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from repro.core.columnar import ColumnarStateStore
 from repro.core.moderation import Moderation
-from repro.core.moderationcast import extract_moderations
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.votes import Vote
+from tests.reference_runtime import extract_moderations
 
 BUDGET = 3
 CAPACITY = 6

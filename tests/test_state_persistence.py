@@ -133,61 +133,3 @@ def test_protocol_processes_pause_while_offline(churny_world):
     assert all(per_protocol(0.0, 3600.0))  # every loop ran in session 1 ...
     assert per_protocol(3600.0, 5 * 3600.0) == [0, 0, 0]  # ... none offline
     assert all(per_protocol(5 * 3600.0, 6 * 3600.0))  # ... and all resumed
-
-
-# ----------------------------------------------------------------------
-# Checkpoint matrix: reference (dict) and production (columnar) runtimes
-# ----------------------------------------------------------------------
-import json
-
-from repro.core.columnar import ColumnarBallotBox, ColumnarStateStore
-from repro.core.node import NodeConfig
-from repro.core.persistence import node_from_dict, node_to_dict
-from repro.core.runtime import RuntimeConfig
-from repro.core.votes import VoteEntry
-from tests.reference_runtime import ReferenceRuntime, receive_votes
-
-_RUNTIMES = {("object", "off"): ReferenceRuntime, ("soa", "on"): ProtocolRuntime}
-
-
-def _matrix_runtime(runtime_cls):
-    peers = {"p1": PeerProfile("p1")}
-    events = [TraceEvent(0.0, "p1", EventKind.SESSION_START)]
-    trace = Trace(duration=HOUR, peers=peers, swarms={}, events=events)
-    engine = Engine()
-    rng = RngRegistry(3)
-    session = BitTorrentSession(engine, trace, rng)
-    return runtime_cls(
-        session, rng, config=RuntimeConfig(node=NodeConfig(b_min=1, b_max=3))
-    )
-
-
-@pytest.mark.parametrize("engine_kind,columnar", sorted(_RUNTIMES))
-def test_checkpoint_matrix_preserves_eviction_order(engine_kind, columnar):
-    """The reference and the production runtime must each save a node
-    that restores — into either backing — with the same voter recency
-    order, so a restored box picks the same ``B_max`` eviction victims
-    the live box would have."""
-    runtime = _matrix_runtime(_RUNTIMES[engine_kind, columnar])
-    node = runtime.ensure_node("p1")
-    assert isinstance(node.ballot_box, ColumnarBallotBox) == (columnar == "on")
-    receive_votes(node, "va", [VoteEntry("m1", Vote.POSITIVE, 1.0)], 1.0, True)
-    receive_votes(node, "vb", [VoteEntry("m2", Vote.NEGATIVE, 2.0)], 2.0, True)
-    receive_votes(node, "vc", [VoteEntry("m1", Vote.POSITIVE, 3.0)], 3.0, True)
-    # Re-hearing from va moves it to most-recent: order is now not
-    # alphabetical, so a lossy restore is distinguishable.
-    receive_votes(node, "va", [VoteEntry("m3", Vote.POSITIVE, 4.0)], 4.0, True)
-    assert node.ballot_box.voters_by_recency() == ["vb", "vc", "va"]
-
-    payload = node_to_dict(node)
-    for target_store in (None, ColumnarStateStore()):
-        restored = node_from_dict(
-            json.loads(json.dumps(payload)), col_store=target_store
-        )
-        box = restored.ballot_box
-        assert box.voters_by_recency() == ["vb", "vc", "va"]
-        assert box.votes_of("va") == node.ballot_box.votes_of("va")
-        assert box.last_received_of("va") == 4.0
-        fresh = [VoteEntry("m9", Vote.POSITIVE, 9.0)]
-        box.merge("vz", fresh, now=9.0)  # over b_max: evicts oldest
-        assert box.voters_by_recency() == ["vc", "va", "vz"]
