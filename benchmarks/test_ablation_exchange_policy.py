@@ -11,10 +11,17 @@ import numpy as np
 import pytest
 from conftest import run_once, scaled_duration, scaled_trace
 
+from repro.core.columnar import ColumnarStateStore
 from repro.core.votes import LocalVoteList, Vote
 from repro.experiments.ablations import ablation_exchange_policy
 from repro.experiments.vote_sampling import VoteSamplingConfig
 from tests.reference_runtime import select_for_exchange
+
+
+def vote_list():
+    """A list on row ``me`` of a store of its own, as a node holds it."""
+    store = ColumnarStateStore()
+    return LocalVoteList(store, store.ensure_row("me"))
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +60,7 @@ def test_a2_policies_differ_when_budget_binds():
     """Stress: 200 moderators, budget 10.  Pure recency starves old
     votes; pure random starves fresh ones; the mix sends both."""
     rng = np.random.default_rng(0)
-    vl = LocalVoteList()
+    vl = vote_list()
     for i in range(200):
         vl.cast(f"m{i:03d}", Vote.POSITIVE, float(i))
     newest = {f"m{i:03d}" for i in range(195, 200)}

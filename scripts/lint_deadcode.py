@@ -163,6 +163,9 @@ ALLOWLIST = {
     "Swarm.piece_cost": "read-only probe of 2 test files (conservation, swarm)",
     "Swarm.progress_of": "read-only probe of 4 test files",
     "BallotBox.vote_of": "read-only probe of 5 test files",
+    "BallotBox.voters_by_recency": "read-only probe of 5 test files",
+    "BallotBox.votes_of": "read-only probe of 7 test files",
+    "BallotBox.last_received_of": "read-only probe of 5 test files",
     "LocalVoteList.vote_on": "read-only probe of 5 test files",
     "SubjectiveGraph.successors": "read-only probe of 2 test files (maxflow, flow kernels)",
     "SubjectiveGraph.predecessors": "read-only probe of 2 test files (sparse, flow kernels)",

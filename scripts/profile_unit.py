@@ -18,14 +18,20 @@ per peer — the "bytes per peer" figure of a memory issue.  It sees
 Python objects and numpy buffers, not the ballot pool's anonymous
 memory maps (``run_summary()["population"]["ballot_pool"]`` reports
 those), so it is a floor on the unit's footprint.
+
+``--gc`` runs the window without the profiler, with a ``gc.callbacks``
+hook, and prints the number and the seconds of full (generation-2)
+collections inside it next to the window's wall time.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -49,9 +55,17 @@ def main() -> None:
         action="store_true",
         help="trace what build() retains: top allocation sites, bytes per peer",
     )
+    parser.add_argument(
+        "--gc",
+        action="store_true",
+        help="count and time full (generation-2) collections in the run window",
+    )
     args = parser.parse_args()
     if args.memory:
         memory(args)
+        return
+    if args.gc:
+        full_collections(args)
         return
 
     profiler = cProfile.Profile()
@@ -92,6 +106,38 @@ def memory(args: argparse.Namespace) -> None:
         )
     finally:
         unit.close()
+
+
+def full_collections(args: argparse.Namespace) -> None:
+    """The window under a ``gc.callbacks`` hook: how many generation-2
+    collections ran inside it and how long they took."""
+    spans: list = []
+    started = [0.0]
+
+    def hook(phase: str, info: dict) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            spans.append(time.perf_counter() - started[0])
+
+    unit = build(args.workload, args.seed, args.size)
+    try:
+        gc.callbacks.append(hook)
+        t0 = time.perf_counter()
+        try:
+            unit.run(Window())
+        finally:
+            wall = time.perf_counter() - t0
+            gc.callbacks.remove(hook)
+    finally:
+        unit.close()
+    print(
+        f"{args.workload} seed {args.seed}: window {wall:.3f} s, "
+        f"{len(spans)} full collections, {sum(spans):.3f} s"
+        + (f" (longest {max(spans):.3f} s)" if spans else "")
+    )
 
 
 if __name__ == "__main__":

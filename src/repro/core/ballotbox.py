@@ -49,7 +49,9 @@ class BallotBox:
     def merge(self, voter: str, entries: Iterable[VoteEntry], now: float) -> int:
         """Fold a voter's vote list into the box; returns the number of
         *distinct* moderators stored (new or updated).  Eviction by
-        unique-voter count follows the merge."""
+        unique-voter count follows the merge.  One merge of the rules a
+        batched vote tick applies to a whole run
+        (:meth:`ColumnarStateStore.bb_merge_run`)."""
         return self._store.bb_merge(self._row, self.b_max, voter, entries, now)
 
     def remove_voter(self, voter: str) -> bool:
@@ -59,17 +61,22 @@ class BallotBox:
     # -- reads ----------------------------------------------------------
     def num_unique_users(self) -> int:
         """The Fig 3 ``num_unique_users`` guard — voters sampled."""
-        return len(self._store.bb_slots(self._row))
+        return int(self._store.bb_unique[self._row])
 
     def voters(self) -> List[str]:
-        ids = self._store.rows.ids
-        return sorted(ids[vrow] for vrow in self._store.bb_slots(self._row))
+        return sorted(self._store.bb_voters(self._row))
 
     def voters_by_recency(self) -> List[str]:
         """Voters ordered oldest-received first — the order `B_max`
         eviction consumes them."""
-        ids = self._store.rows.ids
-        return [ids[vrow] for vrow in self._store.bb_slots(self._row)]
+        return self._store.bb_voters(self._row)
+
+    def ballot(self) -> List[Tuple[str, float, List[list]]]:
+        """``(voter, last_received, votes)`` per voter, oldest-received
+        first, ``votes`` as :meth:`votes_of` lists them but as
+        ``[moderator, vote, received_at]`` lists with int values — the
+        whole box in one read, as a checkpoint serialises it."""
+        return self._store.bb_ballot(self._row)
 
     def votes_of(self, voter: str) -> List[Tuple[str, Vote, float]]:
         """One voter's stored ``(moderator, vote, received_at)``

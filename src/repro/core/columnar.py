@@ -5,9 +5,11 @@ columns keyed by the population engine's row↔peer-id table
 (:class:`RowTable`):
 
 * **ballot-box occupancy** — per-(box, voter) vote counts
-  (``bb_nvotes``), ``last_received`` recency (``bb_last``) and the
-  ``B_max`` eviction order (``bb_order``), in ``[box_row, slot]``
-  2-D columns with swap-remove slot recycling;
+  (``bb_nvotes``), ``last_received`` (``bb_last``) and the recency
+  stamp (``bb_order``), in ``[box_row, slot]`` 2-D columns with
+  swap-remove slot recycling.  ``bb_order`` is the box's one recency
+  order: the ``B_max`` eviction victim is the occupied slot with the
+  smallest stamp, and ``bb_unique`` counts the occupied slots;
 * **ballot-box payloads** — the votes themselves, in one store-wide
   pool (see below) instead of per-slot Python dicts;
 * **experience thresholds** (``exp_threshold``), read as a column
@@ -48,18 +50,22 @@ tail, so the tail stays within 2× the live entries.  The columns are
 anonymous memory maps grown in place by ``mremap``: no copy, and pages
 past the tail stay off the resident set.
 
-Writes are batched.  :meth:`ColumnarStateStore.bb_merge_packed`
-settles what is order-sensitive — slot, recency, eviction victim,
-occupancy — at once and queues a fresh segment's write;
-:meth:`ColumnarStateStore.bb_flush` lands the queue with one tail
-reservation and one copy per column (the batched vote tick once per
-batch, every other caller at once).  Payload reads, updates or
-evictions of a queued slot and swap-removes flush first.  The packed
-layout makes the hot reads vectorisable: ``all_counts`` and the
-adaptive-T dispersion scan are ``np.bincount`` passes over one box's
-gathered segments.  Box rows are allocated on first merge
-(``_box_of``) and the slot width grows in powers of two up to the
-widest ``b_max`` used, so empty boxes cost nothing.
+A run of merges settles in array passes.
+:meth:`ColumnarStateStore.bb_merge_run` takes a gossip run's merges as
+rows into the wire pool (below), groups them by box and applies them
+in per-box rank waves — the boxes of a wave are distinct, so presence,
+move-to-end, fresh slot, stamp and eviction victim are array ops — and
+lands every fresh segment with one tail reservation and one ragged
+gather, offsets in merge order.  :meth:`ColumnarStateStore.bb_merge_packed`
+is one merge of the same rules, written through; nothing is ever left
+pending between calls, so reads need no flush.  The packed layout
+makes the hot reads vectorisable: ``all_counts`` and the adaptive-T
+dispersion scan are ``np.bincount`` passes over one box's gathered
+segments.  Box rows are allocated on first merge (``_box_of``); box
+rows grow in powers of two from one, row columns from
+:data:`_ROW_FLOOR`, and the slot width in powers of two up to the
+widest ``b_max`` used, so empty boxes cost nothing and a one-row store
+holds one box.
 
 Vote-list wire form
 -------------------
@@ -74,10 +80,11 @@ ragged column (``vl_off`` / ``vl_len``) into a shared ``vl_mod`` /
 on first use: :meth:`~ColumnarStateStore.vl_wire`, or for the batched
 vote tick every list a batch may send, up front, in entry order.  The
 pool is rewritten without garbage when more than half of it is dead.
-Interned ids are internal: no read depends on their numbering.  Both
-merge entries end in one core, :meth:`bb_merge_packed`;
+Interned ids are internal: no read depends on their numbering.
 :meth:`bb_merge` interns, dedups and self-filters a ``VoteEntry`` list
-into packed form first.  The wire form is derived state: counted by
+into packed form for :meth:`bb_merge_packed`; the batched vote tick
+hands wire-pool segments to :meth:`bb_merge_run` as they are.  The
+wire form is derived state: counted by
 ``memory_bytes()``, never dumped, repacked on demand after a load.
 
 The columns are the checkpoint
@@ -88,8 +95,8 @@ per-(box, slot) columns, the pool up to its tail and the pool's size,
 tail and live count — and :meth:`ColumnarStateStore.load_state` adopts
 it into an empty store with the same rows, slots, offsets, capacities
 and pool size, so the loaded store also evicts, relocates, compacts and
-grows when the dumped one would have.  Only the per-box recency dicts
-are derived on load (``bb_voter`` ordered by ``bb_order``).
+grows when the dumped one would have.  Nothing about the boxes is
+derived on load: recency is the dumped ``bb_order``.
 """
 
 from __future__ import annotations
@@ -123,8 +130,18 @@ _SLOT_COLUMNS = (
 _POOL = (("pay_mod", np.int32), ("pay_val", np.int8), ("pay_at", np.float64))
 #: Pools up to this many entries never compact.
 _POOL_FLOOR = 64
-#: Queued writes land record by record below this many, as one batch above.
-_FLUSH_BATCH = 16
+#: Runs of merges shorter than this take the one-merge path one by one:
+#: a wave pass costs ≈ 0.15–0.2 ms whatever its length, a one-merge
+#: call ≈ 10 µs (2-vCPU host; EXPERIMENTS.md "One merge run").
+_RUN_FROM = 16
+#: Row columns start at this many rows (≈ 2 KB): small enough for a
+#: lone node's store, large enough that a population's first rows do
+#: not regrow them one doubling at a time.
+_ROW_FLOOR = 64
+#: The per-row box index, grown with the row columns but dumped apart.
+_BOX_OF = (("_box_of", np.int32, -1),)
+#: A stamp newer than any: masks a slot out of the eviction-victim argmin.
+_NEWEST = np.iinfo(np.int64).max
 #: Stored vote value -> :class:`Vote` (cheaper than the enum call).
 _VOTE = {int(v): v for v in Vote}
 #: Behaviour code of a flash-crowd member (see ``mark_crowd``).
@@ -228,11 +245,11 @@ class ColumnarStateStore:
         self.crowd_votes: List[VoteEntry] = []
         self.crowd_top_k: List[str] = []
 
-        # Ballot boxes: scalar per-box bookkeeping (``_box_of``,
-        # ``bb_used``, ``_bb_seq``) in Python lists — the merge hot path
-        # touches one element at a time, where list indexing beats a
-        # numpy scalar access — and per-(box, slot) state in 2-D columns.
-        self._box_of: List[int] = []
+        # Ballot boxes: per-row box index, per-box bookkeeping and
+        # per-(box, slot) state, all numpy columns — a run of merges
+        # (:meth:`bb_merge_run`) settles as array passes over them.
+        #: ``row -> box row`` (-1 = never merged into)
+        self._box_of = np.full(0, -1, dtype=np.int32)
         self._box_cap = 0
         self._width = 0
         self._n_boxes = 0
@@ -240,7 +257,8 @@ class ColumnarStateStore:
         self.bb_voter = np.full((0, 0), -1, dtype=np.int32)
         #: ``last_received`` per (box, slot)
         self.bb_last = np.zeros((0, 0), dtype=np.float64)
-        #: recency stamp per (box, slot) — strictly increasing per box
+        #: recency stamp per (box, slot) — strictly increasing per box;
+        #: the box's one recency order (oldest = eviction victim)
         self.bb_order = np.zeros((0, 0), dtype=np.int64)
         #: stored votes per (box, slot) — the segment's live length
         self.bb_nvotes = np.zeros((0, 0), dtype=np.int32)
@@ -248,12 +266,10 @@ class ColumnarStateStore:
         self.bb_off = np.zeros((0, 0), dtype=np.int64)
         #: capacity of the slot's payload segment (0 = none)
         self.bb_segcap = np.zeros((0, 0), dtype=np.int32)
-        #: occupied slots per box
-        self.bb_used: List[int] = []
-        self._bb_seq: List[int] = []
-        #: per box: ``voter row -> slot``, insertion-ordered by recency
-        #: (move-to-end on bump) — O(1) eviction victim at the head
-        self._slots: List[Dict[int, int]] = []
+        #: occupied slots per box (slots ``0 .. used-1``)
+        self.bb_used = np.zeros(0, dtype=np.int32)
+        #: last recency stamp handed out per box
+        self._bb_seq = np.zeros(0, dtype=np.int64)
         #: the payload pool (see the module docstring)
         self.pay_mod = np.empty(0, dtype=np.int32)
         self.pay_val = np.empty(0, dtype=np.int8)
@@ -264,10 +280,8 @@ class ColumnarStateStore:
         #: segments (their capacities); the rest below the tail is garbage
         self.pay_tail = 0
         self.pay_live = 0
-        #: queued fresh-segment writes (see :meth:`bb_flush`); a queued
-        #: slot reads ``bb_nvotes == 0`` until its write lands
-        self._pend: List[tuple] = []
-        #: telemetry: pool compactions, evicted voters, batched flushes
+        #: telemetry: pool compactions, evicted voters, batched landings
+        #: of a run's fresh segments
         self.pay_compactions = 0
         self.bb_evictions = 0
         self.pay_flushes = 0
@@ -283,37 +297,38 @@ class ColumnarStateStore:
         return row
 
     def _grow_rows(self, needed: int) -> None:
-        new_cap = max(self._cap * 2, 1024)
+        # Powers of two from a small floor, so a lone node's or box's
+        # store stays small and a loaded store (grown once, to the rows
+        # it adopts) lands on the capacity the dumped one had.
+        new_cap = max(self._cap * 2, _ROW_FLOOR)
         while new_cap < needed:
             new_cap *= 2
-        for name, dtype, fill in _ROW_COLUMNS + _WIRE_COLUMNS:
+        for name, dtype, fill in _ROW_COLUMNS + _WIRE_COLUMNS + _BOX_OF:
             out = np.full(new_cap, fill, dtype=dtype)
             out[: self._cap] = getattr(self, name)
             setattr(self, name, out)
-        self._box_of.extend([-1] * (new_cap - len(self._box_of)))
         self._vl_lists.extend([None] * (new_cap - len(self._vl_lists)))
         self._cap = new_cap
 
     def _box_row(self, owner_row: int) -> int:
-        box = self._box_of[owner_row]
-        if box >= 0:
-            return box
+        """Allocate the owner's box row, on its first merge."""
         box = self._n_boxes
         if box >= self._box_cap:
             self._grow_boxes(box + 1)
         self._n_boxes = box + 1
         self._box_of[owner_row] = box
-        self._slots.append({})
-        self.bb_used.append(0)
-        self._bb_seq.append(0)
         return box
 
     def _grow_boxes(self, needed: int) -> None:
-        new_cap = max(self._box_cap * 2, 256)
+        new_cap = max(self._box_cap * 2, 1)
         while new_cap < needed:
             new_cap *= 2
         for name, dtype, fill in _SLOT_COLUMNS:
             out = np.full((new_cap, self._width), fill, dtype=dtype)
+            out[: self._box_cap] = getattr(self, name)
+            setattr(self, name, out)
+        for name, dtype in (("bb_used", np.int32), ("_bb_seq", np.int64)):
+            out = np.zeros(new_cap, dtype=dtype)
             out[: self._box_cap] = getattr(self, name)
             setattr(self, name, out)
         self._box_cap = new_cap
@@ -512,18 +527,6 @@ class ColumnarStateStore:
         self.pay_tail = self.pay_live = idx.size
         self.pay_compactions += 1
 
-    def _seg_vacate(self, box: int, slot: int, n: int) -> bool:
-        """Empty a slot for a fresh write of ``n`` votes: keep its
-        segment when they fit (``True``: the write reuses it in place),
-        else orphan it as garbage."""
-        cap = int(self.bb_segcap[box, slot])
-        self.bb_nvotes[box, slot] = 0
-        if n <= cap:
-            return True
-        self.bb_segcap[box, slot] = 0
-        self._pay_release(cap)
-        return False
-
     def _seg_update(
         self, box: int, slot: int, mids: np.ndarray, vals: np.ndarray, now: float
     ) -> None:
@@ -572,60 +575,6 @@ class ColumnarStateStore:
         self.bb_nvotes[box, slot] = n + k
         if n + k > old_cap:
             self._pay_release(old_cap)
-
-    def bb_flush(self) -> None:
-        """Land the queued fresh-segment writes, ``(box, slot, voter,
-        mids, vals, ats, last, seq, reuse)`` each: a few record by
-        record, a batch with one tail reservation, one copy per pool
-        column and one vector store per slot column.  A ``reuse``
-        record writes over its victim's segment, at the offset it has
-        after any compaction the reservation ran."""
-        pend = self._pend
-        if not pend:
-            return
-        self._pend = []
-        if len(pend) < _FLUSH_BATCH:
-            for box, slot, voter, mids, vals, ats, last, seq, reuse in pend:
-                n = len(mids)
-                if reuse:
-                    off = int(self.bb_off[box, slot])
-                else:
-                    off = self._pay_reserve(n)
-                    self.bb_off[box, slot] = off
-                    self.bb_segcap[box, slot] = n
-                    self.pay_live += n
-                end = off + n
-                self.pay_mod[off:end] = mids
-                self.pay_val[off:end] = vals
-                self.pay_at[off:end] = ats
-                self.bb_nvotes[box, slot] = n
-                self.bb_voter[box, slot] = voter
-                self.bb_last[box, slot] = last
-                self.bb_order[box, slot] = seq
-            return
-        boxes, slots, voters, mids, vals, ats, lasts, seqs, reuse = zip(*pend)
-        boxes = np.array(boxes, dtype=np.intp)
-        slots = np.array(slots, dtype=np.intp)
-        lens = np.fromiter(map(len, mids), np.int64, len(pend))
-        fresh = ~np.array(reuse, dtype=np.bool_)
-        caps = lens[fresh]
-        total = int(caps.sum())
-        base = self._pay_reserve(total)
-        offs = self.bb_off[boxes, slots]
-        offs[fresh] = base + np.cumsum(caps) - caps
-        self.pay_live += total
-        # New segments lie back to back from ``base``, in queue order.
-        idx = slice(base, base + total) if fresh.all() else _ragged_index(offs, lens)
-        self.pay_mod[idx] = np.concatenate(mids)
-        self.pay_val[idx] = np.concatenate(vals)
-        self.pay_at[idx] = np.repeat(ats, lens)
-        self.bb_off[boxes, slots] = offs
-        self.bb_segcap[boxes[fresh], slots[fresh]] = caps
-        self.bb_nvotes[boxes, slots] = lens
-        self.bb_voter[boxes, slots] = voters
-        self.bb_last[boxes, slots] = lasts
-        self.bb_order[boxes, slots] = seqs
-        self.pay_flushes += 1
 
     # ------------------------------------------------------------------
     # Ballot-box operations (semantics of repro.core.ballotbox)
@@ -683,19 +632,15 @@ class ColumnarStateStore:
         mids: np.ndarray,
         vals: np.ndarray,
         now: float,
-        defer: bool = False,
     ) -> int:
         """Merge packed votes — ``mids`` (int32 interned moderators,
         distinct, none of them the voter) with their ``vals`` (int8) —
         from the voter at ``voter_row`` into ``owner_row``'s box;
-        returns how many were stored.  Everything order-sensitive —
-        slot, recency, eviction victim, occupancy — is settled here; a
-        voter new to the box gets a fresh segment whose write is queued
-        for :meth:`bb_flush`, which runs at once unless ``defer`` (the
-        arrays must then stay unchanged until the caller flushes).
+        returns how many were stored.  One merge of the rules
+        :meth:`bb_merge_run` applies to a whole run.
 
         A full box evicts *before* inserting so the newcomer reuses the
-        head voter's slot in place — the same final state the insert-
+        oldest voter's slot in place — the same final state the insert-
         then-evict order produces (``b_max >= 1`` keeps the newcomer
         off the victim list), without the swap-remove column traffic —
         and, when its list fits, the victim's segment too.
@@ -703,94 +648,274 @@ class ColumnarStateStore:
         n = len(mids)
         if not n:
             return 0
-        box = self._box_of[owner_row]
+        box = self._box_of.item(owner_row)
         if box < 0:
             box = self._box_row(owner_row)
-        slots = self._slots[box]
-        slot = slots.get(voter_row)
-        seq = self._bb_seq[box] + 1
+        # Scalar reads through ``item`` and a short list: a box holds
+        # at most ``b_max`` voters.
+        used = self.bb_used.item(box)
+        seq = self._bb_seq.item(box) + 1
         self._bb_seq[box] = seq
-        if slot is None:
-            reuse = False
-            if len(slots) >= b_max:
-                # Evict-then-insert: same victims as the reference
-                # insert-then-evict (heads of the recency order; the
-                # newcomer would sit at the tail).
-                self._evict(box, slots, owner_row, b_max)  # a shrunk b_max
-                slot = slots.pop(next(iter(slots)))
-                self.bb_evictions += 1
-                if not self.bb_nvotes[box, slot]:
-                    self.bb_flush()  # the victim's own write is queued
-                reuse = self._seg_vacate(box, slot, n)
-            else:
-                slot = self._slot_add(box, owner_row)
-            slots[voter_row] = slot
-            self._pend.append((box, slot, voter_row, mids, vals, now, now, seq, reuse))
-            if not defer:
-                self.bb_flush()
+        voters = self.bb_voter[box, :used].tolist()
+        if voter_row in voters:
+            slot = voters.index(voter_row)
+            # Move-to-end: the newest stamp of the box.
+            self._seg_update(box, slot, mids, vals, now)
+            self.bb_last[box, slot] = now
+            self.bb_order[box, slot] = seq
+            if used > b_max:
+                # Only reachable when b_max shrank between merges on an
+                # already-present voter (the insert path bounds itself).
+                self._evict(box, owner_row, used - b_max)
             return n
-        if not self.bb_nvotes[box, slot]:
-            self.bb_flush()  # this voter's first write is still queued
-        # Move-to-end: recency order is the dict's insertion order.
-        slots.pop(voter_row)
-        slots[voter_row] = slot
-        self._seg_update(box, slot, mids, vals, now)
+        if used >= b_max:
+            # Evict-then-insert: same victims as the reference
+            # insert-then-evict (the oldest stamps; the newcomer would
+            # hold the newest).
+            if used > b_max:
+                self._evict(box, owner_row, used - b_max)  # a shrunk b_max
+            slot = self._oldest(box)
+            self.bb_evictions += 1
+            cap = self.bb_segcap.item(box, slot)
+            if n <= cap:
+                off = self.bb_off.item(box, slot)  # the victim's segment
+            else:
+                self.bb_segcap[box, slot] = 0
+                self._pay_release(cap)
+                off = -1
+        else:
+            slot = used
+            if slot >= self._width:
+                self._grow_width(slot + 1)
+            self.bb_used[box] = slot + 1
+            self.bb_unique[owner_row] += 1
+            off = -1
+        if off < 0:
+            off = self._pay_reserve(n)
+            self.bb_off[box, slot] = off
+            self.bb_segcap[box, slot] = n
+            self.pay_live += n
+        end = off + n
+        self.pay_mod[off:end] = mids
+        self.pay_val[off:end] = vals
+        self.pay_at[off:end] = now
+        self.bb_nvotes[box, slot] = n
+        self.bb_voter[box, slot] = voter_row
         self.bb_last[box, slot] = now
         self.bb_order[box, slot] = seq
-        if len(slots) > b_max:
-            # Only reachable when b_max shrank between merges on an
-            # already-present voter (the insert path bounds itself).
-            self._evict(box, slots, owner_row, b_max)
         return n
 
+    def bb_merge_run(
+        self,
+        b_max: int,
+        owner_rows: np.ndarray,
+        voter_rows: np.ndarray,
+        src_off: np.ndarray,
+        src_len: np.ndarray,
+        times: np.ndarray,
+        wire: Tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        """Settle a run of merges — merge ``i`` folds the segment
+        ``[src_off[i], src_off[i] + src_len[i])`` (``src_len > 0``) of
+        the wire pool ``wire`` (``vl_mod`` / ``vl_val`` as they were
+        when the offsets were read: a later repack may replace them)
+        from ``voter_rows[i]`` into ``owner_rows[i]``'s box at
+        ``times[i]`` — with every read afterwards as if
+        :meth:`bb_merge_packed` had taken them in order (each stores
+        its ``src_len``).
+
+        Merges into different boxes commute, so the run is grouped by
+        box and taken in per-box rank waves: wave ``r`` holds every
+        box's ``r``-th merge, all boxes distinct, and presence,
+        move-to-end, the fresh slot, the stamp and the eviction victim
+        (the occupied slot with the smallest ``bb_order``) are array
+        ops over the wave.  A fresh segment is not written in its wave:
+        the slot reads ``bb_nvotes == 0`` until every pending one lands
+        with one tail reservation and one ragged gather from the wire
+        pool, offsets in merge order — at the end of the run, or before
+        a later wave updates or evicts a pending slot.  Short runs take
+        the one-merge path (:data:`_RUN_FROM`)."""
+        q = len(owner_rows)
+        mod, val = wire
+        if q < _RUN_FROM:
+            for owner, voter, off, n, now in zip(
+                owner_rows.tolist(),
+                voter_rows.tolist(),
+                src_off.tolist(),
+                src_len.tolist(),
+                times.tolist(),
+            ):
+                self.bb_merge_packed(
+                    owner, b_max, voter, mod[off : off + n], val[off : off + n], now
+                )
+            return
+        boxes = self._box_of[owner_rows]
+        new = boxes < 0
+        if new.any():
+            # Box rows in order of first merge, as one at a time.
+            fresh_rows, first = np.unique(owner_rows[new], return_index=True)
+            fresh_rows = fresh_rows[np.argsort(first)]
+            n_boxes = self._n_boxes
+            if n_boxes + fresh_rows.size > self._box_cap:
+                self._grow_boxes(n_boxes + fresh_rows.size)
+            self._box_of[fresh_rows] = np.arange(n_boxes, n_boxes + fresh_rows.size)
+            self._n_boxes = n_boxes + fresh_rows.size
+            boxes = self._box_of[owner_rows].astype(np.intp)
+        else:
+            boxes = boxes.astype(np.intp)
+        # Per-box rank of each merge: a stable sort by box, then the
+        # position within the box's group.
+        by_box = np.argsort(boxes, kind="stable")
+        sorted_boxes = boxes[by_box]
+        first = np.empty(q, dtype=np.bool_)
+        first[0] = True
+        np.not_equal(sorted_boxes[1:], sorted_boxes[:-1], out=first[1:])
+        pos = np.arange(q)
+        rank = np.empty(q, dtype=np.intp)
+        rank[by_box] = pos - np.maximum.accumulate(np.where(first, pos, 0))
+        starts = np.flatnonzero(first)
+        over = self.bb_used[sorted_boxes[starts]] > b_max
+        if over.any():
+            # A shrunk b_max: the box's first merge evicts down to it,
+            # sparing its own voter (an update moves it to the end first).
+            for i in by_box[starts[over]].tolist():
+                box = int(boxes[i])
+                excess = int(self.bb_used[box]) - b_max
+                self._evict(box, int(owner_rows[i]), excess, int(voter_rows[i]))
+        waves = np.argsort(rank, kind="stable")  # wave-major, merge order within
+        ends = np.cumsum(np.bincount(rank)).tolist()
+        #: pending fresh segments: ``(merge indices, boxes, slots)``
+        pend: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for lo, hi in zip([0] + ends, ends):
+            wave = waves[lo:hi]
+            b = boxes[wave]
+            v = voter_rows[wave]
+            t = times[wave]
+            seq = self._bb_seq[b] + 1
+            self._bb_seq[b] = seq
+            used = self.bb_used[b]
+            match = self.bb_voter[b] == v[:, None]
+            hit = match.any(axis=1)
+            if hit.any():
+                hb = b[hit]
+                hs = match[hit].argmax(axis=1)
+                if pend and not self.bb_nvotes[hb, hs].all():
+                    self._land(pend, wire, src_off, src_len, times)
+                self.bb_last[hb, hs] = t[hit]
+                self.bb_order[hb, hs] = seq[hit]
+                for box, slot, i in zip(hb.tolist(), hs.tolist(), wave[hit].tolist()):
+                    off = int(src_off[i])
+                    end = off + int(src_len[i])
+                    now = float(times[i])
+                    self._seg_update(box, slot, mod[off:end], val[off:end], now)
+                miss = ~hit
+                if not miss.any():
+                    continue
+                wave, b, v, t, seq, used = (
+                    wave[miss], b[miss], v[miss], t[miss], seq[miss], used[miss]
+                )
+            slots = used.astype(np.intp)
+            full = used >= b_max
+            if full.any():
+                fb = b[full]
+                occupied = np.arange(self._width) < used[full, None]
+                victims = np.where(occupied, self.bb_order[fb], _NEWEST).argmin(axis=1)
+                if pend and not self.bb_nvotes[fb, victims].all():
+                    self._land(pend, wire, src_off, src_len, times)
+                slots[full] = victims
+                self.bb_evictions += victims.size
+                caps = self.bb_segcap[fb, victims]
+                moved = src_len[wave[full]] > caps  # outgrows the victim's segment
+                if moved.any():
+                    self.bb_segcap[fb[moved], victims[moved]] = 0
+                    self.pay_live -= int(caps[moved].sum())
+            if not full.all():
+                grow = ~full
+                gb = b[grow]
+                if int(used[grow].max()) >= self._width:
+                    self._grow_width(int(used[grow].max()) + 1)
+                self.bb_used[gb] += 1
+                self.bb_unique[owner_rows[wave[grow]]] += 1
+            self.bb_voter[b, slots] = v
+            self.bb_last[b, slots] = t
+            self.bb_order[b, slots] = seq
+            self.bb_nvotes[b, slots] = 0  # pending until it lands
+            pend.append((wave, b, slots))
+        if pend:
+            self._land(pend, wire, src_off, src_len, times)
+
+    def _land(
+        self,
+        pend: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        wire: Tuple[np.ndarray, np.ndarray],
+        src_off: np.ndarray,
+        src_len: np.ndarray,
+        times: np.ndarray,
+    ) -> None:
+        """Write a run's pending fresh segments (``pend``, consumed)
+        into the payload pool: a slot that kept its victim's segment
+        writes over it, at the offset it has after any compaction the
+        reservation ran; the rest get back-to-back segments of exactly
+        their length from one tail reservation, in merge order.  One
+        ragged gather per pool column from the wire pool."""
+        if len(pend) == 1:
+            wave, boxes, slots = pend[0]  # one wave: in merge order already
+        else:
+            wave, boxes, slots = (np.concatenate(parts) for parts in zip(*pend))
+            order = np.argsort(wave)
+            wave, boxes, slots = wave[order], boxes[order], slots[order]
+        pend.clear()
+        lens = src_len[wave].astype(np.int64)
+        fresh = self.bb_segcap[boxes, slots] == 0
+        caps = lens[fresh]
+        total = int(caps.sum())
+        base = self._pay_reserve(total) if total else self.pay_tail
+        offs = self.bb_off[boxes, slots]
+        offs[fresh] = base + np.cumsum(caps) - caps
+        self.pay_live += total
+        # Fresh segments lie back to back from ``base``, in merge order.
+        dst = slice(base, base + total) if fresh.all() else _ragged_index(offs, lens)
+        src = _ragged_index(src_off[wave].astype(np.int64), lens)
+        self.pay_mod[dst] = wire[0][src]
+        self.pay_val[dst] = wire[1][src]
+        self.pay_at[dst] = np.repeat(times[wave], lens)
+        self.bb_off[boxes, slots] = offs
+        self.bb_segcap[boxes[fresh], slots[fresh]] = caps
+        self.bb_nvotes[boxes, slots] = lens
+        self.pay_flushes += 1
+
     def bb_remove_voter(self, owner_row: int, voter: str) -> bool:
-        box = self._box_of[owner_row]
+        box, slot = self._slot_of(owner_row, voter)
         if box < 0:
             return False
-        vrow = self.rows.get(voter)
-        if vrow is None or vrow not in self._slots[box]:
-            return False
-        self._drop_slot(box, self._slots[box], owner_row, vrow)
+        self._drop_slot(box, owner_row, slot)
         return True
 
-    def _slot_add(self, box: int, owner_row: int) -> int:
-        """A new slot at the end of the box's occupied ones."""
-        slot = self.bb_used[box]
-        if slot >= self._width:
-            self._grow_width(slot + 1)
-        self.bb_used[box] = slot + 1
-        self.bb_unique[owner_row] += 1
-        return slot
+    def _oldest(self, box: int, spare: int = -1) -> int:
+        """The occupied slot with the smallest stamp — the eviction
+        victim — passing over voter row ``spare``."""
+        used = int(self.bb_used[box])
+        order = self.bb_order[box, :used]
+        if spare >= 0:
+            order = np.where(self.bb_voter[box, :used] == spare, _NEWEST, order)
+        return int(order.argmin())
 
-    def _evict(
-        self, box: int, slots: Dict[int, int], owner_row: int, b_max: int
-    ) -> None:
-        while len(slots) > b_max:
-            victim = next(iter(slots))
-            self._drop_slot(box, slots, owner_row, victim)
+    def _evict(self, box: int, owner_row: int, k: int, spare: int = -1) -> None:
+        """Evict the box's ``k`` oldest voters, sparing ``spare``."""
+        for _ in range(k):
+            self._drop_slot(box, owner_row, self._oldest(box, spare))
             self.bb_evictions += 1
 
-    def _drop_slot(
-        self, box: int, slots: Dict[int, int], owner_row: int, vrow: int
-    ) -> None:
-        """Free a voter's slot, swap-filling from the box's last slot
-        (a value-only dict update, so the moved voter keeps its recency
-        position).  The dropped segment becomes pool garbage.  Deferred
-        writes land first: the swap moves slot columns they would
-        write."""
-        self.bb_flush()
-        slot = slots.pop(vrow)
-        last = self.bb_used[box] - 1
+    def _drop_slot(self, box: int, owner_row: int, slot: int) -> None:
+        """Free a slot, swap-filling it from the box's last slot (the
+        moved voter keeps its stamp, so its recency).  The dropped
+        segment becomes pool garbage."""
+        last = int(self.bb_used[box]) - 1
         cap = int(self.bb_segcap[box, slot])
         if slot != last:
-            moved = int(self.bb_voter[box, last])
-            self.bb_voter[box, slot] = moved
-            self.bb_last[box, slot] = self.bb_last[box, last]
-            self.bb_order[box, slot] = self.bb_order[box, last]
-            self.bb_nvotes[box, slot] = self.bb_nvotes[box, last]
-            self.bb_off[box, slot] = self.bb_off[box, last]
-            self.bb_segcap[box, slot] = self.bb_segcap[box, last]
-            slots[moved] = slot
+            for name, _dtype, _fill in _SLOT_COLUMNS:
+                column = getattr(self, name)
+                column[box, slot] = column[box, last]
         self.bb_voter[box, last] = -1
         self.bb_nvotes[box, last] = 0
         self.bb_segcap[box, last] = 0
@@ -801,31 +926,68 @@ class ColumnarStateStore:
     # ------------------------------------------------------------------
     # Ballot-box reads
     # ------------------------------------------------------------------
-    def bb_slots(self, owner_row: int) -> Dict[int, int]:
-        """The owner's ``voter row -> slot`` map (recency-ordered);
-        empty for a peer whose box was never merged into."""
-        box = self._box_of[owner_row]
-        return self._slots[box] if box >= 0 else {}
+    def _by_recency(self, owner_row: int) -> Tuple[int, np.ndarray]:
+        """``(box, occupied slots oldest-received first)`` — ascending
+        ``bb_order``; ``(-1, [])`` for a box never merged into."""
+        box = int(self._box_of[owner_row])
+        if box < 0:
+            return box, np.empty(0, dtype=np.intp)
+        used = int(self.bb_used[box])
+        return box, np.argsort(self.bb_order[box, :used])
+
+    def bb_voters(self, owner_row: int) -> List[str]:
+        """The box's voters, oldest-received first (the order ``B_max``
+        eviction takes them in)."""
+        box, slots = self._by_recency(owner_row)
+        ids = self.rows.ids
+        return [ids[v] for v in self.bb_voter[box, slots].tolist()] if box >= 0 else []
+
+    def bb_ballot(
+        self, owner_row: int
+    ) -> List[Tuple[str, float, List[list]]]:
+        """Every voter of the box, oldest-received first, with its last
+        receipt and its ``[moderator, vote, received_at]`` triples in
+        arrival order — one gather over the box's segments."""
+        box, slots = self._by_recency(owner_row)
+        if box < 0:
+            return []
+        lens = self.bb_nvotes[box, slots]
+        idx = _ragged_index(self.bb_off[box, slots], lens)
+        ids, mods = self.rows.ids, self.mods.ids
+        votes = list(
+            map(
+                list,
+                zip(
+                    map(mods.__getitem__, self.pay_mod[idx].tolist()),
+                    self.pay_val[idx].tolist(),
+                    self.pay_at[idx].tolist(),
+                ),
+            )
+        )
+        ends = np.cumsum(lens).tolist()
+        return [
+            (ids[v], last, votes[end - n : end])
+            for v, last, n, end in zip(
+                self.bb_voter[box, slots].tolist(),
+                self.bb_last[box, slots].tolist(),
+                lens.tolist(),
+                ends,
+            )
+        ]
 
     def _slot_of(self, owner_row: int, voter: str) -> Tuple[int, int]:
-        """``(box, slot)`` for a stored voter, ``(-1, -1)`` otherwise;
-        queued writes land first (the caller reads the slot)."""
-        if self._pend:
-            self.bb_flush()
-        box = self._box_of[owner_row]
-        if box < 0:
-            return -1, -1
+        """``(box, slot)`` for a stored voter, ``(-1, -1)`` otherwise."""
+        box = int(self._box_of[owner_row])
         vrow = self.rows.get(voter)
-        if vrow is None:
+        if box < 0 or vrow is None:
             return -1, -1
-        slot = self._slots[box].get(vrow)
-        return (box, slot) if slot is not None else (-1, -1)
+        hit = np.flatnonzero(self.bb_voter[box, : self.bb_used[box]] == vrow)
+        return (box, int(hit[0])) if hit.size else (-1, -1)
 
     def _tallies(self, owner_row: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Per interned moderator, the box's total and positive votes —
         one ragged gather over the slot segments and two bincounts;
         ``None`` for an empty box."""
-        self.bb_flush()
         box = self._box_of[owner_row]
         if box < 0:
             return None
@@ -904,16 +1066,13 @@ class ColumnarStateStore:
         vote, received_at)`` rows sorted by ``(voter, moderator)`` —
         :meth:`BallotBox.export_digest`, gathered straight from the
         payload pool."""
-        self.bb_flush()
         box = self._box_of[owner_row]
         if box < 0:
             return []
-        slots = self._slots[box]
-        n = len(slots)
-        slot_idx = np.fromiter(slots.values(), np.intp, n)
-        lens = self.bb_nvotes[box, slot_idx]
-        idx = _ragged_index(self.bb_off[box, slot_idx], lens)
-        voters = np.repeat(np.fromiter(slots, np.intp, n), lens).tolist()
+        used = self.bb_used[box]
+        lens = self.bb_nvotes[box, :used]
+        idx = _ragged_index(self.bb_off[box, :used], lens)
+        voters = np.repeat(self.bb_voter[box, :used], lens).tolist()
         out = list(
             zip(
                 map(self.rows.ids.__getitem__, voters),
@@ -930,7 +1089,6 @@ class ColumnarStateStore:
         return 0.0 if box < 0 else float(self.bb_last[box, slot])
 
     def bb_total_votes(self, owner_row: int) -> int:
-        self.bb_flush()
         box = self._box_of[owner_row]
         if box < 0:
             return 0
@@ -943,9 +1101,9 @@ class ColumnarStateStore:
     def dump_state(self) -> Dict[str, object]:
         """The whole store as scalars and trimmed array copies (see the
         module docstring); pairs with :meth:`load_state`."""
-        self.bb_flush()
         n_rows = min(len(self.rows), self._cap)
-        used = np.array(self.bb_used, dtype=np.int32)
+        n_boxes = self._n_boxes
+        used = self.bb_used[:n_boxes].copy()
         occupied = np.arange(self._width, dtype=np.int32) < used[:, None]
         state: Dict[str, object] = {
             "n_ids": len(self.rows),
@@ -953,9 +1111,9 @@ class ColumnarStateStore:
             "width": self._width,
             "row_ids": pack_strings(self.rows.ids),
             "mod_ids": pack_strings(self.mods.ids),
-            "box_of": np.array(self._box_of[:n_rows], dtype=np.int32),
+            "box_of": self._box_of[:n_rows].copy(),
             "bb_used": used,
-            "bb_seq": np.array(self._bb_seq, dtype=np.int64),
+            "bb_seq": self._bb_seq[:n_boxes].copy(),
             "pay_size": int(self.pay_mod.size),
             "pay_tail": self.pay_tail,
             "pay_live": self.pay_live,
@@ -963,7 +1121,7 @@ class ColumnarStateStore:
         for name, _dtype, _fill in _ROW_COLUMNS:
             state[name] = getattr(self, name)[:n_rows].copy()
         for name, _dtype, _fill in _SLOT_COLUMNS:
-            state[name] = getattr(self, name)[: used.size][occupied]
+            state[name] = getattr(self, name)[:n_boxes][occupied]
         for name, _dtype in _POOL:
             state[name] = getattr(self, name)[: self.pay_tail].copy()
         return state
@@ -991,7 +1149,7 @@ class ColumnarStateStore:
         # The wire form is not in the dump: every non-empty list packs
         # again on its first exchange.
         self.vl_stale[:n_rows] = self.vl_size[:n_rows] > 0
-        self._box_of[:n_rows] = box_of.tolist()
+        self._box_of[:n_rows] = box_of
         size, tail, live = (state.get(k) for k in ("pay_size", "pay_tail", "pay_live"))
         if not (
             all(type(v) is int for v in (size, tail, live)) and 0 <= live <= tail <= size
@@ -1017,40 +1175,24 @@ class ColumnarStateStore:
         n_slots = int(used.sum())
         for name, dtype, _fill in _SLOT_COLUMNS:
             getattr(self, name)[:n_boxes][occupied] = take(state, name, dtype, n_slots)
-        self.bb_used = used.tolist()
-        self._bb_seq = take(state, "bb_seq", np.int64, n_boxes).tolist()
-        # Recency dicts: each box's voters in ascending ``bb_order``
-        # (a merge stamps the voter it moves to the dict's end).
-        box_idx, slot_idx = np.nonzero(occupied)
-        by_recency = np.lexsort((state["bb_order"], box_idx))
-        voters = state["bb_voter"][by_recency].tolist()
-        slots = slot_idx[by_recency].tolist()
-        ends = np.cumsum(used).tolist()
-        self._slots = [
-            dict(zip(voters[end - n : end], slots[end - n : end]))
-            for n, end in zip(self.bb_used, ends)
-        ]
+        self.bb_used[:n_boxes] = used
+        self._bb_seq[:n_boxes] = take(state, "bb_seq", np.int64, n_boxes)
 
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         """Measured retained footprint: every numpy column, the
-        payload pool, the per-box slot dicts and bookkeeping lists, and
-        the moderator intern table's containers.  Peer/moderator id
-        *strings* are shared with the rest of the system (the row
-        tables hold one reference each) and excluded."""
+        payload pool, the bookkeeping containers and the moderator
+        intern table's containers.  Peer/moderator id *strings* are
+        shared with the rest of the system (the row tables hold one
+        reference each) and excluded."""
         total = sum(
             getattr(self, name).nbytes
             for name, _dtype, _fill in _ROW_COLUMNS + _WIRE_COLUMNS + _SLOT_COLUMNS
         )
         total += self.vl_mod.nbytes + self.vl_val.nbytes
         total += sum(getattr(self, name).nbytes for name, _dtype in _POOL)
-        for d in self._slots:
-            total += sys.getsizeof(d)
+        total += self._box_of.nbytes + self.bb_used.nbytes + self._bb_seq.nbytes
         for container in (
-            self._box_of,
-            self.bb_used,
-            self._bb_seq,
-            self._slots,
             self._vl_lists,
             self._vl_self,
             self.mods.ids,
@@ -1061,18 +1203,15 @@ class ColumnarStateStore:
 
     def box_memory_bytes(self, owner_row: int) -> int:
         """One box's share of the retained footprint: its rows of the
-        2-D columns, the pool entries its segments own and its slot
-        dict.  (The global intern table is shared and not attributed to
-        any single box.)"""
+        2-D columns and the pool entries its segments own.  (The global
+        intern table is shared and not attributed to any single box.)"""
         box = self._box_of[owner_row]
         if box < 0:
             return 0
-        self.bb_flush()
         per_slot = sum(np.dtype(dtype).itemsize for _n, dtype, _f in _SLOT_COLUMNS)
         per_entry = sum(np.dtype(dtype).itemsize for _n, dtype in _POOL)
         total = self._width * per_slot
         total += int(self.bb_segcap[box].sum()) * per_entry
-        total += sys.getsizeof(self._slots[box])
         return total
 
     def pool_stats(self) -> Dict[str, object]:

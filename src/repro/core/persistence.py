@@ -103,18 +103,15 @@ def node_to_dict(node: VoteSamplingNode) -> Dict[str, Any]:
         {"moderator": e.moderator_id, "vote": int(e.vote), "cast_at": e.cast_at}
         for e in node.vote_list.entries()
     ]
-    # One pass over the stored votes (votes_of), voters oldest-received
-    # first (the B_max eviction order).
+    # One read of the whole box, voters oldest-received first (the
+    # B_max eviction order).
     ballot = [
         {
             "voter": voter,
-            "last_received": node.ballot_box.last_received_of(voter),
-            "votes": [
-                [moderator, int(vote), received_at]
-                for moderator, vote, received_at in node.ballot_box.votes_of(voter)
-            ],
+            "last_received": last,
+            "votes": votes,
         }
-        for voter in node.ballot_box.voters_by_recency()
+        for voter, last, votes in node.ballot_box.ballot()
     ]
     return {
         "format": FORMAT_VERSION,

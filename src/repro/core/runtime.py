@@ -35,6 +35,7 @@ tests, which hold the two bit-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -487,11 +488,8 @@ class ProtocolRuntime:
         as the scalar exchange orders them; each side's vote list is in
         the store's wire form (interned moderators, own id dropped,
         exchange order; a stale list is repacked on first use), so a
-        merge is two pool slices handed to ``bb_merge_packed`` — no
-        ``VoteEntry``, no id string, no per-vote work.  Merges settle slots, recency and eviction at
-        once but queue the payload writes of voters new to a box; one
-        ``bb_flush`` lands the whole run's with one copy per pool
-        column.
+        merge is a pool segment handed to the store — no ``VoteEntry``,
+        no id string, no per-vote work.
 
         **Behaviour rows.**  A row with the store's crowd code
         (:meth:`add_crowd_member`) ships the crowd's constant list with
@@ -507,15 +505,26 @@ class ProtocolRuntime:
         free — no votes on either side, no VoxPopuli bootstrap, an
         all-accepting experience gate and no behaviour row — so the
         Python loop only visits the ones that do real work, and every
-        list the run may send is packed up front.  The skip is sound
-        because box occupancy only grows while votes merge (a slot
+        list the run may send is packed up front.  A slot whose only
+        work is merging — a column fast-path gate, no VoxPopuli
+        candidate, no behaviour row, no above-cap draw — is not visited
+        either: its forward and reverse merges are built from the
+        pre-pass arrays as rows ``(owner, voter, segment, time)`` in
+        entry order and settle through the store's run entry
+        (``bb_merge_run``, array passes over the whole run) before the
+        next visited vote slot — whose merges and VoxPopuli reads
+        (``bb_unique``, ``respond_top_k``) must see them — and at the
+        end of the run; their ``votes_merged`` fold in per receiving
+        node.  The skip is sound because box occupancy only grows
+        while votes merge (a slot
         starting at or above ``B_min`` can never re-enter bootstrap),
         an accepted empty exchange touches nothing but the aggregate
         counters, and vote lists change mid-run only when a moderation
         exchange fires a vote intention: from then on every vote slot
         is visited, and one that touches a row cast on reads its sizes
-        and list live — as every vote slot of a shorter run does.  The
-        aggregates are exact wholesale: every selection policy returns
+        and list live — as every vote slot of a shorter run does (a
+        queued one leaves the queue; the others stay queued).  The aggregates are exact
+        wholesale: every selection policy returns
         ``min(vl_size, cap)`` entries, so the run's traffic folds into
         one ``*_exchange_many`` call per protocol, and byte totals are
         derived from the integer counters.
@@ -609,6 +618,7 @@ class ProtocolRuntime:
                 crowd_mids, crowd_vals = store.crowd_packed(cap)
                 crowd_n = len(store.crowd_votes)
                 crowd_top_k = store.crowd_top_k
+        q_end = 0  # merges queued by the pre-pass (see ``settle``)
         prepared = n_ex >= _PREPASS_FROM
         if prepared:
             rows_arr = np.fromiter(rows, np.int64, m)
@@ -635,14 +645,16 @@ class ProtocolRuntime:
             # path (rejection counters fire even on empty exchanges), or
             # a behaviour row (read live).
             has_votes = (vl_own_arr > 0) | (vl_par_arr > 0)
-            active = has_votes.copy()
+            # Per-slot work besides merging: a VoxPopuli candidate, a
+            # behaviour row, a gate that is not a column fast path.
+            special = np.zeros(m, dtype=np.bool_)
             if vox:
                 pre_vox_arr = bb_unique[rows_arr] < b_min
-                active |= pre_vox_arr
+                special |= pre_vox_arr
                 pre_vox = pre_vox_arr.tolist()
             if crowd:
                 bad = np.fromiter(crowd, np.int64, len(crowd))
-                active |= np.isin(rows_arr, bad) | np.isin(prows_arr, bad)
+                special |= np.isin(rows_arr, bad) | np.isin(prows_arr, bad)
             if not fast_all:
                 if (
                     exp_type is AdaptiveThresholdExperience
@@ -651,15 +663,19 @@ class ProtocolRuntime:
                     thr = store.exp_threshold
                     fwd_ok = thr[rows_arr] <= 0.0
                     rev_ok = thr[prows_arr] <= 0.0
-                    active |= ~(fwd_ok & rev_ok)
+                    special |= ~(fwd_ok & rev_ok)
                     fwd_fast = fwd_ok.tolist()
                     rev_fast = rev_ok.tolist()
                 else:
-                    active[:] = True
-            active &= valid
+                    special[:] = True
+            active = (has_votes | special) & valid
+            # A slot whose only effect is merging — no special work, no
+            # above-cap draw — never enters the loop: its two merges go
+            # to the store as rows of one run (below).
+            quiet = active & ~special & (vl_own_arr <= cap) & (vl_par_arr <= cap)
             vl_own = vl_own_arr.tolist()
             vl_par = vl_par_arr.tolist()
-            act = np.flatnonzero(active).tolist()
+            act = np.flatnonzero(active & ~quiet).tolist()
             # Every list this run may send, packed once up front
             # (partner then own, in slot order): the merges below read
             # pool slices at ``seg_off[k]`` (own) / ``seg_off[m + k]``
@@ -672,12 +688,51 @@ class ProtocolRuntime:
                 store.vl_pack_stale(lists)
                 both = np.concatenate((rows_arr, prows_arr))
                 offs = store.vl_off[both]
+                lens = store.vl_len[both]
                 seg_off = offs.tolist()
-                seg_end = (offs + store.vl_len[both]).tolist()
+                seg_end = (offs + lens).tolist()
             vl_mod, vl_val = store.vl_mod, store.vl_val
+            quiet_k = np.flatnonzero(quiet)
+            if quiet_k.size:
+                # Merge rows in entry order, each slot's forward merge
+                # (the partner's list into our box) before its reverse.
+                q_owner = np.stack((rows_arr[quiet_k], prows_arr[quiet_k]), 1).ravel()
+                q_voter = np.stack((prows_arr[quiet_k], rows_arr[quiet_k]), 1).ravel()
+                q_off = np.stack((offs[m + quiet_k], offs[quiet_k]), 1).ravel()
+                q_len = np.stack((lens[m + quiet_k], lens[quiet_k]), 1).ravel()
+                q_slot = np.repeat(quiet_k, 2)
+                keep = q_len > 0
+                q_owner, q_voter, q_off, q_len, q_slot = (
+                    q_owner[keep], q_voter[keep], q_off[keep], q_len[keep], q_slot[keep]
+                )
+                q_time = np.array(times)[q_slot]
+                q_slots = q_slot.tolist()
+                q_end = len(q_slots)
+                is_quiet = quiet.tolist()
             pending = sorted(act + others) if others else act
         else:
             pending = [k for k in range(m) if kinds[k] >= 0]
+        #: queued merges: ``[q_pos, q_end)`` are still to settle
+        q_pos = 0
+
+        def settle(upto: int) -> None:
+            """Hand the queued merges of slots before ``upto`` to the
+            store as one run (from the wire pool as the pre-pass read
+            it: a live slot may repack since)."""
+            nonlocal q_pos
+            j = bisect_left(q_slots, upto, q_pos, q_end)
+            if j > q_pos:
+                store.bb_merge_run(
+                    b_max,
+                    q_owner[q_pos:j],
+                    q_voter[q_pos:j],
+                    q_off[q_pos:j],
+                    q_len[q_pos:j],
+                    q_time[q_pos:j],
+                    (vl_mod, vl_val),
+                )
+                q_pos = j
+
         bartercast = self.bartercast
         mod_ex = mod_items = bc_ex = bc_items = vp_ex = vp_entries = 0
         #: pre-passed runs: rows a moderation exchange in this run cast a
@@ -722,6 +777,17 @@ class ProtocolRuntime:
                     continue
                 row = rows[k]
                 prow = prow_list[k]
+                if q_end and is_quiet[k]:
+                    # Visited once widened: merges stay queued unless
+                    # the slot touches a recast row and runs live.
+                    if row not in recast and prow not in recast:
+                        continue
+                    settle(k)
+                    end = bisect_right(q_slots, k, q_pos, q_end)
+                    q_len[q_pos:end] = 0  # dropped: merged nothing
+                    q_pos = end
+                elif q_pos < q_end and q_slots[q_pos] < k:
+                    settle(k)  # merges queued before this slot come first
                 own_bad = par_bad = False
                 if crowd and (row in crowd or prow in crowd):
                     # The crowd is the one behaviour code so far.
@@ -785,7 +851,7 @@ class ProtocolRuntime:
                         else:
                             off, end = seg_off[m + k], seg_end[m + k]
                             mids, vals = vl_mod[off:end], vl_val[off:end]
-                        node.votes_merged += merge(row, b_max, prow, mids, vals, now, True)
+                        node.votes_merged += merge(row, b_max, prow, mids, vals, now)
                 else:
                     node.votes_rejected_inexperienced += 1
                 # Reverse verdict (observer = partner), after our merge.
@@ -807,7 +873,7 @@ class ProtocolRuntime:
                         else:
                             off, end = seg_off[k], seg_end[k]
                             mids, vals = vl_mod[off:end], vl_val[off:end]
-                        partner.votes_merged += merge(prow, b_max, row, mids, vals, now, True)
+                        partner.votes_merged += merge(prow, b_max, row, mids, vals, now)
                 else:
                     partner.votes_rejected_inexperienced += 1
                 # VoxPopuli (Fig 3 a+c): pre-gated on the occupancy
@@ -827,11 +893,20 @@ class ProtocolRuntime:
             if cut < 0:
                 break
             # After the first cast every later exchange is visited: a
-            # vote slot proved empty up front may touch a recast row.
+            # vote slot proved empty up front may touch a recast row, and
+            # so may a queued one.
             widened = True
             inactive = set(range(cut + 1, m)).difference(act)
             pending = [j for j in range(cut + 1, m) if kinds[j] >= 0]
-        store.bb_flush()
+        if q_end:
+            settle(m)
+            # The queued merges' counters, one add per receiving node.
+            merged = np.bincount(q_owner, weights=q_len)
+            ids = store.rows.ids
+            receivers = np.flatnonzero(merged)
+            for row, count in zip(receivers.tolist(), merged[receivers].tolist()):
+                nodes[ids[row]].votes_merged += int(count)
+            engine._now = max(engine._now, times[q_slots[-1]])
         traffic = self.traffic
         if mod_ex:
             traffic.moderation_exchange_many(mod_ex, mod_items)

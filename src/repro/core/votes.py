@@ -82,15 +82,13 @@ class LocalVoteList:
     value replaces the old entry (the user changed their mind) and
     refreshes the timestamp.
 
-    A list built with a ``store`` belongs to row ``row`` of that
-    :class:`~repro.core.columnar.ColumnarStateStore` and reports every
+    The list belongs to row ``row`` of ``store`` (a
+    :class:`~repro.core.columnar.ColumnarStateStore`) and reports every
     cast to it, so the store's ``vl_size`` column and packed wire form
     can never lag the dict, whoever calls :meth:`cast`.
     """
 
-    def __init__(
-        self, store: Optional["ColumnarStateStore"] = None, row: int = -1
-    ) -> None:
+    def __init__(self, store: "ColumnarStateStore", row: int) -> None:
         self._votes: Dict[str, VoteEntry] = {}
         #: bumped on every cast; keys the approved/disapproved sets and
         #: the node's moderation extract
@@ -99,8 +97,7 @@ class LocalVoteList:
         self._approved = self._disapproved = _NONE
         self._store = store
         self._row = row
-        if store is not None:
-            store.vl_attach(row, self)
+        store.vl_attach(row, self)
 
     def cast(self, moderator_id: str, vote: Vote, now: float) -> VoteEntry:
         """Record the local user's vote on a moderator (``vote`` may be
@@ -110,8 +107,7 @@ class LocalVoteList:
         entry = VoteEntry(moderator_id, vote, now)
         self._votes[moderator_id] = entry
         self.version += 1
-        if self._store is not None:
-            self._store.vl_cast(self._row, len(self._votes))
+        self._store.vl_cast(self._row, len(self._votes))
         return entry
 
     def vote_on(self, moderator_id: str) -> Optional[Vote]:

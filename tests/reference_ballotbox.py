@@ -133,6 +133,19 @@ class ReferenceBallotBox:
         """When the voter's votes last arrived (0.0 if unknown)."""
         return self._last_received.get(voter, 0.0)
 
+    def ballot(self) -> List[Tuple[str, float, List[list]]]:
+        """``(voter, last_received, votes)`` per voter, oldest-received
+        first, ``votes`` as :meth:`votes_of` lists them but as
+        ``[moderator, vote, received_at]`` lists with int values."""
+        return [
+            (
+                voter,
+                self.last_received_of(voter),
+                [[m, int(v), at] for m, v, at in self.votes_of(voter)],
+            )
+            for voter in self.voters_by_recency()
+        ]
+
     def moderators(self) -> List[str]:
         out = set()
         for votes in self._votes.values():

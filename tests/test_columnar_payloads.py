@@ -331,7 +331,7 @@ def test_row_to_row_merge_leaves_the_dump_bb_merge_leaves(seed):
         repacks += stale
         packed += stale * len(mids)
         assert not row_to_row.vl_stale[vrow]
-        fresh_segments += vrow not in row_to_row.bb_slots(orow)
+        fresh_segments += voter not in row_to_row.bb_voters(orow)
         stored = row_to_row.bb_merge_packed(orow, b_max[owner], vrow, mids, vals, now)
         assert stored == by_entries.bb_merge(
             orow, b_max[owner], voter, twins[voter].entries(), now

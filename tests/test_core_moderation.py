@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarStateStore
 from repro.core.moderation import Moderation, ModerationStore
 from repro.core.votes import LocalVoteList, Vote
 from tests.reference_runtime import extract_moderations
+
+
+def vote_list():
+    """A list on row ``me`` of a store of its own, as a node holds it."""
+    store = ColumnarStateStore()
+    return LocalVoteList(store, store.ensure_row("me"))
 
 
 def mod(moderator="m1", torrent="t1", version=1, valid=True, created=0.0):
@@ -93,7 +100,7 @@ class TestStore:
 class TestExtractPolicy:
     def test_forwards_only_own_and_approved(self):
         st = ModerationStore()
-        vl = LocalVoteList()
+        vl = vote_list()
         st.insert(mod("me", "t1"), now=1.0)
         st.insert(mod("friend", "t1"), now=2.0)
         st.insert(mod("stranger", "t1"), now=3.0)
@@ -104,7 +111,7 @@ class TestExtractPolicy:
 
     def test_disapproved_never_forwarded(self):
         st = ModerationStore()
-        vl = LocalVoteList()
+        vl = vote_list()
         st.insert(mod("bad", "t1"), now=1.0)
         vl.cast("bad", Vote.NEGATIVE, 0.0)
         out = extract_moderations(st, vl, "me", 10, np.random.default_rng(0))
@@ -112,7 +119,7 @@ class TestExtractPolicy:
 
     def test_budget_respected_with_recency_half(self):
         st = ModerationStore()
-        vl = LocalVoteList()
+        vl = vote_list()
         vl.cast("friend", Vote.POSITIVE, 0.0)
         for i in range(20):
             st.insert(mod("friend", f"t{i:02d}"), now=float(i))
@@ -124,6 +131,6 @@ class TestExtractPolicy:
 
     def test_zero_budget(self):
         st = ModerationStore()
-        vl = LocalVoteList()
+        vl = vote_list()
         st.insert(mod("me", "t1"), now=1.0)
         assert extract_moderations(st, vl, "me", 0, np.random.default_rng(0)) == []

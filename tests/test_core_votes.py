@@ -4,8 +4,15 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.columnar import ColumnarStateStore
 from repro.core.votes import LocalVoteList, Vote
 from tests.reference_runtime import select_for_exchange
+
+
+def vote_list():
+    """A list on row ``me`` of a store of its own, as a node holds it."""
+    store = ColumnarStateStore()
+    return LocalVoteList(store, store.ensure_row("me"))
 
 
 def rng():
@@ -13,7 +20,7 @@ def rng():
 
 
 def test_cast_and_query():
-    vl = LocalVoteList()
+    vl = vote_list()
     vl.cast("m1", Vote.POSITIVE, 1.0)
     assert vl.vote_on("m1") is Vote.POSITIVE
     assert vl.has_voted("m1")
@@ -22,7 +29,7 @@ def test_cast_and_query():
 
 
 def test_revote_replaces_single_entry():
-    vl = LocalVoteList()
+    vl = vote_list()
     vl.cast("m1", Vote.POSITIVE, 1.0)
     vl.cast("m1", Vote.NEGATIVE, 2.0)
     assert len(vl) == 1
@@ -31,7 +38,7 @@ def test_revote_replaces_single_entry():
 
 
 def test_approved_and_disapproved_sets():
-    vl = LocalVoteList()
+    vl = vote_list()
     vl.cast("good", Vote.POSITIVE, 1.0)
     vl.cast("bad", Vote.NEGATIVE, 2.0)
     assert vl.approved() == frozenset({"good"})
@@ -39,7 +46,7 @@ def test_approved_and_disapproved_sets():
 
 
 def test_entries_newest_first():
-    vl = LocalVoteList()
+    vl = vote_list()
     vl.cast("a", Vote.POSITIVE, 1.0)
     vl.cast("b", Vote.POSITIVE, 5.0)
     vl.cast("c", Vote.POSITIVE, 3.0)
@@ -47,7 +54,7 @@ def test_entries_newest_first():
 
 
 def test_select_all_when_under_budget():
-    vl = LocalVoteList()
+    vl = vote_list()
     for i in range(5):
         vl.cast(f"m{i}", Vote.POSITIVE, float(i))
     sel = select_for_exchange(vl, 50, rng())
@@ -55,7 +62,7 @@ def test_select_all_when_under_budget():
 
 
 def test_select_respects_budget():
-    vl = LocalVoteList()
+    vl = vote_list()
     for i in range(100):
         vl.cast(f"m{i:03d}", Vote.POSITIVE, float(i))
     sel = select_for_exchange(vl, 50, rng())
@@ -64,7 +71,7 @@ def test_select_respects_budget():
 
 
 def test_select_recency_half_is_most_recent():
-    vl = LocalVoteList()
+    vl = vote_list()
     for i in range(100):
         vl.cast(f"m{i:03d}", Vote.POSITIVE, float(i))
     sel = select_for_exchange(vl, 10, rng())
@@ -74,7 +81,7 @@ def test_select_recency_half_is_most_recent():
 
 
 def test_select_random_half_varies_with_rng():
-    vl = LocalVoteList()
+    vl = vote_list()
     for i in range(100):
         vl.cast(f"m{i:03d}", Vote.POSITIVE, float(i))
     s1 = {e.moderator_id for e in select_for_exchange(vl, 10, np.random.default_rng(1))}
@@ -83,14 +90,14 @@ def test_select_random_half_varies_with_rng():
 
 
 def test_select_zero_budget():
-    vl = LocalVoteList()
+    vl = vote_list()
     vl.cast("m", Vote.POSITIVE, 0.0)
     assert select_for_exchange(vl, 0, rng()) == []
 
 
 @given(st.lists(st.tuples(st.integers(0, 20), st.booleans()), max_size=60))
 def test_property_one_entry_per_moderator(ops):
-    vl = LocalVoteList()
+    vl = vote_list()
     expected = {}
     for t, (mid, positive) in enumerate(ops):
         v = Vote.POSITIVE if positive else Vote.NEGATIVE
