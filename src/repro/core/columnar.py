@@ -736,33 +736,17 @@ class ColumnarStateStore:
         a later wave updates or evicts a pending slot.  Short runs take
         the one-merge path (:data:`_RUN_FROM`)."""
         q = len(owner_rows)
-        mod, val = wire
         if q < _RUN_FROM:
+            mod, val = wire
             for owner, voter, off, n, now in zip(
-                owner_rows.tolist(),
-                voter_rows.tolist(),
-                src_off.tolist(),
-                src_len.tolist(),
-                times.tolist(),
+                owner_rows.tolist(), voter_rows.tolist(), src_off.tolist(),
+                src_len.tolist(), times.tolist(),
             ):
                 self.bb_merge_packed(
                     owner, b_max, voter, mod[off : off + n], val[off : off + n], now
                 )
             return
-        boxes = self._box_of[owner_rows]
-        new = boxes < 0
-        if new.any():
-            # Box rows in order of first merge, as one at a time.
-            fresh_rows, first = np.unique(owner_rows[new], return_index=True)
-            fresh_rows = fresh_rows[np.argsort(first)]
-            n_boxes = self._n_boxes
-            if n_boxes + fresh_rows.size > self._box_cap:
-                self._grow_boxes(n_boxes + fresh_rows.size)
-            self._box_of[fresh_rows] = np.arange(n_boxes, n_boxes + fresh_rows.size)
-            self._n_boxes = n_boxes + fresh_rows.size
-            boxes = self._box_of[owner_rows].astype(np.intp)
-        else:
-            boxes = boxes.astype(np.intp)
+        boxes = self._boxes_of(owner_rows)
         # Per-box rank of each merge: a stable sort by box, then the
         # position within the box's group.
         by_box = np.argsort(boxes, kind="stable")
@@ -784,65 +768,91 @@ class ColumnarStateStore:
                 self._evict(box, int(owner_rows[i]), excess, int(voter_rows[i]))
         waves = np.argsort(rank, kind="stable")  # wave-major, merge order within
         ends = np.cumsum(np.bincount(rank)).tolist()
+        run = (owner_rows, voter_rows, src_off, src_len, times, wire)
         #: pending fresh segments: ``(merge indices, boxes, slots)``
         pend: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for lo, hi in zip([0] + ends, ends):
             wave = waves[lo:hi]
             b = boxes[wave]
-            v = voter_rows[wave]
-            t = times[wave]
             seq = self._bb_seq[b] + 1
             self._bb_seq[b] = seq
-            used = self.bb_used[b]
-            match = self.bb_voter[b] == v[:, None]
+            match = self.bb_voter[b] == voter_rows[wave][:, None]
             hit = match.any(axis=1)
             if hit.any():
-                hb = b[hit]
                 hs = match[hit].argmax(axis=1)
-                if pend and not self.bb_nvotes[hb, hs].all():
-                    self._land(pend, wire, src_off, src_len, times)
-                self.bb_last[hb, hs] = t[hit]
-                self.bb_order[hb, hs] = seq[hit]
-                for box, slot, i in zip(hb.tolist(), hs.tolist(), wave[hit].tolist()):
-                    off = int(src_off[i])
-                    end = off + int(src_len[i])
-                    now = float(times[i])
-                    self._seg_update(box, slot, mod[off:end], val[off:end], now)
+                self._wave_update(wave[hit], b[hit], hs, seq[hit], pend, run)
                 miss = ~hit
                 if not miss.any():
                     continue
-                wave, b, v, t, seq, used = (
-                    wave[miss], b[miss], v[miss], t[miss], seq[miss], used[miss]
-                )
-            slots = used.astype(np.intp)
-            full = used >= b_max
-            if full.any():
-                fb = b[full]
-                occupied = np.arange(self._width) < used[full, None]
-                victims = np.where(occupied, self.bb_order[fb], _NEWEST).argmin(axis=1)
-                if pend and not self.bb_nvotes[fb, victims].all():
-                    self._land(pend, wire, src_off, src_len, times)
-                slots[full] = victims
-                self.bb_evictions += victims.size
-                caps = self.bb_segcap[fb, victims]
-                moved = src_len[wave[full]] > caps  # outgrows the victim's segment
-                if moved.any():
-                    self.bb_segcap[fb[moved], victims[moved]] = 0
-                    self.pay_live -= int(caps[moved].sum())
-            if not full.all():
-                grow = ~full
-                gb = b[grow]
-                if int(used[grow].max()) >= self._width:
-                    self._grow_width(int(used[grow].max()) + 1)
-                self.bb_used[gb] += 1
-                self.bb_unique[owner_rows[wave[grow]]] += 1
-            self.bb_voter[b, slots] = v
-            self.bb_last[b, slots] = t
-            self.bb_order[b, slots] = seq
-            self.bb_nvotes[b, slots] = 0  # pending until it lands
-            pend.append((wave, b, slots))
+                wave, b, seq = wave[miss], b[miss], seq[miss]
+            self._wave_fresh(b_max, wave, b, seq, pend, run)
         if pend:
             self._land(pend, wire, src_off, src_len, times)
+
+    def _boxes_of(self, owner_rows: np.ndarray) -> np.ndarray:
+        """The box row of each merge's owner, allocating the boxes of
+        first merges in order of first merge, as one at a time."""
+        boxes = self._box_of[owner_rows]
+        new = boxes < 0
+        if new.any():
+            fresh_rows, first = np.unique(owner_rows[new], return_index=True)
+            fresh_rows = fresh_rows[np.argsort(first)]
+            n_boxes = self._n_boxes
+            if n_boxes + fresh_rows.size > self._box_cap:
+                self._grow_boxes(n_boxes + fresh_rows.size)
+            self._box_of[fresh_rows] = np.arange(n_boxes, n_boxes + fresh_rows.size)
+            self._n_boxes = n_boxes + fresh_rows.size
+            boxes = self._box_of[owner_rows]
+        return boxes.astype(np.intp)
+
+    def _wave_update(self, wave, boxes, slots, seq, pend, run) -> None:
+        """A wave's merges whose voter holds a slot: move-to-end, then
+        each segment folded in (landing pending segments first when one
+        of these slots is still pending)."""
+        _owners, _voters, src_off, src_len, times, wire = run
+        if pend and not self.bb_nvotes[boxes, slots].all():
+            self._land(pend, wire, src_off, src_len, times)
+        mod, val = wire
+        self.bb_last[boxes, slots] = times[wave]
+        self.bb_order[boxes, slots] = seq
+        for box, slot, i in zip(boxes.tolist(), slots.tolist(), wave.tolist()):
+            off = int(src_off[i])
+            end = off + int(src_len[i])
+            self._seg_update(box, slot, mod[off:end], val[off:end], float(times[i]))
+
+    def _wave_fresh(self, b_max: int, wave, b, seq, pend, run) -> None:
+        """A wave's newcomers: the eviction victim's slot in a full box
+        (its segment kept when the newcomer's list fits), else the next
+        free slot; each segment pends until :meth:`_land`."""
+        owner_rows, voter_rows, src_off, src_len, times, wire = run
+        used = self.bb_used[b]
+        slots = used.astype(np.intp)
+        full = used >= b_max
+        if full.any():
+            fb = b[full]
+            occupied = np.arange(self._width) < used[full, None]
+            victims = np.where(occupied, self.bb_order[fb], _NEWEST).argmin(axis=1)
+            if pend and not self.bb_nvotes[fb, victims].all():
+                self._land(pend, wire, src_off, src_len, times)
+            slots[full] = victims
+            self.bb_evictions += victims.size
+            caps = self.bb_segcap[fb, victims]
+            moved = src_len[wave[full]] > caps  # outgrows the victim's segment
+            if moved.any():
+                self.bb_segcap[fb[moved], victims[moved]] = 0
+                self.pay_live -= int(caps[moved].sum())
+        if not full.all():
+            grow = ~full
+            gb = b[grow]
+            if int(used[grow].max()) >= self._width:
+                self._grow_width(int(used[grow].max()) + 1)
+            self.bb_used[gb] += 1
+            self.bb_unique[owner_rows[wave[grow]]] += 1
+        self.bb_voter[b, slots] = voter_rows[wave]
+        self.bb_last[b, slots] = times[wave]
+        self.bb_order[b, slots] = seq
+        self.bb_nvotes[b, slots] = 0  # pending until it lands
+        pend.append((wave, b, slots))
 
     def _land(
         self,
@@ -1217,7 +1227,8 @@ class ColumnarStateStore:
     def pool_stats(self) -> Dict[str, object]:
         """Ballot-box fill and eviction pressure: the payload pool's
         capacity, tail and live entries, its garbage share, and the
-        compactions, evictions and batched flushes so far."""
+        compactions, evictions and flushes so far — the landings of a
+        merge run's fresh segments (:meth:`_land` calls)."""
         tail = self.pay_tail
         return {
             "capacity": int(self.pay_mod.size),

@@ -16,13 +16,10 @@ dispatched in batches by the structure-of-arrays
   adaptive experience function is configured).
 
 The first three are one ``wait Δ; p ← PSS.sample()`` loop apart from
-the exchange, and they are written once, in one batch handler
-(:meth:`ProtocolRuntime._vote_tick_batch`): a run of due ticks mixing
-them is dispatched in one call, whatever the PSS and the vote fan-out,
-and a run of one entry is a one-entry call of the same handler.
-Adversaries are rows too: a flash-crowd member
-(:meth:`ProtocolRuntime.add_crowd_member`) is an ordinary node whose
-row carries a behaviour code the handler branches on.
+the exchange, written once as the staged gossip batch of
+:mod:`repro.core.gossip` (which describes it): one handler call per run
+of due ticks mixing them, a one-entry call per scalar tick.
+Adversaries are rows too (:meth:`ProtocolRuntime.add_crowd_member`).
 
 Transfers observed by the BitTorrent ledger stream straight into
 BarterCast; experience is evaluated on demand at each vote exchange.
@@ -35,23 +32,21 @@ tests, which hold the two bit-identical.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.bartercast.protocol import BarterCastConfig, BarterCastService
 from repro.bittorrent.session import BitTorrentSession
+from repro.core import gossip
 from repro.core.columnar import ColumnarStateStore
 from repro.core.experience import (
     AdaptiveThresholdExperience,
-    AlwaysExperienced,
     ExperienceFunction,
     ThresholdExperience,
 )
+from repro.core.gossip import _BARTERCAST, _MODERATION, _VOTE
 from repro.core.node import NodeConfig, VoteSamplingNode
-from repro.core.votes import VoteEntry, select_positions
+from repro.core.votes import VoteEntry
 from repro.metrics.traffic import TrafficMeter
 from repro.pss.base import PeerSamplingService
 from repro.pss.ideal import OraclePSS
@@ -59,17 +54,6 @@ from repro.pss.newscast import NewscastConfig, NewscastService
 from repro.sim.population import PopulationEngine, ProtocolSpec
 from repro.sim.rng import RngRegistry, StreamFamily
 from repro.sim.units import MB
-
-#: Spec-list positions of the three gossip loops (see
-#: :meth:`ProtocolRuntime._protocol_specs`): the protocol indices the
-#: batched gossip tick receives.
-_MODERATION, _VOTE, _BARTERCAST = 0, 1, 2
-#: Vote entries from which the batched tick's column pre-pass (numpy
-#: gathers over the run, ≈ 20 µs fixed) beats reading each entry's
-#: values live.  Measured crossover on ``churn_population`` state: 12–16
-#: (EXPERIMENTS.md "One gossip batch").
-_PREPASS_FROM = 16
-
 
 @dataclass
 class RuntimeConfig:
@@ -353,8 +337,8 @@ class ProtocolRuntime:
         ticks dispatched per protocol, batch shape, the measured
         ballot-box memory footprint, and ballot-box fill and eviction
         pressure (``ballot_pool``: the payload pool's capacity, tail,
-        live entries and garbage share, compactions, evictions and
-        batched flushes)."""
+        live entries and garbage share, compactions, evictions, and
+        ``flushes`` — landings of a merge run's fresh segments)."""
         out = self.materialize_population().telemetry()
         out["ballot_memory_bytes"] = self.ballot_memory_bytes()
         out["ballot_pool"] = self._col_store.pool_stats()
@@ -447,475 +431,23 @@ class ProtocolRuntime:
         )
 
     def _vote_tick_batch(
-        self,
-        times: List[float],
-        pids: List[str],
-        rows: List[int],
-        protos: List[int],
+        self, times: List[float], pids: List[str], rows: List[int], protos: List[int]
     ) -> None:
         """One gossip tick per due entry — ModerationCast, BallotBox and
-        BarterCast alike — over the state columns: the one definition
-        of the three exchanges (Figs 1 and 3 a).
+        BarterCast alike: the one definition of the three exchanges
+        (Figs 1 and 3 a).
 
         Registered as the SoA engine's batch handler for all three
         gossip loops (one handler object, so a run mixes them as they
         fall due; ``protos`` holds each entry's spec index), and called
-        with one entry by the three scalar tick names.  They are the
-        same ``do forever: wait Δ; p ← PSS.sample()`` loop.
-
-        **Sampling.**  Every draw is replayed in the scalar order.  A
-        vote entry draws ``vote_fanout`` candidates, every other entry
-        one; the PSS stream and the message-loss stream are separate
-        generators, so one ``sample_batch`` over the run's requesters
-        (vote peers repeated) walks the PSS stream as the per-entry
-        calls would — vectorised for the oracle, the scalar loop for
-        Newscast, whose views change only in Newscast ticks and churn,
-        never inside a run.  Then, in entry order, each candidate of a
-        moderation or vote entry is connected: a stale one (offline) is
-        no exchange, a connectable one draws its loss, and a surviving
-        partner's node is created.  A vote entry keeps each partner once
-        (the scalar ``seen`` dedup) and gates its whole partner set with
-        one forward ``experienced_many`` call; every partner is one
-        *slot*, and slots run through one row-to-row core.  BarterCast
-        entries take their draw as is.  Then each exchange runs in
-        order — moderation through the node API, BarterCast through
-        ``gossip_with``, the vote exchange inline over the columns.  A
-        node's ``rng`` feeds over-budget extracts and over-cap vote
-        selections alike, so the two interleave as they would scalar.
-
-        **The vote exchange** is row to row: the forward verdict before
-        vote selection and the reverse verdict after this node's merge,
-        as the scalar exchange orders them; each side's vote list is in
-        the store's wire form (interned moderators, own id dropped,
-        exchange order; a stale list is repacked on first use), so a
-        merge is a pool segment handed to the store — no ``VoteEntry``,
-        no id string, no per-vote work.
-
-        **Behaviour rows.**  A row with the store's crowd code
-        (:meth:`add_crowd_member`) ships the crowd's constant list with
-        no selection draw — the honest receiver applies the
-        receiver-side cap and counts ``votes_truncated`` — merges and
-        counts nothing it is sent, never bootstraps, and answers
-        VoxPopuli with the constant top-K, leaving ``vp_requests_*``
-        alone.  Both experience verdicts are still taken.
-
-        **Pre-pass.**  From :data:`_PREPASS_FROM` vote slots on, a
-        column pre-pass carries them: one gather per direction over
-        ``vl_size`` and ``bb_unique`` proves most of them side-effect
-        free — no votes on either side, no VoxPopuli bootstrap, an
-        all-accepting experience gate and no behaviour row — so the
-        Python loop only visits the ones that do real work, and every
-        list the run may send is packed up front.  A slot whose only
-        work is merging — a column fast-path gate, no VoxPopuli
-        candidate, no behaviour row, no above-cap draw — is not visited
-        either: its forward and reverse merges are built from the
-        pre-pass arrays as rows ``(owner, voter, segment, time)`` in
-        entry order and settle through the store's run entry
-        (``bb_merge_run``, array passes over the whole run) before the
-        next visited vote slot — whose merges and VoxPopuli reads
-        (``bb_unique``, ``respond_top_k``) must see them — and at the
-        end of the run; their ``votes_merged`` fold in per receiving
-        node.  The skip is sound because box occupancy only grows
-        while votes merge (a slot
-        starting at or above ``B_min`` can never re-enter bootstrap),
-        an accepted empty exchange touches nothing but the aggregate
-        counters, and vote lists change mid-run only when a moderation
-        exchange fires a vote intention: from then on every vote slot
-        is visited, and one that touches a row cast on reads its sizes
-        and list live — as every vote slot of a shorter run does (a
-        queued one leaves the queue; the others stay queued).  The aggregates are exact
-        wholesale: every selection policy returns
-        ``min(vl_size, cap)`` entries, so the run's traffic folds into
-        one ``*_exchange_many`` call per protocol, and byte totals are
-        derived from the integer counters.
-        """
-        engine = self.engine
-        nodes = self.nodes
-        own: List[VoteSamplingNode] = [nodes[pid] for pid in pids]
-        # Only _peer_online / _peer_offline flip node.online, and the
-        # engine's flag with it: a due entry's peer is online.
-        assert all([node.online for node in own]), "online flags disagree"
-        MODERATION, VOTE, BARTERCAST = _MODERATION, _VOTE, _BARTERCAST
-        fanout = self.config.vote_fanout
-        if fanout > 1:
-            # One slot per candidate draw: a vote entry spans `fanout`.
-            entry_of = [
-                k for k, p in enumerate(protos) for _ in range(fanout if p == VOTE else 1)
-            ]
-            times = [times[k] for k in entry_of]
-            pids = [pids[k] for k in entry_of]
-            rows = [rows[k] for k in entry_of]
-            protos = [protos[k] for k in entry_of]
-            own = [own[k] for k in entry_of]
-        m = len(pids)
-        partner_ids = self.pss.sample_batch(pids)
-        is_online = self.registry.is_online
-        loss = self.config.message_loss
-        loss_rng = self._message_loss_rng
-        ensure_node = self.ensure_node
-        partners: List[Optional[VoteSamplingNode]] = [None] * m
-        prow_list = [0] * m
-        #: per slot: the protocol of the exchange it makes, -1 for none
-        kinds = [-1] * m
-        others: List[int] = []  # moderation and BarterCast exchanges
-        #: fan-out: a vote entry's first slot -> its partner set
-        groups: Dict[int, List[str]] = {}
-        entry = lead = -1
-        seen: set = set()
-        for k, partner, pid, p in zip(range(m), partner_ids, pids, protos):
-            if partner is None or partner == pid:
-                continue
-            if p != BARTERCAST:
-                # A stale or lost connect is no exchange.
-                if not is_online(partner):
-                    continue
-                if loss > 0.0 and loss_rng.random() < loss:
-                    self.dropped_exchanges += 1
-                    continue
-                node = nodes.get(partner)
-                if node is None:
-                    node = ensure_node(partner)
-                if fanout > 1 and p == VOTE:
-                    if entry_of[k] != entry:
-                        entry, lead, seen = entry_of[k], k, {pid}
-                        groups[k] = []
-                    if partner in seen:
-                        continue
-                    seen.add(partner)
-                    groups[lead].append(partner)
-                partners[k] = node
-                prow_list[k] = node.row
-            kinds[k] = p
-            if p != VOTE:
-                others.append(k)
-        store = self._col_store
-        cfg = self.config.node
-        cap = cfg.votes_per_exchange
-        b_max = cfg.b_max
-        b_min = cfg.b_min
-        vox = cfg.voxpopuli_enabled and b_min > 0
-        n_ex = kinds.count(VOTE)
-        n_items = 0
-        crowd = store.behaviour
-        if n_ex:
-            exp = self.experience
-            exp_type = type(exp)
-            # Experience gating: the all-accepting cases resolve once for
-            # the whole run, adaptive thresholds gate via one column
-            # gather per direction (in the pre-pass), and anything else
-            # takes the scalar evaluation in the scalar call order.
-            fast_all = exp_type is AlwaysExperienced or (
-                exp_type is ThresholdExperience and exp.threshold <= 0.0
-            )
-            fwd_fast = rev_fast = None
-            verdicts: Dict[str, bool] = {}
-            pre_vox = [True] * m if vox else None
-            bb_unique = store.bb_unique
-            wire = store.vl_wire
-            merge = store.bb_merge_packed
-            policy = cfg.exchange_policy
-            if crowd:
-                crowd_mids, crowd_vals = store.crowd_packed(cap)
-                crowd_n = len(store.crowd_votes)
-                crowd_top_k = store.crowd_top_k
-        q_end = 0  # merges queued by the pre-pass (see ``settle``)
-        prepared = n_ex >= _PREPASS_FROM
-        if prepared:
-            rows_arr = np.fromiter(rows, np.int64, m)
-            prows_arr = np.fromiter(prow_list, np.int64, m)
-            valid = np.fromiter(kinds, np.int64, m) == VOTE
-            # One gather per direction stands in for the per-slot
-            # vote-list reads, and — because every selection policy
-            # returns exactly ``min(vl_size, cap)`` entries — the
-            # exchange item total folds into one vectorised sum.
-            vl_col = store.vl_size
-            vl_own_arr = vl_col[rows_arr]
-            vl_par_arr = vl_col[prows_arr]
-            n_items = int(
-                (np.minimum(vl_own_arr, cap) + np.minimum(vl_par_arr, cap))[
-                    valid
-                ].sum()
-            )
-            # A slot must run in Python when any per-slot side effect
-            # is possible: votes to merge in either direction, a
-            # VoxPopuli bootstrap candidate (occupancy below B_min
-            # *before* the run — occupancy only grows as votes merge, so
-            # slots at or above B_min can never re-enter bootstrap
-            # mid-run), an experience gate that isn't a column fast
-            # path (rejection counters fire even on empty exchanges), or
-            # a behaviour row (read live).
-            has_votes = (vl_own_arr > 0) | (vl_par_arr > 0)
-            # Per-slot work besides merging: a VoxPopuli candidate, a
-            # behaviour row, a gate that is not a column fast path.
-            special = np.zeros(m, dtype=np.bool_)
-            if vox:
-                pre_vox_arr = bb_unique[rows_arr] < b_min
-                special |= pre_vox_arr
-                pre_vox = pre_vox_arr.tolist()
-            if crowd:
-                bad = np.fromiter(crowd, np.int64, len(crowd))
-                special |= np.isin(rows_arr, bad) | np.isin(prows_arr, bad)
-            if not fast_all:
-                if (
-                    exp_type is AdaptiveThresholdExperience
-                    and exp._store is store
-                ):
-                    thr = store.exp_threshold
-                    fwd_ok = thr[rows_arr] <= 0.0
-                    rev_ok = thr[prows_arr] <= 0.0
-                    special |= ~(fwd_ok & rev_ok)
-                    fwd_fast = fwd_ok.tolist()
-                    rev_fast = rev_ok.tolist()
-                else:
-                    special[:] = True
-            active = (has_votes | special) & valid
-            # A slot whose only effect is merging — no special work, no
-            # above-cap draw — never enters the loop: its two merges go
-            # to the store as rows of one run (below).
-            quiet = active & ~special & (vl_own_arr <= cap) & (vl_par_arr <= cap)
-            vl_own = vl_own_arr.tolist()
-            vl_par = vl_par_arr.tolist()
-            act = np.flatnonzero(active & ~quiet).tolist()
-            # Every list this run may send, packed once up front
-            # (partner then own, in slot order): the merges below read
-            # pool slices at ``seg_off[k]`` (own) / ``seg_off[m + k]``
-            # (partner).
-            send = np.flatnonzero(has_votes & valid)
-            if send.size:
-                lists = np.empty(2 * send.size, dtype=np.int64)
-                lists[0::2] = prows_arr[send]
-                lists[1::2] = rows_arr[send]
-                store.vl_pack_stale(lists)
-                both = np.concatenate((rows_arr, prows_arr))
-                offs = store.vl_off[both]
-                lens = store.vl_len[both]
-                seg_off = offs.tolist()
-                seg_end = (offs + lens).tolist()
-            vl_mod, vl_val = store.vl_mod, store.vl_val
-            quiet_k = np.flatnonzero(quiet)
-            if quiet_k.size:
-                # Merge rows in entry order, each slot's forward merge
-                # (the partner's list into our box) before its reverse.
-                q_owner = np.stack((rows_arr[quiet_k], prows_arr[quiet_k]), 1).ravel()
-                q_voter = np.stack((prows_arr[quiet_k], rows_arr[quiet_k]), 1).ravel()
-                q_off = np.stack((offs[m + quiet_k], offs[quiet_k]), 1).ravel()
-                q_len = np.stack((lens[m + quiet_k], lens[quiet_k]), 1).ravel()
-                q_slot = np.repeat(quiet_k, 2)
-                keep = q_len > 0
-                q_owner, q_voter, q_off, q_len, q_slot = (
-                    q_owner[keep], q_voter[keep], q_off[keep], q_len[keep], q_slot[keep]
-                )
-                q_time = np.array(times)[q_slot]
-                q_slots = q_slot.tolist()
-                q_end = len(q_slots)
-                is_quiet = quiet.tolist()
-            pending = sorted(act + others) if others else act
-        else:
-            pending = [k for k in range(m) if kinds[k] >= 0]
-        #: queued merges: ``[q_pos, q_end)`` are still to settle
-        q_pos = 0
-
-        def settle(upto: int) -> None:
-            """Hand the queued merges of slots before ``upto`` to the
-            store as one run (from the wire pool as the pre-pass read
-            it: a live slot may repack since)."""
-            nonlocal q_pos
-            j = bisect_left(q_slots, upto, q_pos, q_end)
-            if j > q_pos:
-                store.bb_merge_run(
-                    b_max,
-                    q_owner[q_pos:j],
-                    q_voter[q_pos:j],
-                    q_off[q_pos:j],
-                    q_len[q_pos:j],
-                    q_time[q_pos:j],
-                    (vl_mod, vl_val),
-                )
-                q_pos = j
-
-        bartercast = self.bartercast
-        mod_ex = mod_items = bc_ex = bc_items = vp_ex = vp_entries = 0
-        #: pre-passed runs: rows a moderation exchange in this run cast a
-        #: vote for, and the vote slots proved empty up front (once one
-        #: exists)
-        recast: set = set()
-        inactive: set = set()
-        widened = False
-        casts = store.vl_casts
-        while True:
-            cut = -1
-            for k in pending:
-                now = times[k]
-                engine._now = now
-                node = own[k]
-                partner = partners[k]
-                kind = kinds[k]
-                if kind == MODERATION:
-                    # Push/pull (Fig 1): both sides extract then merge.
-                    outbound = node.moderations_to_send()
-                    inbound = partner.moderations_to_send()
-                    partner.receive_moderations(outbound, now)
-                    node.receive_moderations(inbound, now)
-                    mod_ex += 1
-                    mod_items += len(outbound) + len(inbound)
-                    if prepared and store.vl_casts != casts:
-                        # A vote intention fired: later vote slots on
-                        # these rows must see the new list.
-                        casts = store.vl_casts
-                        recast.add(node.row)
-                        recast.add(partner.row)
-                        if not widened:
-                            cut = k
-                            break
-                    continue
-                if kind == BARTERCAST:
-                    pid = pids[k]
-                    bartercast.gossip_with(pid, partner_ids[k], now)
-                    bc_ex += 1
-                    # Both directions carry up to the per-exchange cap.
-                    bc_items += len(bartercast.records_of(pid))
-                    continue
-                row = rows[k]
-                prow = prow_list[k]
-                if q_end and is_quiet[k]:
-                    # Visited once widened: merges stay queued unless
-                    # the slot touches a recast row and runs live.
-                    if row not in recast and prow not in recast:
-                        continue
-                    settle(k)
-                    end = bisect_right(q_slots, k, q_pos, q_end)
-                    q_len[q_pos:end] = 0  # dropped: merged nothing
-                    q_pos = end
-                elif q_pos < q_end and q_slots[q_pos] < k:
-                    settle(k)  # merges queued before this slot come first
-                own_bad = par_bad = False
-                if crowd and (row in crowd or prow in crowd):
-                    # The crowd is the one behaviour code so far.
-                    own_bad = row in crowd
-                    par_bad = prow in crowd
-                    live = True
-                else:
-                    live = not prepared or (
-                        recast and (row in recast or prow in recast)
-                    )
-                if live:
-                    n_out = crowd_n if own_bad else int(store.vl_size[row])
-                    n_in = crowd_n if par_bad else int(store.vl_size[prow])
-                    # A crowd list goes out whole, whatever the cap.
-                    n_items += (n_out if own_bad else min(n_out, cap)) + (
-                        n_in if par_bad else min(n_in, cap)
-                    )
-                    if prepared:
-                        n_items -= min(vl_own[k], cap) + min(vl_par[k], cap)
-                elif k in inactive:
-                    continue
-                else:
-                    n_out = vl_own[k]
-                    n_in = vl_par[k]
-                # Forward verdict (observer = this node), before selection;
-                # with a fan-out, once for the entry's whole partner set.
-                if fast_all or (fwd_fast is not None and fwd_fast[k]):
-                    fwd = True
-                else:
-                    partner_id = partner.peer_id
-                    if fanout == 1:
-                        fwd = exp.experienced_many(pids[k], [partner_id])[partner_id]
-                    else:
-                        if k in groups:
-                            verdicts = exp.experienced_many(pids[k], groups[k])
-                        fwd = verdicts[partner_id]
-                # Each side's selection: at or below the cap the whole
-                # list goes and nothing is drawn; above it each honest
-                # side draws here — ours first, whatever the verdicts.
-                picks_out = (
-                    select_positions(n_out, cap, node.rng, policy)
-                    if n_out > cap and not own_bad
-                    else None
-                )
-                picks_in = (
-                    select_positions(n_in, cap, partner.rng, policy)
-                    if n_in > cap and not par_bad
-                    else None
-                )
-                # The partner's list into our box, row to row.
-                if own_bad:
-                    pass  # a crowd member merges and counts nothing
-                elif fwd:
-                    if n_in:
-                        if par_bad:
-                            mids, vals = crowd_mids, crowd_vals
-                            if n_in > cap:
-                                node.votes_truncated += n_in - cap
-                        elif picks_in is not None or live:
-                            mids, vals = wire(prow, picks_in)
-                        else:
-                            off, end = seg_off[m + k], seg_end[m + k]
-                            mids, vals = vl_mod[off:end], vl_val[off:end]
-                        node.votes_merged += merge(row, b_max, prow, mids, vals, now)
-                else:
-                    node.votes_rejected_inexperienced += 1
-                # Reverse verdict (observer = partner), after our merge.
-                if fast_all or (rev_fast is not None and rev_fast[k]):
-                    rev = True
-                else:
-                    pid = pids[k]
-                    rev = exp.experienced_many(partner.peer_id, [pid])[pid]
-                if par_bad:
-                    pass
-                elif rev:
-                    if n_out:
-                        if own_bad:
-                            mids, vals = crowd_mids, crowd_vals
-                            if n_out > cap:
-                                partner.votes_truncated += n_out - cap
-                        elif picks_out is not None or live:
-                            mids, vals = wire(row, picks_out)
-                        else:
-                            off, end = seg_off[k], seg_end[k]
-                            mids, vals = vl_mod[off:end], vl_val[off:end]
-                        partner.votes_merged += merge(prow, b_max, row, mids, vals, now)
-                else:
-                    partner.votes_rejected_inexperienced += 1
-                # VoxPopuli (Fig 3 a+c): pre-gated on the occupancy
-                # column, re-checked live — earlier merges this run may
-                # have lifted this node past B_min.
-                if (
-                    pre_vox is not None
-                    and pre_vox[k]
-                    and not own_bad
-                    and bb_unique[row] < b_min
-                ):
-                    response = crowd_top_k if par_bad else partner.respond_top_k()
-                    node.receive_top_k(response)
-                    if response:
-                        vp_entries += len(response)
-                    vp_ex += 1
-            if cut < 0:
-                break
-            # After the first cast every later exchange is visited: a
-            # vote slot proved empty up front may touch a recast row, and
-            # so may a queued one.
-            widened = True
-            inactive = set(range(cut + 1, m)).difference(act)
-            pending = [j for j in range(cut + 1, m) if kinds[j] >= 0]
-        if q_end:
-            settle(m)
-            # The queued merges' counters, one add per receiving node.
-            merged = np.bincount(q_owner, weights=q_len)
-            ids = store.rows.ids
-            receivers = np.flatnonzero(merged)
-            for row, count in zip(receivers.tolist(), merged[receivers].tolist()):
-                nodes[ids[row]].votes_merged += int(count)
-            engine._now = max(engine._now, times[q_slots[-1]])
-        traffic = self.traffic
-        if mod_ex:
-            traffic.moderation_exchange_many(mod_ex, mod_items)
-        if n_ex:
-            traffic.vote_exchange_many(n_ex, n_items)
-        if vp_ex:
-            traffic.voxpopuli_exchange_many(vp_ex, vp_entries)
-        if bc_ex:
-            traffic.bartercast_exchange_many(bc_ex, bc_items)
+        with one entry by the three scalar tick names.  The stages, and
+        why their draws land where the scalar ticks put them, are
+        :mod:`repro.core.gossip`'s."""
+        run = gossip.draw(self, times, pids, rows, protos)
+        gossip.connect(self, run)
+        gossip.plan(self, run)
+        gossip.exchange(self, run)
+        gossip.finish(self, run)
 
     def _newscast_tick(self, peer_id: str) -> None:
         node = self.nodes[peer_id]

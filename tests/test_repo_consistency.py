@@ -3,9 +3,11 @@
 Documentation must not drift from the code: every file the docs
 reference exists, every bench DESIGN.md's experiment index names is on
 disk, and the public package imports cleanly.  Nor may ``src/`` carry
-definitions no run reaches (``scripts/lint_deadcode.py``'s gate).
+definitions no run reaches (``scripts/lint_deadcode.py``'s gate), nor
+``core/`` a function longer than 120 lines.
 """
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -109,3 +111,21 @@ def test_no_unlisted_test_only_definitions():
     assert not unlisted, [f"{d[0].relative_to(REPO)}:{d[1]}: {d[2]}" for d in unlisted]
     assert not stale, stale
     assert all(reason.strip() for reason in lint.ALLOWLIST.values())
+
+
+#: Longest function body allowed in ``src/repro/core/`` (``def`` line
+#: through its last line): a longer one wants named stages.
+MAX_CORE_FUNCTION_LINES = 120
+
+
+def test_core_functions_stay_short():
+    long = []
+    for path in sorted((REPO / "src" / "repro" / "core").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lines = node.end_lineno - node.lineno + 1
+                if lines > MAX_CORE_FUNCTION_LINES:
+                    where = f"{path.relative_to(REPO)}:{node.lineno}"
+                    long.append(f"{where} {node.name} ({lines})")
+    assert not long, long

@@ -590,7 +590,7 @@ def test_batched_vote_tick_identical_to_object_engine(
     monkeypatch.setattr(ColumnarStateStore, "_seg_update", spy_update)
     monkeypatch.setattr(ColumnarStateStore, "bb_merge_packed", spy_merge)
     # 25 peers make short runs: force the column pre-pass onto them.
-    monkeypatch.setattr(runtime_mod, "_PREPASS_FROM", 1)
+    monkeypatch.setattr("repro.core.gossip._PREPASS_FROM", 1)
     kwargs = dict(config_kwargs or {})
     vote_rounds = 0
     if heavy is not None:
@@ -839,7 +839,7 @@ def test_gossip_batch_identical_to_reference(scenario, prepass_from, monkeypatch
     vote slots' column pre-pass (small runs skip it), on Newscast, at a
     vote fan-out of 3 and with a flash crowd of behaviour rows."""
     if prepass_from is not None:
-        monkeypatch.setattr(runtime_mod, "_PREPASS_FROM", prepass_from)
+        monkeypatch.setattr("repro.core.gossip._PREPASS_FROM", prepass_from)
     trace = churn_trace(n=25)
     ref = run_gossip_mix(ReferenceRuntime, trace, scenario)
     got = run_gossip_mix(ProtocolRuntime, trace, scenario)
