@@ -34,6 +34,19 @@ names its next caller, it is documented client API, or it is a
 read-only probe several test files use.  Any other is printed with
 ``file:line`` and its size and fails the run, as does an allowlist
 entry that is no longer reported, so the list cannot go stale.
+
+The same run gates **write-only state**: attributes that ``src/``
+stores — ``obj.x = …``, ``obj.x += …``, ``obj.x[i] = …`` — and that no
+file under the same production roots loads.  A string constant naming
+the attribute counts as a load (column tables are read through
+``getattr``), except inside a ``__slots__`` declaration.  Such an
+attribute may stay only on :data:`WRITE_ONLY_ALLOWLIST`, with its
+reason; stale entries fail as above.  This gate is a floor, not a
+complete list: any load of the name anywhere — on another object, or a
+string that happens to spell it — hides the store, as do stores made
+through ``setattr``.  A column the checkpoint dumps by name, say, is
+"loaded" by that name and can only be found by asking who reads the
+dump.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 #: (operator, operand value) pairs that make an AugAssign a no-op.
 _IDENTITY_AUG = {
@@ -171,6 +184,14 @@ ALLOWLIST = {
     "SubjectiveGraph.predecessors": "read-only probe of 2 test files (sparse, flow kernels)",
 }
 
+#: Attributes ``src/`` stores that no production code loads which may
+#: stay, each with the reason.  Same rule as :data:`ALLOWLIST`.
+WRITE_ONLY_ALLOWLIST = {
+    "writeable": "numpy reads it: `arr.flags.writeable = False` makes an array read-only",
+    "records_folded": "test_bartercast_fold_on_read compares it between lazy and eager folding",
+    "rounds_run": "test_golden_fig6's SWARMS hash pins each swarm's round count",
+}
+
 #: (path, line, qualified name, size in lines)
 Definition = Tuple[Path, int, str, int]
 
@@ -248,6 +269,86 @@ def unreached_definitions(repo: Path) -> List[Definition]:
     ]
 
 
+def _store_targets(node: ast.AST) -> Iterable[ast.expr]:
+    """The single targets an assignment statement writes."""
+    if isinstance(node, ast.Assign):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        return
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        else:
+            yield target
+
+
+def attribute_accesses(path: Path) -> Tuple[List[Tuple[str, int]], Set[str]]:
+    """The attributes a file stores, as ``(name, line)``, and the names
+    it loads: attribute loads other than the ``obj.x`` of an
+    ``obj.x[i] = …`` store, plus identifier-like string constants
+    outside ``__slots__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    stores: List[Tuple[str, int]] = []
+    stored: Set[int] = set()
+    slots: Set[int] = set()
+    for node in ast.walk(tree):
+        for target in _store_targets(node):
+            if isinstance(target, ast.Name) and target.id == "__slots__":
+                slots.update(id(c) for c in ast.walk(node.value))
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute):
+                stores.append((target.attr, target.lineno))
+                stored.add(id(target))
+    loads: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Load) and id(node) not in stored:
+                loads.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in slots
+        ):
+            loads.add(node.value)
+    return stores, loads
+
+
+def write_only_attributes(repo: Path) -> Dict[str, Tuple[Path, int]]:
+    """Attributes ``src/`` stores that no production file loads, each
+    with its first store."""
+    loaded: Set[str] = set()
+    stores: Dict[str, Tuple[Path, int]] = {}
+    this = Path(__file__).resolve()
+    for root in _PRODUCTION_ROOTS:
+        for path in iter_sources([repo / root]):
+            if path.resolve() == this:
+                continue  # its allowlist spells the names it reports
+            file_stores, file_loads = attribute_accesses(path)
+            loaded |= file_loads
+            if root == "src":
+                for name, line in file_stores:
+                    stores.setdefault(name, (path, line))
+    return {name: at for name, at in stores.items() if name not in loaded}
+
+
+def write_only_gate(repo: Path) -> Tuple[List[Tuple[Path, int, str]], List[str]]:
+    """The write-only attributes not on :data:`WRITE_ONLY_ALLOWLIST`,
+    and the entries no longer reported."""
+    found = write_only_attributes(repo)
+    return (
+        [(path, line, name) for name, (path, line) in sorted(found.items())
+         if name not in WRITE_ONLY_ALLOWLIST],
+        sorted(name for name in WRITE_ONLY_ALLOWLIST if name not in found),
+    )
+
+
 def definition_gate(repo: Path) -> Tuple[List[Definition], List[str]]:
     """The unreached definitions not on :data:`ALLOWLIST`, and the
     allowlist entries no longer reported."""
@@ -291,7 +392,18 @@ def main(argv: List[str]) -> int:
     print(f"[lint-deadcode] {gate}: {len(unlisted)} unlisted src/ "
           f"definition(s) no run reaches, {len(stale)} stale allowlist "
           f"entr{'y' if len(stale) == 1 else 'ies'}, {len(ALLOWLIST)} allowlisted")
-    return 1 if findings or unlisted or stale else 0
+    write_only, stale_writes = write_only_gate(repo)
+    for path, line, name in write_only:
+        print(f"{path.relative_to(repo)}:{line}: attribute {name} is stored "
+              f"but no production code loads it")
+    for name in stale_writes:
+        print(f"{Path(__file__).relative_to(repo)}: write-only allowlisted "
+              f"{name} is no longer reported; drop it from WRITE_ONLY_ALLOWLIST")
+    gate = "FAIL" if write_only or stale_writes else "OK"
+    print(f"[lint-deadcode] {gate}: {len(write_only)} unlisted write-only "
+          f"attribute(s), {len(stale_writes)} stale, "
+          f"{len(WRITE_ONLY_ALLOWLIST)} allowlisted")
+    return 1 if findings or unlisted or stale or write_only or stale_writes else 0
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

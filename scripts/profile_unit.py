@@ -4,8 +4,11 @@
     python scripts/profile_unit.py paper_fig6 --seed 7
 
 builds the unit through ``bench.workloads.build`` (exactly what the
-benchmark measures), runs its measured window under cProfile and prints
-the top functions by self time with their call counts — where a
+benchmark measures), runs it with cProfile on inside its measured
+window only — the ``with window:`` blocks ``bench.run`` times, not
+what a unit does between them (``service_cluster`` compares every
+shard's identity state around its restore) — and prints the top
+functions by self time with their call counts — where a
 performance issue's "N calls of X" figures come from.  ``--setup``
 profiles the ``build`` call instead (the benchmark's ``setup_s``) and
 runs no window.  cProfile taxes every Python call and no native code,
@@ -19,9 +22,10 @@ Python objects and numpy buffers, not the ballot pool's anonymous
 memory maps (``run_summary()["population"]["ballot_pool"]`` reports
 those), so it is a floor on the unit's footprint.
 
-``--gc`` runs the window without the profiler, with a ``gc.callbacks``
-hook, and prints the number and the seconds of full (generation-2)
-collections inside it next to the window's wall time.
+``--gc`` runs the unit without the profiler, with a ``gc.callbacks``
+hook installed for the measured window only, and prints the number and
+the seconds of full (generation-2) collections inside it next to the
+window's wall time.
 """
 
 from __future__ import annotations
@@ -39,6 +43,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from bench.trace import Window  # noqa: E402
 from bench.workloads import WORKLOADS, build  # noqa: E402
+
+
+class HookedWindow(Window):
+    """The measured window, calling ``on()`` on entering it and
+    ``off()`` on leaving it, so that what they switch sees the window
+    and nothing else of the unit."""
+
+    def __init__(self, on, off):
+        super().__init__()
+        self._on, self._off = on, off
+
+    def __enter__(self) -> "HookedWindow":
+        self._on()
+        super().__enter__()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        super().__exit__(*exc_info)
+        self._off()
 
 
 def main() -> None:
@@ -73,10 +96,10 @@ def main() -> None:
         profiler.enable()
     unit = build(args.workload, args.seed, args.size)
     try:
-        if not args.setup:
-            profiler.enable()
-            unit.run(Window())
-        profiler.disable()
+        if args.setup:
+            profiler.disable()
+        else:
+            unit.run(HookedWindow(profiler.enable, profiler.disable))
     finally:
         unit.close()
     pstats.Stats(profiler).sort_stats("tottime").print_stats(args.top)
@@ -122,19 +145,16 @@ def full_collections(args: argparse.Namespace) -> None:
         else:
             spans.append(time.perf_counter() - started[0])
 
+    window = HookedWindow(
+        lambda: gc.callbacks.append(hook), lambda: gc.callbacks.remove(hook)
+    )
     unit = build(args.workload, args.seed, args.size)
     try:
-        gc.callbacks.append(hook)
-        t0 = time.perf_counter()
-        try:
-            unit.run(Window())
-        finally:
-            wall = time.perf_counter() - t0
-            gc.callbacks.remove(hook)
+        unit.run(window)
     finally:
         unit.close()
     print(
-        f"{args.workload} seed {args.seed}: window {wall:.3f} s, "
+        f"{args.workload} seed {args.seed}: window {window.seconds:.3f} s, "
         f"{len(spans)} full collections, {sum(spans):.3f} s"
         + (f" (longest {max(spans):.3f} s)" if spans else "")
     )

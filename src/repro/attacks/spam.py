@@ -68,7 +68,6 @@ class FlashCrowd:
                 ),
                 now=0.0,
             )
-            node._sync_membership()
             self.members.append(pid)
 
     def arrive(self, now: float) -> None:

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bartercast.graph import ReadOnlySubjectiveGraph, SubjectiveGraph
-from repro.bartercast.maxflow import edmonds_karp, two_hop_flow, two_hop_flows_to_sink
+from repro.bartercast.maxflow import two_hop_flow, two_hop_flows_to_sink
 from repro.bartercast.records import TransferRecord
 from repro.pss.base import PeerSamplingService
 
@@ -38,15 +38,10 @@ class BarterCastConfig:
 
     #: Max records sent per gossip exchange (most-transferred partners).
     max_records_per_exchange: int = 10
-    #: Hop bound for the maxflow evaluation; ``2`` is the deployed
-    #: setting and enables the O(degree) closed form.
-    max_hops: int = 2
 
     def __post_init__(self) -> None:
         if self.max_records_per_exchange < 1:
             raise ValueError("max_records_per_exchange must be >= 1")
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
 
 
 #: Shared sentinel handed out by :meth:`BarterCastService.graph_of`
@@ -114,7 +109,6 @@ class BarterCastService:
         self._pss = pss
         self.config = config or BarterCastConfig()
         self._nodes: Dict[str, _NodeState] = {}
-        self.exchanges = 0
         #: top-K record cache telemetry (see :meth:`cache_stats`)
         self.records_cache_hits = 0
         self.records_cache_misses = 0
@@ -202,7 +196,6 @@ class BarterCastService:
                 if rec.reporter != sender:
                     continue
                 graph.add_record(rec)
-        self.exchanges += 1
 
     def records_of(self, peer_id: str) -> List[TransferRecord]:
         """The node's own direct records, most-significant first,
@@ -246,18 +239,17 @@ class BarterCastService:
     # ------------------------------------------------------------------
     def contribution(self, observer: str, subject: str) -> float:
         """``f_{subject→observer}``: max flow from ``subject`` to
-        ``observer`` in the observer's subjective graph (bytes) — with
-        the default 2-hop bound, :func:`two_hop_flow`'s closed form over
-        ``subject``'s out-row and ``observer``'s in-row.  An observer
-        the service has never seen has an empty graph, so every flow is
-        exactly 0; asking materialises no state for it."""
+        ``observer`` in the observer's subjective graph (bytes) under
+        deployed BarterCast's 2-hop bound — :func:`two_hop_flow`'s
+        closed form over ``subject``'s out-row and ``observer``'s
+        in-row.  An observer the service has never seen has an empty
+        graph, so every flow is exactly 0; asking materialises no state
+        for it."""
         if observer == subject:
             return 0.0
         st = self._peek(observer)
         if st is None:
             return 0.0
-        if self.config.max_hops != 2:
-            return edmonds_karp(st.graph, subject, observer, max_hops=self.config.max_hops)
         return two_hop_flow(st.graph, subject, observer)
 
     def contributions_to_observer(
@@ -270,18 +262,13 @@ class BarterCastService:
         over the observer's in-row and each subject's out-row, with its
         fixed (ascending node-id) reduction order.  Values equal
         :func:`two_hop_flow`'s up to the last ulp: the scalar form sums
-        in out-row order.  Non-2-hop configurations fall back to
-        per-pair bounded maxflow.  Probing a never-seen observer
+        in out-row order.  Probing a never-seen observer
         returns zeros without materialising state (metric sweeps over
         the full trace population must leave the service untouched)."""
         subjects = list(subjects)
         st = self._peek(observer)
         if st is None:
             return np.zeros(len(subjects), dtype=float)
-        if self.config.max_hops != 2:
-            return np.array(
-                [self.contribution(observer, s) for s in subjects], dtype=float
-            )
         return two_hop_flows_to_sink(st.graph, subjects, observer)
 
     # ------------------------------------------------------------------

@@ -14,9 +14,8 @@ columns keyed by the population engine's row↔peer-id table
   pool (see below) instead of per-slot Python dicts;
 * **experience thresholds** (``exp_threshold``), read as a column
   slice by the batched experience gate;
-* **vote / moderation store membership** — ``vl_size`` and
-  ``store_size`` per peer, so a due batch skips empty exchanges with
-  one gather;
+* **vote-list size** — ``vl_size`` per peer, so a due batch skips
+  empty vote exchanges with one gather;
 * **the vote lists' wire form** — what each peer sends in an exchange,
   packed when the list was cast instead of every time it is sent;
 * **behaviour codes** — adversarial rows (``behaviour``: row → code)
@@ -116,7 +115,6 @@ from repro.core.votes import LocalVoteList, Vote, VoteEntry
 _ROW_COLUMNS = (
     ("bb_unique", np.int32, 0),
     ("vl_size", np.int32, 0),
-    ("store_size", np.int32, 0),
     ("exp_threshold", np.float64, 0.0),
 )
 _SLOT_COLUMNS = (
@@ -208,8 +206,6 @@ class ColumnarStateStore:
         self.bb_unique = np.zeros(0, dtype=np.int32)
         #: entries in the peer's local vote list
         self.vl_size = np.zeros(0, dtype=np.int32)
-        #: moderations in the peer's local store
-        self.store_size = np.zeros(0, dtype=np.int32)
         #: adaptive experience threshold T (bytes); 0 = accept all
         self.exp_threshold = np.zeros(0, dtype=np.float64)
 

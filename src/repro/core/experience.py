@@ -149,11 +149,10 @@ class AdaptiveThresholdExperience(ExperienceFunction):
     def dispersion(ballot_box: "BallotBox") -> float:
         """Worst-case per-moderator vote disagreement in ``[0, 1]``.
 
-        Delegates to :meth:`~repro.core.ballotbox.BallotBox.dispersion`
-        so the scan matches the box's backing: the dict box does one
-        pass over ``all_counts()``; a columnar box runs the vectorised
-        ``np.bincount`` scan over interned moderator ids — bit-identical
-        floats, no Python-dict walking on the adaptive tick."""
+        Delegates to :meth:`~repro.core.ballotbox.BallotBox.dispersion`:
+        one vectorised ``np.bincount`` scan of the box's row over
+        interned moderator ids, no Python-dict walking on the adaptive
+        tick."""
         return ballot_box.dispersion()
 
     def update(self, observer: str, ballot_box: "BallotBox") -> float:

@@ -128,9 +128,10 @@ def draw(rt: ProtocolRuntime, times, pids, rows, protos) -> GossipRun:
     candidate with one ``sample_batch``."""
     nodes = rt.nodes
     own = [nodes[pid] for pid in pids]
-    # Only _peer_online / _peer_offline flip node.online, and the
-    # engine's flag with it: a due entry's peer is online.
-    assert all([node.online for node in own]), "online flags disagree"
+    # Only _peer_online / _peer_offline open and close a session, and
+    # flip the engine's flag with it: a due entry's peer is online.
+    online = rt._online_since
+    assert all([pid in online for pid in pids]), "online flags disagree"
     fanout = rt.config.vote_fanout
     entry_of = None
     if fanout > 1:

@@ -78,12 +78,11 @@ class VoteSamplingNode:
         self.config = config or NodeConfig()
         self._rng = rng
         self.store = ModerationStore(self.config.moderation_store_capacity)
-        #: the state store this node is row :attr:`row` of (a one-node
-        #: store of its own when none is passed): the ballot box is a
-        #: view of its columns, the vote list reports its casts to it
-        #: (the vl_size column and the packed wire form follow) and its
-        #: store_size column tracks this node's moderation store.
-        self.col_store = col_store = col_store or ColumnarStateStore()
+        # The state store this node is row :attr:`row` of (a one-node
+        # store of its own when none is passed): the ballot box is a
+        # view of its columns, and the vote list reports its casts to
+        # it (the vl_size column and the packed wire form follow).
+        col_store = col_store or ColumnarStateStore()
         self.row = col_store.ensure_row(peer_id)
         self.ballot_box = BallotBox(self.config.b_max, col_store, self.row)
         self.vote_list = LocalVoteList(col_store, self.row)
@@ -93,7 +92,6 @@ class VoteSamplingNode:
         #: ``((store mutation count, vote-list version), eligible)`` —
         #: see :meth:`moderations_to_send`
         self._eligible: Optional[Tuple[Tuple[int, int], List[Moderation]]] = None
-        self.online = False
         # Counters for instrumentation.
         self.moderations_received = 0
         self.votes_merged = 0
@@ -121,12 +119,6 @@ class VoteSamplingNode:
             return rng.state(self.peer_id)
         return self.rng.bit_generator.state
 
-    def _sync_membership(self) -> None:
-        """Refresh this node's store_size column.  Called at the end of
-        every node method that mutates the moderation store.  (The
-        vote list keeps its own column: see :class:`LocalVoteList`.)"""
-        self.col_store.store_size[self.row] = len(self.store)
-
     # ------------------------------------------------------------------
     # User actions
     # ------------------------------------------------------------------
@@ -142,7 +134,6 @@ class VoteSamplingNode:
             created_at=now,
         )
         self.store.insert(mod, now)
-        self._sync_membership()
         return mod
 
     def cast_vote(self, moderator_id: str, vote: Vote, now: float) -> None:
@@ -158,7 +149,6 @@ class VoteSamplingNode:
         self.vote_list.cast(moderator_id, vote, now)
         if vote is Vote.NEGATIVE:
             self.store.purge_moderator(moderator_id)
-            self._sync_membership()
 
     def set_vote_intention(self, moderator_id: str, vote: Vote) -> None:
         """Declare how the user will vote once they actually *see*
@@ -235,7 +225,6 @@ class VoteSamplingNode:
                     self.moderations_received += 1
                     self._maybe_apply_intention(mod.moderator_id, now)
         store.enforce_capacity(self.vote_list.approved())
-        self._sync_membership()
         return new_count
 
     def _maybe_apply_intention(self, moderator_id: str, now: float) -> None:

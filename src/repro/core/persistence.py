@@ -17,8 +17,8 @@ maintained over sessions" (§I).  Two surfaces:
   row-keyed arrays for the shard checkpoint
   (:mod:`repro.sim.service`): moderation references into one table of
   distinct records with ``received_at`` and recency stamps, vote
-  lists, intentions, top-K lists, the per-run counters and online
-  flags.
+  lists, intentions, top-K lists and the per-run counters.  Whether
+  a node is online is the runtime's to save (its session record).
 """
 
 from __future__ import annotations
@@ -145,7 +145,6 @@ def node_to_dict(node: VoteSamplingNode) -> Dict[str, Any]:
 #: the ``names`` table, moderations into ``mod_table``.
 _NODE_COLUMNS = {
     "node_name": (np.int32, None),
-    "online": (np.bool_, None),
     **{name: (np.int64, None) for name in _NODE_COUNTERS},
     "mod_seq": (np.int64, None),
     "mod_n": (np.int32, None),
@@ -180,7 +179,6 @@ def nodes_to_columns(nodes: Iterable[VoteSamplingNode]) -> Dict[str, Any]:
 
     for node in nodes:
         cols["node_name"].append(ref(node.peer_id))
-        cols["online"].append(node.online)
         for name in _NODE_COUNTERS:
             cols[name].append(getattr(node, name))
         items, received_at, order, seq = node.store.export_state()
@@ -242,7 +240,6 @@ def nodes_from_columns(
     mod_i = vote_i = intent_i = list_i = item_i = 0
     for i in range(n):
         node = make_node(names[cols["node_name"][i]])
-        node.online = cols["online"][i]
         for name in _NODE_COUNTERS:
             setattr(node, name, cols[name][i])
         mods = slice(mod_i, mod_i + cols["mod_n"][i])

@@ -55,6 +55,11 @@ from repro.sim.population import PopulationEngine, ProtocolSpec
 from repro.sim.rng import RngRegistry, StreamFamily
 from repro.sim.units import MB
 
+#: Each protocol loop's gap is jittered by ±(this · interval), which
+#: desynchronises the population's loops.
+JITTER_FRACTION = 0.1
+
+
 @dataclass
 class RuntimeConfig:
     """Runtime parameters.
@@ -70,8 +75,6 @@ class RuntimeConfig:
     bartercast_interval: float = 900.0
     newscast_interval: float = 60.0
     adaptive_update_interval: float = 900.0
-    #: Jitter each loop by ±(fraction · interval) to desynchronise.
-    jitter_fraction: float = 0.1
     #: Use the Newscast gossip PSS instead of the oracle.
     use_newscast: bool = False
     #: T for the default threshold experience function (bytes).
@@ -107,8 +110,6 @@ class RuntimeConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not (0.0 <= self.jitter_fraction < 1.0):
-            raise ValueError("jitter_fraction must be in [0, 1)")
         if self.vote_fanout < 1:
             raise ValueError("vote_fanout must be >= 1")
         if self.population_engine != "soa":
@@ -172,8 +173,11 @@ class ProtocolRuntime:
         #: run that never draws build no generator
         self.node_rng = StreamFamily(rng, "node")
         self.traffic = TrafficMeter()
-        #: accumulated online node-seconds (for per-node-hour costs)
+        #: node-seconds of the sessions closed so far (for
+        #: per-node-hour costs)
         self._online_seconds = 0.0
+        #: the session record: peer -> start of its open session.  A
+        #: peer is online exactly while it has an entry here.
         self._online_since: Dict[str, float] = {}
 
         session.on_peer_online(self._peer_online)
@@ -228,23 +232,19 @@ class ProtocolRuntime:
 
     # ------------------------------------------------------------------
     def _peer_online(self, peer_id: str, now: float) -> None:
-        node = self.ensure_node(peer_id)
-        if node.online:
+        if peer_id in self._online_since:
             return
-        node.online = True
+        self.ensure_node(peer_id)
         self._online_since[peer_id] = now
         if self.newscast is not None:
             self.newscast.node_online(peer_id, now)
         self._start_ticks(peer_id, now)
 
     def _peer_offline(self, peer_id: str, now: float) -> None:
-        node = self.nodes.get(peer_id)
-        if node is None or not node.online:
-            return
-        node.online = False
         since = self._online_since.pop(peer_id, None)
-        if since is not None:
-            self._online_seconds += max(0.0, now - since)
+        if since is None:
+            return
+        self._online_seconds += max(0.0, now - since)
         if self.newscast is not None:
             self.newscast.node_offline(peer_id)
         self._stop_ticks(peer_id, now)
@@ -297,7 +297,7 @@ class ProtocolRuntime:
                 self.engine,
                 self._rng,
                 self._protocol_specs(),
-                jitter_fraction=self.config.jitter_fraction,
+                jitter_fraction=JITTER_FRACTION,
                 rows=self._col_store.rows,
             )
             self.engine.attach_source(population)
@@ -313,11 +313,13 @@ class ProtocolRuntime:
         Everything except the ``population`` section is protocol
         state; ``population`` describes the scheduler itself (batch
         shape, memory), which the reference scheduler does not share.
+        BarterCast's exchange count is the traffic meter's.
         """
+        bartercast = self.traffic.counters.get("bartercast")
         return {
             "traffic": self.traffic.summary(),
             "bartercast": {
-                "exchanges": self.bartercast.exchanges,
+                "exchanges": bartercast.exchanges if bartercast else 0,
                 **self.bartercast.cache_stats(),
             },
             "nodes": self.node_counters(),
@@ -373,8 +375,8 @@ class ProtocolRuntime:
     # ------------------------------------------------------------------
     def counters_state(self) -> Dict[str, object]:
         """Run-level counters (not owned by any node) as JSON-clean
-        state: traffic meter, drop count, online-time accounting and
-        the BarterCast exchange counter.  Cache hit/miss telemetry is
+        state: traffic meter, drop count and the session record with
+        the closed sessions' time.  Cache hit/miss telemetry is
         deliberately excluded — a restarted process starts cold, and
         cache warmth is performance state, not protocol state."""
         return {
@@ -389,12 +391,13 @@ class ProtocolRuntime:
             "dropped_exchanges": self.dropped_exchanges,
             "online_seconds": self._online_seconds,
             "online_since": dict(self._online_since),
-            "bartercast_exchanges": self.bartercast.exchanges,
         }
 
     def restore_counters(self, state: Dict[str, object]) -> None:
         """Adopt a :meth:`counters_state` snapshot (saved dict order is
-        preserved so float summaries reduce in the same order)."""
+        preserved so float summaries reduce in the same order).  Keys
+        older snapshots also carry (``bartercast_exchanges``) are
+        ignored: the traffic meter holds that count."""
         meter = TrafficMeter()
         for name, rec in state["traffic"].items():  # type: ignore[union-attr]
             counter = meter._get(name)
@@ -408,7 +411,6 @@ class ProtocolRuntime:
             peer: float(since)
             for peer, since in state["online_since"].items()  # type: ignore[union-attr]
         }
-        self.bartercast.exchanges = int(state["bartercast_exchanges"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Ticks
@@ -450,8 +452,7 @@ class ProtocolRuntime:
         gossip.finish(self, run)
 
     def _newscast_tick(self, peer_id: str) -> None:
-        node = self.nodes[peer_id]
-        if not node.online:
+        if peer_id not in self._online_since:
             return
         assert self.newscast is not None
         if self.newscast.gossip_tick(peer_id, self.engine.now):
@@ -460,9 +461,9 @@ class ProtocolRuntime:
             )
 
     def _adaptive_tick(self, peer_id: str) -> None:
-        node = self.nodes[peer_id]
-        if not node.online:
+        if peer_id not in self._online_since:
             return
+        node = self.nodes[peer_id]
         assert isinstance(self.experience, AdaptiveThresholdExperience)
         before = self.experience.threshold_for(peer_id)
         after = self.experience.update(peer_id, node.ballot_box)

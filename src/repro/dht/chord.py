@@ -51,7 +51,7 @@ class ChordConfig:
 
 
 class _Node:
-    __slots__ = ("name", "ident", "fingers", "fingers_built_at")
+    __slots__ = ("name", "ident", "fingers")
 
     def __init__(self, name: str, ident: int):
         self.name = name
@@ -61,7 +61,6 @@ class _Node:
         #: probed collision ident can be *recycled* by a later joiner,
         #: so a bare ident cannot tell a dead finger from its impostor.
         self.fingers: List[Tuple[int, str]] = []
-        self.fingers_built_at = -1.0
 
 
 class ChordRing:
@@ -106,7 +105,7 @@ class ChordRing:
         self._nodes[name] = node
         insort(self._ring, ident)
         self._by_ident[ident] = name
-        self._build_fingers(node, now)
+        self._build_fingers(node)
 
     def leave(self, name: str, now: float, graceful: bool = False) -> None:
         """Node departs.  Graceful ⇒ handover; otherwise a failure the
@@ -135,9 +134,9 @@ class ChordRing:
         each) and refresh of its finger table snapshot."""
         for node in self._nodes.values():
             self.stabilize_messages += 2
-            self._build_fingers(node, now)
+            self._build_fingers(node)
 
-    def _build_fingers(self, node: _Node, now: float) -> None:
+    def _build_fingers(self, node: _Node) -> None:
         node.fingers = []
         if not self._ring:
             return
@@ -145,7 +144,6 @@ class ChordRing:
             target = (node.ident + (1 << i)) % (1 << self.config.bits)
             ident = self._successor_ident(target)
             node.fingers.append((ident, self._by_ident[ident]))
-        node.fingers_built_at = now
 
     def _successor_ident(self, target: int) -> int:
         i = bisect_left(self._ring, target)

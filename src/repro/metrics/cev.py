@@ -32,9 +32,9 @@ def flows_to_observer(
     """``f_{j→observer}`` for every ``j`` in ``peers`` (2-hop bound).
 
     Routed through the service's vectorised batch-contribution oracle
-    (:meth:`BarterCastService.contributions_to_observer`), which also
-    memoises the result while the observer's graph is unchanged —
-    successive metric samples over idle observers cost O(1).
+    (:meth:`BarterCastService.contributions_to_observer`), which
+    evaluates the closed form afresh on every call; to skip idle
+    observers across samples, use :class:`FlowMatrixCache`.
     Intermediate hops range over every node the observer's graph knows,
     matching ``two_hop_flow`` exactly.
     """

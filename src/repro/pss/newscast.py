@@ -64,8 +64,6 @@ class NewscastService(PeerSamplingService):
         self._rng = rng
         self.config = config or NewscastConfig()
         self._views: Dict[str, Dict[str, float]] = {}
-        self.exchanges = 0
-        self.failed_exchanges = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -103,14 +101,11 @@ class NewscastService(PeerSamplingService):
             # View exhausted/stale — fall back to re-bootstrap, which
             # models asking the introducer again.
             self.node_online(peer_id, now)
-            self.failed_exchanges += 1
             return False
         if not self._registry.is_online(partner):
             view.pop(partner, None)
-            self.failed_exchanges += 1
             return False
         self._exchange(peer_id, partner, now)
-        self.exchanges += 1
         return True
 
     def _pick_partner(self, peer_id: str, view: Dict[str, float]) -> Optional[str]:

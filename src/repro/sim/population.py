@@ -13,8 +13,8 @@ gossip ticks.
 :class:`PopulationEngine` replaces the per-peer heap entries with
 columnar state:
 
-* a compact integer index per peer (``peer_id ↔ row``), online flags
-  and online-since timestamps as numpy arrays;
+* the ``peer_id ↔ row`` table it shares with the state store, and an
+  online flag per row;
 * per-protocol ``next_tick`` (float64, ``inf`` = idle) and ``seq``
   (int64 insertion-order stamp) columns;
 * a per-protocol block-minimum index (2048-wide blocks) so "earliest
@@ -104,7 +104,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -117,11 +116,9 @@ from typing import (
 import numpy as np
 
 from repro.core.checkpoint import take
+from repro.core.columnar import RowTable
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry, pcg64_doubles
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.columnar import RowTable
 
 _INF = float("inf")
 _MASK64 = (1 << 64) - 1
@@ -229,7 +226,7 @@ class PopulationEngine:
         rng: RngRegistry,
         protocols: Sequence[ProtocolSpec],
         jitter_fraction: float = 0.0,
-        rows: Optional["RowTable"] = None,
+        rows: Optional[RowTable] = None,
     ):
         if not protocols:
             raise ValueError("need at least one protocol loop")
@@ -275,20 +272,13 @@ class PopulationEngine:
 
         n_protocols = len(protocols)
         self._capacity = 0
-        if rows is not None:
-            # Shared row table (the columnar state store keys its
-            # columns by the same rows).  The lists are aliased, not
-            # copied: other components may append rows, which
-            # ``_sync_rows`` adopts lazily.
-            self._ids = rows.ids
-            self._index = rows.index
-        else:
-            self._ids = []
-            self._index = {}
+        #: ``peer_id ↔ row``, usually shared: the columnar state store
+        #: keys its columns by the same rows, and may append rows,
+        #: which ``_sync_rows`` adopts lazily.
+        self.rows = rows if rows is not None else RowTable()
         #: Python list, not numpy: the hot loop reads one flag per tick
         #: and scalar list reads are several times cheaper.
         self._online: List[bool] = []
-        self._online_since = np.zeros(0, dtype=np.float64)
         self._next: List[np.ndarray] = [
             np.zeros(0, dtype=np.float64) for _ in range(n_protocols)
         ]
@@ -315,7 +305,6 @@ class PopulationEngine:
         self.max_batch_size = 0
         #: batch-handler calls (each carries a run of >= 2 entries)
         self.batch_calls = 0
-        self.completed_session_seconds = 0.0
 
         #: online/offline flips bump this; a window extracted under an
         #: older epoch revalidates its entries against the columns
@@ -339,7 +328,6 @@ class PopulationEngine:
             out[: arr.size] = arr
             return out
 
-        self._online_since = _resize(self._online_since, np.nan, np.float64)
         self._jit_pos = _resize(self._jit_pos, _JITTER_CHUNK, np.int64)
         for name in ("_jit_buf", "_jit_state"):
             old = getattr(self, name)
@@ -359,23 +347,12 @@ class PopulationEngine:
         components (the columnar state store assigns rows to peers the
         scheduler has not seen yet): pad the per-peer lists and grow
         the columns to cover every assigned row."""
-        n = len(self._ids)
+        n = len(self.rows)
         if n > self._capacity:
             self._grow(n)
         online = self._online
         while len(online) < n:
             online.append(False)
-
-    def _add_peer(self, peer_id: str) -> int:
-        if len(self._online) != len(self._ids):
-            self._sync_rows()
-        row = len(self._ids)
-        if row >= self._capacity:
-            self._grow(row + 1)
-        self._ids.append(peer_id)
-        self._index[peer_id] = row
-        self._online.append(False)
-        return row
 
     def peer_online(self, peer_id: str, now: float) -> None:
         """Start the peer's protocol loops (idempotent while online).
@@ -383,30 +360,24 @@ class PopulationEngine:
         Draw order matches the object engine's ``proc.start()`` loop:
         per protocol, one jitter draw then one sequence claim.
         """
-        if len(self._online) != len(self._ids):
+        row = self.rows.row(peer_id)
+        if len(self._online) != len(self.rows):
             self._sync_rows()
-        row = self._index.get(peer_id)
-        if row is None:
-            row = self._add_peer(peer_id)
-        elif self._online[row]:
+        if self._online[row]:
             return
-        elif self._win is not None and row in self._win.left:
+        if self._win is not None and row in self._win.left:
             self._reconcile_cursor(self._win, row)
         self._online[row] = True
-        self._online_since[row] = now
         for p in range(len(self._actions)):
             self._schedule(p, row, now)
         self._churn_epoch += 1
 
     def peer_offline(self, peer_id: str, now: float) -> None:
         """Stop the peer's loops (idempotent while offline)."""
-        row = self._index.get(peer_id)
+        row = self.rows.get(peer_id)
         if row is None or row >= len(self._online) or not self._online[row]:
             return
         self._online[row] = False
-        since = float(self._online_since[row])
-        self._online_since[row] = np.nan
-        self.completed_session_seconds += max(0.0, now - since)
         for col in self._next:
             # Raising an entry leaves its block minimum stale-low;
             # ``_true_min`` self-corrects by refreshing empty blocks.
@@ -416,13 +387,13 @@ class PopulationEngine:
         self._churn_epoch += 1
 
     def is_online(self, peer_id: str) -> bool:
-        row = self._index.get(peer_id)
+        row = self.rows.get(peer_id)
         return bool(
             row is not None and row < len(self._online) and self._online[row]
         )
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.rows)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -447,7 +418,7 @@ class PopulationEngine:
         if i_lo:
             state, inc = (s_hi << 64) | s_lo, (i_hi << 64) | i_lo
         else:
-            state, inc = self._registry.start_state("jitter", self._ids[row])
+            state, inc = self._registry.start_state("jitter", self.rows.ids[row])
         bits = self._scratch.bit_generator
         bits.state = {
             "bit_generator": "PCG64",
@@ -712,7 +683,7 @@ class PopulationEngine:
         group = self._group
         members = self._members
         any_batch = self._any_batch
-        ids = self._ids
+        ids = self.rows.ids
         ticks = self.ticks_by_protocol
         epoch = win.epoch
         eseq = engine._seq
@@ -899,7 +870,7 @@ class PopulationEngine:
         the row table, saved separately) replays the remaining run
         bit-identically — per-row next-tick times and seqs, the
         pre-drawn jitter buffers with their cursors and stream
-        positions, online flags/since-stamps, and the telemetry
+        positions, online flags, and the telemetry
         counters.  ``jit_state`` is in the layout of a checkpoint's
         per-peer ``rng.<family>`` arrays (``[rows, 6]``: state hi/lo,
         increment hi/lo, then the two buffered-uint32 fields, which
@@ -912,14 +883,13 @@ class PopulationEngine:
         if self._dispatching:
             raise RuntimeError("cannot checkpoint mid-batch")
         self._close_window()
-        if len(self._online) != len(self._ids):
+        if len(self._online) != len(self.rows):
             self._sync_rows()
-        n = len(self._ids)
+        n = len(self.rows)
         return {
             "names": list(self._names),
             "rows": n,
             "online": np.array(self._online, dtype=np.bool_),
-            "online_since": self._online_since[:n].copy(),
             "next": np.stack([col[:n] for col in self._next]),
             "seq": np.stack([col[:n] for col in self._seq]),
             "jit_pos": self._jit_pos[:n].copy(),
@@ -929,7 +899,6 @@ class PopulationEngine:
             "batches": self.batches,
             "max_batch_size": self.max_batch_size,
             "batch_calls": self.batch_calls,
-            "completed_session_seconds": self.completed_session_seconds,
         }
 
     def restore_schedule_state(self, state: Dict[str, object]) -> None:
@@ -951,15 +920,14 @@ class PopulationEngine:
                 f"{self._names}"
             )
         n = int(state["rows"])  # type: ignore[arg-type]
-        if len(self._ids) != n:
+        if len(self.rows) != n:
             raise ValueError(
                 f"row mismatch on restore: the row table holds "
-                f"{len(self._ids)} rows, checkpoint expects {n}"
+                f"{len(self.rows)} rows, checkpoint expects {n}"
             )
         self._sync_rows()
         n_protocols = len(self._next)
         self._online[:] = take(state, "online", np.bool_, n).tolist()
-        self._online_since[:n] = take(state, "online_since", np.float64, n)
         nexts = take(state, "next", np.float64, n_protocols, n)
         seqs = take(state, "seq", np.int64, n_protocols, n)
         for p in range(n_protocols):
@@ -985,9 +953,6 @@ class PopulationEngine:
         self.batches = int(state["batches"])  # type: ignore[arg-type]
         self.max_batch_size = int(state["max_batch_size"])  # type: ignore[arg-type]
         self.batch_calls = int(state.get("batch_calls", 0))  # type: ignore[arg-type]
-        self.completed_session_seconds = float(
-            state["completed_session_seconds"]  # type: ignore[arg-type]
-        )
         self._win = None  # a cache of the columns just overwritten
         self._churn_epoch += 1
 
@@ -997,12 +962,11 @@ class PopulationEngine:
     def memory_bytes(self) -> int:
         """Measured retained footprint of the scheduler's columns: the
         per-protocol next/seq/block-min arrays, the jitter buffers,
-        cursors and stream positions, the online flags and since-stamps, and the container
+        cursors and stream positions, the online flags, and the container
         overhead of the Python-side bookkeeping (peer id strings are
         shared with the row table and excluded, matching the accounting
         line the state store draws)."""
-        total = self._online_since.nbytes + self._jit_buf.nbytes
-        total += self._jit_pos.nbytes + self._jit_state.nbytes
+        total = self._jit_buf.nbytes + self._jit_pos.nbytes + self._jit_state.nbytes
         for cols in (self._next, self._seq, self._bmin):
             total += sys.getsizeof(cols)
             for arr in cols:
@@ -1021,7 +985,7 @@ class PopulationEngine:
         ticks = sum(self.ticks_by_protocol)
         peers_online = sum(self._online)
         return {
-            "peers_total": len(self._ids),
+            "peers_total": len(self.rows),
             "peers_online": peers_online,
             "ticks": ticks,
             "batches": self.batches,
@@ -1029,6 +993,5 @@ class PopulationEngine:
             "max_batch_size": self.max_batch_size,
             "batch_calls": self.batch_calls,
             "ticks_by_protocol": dict(zip(self._names, self.ticks_by_protocol)),
-            "completed_session_seconds": self.completed_session_seconds,
             "scheduler_memory_bytes": self.memory_bytes(),
         }

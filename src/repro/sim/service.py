@@ -160,7 +160,6 @@ class ShardConfig:
     moderation_interval: float = 300.0
     vote_interval: float = 300.0
     bartercast_interval: float = 900.0
-    jitter_fraction: float = 0.1
     message_loss: float = 0.0
     #: Single-valued, as on ``RuntimeConfig``: a shard runs the one
     #: production path (SoA scheduler, columnar state), which is what
@@ -186,8 +185,8 @@ class ShardConfig:
         for name in ("vote_probability", "negative_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        # the intervals, jitter and message loss are the runtime's
-        # parameters: its own checks apply
+        # the intervals and message loss are the runtime's parameters:
+        # its own checks apply
         self.runtime_config()
 
     def runtime_config(self) -> RuntimeConfig:
@@ -197,7 +196,6 @@ class ShardConfig:
             moderation_interval=self.moderation_interval,
             vote_interval=self.vote_interval,
             bartercast_interval=self.bartercast_interval,
-            jitter_fraction=self.jitter_fraction,
             message_loss=self.message_loss,
         )
 

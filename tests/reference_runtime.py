@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.moderation import Moderation, ModerationStore
 from repro.core.moderationcast import eligible_moderations, select_moderations
 from repro.core.node import NodeConfig, VoteSamplingNode
-from repro.core.runtime import ProtocolRuntime
+from repro.core.runtime import JITTER_FRACTION, ProtocolRuntime
 from repro.core.votes import LocalVoteList, VoteEntry, select_positions
 from repro.sim.engine import Engine, EventHandle
 from tests.reference_ballotbox import ReferenceBallotBox
@@ -285,14 +285,13 @@ class ReferenceRuntime(ProtocolRuntime):
     def _start_ticks(self, peer_id: str, now: float) -> None:
         procs = self._processes.get(peer_id)
         if procs is None:
-            jitter = self.config.jitter_fraction
             rng = self._rng.stream("jitter", peer_id)
             procs = self._processes[peer_id] = [
                 PeriodicProcess(
                     self.engine,
                     interval,
                     partial(action, peer_id),
-                    jitter=interval * jitter,
+                    jitter=interval * JITTER_FRACTION,
                     rng=rng,
                 )
                 for _name, interval, action, *_batch in self._protocol_specs()
@@ -321,9 +320,9 @@ class ReferenceRuntime(ProtocolRuntime):
         return self.ensure_node(partner)
 
     def _moderation_tick(self, peer_id: str) -> None:
-        node = self.nodes[peer_id]
-        if not node.online:
+        if peer_id not in self._online_since:
             return
+        node = self.nodes[peer_id]
         partner = self._partner_for(peer_id)
         if partner is None:
             return
@@ -336,9 +335,9 @@ class ReferenceRuntime(ProtocolRuntime):
         self.traffic.moderation_exchange_many(1, len(outbound) + len(inbound))
 
     def _vote_tick(self, peer_id: str) -> None:
-        node = self.nodes[peer_id]
-        if not node.online:
+        if peer_id not in self._online_since:
             return
+        node = self.nodes[peer_id]
         # The round's partner set: `vote_fanout` PSS draws (duplicates
         # and failed connects dropped), gated through one
         # `experienced_many` evaluation.
@@ -383,12 +382,9 @@ class ReferenceRuntime(ProtocolRuntime):
                 self.traffic.voxpopuli_exchange_many(1, len(response) if response else 0)
 
     def _bartercast_tick(self, peer_id: str) -> None:
-        node = self.nodes[peer_id]
-        if not node.online:
+        if peer_id not in self._online_since:
             return
-        before = self.bartercast.exchanges
-        self.bartercast.gossip_tick(peer_id, self.engine.now)
-        if self.bartercast.exchanges > before:
+        if self.bartercast.gossip_tick(peer_id, self.engine.now):
             # Both directions carry up to the per-exchange record cap.
             n = len(self.bartercast.records_of(peer_id))
             self.traffic.bartercast_exchange_many(1, n)
@@ -410,7 +406,7 @@ class ReferenceRuntime(ProtocolRuntime):
         ticks = sum(ticks_by_protocol.values())
         return {
             "peers_total": len(self.nodes),
-            "peers_online": sum(node.online for node in self.nodes.values()),
+            "peers_online": len(self._online_since),
             "ticks": ticks,
             "batches": ticks,
             "mean_batch_size": 1.0 if ticks else 0.0,

@@ -113,15 +113,6 @@ class TestBatchOracle:
         assert flows[1] == pytest.approx(3.0)
         assert flows[2] == 0.0
 
-    def test_non_two_hop_falls_back_to_bounded_maxflow(self):
-        peers = ("a", "b", "c", "d")
-        svc = make_service(peers=peers, seed=5, max_hops=3)
-        svc.inject_record("a", TransferRecord("b", "c", up=9 * MB, down=0.0, timestamp=0.0))
-        svc.inject_record("a", TransferRecord("c", "d", up=9 * MB, down=0.0, timestamp=0.0))
-        svc.inject_record("a", TransferRecord("d", "a", up=9 * MB, down=0.0, timestamp=0.0))
-        flows = svc.contributions_to_observer("a", list(peers))
-        assert flows[list(peers).index("b")] == pytest.approx(9 * MB)
-
 
 class TestRecordsCache:
     def test_cached_list_matches_fresh_sort(self):

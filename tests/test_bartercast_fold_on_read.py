@@ -126,7 +126,7 @@ def snapshot(service):
             graph.to_matrix(order).tolist(),
             graph.records_folded,
         )
-    return graphs, service.cache_stats(), service.exchanges, sorted(service._nodes)
+    return graphs, service.cache_stats(), sorted(service._nodes)
 
 
 @pytest.mark.parametrize("traffic", ["dense", "sparse"])

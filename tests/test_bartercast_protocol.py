@@ -226,18 +226,3 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BarterCastConfig(max_records_per_exchange=0)
-        with pytest.raises(ValueError):
-            BarterCastConfig(max_hops=0)
-
-    def test_contribution_uses_generic_maxflow_for_other_bounds(self):
-        svc, _ = make_service(peers=("a", "b", "c", "d"), seed=5, max_hops=3)
-        svc.local_transfer("b", "c", 9 * MB, now=0.0)
-        svc.local_transfer("c", "d", 9 * MB, now=0.0)
-        svc.local_transfer("d", "a", 9 * MB, now=0.0)
-        for t in range(60):
-            for p in ("a", "b", "c", "d"):
-                svc.gossip_tick(p, float(t))
-        assert svc.contribution("a", "b") == 9 * MB  # 3-hop path now visible
-        assert svc.contribution("a", "b") == edmonds_karp(
-            svc.graph_of("a"), "b", "a", max_hops=3
-        )

@@ -33,7 +33,12 @@ def restore(node, path):
     the node's columns through one checkpoint file, then an empty node
     on the loaded store, filled from its columns."""
     write_sections(
-        path, {}, {"store": node.col_store.dump_state(), "nodes": nodes_to_columns([node])}
+        path,
+        {},
+        {
+            "store": node.ballot_box._store.dump_state(),
+            "nodes": nodes_to_columns([node]),
+        },
     )
     _state, components = read_sections(path)
     store = ColumnarStateStore()

@@ -7,6 +7,7 @@ from repro.core.experience import AdaptiveThresholdExperience, AlwaysExperienced
 from repro.core.node import NodeConfig
 from repro.core.runtime import ProtocolRuntime, RuntimeConfig
 from repro.core.votes import Vote
+from repro.experiments.common import SimulationStack
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.units import HOUR, MB
@@ -209,10 +210,45 @@ def test_offline_nodes_do_not_tick():
     engine, session, runtime = build(trace, seed=3)
     session.start()
     engine.run_until(4 * HOUR)
-    # Sanity: nodes exist, nothing crashed, and only online nodes hold
-    # the online flag.
-    for pid, node in runtime.nodes.items():
-        assert node.online == session.registry.is_online(pid)
+    # Sanity: nodes exist, nothing crashed, and an offline node has no
+    # tick pending in any protocol loop.
+    population = runtime.materialize_population()
+    offline = [pid for pid in runtime.nodes if not session.registry.is_online(pid)]
+    assert offline
+    for pid in offline:
+        row = population.rows.index[pid]
+        assert all(col[row] == float("inf") for col in population._next)
+
+
+def test_online_node_hours_is_the_traces_sessions_clipped_to_the_horizon():
+    """The runtime's session record is the one session clock: a churn
+    trace's SESSION_START / SESSION_END intervals, clipped to the
+    horizon, sum to ``online_node_hours``; and at the horizon the
+    registry, the session record and the scheduler's row flag agree on
+    who is online."""
+    trace = TraceGenerator(
+        TraceGeneratorConfig(n_peers=24, duration=8 * HOUR, n_swarms=2),
+        seed=5,
+    ).generate()
+    horizon = 5.3 * HOUR
+    stack = SimulationStack.build(trace, seed=5)
+    stack.run(until=horizon)
+    expected = sum(
+        min(s.end, horizon) - s.start
+        for sessions in trace.sessions().values()
+        for s in sessions
+        if s.start < horizon
+    )
+    summary = stack.runtime.run_summary()
+    assert summary["online_node_hours"] == pytest.approx(expected / HOUR, rel=1e-12)
+    runtime = stack.runtime
+    population = runtime.materialize_population()
+    online = [pid for pid in runtime.nodes if stack.session.registry.is_online(pid)]
+    assert 0 < len(online) < len(runtime.nodes)
+    for pid in runtime.nodes:
+        is_online = stack.session.registry.is_online(pid)
+        assert (pid in runtime._online_since) == is_online
+        assert population.is_online(pid) == is_online
 
 
 def test_bring_online_external_peer():
@@ -221,11 +257,11 @@ def test_bring_online_external_peer():
     session.start()
     engine.run_until(1 * HOUR)
     runtime.bring_online("attacker", engine.now)
-    assert runtime.nodes["attacker"].online
+    assert "attacker" in runtime.nodes
     assert session.registry.is_online("attacker")
     engine.run_until(2 * HOUR)
     runtime.take_offline("attacker", engine.now)
-    assert not runtime.nodes["attacker"].online
+    assert not session.registry.is_online("attacker")
 
 
 def test_adaptive_experience_updates_thresholds():
@@ -282,8 +318,6 @@ def test_determinism_full_stack():
 def test_runtime_config_validation():
     with pytest.raises(ValueError):
         RuntimeConfig(vote_interval=0.0)
-    with pytest.raises(ValueError):
-        RuntimeConfig(jitter_fraction=1.5)
 
 
 def test_vote_fanout_determinism_and_reverse_batch():

@@ -53,7 +53,7 @@ def newscast_run():
 def test_newscast_service_active(newscast_run):
     _trace, _session, runtime, _m = newscast_run
     assert runtime.newscast is not None
-    assert runtime.newscast.exchanges > 0
+    assert runtime.run_summary()["traffic"]["newscast"]["exchanges"] > 0
 
 
 def test_views_are_populated_and_bounded(newscast_run):

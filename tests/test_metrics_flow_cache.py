@@ -89,15 +89,6 @@ class TestIncrementalRows:
             )
         assert cache.rows_reused > 0  # incrementality actually engaged
 
-    def test_non_two_hop_config_takes_the_per_pair_path(self):
-        # max_hops != 2 has no vectorised closed form; rows come from
-        # the per-pair bounded maxflow and must stay correct.
-        svc = make_service(max_hops=3)
-        svc.local_transfer("a", "b", 8.0, now=0.0)
-        svc.local_transfer("b", "c", 4.0, now=1.0)
-        cache = FlowMatrixCache(svc, PEERS)
-        np.testing.assert_array_equal(cache.matrix(), flow_matrix(svc, PEERS))
-
 
 
 class TestFlowMatrixFrontend:

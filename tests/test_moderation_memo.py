@@ -18,7 +18,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import ColumnarStateStore
 from repro.core.moderation import Moderation
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.votes import Vote
@@ -131,18 +130,15 @@ def test_memo_follows_each_kind_of_store_change():
 
 def test_held_offer_still_trims_a_store_over_capacity():
     """Regression for the held-item skip: ``create_moderation`` does not
-    evict, so the next merge must trim the store (and refresh the
-    membership column) even when every offered item is already held."""
-    columns = ColumnarStateStore()
-    node = make_node(col_store=columns)
+    evict, so the next merge must trim the store even when every
+    offered item is already held."""
+    node = make_node()
     held = [mk(0, t) for t in range(CAPACITY)]
     node.receive_moderations(held, 1.0)
     node.create_moderation("own", "x", 2.0)
     assert len(node.store) == CAPACITY + 1
-    assert columns.store_size[node.row] == CAPACITY + 1
     assert node.receive_moderations(held, 3.0) == 0
     assert len(node.store) == CAPACITY
-    assert columns.store_size[node.row] == CAPACITY
 
 
 def receive_item_by_item(node, items, now):
@@ -159,7 +155,6 @@ def receive_item_by_item(node, items, now):
             node.moderations_received += 1
             node._maybe_apply_intention(mod.moderator_id, now)
     node.store.enforce_capacity(node.vote_list.approved())
-    node._sync_membership()
     return new_count
 
 

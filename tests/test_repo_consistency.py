@@ -3,8 +3,9 @@
 Documentation must not drift from the code: every file the docs
 reference exists, every bench DESIGN.md's experiment index names is on
 disk, and the public package imports cleanly.  Nor may ``src/`` carry
-definitions no run reaches (``scripts/lint_deadcode.py``'s gate), nor
-``core/`` a function longer than 120 lines.
+definitions no run reaches or attributes no run reads
+(``scripts/lint_deadcode.py``'s gates), nor ``core/`` a function longer
+than 120 lines.
 """
 
 import ast
@@ -99,18 +100,34 @@ def test_every_public_module_has_docstring():
     assert not undocumented, undocumented
 
 
-def test_no_unlisted_test_only_definitions():
-    """Every ``src/`` definition that only tests (or nothing) reference
-    is on the lint's allowlist, and every allowlist entry is still
-    such a definition."""
+def _lint():
     path = REPO / "scripts" / "lint_deadcode.py"
     spec = importlib.util.spec_from_file_location("lint_deadcode", path)
     lint = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(lint)
+    return lint
+
+
+def test_no_unlisted_test_only_definitions():
+    """Every ``src/`` definition that only tests (or nothing) reference
+    is on the lint's allowlist, and every allowlist entry is still
+    such a definition."""
+    lint = _lint()
     unlisted, stale = lint.definition_gate(REPO)
     assert not unlisted, [f"{d[0].relative_to(REPO)}:{d[1]}: {d[2]}" for d in unlisted]
     assert not stale, stale
     assert all(reason.strip() for reason in lint.ALLOWLIST.values())
+
+
+def test_no_unlisted_write_only_attributes():
+    """Every attribute ``src/`` stores is loaded by production code or
+    on the lint's write-only allowlist, and every entry is still
+    write-only."""
+    lint = _lint()
+    unlisted, stale = lint.write_only_gate(REPO)
+    assert not unlisted, [f"{p.relative_to(REPO)}:{line}: {name}" for p, line, name in unlisted]
+    assert not stale, stale
+    assert all(reason.strip() for reason in lint.WRITE_ONLY_ALLOWLIST.values())
 
 
 #: Longest function body allowed in ``src/repro/core/`` (``def`` line

@@ -120,7 +120,6 @@ def test_shard_config_rejects_bad_values():
         dict(vote_probability=1.5),
         dict(negative_fraction=-0.1),
         dict(vote_interval=0.0),
-        dict(jitter_fraction=1.0),
         dict(message_loss=1.0),
     ):
         with pytest.raises(ValueError):

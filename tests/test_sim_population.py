@@ -69,7 +69,7 @@ def test_jitter_column_draws_the_registry_stream(primed):
     pop = PopulationEngine(Engine(), rng, [("loop", 10.0, lambda pid: None)], 0.2)
     pop.peer_online("a", 0.0)
     pop.peer_online("b", 0.0)
-    row = pop._index["b"]
+    row = pop.rows.index["b"]
     drawn = [pop._draw(row) for _ in range(3 * 16 + 4)]
     expected = RngRegistry(5).stream("jitter", "b").random(4 * 16)
     assert drawn == expected[1 : 1 + len(drawn)].tolist()  # [0] went to peer_online
@@ -289,7 +289,7 @@ def run_stack(runtime_cls, trace, seed=11, hours=6, config_kwargs=None, adaptive
             len(node.store),
             node.ballot_box.num_unique_users(),
             node.ballot_box.score(pids[0]),
-            node.online,
+            runtime.registry.is_online(pid),
         )
         for pid, node in sorted(runtime.nodes.items())
     }
@@ -351,11 +351,11 @@ def test_bring_online_external_peer_under_soa():
     session.start()
     engine.run_until(1 * HOUR)
     runtime.bring_online("attacker", engine.now)
-    assert runtime.nodes["attacker"].online
+    assert runtime.registry.is_online("attacker")
     assert runtime._population.is_online("attacker")
     engine.run_until(2 * HOUR)
     runtime.take_offline("attacker", engine.now)
-    assert not runtime.nodes["attacker"].online
+    assert not runtime.registry.is_online("attacker")
     assert not runtime._population.is_online("attacker")
 
 
@@ -1003,7 +1003,7 @@ class _Interleaver:
         window) and carry on with a fresh one loaded from the dump."""
         state = self.pop.schedule_state()
         rows = RowTable()
-        for pid in self.pop._ids:
+        for pid in self.pop.rows.ids:
             rows.row(pid)
         self._attach_scheduler(rows)
         self.pop.restore_schedule_state(state)
@@ -1051,7 +1051,7 @@ class _Interleaver:
             self.coverage["same_window_return"] += 1
         head, horizon = win.t[win.k], win.horizon
         self.pop.peer_online(pid, now)
-        row = self.pop._index[pid]
+        row = self.pop.rows.index[pid]
         first = min(float(col[row]) for col in self.pop._next)
         if first < horizon:
             # (c) the horizon-lowering rule: the window keeps nothing
@@ -1074,7 +1074,7 @@ class _Interleaver:
         win = self.pop._win
         if win is not None:
             self._offlined_in[pid] = win
-            if self.pop._index[pid] in win.row[win.k : win.n]:
+            if self.pop.rows.index[pid] in win.row[win.k : win.n]:
                 self.coverage["pending_offline"] += 1
         self.pop.peer_offline(pid, self.engine.now)
 
@@ -1103,7 +1103,7 @@ class _Interleaver:
         schedulers left its stream at the same position."""
         if self.pop is None:
             return self.rng.stream("jitter", pid).random(count).tolist()
-        row = self.pop._index[pid]
+        row = self.pop.rows.index[pid]
         return [self.pop._draw(row) for _ in range(count)]
 
     def run(self, until, slices=1, checkpoint=False):

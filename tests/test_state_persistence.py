@@ -88,11 +88,11 @@ def test_votes_and_moderations_survive_offline_gap(churny_world):
     node.cast_vote("someone", Vote.POSITIVE, engine.now)
     node.create_moderation("my-torrent", "my upload", engine.now)
     engine.run_until(5 * 3600.0 - 1)  # p1 offline
-    assert not node.online
+    assert not session.registry.is_online("p1")
     assert node.vote_list.vote_on("someone") is Vote.POSITIVE
     assert node.store.has_moderator("p1")
     engine.run_until(6 * 3600.0)  # back online
-    assert node.online
+    assert session.registry.is_online("p1")
     assert node.vote_list.vote_on("someone") is Vote.POSITIVE
 
 
