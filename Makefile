@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-smoke bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn profile-setup profile-fig8 results lint-deadcode
+.PHONY: test bench bench-smoke bench-repo test-bench profile-fig6 profile-steady profile-service profile-churn profile-setup profile-fig8 results lint-deadcode reachability
 
 # Tier-1: the fast correctness suite (tests/ only).
 test:
@@ -11,13 +11,27 @@ test:
 
 # Dead-code lint (scripts/lint_deadcode.py, a pure stdlib AST pass):
 # no-op augmented assignments (x += 0), no-effect expression
-# statements, self-assignments; then a gate on src/ definitions no
-# run reaches (referenced only from tests/, or nowhere).  Such a
-# definition fails the target unless the script's ALLOWLIST names it
-# with a reason, and an allowlist entry that is no longer reported
-# fails it too.
+# statements, self-assignments; then a gate on attributes src/ stores
+# that no production file loads, unless its WRITE_ONLY_ALLOWLIST names
+# them with a reason (a stale entry fails too).
 lint-deadcode:
 	$(PY) scripts/lint_deadcode.py
+
+# Reachability gate (scripts/reachability.py): runs every production
+# entry point -- the four bench workloads at tiny size, the examples,
+# `repro experiments all|ablations --quick --jobs 1`, `traces
+# generate|stats`, `serve` (plain, --resume, --aggregation) and `pytest
+# benchmarks` -- under a sys.setprofile hook that follows spawned
+# `serve` and ReplicaPool workers, writes results/reachability.json and
+# exits 1 on a src/ definition no entry point entered (timed only by
+# benchmarks/test_microbenchmarks.py counts as not entered) that the
+# script's ALLOWLIST does not name, or on a stale entry.  It took
+# 254-271 s wall (three runs) on a 2-core host, most of it `pytest
+# benchmarks` (about twice its unhooked time), so it is not part of
+# bench-smoke (under 60 s); tier-1 checks the committed record instead,
+# as `python scripts/reachability.py --check` does.
+reachability:
+	python scripts/reachability.py
 
 # Full benchmark suite (quick-scale figures; REPRO_FULL=1 for paper scale).
 bench:

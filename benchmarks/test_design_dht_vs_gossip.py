@@ -35,22 +35,20 @@ def chord_under_trace_churn():
     next_lookup = 0.0
     for ev in trace.events:
         while next_stabilize <= ev.time:
-            ring.stabilize_all(next_stabilize)
+            ring.stabilize_all()
             next_stabilize += ring.config.stabilize_interval
         if ev.kind is EventKind.SESSION_START:
-            ring.join(ev.peer_id, ev.time)
+            ring.join(ev.peer_id)
         elif ev.kind is EventKind.SESSION_END:
             # BitTorrent clients rarely say goodbye: ungraceful.
-            ring.leave(ev.peer_id, ev.time, graceful=False)
+            ring.leave(ev.peer_id, graceful=False)
         # A modest application workload: one lookup per simulated
         # 10 min from a random online member.
         while next_lookup <= ev.time:
             next_lookup += 600.0
             if ring.online_count() >= 2:
                 requester = ring._by_ident[ring._ring[0]]
-                messages, ok = ring.lookup(
-                    requester, f"content-{int(next_lookup)}", ev.time
-                )
+                messages, ok = ring.lookup(requester, f"content-{int(next_lookup)}")
                 lookups["messages"] += messages
                 lookups["count"] += 1
                 if not ok:

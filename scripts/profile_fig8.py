@@ -68,7 +68,9 @@ def main() -> None:
     runtime = experiment.stack.runtime
     population = runtime.run_summary()["population"]
     bartercast = runtime.bartercast
-    edges = sum(bartercast.graph_of(p).num_edges() for p in bartercast._nodes)
+    edges = sum(
+        len(row) for p in bartercast._nodes for row in bartercast.graph_of(p)._out.values()
+    )
     print(
         f"fig8 peers={args.peers} hours={args.hours:g} seed={args.seed}: "
         f"wall {wall:.2f} s, peak RSS {peak_rss_mb:.0f} MB, "

@@ -18,18 +18,17 @@ flow that reaches *i* must cross an edge *into i's own neighbourhood*,
 which honest nodes only report when real upload happened.
 
 Modules: :mod:`records` (transfer records), :mod:`graph` (subjective
-graph), :mod:`maxflow` (Edmonds-Karp + the exact 2-hop closed form),
+graph), :mod:`maxflow` (the exact 2-hop closed form),
 :mod:`protocol` (the gossip service).
 """
 
 from repro.bartercast.graph import SubjectiveGraph
-from repro.bartercast.maxflow import edmonds_karp, two_hop_flow
+from repro.bartercast.maxflow import two_hop_flow
 from repro.bartercast.protocol import BarterCastConfig, BarterCastService
 from repro.bartercast.records import TransferRecord
 
 __all__ = [
     "SubjectiveGraph",
-    "edmonds_karp",
     "two_hop_flow",
     "BarterCastConfig",
     "BarterCastService",

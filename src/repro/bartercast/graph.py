@@ -12,14 +12,13 @@ hold the same weight under both directions' keys).  Every reader
 derives what it needs from those rows: :func:`~repro.bartercast.maxflow.two_hop_flow`
 and the batch :func:`~repro.bartercast.maxflow.two_hop_flows_to_sink`
 read a source's out-row and the sink's in-row in place, and
-:meth:`SubjectiveGraph.to_matrix` / :meth:`SubjectiveGraph.dense`
-build a fresh array on demand.  No ``n × n`` block is ever kept, so a
-graph's memory is O(E) at any size.
+:meth:`SubjectiveGraph.dense` builds a fresh array on demand.  No
+``n × n`` block is ever kept, so a graph's memory is O(E) at any size.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -29,9 +28,9 @@ from repro.bartercast.records import TransferRecord
 class SubjectiveGraph:
     """Directed weighted graph of believed transfers.
 
-    ``weight(u, v)`` is the bytes the owner believes ``u`` uploaded to
-    ``v``.  The owner's own direct observations and gossip-received
-    records share the same storage; direct observations always win
+    An edge ``u → v`` carries the bytes the owner believes ``u``
+    uploaded to ``v``.  The owner's own direct observations and
+    gossip-received records share the same storage; direct observations always win
     because they are at least as fresh (cumulative maxima).  The graph
     is unbounded: the paper's E is the 2-hop maxflow over everything
     the owner has heard (§V-B), and nothing is ever removed.
@@ -42,10 +41,9 @@ class SubjectiveGraph:
     row on it.
 
     Next to the adjacency the graph keeps a **node order** (the one
-    :meth:`nodes` iterates and :meth:`dense` reports): first
-    appearance, ``u`` before ``v``, in one insertion-ordered dict.  It
-    is touched only when a node first appears — no weight is stored
-    twice.
+    :meth:`dense` reports): first appearance, ``u`` before ``v``, in one
+    insertion-ordered dict.  It is touched only when a node first
+    appears — no weight is stored twice.
     """
 
     def __init__(self, owner: str):
@@ -103,66 +101,19 @@ class SubjectiveGraph:
         return self._version
 
     # ------------------------------------------------------------------
-    def weight(self, u: str, v: str) -> float:
-        return self._out.get(u, {}).get(v, 0.0)
-
-    def successors(self, u: str) -> Dict[str, float]:
-        """Copy of ``{v: weight}`` for edges out of ``u``."""
-        return dict(self._out.get(u, {}))
-
-    def predecessors(self, v: str) -> Dict[str, float]:
-        """Copy of ``{u: weight}`` for edges into ``v``."""
-        return dict(self._in_adj.get(v, {}))
-
-    def nodes(self) -> Set[str]:
-        return set(self._order)
-
-    def edges(self) -> List[Tuple[str, str, float]]:
-        return [(u, v, w) for u, row in self._out.items() for v, w in row.items()]
-
-    def num_edges(self) -> int:
-        return sum(len(row) for row in self._out.values())
-
-    def to_matrix(self, order: Iterable[str]) -> np.ndarray:
-        """Weight matrix in the given node order (diagnostics, tests
-        and ad-hoc metrics), built fresh from the out-rows.
-
-        Nodes unknown to the graph get zero rows and columns; ``order``
-        must not repeat a node.  Placement only, no arithmetic, so the
-        cells equal the stored weights bit for bit.  The array is the
-        caller's to mutate."""
-        pos = {p: i for i, p in enumerate(order)}
-        mat = np.zeros((len(pos), len(pos)))
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        out = self._out
-        for u, i in pos.items():
-            row = out.get(u)
-            if row:
-                for v, w in row.items():
-                    j = pos.get(v)
-                    if j is not None:
-                        rows.append(i)
-                        cols.append(j)
-                        vals.append(w)
-        if vals:
-            mat[rows, cols] = vals
-        return mat
-
     def dense(self) -> Tuple[List[str], np.ndarray]:
-        """The internal node order and the full weight matrix in it.
-
-        An O(n²) snapshot built on demand, returned **read-only**.
-        Mainly for diagnostics and tests; metrics go through
-        :meth:`to_matrix` for a stable order."""
+        """The node order and the weight matrix in it: an O(n²)
+        snapshot built on demand from the out-rows, returned
+        **read-only**, for diagnostics and tests.  Placement only, no
+        arithmetic, so the cells equal the stored weights bit for bit."""
         ids = list(self._order)
-        mat = self.to_matrix(ids)
+        pos = {p: i for i, p in enumerate(ids)}
+        mat = np.zeros((len(ids), len(ids)))
+        for u, row in self._out.items():
+            for v, w in row.items():
+                mat[pos[u], pos[v]] = w
         mat.setflags(write=False)
         return ids, mat
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SubjectiveGraph(owner={self.owner!r}, edges={self.num_edges()})"
 
 
 class ReadOnlySubjectiveGraph(SubjectiveGraph):

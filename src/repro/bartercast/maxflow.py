@@ -3,15 +3,12 @@
 Every function here reads the graph's dict adjacency in place — the
 one edge store of :class:`~repro.bartercast.graph.SubjectiveGraph`:
 
-* :func:`edmonds_karp` — textbook BFS-augmenting-path maxflow with an
-  optional *hop bound* (augmenting paths of at most ``max_hops``
-  edges), matching deployed BarterCast's bounded evaluation;
 * :func:`two_hop_flow` — exact closed form for the 2-hop bound.  Paths
   of ≤2 edges from ``s`` to ``t`` are the direct edge plus the 2-edge
   paths ``s→k→t``; these are pairwise edge-disjoint, so the max flow is
   simply ``w(s,t) + Σ_k min(w(s,k), w(k,t))``.  This is the O(degree)
-  form used in the hot CEV loop; tests cross-check it against
-  :func:`edmonds_karp` and ``networkx``;
+  form used in the hot CEV loop; tests cross-check it against the
+  Edmonds-Karp oracle in ``tests/reference_bartercast.py``;
 * :func:`two_hop_flows_to_sink` — the same closed form for many
   sources and one sink, with a fixed reduction order (CEV, batch
   experience gates, adaptive-T re-screens).
@@ -19,8 +16,7 @@ one edge store of :class:`~repro.bartercast.graph.SubjectiveGraph`:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,69 +82,3 @@ def two_hop_flows_to_sink(
             acc += w_sk if w_sk < w_kt else w_kt
         flows[i] = out.get(sink, 0.0) + acc
     return flows
-
-
-def edmonds_karp(
-    graph: SubjectiveGraph,
-    source: str,
-    sink: str,
-    max_hops: Optional[int] = None,
-) -> float:
-    """Max flow from ``source`` to ``sink``.
-
-    With ``max_hops`` set, only augmenting paths of at most that many
-    edges are used.  BFS finds shortest augmenting paths first and path
-    lengths in Edmonds-Karp are non-decreasing, so the search stops
-    cleanly when the shortest remaining path exceeds the bound.
-
-    Note the hop-bounded variant is a heuristic (as in deployed
-    BarterCast): residual arcs may admit length-``h`` paths that do not
-    correspond to length-``h`` forward paths, so its value can differ
-    from "max flow restricted to short paths" in contrived graphs — but
-    it always lower-bounds the unbounded max flow and equals
-    :func:`two_hop_flow` for ``max_hops=2`` on BarterCast-shaped inputs
-    (tested).
-    """
-    if source == sink:
-        return 0.0
-    # Residual capacities as nested dicts.
-    residual: Dict[str, Dict[str, float]] = {}
-    for u, v, w in graph.edges():
-        residual.setdefault(u, {})[v] = residual.setdefault(u, {}).get(v, 0.0) + w
-        residual.setdefault(v, {}).setdefault(u, 0.0)
-    if source not in residual or sink not in residual:
-        return 0.0
-
-    total = 0.0
-    while True:
-        # BFS for the shortest augmenting path.
-        parent: Dict[str, str] = {}
-        depth = {source: 0}
-        queue = deque([source])
-        found = False
-        while queue and not found:
-            u = queue.popleft()
-            if max_hops is not None and depth[u] >= max_hops:
-                continue
-            for v, cap in residual.get(u, {}).items():
-                if cap > 1e-12 and v not in depth:
-                    depth[v] = depth[u] + 1
-                    parent[v] = u
-                    if v == sink:
-                        found = True
-                        break
-                    queue.append(v)
-        if not found:
-            return total
-        # Bottleneck along the path.
-        path = []
-        v = sink
-        while v != source:
-            u = parent[v]
-            path.append((u, v))
-            v = u
-        bottleneck = min(residual[u][v] for u, v in path)
-        for u, v in path:
-            residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, 0.0) + bottleneck
-        total += bottleneck

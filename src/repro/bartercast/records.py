@@ -43,7 +43,3 @@ class TransferRecord:
             raise ValueError("a record must involve two distinct peers")
         if self.up < 0 or self.down < 0:
             raise ValueError("transfer totals cannot be negative")
-
-    def key(self) -> tuple:
-        """Identity of the statement: (reporter, partner)."""
-        return (self.reporter, self.partner)

@@ -19,8 +19,8 @@ class Bitfield:
     """Which pieces of one file a peer holds.
 
     ``bits`` and ``count`` are plain attributes for the round's hot
-    loop; they change only through :meth:`set` / :meth:`fill` (or the
-    swarm's :meth:`~repro.bittorrent.swarm.SwarmPeer.gain`), which keep
+    loop; they change only through :meth:`fill` or the swarm's
+    :meth:`~repro.bittorrent.swarm.SwarmPeer.gain`, which keep
     ``count == bits.bit_count()``."""
 
     __slots__ = ("num_pieces", "bits", "count")
@@ -37,37 +37,14 @@ class Bitfield:
     def complete(self) -> bool:
         return self.count == self.num_pieces
 
-    @property
-    def empty(self) -> bool:
-        return self.count == 0
-
-    def set(self, index: int) -> bool:
-        """Mark a piece held.  Returns ``True`` if it was newly added."""
-        bit = 1 << index
-        if self.bits & bit:
-            return False
-        self.bits |= bit
-        self.count += 1
-        return True
-
     def fill(self) -> None:
         """Become a full seed bitfield."""
         self.bits = (1 << self.num_pieces) - 1
         self.count = self.num_pieces
 
     # ------------------------------------------------------------------
-    def as_array(self) -> np.ndarray:
-        """The bits as a read-only boolean array, built on each call
-        (diagnostics and tests)."""
-        arr = bits_to_array(self.bits, self.num_pieces)
-        arr.flags.writeable = False
-        return arr
-
     def held_indices(self) -> List[int]:
-        return np.flatnonzero(self.as_array()).tolist()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Bitfield({self.count}/{self.num_pieces})"
+        return np.flatnonzero(bits_to_array(self.bits, self.num_pieces)).tolist()
 
 
 def bits_to_array(bits: int, num_pieces: int) -> np.ndarray:

@@ -17,7 +17,7 @@ Listener = Callable[[List[Transfer], float], None]
 
 
 class TransferLedger:
-    """Cumulative ``bytes[u → d]`` with per-peer views.
+    """Cumulative ``bytes[u → d]``.
 
     Listeners (e.g. BarterCast's
     :meth:`~repro.bartercast.protocol.BarterCastService.local_transfers`)
@@ -33,10 +33,6 @@ class TransferLedger:
 
     def add_listener(self, listener: Listener) -> None:
         self._listeners.append(listener)
-
-    def record(self, uploader: str, downloader: str, nbytes: float, now: float) -> None:
-        """Record ``nbytes`` flowing ``uploader → downloader`` at ``now``."""
-        self.record_many(((uploader, downloader, nbytes),), now)
 
     def record_many(self, transfers: Sequence[Transfer], now: float) -> None:
         """Record ``(uploader, downloader, nbytes)`` transfers at ``now``,
@@ -61,19 +57,6 @@ class TransferLedger:
                 listener(batch, now)
 
     # ------------------------------------------------------------------
-    def sent(self, uploader: str, downloader: str) -> float:
-        """Total bytes ``uploader`` sent to ``downloader``."""
-        return self._sent.get(uploader, {}).get(downloader, 0.0)
-
-    def uploaded_by(self, peer: str) -> float:
-        """Total bytes uploaded by ``peer`` to anyone."""
-        return sum(self._sent.get(peer, {}).values())
-
-    def downloaded_by(self, peer: str) -> float:
-        """Total bytes downloaded by ``peer`` from anyone (a scan of
-        every uploader's row: only tests ask)."""
-        return sum(row.get(peer, 0.0) for row in self._sent.values())
-
     def edges(self) -> List[Tuple[str, str, float]]:
         """All ``(uploader, downloader, bytes)`` edges (metrics use)."""
         return [

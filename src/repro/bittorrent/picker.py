@@ -55,14 +55,6 @@ class PiecePicker:
         self._level_of = array("i", bytes(4 * num_pieces))
         self._counts = np.frombuffer(self._level_of, dtype=np.int32)
 
-    @property
-    def availability(self) -> np.ndarray:
-        """Read-only view of the number of active members holding each
-        piece."""
-        view = self._counts.view()
-        view.flags.writeable = False
-        return view
-
     # ------------------------------------------------------------------
     # Availability maintenance
     # ------------------------------------------------------------------

@@ -134,11 +134,3 @@ class BitTorrentSession:
             self.swarms[ev.swarm_id].join(profile, now)
         elif ev.kind is EventKind.SWARM_LEAVE:
             self.swarms[ev.swarm_id].leave(ev.peer_id, now)
-
-    # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> None:
-        """Convenience: start (if needed) and run to ``until`` (defaults
-        to the trace horizon)."""
-        if not self._started:
-            self.start()
-        self.engine.run_until(until if until is not None else self.trace.duration)

@@ -161,20 +161,6 @@ class Swarm:
         self._last_piece_cost = max(last, 1.0)
 
     # ------------------------------------------------------------------
-    # Introspection helpers
-    # ------------------------------------------------------------------
-    def piece_cost(self, index: int) -> float:
-        if index == self.num_pieces - 1:
-            return self._last_piece_cost
-        return self.spec.piece_size
-
-    def progress_of(self, peer_id: str) -> float:
-        member = self.members.get(peer_id)
-        if member is None:
-            return 0.0
-        return member.bitfield.count / self.num_pieces
-
-    # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
     def join(self, profile: PeerProfile, now: float) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.columnar import ColumnarStateStore
-from repro.core.votes import Vote, VoteEntry
+from repro.core.votes import VoteEntry
 
 
 class BallotBox:
@@ -66,26 +66,13 @@ class BallotBox:
     def voters(self) -> List[str]:
         return sorted(self._store.bb_voters(self._row))
 
-    def voters_by_recency(self) -> List[str]:
-        """Voters ordered oldest-received first — the order `B_max`
-        eviction consumes them."""
-        return self._store.bb_voters(self._row)
-
     def ballot(self) -> List[Tuple[str, float, List[list]]]:
         """``(voter, last_received, votes)`` per voter, oldest-received
-        first, ``votes`` as :meth:`votes_of` lists them but as
-        ``[moderator, vote, received_at]`` lists with int values — the
-        whole box in one read, as a checkpoint serialises it."""
+        first, ``votes`` as ``[moderator, vote, received_at]`` lists
+        with int values in the order the moderators first arrived — the
+        whole box in one read, as a checkpoint serialises it.  Tests
+        read single voters through it (``tests/reference_ballotbox.py``)."""
         return self._store.bb_ballot(self._row)
-
-    def votes_of(self, voter: str) -> List[Tuple[str, Vote, float]]:
-        """One voter's stored ``(moderator, vote, received_at)``
-        triples, in the order the moderators first arrived."""
-        return self._store.bb_votes_of(self._row, voter)
-
-    def last_received_of(self, voter: str) -> float:
-        """When the voter's votes last arrived (0.0 if unknown)."""
-        return self._store.bb_last_received(self._row, voter)
 
     def moderators(self) -> List[str]:
         return self._store.bb_moderators(self._row)
@@ -99,17 +86,6 @@ class BallotBox:
         box has votes on, in one pass over the stored votes."""
         return self._store.bb_all_counts(self._row)
 
-    def score(self, moderator_id: str) -> int:
-        """Summation score: positives − negatives."""
-        pos, neg = self.counts(moderator_id)
-        return pos - neg
-
-    def total_votes(self) -> int:
-        return self._store.bb_total_votes(self._row)
-
-    def vote_of(self, voter: str, moderator_id: str):
-        return self._store.bb_vote_of(self._row, voter, moderator_id)
-
     def export_digest(self) -> List[Tuple[str, str, int, float]]:
         """Every stored vote as flat ``(voter, moderator, vote,
         received_at)`` rows, sorted by ``(voter, moderator)`` — what
@@ -122,13 +98,3 @@ class BallotBox:
         with at least two votes, ``4·p·(1−p)`` where ``p`` is the
         positive fraction, taking the maximum over moderators."""
         return self._store.bb_dispersion(self._row)
-
-    def memory_bytes(self) -> int:
-        """The box's share of the store's retained footprint."""
-        return self._store.box_memory_bytes(self._row)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BallotBox(voters={self.num_unique_users()}/"
-            f"{self.b_max}, votes={self.total_votes()})"
-        )

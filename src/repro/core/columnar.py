@@ -140,8 +140,6 @@ _ROW_FLOOR = 64
 _BOX_OF = (("_box_of", np.int32, -1),)
 #: A stamp newer than any: masks a slot out of the eviction-victim argmin.
 _NEWEST = np.iinfo(np.int64).max
-#: Stored vote value -> :class:`Vote` (cheaper than the enum call).
-_VOTE = {int(v): v for v in Vote}
 #: Behaviour code of a flash-crowd member (see ``mark_crowd``).
 CROWD = 1
 #: Per-row columns of the vote lists' wire form.  Derived from the
@@ -1006,28 +1004,6 @@ class ColumnarStateStore:
         positive = mods[self.pay_val[idx] > 0]
         return np.bincount(mods, minlength=nbins), np.bincount(positive, minlength=nbins)
 
-    def bb_votes_of(self, owner_row: int, voter: str) -> List[Tuple[str, Vote, float]]:
-        box, slot = self._slot_of(owner_row, voter)
-        if box < 0:
-            return []
-        off = int(self.bb_off[box, slot])
-        end = off + int(self.bb_nvotes[box, slot])
-        ids = self.mods.ids
-        return [
-            (ids[m], _VOTE[v], a)
-            for m, v, a in zip(
-                self.pay_mod[off:end].tolist(),
-                self.pay_val[off:end].tolist(),
-                self.pay_at[off:end].tolist(),
-            )
-        ]
-
-    def bb_vote_of(self, owner_row: int, voter: str, moderator_id: str):
-        for moderator, vote, _at in self.bb_votes_of(owner_row, voter):
-            if moderator == moderator_id:
-                return vote
-        return None
-
     def bb_moderators(self, owner_row: int) -> List[str]:
         return sorted(self.bb_all_counts(owner_row))
 
@@ -1089,17 +1065,6 @@ class ColumnarStateStore:
         )
         out.sort(key=lambda r: (r[0], r[1]))
         return out
-
-    def bb_last_received(self, owner_row: int, voter: str) -> float:
-        box, slot = self._slot_of(owner_row, voter)
-        return 0.0 if box < 0 else float(self.bb_last[box, slot])
-
-    def bb_total_votes(self, owner_row: int) -> int:
-        box = self._box_of[owner_row]
-        if box < 0:
-            return 0
-        used = self.bb_used[box]
-        return int(self.bb_nvotes[box, :used].sum())
 
     # ------------------------------------------------------------------
     # Checkpoint: the columns themselves
@@ -1207,19 +1172,6 @@ class ColumnarStateStore:
             total += sys.getsizeof(container)
         return total
 
-    def box_memory_bytes(self, owner_row: int) -> int:
-        """One box's share of the retained footprint: its rows of the
-        2-D columns and the pool entries its segments own.  (The global
-        intern table is shared and not attributed to any single box.)"""
-        box = self._box_of[owner_row]
-        if box < 0:
-            return 0
-        per_slot = sum(np.dtype(dtype).itemsize for _n, dtype, _f in _SLOT_COLUMNS)
-        per_entry = sum(np.dtype(dtype).itemsize for _n, dtype in _POOL)
-        total = self._width * per_slot
-        total += int(self.bb_segcap[box].sum()) * per_entry
-        return total
-
     def pool_stats(self) -> Dict[str, object]:
         """Ballot-box fill and eviction pressure: the payload pool's
         capacity, tail and live entries, its garbage share, and the
@@ -1235,11 +1187,3 @@ class ColumnarStateStore:
             "evictions": self.bb_evictions,
             "flushes": self.pay_flushes,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnarStateStore(rows={len(self.rows)}, "
-            f"boxes={self._n_boxes}, width={self._width}, "
-            f"moderators={len(self.mods)})"
-        )
-

@@ -43,10 +43,6 @@ class ExperienceFunction(ABC):
         evaluation per pair."""
         return {s: self.is_experienced(observer, s) for s in subjects}
 
-    def threshold_for(self, observer: str) -> float:
-        """The observer's current threshold in bytes (diagnostics)."""
-        return 0.0
-
 
 class AlwaysExperienced(ExperienceFunction):
     """Degenerate E ≡ true — the no-defence baseline used in ablations
@@ -96,9 +92,6 @@ class ThresholdExperience(ExperienceFunction):
             s: (s != observer and f >= self.threshold)
             for s, f in zip(subjects, flows)
         }
-
-    def threshold_for(self, observer: str) -> float:
-        return self.threshold
 
 
 class AdaptiveThresholdExperience(ExperienceFunction):

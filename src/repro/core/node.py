@@ -281,10 +281,3 @@ class VoteSamplingNode:
         if not self.needs_bootstrap():
             return self.ballot_ranking()
         return self.topk_cache.merged_ranking()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"VoteSamplingNode({self.peer_id!r}, votes={len(self.vote_list)}, "
-            f"ballot={self.ballot_box.num_unique_users()}, "
-            f"mods={len(self.store)})"
-        )

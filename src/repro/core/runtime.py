@@ -247,7 +247,7 @@ class ProtocolRuntime:
         self._online_seconds += max(0.0, now - since)
         if self.newscast is not None:
             self.newscast.node_offline(peer_id)
-        self._stop_ticks(peer_id, now)
+        self._stop_ticks(peer_id)
 
     # The scheduling seam: production ticks every peer through the SoA
     # population engine; the tests' reference runtime overrides these
@@ -255,8 +255,8 @@ class ProtocolRuntime:
     def _start_ticks(self, peer_id: str, now: float) -> None:
         self.materialize_population().peer_online(peer_id, now)
 
-    def _stop_ticks(self, peer_id: str, now: float) -> None:
-        self.materialize_population().peer_offline(peer_id, now)
+    def _stop_ticks(self, peer_id: str) -> None:
+        self.materialize_population().peer_offline(peer_id)
 
     def _protocol_specs(self) -> List[ProtocolSpec]:
         """The canonical per-peer protocol loops, in registration order

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
@@ -110,10 +110,6 @@ class LocalVoteList:
         self._store.vl_cast(self._row, len(self._votes))
         return entry
 
-    def vote_on(self, moderator_id: str) -> Optional[Vote]:
-        entry = self._votes.get(moderator_id)
-        return entry.vote if entry else None
-
     def has_voted(self, moderator_id: str) -> bool:
         return moderator_id in self._votes
 
@@ -146,6 +142,3 @@ class LocalVoteList:
 
     def __len__(self) -> int:
         return len(self._votes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LocalVoteList(votes={len(self._votes)})"

@@ -56,12 +56,3 @@ class TopKCache:
         for lst in self._lists:
             out.update(lst)
         return sorted(out)
-
-    def clear(self) -> None:
-        self._lists = ()
-
-    def __len__(self) -> int:
-        return len(self._lists)
-
-    def __bool__(self) -> bool:
-        return len(self._lists) > 0

@@ -84,7 +84,7 @@ class ChordRing:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def join(self, name: str, now: float) -> None:
+    def join(self, name: str) -> None:
         """Node joins: finger bootstrap + key transfer."""
         if name in self._nodes:
             return
@@ -107,7 +107,7 @@ class ChordRing:
         self._by_ident[ident] = name
         self._build_fingers(node)
 
-    def leave(self, name: str, now: float, graceful: bool = False) -> None:
+    def leave(self, name: str, graceful: bool = False) -> None:
         """Node departs.  Graceful ⇒ handover; otherwise a failure the
         ring pays to detect and repair, losing the node's keys."""
         node = self._nodes.pop(name, None)
@@ -129,7 +129,7 @@ class ChordRing:
     # ------------------------------------------------------------------
     # Stabilisation
     # ------------------------------------------------------------------
-    def stabilize_all(self, now: float) -> None:
+    def stabilize_all(self) -> None:
         """One stabilisation round for every online node (2 messages
         each) and refresh of its finger table snapshot."""
         for node in self._nodes.values():
@@ -175,7 +175,7 @@ class ChordRing:
             current = nxt
         return hops
 
-    def lookup(self, from_name: str, key: str, now: float) -> Tuple[int, bool]:
+    def lookup(self, from_name: str, key: str) -> Tuple[int, bool]:
         """Route a lookup from ``from_name`` to the key's owner using
         the requester's (possibly stale) fingers.
 

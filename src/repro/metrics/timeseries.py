@@ -36,10 +36,6 @@ class TimeSeries:
     def values(self) -> np.ndarray:
         return np.asarray(self._v)
 
-    def as_array(self) -> np.ndarray:
-        """Two-column ``[t, value]`` array."""
-        return np.column_stack([self.times, self.values])
-
     def value_at(self, t: float) -> float:
         """Last sample at or before ``t`` (step interpolation)."""
         times = self.times

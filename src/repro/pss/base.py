@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 
 class OnlineRegistry:
@@ -19,7 +19,6 @@ class OnlineRegistry:
     def __init__(self) -> None:
         self._order: List[str] = []
         self._index: Dict[str, int] = {}
-        self._listeners: List[Callable[[str, bool], None]] = []
 
     # ------------------------------------------------------------------
     def set_online(self, peer_id: str) -> None:
@@ -28,8 +27,6 @@ class OnlineRegistry:
             return
         self._index[peer_id] = len(self._order)
         self._order.append(peer_id)
-        for listener in self._listeners:
-            listener(peer_id, True)
 
     def set_offline(self, peer_id: str) -> None:
         """Mark ``peer_id`` offline.  Idempotent."""
@@ -40,8 +37,6 @@ class OnlineRegistry:
         if last != peer_id:
             self._order[i] = last
             self._index[last] = i
-        for listener in self._listeners:
-            listener(peer_id, False)
 
     def is_online(self, peer_id: str) -> bool:
         return peer_id in self._index
@@ -63,18 +58,6 @@ class OnlineRegistry:
         index = self._index
         return [index.get(peer_id, -1) for peer_id in peer_ids]
 
-    def add_listener(self, listener: Callable[[str, bool], None]) -> None:
-        """Register ``listener(peer_id, is_online)`` for status changes."""
-        self._listeners.append(listener)
-
-    def __contains__(self, peer_id: str) -> bool:
-        return peer_id in self._index
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OnlineRegistry(online={len(self._order)})"
 
 
 class PeerSamplingService(ABC):

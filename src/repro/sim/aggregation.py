@@ -226,8 +226,8 @@ class ShardAggregator:
         self.peers = [shard_ring_name(i) for i in range(config.shards)]
         self.ring = ChordRing(ChordConfig(bits=config.chord_bits))
         for peer in self.peers:
-            self.ring.join(peer, 0.0)
-        self.ring.stabilize_all(0.0)
+            self.ring.join(peer)
+        self.ring.stabilize_all()
         self._rng = rng.stream("aggregation")
         self.epoch = 0
         self.cursors: Dict[str, int] = {
@@ -257,15 +257,15 @@ class ShardAggregator:
         including timeout penalties, plus membership maintenance)."""
         return self.ring.total_maintenance_messages() + self.ring.lookup_messages
 
-    def _mark_dead(self, publisher: str, now: float) -> None:
+    def _mark_dead(self, publisher: str) -> None:
         if publisher not in self.dead:
-            self.ring.leave(publisher, now, graceful=False)
+            self.ring.leave(publisher, graceful=False)
             self.dead.append(publisher)
 
-    def _mark_alive(self, publisher: str, now: float) -> None:
+    def _mark_alive(self, publisher: str) -> None:
         if publisher in self.dead:
-            self.ring.join(publisher, now)
-            self.ring.stabilize_all(now)
+            self.ring.join(publisher)
+            self.ring.stabilize_all()
             self.dead.remove(publisher)
 
     # -- publish --------------------------------------------------------
@@ -273,15 +273,14 @@ class ShardAggregator:
         """Serialize the shard's ballot sample and publish it as the
         next epoch.  Returns the DHT messages paid: one routed lookup
         plus a store per moderator key, plus the epoch index entry."""
-        now = shard.engine.now
         digest = build_shard_digest(shard.runtime.nodes)
         self.epoch += 1
         base_timeouts = self.ring.timeouts
         messages = 0
         for moderator in digest:
-            hops, _ok = self.ring.lookup(self.name, ballot_key(moderator), now)
+            hops, _ok = self.ring.lookup(self.name, ballot_key(moderator))
             messages += hops + 1  # + store at the owner
-        hops, _ok = self.ring.lookup(self.name, epoch_key(self.name, self.epoch), now)
+        hops, _ok = self.ring.lookup(self.name, epoch_key(self.name, self.epoch))
         messages += hops + 1  # + index store
         board.publish(self.name, self.epoch, digest)
         exchanges = len(digest) + 1
@@ -298,7 +297,6 @@ class ShardAggregator:
         per key, timeout retries on failed fetches, and failure
         detection/repair when an owner is declared dead.  Returns the
         DHT messages paid."""
-        now = shard.engine.now
         base_ring = self._ring_messages()
         base_timeouts = self.ring.timeouts
         extra = 0  # store/fetch/retry messages the ring does not count
@@ -311,7 +309,7 @@ class ShardAggregator:
                 if epoch <= self.cursors[publisher]:
                     continue
                 _hops, _ok = self.ring.lookup(
-                    self.name, epoch_key(publisher, epoch), now
+                    self.name, epoch_key(publisher, epoch)
                 )
                 extra += 1  # the index fetch itself
                 exchanges += 1
@@ -329,13 +327,13 @@ class ShardAggregator:
                         2 ** (self.fail_streak[publisher] - 1),
                         self.config.max_backoff_intervals,
                     )
-                    self._mark_dead(publisher, now)
+                    self._mark_dead(publisher)
                     break
                 self.fail_streak[publisher] = 0
-                self._mark_alive(publisher, now)
+                self._mark_alive(publisher)
                 for moderator in sorted(digest):
                     _hops, _ok = self.ring.lookup(
-                        self.name, ballot_key(moderator), now
+                        self.name, ballot_key(moderator)
                     )
                     extra += 1  # the digest-entry fetch
                     exchanges += 1
@@ -455,7 +453,7 @@ class ShardAggregator:
         # every future lookup's cost) matches the checkpointed one.
         self.dead = []
         for publisher in state["dead"]:
-            self._mark_dead(publisher, 0.0)
+            self._mark_dead(publisher)
         self.pending = [
             {
                 "publisher": item["publisher"],

@@ -83,14 +83,6 @@ class EventHandle:
         self.callback = None
         self.args = ()
 
-    @property
-    def active(self) -> bool:
-        """``True`` while the event is still pending."""
-        return not self.cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.3f}, {state})"
 
 
 class Engine:
@@ -107,7 +99,8 @@ class Engine:
     >>> hits = []
     >>> _ = eng.schedule(5.0, hits.append, 1)
     >>> _ = eng.schedule(2.0, hits.append, 2)
-    >>> eng.run()
+    >>> eng.run_until(10.0)
+    2
     >>> hits
     [2, 1]
     """
@@ -131,12 +124,6 @@ class Engine:
     def events_fired(self) -> int:
         """Total number of events executed so far (for profiling)."""
         return self._events_fired
-
-    @property
-    def pending(self) -> int:
-        """Number of queue entries, including cancelled ones not yet
-        skipped (events held by an attached source are not counted)."""
-        return len(self._queue)
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` without firing anything.
@@ -297,40 +284,6 @@ class Engine:
         assert callback is not None
         callback(*args)
 
-    def step(self) -> bool:
-        """Execute the next pending event (or, with an attached source
-        whose head precedes the queue's, one source batch).
-
-        Returns ``False`` when nothing is pending, ``True`` otherwise.
-        """
-        qkey = self.next_event_key()
-        source = self._source
-        if source is not None:
-            skey = source.peek_key()
-            if skey is not None and (qkey is None or skey < qkey):
-                fired = source.run_due(qkey)
-                self._events_fired += fired
-                return fired > 0
-        if qkey is None:
-            return False
-        self._pop_and_fire()
-        return True
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or ``max_events`` fire).
-
-        Returns the number of events executed by this call.  With an
-        attached source, a batch may overshoot ``max_events`` by the
-        batch size minus one.
-        """
-        fired = 0
-        while max_events is None or fired < max_events:
-            before = self._events_fired
-            if not self.step():
-                break
-            fired += self._events_fired - before
-        return fired
-
     def run_until(self, end_time: float) -> int:
         """Run all events with ``time <= end_time`` and advance the clock.
 
@@ -367,6 +320,3 @@ class Engine:
             fired += 1
         self._now = end_time
         return fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Engine(now={self._now:.3f}, pending={len(self._queue)})"

@@ -372,7 +372,7 @@ class PopulationEngine:
             self._schedule(p, row, now)
         self._churn_epoch += 1
 
-    def peer_offline(self, peer_id: str, now: float) -> None:
+    def peer_offline(self, peer_id: str) -> None:
         """Stop the peer's loops (idempotent while offline)."""
         row = self.rows.get(peer_id)
         if row is None or row >= len(self._online) or not self._online[row]:
@@ -385,15 +385,6 @@ class PopulationEngine:
         if self._win is not None:
             self._win.left.add(row)
         self._churn_epoch += 1
-
-    def is_online(self, peer_id: str) -> bool:
-        row = self.rows.get(peer_id)
-        return bool(
-            row is not None and row < len(self._online) and self._online[row]
-        )
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     # ------------------------------------------------------------------
     # Scheduling

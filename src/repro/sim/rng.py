@@ -286,11 +286,6 @@ class RngRegistry:
         #: family -> (str(id) -> row of words, (rows, 4) uint64 words)
         self._primed: Dict[str, Tuple[Dict[str, int], np.ndarray]] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed this registry was built from."""
-        return self._seed
-
     def _derive(self, crcs: np.ndarray) -> np.ndarray:
         mixer = self._mixer
         if mixer is None:
@@ -381,9 +376,6 @@ class RngRegistry:
         """
         child_seed = (self._seed * 1_000_003 + _key_to_entropy((label,))) % (2**63)
         return RngRegistry(child_seed)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngRegistry(seed={self._seed}, streams={len(self._streams)})"
 
 
 class StreamFamily:

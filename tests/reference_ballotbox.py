@@ -238,20 +238,46 @@ class ReferenceBallotBox:
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 
-    def score(self, moderator_id: str) -> int:
-        """Summation score: positives − negatives."""
-        pos, neg = self.counts(moderator_id)
-        return pos - neg
 
-    def vote_of(self, voter: str, moderator_id: str):
-        entry = self._votes.get(voter, {}).get(moderator_id)
-        return entry[0] if entry else None
+# ----------------------------------------------------------------------
+# Per-voter reads that only tests make, through the one whole-box read
+# both boxes share (``ballot()``, which ``node_to_dict`` also uses)
+# ----------------------------------------------------------------------
+def votes_of(box, voter: str) -> List[Tuple[str, Vote, float]]:
+    """One voter's stored ``(moderator, vote, received_at)`` triples,
+    in the order the moderators first arrived."""
+    for who, _last, votes in box.ballot():
+        if who == voter:
+            return [(m, Vote(v), at) for m, v, at in votes]
+    return []
 
-    def total_votes(self) -> int:
-        return sum(len(v) for v in self._votes.values())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ReferenceBallotBox(voters={len(self._votes)}/{self.b_max}, "
-            f"votes={self.total_votes()})"
-        )
+def vote_of(box, voter: str, moderator_id: str):
+    for moderator, vote, _at in votes_of(box, voter):
+        if moderator == moderator_id:
+            return vote
+    return None
+
+
+def last_received_of(box, voter: str) -> float:
+    """When the voter's votes last arrived (0.0 if unknown)."""
+    for who, last, _votes in box.ballot():
+        if who == voter:
+            return last
+    return 0.0
+
+
+def voters_by_recency(box) -> List[str]:
+    """Voters ordered oldest-received first — the order ``B_max``
+    eviction consumes them."""
+    return [who for who, _last, _votes in box.ballot()]
+
+
+def total_votes(box) -> int:
+    return sum(len(votes) for _who, _last, votes in box.ballot())
+
+
+def score(box, moderator_id: str) -> int:
+    """Summation score: positives − negatives."""
+    pos, neg = box.counts(moderator_id)
+    return pos - neg

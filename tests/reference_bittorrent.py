@@ -10,7 +10,11 @@ module keeps the plain numpy definitions those replaced:
 * :func:`interesting_mask` / :func:`is_interested_in` — BitTorrent
   "interested" as a boolean-array difference;
 * :func:`bitfield_of` — a :class:`~repro.bittorrent.bitfield.Bitfield`
-  holding given pieces, for building test cases.
+  holding given pieces, for building test cases;
+* reads that only tests make — a bitfield as a boolean array, a
+  picker's availability counts, a member's progress, a piece's cost,
+  ledger totals — and :func:`run_session`, a session started and run to
+  a horizon.
 
 Tests hold the production picker and the swarm's interest decision to
 these, piece for piece and RNG draw for RNG draw.
@@ -20,15 +24,69 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.bittorrent.bitfield import Bitfield
+from repro.bittorrent.bitfield import Bitfield, bits_to_array
+
+
+def set_piece(bf: Bitfield, index: int) -> bool:
+    """Mark a piece held.  Returns ``True`` if it was newly added."""
+    bit = 1 << index
+    if bf.bits & bit:
+        return False
+    bf.bits |= bit
+    bf.count += 1
+    return True
 
 
 def bitfield_of(num_pieces: int, indices: Iterable[int]) -> Bitfield:
     """A bitfield of ``num_pieces`` pieces holding ``indices``."""
     bf = Bitfield(num_pieces)
     for i in indices:
-        bf.set(int(i))
+        set_piece(bf, int(i))
     return bf
+
+
+def as_array(bf: Bitfield) -> np.ndarray:
+    """The bits as a boolean array."""
+    return bits_to_array(bf.bits, bf.num_pieces)
+
+
+def availability(picker) -> np.ndarray:
+    """How many active members hold each piece (the picker's counts)."""
+    return picker._counts
+
+
+def progress_of(swarm, peer_id: str) -> float:
+    """The share of the file a member holds (0.0 for a non-member)."""
+    member = swarm.members.get(peer_id)
+    return 0.0 if member is None else member.bitfield.count / swarm.num_pieces
+
+
+def piece_cost(swarm, index: int) -> float:
+    """Bytes of piece ``index``: uniform but for the final remainder."""
+    if index == swarm.num_pieces - 1:
+        return swarm._last_piece_cost
+    return swarm.spec.piece_size
+
+
+def sent(ledger, uploader: str, downloader: str) -> float:
+    """Total bytes ``uploader`` sent to ``downloader``."""
+    return sum(b for u, d, b in ledger.edges() if (u, d) == (uploader, downloader))
+
+
+def uploaded_by(ledger, peer: str) -> float:
+    return sum(b for u, _d, b in ledger.edges() if u == peer)
+
+
+def downloaded_by(ledger, peer: str) -> float:
+    return sum(b for _u, d, b in ledger.edges() if d == peer)
+
+
+def run_session(session, until: Optional[float] = None) -> None:
+    """Start ``session`` (if needed) and run it to ``until`` (default:
+    the trace horizon)."""
+    if not session._started:
+        session.start()
+    session.engine.run_until(until if until is not None else session.trace.duration)
 
 
 class ReferencePicker:

@@ -29,7 +29,7 @@ from repro.core.moderation import Moderation, ModerationStore
 from repro.core.moderationcast import eligible_moderations, select_moderations
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.runtime import JITTER_FRACTION, ProtocolRuntime
-from repro.core.votes import LocalVoteList, VoteEntry, select_positions
+from repro.core.votes import LocalVoteList, Vote, VoteEntry, select_positions
 from repro.sim.engine import Engine, EventHandle
 from tests.reference_ballotbox import ReferenceBallotBox
 
@@ -120,6 +120,22 @@ class PeriodicProcess:
     def running(self) -> bool:
         """``True`` between :meth:`start` and :meth:`stop`."""
         return not self._stopped
+
+
+def population_online(population, peer_id: str) -> bool:
+    """Whether a :class:`~repro.sim.population.PopulationEngine`
+    dispatches ``peer_id``'s loops."""
+    row = population.rows.get(peer_id)
+    online = population._online
+    return bool(row is not None and row < len(online) and online[row])
+
+
+def vote_on(vote_list: LocalVoteList, moderator_id: str) -> Optional[Vote]:
+    """The local user's vote on a moderator, or ``None``."""
+    for entry in vote_list.entries():
+        if entry.moderator_id == moderator_id:
+            return entry.vote
+    return None
 
 
 def select_for_exchange(
@@ -299,7 +315,7 @@ class ReferenceRuntime(ProtocolRuntime):
         for proc in procs:
             proc.start()
 
-    def _stop_ticks(self, peer_id: str, now: float) -> None:
+    def _stop_ticks(self, peer_id: str) -> None:
         for proc in self._processes.get(peer_id, ()):
             proc.stop()
 

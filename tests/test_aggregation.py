@@ -36,6 +36,7 @@ from repro.sim.service import (
     ShardConfig,
 )
 from tests.reference_ballotbox import ReferenceBallotBox
+from tests import reference_ballotbox as ballots
 
 
 def _agg_config(**overrides):
@@ -134,8 +135,8 @@ def test_digest_round_trip_equals_direct_merge(backing):
     assert replayed.all_counts() == boxes[backing].all_counts()
     assert replayed.export_digest() == exported
     for voter in replayed.voters():
-        assert sorted(replayed.votes_of(voter)) == sorted(
-            boxes[backing].votes_of(voter)
+        assert sorted(ballots.votes_of(replayed, voter)) == sorted(
+            ballots.votes_of(boxes[backing], voter)
         )
 
 
@@ -211,12 +212,12 @@ def test_remote_merges_respect_ballot_box_rules():
     stored = [
         pid
         for pid in target_ids
-        if shard.runtime.nodes[pid].ballot_box.vote_of("xv", "remote-mod")
+        if ballots.vote_of(shard.runtime.nodes[pid].ballot_box, "xv", "remote-mod")
         is not None
     ]
     assert len(stored) == 2  # merge_fanout distinct targets
     for pid in target_ids:
-        votes = shard.runtime.nodes[pid].ballot_box.votes_of("xv")
+        votes = ballots.votes_of(shard.runtime.nodes[pid].ballot_box, "xv")
         assert len(votes) <= 1  # never duplicated
 
     # A self-vote (voter == moderator) is information-free and the
@@ -226,7 +227,7 @@ def test_remote_merges_respect_ballot_box_rules():
     assert merged == 0
     assert agg._pending_votes() == 0
     for pid in target_ids:
-        assert shard.runtime.nodes[pid].ballot_box.votes_of("self-lover") == []
+        assert ballots.votes_of(shard.runtime.nodes[pid].ballot_box, "self-lover") == []
 
 
 # ----------------------------------------------------------------------

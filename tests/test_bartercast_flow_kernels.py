@@ -18,11 +18,9 @@ import numpy as np
 import pytest
 
 from repro.bartercast.graph import SubjectiveGraph
-from repro.bartercast.maxflow import (
-    edmonds_karp,
-    two_hop_flow,
-    two_hop_flows_to_sink,
-)
+from repro.bartercast.maxflow import two_hop_flow, two_hop_flows_to_sink
+from tests import reference_bartercast as ref
+from tests.reference_bartercast import edmonds_karp
 
 PEERS = [f"p{i:02d}" for i in range(24)]
 
@@ -42,9 +40,9 @@ def dense_closed_form(graph, sources, sink):
     """The retired dense kernel: one ``minimum`` + row sum over the
     weight matrix in sorted node order.  ``W[:, support]`` is
     F-contiguous, so the row sum adds its columns in order."""
-    ids = sorted(graph.nodes() | {sink} | set(sources))
+    ids = sorted(ref.nodes(graph) | {sink} | set(sources))
     idx = {p: i for i, p in enumerate(ids)}
-    W = graph.to_matrix(ids)
+    W = ref.to_matrix(graph, ids)
     col = W[:, idx[sink]]
     support = np.flatnonzero(col)
     colv = np.ascontiguousarray(col[support])
@@ -57,12 +55,12 @@ def csr_closed_form(graph, sources, sink):
     """The retired CSR kernel: each source's min terms scattered into
     a buffer over the sink's sorted in-support, accumulated left to
     right, then the direct edge added."""
-    support = sorted(graph.predecessors(sink).items())
+    support = sorted(ref.predecessors(graph, sink).items())
     flows = np.zeros(len(sources))
     for i, s in enumerate(sources):
         if s == sink:
             continue
-        row = graph.successors(s)
+        row = ref.successors(graph, s)
         buf = np.array([min(row.get(k, 0.0), w_kt) for k, w_kt in support])
         acc = np.add.accumulate(buf)[-1] if buf.size else 0.0
         flows[i] = row.get(sink, 0.0) + acc

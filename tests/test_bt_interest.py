@@ -24,6 +24,7 @@ from repro.bittorrent.ledger import TransferLedger
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.traces.model import PeerProfile, SwarmSpec
 from tests.reference_bittorrent import is_interested_in
+from tests import reference_bittorrent as bt
 
 PIECE = 256 * 1024.0
 
@@ -38,7 +39,7 @@ def make_swarm(num_pieces, seed=0, **cfg):
 
 
 def scalar_interest(swarm):
-    have = {pid: m.bitfield.as_array() for pid, m in swarm.active.items()}
+    have = {pid: bt.as_array(m.bitfield) for pid, m in swarm.active.items()}
     return [
         (
             pid,
@@ -103,7 +104,7 @@ def random_swarm(rng):
         elif kind == "copy" and len(base) < num_pieces:
             load(swarm, member, base)
         elif kind == "plus_one" and len(base) < num_pieces - 1:
-            missing = np.flatnonzero(~other.bitfield.as_array())
+            missing = np.flatnonzero(~bt.as_array(other.bitfield))
             load(swarm, member, base + [rng.choice(missing)])
         elif kind == "shuffled" and len(base) < num_pieces:
             # as many pieces as ``other``, not the same ones

@@ -3,44 +3,45 @@
 import pytest
 
 from repro.bittorrent.ledger import TransferLedger
+from tests import reference_bittorrent as bt
 
 
 def test_record_and_query():
     led = TransferLedger()
-    led.record("u", "d", 100.0, now=1.0)
-    led.record("u", "d", 50.0, now=2.0)
-    assert led.sent("u", "d") == 150.0
-    assert led.uploaded_by("u") == 150.0
-    assert led.downloaded_by("d") == 150.0
+    led.record_many([("u", "d", 100.0)], 1.0)
+    led.record_many([("u", "d", 50.0)], 2.0)
+    assert bt.sent(led, "u", "d") == 150.0
+    assert bt.uploaded_by(led, "u") == 150.0
+    assert bt.downloaded_by(led, "d") == 150.0
     assert led.total_bytes == 150.0
 
 
 def test_directionality():
     led = TransferLedger()
-    led.record("a", "b", 10.0, now=0.0)
-    assert led.sent("b", "a") == 0.0
-    assert led.uploaded_by("b") == 0.0
-    assert led.downloaded_by("a") == 0.0
+    led.record_many([("a", "b", 10.0)], 0.0)
+    assert bt.sent(led, "b", "a") == 0.0
+    assert bt.uploaded_by(led, "b") == 0.0
+    assert bt.downloaded_by(led, "a") == 0.0
 
 
 def test_zero_and_negative_ignored():
     led = TransferLedger()
-    led.record("a", "b", 0.0, now=0.0)
-    led.record("a", "b", -5.0, now=0.0)
+    led.record_many([("a", "b", 0.0)], 0.0)
+    led.record_many([("a", "b", -5.0)], 0.0)
     assert led.total_bytes == 0.0
 
 
 def test_self_transfer_rejected():
     led = TransferLedger()
     with pytest.raises(ValueError):
-        led.record("a", "a", 10.0, now=0.0)
+        led.record_many([("a", "a", 10.0)], 0.0)
 
 
 def test_listeners_receive_transfers():
     led = TransferLedger()
     events = []
     led.add_listener(lambda batch, t: events.append((list(batch), t)))
-    led.record("a", "b", 10.0, now=3.0)
+    led.record_many([("a", "b", 10.0)], 3.0)
     assert events == [([("a", "b", 10.0)], 3.0)]
 
 
@@ -72,7 +73,7 @@ def test_self_transfer_mid_batch_is_not_heard():
 
 def test_edges_enumeration():
     led = TransferLedger()
-    led.record("a", "b", 10.0, now=0.0)
-    led.record("b", "a", 4.0, now=0.0)
-    led.record("a", "c", 1.0, now=0.0)
+    led.record_many([("a", "b", 10.0)], 0.0)
+    led.record_many([("b", "a", 4.0)], 0.0)
+    led.record_many([("a", "c", 1.0)], 0.0)
     assert sorted(led.edges()) == [("a", "b", 10.0), ("a", "c", 1.0), ("b", "a", 4.0)]

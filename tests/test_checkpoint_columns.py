@@ -32,6 +32,7 @@ from repro.core.votes import Vote, VoteEntry
 from repro.sim.engine import Engine
 from repro.sim.population import PopulationEngine
 from repro.sim.rng import RngRegistry
+from tests import reference_ballotbox as ballots
 
 VOTES = (Vote.POSITIVE, Vote.NEGATIVE)
 
@@ -143,12 +144,12 @@ def _assert_stores_equal(a, b, owners):
     for owner in owners:
         box_a = BallotBox(1, a, a.rows.index[owner])
         box_b = BallotBox(1, b, b.rows.index[owner])
-        assert box_a.voters_by_recency() == box_b.voters_by_recency()
+        assert ballots.voters_by_recency(box_a) == ballots.voters_by_recency(box_b)
         assert box_a.all_counts() == box_b.all_counts()
         assert box_a.export_digest() == box_b.export_digest()
         for voter in box_a.voters():
-            assert box_a.votes_of(voter) == box_b.votes_of(voter)
-            assert box_a.last_received_of(voter) == box_b.last_received_of(voter)
+            assert ballots.votes_of(box_a, voter) == ballots.votes_of(box_b, voter)
+            assert ballots.last_received_of(box_a, voter) == ballots.last_received_of(box_b, voter)
     # ... and not just the reads: the layout itself — every offset,
     # capacity and the pool's tail (the pool's bytes are compared
     # through the reads above; capacity slack may hold stale bytes)

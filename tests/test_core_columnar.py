@@ -22,6 +22,7 @@ from repro.core.ballotbox import BallotBox
 from repro.core.columnar import ColumnarStateStore, RowTable
 from repro.core.votes import Vote, VoteEntry
 from tests.reference_ballotbox import ReferenceBallotBox
+from tests import reference_ballotbox as ballots
 
 VOTES = (Vote.POSITIVE, Vote.NEGATIVE)
 
@@ -29,13 +30,13 @@ VOTES = (Vote.POSITIVE, Vote.NEGATIVE)
 def _assert_boxes_equal(ref: ReferenceBallotBox, col: BallotBox) -> None:
     assert ref.num_unique_users() == col.num_unique_users()
     assert ref.voters() == col.voters()
-    assert ref.voters_by_recency() == col.voters_by_recency()
-    assert ref.total_votes() == col.total_votes()
+    assert ballots.voters_by_recency(ref) == ballots.voters_by_recency(col)
+    assert ballots.total_votes(ref) == ballots.total_votes(col)
     assert ref.moderators() == col.moderators()
     assert ref.all_counts() == col.all_counts()
     for voter in ref.voters():
-        assert sorted(ref.votes_of(voter)) == sorted(col.votes_of(voter))
-        assert ref.last_received_of(voter) == col.last_received_of(voter)
+        assert sorted(ballots.votes_of(ref, voter)) == sorted(ballots.votes_of(col, voter))
+        assert ballots.last_received_of(ref, voter) == ballots.last_received_of(col, voter)
     for moderator in ref.moderators():
         assert ref.counts(moderator) == col.counts(moderator)
 
@@ -75,7 +76,7 @@ def test_random_op_sequences_bit_identical():
                 voter = rng.choice(voters)
                 assert ref.remove_voter(voter) == col.remove_voter(voter)
             # Eviction order must track every single step.
-            assert ref.voters_by_recency() == col.voters_by_recency()
+            assert ballots.voters_by_recency(ref) == ballots.voters_by_recency(col)
         for owner, (ref, col) in zip(owners, pairs):
             _assert_boxes_equal(ref, col)
             # The occupancy column mirrors the box, not just the view.
@@ -132,8 +133,8 @@ def test_eviction_victims_match_min_scan_reference(b_max):
         box.merge(voter, entries, float(step))
         col.merge(voter, list(entries), float(step))
         model.merge(voter, entries, float(step))
-        assert box.voters_by_recency() == model.by_recency()
-        assert col.voters_by_recency() == model.by_recency()
+        assert ballots.voters_by_recency(box) == model.by_recency()
+        assert ballots.voters_by_recency(col) == model.by_recency()
     assert len(model.victims) > 50  # the sweep actually evicted
 
 
@@ -148,7 +149,7 @@ def test_fused_evict_then_insert_matches_reference():
         ref.merge(voter, entries, float(i))
         col.merge(voter, entries, float(i))
         _assert_boxes_equal(ref, col)
-    assert col.voters_by_recency() == ["c", "d"]
+    assert ballots.voters_by_recency(col) == ["c", "d"]
 
 
 def test_shrunk_b_max_repeat_voter_edge():
@@ -183,8 +184,8 @@ def test_bb_merge_voter_row_param_matches_lookup():
     assert store.bb_merge_packed(row_b, 5, vrow, mids, vals, 1.0) == 1
     box_a = BallotBox(5, store, row_a)
     box_b = BallotBox(5, store, row_b)
-    assert box_a.votes_of("voter") == box_b.votes_of("voter")
-    assert box_a.voters_by_recency() == box_b.voters_by_recency()
+    assert ballots.votes_of(box_a, "voter") == ballots.votes_of(box_b, "voter")
+    assert ballots.voters_by_recency(box_a) == ballots.voters_by_recency(box_b)
 
 
 def test_row_table_assignment_is_stable():

@@ -53,10 +53,6 @@ class TestThresholdExperience:
         with pytest.raises(ValueError):
             ThresholdExperience(make_bartercast(), threshold=-1.0)
 
-    def test_threshold_for(self):
-        e = ThresholdExperience(make_bartercast(), threshold=7 * MB)
-        assert e.threshold_for("anyone") == 7 * MB
-
     def test_two_hop_credit_counts(self):
         """b gains experience with a through an intermediary c."""
         bc = make_bartercast()

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.votes import Vote, VoteEntry
-from tests.reference_runtime import receive_votes, votes_to_send
+from tests.reference_runtime import receive_votes, vote_on, votes_to_send
+from tests import reference_ballotbox as ballots
 
 
 def make_node(pid="n1", seed=0, **cfg):
@@ -85,13 +86,13 @@ class TestModerationCast:
         node.set_vote_intention("m1", Vote.POSITIVE)
         assert not node.vote_list.has_voted("m1")
         node.receive_moderations([node_mod("m1", "t1")], now=5.0)
-        assert node.vote_list.vote_on("m1") is Vote.POSITIVE
+        assert vote_on(node.vote_list, "m1") is Vote.POSITIVE
 
     def test_negative_intention_purges_after_receipt(self):
         node = make_node()
         node.set_vote_intention("m3", Vote.NEGATIVE)
         node.receive_moderations([node_mod("m3", "t1")], now=5.0)
-        assert node.vote_list.vote_on("m3") is Vote.NEGATIVE
+        assert vote_on(node.vote_list, "m3") is Vote.NEGATIVE
         assert not node.store.has_moderator("m3")
 
     def test_intention_does_not_override_existing_vote(self):
@@ -99,7 +100,7 @@ class TestModerationCast:
         node.cast_vote("m1", Vote.NEGATIVE, 1.0)
         node.set_vote_intention("m1", Vote.POSITIVE)
         node.receive_moderations([node_mod("m1", "t1")], now=2.0)
-        assert node.vote_list.vote_on("m1") is Vote.NEGATIVE
+        assert vote_on(node.vote_list, "m1") is Vote.NEGATIVE
 
     def test_send_includes_own_and_approved_only(self):
         node = make_node()
@@ -155,7 +156,7 @@ class TestBallotBox:
         oversized = self.entries(*[f"m{i}" for i in range(10)])
         stored = receive_votes(node, "v1", oversized, 1.0, experienced=True)
         assert stored == 3
-        assert node.ballot_box.total_votes() == 3
+        assert ballots.total_votes(node.ballot_box) == 3
         assert node.votes_truncated == 7
         # The kept prefix is the head of the sender's list.
         assert node.ballot_box.moderators() == ["m0", "m1", "m2"]
@@ -176,7 +177,7 @@ class TestBallotBox:
         for round_ in range(3):
             mods = [f"m{round_}_{i}" for i in range(50)]
             receive_votes(node, "v1", self.entries(*mods), float(round_), True)
-        assert node.ballot_box.total_votes() == 6
+        assert ballots.total_votes(node.ballot_box) == 6
         assert node.votes_truncated == 3 * 48
 
 
@@ -221,13 +222,13 @@ class TestVoxPopuli:
     def test_receive_null_ignored(self):
         node = make_node()
         node.receive_top_k(None)
-        assert len(node.topk_cache) == 0
+        assert len(node.topk_cache.lists()) == 0
 
     def test_topk_cache_bounded_by_v_max(self):
         node = make_node(v_max=2)
         for i in range(5):
             node.receive_top_k([f"m{i}"])
-        assert len(node.topk_cache) == 2
+        assert len(node.topk_cache.lists()) == 2
 
 
 class TestRanking:

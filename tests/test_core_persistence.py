@@ -25,7 +25,8 @@ from repro.core.persistence import (
     nodes_to_columns,
 )
 from repro.core.votes import Vote, VoteEntry
-from tests.reference_runtime import receive_votes
+from tests.reference_runtime import receive_votes, vote_on
+from tests import reference_ballotbox as ballots
 
 
 def restore(node, path):
@@ -88,8 +89,8 @@ def test_round_trip_preserves_everything(populated_node, tmp_path):
     assert len(restored.store) == len(populated_node.store)
     assert restored.store.get("friend", "t1").version == 2
     # own votes
-    assert restored.vote_list.vote_on("friend") is Vote.POSITIVE
-    assert restored.vote_list.vote_on("enemy") is Vote.NEGATIVE
+    assert vote_on(restored.vote_list, "friend") is Vote.POSITIVE
+    assert vote_on(restored.vote_list, "enemy") is Vote.NEGATIVE
     # ballot box
     assert restored.ballot_box.num_unique_users() == 2
     assert restored.ballot_box.counts("x") == (1, 1)
@@ -135,9 +136,9 @@ def test_ballot_recency_survives_round_trip(tmp_path):
     receive_votes(node, "z", [VoteEntry("m1", Vote.POSITIVE, 0.0)], 1.0, True)
     receive_votes(node, "a", [VoteEntry("m2", Vote.NEGATIVE, 0.0)], 2.0, True)
     restored = restore(node, tmp_path / "node.ckpt")
-    assert restored.ballot_box.voters_by_recency() == ["z", "a"]
-    assert restored.ballot_box.last_received_of("z") == 1.0
-    assert restored.ballot_box.last_received_of("a") == 2.0
+    assert ballots.voters_by_recency(restored.ballot_box) == ["z", "a"]
+    assert ballots.last_received_of(restored.ballot_box, "z") == 1.0
+    assert ballots.last_received_of(restored.ballot_box, "a") == 2.0
     # Merging past b_max must evict the oldest-received voter ("z"),
     # exactly as the never-persisted box would have.
     receive_votes(restored, "q", [VoteEntry("m3", Vote.POSITIVE, 0.0)], 3.0, True)
@@ -148,8 +149,8 @@ def test_ballot_recency_survives_round_trip(tmp_path):
 def test_ballot_vote_timestamps_survive_round_trip(populated_node, tmp_path):
     restored = restore(populated_node, tmp_path / "node.ckpt")
     for voter in populated_node.ballot_box.voters():
-        assert sorted(restored.ballot_box.votes_of(voter)) == sorted(
-            populated_node.ballot_box.votes_of(voter)
+        assert sorted(ballots.votes_of(restored.ballot_box, voter)) == sorted(
+            ballots.votes_of(populated_node.ballot_box, voter)
         )
 
 

@@ -19,6 +19,8 @@ from repro.traces.model import (
     Trace,
     TraceEvent,
 )
+from tests import reference_ballotbox as ballots
+from tests.reference_runtime import population_online
 
 
 def always_online_trace(n=8, duration=6 * HOUR):
@@ -248,7 +250,7 @@ def test_online_node_hours_is_the_traces_sessions_clipped_to_the_horizon():
     for pid in runtime.nodes:
         is_online = stack.session.registry.is_online(pid)
         assert (pid in runtime._online_since) == is_online
-        assert population.is_online(pid) == is_online
+        assert population_online(population, pid) == is_online
 
 
 def test_bring_online_external_peer():
@@ -307,7 +309,7 @@ def test_determinism_full_stack():
             pid: (
                 len(n.store),
                 n.ballot_box.num_unique_users(),
-                n.ballot_box.score("p1"),
+                ballots.score(n.ballot_box, "p1"),
             )
             for pid, n in sorted(runtime.nodes.items())
         }
@@ -350,7 +352,7 @@ def test_vote_fanout_determinism_and_reverse_batch():
             pid: (
                 len(n.store),
                 n.ballot_box.num_unique_users(),
-                n.ballot_box.score("p1"),
+                ballots.score(n.ballot_box, "p1"),
             )
             for pid, n in sorted(runtime.nodes.items())
         }

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.columnar import ColumnarStateStore
 from repro.core.votes import LocalVoteList, Vote
-from tests.reference_runtime import select_for_exchange
+from tests.reference_runtime import select_for_exchange, vote_on
 
 
 def vote_list():
@@ -22,7 +22,7 @@ def rng():
 def test_cast_and_query():
     vl = vote_list()
     vl.cast("m1", Vote.POSITIVE, 1.0)
-    assert vl.vote_on("m1") is Vote.POSITIVE
+    assert vote_on(vl, "m1") is Vote.POSITIVE
     assert vl.has_voted("m1")
     assert not vl.has_voted("m2")
     assert len(vl) == 1
@@ -33,7 +33,7 @@ def test_revote_replaces_single_entry():
     vl.cast("m1", Vote.POSITIVE, 1.0)
     vl.cast("m1", Vote.NEGATIVE, 2.0)
     assert len(vl) == 1
-    assert vl.vote_on("m1") is Vote.NEGATIVE
+    assert vote_on(vl, "m1") is Vote.NEGATIVE
     assert vl.entries()[0].cast_at == 2.0
 
 
@@ -105,5 +105,5 @@ def test_property_one_entry_per_moderator(ops):
         expected[f"m{mid}"] = v
     assert len(vl) == len(expected)
     for mid, v in expected.items():
-        assert vl.vote_on(mid) is v
+        assert vote_on(vl, mid) is v
     assert vl.approved().isdisjoint(vl.disapproved())

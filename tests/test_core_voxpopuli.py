@@ -9,7 +9,7 @@ def test_bounded_by_v_max():
     cache = TopKCache(v_max=3, k=3)
     for i in range(10):
         cache.add([f"m{i}"])
-    assert len(cache) == 3
+    assert len(cache.lists()) == 3
     assert cache.known_moderators() == ["m7", "m8", "m9"]
 
 
@@ -22,8 +22,7 @@ def test_lists_truncated_to_k():
 def test_empty_list_ignored():
     cache = TopKCache()
     cache.add([])
-    assert len(cache) == 0
-    assert not cache
+    assert cache.lists() == []
 
 
 def test_merged_ranking_averages():
@@ -32,13 +31,6 @@ def test_merged_ranking_averages():
     cache.add(["a", "c"])
     merged = cache.merged_ranking()
     assert merged[0][0] == "a"
-
-
-def test_clear():
-    cache = TopKCache()
-    cache.add(["a"])
-    cache.clear()
-    assert len(cache) == 0
 
 
 def test_validation():

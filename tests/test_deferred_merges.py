@@ -33,6 +33,7 @@ from repro.core.ballotbox import BallotBox
 from repro.core.columnar import _POOL_FLOOR, ColumnarStateStore
 from repro.core.votes import Vote, VoteEntry
 from tests.reference_ballotbox import ReferenceBallotBox
+from tests import reference_ballotbox as ballots
 
 OWNERS = ("o0", "o1", "o2", "o3")
 VOTERS = OWNERS + ("f0", "f1", "f2", "f3")
@@ -183,7 +184,7 @@ class _Trio:
             ref = self.ref[owner]
             expected = (
                 ref.export_digest(),
-                ref.voters_by_recency(),
+                ballots.voters_by_recency(ref),
                 ref.ballot(),
                 ref.num_unique_users(),
                 ref.all_counts(),
@@ -193,7 +194,7 @@ class _Trio:
                 view = BallotBox(1, store, row)
                 assert (
                     view.export_digest(),
-                    view.voters_by_recency(),
+                    ballots.voters_by_recency(view),
                     view.ballot(),
                     int(store.bb_unique[row]),
                     view.all_counts(),

@@ -5,10 +5,10 @@ import pytest
 from repro.dht.chord import ChordConfig, ChordRing, chord_id
 
 
-def ring_with(names, now=0.0, **cfg):
+def ring_with(names, **cfg):
     ring = ChordRing(ChordConfig(**cfg))
     for n in names:
-        ring.join(n, now)
+        ring.join(n)
     return ring
 
 
@@ -28,57 +28,57 @@ class TestBasics:
     def test_join_and_leave_membership(self):
         ring = ring_with(["a", "b", "c"])
         assert ring.online_count() == 3
-        ring.leave("b", 1.0)
+        ring.leave("b")
         assert ring.online_count() == 2
-        ring.leave("b", 1.0)  # idempotent
+        ring.leave("b")  # idempotent
         assert ring.online_count() == 2
 
     def test_rejoin_after_leave(self):
         ring = ring_with(["a", "b"])
-        ring.leave("a", 1.0)
-        ring.join("a", 2.0)
+        ring.leave("a")
+        ring.join("a")
         assert ring.online_count() == 2
 
     def test_join_costs_messages_on_nonempty_ring(self):
         ring = ChordRing()
-        ring.join("first", 0.0)
+        ring.join("first")
         assert ring.join_messages == 0  # nothing to contact
-        ring.join("second", 0.0)
+        ring.join("second")
         assert ring.join_messages > 0
 
     def test_failure_costs_more_than_graceful_leave_and_loses_keys(self):
         ring = ring_with(["a", "b", "c", "d"])
-        ring.leave("a", 1.0, graceful=True)
+        ring.leave("a", graceful=True)
         graceful = ring.leave_messages
-        ring.leave("b", 2.0, graceful=False)
+        ring.leave("b", graceful=False)
         assert ring.failure_messages > graceful - ring.leave_messages
         assert ring.keys_lost == 1
 
     def test_stabilize_costs_two_messages_per_node(self):
         ring = ring_with(["a", "b", "c"])
         before = ring.stabilize_messages
-        ring.stabilize_all(10.0)
+        ring.stabilize_all()
         assert ring.stabilize_messages - before == 6
 
 
 class TestLookup:
     def test_lookup_succeeds_on_fresh_ring(self):
         ring = ring_with([f"p{i}" for i in range(32)])
-        ring.stabilize_all(0.0)
-        messages, ok = ring.lookup("p0", "some-content-key", 1.0)
+        ring.stabilize_all()
+        messages, ok = ring.lookup("p0", "some-content-key")
         assert ok
         assert messages >= 0
 
     def test_lookup_hops_grow_logarithmically(self):
         small = ring_with([f"p{i}" for i in range(4)])
-        small.stabilize_all(0.0)
+        small.stabilize_all()
         large = ring_with([f"p{i}" for i in range(256)])
-        large.stabilize_all(0.0)
+        large.stabilize_all()
 
         def mean_messages(ring, n=40):
             total = 0
             for i in range(n):
-                m, ok = ring.lookup("p0", f"key-{i}", 1.0)
+                m, ok = ring.lookup("p0", f"key-{i}")
                 assert ok
                 total += m
             return total / n
@@ -90,23 +90,23 @@ class TestLookup:
 
     def test_lookup_from_unknown_node_fails(self):
         ring = ring_with(["a", "b"])
-        assert ring.lookup("ghost", "k", 0.0) == (0, False)
+        assert ring.lookup("ghost", "k") == (0, False)
 
     def test_stale_fingers_cost_timeouts(self):
         ring = ring_with([f"p{i}" for i in range(64)])
-        ring.stabilize_all(0.0)
+        ring.stabilize_all()
         # Half the ring fails without re-stabilisation.
         for i in range(1, 64, 2):
-            ring.leave(f"p{i}", 1.0, graceful=False)
+            ring.leave(f"p{i}", graceful=False)
         before = ring.timeouts
         for i in range(30):
-            ring.lookup("p0", f"key-{i}", 2.0)
+            ring.lookup("p0", f"key-{i}")
         assert ring.timeouts > before
 
     def test_single_node_owns_everything(self):
         ring = ring_with(["solo"])
-        ring.stabilize_all(0.0)
-        messages, ok = ring.lookup("solo", "anything", 1.0)
+        ring.stabilize_all()
+        messages, ok = ring.lookup("solo", "anything")
         assert ok
         assert messages == 0
 
@@ -115,19 +115,19 @@ class TestMaintenanceUnderChurn:
     def test_churn_generates_maintenance_traffic(self):
         ring = ChordRing()
         for i in range(20):
-            ring.join(f"p{i}", 0.0)
+            ring.join(f"p{i}")
         base = ring.total_maintenance_messages()
         # a churn storm: half leave ungracefully, rejoin, repeat
         t = 0.0
         for cycle in range(5):
             t += 600.0
             for i in range(0, 20, 2):
-                ring.leave(f"p{i}", t, graceful=False)
-            ring.stabilize_all(t)
+                ring.leave(f"p{i}", graceful=False)
+            ring.stabilize_all()
             t += 600.0
             for i in range(0, 20, 2):
-                ring.join(f"p{i}", t)
-            ring.stabilize_all(t)
+                ring.join(f"p{i}")
+            ring.stabilize_all()
         assert ring.total_maintenance_messages() > base * 3
         assert ring.keys_lost == 50
 
@@ -187,7 +187,7 @@ class TestJoinCostRegression:
         assert buggy != expected
 
         before = ring.join_messages
-        ring.join("foxtrot", 0.0)
+        ring.join("foxtrot")
         assert ring.join_messages - before == expected
 
     def test_joining_a_single_node_ring_still_costs_messages(self):
@@ -195,7 +195,7 @@ class TestJoinCostRegression:
         # in 0 hops but still costs the max(1, hops) floor + transfer.
         ring = ring_with(["first"])
         before = ring.join_messages
-        ring.join("second", 0.0)
+        ring.join("second")
         assert ring.join_messages - before == ring.config.bits + 1
 
 
@@ -214,11 +214,11 @@ class TestRecycledIdentRegression:
         # n6 and n10 collide at ident 2 (blake2-derived; pinned here so
         # a hash change fails loudly rather than silently degrading).
         assert chord_id("n10", bits) == ring._nodes["n6"].ident == 2
-        ring.join("n10", 0.0)
+        ring.join("n10")
         assert ring._nodes["n10"].ident == 3  # linear-probed
-        ring.stabilize_all(10.0)  # fingers now reference (3, "n10")
-        ring.leave("n10", 20.0, graceful=False)
-        ring.join("n14", 25.0)  # also collides at 2, probes into 3
+        ring.stabilize_all()  # fingers now reference (3, "n10")
+        ring.leave("n10", graceful=False)
+        ring.join("n14")  # also collides at 2, probes into 3
         assert ring._nodes["n14"].ident == 3  # ident recycled
         # Every finger ident is now backed by a live node, so the old
         # bare-ident liveness check could never time out.
@@ -228,21 +228,21 @@ class TestRecycledIdentRegression:
         before = ring.timeouts
         for requester in ["n6", "n5", "n29", "n4", "n2", "n1"]:
             for k in range(40):
-                _, ok = ring.lookup(requester, f"key{k}", 30.0)
+                _, ok = ring.lookup(requester, f"key{k}")
                 assert ok
         assert ring.timeouts > before
 
     def test_fresh_fingers_after_restabilize_do_not_time_out(self):
         ring = ring_with(["n6", "n5", "n29", "n4", "n2", "n1"], bits=4)
-        ring.join("n10", 0.0)
-        ring.stabilize_all(10.0)
-        ring.leave("n10", 20.0, graceful=False)
-        ring.join("n14", 25.0)
-        ring.stabilize_all(30.0)  # fingers refreshed: no stale names
+        ring.join("n10")
+        ring.stabilize_all()
+        ring.leave("n10", graceful=False)
+        ring.join("n14")
+        ring.stabilize_all()  # fingers refreshed: no stale names
         before = ring.timeouts
         for requester in ["n6", "n5", "n29", "n4", "n2", "n1"]:
             for k in range(40):
-                _, ok = ring.lookup(requester, f"key{k}", 31.0)
+                _, ok = ring.lookup(requester, f"key{k}")
                 assert ok
         assert ring.timeouts == before
 
@@ -287,13 +287,13 @@ class TestChurnProperties:
         for op, i in ops:
             t += 1.0
             if op == "join":
-                ring.join(names[i], t)
+                ring.join(names[i])
             elif op == "leave":
-                ring.leave(names[i], t, graceful=True)
+                ring.leave(names[i], graceful=True)
             elif op == "fail":
-                ring.leave(names[i], t, graceful=False)
+                ring.leave(names[i], graceful=False)
             else:
-                ring.stabilize_all(t)
+                ring.stabilize_all()
             for c in counters:
                 value = getattr(ring, c)
                 assert value >= previous[c] >= 0
@@ -305,8 +305,8 @@ class TestChurnProperties:
                 + ring.stabilize_messages
             )
             assert ring.online_count() == len(ring._by_ident) == len(ring._nodes)
-        ring.stabilize_all(t + 1.0)
+        ring.stabilize_all()
         for name in list(ring._nodes):
-            messages, ok = ring.lookup(name, f"content-{name}", t + 2.0)
+            messages, ok = ring.lookup(name, f"content-{name}")
             assert ok
             assert messages >= 0

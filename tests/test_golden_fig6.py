@@ -43,6 +43,8 @@ from repro.experiments.vote_sampling import VoteSamplingConfig, VoteSamplingExpe
 from repro.metrics.ordering import correct_order_fraction
 from repro.sim.units import HOUR
 from repro.traces.generator import TraceGenerator
+from tests import reference_bartercast as ref
+from tests import reference_bittorrent as bt
 
 #: the benchmark replays one fixed trace and lets the seed draw
 #: everything the protocols randomise on top of it
@@ -111,12 +113,12 @@ def fig6_end_state(seed: int) -> dict:
     graphs = []
     for pid in sorted(trace.peers):
         graph = bartercast.graph_of(pid)
-        # edges() is in insertion order and dense()[0] is the graph's
+        # ref.edges() is in insertion order and dense()[0] is the graph's
         # node order: both move if observations are folded in another
         # order, even when the weights end up equal.  The literal 0
         # stands where the recorded tuples held the eviction count,
         # which was 0 in this unbounded run, so the pinned hashes hold.
-        graphs.append([pid, graph.edges(), graph.dense()[0], 0])
+        graphs.append([pid, ref.edges(graph), graph.dense()[0], 0])
     return {
         "summary": _sha([summary, series]),
         "ledger": _sha(stack.session.ledger.edges()),
@@ -151,7 +153,7 @@ def swarm_state(stack) -> list:
                 sid,
                 swarm.rounds_run,
                 members,
-                [int(a) for a in swarm.picker.availability],
+                [int(a) for a in bt.availability(swarm.picker)],
                 swarm._rng.bit_generator.state,
             ]
         )

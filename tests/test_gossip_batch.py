@@ -21,6 +21,7 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.traces.model import PeerProfile, Trace
 from tests.reference_runtime import ReferenceRuntime
+from tests import reference_ballotbox as ballots
 
 MODERATION, VOTE = 0, 1
 PIDS = [f"p{i:02d}" for i in range(24)]
@@ -130,7 +131,7 @@ def test_cast_inside_planned_run(monkeypatch):
     assert not any(planned[:4])  # neither slot is visited by the plan
     assert 0 in queued and 2 in queued and 3 not in queued
     for pid in ("p03", "p04"):  # p01's new vote reached both boxes
-        assert got.nodes[pid].ballot_box.vote_of("p01", "p00") is Vote.POSITIVE, pid
+        assert ballots.vote_of(got.nodes[pid].ballot_box, "p01", "p00") is Vote.POSITIVE, pid
     assert end_state(got) == end_state(ref)
 
 

@@ -202,10 +202,3 @@ class TestTimeSeries:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             TimeSeriesRecorder(Engine(), interval=0.0)
-
-    def test_as_array(self):
-        s = TimeSeries("x")
-        s.append(1.0, 2.0)
-        arr = s.as_array()
-        assert arr.shape == (1, 2)
-        assert arr[0, 0] == 1.0 and arr[0, 1] == 2.0

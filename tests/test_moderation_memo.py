@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.moderation import Moderation
 from repro.core.node import NodeConfig, VoteSamplingNode
 from repro.core.votes import Vote
-from tests.reference_runtime import extract_moderations
+from tests.reference_runtime import extract_moderations, vote_on
 
 BUDGET = 3
 CAPACITY = 6
@@ -203,6 +203,6 @@ def test_purge_mid_merge_readmits_a_held_item():
     node.receive_moderations([mk(0, 0)], 1.0)
     node.set_vote_intention("m0", Vote.NEGATIVE)
     assert node.receive_moderations([mk(0, 1), mk(0, 0)], 2.0) == 2
-    assert node.vote_list.vote_on("m0") is Vote.NEGATIVE
+    assert vote_on(node.vote_list, "m0") is Vote.NEGATIVE
     assert node.store.get("m0", "t0") is not None
     assert node.store.get("m0", "t1") is None

@@ -3,13 +3,14 @@
 Documentation must not drift from the code: every file the docs
 reference exists, every bench DESIGN.md's experiment index names is on
 disk, and the public package imports cleanly.  Nor may ``src/`` carry
-definitions no run reaches or attributes no run reads
-(``scripts/lint_deadcode.py``'s gates), nor ``core/`` a function longer
-than 120 lines.
+definitions no run enters (``scripts/reachability.py``'s record) or
+attributes no run reads (``scripts/lint_deadcode.py``), nor ``core/`` a
+function longer than 120 lines.
 """
 
 import ast
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -100,30 +101,35 @@ def test_every_public_module_has_docstring():
     assert not undocumented, undocumented
 
 
-def _lint():
-    path = REPO / "scripts" / "lint_deadcode.py"
-    spec = importlib.util.spec_from_file_location("lint_deadcode", path)
-    lint = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lint)
-    return lint
+def _load_script(name):
+    path = REPO / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_no_unlisted_test_only_definitions():
-    """Every ``src/`` definition that only tests (or nothing) reference
-    is on the lint's allowlist, and every allowlist entry is still
-    such a definition."""
-    lint = _lint()
-    unlisted, stale = lint.definition_gate(REPO)
-    assert not unlisted, [f"{d[0].relative_to(REPO)}:{d[1]}: {d[2]}" for d in unlisted]
-    assert not stale, stale
-    assert all(reason.strip() for reason in lint.ALLOWLIST.values())
+    """The committed reachability record (``make reachability``) holds
+    exactly ``src/``'s definitions, every one no production entry point
+    entered is on the gate's allowlist with a reason, and every entry
+    still covers such a definition."""
+    reach = _load_script("reachability")
+    record = json.loads(reach.RECORD.read_text(encoding="utf-8"))["definitions"]
+    failures = reach.gate(record)
+    assert not failures["missing"], f"regenerate the record: {failures['missing']}"
+    assert not failures["gone"], f"regenerate the record: {failures['gone']}"
+    assert not failures["unlisted"], failures["unlisted"]
+    assert not failures["stale"], failures["stale"]
+    reasons = reach.ALLOWLIST.values()
+    assert all(r.strip() and "read-only probe" not in r for r in reasons)
 
 
 def test_no_unlisted_write_only_attributes():
     """Every attribute ``src/`` stores is loaded by production code or
     on the lint's write-only allowlist, and every entry is still
     write-only."""
-    lint = _lint()
+    lint = _load_script("lint_deadcode")
     unlisted, stale = lint.write_only_gate(REPO)
     assert not unlisted, [f"{p.relative_to(REPO)}:{line}: {name}" for p, line, name in unlisted]
     assert not stale, stale

@@ -11,7 +11,7 @@ def test_events_fire_in_time_order():
     eng.schedule(5.0, order.append, "c")
     eng.schedule(1.0, order.append, "a")
     eng.schedule(3.0, order.append, "b")
-    eng.run()
+    eng.run_until(10.0)
     assert order == ["a", "b", "c"]
 
 
@@ -19,9 +19,8 @@ def test_clock_advances_to_event_time():
     eng = Engine()
     seen = []
     eng.schedule(2.5, lambda: seen.append(eng.now))
-    eng.run()
+    eng.run_until(10.0)
     assert seen == [2.5]
-    assert eng.now == 2.5
 
 
 def test_equal_time_ties_broken_by_priority_then_insertion():
@@ -30,7 +29,7 @@ def test_equal_time_ties_broken_by_priority_then_insertion():
     eng.schedule(1.0, order.append, "second", priority=1)
     eng.schedule(1.0, order.append, "first", priority=0)
     eng.schedule(1.0, order.append, "third", priority=1)
-    eng.run()
+    eng.run_until(1.0)
     assert order == ["first", "second", "third"]
 
 
@@ -52,9 +51,9 @@ def test_cancel_prevents_execution():
     handle = eng.schedule(1.0, fired.append, 1)
     eng.schedule(2.0, fired.append, 2)
     handle.cancel()
-    eng.run()
+    eng.run_until(10.0)
     assert fired == [2]
-    assert not handle.active
+    assert handle.cancelled
 
 
 def test_cancel_is_idempotent():
@@ -62,7 +61,7 @@ def test_cancel_is_idempotent():
     handle = eng.schedule(1.0, lambda: None)
     handle.cancel()
     handle.cancel()
-    assert eng.run() == 0
+    assert eng.run_until(10.0) == 0
 
 
 def test_run_until_executes_only_due_events_and_sets_clock():
@@ -102,36 +101,29 @@ def test_events_scheduled_during_run_are_executed():
             eng.schedule(1.0, chain, n + 1)
 
     eng.schedule(1.0, chain, 1)
-    eng.run()
+    assert eng.run_until(10.0) == 3
     assert order == [1, 2, 3]
-    assert eng.now == 3.0
-
-
-def test_max_events_limits_run():
-    eng = Engine()
-    for i in range(5):
-        eng.schedule(float(i + 1), lambda: None)
-    assert eng.run(max_events=2) == 2
-    assert eng.now == 2.0
 
 
 def test_events_fired_counter():
     eng = Engine()
     for i in range(4):
         eng.schedule(float(i), lambda: None)
-    eng.run()
+    eng.run_until(10.0)
     assert eng.events_fired == 4
 
 
-def test_step_returns_false_on_empty_queue():
-    assert Engine().step() is False
+def test_run_until_on_empty_queue_only_moves_clock():
+    eng = Engine()
+    assert eng.run_until(5.0) == 0
+    assert eng.now == 5.0
 
 
 def test_zero_delay_event_fires_at_now():
     eng = Engine(start_time=7.0)
     times = []
     eng.schedule(0.0, lambda: times.append(eng.now))
-    eng.run()
+    eng.run_until(7.0)
     assert times == [7.0]
 
 
@@ -166,4 +158,4 @@ def test_next_event_key_skips_cancelled_head():
     eng.schedule(2.0, lambda: None)
     first.cancel()
     assert eng.next_event_key() == (2.0, 0, 2)
-    assert eng.pending == 1
+    assert len(eng._queue) == 1  # the cancelled head was dropped

@@ -33,7 +33,8 @@ from repro.traces.model import (
     Trace,
     TraceEvent,
 )
-from tests.reference_runtime import PeriodicProcess, ReferenceRuntime
+from tests.reference_runtime import PeriodicProcess, ReferenceRuntime, population_online
+from tests import reference_ballotbox as ballots
 
 
 # ----------------------------------------------------------------------
@@ -108,10 +109,10 @@ def test_population_engine_offline_stops_ticks():
     pop.peer_online("x", 0.0)
     eng.run_until(35.0)
     assert hits == ["x", "x", "x"]
-    pop.peer_offline("x", eng.now)
+    pop.peer_offline("x")
     eng.run_until(100.0)
     assert hits == ["x", "x", "x"]
-    assert not pop.is_online("x")
+    assert not population_online(pop, "x")
 
 
 def test_population_engine_growth_past_one_block():
@@ -125,7 +126,7 @@ def test_population_engine_growth_past_one_block():
     n = 3000
     for i in range(n):
         pop.peer_online(f"p{i}", 0.0)
-    assert len(pop) == n
+    assert len(pop.rows) == n
     eng.run_until(60.0)
     assert count[0] == n  # each peer ticked exactly once within 50±0 s
     telemetry = pop.telemetry()
@@ -288,7 +289,7 @@ def run_stack(runtime_cls, trace, seed=11, hours=6, config_kwargs=None, adaptive
         pid: (
             len(node.store),
             node.ballot_box.num_unique_users(),
-            node.ballot_box.score(pids[0]),
+            ballots.score(node.ballot_box, pids[0]),
             runtime.registry.is_online(pid),
         )
         for pid, node in sorted(runtime.nodes.items())
@@ -352,11 +353,11 @@ def test_bring_online_external_peer_under_soa():
     engine.run_until(1 * HOUR)
     runtime.bring_online("attacker", engine.now)
     assert runtime.registry.is_online("attacker")
-    assert runtime._population.is_online("attacker")
+    assert population_online(runtime._population, "attacker")
     engine.run_until(2 * HOUR)
     runtime.take_offline("attacker", engine.now)
     assert not runtime.registry.is_online("attacker")
-    assert not runtime._population.is_online("attacker")
+    assert not population_online(runtime._population, "attacker")
 
 
 def test_population_telemetry_in_run_summary():
@@ -666,7 +667,7 @@ def test_direct_vote_list_cast_reaches_the_batched_tick():
     heard = [
         node.peer_id
         for node in runtime.nodes.values()
-        if node.ballot_box.vote_of("p3", "some-moderator") is Vote.NEGATIVE
+        if ballots.vote_of(node.ballot_box, "p3", "some-moderator") is Vote.NEGATIVE
     ]
     assert heard and "p3" not in heard
     assert runtime.run_summary()["nodes"]["votes_merged"] >= len(heard)
@@ -1076,7 +1077,7 @@ class _Interleaver:
             self._offlined_in[pid] = win
             if self.pop.rows.index[pid] in win.row[win.k : win.n]:
                 self.coverage["pending_offline"] += 1
-        self.pop.peer_offline(pid, self.engine.now)
+        self.pop.peer_offline(pid)
 
     def _tick(self, name, pid):
         now = self.engine.now

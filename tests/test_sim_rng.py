@@ -66,9 +66,9 @@ def test_fork_is_deterministic_and_distinct():
     c1 = root.fork("trace-0")
     c2 = RngRegistry(5).fork("trace-0")
     c3 = root.fork("trace-1")
-    assert c1.seed == c2.seed
-    assert c1.seed != c3.seed
-    assert c1.seed != root.seed
+    assert c1._seed == c2._seed
+    assert c1._seed != c3._seed
+    assert c1._seed != root._seed
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.text(min_size=1, max_size=20))
@@ -80,7 +80,7 @@ def test_property_stream_reproducible_for_any_seed_and_name(seed, name):
 
 @given(st.integers(min_value=0, max_value=2**31))
 def test_property_fork_children_reproducible(seed):
-    assert RngRegistry(seed).fork("x").seed == RngRegistry(seed).fork("x").seed
+    assert RngRegistry(seed).fork("x")._seed == RngRegistry(seed).fork("x")._seed
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_negative_seed_raises_on_derivation():
     with pytest.raises(ValueError):
         RngRegistry(-1).prime("node", ["p"])
     # Construction and forking derive nothing.
-    assert RngRegistry(-1).fork("trace").seed >= 0
+    assert RngRegistry(-1).fork("trace")._seed >= 0
 
 
 def test_key_parts_are_hashed_as_str():

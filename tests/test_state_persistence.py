@@ -20,6 +20,8 @@ from repro.traces.model import (
     Trace,
     TraceEvent,
 )
+from tests import reference_bittorrent as bt
+from tests.reference_runtime import population_online, vote_on
 
 
 @pytest.fixture()
@@ -72,12 +74,12 @@ def test_partial_download_resumes(churny_world):
     engine, session, runtime = churny_world
     session.start()
     engine.run_until(3600.0)
-    progress_before = session.swarms["s0"].progress_of("p1")
+    progress_before = bt.progress_of(session.swarms["s0"], "p1")
     assert 0 < progress_before < 1
     engine.run_until(5 * 3600.0 - 1)
-    assert session.swarms["s0"].progress_of("p1") == progress_before
+    assert bt.progress_of(session.swarms["s0"], "p1") == progress_before
     engine.run_until(8 * HOUR)
-    assert session.swarms["s0"].progress_of("p1") > progress_before
+    assert bt.progress_of(session.swarms["s0"], "p1") > progress_before
 
 
 def test_votes_and_moderations_survive_offline_gap(churny_world):
@@ -89,11 +91,11 @@ def test_votes_and_moderations_survive_offline_gap(churny_world):
     node.create_moderation("my-torrent", "my upload", engine.now)
     engine.run_until(5 * 3600.0 - 1)  # p1 offline
     assert not session.registry.is_online("p1")
-    assert node.vote_list.vote_on("someone") is Vote.POSITIVE
+    assert vote_on(node.vote_list, "someone") is Vote.POSITIVE
     assert node.store.has_moderator("p1")
     engine.run_until(6 * 3600.0)  # back online
     assert session.registry.is_online("p1")
-    assert node.vote_list.vote_on("someone") is Vote.POSITIVE
+    assert vote_on(node.vote_list, "someone") is Vote.POSITIVE
 
 
 def test_bartercast_credit_survives_offline_gap(churny_world):
@@ -127,9 +129,9 @@ def test_protocol_processes_pause_while_offline(churny_world):
 
     session.start()
     engine.run_until(2 * 3600.0)  # p1 offline since 1h
-    assert not runtime.materialize_population().is_online("p1")
+    assert not population_online(runtime.materialize_population(), "p1")
     engine.run_until(6 * 3600.0)
-    assert runtime.materialize_population().is_online("p1")
+    assert population_online(runtime.materialize_population(), "p1")
     assert all(per_protocol(0.0, 3600.0))  # every loop ran in session 1 ...
     assert per_protocol(3600.0, 5 * 3600.0) == [0, 0, 0]  # ... none offline
     assert all(per_protocol(5 * 3600.0, 6 * 3600.0))  # ... and all resumed
