@@ -1,22 +1,22 @@
 #!/usr/bin/env python
 """Which ``src/`` definitions a production run enters, and a gate on the rest.
 
-    python scripts/reachability.py           # run the entry points, write the record, gate it
-    python scripts/reachability.py --check   # gate the committed record only
+    python scripts/reachability.py   # run the entry points, write the record, gate it
 
 Each entry point runs with a ``sitecustomize.py`` first on ``PYTHONPATH``
 that calls :func:`install`, so every process it spawns (``ReplicaPool``
 and ``serve`` workers) runs the hook too: a ``sys.setprofile`` function
-that writes each code object's file and qualified name when the process
+that writes each code object's file, first line and name when the process
 first enters it, one flushed line at a time, so a worker ended by
 ``os._exit``, SIGTERM or SIGKILL has already recorded what it ran.
 ``results/reachability.json`` maps each ``src/`` function (``module:Qual.name``,
 nested ones included) to the entry points that entered it; one entered
 only by :data:`TIMED` is timed, not used.  The gate fails on an unentered
 definition no :data:`ALLOWLIST` entry covers (an entry covers its name
-and a class its members), on an entry covering nothing unentered, and on
-a record that does not hold exactly ``src/``'s definitions: regenerate it
-after adding, renaming or deleting one.
+and a class its members), on an entry covering nothing unentered, and on a
+record not holding exactly ``src/``'s definitions: regenerate it after adding,
+renaming or deleting one.  No entry point runs ``make results`` (paper scale
+only) or ``make profile-*`` (cProfile replaces the hook): check those by hand.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ ALLOWLIST = {
     "select_moderations": "only a node with more fresh moderations than its budget draws",
     "VoteSamplingNode.rng": "only select_moderations' draw reads a node's stream",
     "StreamFamily.__call__": "builds a node's stream on its first draw (VoteSamplingNode.rng)",
-    "ColumnarStateStore._evict": "runs only when a box's b_max shrinks between merges",
+    "ColumnarStateStore._evict": "dead: no run shrinks a box's b_max (CHANGES.md FOUND)",
     "ReadOnlySubjectiveGraph._raise_edge": "error path: refuses to mutate the shared empty graph",
     "ShardAggregator._mark_dead": "runs only when a digest publisher stops answering",
     "_worker_sigterm": "runs only when a shard worker is sent SIGTERM",
@@ -86,6 +86,7 @@ ENTRY_POINTS: Dict[str, List[str]] = {
     "serve --resume": _SERVE + ["--until", "3600", "--resume", "{tmp}/svc"],
     "serve --aggregation": _SERVE + ["--until", "1800", "--aggregation", "--dir", "{tmp}/agg"],
     "pytest benchmarks": _PYTEST + ["benchmarks", f"--ignore={TIMED}"],
+    "profile_fig8": ["scripts/profile_fig8.py", "--peers", "20", "--hours", "1", "--wall"],
     TIMED: _PYTEST + [TIMED],
 }
 
@@ -96,9 +97,10 @@ def install(log: str) -> None:
     out = open(log, "a", buffering=1, encoding="utf-8")
 
     def hook(frame, event, _arg):
-        if event == "call" and frame.f_code not in seen:
-            seen.add(frame.f_code)
-            out.write(f"{frame.f_code.co_filename}\t{frame.f_code.co_qualname}\n")
+        code = frame.f_code
+        if event == "call" and code not in seen:
+            seen.add(code)
+            out.write(f"{code.co_filename}\t{code.co_firstlineno}\t{code.co_name}\n")
 
     threading.setprofile(hook)
     sys.setprofile(hook)
@@ -106,8 +108,7 @@ def install(log: str) -> None:
 
 def hook_env(tmp: str, log: Path) -> Dict[str, str]:
     """The environment of a process tree that runs under :func:`install`."""
-    hook_dir = Path(tmp, "hook")
-    hook_dir.mkdir(exist_ok=True)
+    (hook_dir := Path(tmp, "hook")).mkdir(exist_ok=True)
     (hook_dir / "sitecustomize.py").write_text(
         f"import os, runpy\nrunpy.run_path({str(Path(__file__).resolve())!r})"
         "['install'](os.environ['REPRO_REACH_LOG'])\n")
@@ -115,37 +116,39 @@ def hook_env(tmp: str, log: Path) -> Dict[str, str]:
                 PYTHONPATH=os.pathsep.join([str(hook_dir), str(SRC), str(REPO)]))
 
 
-def _key(path: Path, qualname: str) -> str:
-    module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-    return f"{module.removesuffix('.__init__')}:{qualname.replace('.<locals>', '')}"
+def functions() -> Dict[str, List[str]]:
+    """What :func:`install` logs for each ``src/`` function -> ``[module:qualname, path:line]``."""
+    found: Dict[str, List[str]] = {}
+
+    def walk(body, path: Path, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                found[f"{path}\t{first}\t{node.name}"] = [
+                    prefix + node.name, f"{path.relative_to(REPO)}:{node.lineno}"]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(node.body, path, f"{prefix}{node.name}.")
+
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        walk(ast.parse(path.read_text(encoding="utf-8")).body, path, module + ":")
+    return found
 
 
 def definitions() -> Dict[str, str]:
     """``module:qualname`` -> ``path:line`` of every function in ``src/``."""
     found: Dict[str, str] = {}
-
-    def walk(body, path: Path, prefix: str) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not isinstance(node, ast.ClassDef):
-                    found.setdefault(_key(path, prefix + node.name),
-                                     f"{path.relative_to(REPO)}:{node.lineno}")
-                walk(node.body, path, f"{prefix}{node.name}.")
-
-    for path in sorted(SRC.rglob("*.py")):
-        walk(ast.parse(path.read_text(encoding="utf-8")).body, path, "")
+    for key, where in functions().values():
+        found.setdefault(key, where)
     return found
 
 
 def entered(log: Path) -> set:
-    """The ``src/`` definitions a log names (lambdas and comprehensions left out)."""
-    names = set()
-    for line in log.read_text(encoding="utf-8").splitlines():
-        filename, qualname = line.split("\t")
-        path = Path(filename).resolve()
-        if path.is_relative_to(SRC) and "<" not in qualname.replace(".<locals>", ""):
-            names.add(_key(path, qualname))
-    return names
+    """The ``src/`` definitions a log names (lambdas and comprehensions match none)."""
+    by_code = functions()
+    rows = (line.split("\t", 1) for line in log.read_text(encoding="utf-8").splitlines())
+    hits = (by_code.get(f"{Path(filename).resolve()}\t{rest}") for filename, rest in rows)
+    return {hit[0] for hit in hits if hit}
 
 
 def measure() -> Dict[str, List[str]]:
@@ -179,14 +182,11 @@ def gate(record: Dict[str, List[str]]) -> Dict[str, List[str]]:
     }
 
 
-def main(argv: List[str]) -> int:
-    if "--check" in argv:
-        record = json.loads(RECORD.read_text(encoding="utf-8"))["definitions"]
-    else:
-        record = measure()
-        rows = ",\n".join(f"  {json.dumps(n)}: {json.dumps(e)}" for n, e in record.items())
-        RECORD.write_text(f'{{"entry_points": {json.dumps(list(ENTRY_POINTS))}, "timed": '
-                          f'{json.dumps(TIMED)},\n "definitions": {{\n{rows}\n }}\n}}\n')
+def main() -> int:
+    record = measure()
+    rows = ",\n".join(f"  {json.dumps(n)}: {json.dumps(e)}" for n, e in record.items())
+    RECORD.write_text(f'{{"entry_points": {json.dumps(list(ENTRY_POINTS))}, "timed": '
+                      f'{json.dumps(TIMED)},\n "definitions": {{\n{rows}\n }}\n}}\n')
     failures = gate(record)
     for kind, item in ((k, i) for k, items in failures.items() for i in items):
         print(f"[reachability] {kind}: {item}")
@@ -197,4 +197,4 @@ def main(argv: List[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

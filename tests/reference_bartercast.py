@@ -7,7 +7,8 @@ through :func:`~repro.bartercast.maxflow.two_hop_flow`,
 :func:`~repro.bartercast.maxflow.two_hop_flows_to_sink` and
 :meth:`~repro.bartercast.graph.SubjectiveGraph.dense`.  The functions
 here read the same store for assertions: one edge's weight, the edge
-list, the node set, a weight matrix in a caller's order, and
+list, the node set, and two oracles: :func:`to_matrix`, the
+edge-by-edge matrix rebuild that ``dense`` is checked against, and
 :func:`edmonds_karp`, the textbook maxflow that the 2-hop closed form
 is checked against.
 """

@@ -1,10 +1,11 @@
 """Matrix views of :class:`SubjectiveGraph`'s one edge store.
 
-The dict adjacency is the only place a weight lives; ``to_matrix`` and
-``dense`` build arrays from it on demand.  They must equal — bit for
-bit, since they are placement only — a reference edge-by-edge rebuild
-under any interleaving of edge raises and stale refolds; and
-``dense``'s node order must be first appearance, ``u`` then ``v``.
+The dict adjacency is the only place a weight lives; ``dense`` builds
+an array from it on demand.  It must equal — bit for bit, since it is
+placement only — the edge-by-edge rebuild ``reference_bartercast
+.to_matrix`` in the same order under any interleaving of edge raises
+and stale refolds; and its node order must be first appearance, ``u``
+then ``v``.
 ``test_bartercast_sparse.py`` covers the same views on large, sparse
 graphs and their memory.
 """
@@ -12,28 +13,16 @@ graphs and their memory.
 import numpy as np
 import pytest
 
-from repro.bartercast.graph import SubjectiveGraph
+from repro.bartercast.graph import ReadOnlySubjectiveGraph, SubjectiveGraph
 from repro.bartercast.records import TransferRecord
 from tests import reference_bartercast as ref
 
 
-def reference_matrix(graph: SubjectiveGraph, order) -> np.ndarray:
-    """The pre-incremental O(E) rebuild, kept here as the oracle."""
-    ids = list(order)
-    index = {pid: i for i, pid in enumerate(ids)}
-    mat = np.zeros((len(ids), len(ids)))
-    for u, v, w in ref.edges(graph):
-        ui, vi = index.get(u), index.get(v)
-        if ui is not None and vi is not None:
-            mat[ui, vi] = w
-    return mat
-
-
-def assert_matrix_consistent(graph: SubjectiveGraph, extra=()):
-    order = sorted(ref.nodes(graph) | set(extra))
-    got = ref.to_matrix(graph, order)
-    want = reference_matrix(graph, order)
-    np.testing.assert_array_equal(got, want)
+def assert_matrix_consistent(graph: SubjectiveGraph):
+    """``dense()`` holds every node once and equals the oracle in its order."""
+    ids, got = graph.dense()
+    assert sorted(ids) == sorted(ref.nodes(graph))
+    np.testing.assert_array_equal(got, ref.to_matrix(graph, ids))
 
 
 class TestIncrementalMatrix:
@@ -44,27 +33,30 @@ class TestIncrementalMatrix:
         g.observe_direct("a", "b", 9.0)  # raise in place
         g.observe_direct("a", "b", 4.0)  # stale — ignored
         assert_matrix_consistent(g)
-        assert ref.to_matrix(g, ["a", "b"])[0, 1] == 9.0
+        assert g.dense()[1].tolist() == [[0.0, 9.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]
 
     def test_unknown_ids_get_zero_rows(self):
+        """A node seen only as a target gets a zero row, one seen only
+        as a source a zero column, and an id the graph never saw no
+        slot at all."""
         g = SubjectiveGraph("me")
         g.observe_direct("a", "b", 5.0)
-        mat = ref.to_matrix(g, ["ghost", "a", "b"])
-        assert mat[0].sum() == 0.0 and mat[:, 0].sum() == 0.0
-        assert mat[1, 2] == 5.0
+        ids, mat = g.dense()
+        assert ids == ["a", "b"] and "ghost" not in ids
+        assert mat[1].sum() == 0.0 and mat[:, 0].sum() == 0.0
+        assert mat[0, 1] == 5.0
 
     def test_empty_graph_and_empty_order(self):
-        g = SubjectiveGraph("me")
-        assert ref.to_matrix(g, []).shape == (0, 0)
-        assert ref.to_matrix(g, ["x", "y"]).sum() == 0.0
-        g.observe_direct("a", "b", 1.0)
-        assert ref.to_matrix(g, []).shape == (0, 0)
+        ids, mat = SubjectiveGraph("me").dense()
+        assert ids == [] and mat.shape == (0, 0)
+        ids, mat = ReadOnlySubjectiveGraph("ghost").dense()
+        assert ids == [] and mat.shape == (0, 0)
 
     def test_dense_view_is_read_only(self):
         g = SubjectiveGraph("me")
         g.observe_direct("a", "b", 5.0)
-        ids, dense = g.dense()
-        np.testing.assert_array_equal(dense, reference_matrix(g, ids))
+        assert_matrix_consistent(g)
+        _, dense = g.dense()
         with pytest.raises(ValueError):
             dense[0, 0] = 1.0
 
@@ -82,8 +74,6 @@ class TestIncrementalMatrix:
             u, v = rng.choice(population, size=2, replace=False)
             g.observe_direct(str(u), str(v), float(rng.uniform(0.1, 5.0)))
         assert_matrix_consistent(g)
-        ids, dense = g.dense()
-        np.testing.assert_array_equal(dense, reference_matrix(g, ids))
 
 
 class TestNodeOrder:

@@ -120,13 +120,8 @@ def snapshot(service):
     graphs = {}
     for pid in PEERS + STRANGERS:
         graph = service.graph_of(pid)
-        order = sorted(ref.nodes(graph))
-        graphs[pid] = (
-            ref.edges(graph),
-            graph.dense()[0],
-            ref.to_matrix(graph, order).tolist(),
-            graph.records_folded,
-        )
+        ids, mat = graph.dense()
+        graphs[pid] = (ref.edges(graph), ids, mat.tolist(), graph.records_folded)
     return graphs, service.cache_stats(), sorted(service._nodes)
 
 

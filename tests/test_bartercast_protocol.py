@@ -62,7 +62,8 @@ class TestSubjectiveGraph:
     def test_to_matrix(self):
         g = SubjectiveGraph("me")
         g.observe_direct("a", "b", 3.0)
-        mat = ref.to_matrix(g, ["a", "b"])
+        ids, mat = g.dense()
+        assert ids == ["a", "b"]
         assert mat[0, 1] == 3.0
         assert mat[1, 0] == 0.0
 

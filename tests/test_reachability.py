@@ -42,7 +42,7 @@ def test_hook_records_replica_pool_workers(tmp_path):
         check=True, timeout=120,
     )
     lines = log.read_text(encoding="utf-8").splitlines()
-    assert f"{Path(__file__).resolve()}\tProbe.run" in lines
+    assert f"{Path(__file__).resolve()}\t{Probe.run.__code__.co_firstlineno}\trun" in lines
     assert "repro.sim.parallel:_run_task" in reach.entered(log)
 
 
